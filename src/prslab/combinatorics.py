@@ -68,7 +68,8 @@ def dist_count(n: int, t: int) -> int:
     """Number of t-tuples of pairwise-distinct n-bit strings, exactly.
 
     Falling factorial 2^n (2^n - 1) ... (2^n - t + 1); zero when t > 2^n.
-    Asserts the exact value dominates the 2^{nt} (1 - t^2 / 2^n) lower bound.
+    Raises AssertionError unless the exact value dominates the
+    2^{nt} (1 - t^2 / 2^n) lower bound.
     """
     if n < 0 or t < 1:
         raise ValueError(f"need n >= 0 and t >= 1, got n={n}, t={t}")
@@ -77,7 +78,8 @@ def dist_count(n: int, t: int) -> int:
     for k in range(t):
         value *= max(size - k, 0)
     bound = dist_lower_bound(n, t)
-    assert value >= bound, f"falling factorial {value} below bound {bound}"
+    if not value >= bound:
+        raise AssertionError(f"falling factorial {value} below bound {bound}")
     return value
 
 
@@ -106,9 +108,9 @@ def perm_state_norm_sq(elements: Sequence[str]) -> Fraction:
     total = sum(c * c for c in images.values())
     norm_sq = Fraction(total, math.factorial(t))
     k = len(set(elements))
-    assert norm_sq <= perm_norm_bound(t, k), (
-        f"norm^2 {norm_sq} exceeds bound {perm_norm_bound(t, k)}"
-    )
+    bound = perm_norm_bound(t, k)
+    if not norm_sq <= bound:
+        raise AssertionError(f"norm^2 {norm_sq} exceeds bound {bound}")
     return norm_sq
 
 

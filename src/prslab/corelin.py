@@ -61,7 +61,7 @@ class PureState:
             )
         if self.normalized:
             norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
-            if abs(norm_sq - 1.0) > NORM_ATOL:
+            if not abs(norm_sq - 1.0) <= NORM_ATOL:
                 raise RegisterError(
                     f"squared norm {norm_sq!r} deviates from 1 beyond {NORM_ATOL}"
                 )
@@ -111,14 +111,14 @@ class DensityOperator:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise RegisterError(f"operator must be square, got shape {mat.shape}")
         dev = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-        if dev > HERMITIAN_ATOL:
+        if not dev <= HERMITIAN_ATOL:
             raise RegisterError(f"operator deviates from Hermitian by {dev:.3e}")
         if self.normalized:
             tr = complex(np.trace(mat))
-            if abs(tr - 1.0) > HERMITIAN_ATOL:
+            if not abs(tr - 1.0) <= HERMITIAN_ATOL:
                 raise RegisterError(f"trace {tr!r} deviates from 1 beyond {HERMITIAN_ATOL}")
             # cheap necessary PSD condition; full spectrum via min_eigenvalue()
-            if mat.size and float(np.min(mat.diagonal().real)) < EIGENVALUE_FLOOR:
+            if mat.size and not float(np.min(mat.diagonal().real)) >= EIGENVALUE_FLOOR:
                 raise RegisterError("diagonal entry below PSD floor")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -152,6 +152,10 @@ class UnitaryLayer:
       PHASE_DIAGONAL-- (modulus, exponents): diag of omega_modulus**exponent
       PERMUTATION   -- tuple sigma over basis labels: |x> -> |sigma(x)>
       CUSTOM        -- explicit complex matrix
+
+    Payloads are validated here, once: a malformed phase table, modulus,
+    permutation or custom matrix (including a non-unitary or NaN one) raises
+    RegisterError at construction, so applying a layer re-checks nothing.
     """
 
     kind: LayerKind
@@ -165,6 +169,23 @@ class UnitaryLayer:
             raise RegisterError(f"target qubits {targets} are not distinct")
         if any(t < 0 for t in targets):
             raise RegisterError(f"negative qubit index in {targets}")
+        dim = 1 << len(targets)
+        if self.kind is LayerKind.PHASE_DIAGONAL:
+            modulus, exponents = self.parameters
+            if len(exponents) != dim:
+                raise RegisterError(f"phase table has {len(exponents)} entries, expected {dim}")
+            if not modulus >= 1:
+                raise RegisterError(f"phase modulus {modulus} must be >= 1")
+        elif self.kind is LayerKind.PERMUTATION:
+            if sorted(self.parameters) != list(range(dim)):
+                raise RegisterError(f"permutation payload is not a permutation of 0..{dim - 1}")
+        elif self.kind is LayerKind.CUSTOM:
+            mat = np.asarray(self.parameters, dtype=np.complex128)
+            if mat.shape != (dim, dim):
+                raise RegisterError(f"custom matrix shape {mat.shape} != ({dim}, {dim})")
+            dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
+            if not dev <= UNITARY_ATOL:
+                raise RegisterError(f"custom matrix deviates from unitary by {dev:.3e}")
 
     @property
     def width(self) -> int:
@@ -193,11 +214,6 @@ def custom_layer(targets, matrix) -> UnitaryLayer:
     return UnitaryLayer(LayerKind.CUSTOM, tuple(targets), np.asarray(matrix, dtype=np.complex128))
 
 
-def _bit_parity_table(n_bits: int) -> np.ndarray:
-    idx = np.arange(1 << n_bits, dtype=np.uint64)
-    return (np.bitwise_count(idx) & 1).astype(np.int8)
-
-
 def hadamard_matrix(n_bits: int) -> np.ndarray:
     """H^{(x) n_bits}: entries (-1)^{x.y} / 2^{n/2} with bitwise dot x.y."""
     idx = np.arange(1 << n_bits, dtype=np.uint64)
@@ -205,54 +221,34 @@ def hadamard_matrix(n_bits: int) -> np.ndarray:
     return ((1.0 - 2.0 * parity) / math.sqrt(1 << n_bits)).astype(np.complex128)
 
 
-def qft_matrix(n_bits: int) -> np.ndarray:
-    """Fourier kernel omega_N^{xy} / sqrt(N) over integer basis labels."""
-    n = 1 << n_bits
-    idx = np.arange(n)
-    phase = np.exp(2j * np.pi * (np.outer(idx, idx) % n) / n)
-    return phase / math.sqrt(n)
+def _act(layer: UnitaryLayer, block: np.ndarray) -> np.ndarray:
+    """Apply the layer to axis 0 of a (2^width, k) block.
+
+    This is the only definition of each kind's action: `apply_layer` runs it
+    on the target register and `materialize` on the identity.
+    """
+    if layer.kind is LayerKind.HADAMARD_ALL:
+        return hadamard_transform(block)
+    if layer.kind is LayerKind.QFT:
+        return np.fft.ifft(block, axis=0, norm="ortho")
+    if layer.kind is LayerKind.PHASE_DIAGONAL:
+        modulus, exponents = layer.parameters
+        exps = np.asarray(exponents, dtype=np.int64)
+        if modulus == 2:
+            diag = np.where(exps % 2 == 1, -1.0, 1.0)
+        else:
+            diag = np.exp(2j * np.pi * (exps % modulus) / modulus)
+        return diag[:, None] * block
+    if layer.kind is LayerKind.PERMUTATION:
+        out = np.empty_like(block)
+        out[np.asarray(layer.parameters)] = block
+        return out
+    return np.asarray(layer.parameters, dtype=np.complex128) @ block
 
 
 def materialize(layer: UnitaryLayer) -> np.ndarray:
-    """Dense matrix of the layer on its own 2^width-dimensional register.
-
-    Raises RegisterError if the represented operator is not unitary within
-    1e-10 (possible only for CUSTOM payloads, but checked uniformly).
-    """
-    w = layer.width
-    dim = 1 << w
-    if layer.kind is LayerKind.HADAMARD_ALL:
-        mat = hadamard_matrix(w)
-    elif layer.kind is LayerKind.QFT:
-        mat = qft_matrix(w)
-    elif layer.kind is LayerKind.PHASE_DIAGONAL:
-        modulus, exponents = layer.parameters
-        exps = np.asarray(exponents, dtype=np.int64)
-        if exps.shape[0] != dim:
-            raise RegisterError(
-                f"phase table has {exps.shape[0]} entries, expected {dim}"
-            )
-        if modulus == 2:
-            diag = np.where(exps % 2 == 1, -1.0, 1.0).astype(np.complex128)
-        else:
-            diag = np.exp(2j * np.pi * (exps % modulus) / modulus)
-        mat = np.diag(diag)
-    elif layer.kind is LayerKind.PERMUTATION:
-        sigma = layer.parameters
-        if sorted(sigma) != list(range(dim)):
-            raise RegisterError(f"permutation payload is not a permutation of 0..{dim - 1}")
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        mat[np.asarray(sigma), np.arange(dim)] = 1.0
-    elif layer.kind is LayerKind.CUSTOM:
-        mat = np.asarray(layer.parameters, dtype=np.complex128)
-        if mat.shape != (dim, dim):
-            raise RegisterError(f"custom matrix shape {mat.shape} != ({dim}, {dim})")
-    else:  # pragma: no cover
-        raise RegisterError(f"unknown layer kind {layer.kind}")
-    dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
-    if dev > UNITARY_ATOL:
-        raise RegisterError(f"layer {layer.kind.value} deviates from unitary by {dev:.3e}")
-    return mat
+    """Dense matrix of the layer on its own 2^width-dimensional register."""
+    return _act(layer, np.eye(1 << layer.width, dtype=np.complex128))
 
 
 def apply_layer(state: PureState, layer: UnitaryLayer) -> PureState:
@@ -263,13 +259,11 @@ def apply_layer(state: PureState, layer: UnitaryLayer) -> PureState:
             raise RegisterError(
                 f"layer targets qubit {t} but the state has qubits 0..{q - 1}"
             )
-    mat = materialize(layer)
     w = layer.width
-    psi = state.amplitudes.reshape([2] * q) if q else state.amplitudes.reshape(())
     if w == 0:
         return state
-    psi = np.moveaxis(psi, layer.target_qubits, range(w))
-    psi = (mat @ psi.reshape(1 << w, -1)).reshape([2] * q)
+    psi = np.moveaxis(state.amplitudes.reshape([2] * q), layer.target_qubits, range(w))
+    psi = _act(layer, psi.reshape(1 << w, -1)).reshape([2] * q)
     psi = np.moveaxis(psi, range(w), layer.target_qubits)
     return PureState(q, psi.reshape(-1), normalized=state.normalized)
 

@@ -21,7 +21,6 @@ import json
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
 
 import numpy as np
 import scipy.sparse as sparse
@@ -201,8 +200,21 @@ def member_state(spec: MomentSpec, fns: tuple[BooleanFunction, ...]) -> PureStat
     return expand.evaluate(expand.construction3(fns, spec.n, spec.kind))
 
 
-def _t_fold(amplitudes: np.ndarray, t: int) -> np.ndarray:
-    return reduce(np.kron, [amplitudes] * t)
+def _average_t_fold(chunks, t: int) -> DensityOperator:
+    """Average of |v><v|^{(x) t} over the rows v of a stream of (rows, d) chunks."""
+    moment = None
+    count = 0
+    for vs in chunks:
+        folded = vs
+        for _ in range(t - 1):
+            folded = np.einsum("ka,kb->kab", folded, vs).reshape(len(vs), -1)
+        if moment is None:
+            moment = np.zeros((folded.shape[1],) * 2, dtype=np.complex128)
+        moment += folded.T @ folded.conj()
+        count += len(vs)
+    if count == 0:
+        raise ValueError("empty ensemble")
+    return DensityOperator(moment / count)
 
 
 def ensemble_moment_over_functions(
@@ -212,22 +224,9 @@ def ensemble_moment_over_functions(
     dim = 1 << (spec.output_qubits * spec.t)
     check_complex_array(2 * dim * dim, f"moment matrix dim {dim}", budget_override)
     chunk_rows = max(1, min(1024, (64 << 20) // (dim * 16)))
-    moment = np.zeros((dim, dim), dtype=np.complex128)
-    count = 0
-    block = []
-    for fns in function_tuples:
-        block.append(_t_fold(member_state(spec, fns).amplitudes, spec.t))
-        count += 1
-        if len(block) == chunk_rows:
-            vs = np.asarray(block)
-            moment += vs.T @ vs.conj()
-            block = []
-    if block:
-        vs = np.asarray(block)
-        moment += vs.T @ vs.conj()
-    if count == 0:
-        raise ValueError("empty ensemble")
-    return DensityOperator(moment / count)
+    states = (member_state(spec, fns).amplitudes for fns in function_tuples)
+    chunks = iter(lambda: list(itertools.islice(states, chunk_rows)), [])
+    return _average_t_fold(map(np.array, chunks), spec.t)
 
 
 def ensemble_moment_bruteforce(
@@ -332,22 +331,17 @@ def haar_moment_monte_carlo(
 ) -> DensityOperator:
     """Empirical t-fold moment over random states (secondary oracle)."""
     rng = np.random.default_rng(seed)
-    dim = local_dim**copies
-    moment = np.zeros((dim, dim), dtype=np.complex128)
-    chunk = max(1, min(samples, (32 << 20) // (dim * 16)))
-    done = 0
-    while done < samples:
-        rows = min(chunk, samples - done)
-        states = rng.standard_normal((rows, local_dim)) + 1j * rng.standard_normal(
-            (rows, local_dim)
-        )
-        states /= np.linalg.norm(states, axis=1, keepdims=True)
-        folded = states
-        for _ in range(copies - 1):
-            folded = np.einsum("ka,kb->kab", folded, states).reshape(rows, -1)
-        moment += folded.T @ folded.conj()
-        done += rows
-    return DensityOperator(moment / samples)
+    chunk = max(1, min(samples, (32 << 20) // (local_dim**copies * 16)))
+
+    def gaussian_chunks():
+        for done in range(0, samples, chunk):
+            rows = min(chunk, samples - done)
+            states = rng.standard_normal((rows, local_dim)) + 1j * rng.standard_normal(
+                (rows, local_dim)
+            )
+            yield states / np.linalg.norm(states, axis=1, keepdims=True)
+
+    return _average_t_fold(gaussian_chunks(), copies)
 
 
 def compare_to_haar(

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,44 @@ def tuple_with_shape(shape):
     for value, mult in enumerate(shape):
         out.extend([format(value, f"0{width}b")] * mult)
     return tuple(out)
+
+
+OPTIMIZED_BOUND_SCRIPT = """
+import sys
+from prslab import combinatorics as cb
+if __debug__:
+    sys.exit("not running under -O")
+cb.dist_lower_bound = lambda n, t: 10**9
+cb.perm_norm_bound = lambda t, k: 0
+for call in (lambda: cb.dist_count(2, 2), lambda: cb.perm_state_norm_sq(("0", "0"))):
+    try:
+        call()
+    except AssertionError:
+        continue
+    sys.exit("bound violation not raised")
+"""
+
+
+class TestBoundsRaiseExplicitly:
+    def test_dist_count_raises_when_bound_fails(self, monkeypatch):
+        monkeypatch.setattr(cb, "dist_lower_bound", lambda n, t: 10**9)
+        with pytest.raises(AssertionError, match="below bound"):
+            dist_count(2, 2)
+
+    def test_perm_norm_raises_when_bound_fails(self, monkeypatch):
+        monkeypatch.setattr(cb, "perm_norm_bound", lambda t, k: 0)
+        with pytest.raises(AssertionError, match="exceeds bound"):
+            perm_state_norm_sq(("0", "0"))
+
+    def test_bounds_raise_under_optimize(self):
+        src = str(Path(cb.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", OPTIMIZED_BOUND_SCRIPT],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestDistCount:

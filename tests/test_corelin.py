@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prslab import corelin
 from prslab.budget import BudgetError
@@ -38,6 +40,10 @@ class TestPureState:
         s = PureState(1, [1.0, 1.0], normalized=False)
         assert s.norm() == pytest.approx(math.sqrt(2))
 
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(RegisterError, match="norm"):
+            PureState(1, [np.nan, 0.0])
+
     def test_amplitudes_are_read_only(self):
         s = basis_state(1, 0)
         with pytest.raises(ValueError):
@@ -54,9 +60,23 @@ class TestUnitaryLayer:
             hadamard_all_layer((-1,))
 
     def test_custom_payload_must_be_unitary(self):
-        layer = corelin.custom_layer((0,), np.array([[1.0, 0.0], [1.0, 1.0]]))
         with pytest.raises(RegisterError, match="unitary"):
-            corelin.materialize(layer)
+            corelin.custom_layer((0,), np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: phase_diagonal_layer((0, 1), 2, [0, 1, 0]), "phase table"),
+            (lambda: phase_diagonal_layer((0,), 0, [0, 1]), "modulus"),
+            (lambda: permutation_layer((0, 1), [0, 1, 1, 2]), "permutation"),
+            (lambda: corelin.custom_layer((0,), np.eye(4)), "shape"),
+            (lambda: corelin.custom_layer((0,), [[np.nan, 0.0], [0.0, 1.0]]), "unitary"),
+        ],
+        ids=["table-length", "modulus-zero", "not-a-permutation", "custom-shape", "custom-nan"],
+    )
+    def test_invalid_payload_rejected_at_construction(self, make, match):
+        with pytest.raises(RegisterError, match=match):
+            make()
 
 
 class TestApplyLayer:
@@ -120,6 +140,48 @@ class TestApplyLayer:
             s = random_state(n, rng)
             out = apply_layer(s, layers[k % len(layers)])
             assert abs(out.norm() - 1.0) <= 1e-12
+
+
+def _layer_and_reference(kind, targets, data):
+    """A layer of `kind` on `targets` and its dense matrix, built independently."""
+    dim = 1 << len(targets)
+    if kind is LayerKind.HADAMARD_ALL:
+        return hadamard_all_layer(targets), corelin.hadamard_matrix(len(targets))
+    if kind is LayerKind.QFT:
+        idx = np.arange(dim)
+        omega = np.exp(2j * np.pi * np.outer(idx, idx) / dim)
+        return corelin.qft_layer(targets), omega / math.sqrt(dim)
+    if kind is LayerKind.PHASE_DIAGONAL:
+        modulus = data.draw(st.integers(1, 9))
+        exps = data.draw(st.lists(st.integers(-20, 20), min_size=dim, max_size=dim))
+        diag = np.diag(np.exp(2j * np.pi * np.asarray(exps) / modulus))
+        return phase_diagonal_layer(targets, modulus, exps), diag
+    if kind is LayerKind.PERMUTATION:
+        sigma = data.draw(st.permutations(range(dim)))
+        mat = np.zeros((dim, dim))
+        mat[sigma, range(dim)] = 1.0
+        return permutation_layer(targets, sigma), mat
+    u = random_unitary(dim, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    return corelin.custom_layer(targets, u), u
+
+
+class TestLayerKernelProperty:
+    @pytest.mark.parametrize("kind", list(LayerKind))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_apply_matches_permuted_dense_reference(self, kind, data):
+        # P^T (M (x) I) P psi, where P brings the targets, in order, to the front
+        q = data.draw(st.integers(1, 5))
+        order = data.draw(st.permutations(range(q)))
+        w = data.draw(st.integers(1, q))
+        targets = tuple(order[:w])
+        layer, mat = _layer_and_reference(kind, targets, data)
+        rest = tuple(j for j in range(q) if j not in targets)
+        perm = corelin.register_permutation_operator(2, q, targets + rest)
+        s = random_state(q, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        expected = perm.T @ np.kron(mat, np.eye(1 << (q - w))) @ perm @ s.amplitudes
+        assert_vectors_close(apply_layer(s, layer).amplitudes, expected, 1e-12)
+        assert_matrices_close(corelin.materialize(layer), mat, 1e-12)
 
 
 class TestPartialTrace:
@@ -245,6 +307,10 @@ class TestDensityOperator:
     def test_rejects_wrong_trace(self):
         with pytest.raises(RegisterError, match="trace"):
             DensityOperator(np.eye(2))
+
+    def test_rejects_nan_entry(self):
+        with pytest.raises(RegisterError, match="Hermitian"):
+            DensityOperator(np.array([[0.5, np.nan], [np.nan, 0.5]]))
 
     def test_unnormalized_flag(self):
         op = DensityOperator(np.eye(2), normalized=False)

@@ -144,6 +144,18 @@ class TestHaarMoment:
         sampled = haar_moment_monte_carlo(2, 2, samples=100_000, seed=17)
         assert corelin.trace_distance(exact, sampled) <= 1e-2
 
+    def test_monte_carlo_bit_identical_to_reference_loop(self):
+        # the loop haar_moment_monte_carlo ran before sharing the t-fold
+        # accumulator: the seeded stream and every rounding must be unchanged
+        rng = np.random.default_rng(5)
+        states = rng.standard_normal((300, 4)) + 1j * rng.standard_normal((300, 4))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        folded = np.einsum("ka,kb->kab", states, states).reshape(300, -1)
+        moment = np.zeros((16, 16), dtype=np.complex128)
+        moment += folded.T @ folded.conj()
+        got = haar_moment_monte_carlo(4, 2, 300, seed=5).matrix
+        assert got.tobytes() == (moment / 300).tobytes()
+
     def test_commutes_with_tensor_power_unitary(self, rng):
         u = corelin.random_unitary(2, rng)
         u2 = np.kron(u, u)
