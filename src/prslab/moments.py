@@ -90,36 +90,41 @@ class MomentSpec:
     def __post_init__(self):
         if self.t < 1:
             raise ValueError(f"copy count must be >= 1, got {self.t}")
-        if self.source is Source.CONSTRUCTION1 and self.i is None:
-            raise ValueError("construction1 needs the added-qubit count i")
-        if self.source is Source.CONSTRUCTION3 and self.ell is None:
-            raise ValueError("construction3 needs the block count ell")
+        if self.n < 1:
+            raise ValueError(f"block width must be >= 1, got n={self.n}")
+        if self.source is Source.CONSTRUCTION1 and (self.i is None or not 1 <= self.i < self.n):
+            raise ValueError(f"construction1 needs the added-qubit count 1 <= i < n, "
+                             f"got i={self.i}, n={self.n}")
+        if self.source in (Source.CONSTRUCTION2, Source.CONSTRUCTION3) and self.n % 2:
+            raise ValueError(f"{self.source.value} needs an even n >= 2, got n={self.n}")
+        if self.source is Source.CONSTRUCTION3 and (self.ell is None or self.ell < 1):
+            raise ValueError(f"construction3 needs the block count ell >= 1, got ell={self.ell}")
         if self.shared_key and self.source in (Source.PLAIN, Source.CONSTRUCTION1):
             raise ValueError(f"{self.source.value} draws one function per member already")
 
     @property
-    def output_qubits(self) -> int:
+    def block_offsets(self) -> tuple[int, ...]:
+        """Qubit offset of each n-wide block, in the order the circuit applies them."""
+        n = self.n
         if self.source is Source.PLAIN:
-            return self.n
+            return (0,)
         if self.source is Source.CONSTRUCTION1:
-            return self.n + self.i
+            return (0, self.i)
         if self.source is Source.CONSTRUCTION2:
-            return 2 * self.n
-        return (self.n // 2) * (self.ell + 1)
+            return (0, n, n // 2)
+        return tuple(j * n // 2 for j in range(self.ell))
 
     @property
-    def block_count(self) -> int:
-        """Number of blocks the source wires up."""
-        if self.source in (Source.PLAIN, Source.CONSTRUCTION1):
-            return 1
-        if self.source is Source.CONSTRUCTION2:
-            return 3
-        return self.ell
+    def output_qubits(self) -> int:
+        return max(self.block_offsets) + self.n
 
     @property
     def functions_per_member(self) -> int:
-        """Independent function draws per ensemble member."""
-        return 1 if self.shared_key else self.block_count
+        """Independent function draws per ensemble member: one per block, except
+        construction1 (one function keys both blocks) and the shared-key variant."""
+        if self.shared_key or self.source is Source.CONSTRUCTION1:
+            return 1
+        return len(self.block_offsets)
 
     def descriptor(self) -> dict:
         out = {"source": self.source.value, "kind": self.kind.value,
@@ -190,7 +195,7 @@ def member_functions(spec: MomentSpec):
 def member_state(spec: MomentSpec, fns: tuple[BooleanFunction, ...]) -> PureState:
     """Single-copy ensemble member for one drawn function tuple."""
     if spec.shared_key:
-        fns = fns * spec.block_count
+        fns = fns * len(spec.block_offsets)
     if spec.source is Source.PLAIN:
         return prepare(PrsGenerator(spec.kind, spec.n, fns[0]))
     if spec.source is Source.CONSTRUCTION1:
@@ -236,8 +241,15 @@ def ensemble_moment_bruteforce(
     return ensemble_moment_over_functions(spec, member_functions(spec), budget_override)
 
 
-def _popcount_parity(values: np.ndarray) -> np.ndarray:
-    return (np.bitwise_count(values) & np.uint64(1)).astype(np.float64)
+def _pairing_peak_entries(spec: MomentSpec) -> int:
+    """Upper estimate of the pairing route's peak allocation, in complex128
+    entries (16 bytes): at most 96 bytes per tuple while tuples are keyed and
+    grouped, then four d^t x d^t complex copies at once (during the final
+    Hadamard conjugation and during DensityOperator's checks), plus 1 MiB of
+    numpy ufunc buffers."""
+    tuples = 1 << (spec.n * len(spec.block_offsets) * spec.t)
+    dim = 1 << (spec.output_qubits * spec.t)
+    return 6 * tuples + 4 * dim * dim + (1 << 16)
 
 
 def ensemble_moment_deltapair(
@@ -245,72 +257,59 @@ def ensemble_moment_deltapair(
 ) -> DensityOperator:
     """All-functions moment via XOR-vector grouping; no function enumeration.
 
-    Sign-phase kinds only, plain or two-block-overlap sources, exhaustive
-    space.  Agrees with the brute-force average exactly (up to rounding).
+    Sign-phase kind, exhaustive space, any source.  Each block is a Hadamard
+    layer on its n targets then a sign phase, so a path through the t copies
+    picks one n-bit label b per block and copy (the next n bits of the tuple
+    index).  The Hadamard layer signs the path by (-1)^(targets.b) for the
+    label it meets and writes b over its targets; the phase's (-1)^f(b) enters
+    the key as the one-hot bit of b in the word of the block's function draw.
+    Before the final Hadamard layer the moment is G^T G / 2^(tuple bits), G
+    the signed key-by-label path matrix.  Agrees with brute force up to rounding.
     """
     if spec.kind is not PrsKind.BINARY_PHASE:
         raise ValueError("pairing route requires the sign-phase kind")
     if not isinstance(spec.function_space, ExhaustiveAllFunctions):
         raise ValueError("pairing route computes the exhaustive all-functions average")
-    if spec.source not in (Source.PLAIN, Source.CONSTRUCTION1):
-        raise ValueError(f"pairing route does not support source {spec.source.value}")
-    n, t = spec.n, spec.t
-    if (1 << n) > _MAX_KEY_BITS:
-        raise ValueError(f"parity vectors for n={n} exceed {_MAX_KEY_BITS} packed bits")
+    n, t, q = spec.n, spec.t, spec.output_qubits
+    offsets, draws = spec.block_offsets, spec.functions_per_member
+    if draws << n > _MAX_KEY_BITS:
+        raise ValueError(
+            f"parity vectors need {draws << n} bits; the pairing route packs them "
+            f"into one {_MAX_KEY_BITS}-bit key"
+        )
+    check_complex_array(_pairing_peak_entries(spec), "pairing route peak", budget_override)
 
-    if spec.source is Source.PLAIN:
-        tuple_bits = n * t
-        check_complex_array(3 << tuple_bits, "tuple enumeration", budget_override)
-        dim = 1 << (n * t)
-        check_complex_array(2 * dim * dim, f"moment matrix dim {dim}", budget_override)
-        idx = np.arange(1 << tuple_bits, dtype=np.uint64)
-        keys = np.zeros_like(idx)
-        mask_n = np.uint64((1 << n) - 1)
-        one = np.uint64(1)
-        for j in range(t):
-            x_j = (idx >> np.uint64(n * (t - 1 - j))) & mask_n
-            keys ^= one << x_j
-        cols = idx
-        signs = np.ones(idx.shape[0], dtype=np.float64)
-        prefactor = 1.0 / (1 << (n * t))
-        conjugate = False
-    else:
-        i = spec.i
-        tuple_bits = 2 * n * t
-        check_complex_array(3 << tuple_bits, "tuple enumeration", budget_override)
-        dim = 1 << ((n + i) * t)
-        check_complex_array(2 * dim * dim, f"moment matrix dim {dim}", budget_override)
-        idx = np.arange(1 << tuple_bits, dtype=np.uint64)
-        keys = np.zeros_like(idx)
-        parity = np.zeros(idx.shape[0], dtype=np.float64)
-        cols = np.zeros_like(idx)
-        mask_n = np.uint64((1 << n) - 1)
-        mask_tail = np.uint64((1 << (n - i)) - 1)
-        one = np.uint64(1)
-        for j in range(t):
-            copy = (idx >> np.uint64(2 * n * (t - 1 - j))) & np.uint64((1 << (2 * n)) - 1)
-            z_j = copy >> np.uint64(n)           # full first-block label x' + x''
-            y_j = copy & mask_n
-            xpp_j = z_j & mask_tail
-            keys ^= (one << z_j) ^ (one << y_j)
-            parity += _popcount_parity((y_j >> np.uint64(i)) & xpp_j)
-            basis_j = ((z_j >> np.uint64(n - i)) << np.uint64(n)) | y_j
-            cols |= basis_j << np.uint64((n + i) * (t - 1 - j))
-        signs = 1.0 - 2.0 * (parity % 2.0)
-        prefactor = 1.0 / (1 << (2 * n * t))
-        conjugate = True
-
+    tuple_bits = n * len(offsets) * t
+    idx = np.arange(1 << tuple_bits, dtype=np.uint64)
+    keys = np.zeros_like(idx)
+    cols = np.zeros_like(idx)
+    parity = np.zeros(idx.shape, dtype=np.uint8)
+    mask_n = np.uint64((1 << n) - 1)
+    one = np.uint64(1)
+    shift = tuple_bits
+    for j in range(t):
+        label = np.zeros_like(idx)
+        for k, offset in enumerate(offsets):
+            shift -= n
+            b = (idx >> np.uint64(shift)) & mask_n
+            low = np.uint64(q - offset - n)  # bit position of the block's last qubit
+            parity ^= np.bitwise_count((label >> low) & b)
+            label = (label & ~(mask_n << low)) | (b << low)
+            keys ^= one << (b + np.uint64((k % draws) << n))
+        cols |= label << np.uint64(q * (t - 1 - j))
     _, inverse = np.unique(keys, return_inverse=True)
     groups = sparse.coo_matrix(
-        (signs, (inverse, cols.astype(np.int64))),
-        shape=(int(inverse.max()) + 1, dim),
+        (1.0 - 2.0 * (parity & 1), (inverse, cols.astype(np.int64))),
+        shape=(int(inverse.max()) + 1, 1 << (q * t)),
     ).tocsr()
-    pre = (groups.T @ groups).toarray().astype(np.float64) * prefactor
-    trace = float(np.trace(pre))
+    del idx, keys, cols, parity, label, b, inverse  # the dense stage needs only G
+
+    matrix = (groups.T @ groups).toarray() / (1 << tuple_bits)
+    trace = float(np.trace(matrix))
     if abs(trace - 1.0) > 1e-9:
         raise AssertionError(f"pairing moment trace {trace} deviates from 1")
-    matrix = pre.astype(np.complex128)
-    if conjugate:
+    matrix = matrix.astype(np.complex128)
+    if spec.source is not Source.PLAIN:
         matrix = corelin.hadamard_conjugate(matrix)
     return DensityOperator(matrix)
 

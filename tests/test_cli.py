@@ -104,6 +104,21 @@ class TestSweepCommand:
         assert rows == sorted(rows)
         assert all(float(r[-1]) <= 1e-12 for r in rows)
 
+    def test_multi_block_sources_agree_across_methods(self, tmp_path):
+        config = {
+            "grid": {"source": ["construction2", "construction3"], "kind": ["binary"],
+                     "n": [2], "ell": [2], "t": [1], "space": ["exhaustive"],
+                     "method": ["deltapair", "bruteforce"]},
+            "seed": 0,
+        }
+        cfg = self.write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out-dir", out, "--canonical", "sweep"]) == 0
+        assert not (out / "sweep_failures.json").exists()
+        rows = [line.split(",") for line in read_lines(out / "sweep.csv")[2:]]
+        assert len(rows) == 4  # 2 sources x 2 methods
+        assert all(float(r[-1]) <= 1e-12 for r in rows)
+
     def test_empty_grid_writes_header_only(self, tmp_path):
         cfg = self.write_config(tmp_path, {"grid": {"n": []}, "seed": 0})
         out = tmp_path / "out"

@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from prslab import corelin, moments
-from prslab.budget import BudgetError
+from prslab import boolfn, corelin, expand, moments
+from prslab.budget import DEFAULT_BUDGET_MIB, BudgetError
 from prslab.corelin import DensityOperator
 from prslab.moments import (
     ExhaustiveAllFunctions,
@@ -22,7 +23,7 @@ from prslab.moments import (
 )
 from prslab.prsgen import PrsKind
 
-from conftest import assert_matrices_close
+from conftest import assert_matrices_close, assert_vectors_close
 
 
 def plain(n, t, space=None):
@@ -33,6 +34,60 @@ def plain(n, t, space=None):
 def c1(n, i, t, space=None):
     return MomentSpec(Source.CONSTRUCTION1, n=n, t=t, i=i,
                       function_space=space or ExhaustiveAllFunctions())
+
+
+class TestMomentSpec:
+    @pytest.mark.parametrize("source,n,i,ell,match", [
+        (Source.PLAIN, 0, None, None, "block width must be >= 1"),
+        (Source.CONSTRUCTION2, 0, None, None, "block width must be >= 1"),
+        (Source.CONSTRUCTION1, 2, 2, None, "1 <= i < n"),
+        (Source.CONSTRUCTION1, 2, 0, None, "1 <= i < n"),
+        (Source.CONSTRUCTION1, 2, -1, None, "1 <= i < n"),
+        (Source.CONSTRUCTION1, 2, None, None, "1 <= i < n"),
+        (Source.CONSTRUCTION2, 3, None, None, "even n >= 2"),
+        (Source.CONSTRUCTION3, 3, None, 2, "even n >= 2"),
+        (Source.CONSTRUCTION3, 2, None, 0, "ell >= 1"),
+        (Source.CONSTRUCTION3, 2, None, None, "ell >= 1"),
+    ])
+    def test_rejects_geometry_the_circuits_refuse(self, source, n, i, ell, match):
+        with pytest.raises(ValueError, match=match):
+            MomentSpec(source, n=n, t=1, i=i, ell=ell)
+
+    @pytest.mark.parametrize("spec", [
+        MomentSpec(Source.CONSTRUCTION1, n=3, t=1, i=1),
+        MomentSpec(Source.CONSTRUCTION1, n=4, t=1, i=3),
+        MomentSpec(Source.CONSTRUCTION2, n=4, t=1),
+        MomentSpec(Source.CONSTRUCTION2, n=2, t=1, shared_key=True),
+        MomentSpec(Source.CONSTRUCTION3, n=2, t=1, ell=3),
+        MomentSpec(Source.CONSTRUCTION3, n=4, t=1, ell=1),
+    ], ids=lambda spec: spec.source.value)
+    def test_block_offsets_match_the_evaluated_circuit(self, spec, monkeypatch, rng):
+        evaluated = []
+        evaluate = expand.evaluate
+
+        def capture(construction, *args, **kwargs):
+            evaluated.append(construction)
+            return evaluate(construction, *args, **kwargs)
+
+        monkeypatch.setattr(expand, "evaluate", capture)
+        fns = tuple(boolfn.random_function(spec.n, 2, rng)
+                    for _ in range(spec.functions_per_member))
+        moments.member_state(spec, fns)
+        (construction,) = evaluated
+        assert tuple(b.offset for b in construction.blocks) == spec.block_offsets
+        assert {b.width for b in construction.blocks} == {spec.n}
+        assert construction.total_qubits == spec.output_qubits
+
+    def test_plain_block_offsets_match_one_block_circuit(self, rng):
+        # the plain member is prepared directly; it equals the one-block circuit
+        spec = plain(3, 1)
+        assert spec.block_offsets == (0,) and spec.output_qubits == 3
+        for _ in range(8):
+            f = boolfn.random_function(3, 2, rng)
+            block = expand.Block(0, 3, spec.kind, function=f)
+            circuit = expand.evaluate(expand.ConstructionSpec(3, (block,)))
+            assert_vectors_close(circuit.amplitudes,
+                                 moments.member_state(spec, (f,)).amplitudes, 1e-15)
 
 
 class TestBruteForce:
@@ -63,8 +118,6 @@ class TestBruteForce:
                           function_space=UniformSample(3, seed=8), shared_key=True)
         fns = list(moments.member_functions(spec))
         assert all(len(f) == 1 for f in fns)
-        from prslab import expand
-
         for (f,) in fns:
             direct = expand.evaluate(expand.construction2(f, f, f, 2))
             via_member = moments.member_state(spec, (f,))
@@ -125,10 +178,49 @@ class TestDeltaPairing:
         with pytest.raises(ValueError, match="exhaustive"):
             ensemble_moment_deltapair(plain(2, 1, PrfKeys(8, seed=1)))
 
-    def test_rejects_other_sources(self):
-        spec = MomentSpec(Source.CONSTRUCTION2, n=2, t=1)
-        with pytest.raises(ValueError, match="source"):
+    def test_rejects_keys_wider_than_one_word(self):
+        # three independent draws of 2^6-bit parity vectors need 192 bits,
+        # five of 2^4 bits need 80
+        wide = (MomentSpec(Source.CONSTRUCTION2, n=6, t=1),
+                MomentSpec(Source.CONSTRUCTION3, n=4, t=1, ell=5))
+        for spec, bits in zip(wide, (192, 80)):
+            with pytest.raises(ValueError, match=f"{bits} bits.*64-bit"):
+                ensemble_moment_deltapair(spec)
+
+    @pytest.mark.parametrize("source,n,t,ell,shared_key", [
+        (Source.CONSTRUCTION2, 2, 1, None, False),
+        (Source.CONSTRUCTION2, 2, 2, None, False),
+        (Source.CONSTRUCTION3, 2, 2, 2, False),
+        (Source.CONSTRUCTION3, 2, 1, 3, False),
+        (Source.CONSTRUCTION2, 2, 2, None, True),
+        (Source.CONSTRUCTION3, 2, 2, 3, True),
+    ])
+    def test_matches_brute_force_on_multi_block_sources(self, source, n, t, ell, shared_key):
+        spec = MomentSpec(source, n=n, t=t, ell=ell, shared_key=shared_key)
+        assert_matrices_close(
+            ensemble_moment_deltapair(spec).matrix,
+            ensemble_moment_bruteforce(spec).matrix,
+            1e-12,
+        )
+
+    @pytest.mark.parametrize("spec", [plain(3, 3), c1(4, 1, 2), c1(3, 2, 2)],
+                             ids=["plain-3-3", "c1-4-1-2", "c1-3-2-2"])
+    def test_budget_estimate_covers_measured_peak(self, spec):
+        tracemalloc.start()
+        try:
             ensemble_moment_deltapair(spec)
+            measured = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = 16 * moments._pairing_peak_entries(spec)
+        assert measured <= estimate <= 2 * measured
+
+    def test_budget_refuses_c1_n5_below_its_peak_and_admits_it_by_default(self):
+        # the c1 n=5 t=2 pairing peaks above 1000 MiB (measured 1036 MiB)
+        spec = c1(5, 1, 2)
+        assert 16 * moments._pairing_peak_entries(spec) < DEFAULT_BUDGET_MIB << 20
+        with pytest.raises(BudgetError, match="pairing route peak"):
+            ensemble_moment_deltapair(spec, budget_override=1000)
 
 
 class TestHaarMoment:
