@@ -9,6 +9,7 @@ security claim attached.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -80,19 +81,11 @@ def function_count(n: int, m: int) -> int:
     return m ** (1 << n)
 
 
-def enumerate_all(n: int, m: int, limit: int | None = None) -> Iterator[BooleanFunction]:
+def enumerate_all(n: int, m: int) -> Iterator[BooleanFunction]:
     """All m^(2^n) functions, in lexicographic table order (table[0] most significant)."""
-    total = function_count(n, m)
-    check_enumeration(total, f"function space n={n}, m={m}", limit)
-    entries = 1 << n
-    for code in range(total):
-        # decode `code` base-m, most significant digit first
-        digits = []
-        rem = code
-        for _ in range(entries):
-            rem, digit = divmod(rem, m)
-            digits.append(digit)
-        yield BooleanFunction(n, m, tuple(reversed(digits)))
+    check_enumeration(function_count(n, m), f"function space n={n}, m={m}")
+    for table in itertools.product(range(m), repeat=1 << n):
+        yield BooleanFunction(n, m, table)
 
 
 def prf_eval(key: PrfKey, n: int, m: int, x: int) -> int:

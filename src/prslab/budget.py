@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import os
 
 DEFAULT_BUDGET_MIB = 2048
@@ -17,13 +18,28 @@ class BudgetError(MemoryError):
     """An operation would exceed the configured memory or enumeration budget."""
 
 
+def _positive_mib(value, source: str) -> int:
+    """An integer, or a string holding one, that is >= 1; bools and floats are refused."""
+    try:
+        whole = isinstance(value, (numbers.Integral, str)) and not isinstance(value, bool)
+        mib = int(value) if whole else 0
+    except ValueError:
+        mib = 0
+    if mib < 1:
+        raise BudgetError(f"{source} must be a whole number of MiB >= 1, got {value!r}")
+    return mib
+
+
 def budget_mib(override: int | None = None) -> int:
-    """Resolve the active budget: explicit override, else env var, else default."""
+    """Resolve the active budget: explicit override, else env var, else default.
+
+    A value that is not a whole number >= 1 raises BudgetError naming its source.
+    """
     if override is not None:
-        return int(override)
+        return _positive_mib(override, "the budget override (--budget-mib)")
     env = os.environ.get(BUDGET_ENV_VAR)
     if env is not None:
-        return int(env)
+        return _positive_mib(env, BUDGET_ENV_VAR)
     return DEFAULT_BUDGET_MIB
 
 
@@ -38,10 +54,10 @@ def check_complex_array(entries: int, what: str, override: int | None = None) ->
         )
 
 
-def check_enumeration(count: int, what: str, limit: int | None = None) -> None:
+def check_enumeration(count: int, what: str) -> None:
     """Fail fast if an enumeration of `count` items exceeds the cap."""
-    cap = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
-    if count > cap:
+    if count > DEFAULT_ENUMERATION_LIMIT:
         raise BudgetError(
-            f"{what} would enumerate {count} items; the enumeration budget is {cap}"
+            f"{what} would enumerate {count} items; "
+            f"the enumeration budget is {DEFAULT_ENUMERATION_LIMIT}"
         )

@@ -19,14 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import boolfn, combinatorics, condcheck, expand, moments
-from .budget import BudgetError
+from .budget import BudgetError, budget_mib
 from .moments import ExhaustiveAllFunctions, Method, MomentSpec, PrfKeys, Source, UniformSample
 from .prsgen import PrsGenerator, PrsKind
 
-SCHEMA_LINE = "# schema=1"
+SCHEMA_LINE = "# schema=2"
 
 MOMENT_COLUMNS = (
     "source", "kind", "n", "i", "t", "method", "seed", "haar_distance", "runtime_ms",
+    "ell", "shared_key", "space",
 )
 SWEEP_COLUMNS = MOMENT_COLUMNS + ("method_equiv_max_diff",)
 
@@ -89,6 +90,12 @@ def _moment_spec(source, kind, n, i, ell, t, space, shared_key=False) -> MomentS
     )
 
 
+def _space_text(space) -> str:
+    """The function space as the CLI spells it: exhaustive, prf:COUNT or uniform:COUNT."""
+    desc = space.descriptor()
+    return f"{desc['space']}:{desc['count']}" if "count" in desc else desc["space"]
+
+
 def _report_row(report: moments.MomentReport, canonical: bool):
     spec = report.spec
     return (
@@ -101,6 +108,9 @@ def _report_row(report: moments.MomentReport, canonical: bool):
         report.seed,
         report.haar_distance,
         0 if canonical else report.runtime_ms,
+        spec.ell,
+        spec.shared_key,
+        _space_text(spec.function_space),
     )
 
 
@@ -361,6 +371,7 @@ def main(argv=None) -> int:
     out_dir = Path(args.out_dir) if args.out_dir is not None else Path("prslab_out")
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        args.budget_mib = budget_mib(args.budget_mib)  # resolved once, before any work
         if args.command == "moments":
             return cmd_moments(args, out_dir)
         if args.command == "expand-check":

@@ -95,6 +95,15 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def _hermitian_deviation(mat: np.ndarray) -> float:
+    """max |mat - mat^H|, over row stripes of about 2^16 entries so that the
+    check holds a few MiB besides the matrix; NaN propagates."""
+    rows = max(1, (1 << 16) // max(1, len(mat)))
+    stripes = [np.max(np.abs(mat[k : k + rows] - mat[:, k : k + rows].conj().T))
+               for k in range(0, len(mat), rows)]
+    return float(np.max(stripes, initial=0.0))
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian operator; with ``normalized=True`` also trace-1 and PSD-checked.
@@ -110,7 +119,7 @@ class DensityOperator:
         mat = np.asarray(self.matrix, dtype=np.complex128).copy()
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise RegisterError(f"operator must be square, got shape {mat.shape}")
-        dev = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+        dev = _hermitian_deviation(mat)
         if not dev <= HERMITIAN_ATOL:
             raise RegisterError(f"operator deviates from Hermitian by {dev:.3e}")
         if self.normalized:
@@ -262,10 +271,10 @@ def apply_layer(state: PureState, layer: UnitaryLayer) -> PureState:
     w = layer.width
     if w == 0:
         return state
-    psi = np.moveaxis(state.amplitudes.reshape([2] * q), layer.target_qubits, range(w))
+    order = layer.target_qubits + tuple(j for j in range(q) if j not in layer.target_qubits)
+    psi = state.amplitudes.reshape([2] * q).transpose(order)
     psi = _act(layer, psi.reshape(1 << w, -1)).reshape([2] * q)
-    psi = np.moveaxis(psi, range(w), layer.target_qubits)
-    return PureState(q, psi.reshape(-1), normalized=state.normalized)
+    return PureState(q, psi.transpose(np.argsort(order)).reshape(-1), normalized=state.normalized)
 
 
 def partial_trace(state: PureState, traced_qubits) -> DensityOperator:
@@ -334,14 +343,12 @@ def symmetric_projector(
     return DensityOperator(proj, normalized=False)
 
 
-def hadamard_transform(arr: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Apply H^{(x) m} along one power-of-two axis (fast Walsh butterfly)."""
-    x = np.asarray(arr, dtype=np.complex128)
-    n = x.shape[axis]
+def hadamard_transform(arr: np.ndarray) -> np.ndarray:
+    """Apply H^{(x) m} along axis 0, a power-of-two axis (fast Walsh butterfly)."""
+    x = np.array(arr, dtype=np.complex128, order="C")
+    n = x.shape[0]
     if n == 0 or n & (n - 1):
         raise RegisterError(f"axis length {n} is not a power of two")
-    moved_shape = np.moveaxis(x, axis, 0).shape
-    x = np.array(np.moveaxis(x, axis, 0), order="C")
     flat = x.reshape(n, -1)
     h = 1
     while h < n:
@@ -351,9 +358,9 @@ def hadamard_transform(arr: np.ndarray, axis: int = 0) -> np.ndarray:
         blocks[:, 1] = a - blocks[:, 1]
         h *= 2
     flat /= math.sqrt(n)
-    return np.moveaxis(flat.reshape(moved_shape), 0, axis)
+    return x
 
 
 def hadamard_conjugate(matrix: np.ndarray) -> np.ndarray:
     """Conjugate a square matrix by H^{(x) m}: H M H (H is real symmetric)."""
-    return hadamard_transform(hadamard_transform(matrix, axis=0), axis=1)
+    return hadamard_transform(hadamard_transform(matrix).T).T

@@ -1,21 +1,23 @@
 """Length-expansion circuits over phase-PRS blocks, as declarative specs.
 
 A spec lists same-width blocks at qubit offsets, applied in order to the
-all-zeros register, optionally followed by a global mixing layer.  The
-two-block overlap construction additionally has a closed-form amplitude
-formula, kept as an independent oracle against the circuit path.
+all-zeros register, optionally followed by a global mixing layer; each
+source's block layout and circuit are defined here only.  The two-block
+overlap construction additionally has a closed-form amplitude formula, kept
+as an independent oracle against the circuit path.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from . import corelin, prsgen
 from .boolfn import BooleanFunction, PrfKey
-from .budget import check_complex_array
+from .budget import budget_mib, check_complex_array
 from .corelin import LayerKind, PureState, UnitaryLayer
 from .prsgen import PrsGenerator, PrsKind
 
@@ -65,8 +67,47 @@ class ConstructionSpec:
                 )
 
 
-def _final_layer(kind: PrsKind, total_qubits: int) -> UnitaryLayer:
-    return prsgen.fourier_layer(kind, tuple(range(total_qubits)))
+class Source(Enum):
+    PLAIN = "plain"
+    CONSTRUCTION1 = "construction1"
+    CONSTRUCTION2 = "construction2"
+    CONSTRUCTION3 = "construction3"
+
+
+def block_offsets(source: Source, n: int, i: int | None = None,
+                  ell: int | None = None) -> tuple[int, ...]:
+    """Qubit offset of each n-wide block of a source, in the order the circuit
+    applies them: the one definition and check of each source's geometry.
+    Fields a source does not use are ignored."""
+    if n < 1:
+        raise ValueError(f"block width must be >= 1, got n={n}")
+    if source is Source.PLAIN:
+        return (0,)
+    if source is Source.CONSTRUCTION1:
+        if i is None or not 1 <= i < n:
+            raise ValueError(f"construction1 needs the added-qubit count 1 <= i < n, "
+                             f"got i={i}, n={n}")
+        return (0, i)
+    if n % 2:
+        raise ValueError(f"{source.value} needs an even n >= 2, got n={n}")
+    if source is Source.CONSTRUCTION2:
+        return (0, n, n // 2)
+    if ell is None or ell < 1:
+        raise ValueError(f"construction3 needs the block count ell >= 1, got ell={ell}")
+    return tuple(j * n // 2 for j in range(ell))
+
+
+def circuit(source: Source, fns, n: int, kind: PrsKind = PrsKind.BINARY_PHASE,
+            i: int | None = None, ell: int | None = None,
+            include_final_layer: bool = True) -> ConstructionSpec:
+    """The source's blocks, block k keyed by fns[k % len(fns)], then (every
+    source but plain) the Fourier layer on the whole output register."""
+    offsets = block_offsets(source, n, i, ell)
+    q = max(offsets) + n
+    blocks = tuple(Block(offset, n, kind, function=fns[k % len(fns)])
+                   for k, offset in enumerate(offsets))
+    final = include_final_layer and source is not Source.PLAIN
+    return ConstructionSpec(q, blocks, prsgen.fourier_layer(kind, range(q)) if final else None)
 
 
 def construction1(
@@ -77,15 +118,7 @@ def construction1(
     include_final_layer: bool = True,
 ) -> ConstructionSpec:
     """Two same-keyed blocks overlapping on n - i qubits; output n + i qubits."""
-    if not 1 <= i < n:
-        raise ValueError(f"added qubit count must satisfy 1 <= i < n, got i={i}, n={n}")
-    q = n + i
-    blocks = (
-        Block(0, n, kind, function=f),
-        Block(i, n, kind, function=f),
-    )
-    final = _final_layer(kind, q) if include_final_layer else None
-    return ConstructionSpec(q, blocks, final)
+    return circuit(Source.CONSTRUCTION1, (f,), n, kind, i, None, include_final_layer)
 
 
 def construction2(
@@ -97,16 +130,7 @@ def construction2(
     include_final_layer: bool = True,
 ) -> ConstructionSpec:
     """Two parallel blocks at offsets 0 and n, then one centered block; output 2n qubits."""
-    if n % 2:
-        raise ValueError(f"block width must be even, got n={n}")
-    q = 2 * n
-    blocks = (
-        Block(0, n, kind, function=f1),
-        Block(n, n, kind, function=f2),
-        Block(n // 2, n, kind, function=f3),
-    )
-    final = _final_layer(kind, q) if include_final_layer else None
-    return ConstructionSpec(q, blocks, final)
+    return circuit(Source.CONSTRUCTION2, (f1, f2, f3), n, kind, None, None, include_final_layer)
 
 
 def construction3(
@@ -115,25 +139,28 @@ def construction3(
     kind: PrsKind = PrsKind.BINARY_PHASE,
     include_final_layer: bool = True,
 ) -> ConstructionSpec:
-    """Stairs of ell blocks at stride n/2; output (n/2)(ell + 1) qubits."""
+    """Stairs of ell = len(fs) blocks at stride n/2; output (n/2)(ell + 1) qubits."""
     fs = tuple(fs)
-    if not fs:
-        raise ValueError("need at least one block function")
-    if n % 2:
-        raise ValueError(f"block width must be even, got n={n}")
-    ell = len(fs)
-    q = (n // 2) * (ell + 1)
-    blocks = tuple(Block((j * n) // 2, n, kind, function=fs[j]) for j in range(ell))
-    final = _final_layer(kind, q) if include_final_layer else None
-    return ConstructionSpec(q, blocks, final)
+    return circuit(Source.CONSTRUCTION3, fs, n, kind, None, len(fs), include_final_layer)
 
 
 def evaluate(spec: ConstructionSpec, budget_override: int | None = None) -> PureState:
-    """Run the circuit on |0...0>: blocks in listed order, then the final layer."""
-    check_complex_array(1 << spec.total_qubits, f"state on {spec.total_qubits} qubits",
-                        budget_override)
-    state = corelin.basis_state(spec.total_qubits, 0)
-    for block in spec.blocks:
+    """Run the circuit on |0...0>: blocks in listed order, then the final layer.
+    The first block meets |0...0>, so it is `prsgen.prepare` placed at its offset."""
+    q = spec.total_qubits
+    limit = budget_mib(budget_override)  # one lookup for both checks
+    check_complex_array(1 << q, f"state on {q} qubits", limit)
+    if spec.blocks:
+        first = spec.blocks[0]
+        state = prsgen.prepare(first.resolve(), limit)
+        if first.width < q:
+            amps = np.zeros(1 << q, dtype=np.complex128)
+            low = q - first.offset - first.width  # qubits below the block
+            amps[: 1 << (first.width + low) : 1 << low] = state.amplitudes
+            state = PureState(q, amps)
+    else:
+        state = corelin.basis_state(q, 0)
+    for block in spec.blocks[1:]:
         state = prsgen.apply_to_register(block.resolve(), state, block.offset)
     if spec.final_layer is not None:
         state = corelin.apply_layer(state, spec.final_layer)
@@ -153,8 +180,7 @@ def closed_form_construction1(
     register x'' of (-1)^(f(x'x'') + y.(x''0^i) + f(y)) / 2^n, with no circuit
     simulation; used as an oracle against `evaluate`.
     """
-    if not 1 <= i < n:
-        raise ValueError(f"added qubit count must satisfy 1 <= i < n, got i={i}, n={n}")
+    block_offsets(Source.CONSTRUCTION1, n, i)  # rejects i outside 1 <= i < n
     if f.range_modulus != 2:
         raise ValueError("closed form is defined for sign phases (modulus 2)")
     q = n + i

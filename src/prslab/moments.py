@@ -29,16 +29,10 @@ from . import boolfn, corelin, expand
 from .boolfn import BooleanFunction
 from .budget import check_complex_array, check_enumeration
 from .corelin import DensityOperator, PureState
-from .prsgen import PrsGenerator, PrsKind, prepare
+from .expand import Source
+from .prsgen import PrsKind
 
 _MAX_KEY_BITS = 64  # XOR parity vectors are packed into uint64 words
-
-
-class Source(Enum):
-    PLAIN = "plain"
-    CONSTRUCTION1 = "construction1"
-    CONSTRUCTION2 = "construction2"
-    CONSTRUCTION3 = "construction3"
 
 
 class Method(Enum):
@@ -90,29 +84,14 @@ class MomentSpec:
     def __post_init__(self):
         if self.t < 1:
             raise ValueError(f"copy count must be >= 1, got {self.t}")
-        if self.n < 1:
-            raise ValueError(f"block width must be >= 1, got n={self.n}")
-        if self.source is Source.CONSTRUCTION1 and (self.i is None or not 1 <= self.i < self.n):
-            raise ValueError(f"construction1 needs the added-qubit count 1 <= i < n, "
-                             f"got i={self.i}, n={self.n}")
-        if self.source in (Source.CONSTRUCTION2, Source.CONSTRUCTION3) and self.n % 2:
-            raise ValueError(f"{self.source.value} needs an even n >= 2, got n={self.n}")
-        if self.source is Source.CONSTRUCTION3 and (self.ell is None or self.ell < 1):
-            raise ValueError(f"construction3 needs the block count ell >= 1, got ell={self.ell}")
+        expand.block_offsets(self.source, self.n, self.i, self.ell)  # checks the geometry
         if self.shared_key and self.source in (Source.PLAIN, Source.CONSTRUCTION1):
             raise ValueError(f"{self.source.value} draws one function per member already")
 
     @property
     def block_offsets(self) -> tuple[int, ...]:
         """Qubit offset of each n-wide block, in the order the circuit applies them."""
-        n = self.n
-        if self.source is Source.PLAIN:
-            return (0,)
-        if self.source is Source.CONSTRUCTION1:
-            return (0, self.i)
-        if self.source is Source.CONSTRUCTION2:
-            return (0, n, n // 2)
-        return tuple(j * n // 2 for j in range(self.ell))
+        return expand.block_offsets(self.source, self.n, self.i, self.ell)
 
     @property
     def output_qubits(self) -> int:
@@ -194,15 +173,7 @@ def member_functions(spec: MomentSpec):
 
 def member_state(spec: MomentSpec, fns: tuple[BooleanFunction, ...]) -> PureState:
     """Single-copy ensemble member for one drawn function tuple."""
-    if spec.shared_key:
-        fns = fns * len(spec.block_offsets)
-    if spec.source is Source.PLAIN:
-        return prepare(PrsGenerator(spec.kind, spec.n, fns[0]))
-    if spec.source is Source.CONSTRUCTION1:
-        return expand.evaluate(expand.construction1(fns[0], spec.n, spec.i, spec.kind))
-    if spec.source is Source.CONSTRUCTION2:
-        return expand.evaluate(expand.construction2(*fns, spec.n, spec.kind))
-    return expand.evaluate(expand.construction3(fns, spec.n, spec.kind))
+    return expand.evaluate(expand.circuit(spec.source, fns, spec.n, spec.kind, spec.i, spec.ell))
 
 
 def _average_t_fold(chunks, t: int) -> DensityOperator:
@@ -244,12 +215,14 @@ def ensemble_moment_bruteforce(
 def _pairing_peak_entries(spec: MomentSpec) -> int:
     """Upper estimate of the pairing route's peak allocation, in complex128
     entries (16 bytes): at most 96 bytes per tuple while tuples are keyed and
-    grouped, then four d^t x d^t complex copies at once (during the final
-    Hadamard conjugation and during DensityOperator's checks), plus 1 MiB of
-    numpy ufunc buffers."""
+    grouped, then d^t x d^t complex copies: four at once during the final
+    Hadamard conjugation, three for plain (the sparse and dense G^T G, the
+    complex moment and DensityOperator's copy), plus 1 MiB of numpy ufunc
+    buffers."""
     tuples = 1 << (spec.n * len(spec.block_offsets) * spec.t)
     dim = 1 << (spec.output_qubits * spec.t)
-    return 6 * tuples + 4 * dim * dim + (1 << 16)
+    copies = 3 if spec.source is Source.PLAIN else 4
+    return 6 * tuples + copies * dim * dim + (1 << 16)
 
 
 def ensemble_moment_deltapair(

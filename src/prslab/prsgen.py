@@ -58,11 +58,10 @@ def prepare(gen: PrsGenerator, budget_override: int | None = None) -> PureState:
     check_complex_array(1 << n, f"state on {n} qubits", budget_override)
     table = np.asarray(gen.f.table, dtype=np.int64)
     if gen.kind is PrsKind.BINARY_PHASE:
-        phases = np.where(table % 2 == 1, -1.0, 1.0).astype(np.complex128)
-    else:
-        m = gen.f.range_modulus
-        phases = np.exp(2j * np.pi * (table % m) / m)
-    return PureState(n, phases / math.sqrt(1 << n))
+        amp = 1.0 / math.sqrt(1 << n)
+        return PureState(n, np.where(table & 1, -amp, amp))
+    m = gen.f.range_modulus
+    return PureState(n, np.exp(2j * np.pi * (table % m) / m) / math.sqrt(1 << n))
 
 
 def fourier_layer(kind: PrsKind, targets) -> UnitaryLayer:

@@ -20,7 +20,7 @@ class TestMomentsCommand:
                     "--method", "deltapair"])
         assert code == 0
         lines = read_lines(tmp_path / "moments.csv")
-        assert lines[0] == "# schema=1"
+        assert lines[0] == "# schema=2"
         assert lines[1].split(",")[:6] == ["source", "kind", "n", "i", "t", "method"]
         assert lines[2].startswith("construction1,binary,2,1,1,delta_pairing,0,")
         payload = json.loads((tmp_path / "moments.json").read_text())
@@ -124,7 +124,7 @@ class TestSweepCommand:
         out = tmp_path / "out"
         assert run(["--config", cfg, "--out-dir", out, "sweep"]) == 0
         lines = read_lines(out / "sweep.csv")
-        assert lines[0] == "# schema=1"
+        assert lines[0] == "# schema=2"
         assert len(lines) == 2
 
     def test_infeasible_point_isolated_in_manifest(self, tmp_path):
@@ -147,7 +147,7 @@ class TestVerificationCommands:
     def test_lemmas(self, tmp_path):
         assert run(["--out-dir", tmp_path, "lemmas", "--max-n", "6", "--max-t", "5"]) == 0
         lines = read_lines(tmp_path / "lemmas.csv")
-        assert lines[0] == "# schema=1"
+        assert lines[0] == "# schema=2"
         assert all(line.endswith("True") for line in lines[2:])
 
     def test_good_census(self, tmp_path):
@@ -185,3 +185,70 @@ class TestVerificationCommands:
         code = run(["--out-dir", tmp_path, "moments", "--source", "plain",
                     "--n", "4", "--t", "2", "--method", "deltapair"])
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_budget_env_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("PRS_LAB_BUDGET_MIB", value)
+        code = run(["--out-dir", tmp_path, "moments", "--source", "plain",
+                    "--n", "2", "--t", "1"])
+        assert code == 2
+        assert "PRS_LAB_BUDGET_MIB must be a whole number" in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
+
+    def test_bad_budget_env_fails_a_sweep_once_not_per_point(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PRS_LAB_BUDGET_MIB", "abc")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"grid": {"n": [2, 3], "t": [1]}, "seed": 0}))
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out-dir", out, "sweep"]) == 2
+        assert not (out / "sweep.csv").exists()
+        assert not (out / "sweep_failures.json").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_bad_budget_flag_exits_2(self, tmp_path, capsys, value):
+        code = run(["--budget-mib", value, "--out-dir", tmp_path, "moments",
+                    "--source", "plain", "--n", "2", "--t", "1"])
+        assert code == 2
+        assert "--budget-mib" in capsys.readouterr().err
+
+
+class TestCsvColumns:
+    def sweep_rows(self, tmp_path, grid):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"grid": grid, "seed": 3}))
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out-dir", out, "--canonical", "sweep"]) == 0
+        lines = read_lines(out / "sweep.csv")
+        header = lines[1].split(",")
+        return [dict(zip(header, line.split(","))) for line in lines[2:]]
+
+    def test_header_keeps_the_leading_columns(self):
+        assert cli.SWEEP_COLUMNS == (
+            "source", "kind", "n", "i", "t", "method", "seed", "haar_distance",
+            "runtime_ms", "ell", "shared_key", "space", "method_equiv_max_diff",
+        )
+
+    def test_ell_and_shared_key_tell_sweep_rows_apart(self, tmp_path):
+        rows = self.sweep_rows(tmp_path, {
+            "source": ["construction3"], "n": [2], "t": [1], "ell": [2, 3],
+            "shared_key": [False, True], "method": ["deltapair"],
+        })
+        params = {(r["ell"], r["shared_key"], r["space"]) for r in rows}
+        assert params == {("2", "False", "exhaustive"), ("2", "True", "exhaustive"),
+                          ("3", "False", "exhaustive"), ("3", "True", "exhaustive")}
+
+    def test_space_column_tells_sampled_spaces_apart(self, tmp_path):
+        rows = self.sweep_rows(tmp_path, {
+            "source": ["plain"], "n": [2], "t": [1], "space": ["prf:16", "uniform:16"],
+            "method": ["montecarlo"],
+        })
+        assert sorted(r["space"] for r in rows) == ["prf:16", "uniform:16"]
+        assert {r["ell"] for r in rows} == {""}
+
+    def test_moments_csv_carries_the_same_columns(self, tmp_path):
+        assert run(["--seed", "2", "--out-dir", tmp_path, "moments", "--source",
+                    "construction2", "--n", "2", "--t", "1", "--space", "uniform:4",
+                    "--method", "montecarlo", "--shared-key"]) == 0
+        lines = read_lines(tmp_path / "moments.csv")
+        row = dict(zip(lines[1].split(","), lines[2].split(",")))
+        assert (row["ell"], row["shared_key"], row["space"]) == ("", "True", "uniform:4")

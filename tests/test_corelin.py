@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +313,32 @@ class TestDensityOperator:
     def test_rejects_nan_entry(self):
         with pytest.raises(RegisterError, match="Hermitian"):
             DensityOperator(np.array([[0.5, np.nan], [np.nan, 0.5]]))
+
+    def test_construction_peaks_below_one_and_a_half_matrices(self):
+        # the defensive copy is one matrix; the Hermiticity check runs over
+        # row stripes instead of building the conjugate and the difference
+        d = 1024
+        mat = np.eye(d, dtype=np.complex128) / d
+        tracemalloc.start()
+        try:
+            DensityOperator(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * mat.nbytes
+
+    @pytest.mark.parametrize("d", [3, 64, 300])
+    def test_reports_the_largest_deviation_over_all_stripes(self, rng, d):
+        mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        dev = float(np.max(np.abs(mat - mat.conj().T)))
+        with pytest.raises(RegisterError, match=re.escape(f"Hermitian by {dev:.3e}")):
+            DensityOperator(mat, normalized=False)
+
+    def test_rejects_nan_in_a_late_stripe(self):
+        mat = np.eye(512, dtype=np.complex128) / 512
+        mat[-1, -2] = np.nan
+        with pytest.raises(RegisterError, match="Hermitian by nan"):
+            DensityOperator(mat)
 
     def test_unnormalized_flag(self):
         op = DensityOperator(np.eye(2), normalized=False)

@@ -3,7 +3,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from prslab import boolfn, corelin, expand, moments
+from prslab import boolfn, corelin, expand, moments, prsgen
 from prslab.boolfn import BooleanFunction
 from prslab.budget import BudgetError
 from prslab.prsgen import PrsKind
@@ -165,6 +165,87 @@ class TestEvaluate:
                                  function=boolfn.constant_function(3)),
                 ),
             )
+
+
+class TestFirstBlockPrepared:
+    """`evaluate` prepares the first block instead of running its layers on |0...0>."""
+
+    @staticmethod
+    def reference(spec):
+        state = corelin.basis_state(spec.total_qubits, 0)
+        for block in spec.blocks:
+            state = prsgen.apply_to_register(block.resolve(), state, block.offset)
+        if spec.final_layer is not None:
+            state = corelin.apply_layer(state, spec.final_layer)
+        return state
+
+    @pytest.mark.parametrize("kind", list(PrsKind))
+    @pytest.mark.parametrize("offsets", [(2, 0), (1,), (0, 2, 1), (2,)])
+    @pytest.mark.parametrize("final", [False, True])
+    def test_matches_layer_by_layer_reference(self, kind, offsets, final, rng):
+        q, n = 5, 3
+        for _ in range(4):
+            blocks = tuple(
+                expand.Block(o, n, kind,
+                             function=boolfn.random_function(n, kind.range_modulus(n), rng))
+                for o in offsets
+            )
+            layer = prsgen.fourier_layer(kind, tuple(range(q))) if final else None
+            spec = expand.ConstructionSpec(q, blocks, layer)
+            assert_vectors_close(expand.evaluate(spec).amplitudes,
+                                 self.reference(spec).amplitudes, 1e-15)
+
+
+class TestCircuit:
+    def test_moments_re_exports_the_source_enum(self):
+        assert moments.Source is expand.Source
+
+    def test_block_k_is_keyed_by_draw_k_mod_draws(self, rng):
+        fs = [boolfn.random_function(2, 2, rng) for _ in range(2)]
+        spec = expand.circuit(expand.Source.CONSTRUCTION3, fs, 2, ell=5)
+        assert [b.function for b in spec.blocks] == [fs[0], fs[1], fs[0], fs[1], fs[0]]
+
+    def test_plain_is_one_block_without_final_layer(self):
+        spec = expand.circuit(expand.Source.PLAIN, (F0_N2,), 2)
+        assert spec == expand.ConstructionSpec(2, (expand.Block(0, 2, PrsKind.BINARY_PHASE,
+                                                                function=F0_N2),))
+
+    @pytest.mark.parametrize("source,n,i,ell", [
+        (expand.Source.CONSTRUCTION1, 4, 3, None),
+        (expand.Source.CONSTRUCTION2, 4, None, None),
+        (expand.Source.CONSTRUCTION3, 4, None, 3),
+    ])
+    def test_every_multi_block_source_ends_with_the_fourier_layer(self, source, n, i, ell):
+        for kind in PrsKind:
+            f = boolfn.constant_function(n, kind.range_modulus(n))
+            spec = expand.circuit(source, (f,), n, kind, i, ell)
+            assert spec.final_layer == prsgen.fourier_layer(kind, range(spec.total_qubits))
+            assert spec.total_qubits == max(expand.block_offsets(source, n, i, ell)) + n
+            bare = expand.circuit(source, (f,), n, kind, i, ell, include_final_layer=False)
+            assert bare.final_layer is None and bare.blocks == spec.blocks
+
+    # one case per geometry rule: the circuits and the moment spec share one check
+    @pytest.mark.parametrize("build,spec_args,match", [
+        (lambda: expand.construction1(F0_N2, 2, 2), (moments.Source.CONSTRUCTION1, 2, 2, None),
+         r"construction1 needs the added-qubit count 1 <= i < n, got i=2, n=2"),
+        (lambda: expand.construction2(*[boolfn.constant_function(3)] * 3, 3),
+         (moments.Source.CONSTRUCTION2, 3, None, None),
+         r"construction2 needs an even n >= 2, got n=3"),
+        (lambda: expand.construction3([boolfn.constant_function(3)] * 2, 3),
+         (moments.Source.CONSTRUCTION3, 3, None, 2),
+         r"construction3 needs an even n >= 2, got n=3"),
+        (lambda: expand.construction3([], 2), (moments.Source.CONSTRUCTION3, 2, None, 0),
+         r"construction3 needs the block count ell >= 1, got ell=0"),
+        (lambda: expand.construction2(*[boolfn.constant_function(0)] * 3, 0),
+         (moments.Source.CONSTRUCTION2, 0, None, None),
+         r"block width must be >= 1, got n=0"),
+    ])
+    def test_circuits_and_moment_spec_raise_the_same_message(self, build, spec_args, match):
+        source, n, i, ell = spec_args
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            build()
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            moments.MomentSpec(source, n=n, t=1, i=i, ell=ell)
 
 
 class TestSerialization:

@@ -123,6 +123,13 @@ class TestBruteForce:
             via_member = moments.member_state(spec, (f,))
             assert np.max(np.abs(direct.amplitudes - via_member.amplitudes)) == 0.0
 
+    def test_shared_key_c3_member_is_the_staircase_of_one_function(self, rng):
+        spec = MomentSpec(Source.CONSTRUCTION3, n=2, t=1, ell=3, shared_key=True)
+        for _ in range(4):
+            f = boolfn.random_function(2, 2, rng)
+            direct = expand.evaluate(expand.construction3([f] * 3, 2))
+            assert direct.amplitudes.tobytes() == moments.member_state(spec, (f,)).amplitudes.tobytes()
+
     def test_shared_key_rejected_for_single_function_sources(self):
         with pytest.raises(ValueError, match="one function per member"):
             MomentSpec(Source.PLAIN, n=2, t=1, shared_key=True)
