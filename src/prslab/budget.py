@@ -44,13 +44,14 @@ def budget_mib(override: int | None = None) -> int:
 
 
 def check_complex_array(entries: int, what: str, override: int | None = None) -> None:
-    """Fail fast if `entries` complex128 values would not fit in the budget."""
+    """Fail fast if `entries` 16-byte units (one complex128 or two float64
+    values each) would not fit in the budget."""
     limit = budget_mib(override)
     required = entries * _BYTES_PER_COMPLEX
     if required > limit * _MIB:
         raise BudgetError(
             f"{what} requires {required / _MIB:.1f} MiB "
-            f"({entries} complex entries) but the budget is {limit} MiB"
+            f"({entries} entries of 16 bytes) but the budget is {limit} MiB"
         )
 
 

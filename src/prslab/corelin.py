@@ -1,7 +1,9 @@
-"""Dense complex linear algebra for small multi-qubit registers.
+"""Dense linear algebra for small multi-qubit registers.
 
-State vectors and operators are plain complex128 numpy arrays wrapped in thin
-validating containers.  Everything here is a pure function on immutable
+State vectors are complex128 numpy arrays and operators are float64 or
+complex128 ones (real input stays real, so sign-phase moments and the
+symmetric projector never carry an imaginary part), each wrapped in a thin
+validating container.  Everything here is a pure function on immutable
 inputs, so values can be shared freely across threads.
 
 Convention used throughout the package: qubit 0 is the *most significant* bit
@@ -29,6 +31,11 @@ EIGENVALUE_FLOOR = -1e-8
 
 class RegisterError(ValueError):
     """A qubit index or register dimension does not match its operand."""
+
+
+def _real_or_complex(arr: np.ndarray) -> type:
+    """float64 for an array with a real (or integer, or bool) dtype, else complex128."""
+    return np.complex128 if np.iscomplexobj(arr) else np.float64
 
 
 def _as_complex_vector(values: Any) -> np.ndarray:
@@ -95,13 +102,25 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def _stripe_rows(dim: int) -> int:
+    """Rows in one stripe of the Hermiticity check: about 2^16 entries."""
+    return max(1, (1 << 16) // max(1, dim))
+
+
 def _hermitian_deviation(mat: np.ndarray) -> float:
-    """max |mat - mat^H|, over row stripes of about 2^16 entries so that the
-    check holds a few MiB besides the matrix; NaN propagates."""
-    rows = max(1, (1 << 16) // max(1, len(mat)))
+    """max |mat - mat^H|, over row stripes so that the check holds a few MiB
+    besides the matrix; NaN propagates."""
+    rows = _stripe_rows(len(mat))
     stripes = [np.max(np.abs(mat[k : k + rows] - mat[:, k : k + rows].conj().T))
                for k in range(0, len(mat), rows)]
     return float(np.max(stripes, initial=0.0))
+
+
+def _operator_build_entries(dim: int) -> int:
+    """16-byte units that building a real dim x dim DensityOperator holds
+    besides its input: the float64 copy and the two float64 temporaries of
+    one Hermiticity stripe."""
+    return dim * dim // 2 + min(dim, _stripe_rows(dim)) * dim
 
 
 @dataclass(frozen=True)
@@ -109,14 +128,16 @@ class DensityOperator:
     """Hermitian operator; with ``normalized=True`` also trace-1 and PSD-checked.
 
     ``normalized=False`` admits unnormalized but still Hermitian operators
-    (e.g. an unnormalized subspace projector).
+    (e.g. an unnormalized subspace projector).  Real input is stored as a
+    float64 (real symmetric) matrix, anything else as complex128.
     """
 
     matrix: np.ndarray
     normalized: bool = True
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.complex128).copy()
+        mat = np.asarray(self.matrix)
+        mat = mat.astype(_real_or_complex(mat), order="C", copy=True)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise RegisterError(f"operator must be square, got shape {mat.shape}")
         dev = _hermitian_deviation(mat)
@@ -224,10 +245,15 @@ def custom_layer(targets, matrix) -> UnitaryLayer:
 
 
 def hadamard_matrix(n_bits: int) -> np.ndarray:
-    """H^{(x) n_bits}: entries (-1)^{x.y} / 2^{n/2} with bitwise dot x.y."""
+    """H^{(x) n_bits} in float64: entries (-1)^{x.y} / 2^{n/2} with bitwise dot x.y."""
     idx = np.arange(1 << n_bits, dtype=np.uint64)
     parity = (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(np.float64)
-    return ((1.0 - 2.0 * parity) / math.sqrt(1 << n_bits)).astype(np.complex128)
+    return (1.0 - 2.0 * parity) / math.sqrt(1 << n_bits)
+
+
+# H^{(x) w} for w = 0.._MAX_FACTOR_BITS, the factors `hadamard_transform` applies
+_MAX_FACTOR_BITS = 6
+_WALSH_FACTORS = tuple(hadamard_matrix(w) for w in range(_MAX_FACTOR_BITS + 1))
 
 
 def _act(layer: UnitaryLayer, block: np.ndarray) -> np.ndarray:
@@ -320,20 +346,29 @@ def symmetric_subspace_dimension(local_dim: int, copies: int) -> int:
     return math.comb(local_dim + copies - 1, copies)
 
 
+def _projector_peak_entries(dim: int, copies: int) -> int:
+    """Upper estimate of `symmetric_projector`'s peak, in 16-byte units: the
+    float64 matrix, what wrapping it in a DensityOperator holds, copies + 3
+    int64 index arrays of dim entries, and 16 KiB of Python objects."""
+    return dim * dim // 2 + _operator_build_entries(dim) + (copies + 3) * dim // 2 + (1 << 10)
+
+
 def symmetric_projector(
     local_dim: int, copies: int, budget_override: int | None = None
 ) -> DensityOperator:
     """Unnormalized projector onto the symmetric subspace of `copies` factors.
 
-    Averages all factor permutations; idempotent, trace C(D+t-1, t).
+    Averages all factor permutations; idempotent, trace C(D+t-1, t); float64.
     """
     if local_dim < 1 or copies < 1:
         raise RegisterError("local_dim and copies must be >= 1")
     dim = local_dim**copies
     check_complex_array(
-        2 * dim * dim, f"symmetric projector on ({local_dim})^{copies}", budget_override
+        _projector_peak_entries(dim, copies),
+        f"symmetric projector on ({local_dim})^{copies}",
+        budget_override,
     )
-    proj = np.zeros((dim, dim), dtype=np.complex128)
+    proj = np.zeros((dim, dim), dtype=np.float64)
     src = np.arange(dim)
     digits = [(src // local_dim ** (copies - 1 - j)) % local_dim for j in range(copies)]
     for perm in itertools.permutations(range(copies)):
@@ -344,23 +379,41 @@ def symmetric_projector(
 
 
 def hadamard_transform(arr: np.ndarray) -> np.ndarray:
-    """Apply H^{(x) m} along axis 0, a power-of-two axis (fast Walsh butterfly)."""
-    x = np.array(arr, dtype=np.complex128, order="C")
-    n = x.shape[0]
+    """Apply H^{(x) m} along axis 0, a power-of-two axis; returns a new array.
+
+    H^{(x) m} is the Kronecker product of H^{(x) w} factors, w at most
+    _MAX_FACTOR_BITS and the widths as equal as possible, so each factor is
+    one matrix product over its w bits of the axis-0 index.  Real input
+    comes back float64, complex input complex128.  Holds the input and two
+    intermediate copies at most.
+    """
+    x = np.asarray(arr)
+    n = x.shape[0] if x.ndim else 0
     if n == 0 or n & (n - 1):
         raise RegisterError(f"axis length {n} is not a power of two")
-    flat = x.reshape(n, -1)
-    h = 1
-    while h < n:
-        blocks = flat.reshape(n // (2 * h), 2, h, flat.shape[1])
-        a = blocks[:, 0].copy()
-        blocks[:, 0] = a + blocks[:, 1]
-        blocks[:, 1] = a - blocks[:, 1]
-        h *= 2
-    flat /= math.sqrt(n)
-    return x
+    m = n.bit_length() - 1
+    parts = max(1, -(-m // _MAX_FACTOR_BITS))
+    cols = math.prod(x.shape[1:])
+    out = x.astype(_real_or_complex(x), copy=False)
+    done = 0
+    for k in range(parts):
+        w = m // parts + (k < m % parts)
+        trail = (n >> (done + w)) * cols
+        block = out.reshape(1 << done, 1 << w, trail)
+        if trail == 1:  # H is symmetric: one (rows, 2^w) @ H, not a gemv per row
+            out = block.reshape(1 << done, 1 << w) @ _WALSH_FACTORS[w]
+        else:
+            out = np.matmul(_WALSH_FACTORS[w], block)
+        done += w
+    return out.reshape(x.shape)
 
 
 def hadamard_conjugate(matrix: np.ndarray) -> np.ndarray:
-    """Conjugate a square matrix by H^{(x) m}: H M H (H is real symmetric)."""
-    return hadamard_transform(hadamard_transform(matrix).T).T
+    """Conjugate a square matrix by H^{(x) m}: H M H as one Walsh transform
+    of the flattened matrix, since H is real symmetric and so (H (x) H)
+    maps vec(M) to vec(H M H) in row- and in column-major order alike.
+    Flattening in the matrix's own memory order copies nothing; real input
+    stays float64."""
+    mat = np.asarray(matrix)
+    order = "F" if np.isfortran(mat) else "C"
+    return hadamard_transform(mat.ravel(order)).reshape(mat.shape, order=order)

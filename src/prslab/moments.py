@@ -213,16 +213,17 @@ def ensemble_moment_bruteforce(
 
 
 def _pairing_peak_entries(spec: MomentSpec) -> int:
-    """Upper estimate of the pairing route's peak allocation, in complex128
-    entries (16 bytes): at most 96 bytes per tuple while tuples are keyed and
-    grouped, then d^t x d^t complex copies: four at once during the final
-    Hadamard conjugation, three for plain (the sparse and dense G^T G, the
-    complex moment and DensityOperator's copy), plus 1 MiB of numpy ufunc
-    buffers."""
+    """Upper estimate of the pairing route's peak allocation, in 16-byte
+    units: at most 96 bytes per tuple while tuples are keyed and grouped,
+    then the float64 d^t x d^t moment together with the larger of the
+    Hadamard conjugation's two intermediate copies (every source but plain)
+    and what wrapping the result in a DensityOperator holds, plus 1 MiB of
+    numpy ufunc buffers."""
     tuples = 1 << (spec.n * len(spec.block_offsets) * spec.t)
     dim = 1 << (spec.output_qubits * spec.t)
-    copies = 3 if spec.source is Source.PLAIN else 4
-    return 6 * tuples + copies * dim * dim + (1 << 16)
+    dense = dim * dim // 2
+    conjugation = 0 if spec.source is Source.PLAIN else 2 * dense
+    return 6 * tuples + dense + max(conjugation, corelin._operator_build_entries(dim)) + (1 << 16)
 
 
 def ensemble_moment_deltapair(
@@ -277,11 +278,11 @@ def ensemble_moment_deltapair(
     ).tocsr()
     del idx, keys, cols, parity, label, b, inverse  # the dense stage needs only G
 
-    matrix = (groups.T @ groups).toarray() / (1 << tuple_bits)
+    matrix = (groups.T @ groups).toarray()
+    matrix /= 1 << tuple_bits
     trace = float(np.trace(matrix))
     if abs(trace - 1.0) > 1e-9:
         raise AssertionError(f"pairing moment trace {trace} deviates from 1")
-    matrix = matrix.astype(np.complex128)
     if spec.source is not Source.PLAIN:
         matrix = corelin.hadamard_conjugate(matrix)
     return DensityOperator(matrix)

@@ -48,6 +48,17 @@ class TestMomentsCommand:
                         + (out / "moments.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_canonical_pairing_reruns_byte_identical(self, tmp_path):
+        args = ["moments", "--source", "construction1", "--n", "2", "--i", "1",
+                "--t", "2", "--space", "exhaustive", "--method", "deltapair"]
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert run(["--out-dir", out, "--canonical"] + args) == 0
+            outs.append((out / "moments.json").read_bytes()
+                        + (out / "moments.csv").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_shared_key_flag(self, tmp_path):
         code = run(["--seed", "6", "--out-dir", tmp_path, "moments",
                     "--source", "construction2", "--n", "2", "--t", "1",

@@ -270,6 +270,18 @@ class TestTraceDistance:
             reduced = trace_distance(partial_trace(u, [2]), partial_trace(v, [2]))
             assert reduced <= full + 1e-10
 
+    def test_real_operators_match_their_complex_cast(self, rng):
+        # real symmetric operators take the float64 eigensolver
+        for dim in (2, 16, 64):
+            ops = []
+            for _ in range(2):
+                vs = rng.standard_normal((3, dim))
+                vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+                ops.append(DensityOperator(vs.T @ vs / 3))
+            assert all(op.matrix.dtype == np.float64 for op in ops)
+            cast = [DensityOperator(op.matrix.astype(np.complex128)) for op in ops]
+            assert abs(trace_distance(*ops) - trace_distance(*cast)) <= 1e-12
+
     def test_dimension_mismatch(self, rng):
         a = partial_trace(random_state(2, rng), [0])
         b = partial_trace(random_state(2, rng), [])
@@ -299,6 +311,20 @@ class TestSymmetricProjector:
     def test_budget_error_reports_sizes(self):
         with pytest.raises(BudgetError, match="MiB"):
             symmetric_projector(2, 30)
+
+    def test_is_real(self):
+        assert symmetric_projector(3, 2).matrix.dtype == np.float64
+
+    @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3)])
+    def test_budget_estimate_covers_measured_peak(self, local_dim, copies):
+        tracemalloc.start()
+        try:
+            symmetric_projector(local_dim, copies)
+            measured = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = 16 * corelin._projector_peak_entries(local_dim**copies, copies)
+        assert measured <= estimate <= 2 * measured
 
 
 class TestDensityOperator:
@@ -340,6 +366,25 @@ class TestDensityOperator:
         with pytest.raises(RegisterError, match="Hermitian by nan"):
             DensityOperator(mat)
 
+    @pytest.mark.parametrize("values,dtype", [
+        ([[0.5, 0.0], [0.0, 0.5]], np.float64),
+        (np.eye(2, dtype=np.float32) / 2, np.float64),
+        (np.eye(2, dtype=np.int64), np.float64),
+        ([[0.5, 0.5j], [-0.5j, 0.5]], np.complex128),
+        (np.eye(2, dtype=np.complex64) / 2, np.complex128),
+    ], ids=["list", "float32", "int64", "complex-list", "complex64"])
+    def test_keeps_real_input_real(self, values, dtype):
+        op = DensityOperator(values, normalized=False)
+        assert op.matrix.dtype == dtype
+        assert op.matrix.flags.c_contiguous and not op.matrix.flags.writeable
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_rejects_nan_in_either_dtype(self, dtype):
+        mat = np.eye(4, dtype=dtype) / 4
+        mat[2, 2] = np.nan
+        with pytest.raises(RegisterError, match="nan"):
+            DensityOperator(mat)
+
     def test_unnormalized_flag(self):
         op = DensityOperator(np.eye(2), normalized=False)
         assert op.trace().real == pytest.approx(2.0)
@@ -361,6 +406,51 @@ class TestHadamardTransform:
         m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         h = corelin.hadamard_matrix(3)
         assert_matrices_close(corelin.hadamard_conjugate(m), h @ m @ h, 1e-12)
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_conjugation_keeps_real_symmetric_input_real(self, rng, layout):
+        a = rng.standard_normal((128, 128))
+        m = a + a.T
+        h = corelin.hadamard_matrix(7)
+        got = corelin.hadamard_conjugate(layout(m))
+        assert got.dtype == np.float64
+        assert_matrices_close(got, h @ m @ h, 1e-12)
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_matches_dense_walsh_matrix_on_any_dtype_and_layout(self, m):
+        h = corelin.hadamard_matrix(m)  # built once per width, not per example
+        n = 1 << m
+
+        @settings(max_examples=12, deadline=None)
+        @given(
+            dtype=st.sampled_from([np.float64, np.complex128]),
+            trailing=st.sampled_from([(), (1,), (3,), (2, 2)]),
+            layout=st.sampled_from(["contiguous", "strided", "transposed"]),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(dtype, trailing, layout, seed):
+            rng = np.random.default_rng(seed)
+
+            def draw(shape):
+                x = rng.standard_normal(shape)
+                return x + 1j * rng.standard_normal(shape) if dtype is np.complex128 else x
+
+            if layout == "strided":  # every other row of a taller array
+                x = draw((2 * n,) + trailing)[::2]
+            elif layout == "transposed":  # axes reversed: a Fortran-ordered view
+                x = draw(trailing[::-1] + (n,)).T
+            else:
+                x = draw((n,) + trailing)
+            got = corelin.hadamard_transform(x)
+            assert got.dtype == dtype and got.shape == x.shape
+            assert_matrices_close(got, np.tensordot(h, x, axes=1), 1e-12)
+
+        check()
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3,), (6, 2), (12, 4, 4)])
+    def test_non_power_of_two_axis_rejected(self, shape):
+        with pytest.raises(RegisterError, match="power of two"):
+            corelin.hadamard_transform(np.ones(shape))
 
     def test_materialized_layers_are_unitary(self):
         for layer in (

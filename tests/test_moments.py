@@ -176,6 +176,13 @@ class TestDeltaPairing:
             1e-12,
         )
 
+    @pytest.mark.parametrize("spec", [
+        plain(3, 2), c1(3, 1, 2), MomentSpec(Source.CONSTRUCTION2, n=2, t=1),
+        MomentSpec(Source.CONSTRUCTION3, n=2, t=2, ell=2),
+    ], ids=["plain", "c1", "c2", "c3"])
+    def test_sign_phase_moment_is_real(self, spec):
+        assert ensemble_moment_deltapair(spec).matrix.dtype == np.float64
+
     def test_rejects_general_kind(self):
         spec = MomentSpec(Source.PLAIN, n=2, t=1, kind=PrsKind.GENERAL_PHASE)
         with pytest.raises(ValueError, match="sign-phase"):
@@ -223,11 +230,11 @@ class TestDeltaPairing:
         assert measured <= estimate <= 2 * measured
 
     def test_budget_refuses_c1_n5_below_its_peak_and_admits_it_by_default(self):
-        # the c1 n=5 t=2 pairing peaks above 1000 MiB (measured 1036 MiB)
+        # the c1 n=5 t=2 pairing peaks above 390 MiB (measured 396 MiB)
         spec = c1(5, 1, 2)
         assert 16 * moments._pairing_peak_entries(spec) < DEFAULT_BUDGET_MIB << 20
         with pytest.raises(BudgetError, match="pairing route peak"):
-            ensemble_moment_deltapair(spec, budget_override=1000)
+            ensemble_moment_deltapair(spec, budget_override=390)
 
 
 class TestHaarMoment:
@@ -293,6 +300,18 @@ class TestCompareToHaar:
         assert payload["source"] == "construction1"
         assert payload["dim"] == 8
         assert len(payload["moment_re"]) == 8
+
+
+    def test_real_moment_json_keeps_its_keys_and_reruns_byte_identical(self):
+        runs = [compare_to_haar(c1(2, 1, 2), Method.DELTA_PAIRING)
+                .to_json(include_matrix=True, canonical_runtime=True) for _ in range(2)]
+        assert runs[0] == runs[1]
+        payload = json.loads(runs[0])
+        assert set(payload) == {
+            "source", "kind", "n", "i", "t", "space", "method", "haar_distance",
+            "runtime_ms", "seed", "dim", "moment_re", "moment_im",
+        }
+        assert payload["moment_im"] == [[0.0] * 64] * 64
 
 
 class TestUnitaryConjugationInvariance:
