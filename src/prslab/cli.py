@@ -387,6 +387,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 2
+    except combinatorics.ShapeError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     raise AssertionError("unreachable")
 
 

@@ -1,9 +1,12 @@
 """Exact counting machinery: distinct-tuple sets, symmetrized-tuple norms,
 the recombination predicate and its pairing witness.
 
-Everything here is integer or rational arithmetic on bit strings (Python
-strings of '0'/'1'); no floating point.  Bit strings read left to right,
-consistent with the package-wide most-significant-bit-first convention.
+Everything here is integer or rational arithmetic; no floating point.  The
+public API takes bit strings (Python strings of '0'/'1', read left to right,
+consistent with the package-wide most-significant-bit-first convention).
+The good-set predicate and census run on the integers those strings spell:
+the string functions validate, convert with int(s, 2) and call the same
+integer predicate.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .budget import check_enumeration
+
 _MAX_PERM_LEN = 8
 
 
@@ -22,7 +27,7 @@ class ShapeError(ValueError):
 
 
 def _check_bits(s: str, width: int, what: str) -> None:
-    if len(s) != width or any(c not in "01" for c in s):
+    if len(s) != width or s.strip("01"):
         raise ShapeError(f"{what} must be a {width}-bit string, got {s!r}")
 
 
@@ -145,10 +150,24 @@ def in_dist_set(
     return len(set(combined)) == 2 * t
 
 
+def _clash(y: int, n: int, i: int) -> bool:
+    """True when the low (n-2i) bits of the n-bit y equal its high (n-2i) bits."""
+    return y & ((1 << (n - 2 * i)) - 1) == y >> (2 * i)
+
+
+def _distinct_heads(ys: Sequence[int], i: int) -> bool:
+    """True when the heads y >> i (the first n - i bits) are pairwise distinct."""
+    return len({y >> i for y in ys}) == len(ys)
+
+
+def _is_good(ys: Sequence[int], n: int, i: int) -> bool:
+    """The recombination-friendly predicate on an integer y-tuple."""
+    return _distinct_heads(ys, i) and not any(_clash(y, n, i) for y in ys)
+
+
 def _suffix_prefix_clash(y_j: str, n: int, i: int) -> bool:
-    """True when the (n-2i)-suffix of y_j equals its (n-2i)-prefix."""
-    w = n - 2 * i
-    return y_j[n - w :] == y_j[:w]
+    """True when the (n-2i)-suffix of the bit string y_j equals its (n-2i)-prefix."""
+    return _clash(int(y_j or "0", 2), n, i)  # the empty string spells 0
 
 
 def in_good_set(x_prime: Sequence[str], y: Sequence[str], n: int, i: int) -> bool:
@@ -167,10 +186,7 @@ def in_good_set(x_prime: Sequence[str], y: Sequence[str], n: int, i: int) -> boo
     for j in range(t):
         _check_bits(x_prime[j], i, f"x'[{j}]")
         _check_bits(y[j], n, f"y[{j}]")
-    heads = [yj[: n - i] for yj in y]
-    if len(set(heads)) != t:
-        return False
-    return not any(_suffix_prefix_clash(yj, n, i) for yj in y)
+    return _is_good([int(yj or "0", 2) for yj in y], n, i)  # "" spells 0
 
 
 @dataclass(frozen=True)
@@ -239,21 +255,41 @@ class GoodCensusRow:
     slack: Fraction
 
 
+def _check_census_shape(n: int, i: int, t: int) -> None:
+    if i < 0 or t < 1 or n < 2 * i:
+        raise ShapeError(f"the good-set census needs i >= 0, t >= 1 and n >= 2i, "
+                         f"got n={n}, i={i}, t={t}")
+
+
+def _iter_good_y(n: int, i: int, t: int) -> Iterator[tuple[int, ...]]:
+    """Every good integer y-tuple, in lexicographic order.
+
+    The clash test reads one y_j at a time, so the non-clashing values are
+    filtered once and only their t-fold products are tested for distinct heads.
+    """
+    _check_census_shape(n, i, t)
+    check_enumeration(1 << (n * t), f"good-set scan over y-tuples n={n}, t={t}")
+    singles = [y for y in range(1 << n) if not _clash(y, n, i)]
+    return (ys for ys in itertools.product(singles, repeat=t) if _distinct_heads(ys, i))
+
+
 def iter_good_members(n: int, i: int, t: int) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """All (x', y) tuples passing the recombination-friendly predicate."""
+    """All (x', y) tuples passing the recombination-friendly predicate, as bit
+    strings: every x' tuple (outer, lexicographic) with every good y-tuple."""
+    ys = [tuple(format(y, f"0{n}b") for y in good) for good in _iter_good_y(n, i, t)]
     for x_prime in itertools.product(all_bit_strings(i), repeat=t):
-        for y in itertools.product(all_bit_strings(n), repeat=t):
-            if in_good_set(x_prime, y, n, i):
-                yield x_prime, y
+        for y in ys:
+            yield x_prime, y
 
 
 def good_census(n: int, i: int, t: int) -> GoodCensusRow:
     """Exhaustive counts over the (x', y) tuple space, with the quoted lower bound.
 
-    dist_size is the composite distinct-tuple count 2^{2it} |Dist(n-i; 2t)|;
-    bound is 2^{(n+i)t} (1 - t^2/2^{n-i} - t/2^{n-i}).
+    x' never enters the predicate, so good_size is the good y-tuple count
+    times 2^{it}.  dist_size is the composite distinct-tuple count
+    2^{2it} |Dist(n-i; 2t)|; bound is 2^{(n+i)t} (1 - t^2/2^{n-i} - t/2^{n-i}).
     """
-    good_size = sum(1 for _ in iter_good_members(n, i, t))
+    good_size = sum(1 for _ in _iter_good_y(n, i, t)) << (i * t)
     dist_size = (1 << (2 * i * t)) * dist_count(n - i, 2 * t)
     total = 1 << ((n + i) * t)
     bound = Fraction(total) * (

@@ -116,11 +116,12 @@ def _hermitian_deviation(mat: np.ndarray) -> float:
     return float(np.max(stripes, initial=0.0))
 
 
-def _operator_build_entries(dim: int) -> int:
-    """16-byte units that building a real dim x dim DensityOperator holds
-    besides its input: the float64 copy and the two float64 temporaries of
+def _operator_build_entries(dim: int, complex_: bool = False) -> int:
+    """16-byte units that building a dim x dim DensityOperator holds besides
+    its input: the float64 (or complex128) copy and the two temporaries of
     one Hermiticity stripe."""
-    return dim * dim // 2 + min(dim, _stripe_rows(dim)) * dim
+    stripe = min(dim, _stripe_rows(dim)) * dim
+    return dim * dim + 2 * stripe if complex_ else dim * dim // 2 + stripe
 
 
 @dataclass(frozen=True)

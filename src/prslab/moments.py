@@ -190,7 +190,27 @@ def _average_t_fold(chunks, t: int) -> DensityOperator:
         count += len(vs)
     if count == 0:
         raise ValueError("empty ensemble")
-    return DensityOperator(moment / count)
+    moment /= count
+    return DensityOperator(moment)
+
+
+def _chunk_rows(dim: int) -> int:
+    """Members per accumulation step: about 64 MiB of t-fold rows, at most 1024."""
+    return max(1, min(1024, (64 << 20) // (dim * 16)))
+
+
+def _bruteforce_peak_entries(spec: MomentSpec) -> int:
+    """Upper estimate of the brute-force route's peak, in 16-byte units: the
+    complex128 d^t x d^t accumulator, then the larger of one chunk's step
+    (the matmul temporary, the member rows as a list and as an array, the
+    t-fold rows with their previous fold and their conjugate) and what
+    wrapping the normalized accumulator in a DensityOperator holds, plus
+    1 MiB of numpy ufunc buffers and Python objects."""
+    local_dim = 1 << spec.output_qubits
+    dim = local_dim**spec.t
+    chunk = _chunk_rows(dim) * (2 * local_dim + 2 * dim + dim // local_dim)
+    step = dim * dim + chunk
+    return dim * dim + max(step, corelin._operator_build_entries(dim, complex_=True)) + (1 << 16)
 
 
 def ensemble_moment_over_functions(
@@ -198,8 +218,9 @@ def ensemble_moment_over_functions(
 ) -> DensityOperator:
     """Average the t-fold projectors of the members drawn from an iterable."""
     dim = 1 << (spec.output_qubits * spec.t)
-    check_complex_array(2 * dim * dim, f"moment matrix dim {dim}", budget_override)
-    chunk_rows = max(1, min(1024, (64 << 20) // (dim * 16)))
+    check_complex_array(_bruteforce_peak_entries(spec), f"moment accumulation peak, dim {dim}",
+                        budget_override)
+    chunk_rows = _chunk_rows(dim)
     states = (member_state(spec, fns).amplitudes for fns in function_tuples)
     chunks = iter(lambda: list(itertools.islice(states, chunk_rows)), [])
     return _average_t_fold(map(np.array, chunks), spec.t)
@@ -294,9 +315,9 @@ def haar_moment(
     """Average t-fold projector of a Haar-random state: the normalized
     symmetric-subspace projector."""
     proj = corelin.symmetric_projector(local_dim, copies, budget_override)
-    return DensityOperator(
-        proj.matrix / corelin.symmetric_subspace_dimension(local_dim, copies)
-    )
+    matrix = proj.matrix / corelin.symmetric_subspace_dimension(local_dim, copies)
+    del proj  # so the peak stays the projector's own, which its budget check covers
+    return DensityOperator(matrix)
 
 
 def haar_moment_monte_carlo(

@@ -222,6 +222,19 @@ class TestVerificationCommands:
         assert code == 2
         assert "--budget-mib" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n,i,t,message", [
+        (4, -1, 2, "got n=4, i=-1, t=2"),
+        (4, 1, 0, "got n=4, i=1, t=0"),
+        (3, 2, 2, "got n=3, i=2, t=2"),
+        (11, 0, 2, "would enumerate 4194304 items"),
+    ])
+    def test_bad_census_input_exits_2(self, tmp_path, capsys, n, i, t, message):
+        code = run(["--out-dir", tmp_path, "good-census", "--n", n, "--i", i, "--t", t])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "good_census.csv").exists()
+
 
 class TestCsvColumns:
     def sweep_rows(self, tmp_path, grid):

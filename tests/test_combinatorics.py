@@ -7,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prslab import combinatorics as cb
 from prslab import corelin
+from prslab.budget import BudgetError
 from prslab.combinatorics import (
     ShapeError,
     TupleClass,
@@ -231,6 +234,88 @@ class TestGoodPredicate:
             if all(not cb._suffix_prefix_clash(y, n, i) for y in ys)
         )
         assert tuples == singles**t
+
+
+def string_good(x_prime, y, n, i):
+    """The recombination-friendly predicate written out on bit strings: the
+    first n - i bits of the y_j pairwise distinct, and no y_j whose last
+    n - 2i bits equal its first n - 2i bits."""
+    w = n - 2 * i
+    heads = [yj[: n - i] for yj in y]
+    return len(set(heads)) == len(y) and not any(yj[n - w :] == yj[:w] for yj in y)
+
+
+def string_scan(n, i, t):
+    """The census by nested scan over every (x', y) string tuple."""
+    strings = lambda width: ["".join(b) for b in itertools.product("01", repeat=width)]
+    for x_prime in itertools.product(strings(i), repeat=t):
+        for y in itertools.product(strings(n), repeat=t):
+            if string_good(x_prime, y, n, i):
+                yield x_prime, y
+
+
+@st.composite
+def good_set_tuples(draw):
+    n = draw(st.integers(1, 12))
+    i = draw(st.integers(0, n // 2))
+    t = draw(st.integers(1, 4))
+    ys = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=t, max_size=t))
+    # half the draws give the last y_j the head of y_0, so head collisions are common
+    if draw(st.booleans()):
+        ys[-1] = ys[0] ^ draw(st.integers(0, (1 << i) - 1))
+    xs = draw(st.lists(st.integers(0, (1 << i) - 1), min_size=t, max_size=t))
+    return n, i, xs, ys
+
+
+# every (n <= 6, 0 <= i <= n/2, t <= 3) with 2^((n+i)t) <= 2^16; includes
+# n = 2i, where every y clashes, and i = 0, where x' is the empty string
+CENSUS_POINTS = [
+    (n, i, t)
+    for n in range(1, 7)
+    for i in range(n // 2 + 1)
+    for t in range(1, 4)
+    if (n + i) * t <= 16
+]
+
+
+class TestIntegerGoodSet:
+    @settings(max_examples=300, deadline=None)
+    @given(good_set_tuples())
+    def test_integer_predicate_matches_string_predicate(self, case):
+        n, i, xs, ys = case
+        x_prime = tuple(format(x, f"0{i}b") if i else "" for x in xs)
+        y = tuple(format(v, f"0{n}b") for v in ys)
+        expected = string_good(x_prime, y, n, i)
+        assert cb._is_good(ys, n, i) == expected
+        assert in_good_set(x_prime, y, n, i) == expected
+
+    @pytest.mark.parametrize("n,i,t", CENSUS_POINTS)
+    def test_members_and_census_equal_nested_string_scan(self, n, i, t):
+        expected = list(string_scan(n, i, t))
+        assert list(cb.iter_good_members(n, i, t)) == expected
+        assert cb.good_census(n, i, t).good_size == len(expected)
+
+    @pytest.mark.parametrize("n,i,t", [(4, -1, 2), (4, 1, 0), (3, 2, 2), (-1, 0, 1)])
+    def test_rejects_bad_census_inputs(self, n, i, t):
+        with pytest.raises(ShapeError, match="needs i >= 0, t >= 1 and n >= 2i"):
+            cb.good_census(n, i, t)
+        with pytest.raises(ShapeError, match="needs i >= 0, t >= 1 and n >= 2i"):
+            next(cb.iter_good_members(n, i, t))
+
+    def test_scan_is_budgeted(self):
+        with pytest.raises(BudgetError, match="4194304 items"):
+            cb.good_census(11, 0, 2)
+        with pytest.raises(BudgetError):
+            next(cb.iter_good_members(7, 1, 3))
+
+    def test_strings_are_validated(self):
+        # int(s, 2) alone would take "0_1" and " 11"
+        for y in ("0a1", "0_1", " 11", "01", "0111"):
+            with pytest.raises(ShapeError):
+                in_good_set(("0",), (y,), 3, 1)
+        for bad in ((("2",), ("011",)), (("",), ("011",))):
+            with pytest.raises(ShapeError):
+                in_good_set(*bad, 3, 1)
 
 
 class TestRecombine:

@@ -26,6 +26,16 @@ from prslab.prsgen import PrsKind
 from conftest import assert_matrices_close, assert_vectors_close
 
 
+def measured_peak(call):
+    """Peak bytes tracemalloc sees while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def plain(n, t, space=None):
     return MomentSpec(Source.PLAIN, n=n, t=t,
                       function_space=space or ExhaustiveAllFunctions())
@@ -152,6 +162,17 @@ class TestBruteForce:
         with pytest.raises(BudgetError, match="MiB"):
             ensemble_moment_bruteforce(plain(6, 3))
 
+    @pytest.mark.parametrize("spec", [
+        MomentSpec(Source.CONSTRUCTION3, n=2, t=2, ell=4, function_space=UniformSample(64, 1)),
+        plain(5, 2, UniformSample(256, 1)),
+    ], ids=["c3-2-ell4-2-uniform64", "plain-5-2-uniform256"])
+    def test_budget_estimate_covers_measured_peak(self, spec):
+        # dim 1024: the accumulator, the matmul temporary, one chunk and the
+        # DensityOperator build peak at about 35-40 MiB, above 2 dim^2 entries
+        measured = measured_peak(lambda: ensemble_moment_bruteforce(spec))
+        estimate = 16 * moments._bruteforce_peak_entries(spec)
+        assert measured <= estimate <= 2 * measured
+
 
 class TestDeltaPairing:
     def test_plain_first_moment(self):
@@ -220,12 +241,7 @@ class TestDeltaPairing:
     @pytest.mark.parametrize("spec", [plain(3, 3), c1(4, 1, 2), c1(3, 2, 2)],
                              ids=["plain-3-3", "c1-4-1-2", "c1-3-2-2"])
     def test_budget_estimate_covers_measured_peak(self, spec):
-        tracemalloc.start()
-        try:
-            ensemble_moment_deltapair(spec)
-            measured = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        measured = measured_peak(lambda: ensemble_moment_deltapair(spec))
         estimate = 16 * moments._pairing_peak_entries(spec)
         assert measured <= estimate <= 2 * measured
 
@@ -261,6 +277,14 @@ class TestHaarMoment:
         moment += folded.T @ folded.conj()
         got = haar_moment_monte_carlo(4, 2, 300, seed=5).matrix
         assert got.tobytes() == (moment / 300).tobytes()
+
+    @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3)])
+    def test_budget_estimate_covers_measured_peak(self, local_dim, copies):
+        # normalizing frees the projector first, so the projector's own
+        # budget estimate covers the whole Haar oracle
+        measured = measured_peak(lambda: haar_moment(local_dim, copies))
+        estimate = 16 * corelin._projector_peak_entries(local_dim**copies, copies)
+        assert measured <= estimate <= 2 * measured
 
     def test_commutes_with_tensor_power_unitary(self, rng):
         u = corelin.random_unitary(2, rng)
