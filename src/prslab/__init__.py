@@ -16,6 +16,7 @@ from .condcheck import (
     check_cond1,
     check_cond2,
     general_phase_witness,
+    phase_witness,
 )
 from .corelin import (
     DensityOperator,

@@ -216,16 +216,11 @@ def cmd_good_census(args, out_dir: Path) -> int:
 
 
 def cmd_condition(args, out_dir: Path) -> int:
-    n = args.n
-    if args.witness == "binary":
-        witness = condcheck.binary_phase_witness(n)
-        kind = PrsKind.BINARY_PHASE
-        functions = list(boolfn.enumerate_all(n, 2)) if n <= 3 else None
+    n, kind = args.n, PrsKind(args.witness)
+    witness = condcheck.phase_witness(kind, n)
+    if kind is PrsKind.BINARY_PHASE and n <= 3:
+        functions = list(boolfn.enumerate_all(n, 2))
     else:
-        witness = condcheck.general_phase_witness(n)
-        kind = PrsKind.GENERAL_PHASE
-        functions = None
-    if functions is None:
         if args.seed is None:
             raise SystemExit("--seed is required when sampling functions")
         rng = np.random.default_rng(args.seed)
@@ -234,9 +229,9 @@ def cmd_condition(args, out_dir: Path) -> int:
             for _ in range(args.samples)
         ]
     report1 = condcheck.check_cond1(
-        lambda f: PrsGenerator(kind, n, f), witness, n, functions
+        lambda f: PrsGenerator(kind, n, f), witness, n, functions, budget_override=args.budget_mib
     )
-    report2 = condcheck.check_cond2(witness)
+    report2 = condcheck.check_cond2(witness, budget_override=args.budget_mib)
     payload = {
         "witness": args.witness,
         "passed": report1.passed and report2.passed,

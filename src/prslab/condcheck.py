@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from . import corelin, prsgen
 from .boolfn import BooleanFunction
+from .budget import check_complex_array
 from .corelin import UnitaryLayer
 from .prsgen import PrsGenerator, PrsKind
 
@@ -64,51 +65,53 @@ class ConditionReport:
     max_deviation: float
 
     def to_json(self) -> str:
-        payload = {
-            "condition": self.condition,
-            "n": self.n,
-            "passed": self.passed,
-            "failures": [
-                {"location": f.location, "max_deviation": f.max_deviation}
-                for f in self.failures
-            ],
-            "scale": self.scale,
-            "max_deviation": self.max_deviation,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
+
+
+def phase_witness(kind: PrsKind, n: int) -> ConditionWitness:
+    """The phase generator's own factorization: U_x = `prsgen.phase_shift_unitary`,
+    V = `prsgen.fourier_layer`, W = U_0 (the identity) and scale sqrt(N)."""
+    family = {x: prsgen.phase_shift_unitary(kind, n, x) for x in range(1 << n)}
+    v = prsgen.fourier_layer(kind, tuple(range(n)))
+    return ConditionWitness(n, family, v, family[0], math.sqrt(1 << n))
 
 
 def binary_phase_witness(n: int) -> ConditionWitness:
     """U_x = diag((-1)^{x.y}), V = all-Hadamard, W = identity, scale sqrt(N)."""
-    family = {
-        x: prsgen.phase_shift_unitary(PrsKind.BINARY_PHASE, n, x) for x in range(1 << n)
-    }
-    targets = tuple(range(n))
-    return ConditionWitness(
-        n=n,
-        u_family=family,
-        v=corelin.hadamard_all_layer(targets),
-        w=corelin.permutation_layer(targets, range(1 << n)),
-        scale=math.sqrt(1 << n),
-    )
+    return phase_witness(PrsKind.BINARY_PHASE, n)
 
 
 def general_phase_witness(n: int) -> ConditionWitness:
     """U_x = diag(omega_N^{x*y}), V = Fourier kernel, W = identity, scale sqrt(N)."""
-    family = {
-        x: prsgen.phase_shift_unitary(PrsKind.GENERAL_PHASE, n, x) for x in range(1 << n)
-    }
-    targets = tuple(range(n))
-    return ConditionWitness(
-        n=n,
-        u_family=family,
-        v=corelin.qft_layer(targets),
-        w=corelin.permutation_layer(targets, range(1 << n)),
-        scale=math.sqrt(1 << n),
-    )
+    return phase_witness(PrsKind.GENERAL_PHASE, n)
 
 
 GeneratorFactory = Callable[[BooleanFunction], PrsGenerator]
+
+
+def _cond1_peak_entries(dim: int) -> int:
+    """Upper estimate of `check_cond1`'s peak, in 16-byte units: the U_x
+    family, then per function the two materialized layers, their product
+    (the generator's matrix) and the compared (dim, dim) arrays, plus
+    256 KiB of numpy casting buffers and Python objects."""
+    return dim**3 + 5 * dim * dim + (1 << 14)
+
+
+def _cond2_peak_entries(dim: int) -> int:
+    """Upper estimate of `check_cond2`'s peak, in 16-byte units: V, W and,
+    per label x, the right side, one materialized U_x and the identity it
+    is built from or their difference, plus 256 KiB as for condition 1."""
+    return 5 * dim * dim + (1 << 14)
+
+
+def _report(condition: int, witness: ConditionWitness, worst: np.ndarray) -> ConditionReport:
+    """Fail at every label whose worst deviation exceeds DEVIATION_ATOL."""
+    failures = tuple(
+        ConditionFailure(int(k), float(worst[k])) for k in np.flatnonzero(worst > DEVIATION_ATOL)
+    )
+    return ConditionReport(
+        condition, witness.n, not failures, failures, witness.scale, float(worst.max())
+    )
 
 
 def check_cond1(
@@ -116,56 +119,53 @@ def check_cond1(
     witness: ConditionWitness,
     n: int,
     functions: Iterable[BooleanFunction],
+    budget_override: int | None = None,
 ) -> ConditionReport:
     """Verify gen|x> == U_x gen|0> for every sampled function and every x.
 
-    Records, per basis label x, the worst amplitude deviation over the
-    function sample; passes iff the overall maximum is within 1e-10.
+    Per function, one identity over all x: column x of the generator's matrix
+    (its two layers, as `prsgen.apply_to_register` applies them) equals U_x,
+    from the family built once per call, applied to `prsgen.prepare(gen)`.
+    Records, per label x, the worst deviation over the sample; passes iff
+    every one is within DEVIATION_ATOL.
     """
-    worst: dict[int, float] = {x: 0.0 for x in range(1 << n)}
-    checked_any = False
+    if n != witness.n:
+        raise ValueError(f"checking {n} qubits against a witness on {witness.n}")
+    dim = 1 << n
+    check_complex_array(_cond1_peak_entries(dim), f"condition 1 on {n} qubits", budget_override)
+    targets = tuple(range(n))
+    family = np.empty((dim, dim, dim), dtype=np.complex128)
+    for x in range(dim):
+        family[x] = corelin.materialize(witness.u_family[x])
+    worst = None
     for f in functions:
-        checked_any = True
         gen = gen_factory(f)
-        base = prsgen.prepare(gen)
-        for x in range(1 << n):
-            try:
-                layer = witness.u_family[x]
-            except KeyError:
-                raise ValueError(f"witness has no unitary for basis label {x}") from None
-            lhs = prsgen.apply_to_state(gen, corelin.basis_state(n, x))
-            rhs = corelin.apply_layer(base, layer)
-            dev = float(np.max(np.abs(lhs.amplitudes - rhs.amplitudes)))
-            if dev > worst[x]:
-                worst[x] = dev
-    if not checked_any:
+        gen_matrix = (corelin.materialize(prsgen.phase_layer(gen, targets))
+                      @ corelin.materialize(prsgen.fourier_layer(gen.kind, targets)))
+        rhs = family @ prsgen.prepare(gen, budget_override).amplitudes
+        dev = np.abs(gen_matrix.T - rhs).max(axis=1)
+        del gen_matrix, rhs  # the next function's layers need their room
+        worst = dev if worst is None else np.maximum(worst, dev)
+    if worst is None:
         raise ValueError("empty function sample")
-    failures = tuple(
-        ConditionFailure(x, dev) for x, dev in worst.items() if dev > DEVIATION_ATOL
-    )
-    overall = max(worst.values())
-    return ConditionReport(1, n, not failures, failures, witness.scale, overall)
+    return _report(1, witness, worst)
 
 
-def check_cond2(witness: ConditionWitness) -> ConditionReport:
+def check_cond2(witness: ConditionWitness, budget_override: int | None = None) -> ConditionReport:
     """Verify sum_x |x> (x) U_x^T |y> == scale * V|y> (x) W|y> for every basis y.
 
-    Basis-complete: any single failing y fails the report and is named in it.
+    Block x of the left side is row y of U_x, so the identity says row y of
+    U_x equals scale * V[x, y] * W[:, y]; one U_x is materialized at a time
+    and checked for every y at once.  Basis-complete: any single failing y
+    fails the report and is named in it.
     """
-    n = witness.n
-    dim = 1 << n
-    u_mats = [corelin.materialize(witness.u_family[x]) for x in range(dim)]
+    n, dim = witness.n, 1 << witness.n
+    check_complex_array(_cond2_peak_entries(dim), f"condition 2 on {n} qubits", budget_override)
     v_mat = corelin.materialize(witness.v)
-    w_mat = corelin.materialize(witness.w)
-    failures = []
-    overall = 0.0
-    for y in range(dim):
-        lhs = np.zeros(dim * dim, dtype=np.complex128)
-        for x in range(dim):
-            lhs[x * dim : (x + 1) * dim] = u_mats[x].T[:, y]
-        rhs = witness.scale * np.kron(v_mat[:, y], w_mat[:, y])
-        dev = float(np.max(np.abs(lhs - rhs)))
-        overall = max(overall, dev)
-        if dev > DEVIATION_ATOL:
-            failures.append(ConditionFailure(y, dev))
-    return ConditionReport(2, n, not failures, tuple(failures), witness.scale, overall)
+    w_rows = corelin.materialize(witness.w).T
+    worst = np.zeros(dim)
+    for x in range(dim):
+        rhs = witness.scale * (v_mat[x][:, None] * w_rows)
+        np.maximum(worst, np.abs(corelin.materialize(witness.u_family[x]) - rhs).max(axis=1),
+                   out=worst)
+    return _report(2, witness, worst)

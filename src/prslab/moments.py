@@ -154,8 +154,11 @@ def member_functions(spec: MomentSpec):
     if isinstance(space, ExhaustiveAllFunctions):
         per_draw = boolfn.function_count(n, m)
         check_enumeration(per_draw**draws, f"exhaustive ensemble n={n}, draws={draws}")
-        singles = list(boolfn.enumerate_all(n, m))
-        yield from itertools.product(singles, repeat=draws)
+        # the first draw streams; only the other draws' tables are held
+        rest = list(boolfn.enumerate_all(n, m)) if draws > 1 else ()
+        for f in boolfn.enumerate_all(n, m):
+            for tail in itertools.product(rest, repeat=draws - 1):
+                yield (f,) + tail
     elif isinstance(space, PrfKeys):
         keys = boolfn.derive_keys(space.count * draws, space.seed, spec.source.value)
         for member in range(space.count):

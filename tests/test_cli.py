@@ -235,6 +235,14 @@ class TestVerificationCommands:
         assert message in err and err.count("\n") == 1
         assert not (tmp_path / "good_census.csv").exists()
 
+    def test_condition_over_budget_exits_2_without_a_report(self, tmp_path, capsys):
+        code = run(["--seed", "0", "--budget-mib", "1", "--out-dir", tmp_path, "condition",
+                    "--witness", "binary", "--n", "7"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("budget error: ") and err.count("\n") == 1
+        assert not (tmp_path / "condition_binary.json").exists()
+
 
 class TestCsvColumns:
     def sweep_rows(self, tmp_path, grid):

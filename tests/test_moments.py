@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 from functools import reduce
@@ -121,6 +122,17 @@ class TestBruteForce:
             got = ensemble_moment_bruteforce(spec)
             assert got.dim == 16
             assert got.trace().real == pytest.approx(1.0, abs=1e-12)
+
+    def test_first_exhaustive_member_streams(self):
+        # the 65 536 tables of enumerate_all(4, 2) take 17.5 MiB; one member needs one
+        measured = measured_peak(lambda: next(moments.member_functions(plain(4, 1))))
+        assert measured < 1 << 20
+
+    def test_exhaustive_members_run_over_every_table_tuple_in_order(self):
+        spec = MomentSpec(Source.CONSTRUCTION2, n=2, t=1)  # three draws of 16 tables
+        tables = list(boolfn.enumerate_all(2, 2))
+        assert list(moments.member_functions(spec)) == list(
+            itertools.product(tables, repeat=3))
 
     def test_shared_key_variant_reuses_one_function(self):
         # one draw per member, fed to all three blocks
