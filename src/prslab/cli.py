@@ -63,11 +63,14 @@ def _parse_space(text: str, seed: int | None):
         return ExhaustiveAllFunctions()
     for prefix, cls in (("prf:", PrfKeys), ("uniform:", UniformSample)):
         if text.startswith(prefix):
-            count = int(text[len(prefix):])
+            digits = text[len(prefix):]
+            count = int(digits) if digits.isdecimal() else 0
+            if count < 1:
+                raise ValueError(f"the count in {text!r} must be a whole number >= 1")
             if seed is None:
                 raise SystemExit(f"--seed is required for the sampled space {text!r}")
             return cls(count, seed)
-    raise SystemExit(f"unknown function space {text!r}")
+    raise ValueError(f"unknown function space {text!r}")
 
 
 _METHODS = {
@@ -115,28 +118,28 @@ def _report_row(report: moments.MomentReport, canonical: bool):
 
 
 def cmd_moments(args, out_dir: Path) -> int:
-    space = _parse_space(args.space, args.seed)
-    spec = _moment_spec(args.source, args.kind, args.n, args.i, args.ell, args.t,
-                        space, args.shared_key)
     methods = (
         [Method.BRUTE_FORCE, Method.DELTA_PAIRING]
         if args.method == "both"
         else [_METHODS[args.method]]
     )
-    rows, payloads = [], []
-    for method in methods:
-        report = moments.compare_to_haar(spec, method, args.budget_mib)
-        rows.append(_report_row(report, args.canonical))
-        payloads.append(json.loads(report.to_json(canonical_runtime=args.canonical)))
+    try:  # the same inputs a sweep records as failed points
+        space = _parse_space(args.space, args.seed)
+        spec = _moment_spec(args.source, args.kind, args.n, args.i, args.ell, args.t,
+                            space, args.shared_key)
+        reports = [moments.compare_to_haar(spec, m, args.budget_mib) for m in methods]
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    rows = [_report_row(report, args.canonical) for report in reports]
+    payloads = [json.loads(report.to_json(canonical_runtime=args.canonical))
+                for report in reports]
     write_csv(out_dir / "moments.csv", MOMENT_COLUMNS, rows)
     write_json(out_dir / "moments.json", payloads)
     return 0
 
 
 def cmd_expand_check(args, out_dir: Path) -> int:
-    kind = PrsKind(args.kind)
-    if kind is not PrsKind.BINARY_PHASE:
-        raise SystemExit("the closed form is defined for the binary kind only")
     if args.samples is None:
         functions = list(boolfn.enumerate_all(args.n, 2))
     else:
@@ -146,8 +149,7 @@ def cmd_expand_check(args, out_dir: Path) -> int:
         functions = [boolfn.random_function(args.n, 2, rng) for _ in range(args.samples)]
     worst = 0.0
     for f in functions:
-        circuit = expand.evaluate(expand.construction1(f, args.n, args.i, kind),
-                                  args.budget_mib)
+        circuit = expand.evaluate(expand.construction1(f, args.n, args.i), args.budget_mib)
         direct = expand.closed_form_construction1(f, args.n, args.i,
                                                   budget_override=args.budget_mib)
         worst = max(worst, float(np.max(np.abs(circuit.amplitudes - direct.amplitudes))))
@@ -317,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand-check", help="circuit vs closed-form oracle")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
-    p.add_argument("--kind", choices=[k.value for k in PrsKind], default="binary")
     p.add_argument("--samples", type=int, default=None,
                    help="sample count (default: exhaustive over all functions)")
 

@@ -1,9 +1,9 @@
 """Dense linear algebra for small multi-qubit registers.
 
-State vectors are complex128 numpy arrays and operators are float64 or
-complex128 ones (real input stays real, so sign-phase moments and the
-symmetric projector never carry an imaginary part), each wrapped in a thin
-validating container.  Everything here is a pure function on immutable
+States and operators follow one dtype rule: real input is stored as
+float64, anything else as complex128, so sign-phase states, their moments and
+the symmetric projector never carry an imaginary part.  Each is wrapped in a
+thin validating container.  Everything here is a pure function on immutable
 inputs, so values can be shared freely across threads.
 
 Convention used throughout the package: qubit 0 is the *most significant* bit
@@ -38,26 +38,25 @@ def _real_or_complex(arr: np.ndarray) -> type:
     return np.complex128 if np.iscomplexobj(arr) else np.float64
 
 
-def _as_complex_vector(values: Any) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128).reshape(-1).copy()
+def _frozen_copy(values: Any) -> np.ndarray:
+    """Read-only C-ordered copy of `values` in the dtype `_real_or_complex` picks:
+    the one coercion of both containers."""
+    arr = np.asarray(values)
+    arr = arr.astype(_real_or_complex(arr), order="C", copy=True)
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True)
 class PureState:
-    """Amplitude vector over ``num_qubits`` qubits.
-
-    ``normalized=False`` marks intermediate sums that deliberately carry a
-    non-unit norm; the norm invariant is only enforced for normalized states.
-    """
+    """Unit-norm amplitude vector over ``num_qubits`` qubits; float64 for real
+    input, complex128 otherwise."""
 
     num_qubits: int
     amplitudes: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _as_complex_vector(self.amplitudes))
+        object.__setattr__(self, "amplitudes", _frozen_copy(np.reshape(self.amplitudes, -1)))
         if self.num_qubits < 0:
             raise RegisterError(f"negative qubit count {self.num_qubits}")
         expected = 1 << self.num_qubits
@@ -66,12 +65,9 @@ class PureState:
                 f"amplitude vector has length {self.amplitudes.shape[0]}, "
                 f"expected 2**{self.num_qubits} = {expected}"
             )
-        if self.normalized:
-            norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
-            if not abs(norm_sq - 1.0) <= NORM_ATOL:
-                raise RegisterError(
-                    f"squared norm {norm_sq!r} deviates from 1 beyond {NORM_ATOL}"
-                )
+        norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
+        if not abs(norm_sq - 1.0) <= NORM_ATOL:
+            raise RegisterError(f"squared norm {norm_sq!r} deviates from 1 beyond {NORM_ATOL}")
 
     @property
     def dim(self) -> int:
@@ -84,7 +80,7 @@ class PureState:
 def basis_state(num_qubits: int, index: int) -> PureState:
     if not 0 <= index < (1 << num_qubits):
         raise RegisterError(f"basis index {index} out of range for {num_qubits} qubits")
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+    amps = np.zeros(1 << num_qubits)
     amps[index] = 1.0
     return PureState(num_qubits, amps)
 
@@ -137,8 +133,7 @@ class DensityOperator:
     normalized: bool = True
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix)
-        mat = mat.astype(_real_or_complex(mat), order="C", copy=True)
+        mat = _frozen_copy(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise RegisterError(f"operator must be square, got shape {mat.shape}")
         dev = _hermitian_deviation(mat)
@@ -151,7 +146,6 @@ class DensityOperator:
             # cheap necessary PSD condition; full spectrum via min_eigenvalue()
             if mat.size and not float(np.min(mat.diagonal().real)) >= EIGENVALUE_FLOOR:
                 raise RegisterError("diagonal entry below PSD floor")
-        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -301,7 +295,7 @@ def apply_layer(state: PureState, layer: UnitaryLayer) -> PureState:
     order = layer.target_qubits + tuple(j for j in range(q) if j not in layer.target_qubits)
     psi = state.amplitudes.reshape([2] * q).transpose(order)
     psi = _act(layer, psi.reshape(1 << w, -1)).reshape([2] * q)
-    return PureState(q, psi.transpose(np.argsort(order)).reshape(-1), normalized=state.normalized)
+    return PureState(q, psi.transpose(np.argsort(order)).reshape(-1))
 
 
 def partial_trace(state: PureState, traced_qubits) -> DensityOperator:
@@ -315,7 +309,7 @@ def partial_trace(state: PureState, traced_qubits) -> DensityOperator:
     psi = state.amplitudes.reshape([2] * q) if q else state.amplitudes.reshape(())
     m = np.transpose(psi, kept + traced).reshape(1 << len(kept), 1 << len(traced))
     rho = m @ m.conj().T
-    return DensityOperator(rho, normalized=state.normalized)
+    return DensityOperator(rho)
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
@@ -330,6 +324,7 @@ def register_permutation_operator(local_dim: int, copies: int, perm) -> np.ndarr
     """Operator permuting tensor factors: |a_1..a_t> -> |a_{perm(1)}..a_{perm(t)}>.
 
     ``perm`` is 0-indexed: output slot j holds input component perm[j].
+    A 0/1 float64 matrix.
     """
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(copies)):
@@ -338,7 +333,7 @@ def register_permutation_operator(local_dim: int, copies: int, perm) -> np.ndarr
     src = np.arange(dim)
     digits = [(src // local_dim ** (copies - 1 - j)) % local_dim for j in range(copies)]
     dst = sum(digits[perm[j]] * local_dim ** (copies - 1 - j) for j in range(copies))
-    op = np.zeros((dim, dim), dtype=np.complex128)
+    op = np.zeros((dim, dim))
     op[dst, src] = 1.0
     return op
 

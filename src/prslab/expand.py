@@ -154,7 +154,7 @@ def evaluate(spec: ConstructionSpec, budget_override: int | None = None) -> Pure
         first = spec.blocks[0]
         state = prsgen.prepare(first.resolve(), limit)
         if first.width < q:
-            amps = np.zeros(1 << q, dtype=np.complex128)
+            amps = np.zeros(1 << q, dtype=state.amplitudes.dtype)
             low = q - first.offset - first.width  # qubits below the block
             amps[: 1 << (first.width + low) : 1 << low] = state.amplitudes
             state = PureState(q, amps)
@@ -185,7 +185,7 @@ def closed_form_construction1(
         raise ValueError("closed form is defined for sign phases (modulus 2)")
     q = n + i
     check_complex_array(1 << q, f"state on {q} qubits", budget_override)
-    amps = np.zeros(1 << q, dtype=np.complex128)
+    amps = np.zeros(1 << q)
     n_overlap = n - i
     for xp in range(1 << i):
         for y in range(1 << n):

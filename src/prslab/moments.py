@@ -180,7 +180,7 @@ def member_state(spec: MomentSpec, fns: tuple[BooleanFunction, ...]) -> PureStat
 
 
 def _average_t_fold(chunks, t: int) -> DensityOperator:
-    """Average of |v><v|^{(x) t} over the rows v of a stream of (rows, d) chunks."""
+    """Average of |v><v|^{(x) t} over the rows v of (rows, d) chunks, in the rows' dtype."""
     moment = None
     count = 0
     for vs in chunks:
@@ -188,7 +188,7 @@ def _average_t_fold(chunks, t: int) -> DensityOperator:
         for _ in range(t - 1):
             folded = np.einsum("ka,kb->kab", folded, vs).reshape(len(vs), -1)
         if moment is None:
-            moment = np.zeros((folded.shape[1],) * 2, dtype=np.complex128)
+            moment = np.zeros((folded.shape[1],) * 2, dtype=folded.dtype)
         moment += folded.T @ folded.conj()
         count += len(vs)
     if count == 0:
@@ -198,22 +198,26 @@ def _average_t_fold(chunks, t: int) -> DensityOperator:
 
 
 def _chunk_rows(dim: int) -> int:
-    """Members per accumulation step: about 64 MiB of t-fold rows, at most 1024."""
+    """Members per accumulation step: at most 64 MiB of t-fold rows and 1024 members."""
     return max(1, min(1024, (64 << 20) // (dim * 16)))
 
 
 def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     """Upper estimate of the brute-force route's peak, in 16-byte units: the
-    complex128 d^t x d^t accumulator, then the larger of one chunk's step
-    (the matmul temporary, the member rows as a list and as an array, the
-    t-fold rows with their previous fold and their conjugate) and what
-    wrapping the normalized accumulator in a DensityOperator holds, plus
-    1 MiB of numpy ufunc buffers and Python objects."""
+    d^t x d^t accumulator, then the larger of one chunk's step (the matmul
+    temporary, the member rows as a list and as an array, the t-fold rows
+    with their previous fold and their conjugate) and what wrapping the
+    normalized accumulator in a DensityOperator holds, plus 1 MiB of numpy
+    ufunc buffers and Python objects.  Entries are complex128 for the
+    general kind and float64 for sign phases."""
     local_dim = 1 << spec.output_qubits
     dim = local_dim**spec.t
+    complex_ = spec.kind is PrsKind.GENERAL_PHASE
+    per_unit = 1 if complex_ else 2  # entries per 16 bytes
     chunk = _chunk_rows(dim) * (2 * local_dim + 2 * dim + dim // local_dim)
-    step = dim * dim + chunk
-    return dim * dim + max(step, corelin._operator_build_entries(dim, complex_=True)) + (1 << 16)
+    step = (2 * dim * dim + chunk) // per_unit
+    build = dim * dim // per_unit + corelin._operator_build_entries(dim, complex_)
+    return max(step, build) + (1 << 16)
 
 
 def ensemble_moment_over_functions(
@@ -347,8 +351,6 @@ def compare_to_haar(
     """Compute the ensemble moment by the chosen route and its distance to
     the Haar moment.  Deterministic given the function-space seed."""
     sampled = not isinstance(spec.function_space, ExhaustiveAllFunctions)
-    if method is Method.DELTA_PAIRING and sampled:
-        raise ValueError("pairing route is exact; use it with the exhaustive space")
     if method is Method.MONTE_CARLO and not sampled:
         raise ValueError("monte_carlo labels sampled ensembles; space is exhaustive")
     if method is Method.BRUTE_FORCE and sampled:

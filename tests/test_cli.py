@@ -153,6 +153,16 @@ class TestSweepCommand:
         assert len(manifest) == 1
         assert manifest[0]["point"]["n"] == 12
 
+    def test_malformed_space_isolated_in_manifest(self, tmp_path):
+        config = {"grid": {"n": [2], "t": [1], "space": ["exhaustive", "exhaustiv", "prf:0"]},
+                  "seed": 0}
+        cfg = self.write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out-dir", out, "--canonical", "sweep"]) == 1
+        assert len(read_lines(out / "sweep.csv")) == 3  # the exhaustive row only
+        manifest = json.loads((out / "sweep_failures.json").read_text())
+        assert sorted(f["point"]["space"] for f in manifest) == ["exhaustiv", "prf:0"]
+
 
 class TestVerificationCommands:
     def test_lemmas(self, tmp_path):
@@ -234,6 +244,25 @@ class TestVerificationCommands:
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
         assert not (tmp_path / "good_census.csv").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--source", "construction1", "--n", "3", "--t", "1"],
+        ["--source", "construction2", "--n", "3", "--t", "1"],
+        ["--source", "plain", "--n", "2", "--t", "0"],
+        ["--source", "plain", "--n", "2", "--t", "1", "--space", "uniform:abc"],
+        ["--source", "plain", "--n", "2", "--t", "1", "--space", "uniform"],
+        ["--source", "plain", "--n", "2", "--t", "1", "--space", "prf:4"],
+        ["--source", "plain", "--n", "2", "--t", "1", "--space", "prf:0",
+         "--method", "montecarlo"],
+    ], ids=["c1-without-i", "c2-odd-n", "t-zero", "uniform-abc", "unknown-space",
+            "prf-bruteforce", "prf-zero"])
+    def test_bad_moments_input_exits_2_without_a_report(self, tmp_path, capsys, args):
+        code = run(["--seed", "1", "--out-dir", tmp_path, "moments"] + args)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert not (tmp_path / "moments.csv").exists()
+        assert not (tmp_path / "moments.json").exists()
 
     def test_condition_over_budget_exits_2_without_a_report(self, tmp_path, capsys):
         code = run(["--seed", "0", "--budget-mib", "1", "--out-dir", tmp_path, "condition",

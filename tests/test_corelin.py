@@ -38,13 +38,24 @@ class TestPureState:
         with pytest.raises(RegisterError):
             PureState(1, [1.0, 1.0])
 
-    def test_unnormalized_flag_admits_intermediate_sums(self):
-        s = PureState(1, [1.0, 1.0], normalized=False)
-        assert s.norm() == pytest.approx(math.sqrt(2))
-
     def test_nan_amplitude_rejected(self):
-        with pytest.raises(RegisterError, match="norm"):
-            PureState(1, [np.nan, 0.0])
+        for amps in ([np.nan, 0.0], [np.nan, 0.0j]):  # float64, then complex128
+            with pytest.raises(RegisterError, match="norm"):
+                PureState(1, amps)
+
+    @pytest.mark.parametrize("values,dtype", [
+        ([0.6, 0.8], np.float64),
+        ([1, 0], np.float64),
+        (np.array([1, 0], dtype=np.complex64), np.complex128),
+        ([0.6, 0.8j], np.complex128),
+    ], ids=["float-list", "int-list", "complex64", "complex-list"])
+    def test_keeps_real_input_real(self, values, dtype):
+        assert PureState(1, values).amplitudes.dtype == dtype
+
+    def test_basis_state_and_permutation_operator_are_real(self):
+        assert basis_state(2, 1).amplitudes.dtype == np.float64
+        op = corelin.register_permutation_operator(2, 2, (1, 0))
+        assert op.dtype == np.float64 and set(np.unique(op)) == {0.0, 1.0}
 
     def test_amplitudes_are_read_only(self):
         s = basis_state(1, 0)

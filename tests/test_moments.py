@@ -47,6 +47,22 @@ def c1(n, i, t, space=None):
                       function_space=space or ExhaustiveAllFunctions())
 
 
+def complex_reference_moment(spec):
+    """The brute-force accumulation with every member cast to complex128,
+    chunk by chunk as the route ran it before sign-phase members were real."""
+    states = np.array([moments.member_state(spec, fns).amplitudes
+                       for fns in moments.member_functions(spec)], dtype=np.complex128)
+    dim = states.shape[1] ** spec.t
+    rows = moments._chunk_rows(dim)
+    moment = np.zeros((dim, dim), dtype=np.complex128)
+    for start in range(0, len(states), rows):
+        vs = folded = states[start:start + rows]
+        for _ in range(spec.t - 1):
+            folded = np.einsum("ka,kb->kab", folded, vs).reshape(len(vs), -1)
+        moment += folded.T @ folded.conj()
+    return moment / len(states)
+
+
 class TestMomentSpec:
     @pytest.mark.parametrize("source,n,i,ell,match", [
         (Source.PLAIN, 0, None, None, "block width must be >= 1"),
@@ -152,6 +168,34 @@ class TestBruteForce:
             direct = expand.evaluate(expand.construction3([f] * 3, 2))
             assert direct.amplitudes.tobytes() == moments.member_state(spec, (f,)).amplitudes.tobytes()
 
+    @pytest.mark.parametrize("spec,dtype", [
+        (plain(3, 1), np.float64),
+        (c1(3, 1, 1), np.float64),
+        (MomentSpec(Source.CONSTRUCTION2, n=2, t=1), np.float64),
+        (MomentSpec(Source.CONSTRUCTION3, n=2, t=1, ell=3), np.float64),
+        (MomentSpec(Source.CONSTRUCTION2, n=2, t=1, shared_key=True), np.float64),
+        (MomentSpec(Source.CONSTRUCTION3, n=2, t=1, ell=3, shared_key=True), np.float64),
+        (MomentSpec(Source.PLAIN, n=2, t=1, kind=PrsKind.GENERAL_PHASE), np.complex128),
+        (MomentSpec(Source.CONSTRUCTION1, n=2, t=1, i=1, kind=PrsKind.GENERAL_PHASE),
+         np.complex128),
+    ], ids=["plain", "c1", "c2", "c3", "c2-shared", "c3-shared", "general-plain", "general-c1"])
+    def test_member_dtype_follows_the_kind(self, spec, dtype, rng):
+        m = spec.kind.range_modulus(spec.n)
+        fns = tuple(boolfn.random_function(spec.n, m, rng)
+                    for _ in range(spec.functions_per_member))
+        assert moments.member_state(spec, fns).amplitudes.dtype == dtype
+
+    @pytest.mark.parametrize("spec", [
+        plain(3, 2), c1(3, 1, 2), MomentSpec(Source.CONSTRUCTION2, n=2, t=1),
+        MomentSpec(Source.CONSTRUCTION3, n=2, t=1, ell=3),
+        MomentSpec(Source.CONSTRUCTION2, n=2, t=2, shared_key=True),
+        plain(3, 2, PrfKeys(64, seed=3)),
+    ], ids=["plain-3-2", "c1-3-1-2", "c2-2-1", "c3-2-1-ell3", "c2-shared-2-2", "plain-3-2-prf64"])
+    def test_sign_phase_moment_is_real_and_matches_the_complex_accumulation(self, spec):
+        got = ensemble_moment_bruteforce(spec).matrix
+        assert got.dtype == np.float64
+        assert_matrices_close(got, complex_reference_moment(spec), 1e-15)
+
     def test_shared_key_rejected_for_single_function_sources(self):
         with pytest.raises(ValueError, match="one function per member"):
             MomentSpec(Source.PLAIN, n=2, t=1, shared_key=True)
@@ -177,10 +221,13 @@ class TestBruteForce:
     @pytest.mark.parametrize("spec", [
         MomentSpec(Source.CONSTRUCTION3, n=2, t=2, ell=4, function_space=UniformSample(64, 1)),
         plain(5, 2, UniformSample(256, 1)),
-    ], ids=["c3-2-ell4-2-uniform64", "plain-5-2-uniform256"])
+        MomentSpec(Source.PLAIN, n=5, t=2, kind=PrsKind.GENERAL_PHASE,
+                   function_space=UniformSample(256, 1)),
+    ], ids=["c3-2-ell4-2-uniform64", "plain-5-2-uniform256", "general-plain-5-2-uniform256"])
     def test_budget_estimate_covers_measured_peak(self, spec):
         # dim 1024: the accumulator, the matmul temporary, one chunk and the
-        # DensityOperator build peak at about 35-40 MiB, above 2 dim^2 entries
+        # DensityOperator build peak above 2 dim^2 entries: about 18 MiB for
+        # float64 (sign-phase) members, 40 MiB for complex128 ones
         measured = measured_peak(lambda: ensemble_moment_bruteforce(spec))
         estimate = 16 * moments._bruteforce_peak_entries(spec)
         assert measured <= estimate <= 2 * measured
@@ -339,15 +386,16 @@ class TestCompareToHaar:
 
 
     def test_real_moment_json_keeps_its_keys_and_reruns_byte_identical(self):
-        runs = [compare_to_haar(c1(2, 1, 2), Method.DELTA_PAIRING)
-                .to_json(include_matrix=True, canonical_runtime=True) for _ in range(2)]
-        assert runs[0] == runs[1]
-        payload = json.loads(runs[0])
-        assert set(payload) == {
-            "source", "kind", "n", "i", "t", "space", "method", "haar_distance",
-            "runtime_ms", "seed", "dim", "moment_re", "moment_im",
-        }
-        assert payload["moment_im"] == [[0.0] * 64] * 64
+        for method in (Method.DELTA_PAIRING, Method.BRUTE_FORCE):
+            runs = [compare_to_haar(c1(2, 1, 2), method)
+                    .to_json(include_matrix=True, canonical_runtime=True) for _ in range(2)]
+            assert runs[0] == runs[1]
+            payload = json.loads(runs[0])
+            assert set(payload) == {
+                "source", "kind", "n", "i", "t", "space", "method", "haar_distance",
+                "runtime_ms", "seed", "dim", "moment_re", "moment_im",
+            }
+            assert payload["moment_im"] == [[0.0] * 64] * 64
 
 
 class TestUnitaryConjugationInvariance:
