@@ -43,23 +43,6 @@ class BooleanFunction:
     def __call__(self, x: int) -> int:
         return self.table[x]
 
-    def table_hex(self) -> str:
-        """Hex encoding of the table, fixed-width entries (serialization)."""
-        width = max(1, (max(self.range_modulus - 1, 1).bit_length() + 7) // 8)
-        return b"".join(v.to_bytes(width, "big") for v in self.table).hex()
-
-    @classmethod
-    def from_hex(cls, input_bits: int, range_modulus: int, hex_table: str) -> "BooleanFunction":
-        width = max(1, (max(range_modulus - 1, 1).bit_length() + 7) // 8)
-        raw = bytes.fromhex(hex_table)
-        if len(raw) != width * (1 << input_bits):
-            raise ValueError(f"hex table has {len(raw)} bytes, expected {width << input_bits}")
-        table = tuple(
-            int.from_bytes(raw[k * width : (k + 1) * width], "big")
-            for k in range(1 << input_bits)
-        )
-        return cls(input_bits, range_modulus, table)
-
 
 @dataclass(frozen=True)
 class PrfKey:

@@ -68,9 +68,19 @@ def _parse_space(text: str, seed: int | None):
             if count < 1:
                 raise ValueError(f"the count in {text!r} must be a whole number >= 1")
             if seed is None:
-                raise SystemExit(f"--seed is required for the sampled space {text!r}")
+                raise ValueError(f"--seed is required for the sampled space {text!r}")
             return cls(count, seed)
     raise ValueError(f"unknown function space {text!r}")
+
+
+def _functions(n: int, m: int, samples: int | None, seed: int | None) -> list:
+    """Every n-bit function mod m when `samples` is None, else that many seeded draws."""
+    if samples is None:
+        return list(boolfn.enumerate_all(n, m))
+    if seed is None:
+        raise ValueError("--seed is required when sampling functions")
+    rng = np.random.default_rng(seed)
+    return [boolfn.random_function(n, m, rng) for _ in range(samples)]
 
 
 _METHODS = {
@@ -123,14 +133,10 @@ def cmd_moments(args, out_dir: Path) -> int:
         if args.method == "both"
         else [_METHODS[args.method]]
     )
-    try:  # the same inputs a sweep records as failed points
-        space = _parse_space(args.space, args.seed)
-        spec = _moment_spec(args.source, args.kind, args.n, args.i, args.ell, args.t,
-                            space, args.shared_key)
-        reports = [moments.compare_to_haar(spec, m, args.budget_mib) for m in methods]
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    space = _parse_space(args.space, args.seed)
+    spec = _moment_spec(args.source, args.kind, args.n, args.i, args.ell, args.t,
+                        space, args.shared_key)
+    reports = [moments.compare_to_haar(spec, m, args.budget_mib) for m in methods]
     rows = [_report_row(report, args.canonical) for report in reports]
     payloads = [json.loads(report.to_json(canonical_runtime=args.canonical))
                 for report in reports]
@@ -140,13 +146,7 @@ def cmd_moments(args, out_dir: Path) -> int:
 
 
 def cmd_expand_check(args, out_dir: Path) -> int:
-    if args.samples is None:
-        functions = list(boolfn.enumerate_all(args.n, 2))
-    else:
-        if args.seed is None:
-            raise SystemExit("--seed is required when sampling functions")
-        rng = np.random.default_rng(args.seed)
-        functions = [boolfn.random_function(args.n, 2, rng) for _ in range(args.samples)]
+    functions = _functions(args.n, 2, args.samples, args.seed)
     worst = 0.0
     for f in functions:
         circuit = expand.evaluate(expand.construction1(f, args.n, args.i), args.budget_mib)
@@ -219,17 +219,10 @@ def cmd_good_census(args, out_dir: Path) -> int:
 
 def cmd_condition(args, out_dir: Path) -> int:
     n, kind = args.n, PrsKind(args.witness)
-    witness = condcheck.phase_witness(kind, n)
-    if kind is PrsKind.BINARY_PHASE and n <= 3:
-        functions = list(boolfn.enumerate_all(n, 2))
-    else:
-        if args.seed is None:
-            raise SystemExit("--seed is required when sampling functions")
-        rng = np.random.default_rng(args.seed)
-        functions = [
-            boolfn.random_function(n, kind.range_modulus(n), rng)
-            for _ in range(args.samples)
-        ]
+    witness = condcheck.phase_witness(kind, n, args.budget_mib)
+    exhaustive = kind is PrsKind.BINARY_PHASE and n <= 3
+    functions = _functions(n, kind.range_modulus(n), None if exhaustive else args.samples,
+                           args.seed)
     report1 = condcheck.check_cond1(
         lambda f: PrsGenerator(kind, n, f), witness, n, functions, budget_override=args.budget_mib
     )
@@ -246,7 +239,7 @@ def cmd_condition(args, out_dir: Path) -> int:
 def cmd_sweep(args, out_dir: Path, config: dict) -> int:
     grid = config.get("grid")
     if grid is None:
-        raise SystemExit("sweep needs a config file with a 'grid' object")
+        raise ValueError("sweep needs a config file with a 'grid' object")
     seed = args.seed if args.seed is not None else config.get("seed")
     axes = {
         "source": grid.get("source", ["plain"]),
@@ -383,7 +376,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 2
-    except combinatorics.ShapeError as exc:
+    except ValueError as exc:  # ShapeError included
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -1,68 +1,45 @@
-"""Length-expansion circuits over phase-PRS blocks, as declarative specs.
+"""Length-expansion circuits: phase-PRS generators at qubit offsets.
 
-A spec lists same-width blocks at qubit offsets, applied in order to the
-all-zeros register, optionally followed by a global mixing layer; each
-source's block layout and circuit are defined here only.  The two-block
-overlap construction additionally has a closed-form amplitude formula, kept
-as an independent oracle against the circuit path.
+A circuit is a list of same-width generators, each placed at a qubit offset
+and applied in order to the all-zeros register, optionally followed by one
+mixing layer on the whole register; each source's block layout and circuit
+are defined here only.  The two-block overlap construction additionally has
+a closed-form amplitude formula, kept as an independent oracle against the
+circuit path.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import corelin, prsgen
-from .boolfn import BooleanFunction, PrfKey
+from .boolfn import BooleanFunction
 from .budget import budget_mib, check_complex_array
-from .corelin import LayerKind, PureState, UnitaryLayer
+from .corelin import PureState, UnitaryLayer
 from .prsgen import PrsGenerator, PrsKind
 
 
 @dataclass(frozen=True)
-class Block:
-    """One PRS application on qubits [offset, offset + width).
-
-    Exactly one of `function` / `key` is set; keyed blocks materialize their
-    truth table lazily at evaluation time.
-    """
-
-    offset: int
-    width: int
-    kind: PrsKind
-    function: BooleanFunction | None = None
-    key: PrfKey | None = None
-
-    def __post_init__(self):
-        if (self.function is None) == (self.key is None):
-            raise ValueError("block needs exactly one of function or key")
-        if self.offset < 0 or self.width < 1:
-            raise ValueError(f"invalid block placement offset={self.offset} width={self.width}")
-
-    def resolve(self) -> PrsGenerator:
-        if self.function is not None:
-            return PrsGenerator(self.kind, self.width, self.function)
-        return prsgen.generator_from_key(self.kind, self.width, self.key)
-
-
-@dataclass(frozen=True)
 class ConstructionSpec:
+    """Generators applied in order, each on qubits [offset, offset + gen.n) of a
+    `total_qubits` register, then the optional final layer on the register."""
+
     total_qubits: int
-    blocks: tuple[Block, ...]
+    blocks: tuple[tuple[int, PrsGenerator], ...]
     final_layer: UnitaryLayer | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        widths = {b.width for b in self.blocks}
+        widths = {gen.n for _, gen in self.blocks}
         if len(widths) > 1:
             raise ValueError(f"block widths differ: {sorted(widths)}")
-        for b in self.blocks:
-            if b.offset + b.width > self.total_qubits:
+        for offset, gen in self.blocks:
+            if offset < 0 or offset + gen.n > self.total_qubits:
                 raise ValueError(
-                    f"block at offset {b.offset} width {b.width} exceeds "
+                    f"block at offset {offset} width {gen.n} does not fit in "
                     f"{self.total_qubits} qubits"
                 )
 
@@ -100,11 +77,12 @@ def block_offsets(source: Source, n: int, i: int | None = None,
 def circuit(source: Source, fns, n: int, kind: PrsKind = PrsKind.BINARY_PHASE,
             i: int | None = None, ell: int | None = None,
             include_final_layer: bool = True) -> ConstructionSpec:
-    """The source's blocks, block k keyed by fns[k % len(fns)], then (every
-    source but plain) the Fourier layer on the whole output register."""
+    """The source's blocks, block k the generator keyed by fns[k % len(fns)],
+    then (every source but plain) the Fourier layer on the whole output
+    register.  A function that does not fit the kind at width n is refused here."""
     offsets = block_offsets(source, n, i, ell)
     q = max(offsets) + n
-    blocks = tuple(Block(offset, n, kind, function=fns[k % len(fns)])
+    blocks = tuple((offset, PrsGenerator(kind, n, fns[k % len(fns)]))
                    for k, offset in enumerate(offsets))
     final = include_final_layer and source is not Source.PLAIN
     return ConstructionSpec(q, blocks, prsgen.fourier_layer(kind, range(q)) if final else None)
@@ -151,17 +129,17 @@ def evaluate(spec: ConstructionSpec, budget_override: int | None = None) -> Pure
     limit = budget_mib(budget_override)  # one lookup for both checks
     check_complex_array(1 << q, f"state on {q} qubits", limit)
     if spec.blocks:
-        first = spec.blocks[0]
-        state = prsgen.prepare(first.resolve(), limit)
-        if first.width < q:
+        offset, gen = spec.blocks[0]
+        state = prsgen.prepare(gen, limit)
+        if gen.n < q:
             amps = np.zeros(1 << q, dtype=state.amplitudes.dtype)
-            low = q - first.offset - first.width  # qubits below the block
-            amps[: 1 << (first.width + low) : 1 << low] = state.amplitudes
+            low = q - offset - gen.n  # qubits below the block
+            amps[: 1 << (gen.n + low) : 1 << low] = state.amplitudes
             state = PureState(q, amps)
     else:
         state = corelin.basis_state(q, 0)
-    for block in spec.blocks[1:]:
-        state = prsgen.apply_to_register(block.resolve(), state, block.offset)
+    for offset, gen in spec.blocks[1:]:
+        state = prsgen.apply_to_register(gen, state, offset)
     if spec.final_layer is not None:
         state = corelin.apply_layer(state, spec.final_layer)
     return state
@@ -200,60 +178,3 @@ def closed_form_construction1(
         state = corelin.apply_layer(state, corelin.hadamard_all_layer(tuple(range(q))))
     return state
 
-
-# --- JSON wire format -------------------------------------------------------
-
-def _function_to_json(f: BooleanFunction) -> dict:
-    return {"input_bits": f.input_bits, "range_modulus": f.range_modulus,
-            "table_hex": f.table_hex()}
-
-
-def _function_from_json(obj: dict) -> BooleanFunction:
-    return BooleanFunction.from_hex(obj["input_bits"], obj["range_modulus"], obj["table_hex"])
-
-
-def _block_to_json(b: Block) -> dict:
-    out = {"offset": b.offset, "width": b.width, "kind": b.kind.value}
-    if b.function is not None:
-        out["function"] = _function_to_json(b.function)
-    else:
-        out["key"] = {"label": b.key.label, "hex": b.key.key_bytes.hex()}
-    return out
-
-
-def _block_from_json(obj: dict) -> Block:
-    kind = PrsKind(obj["kind"])
-    if "function" in obj:
-        return Block(obj["offset"], obj["width"], kind,
-                     function=_function_from_json(obj["function"]))
-    key = PrfKey(bytes.fromhex(obj["key"]["hex"]), obj["key"]["label"])
-    return Block(obj["offset"], obj["width"], kind, key=key)
-
-
-def spec_to_json(spec: ConstructionSpec) -> str:
-    final = None
-    if spec.final_layer is not None:
-        final = {"kind": spec.final_layer.kind.value,
-                 "target_qubits": list(spec.final_layer.target_qubits)}
-    payload = {
-        "total_qubits": spec.total_qubits,
-        "blocks": [_block_to_json(b) for b in spec.blocks],
-        "final_layer": final,
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def spec_from_json(text: str) -> ConstructionSpec:
-    payload = json.loads(text)
-    final = None
-    if payload.get("final_layer") is not None:
-        obj = payload["final_layer"]
-        kind = LayerKind(obj["kind"])
-        if kind not in (LayerKind.HADAMARD_ALL, LayerKind.QFT):
-            raise ValueError(f"unsupported final layer kind {kind}")
-        final = UnitaryLayer(kind, tuple(obj["target_qubits"]))
-    return ConstructionSpec(
-        payload["total_qubits"],
-        tuple(_block_from_json(b) for b in payload["blocks"]),
-        final,
-    )

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from . import corelin
-from .boolfn import BooleanFunction, PrfKey, prf_truth_table
+from .boolfn import BooleanFunction
 from .budget import check_complex_array
 from .corelin import PureState, UnitaryLayer
 
@@ -45,11 +45,6 @@ class PrsGenerator:
                 f"{self.kind.value} kind needs range modulus {expected_m}, "
                 f"got {self.f.range_modulus}"
             )
-
-
-def generator_from_key(kind: PrsKind, n: int, key: PrfKey) -> PrsGenerator:
-    """Materialize the keyed function's truth table and wrap it."""
-    return PrsGenerator(kind, n, prf_truth_table(key, n, kind.range_modulus(n)))
 
 
 def prepare(gen: PrsGenerator, budget_override: int | None = None) -> PureState:

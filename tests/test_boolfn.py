@@ -49,11 +49,6 @@ class TestTruthTable:
         with pytest.raises(ValueError):
             BooleanFunction(2, 2, (0, 1))
 
-    def test_hex_round_trip(self):
-        f = BooleanFunction(2, 16, (0, 15, 7, 9))
-        again = BooleanFunction.from_hex(2, 16, f.table_hex())
-        assert again == f
-
 
 class TestPrf:
     def test_deterministic(self):

@@ -32,10 +32,13 @@ class TestMomentsCommand:
         assert code == 0
         assert len(read_lines(tmp_path / "moments.csv")) == 4
 
-    def test_sampled_space_requires_seed(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run(["--out-dir", tmp_path, "moments", "--source", "plain",
-                 "--n", "2", "--t", "1", "--space", "prf:8", "--method", "montecarlo"])
+    def test_sampled_space_requires_seed(self, tmp_path, capsys):
+        code = run(["--out-dir", tmp_path, "moments", "--source", "plain",
+                    "--n", "2", "--t", "1", "--space", "prf:8", "--method", "montecarlo"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: --seed is required") and err.count("\n") == 1
+        assert not (tmp_path / "moments.csv").exists()
 
     def test_canonical_reruns_byte_identical_json(self, tmp_path):
         args = ["moments", "--source", "plain", "--n", "2", "--t", "2",
@@ -163,6 +166,21 @@ class TestSweepCommand:
         manifest = json.loads((out / "sweep_failures.json").read_text())
         assert sorted(f["point"]["space"] for f in manifest) == ["exhaustiv", "prf:0"]
 
+    def test_seedless_sampled_point_isolated_in_manifest(self, tmp_path):
+        config = {"grid": {"n": [2], "t": [1], "space": ["exhaustive", "prf:4"]}}
+        cfg = self.write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out-dir", out, "--canonical", "sweep"]) == 1
+        assert len(read_lines(out / "sweep.csv")) == 3  # the exhaustive row only
+        (failure,) = json.loads((out / "sweep_failures.json").read_text())
+        assert failure["point"]["space"] == "prf:4"
+        assert "--seed is required" in failure["error"]
+
+    def test_config_without_grid_exits_2(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, {"seed": 0})
+        assert run(["--config", cfg, "--out-dir", tmp_path / "out", "sweep"]) == 2
+        assert capsys.readouterr().err == "input error: sweep needs a config file with a 'grid' object\n"
+
 
 class TestVerificationCommands:
     def test_lemmas(self, tmp_path):
@@ -186,8 +204,8 @@ class TestVerificationCommands:
         assert [r["condition"] for r in payload["reports"]] == [1, 2]
 
     def test_condition_general_needs_seed(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run(["--out-dir", tmp_path, "condition", "--witness", "general", "--n", "2"])
+        assert run(["--out-dir", tmp_path, "condition", "--witness", "general", "--n", "2"]) == 2
+        assert not (tmp_path / "condition_general.json").exists()
         assert run(["--seed", "3", "--out-dir", tmp_path, "condition",
                     "--witness", "general", "--n", "2", "--samples", "16"]) == 0
 
@@ -200,6 +218,8 @@ class TestVerificationCommands:
     def test_expand_check_sampled(self, tmp_path):
         assert run(["--seed", "5", "--out-dir", tmp_path, "expand-check",
                     "--n", "4", "--i", "2", "--samples", "20"]) == 0
+        assert run(["--out-dir", tmp_path / "no_seed", "expand-check",
+                    "--n", "4", "--i", "2", "--samples", "20"]) == 2
 
     def test_budget_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PRS_LAB_BUDGET_MIB", "1")
@@ -271,6 +291,15 @@ class TestVerificationCommands:
         err = capsys.readouterr().err
         assert err.startswith("budget error: ") and err.count("\n") == 1
         assert not (tmp_path / "condition_binary.json").exists()
+
+    def test_condition_witness_over_budget_exits_2_before_building_it(self, tmp_path, capsys):
+        code = run(["--seed", "0", "--budget-mib", "1", "--out-dir", tmp_path, "condition",
+                    "--witness", "general", "--n", "10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("budget error: condition witness on 10 qubits")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "condition_general.json").exists()
 
 
 class TestCsvColumns:

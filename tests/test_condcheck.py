@@ -279,6 +279,19 @@ def test_budget_estimates_cover_measured_peaks(n):
     assert measured2 <= 16 * condcheck._cond2_peak_entries(dim) <= 2 * measured2
 
 
+@pytest.mark.parametrize("kind", list(PrsKind))
+@pytest.mark.parametrize("n", [8, 10])
+def test_witness_budget_estimate_covers_measured_peak(kind, n):
+    # general exponents above 256 are Python ints of their own; binary ones are cached
+    measured = measured_peak(lambda: condcheck.phase_witness(kind, n))
+    assert measured <= 16 * condcheck._witness_peak_entries(kind, n) <= 2 * measured
+
+
+def test_witness_refuses_to_exceed_the_budget():
+    with pytest.raises(BudgetError, match="condition witness on 10 qubits"):
+        condcheck.phase_witness(PrsKind.GENERAL_PHASE, 10, budget_override=1)
+
+
 def test_checks_refuse_to_exceed_the_budget():
     witness = binary_phase_witness(7)  # U_x family: 128^3 entries, 32 MiB
     with pytest.raises(BudgetError, match="condition 1 on 7 qubits"):

@@ -6,12 +6,16 @@ import pytest
 from prslab import boolfn, corelin, expand, moments, prsgen
 from prslab.boolfn import BooleanFunction
 from prslab.budget import BudgetError
-from prslab.prsgen import PrsKind
+from prslab.prsgen import PrsGenerator, PrsKind
 
 from conftest import assert_vectors_close
 
 
 F0_N2 = boolfn.constant_function(2)
+
+
+def binary_gen(f):
+    return PrsGenerator(PrsKind.BINARY_PHASE, f.input_bits, f)
 
 
 def t_fold_moment(states, t):
@@ -23,13 +27,13 @@ class TestConstruction1:
     def test_layout(self):
         spec = expand.construction1(F0_N2, 2, 1)
         assert spec.total_qubits == 3
-        assert [b.offset for b in spec.blocks] == [0, 1]
+        assert [offset for offset, _ in spec.blocks] == [0, 1]
         assert spec.final_layer is not None
 
     def test_blocks_share_the_function(self):
         f = BooleanFunction(2, 2, (0, 1, 0, 1))
         spec = expand.construction1(f, 2, 1)
-        assert spec.blocks[0].function == spec.blocks[1].function == f
+        assert spec.blocks[0][1].f == spec.blocks[1][1].f == f
 
     @pytest.mark.parametrize("i", [0, 2, 3])
     def test_added_qubits_out_of_range(self, i):
@@ -78,7 +82,7 @@ class TestConstruction2:
         f1, f2, f3 = (boolfn.constant_function(2) for _ in range(3))
         spec = expand.construction2(f1, f2, f3, 2)
         assert spec.total_qubits == 4
-        assert [b.offset for b in spec.blocks] == [0, 2, 1]
+        assert [offset for offset, _ in spec.blocks] == [0, 2, 1]
 
     def test_odd_width_rejected(self):
         f = boolfn.constant_function(3)
@@ -109,7 +113,7 @@ class TestConstruction3:
         fs = [boolfn.constant_function(2) for _ in range(3)]
         spec = expand.construction3(fs, 2)
         assert spec.total_qubits == 4
-        assert [b.offset for b in spec.blocks] == [0, 1, 2]
+        assert [offset for offset, _ in spec.blocks] == [0, 1, 2]
 
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
@@ -127,22 +131,11 @@ class TestEvaluate:
     def test_single_full_width_block_reduces_to_prepare(self, rng):
         from prslab import prsgen
 
-        f = boolfn.random_function(3, 2, rng)
-        spec = expand.ConstructionSpec(
-            3, (expand.Block(0, 3, PrsKind.BINARY_PHASE, function=f),)
-        )
-        gen = prsgen.PrsGenerator(PrsKind.BINARY_PHASE, 3, f)
+        gen = binary_gen(boolfn.random_function(3, 2, rng))
+        spec = expand.ConstructionSpec(3, ((0, gen),))
         assert_vectors_close(
             expand.evaluate(spec).amplitudes, prsgen.prepare(gen).amplitudes, 1e-12
         )
-
-    def test_keyed_block_materializes_lazily(self):
-        key = boolfn.PrfKey(b"\x05" * 16)
-        spec = expand.ConstructionSpec(
-            2, (expand.Block(0, 2, PrsKind.BINARY_PHASE, key=key),)
-        )
-        out = expand.evaluate(spec)
-        assert abs(out.norm() - 1.0) <= 1e-12
 
     def test_budget_error(self):
         spec = expand.ConstructionSpec(40, ())
@@ -150,21 +143,19 @@ class TestEvaluate:
             expand.evaluate(spec)
 
     def test_block_exceeding_register_rejected(self):
-        with pytest.raises(ValueError):
-            expand.ConstructionSpec(
-                2, (expand.Block(1, 2, PrsKind.BINARY_PHASE, function=F0_N2),)
-            )
+        with pytest.raises(ValueError, match="offset 1 width 2 does not fit in 2 qubits"):
+            expand.ConstructionSpec(2, ((1, binary_gen(F0_N2)),))
 
     def test_mixed_block_widths_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"block widths differ: \[2, 3\]"):
             expand.ConstructionSpec(
-                5,
-                (
-                    expand.Block(0, 2, PrsKind.BINARY_PHASE, function=F0_N2),
-                    expand.Block(2, 3, PrsKind.BINARY_PHASE,
-                                 function=boolfn.constant_function(3)),
-                ),
+                5, ((0, binary_gen(F0_N2)), (2, binary_gen(boolfn.constant_function(3))))
             )
+
+    @pytest.mark.parametrize("offset", [-1, -2])
+    def test_negative_offset_rejected(self, offset):
+        with pytest.raises(ValueError, match=f"offset {offset} width 2 does not fit"):
+            expand.ConstructionSpec(3, ((offset, binary_gen(F0_N2)),))
 
 
 class TestFirstBlockPrepared:
@@ -173,8 +164,8 @@ class TestFirstBlockPrepared:
     @staticmethod
     def reference(spec):
         state = corelin.basis_state(spec.total_qubits, 0)
-        for block in spec.blocks:
-            state = prsgen.apply_to_register(block.resolve(), state, block.offset)
+        for offset, gen in spec.blocks:
+            state = prsgen.apply_to_register(gen, state, offset)
         if spec.final_layer is not None:
             state = corelin.apply_layer(state, spec.final_layer)
         return state
@@ -186,8 +177,7 @@ class TestFirstBlockPrepared:
         q, n = 5, 3
         for _ in range(4):
             blocks = tuple(
-                expand.Block(o, n, kind,
-                             function=boolfn.random_function(n, kind.range_modulus(n), rng))
+                (o, PrsGenerator(kind, n, boolfn.random_function(n, kind.range_modulus(n), rng)))
                 for o in offsets
             )
             layer = prsgen.fourier_layer(kind, tuple(range(q))) if final else None
@@ -203,12 +193,11 @@ class TestCircuit:
     def test_block_k_is_keyed_by_draw_k_mod_draws(self, rng):
         fs = [boolfn.random_function(2, 2, rng) for _ in range(2)]
         spec = expand.circuit(expand.Source.CONSTRUCTION3, fs, 2, ell=5)
-        assert [b.function for b in spec.blocks] == [fs[0], fs[1], fs[0], fs[1], fs[0]]
+        assert [gen.f for _, gen in spec.blocks] == [fs[0], fs[1], fs[0], fs[1], fs[0]]
 
     def test_plain_is_one_block_without_final_layer(self):
         spec = expand.circuit(expand.Source.PLAIN, (F0_N2,), 2)
-        assert spec == expand.ConstructionSpec(2, (expand.Block(0, 2, PrsKind.BINARY_PHASE,
-                                                                function=F0_N2),))
+        assert spec == expand.ConstructionSpec(2, ((0, binary_gen(F0_N2)),))
 
     @pytest.mark.parametrize("source,n,i,ell", [
         (expand.Source.CONSTRUCTION1, 4, 3, None),
@@ -223,6 +212,21 @@ class TestCircuit:
             assert spec.total_qubits == max(expand.block_offsets(source, n, i, ell)) + n
             bare = expand.circuit(source, (f,), n, kind, i, ell, include_final_layer=False)
             assert bare.final_layer is None and bare.blocks == spec.blocks
+
+    # every source, and construction1 through its own entry point
+    @pytest.mark.parametrize("build", [
+        lambda f: expand.circuit(expand.Source.PLAIN, (f,), 2),
+        lambda f: expand.circuit(expand.Source.CONSTRUCTION3, (F0_N2, f), 2, ell=2),
+        lambda f: expand.construction1(f, 2, 1),
+        lambda f: expand.construction2(F0_N2, F0_N2, f, 2),
+    ], ids=["plain", "c3-second-draw", "construction1", "construction2"])
+    @pytest.mark.parametrize("f,match", [
+        (boolfn.constant_function(3), "function takes 3-bit inputs, generator is on 2 qubits"),
+        (boolfn.constant_function(2, 4), "binary kind needs range modulus 2, got 4"),
+    ], ids=["width", "modulus"])
+    def test_misfit_function_refused_when_the_circuit_is_built(self, build, f, match):
+        with pytest.raises(ValueError, match=match):
+            build(f)
 
     # one case per geometry rule: the circuits and the moment spec share one check
     @pytest.mark.parametrize("build,spec_args,match", [
@@ -246,19 +250,6 @@ class TestCircuit:
             build()
         with pytest.raises(ValueError, match=f"^{match}$"):
             moments.MomentSpec(source, n=n, t=1, i=i, ell=ell)
-
-
-class TestSerialization:
-    def test_round_trip_with_function_blocks(self, rng):
-        spec = expand.construction1(boolfn.random_function(2, 2, rng), 2, 1)
-        assert expand.spec_from_json(expand.spec_to_json(spec)) == spec
-
-    def test_round_trip_with_key_blocks_and_no_final_layer(self):
-        key = boolfn.PrfKey(b"\x09" * 16, "block")
-        spec = expand.ConstructionSpec(
-            3, (expand.Block(0, 3, PrsKind.GENERAL_PHASE, key=key),)
-        )
-        assert expand.spec_from_json(expand.spec_to_json(spec)) == spec
 
 
 class TestMomentInvarianceUnderAppendedUnitary:

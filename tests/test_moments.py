@@ -22,7 +22,7 @@ from prslab.moments import (
     haar_moment,
     haar_moment_monte_carlo,
 )
-from prslab.prsgen import PrsKind
+from prslab.prsgen import PrsGenerator, PrsKind
 
 from conftest import assert_matrices_close, assert_vectors_close
 
@@ -101,8 +101,8 @@ class TestMomentSpec:
                     for _ in range(spec.functions_per_member))
         moments.member_state(spec, fns)
         (construction,) = evaluated
-        assert tuple(b.offset for b in construction.blocks) == spec.block_offsets
-        assert {b.width for b in construction.blocks} == {spec.n}
+        assert tuple(offset for offset, _ in construction.blocks) == spec.block_offsets
+        assert {gen.n for _, gen in construction.blocks} == {spec.n}
         assert construction.total_qubits == spec.output_qubits
 
     def test_plain_block_offsets_match_one_block_circuit(self, rng):
@@ -111,7 +111,7 @@ class TestMomentSpec:
         assert spec.block_offsets == (0,) and spec.output_qubits == 3
         for _ in range(8):
             f = boolfn.random_function(3, 2, rng)
-            block = expand.Block(0, 3, spec.kind, function=f)
+            block = (0, PrsGenerator(spec.kind, 3, f))
             circuit = expand.evaluate(expand.ConstructionSpec(3, (block,)))
             assert_vectors_close(circuit.amplitudes,
                                  moments.member_state(spec, (f,)).amplitudes, 1e-15)

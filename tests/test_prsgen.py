@@ -87,12 +87,6 @@ class TestApplyToState:
         with pytest.raises(corelin.RegisterError):
             prsgen.apply_to_state(gen, basis_state(3, 0))
 
-    def test_generator_from_key(self):
-        key = boolfn.PrfKey(b"\x07" * 16)
-        gen = prsgen.generator_from_key(PrsKind.GENERAL_PHASE, 3, key)
-        assert gen.f.range_modulus == 8
-        assert gen.f == boolfn.prf_truth_table(key, 3, 8)
-
 
 class TestPhaseShiftUnitary:
     def test_zero_label_is_identity(self):
