@@ -20,6 +20,7 @@ from enum import Enum
 from typing import Any
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .budget import check_complex_array
 
@@ -372,6 +373,73 @@ def symmetric_projector(
         np.add.at(proj, (dst, src), 1.0)
     proj /= math.factorial(copies)
     return DensityOperator(proj, normalized=False)
+
+
+def _symmetric_isometry(local_dim: int, copies: int) -> sparse.csr_matrix:
+    """The d^t x D isometry V onto the symmetric subspace, as CSR.
+
+    Row k has one nonzero, 1/sqrt(class size), in the column of the multiset
+    class of k's digit tuple; the columns are the classes in the order of
+    their sorted digits.  V^T V is the D x D identity and V V^T the
+    projector `symmetric_projector` builds densely.
+    """
+    dim, shape = local_dim**copies, (local_dim,) * copies
+    multisets = np.array(np.unravel_index(np.arange(dim), shape))
+    multisets.sort(axis=0)
+    _, classes, sizes = np.unique(np.ravel_multi_index(multisets, shape),
+                                  return_inverse=True, return_counts=True)
+    weights = 1.0 / np.sqrt(sizes[classes])
+    return sparse.csr_matrix((weights, classes, np.arange(dim + 1)), shape=(dim, len(sizes)))
+
+
+def _compression_peak_entries(local_dim: int, copies: int, complex_: bool = False) -> int:
+    """Upper estimate of `symmetric_compression`'s peak besides its input, in
+    16-byte units: the larger of the product step (the D x d^t product V^T op,
+    the C-ordered copy of its transpose that the second sparse product reads,
+    and the D x D result) and the D x D result with what wrapping it in a
+    DensityOperator holds, plus 2 copies + 12 int64 index arrays of d^t entries
+    and 64 KiB of Python objects.  Entries are complex128 for a complex
+    operator and float64 otherwise."""
+    dim = local_dim**copies
+    sym = symmetric_subspace_dimension(local_dim, copies)
+    per_unit = 1 if complex_ else 2  # entries per 16 bytes
+    product = (2 * sym * dim + sym * sym) // per_unit
+    build = sym * sym // per_unit + _operator_build_entries(sym, complex_)
+    return max(product, build) + (2 * copies + 12) * dim // 2 + (1 << 12)
+
+
+def symmetric_compression(
+    op: DensityOperator, local_dim: int, copies: int, budget_override: int | None = None
+) -> DensityOperator:
+    """V^T op V: `op` compressed to the symmetric subspace, a D x D operator
+    with D = C(d+t-1, t), formed as two sparse-dense products with the
+    isometry V of `_symmetric_isometry`; float64 for a real `op`.
+
+    For a trace-1 PSD operator the compressed trace is Tr(Pi op), which is 1
+    exactly when op is supported in Sym^t; then the compression keeps every
+    nonzero eigenvalue, and op minus the Haar moment Pi/D compresses to the
+    same spectrum minus 1/D.  So an operator whose compressed trace differs
+    from its own by more than 1e-9 is refused with RegisterError.
+    """
+    if local_dim < 1 or copies < 1:
+        raise RegisterError("local_dim and copies must be >= 1")
+    dim = local_dim**copies
+    if op.dim != dim:
+        raise RegisterError(f"operator dimension {op.dim} != ({local_dim})^{copies} = {dim}")
+    check_complex_array(
+        _compression_peak_entries(local_dim, copies, np.iscomplexobj(op.matrix)),
+        f"symmetric compression of ({local_dim})^{copies}",
+        budget_override,
+    )
+    iso = _symmetric_isometry(local_dim, copies)
+    compressed = (iso.T @ op.matrix) @ iso
+    lost = abs(complex(np.trace(compressed)) - op.trace())
+    if not lost <= 1e-9:
+        raise RegisterError(
+            f"compressed trace differs from the operator's by {lost:.3e}: "
+            f"the operator has weight outside the symmetric subspace"
+        )
+    return DensityOperator(compressed, normalized=op.normalized)
 
 
 def hadamard_transform(arr: np.ndarray) -> np.ndarray:

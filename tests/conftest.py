@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,13 @@ def assert_matrices_close(a, b, atol):
     assert a.shape == b.shape, f"shape mismatch {a.shape} vs {b.shape}"
     dev = float(np.max(np.abs(a - b)))
     assert dev <= atol, f"max deviation {dev:.3e} exceeds {atol:.1e}"
+
+
+def measured_peak(call):
+    """Peak bytes tracemalloc sees while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,8 @@ from prslab.condcheck import (
 )
 from prslab.prsgen import PrsGenerator, PrsKind
 
+from conftest import measured_peak
+
 
 def binary_factory(n):
     return lambda f: PrsGenerator(PrsKind.BINARY_PHASE, n, f)
@@ -27,16 +28,6 @@ def binary_factory(n):
 
 def general_factory(n):
     return lambda f: PrsGenerator(PrsKind.GENERAL_PHASE, n, f)
-
-
-def measured_peak(call):
-    """Peak bytes tracemalloc sees while `call()` runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def sabotage_u_family(witness, n):

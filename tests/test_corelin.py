@@ -1,6 +1,9 @@
 import math
+import os
 import re
-import tracemalloc
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,11 +25,12 @@ from prslab.corelin import (
     permutation_layer,
     random_state,
     random_unitary,
+    symmetric_compression,
     symmetric_projector,
     trace_distance,
 )
 
-from conftest import assert_matrices_close, assert_vectors_close
+from conftest import assert_matrices_close, assert_vectors_close, measured_peak
 
 
 class TestPureState:
@@ -328,14 +332,85 @@ class TestSymmetricProjector:
 
     @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3)])
     def test_budget_estimate_covers_measured_peak(self, local_dim, copies):
-        tracemalloc.start()
-        try:
-            symmetric_projector(local_dim, copies)
-            measured = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        measured = measured_peak(lambda: symmetric_projector(local_dim, copies))
         estimate = 16 * corelin._projector_peak_entries(local_dim**copies, copies)
         assert measured <= estimate <= 2 * measured
+
+
+OPTIMIZED_COMPRESSION_SCRIPT = """
+import numpy as np
+from prslab import corelin
+try:
+    corelin.symmetric_compression(corelin.DensityOperator(np.diag([0.0, 1.0, 0.0, 0.0])), 2, 2)
+except corelin.RegisterError as exc:
+    if "outside the symmetric subspace" not in str(exc):
+        raise
+else:
+    raise SystemExit("an operator outside Sym^2 was compressed")
+"""
+
+
+class TestSymmetricCompression:
+    @pytest.mark.parametrize("local_dim,copies", [
+        (2, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (4, 4),
+    ])
+    def test_isometry_onto_the_symmetric_subspace(self, local_dim, copies):
+        iso = corelin._symmetric_isometry(local_dim, copies)
+        sym = corelin.symmetric_subspace_dimension(local_dim, copies)
+        assert iso.shape == (local_dim**copies, sym)
+        assert np.all(np.diff(iso.indptr) == 1)  # one nonzero per row
+        assert_matrices_close((iso.T @ iso).toarray(), np.eye(sym), 1e-14)
+        assert_matrices_close((iso @ iso.T).toarray(),
+                              symmetric_projector(local_dim, copies).matrix, 1e-14)
+
+    @pytest.mark.parametrize("local_dim,copies", [(2, 2), (4, 2), (3, 3), (8, 2)])
+    def test_haar_moment_compresses_to_the_maximally_mixed_state(self, local_dim, copies):
+        sym = corelin.symmetric_subspace_dimension(local_dim, copies)
+        haar = DensityOperator(symmetric_projector(local_dim, copies).matrix / sym)
+        got = symmetric_compression(haar, local_dim, copies)
+        assert got.matrix.dtype == np.float64
+        assert_matrices_close(got.matrix, np.eye(sym) / sym, 1e-15)
+
+    def test_complex_operator_stays_complex(self, rng):
+        v = random_state(2, rng).amplitudes
+        folded = np.kron(v, v)
+        got = symmetric_compression(DensityOperator(np.outer(folded, folded.conj())), 4, 2)
+        assert got.matrix.dtype == np.complex128
+        assert got.trace().real == pytest.approx(1.0, abs=1e-12)
+
+    def test_refuses_weight_outside_the_symmetric_subspace(self):
+        # |01><01| has half its weight on the antisymmetric state
+        op = DensityOperator(np.diag([0.0, 1.0, 0.0, 0.0]))
+        with pytest.raises(RegisterError, match="outside the symmetric subspace"):
+            symmetric_compression(op, 2, 2)
+
+    def test_refusal_survives_optimize(self):
+        src = str(Path(corelin.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", OPTIMIZED_COMPRESSION_SCRIPT],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(RegisterError, match="dimension"):
+            symmetric_compression(DensityOperator(np.eye(8) / 8), 2, 2)
+
+    @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3)])
+    def test_budget_estimate_covers_measured_peak(self, local_dim, copies):
+        haar = DensityOperator(symmetric_projector(local_dim, copies).matrix
+                               / corelin.symmetric_subspace_dimension(local_dim, copies))
+        measured = measured_peak(lambda: symmetric_compression(haar, local_dim, copies))
+        estimate = 16 * corelin._compression_peak_entries(local_dim, copies)
+        assert measured <= estimate <= 2 * measured
+
+    def test_budget_error_before_building(self):
+        # (32)^2 needs about 11 MiB; the identity is refused only after building
+        op = DensityOperator(np.eye(1024) / 1024)
+        with pytest.raises(BudgetError, match="symmetric compression"):
+            symmetric_compression(op, 32, 2, budget_override=1)
 
 
 class TestDensityOperator:
@@ -356,12 +431,7 @@ class TestDensityOperator:
         # row stripes instead of building the conjugate and the difference
         d = 1024
         mat = np.eye(d, dtype=np.complex128) / d
-        tracemalloc.start()
-        try:
-            DensityOperator(mat)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = measured_peak(lambda: DensityOperator(mat))
         assert peak < 1.5 * mat.nbytes
 
     @pytest.mark.parametrize("d", [3, 64, 300])

@@ -1,10 +1,11 @@
 import itertools
 import json
-import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prslab import boolfn, corelin, expand, moments
 from prslab.budget import DEFAULT_BUDGET_MIB, BudgetError
@@ -24,17 +25,7 @@ from prslab.moments import (
 )
 from prslab.prsgen import PrsGenerator, PrsKind
 
-from conftest import assert_matrices_close, assert_vectors_close
-
-
-def measured_peak(call):
-    """Peak bytes tracemalloc sees while `call()` runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+from conftest import assert_matrices_close, assert_vectors_close, measured_peak
 
 
 def plain(n, t, space=None):
@@ -398,6 +389,87 @@ class TestCompareToHaar:
             assert payload["moment_im"] == [[0.0] * 64] * 64
 
 
+def dense_distance(report):
+    """The d^t x d^t oracle: trace distance from the report's moment to `haar_moment`."""
+    haar = haar_moment(1 << report.spec.output_qubits, report.spec.t)
+    return corelin.trace_distance(report.moment, haar)
+
+
+class TestDistanceInTheSymmetricSubspace:
+    @pytest.mark.parametrize("spec", [
+        plain(3, 3), plain(2, 4), c1(3, 1, 2), c1(4, 1, 2), c1(5, 1, 2),
+    ], ids=["plain-3-3", "plain-2-4", "c1-3-1-2", "c1-4-1-2", "c1-5-1-2"])
+    def test_pairing_distance_matches_the_dense_oracle(self, spec):
+        report = compare_to_haar(spec, Method.DELTA_PAIRING)
+        assert abs(report.haar_distance - dense_distance(report)) <= 1e-12
+
+    @pytest.mark.parametrize("spec", [
+        MomentSpec(Source.CONSTRUCTION2, n=2, t=1),
+        MomentSpec(Source.CONSTRUCTION3, n=2, t=1, ell=3),
+        MomentSpec(Source.CONSTRUCTION2, n=2, t=2, shared_key=True),
+        MomentSpec(Source.PLAIN, n=2, t=2, kind=PrsKind.GENERAL_PHASE),
+    ], ids=["c2-2-1", "c3-2-1-ell3", "c2-2-2-shared", "general-plain-2-2"])
+    def test_brute_force_distance_matches_the_dense_oracle(self, spec):
+        report = compare_to_haar(spec, Method.BRUTE_FORCE)
+        assert abs(report.haar_distance - dense_distance(report)) <= 1e-12
+
+    @pytest.mark.parametrize("spec", [
+        plain(3, 2, PrfKeys(64, seed=3)), c1(2, 1, 2, UniformSample(32, seed=4)),
+    ], ids=["plain-3-2-prf64", "c1-2-1-2-uniform32"])
+    def test_sampled_distance_matches_the_dense_oracle(self, spec):
+        report = compare_to_haar(spec, Method.MONTE_CARLO)
+        assert abs(report.haar_distance - dense_distance(report)) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(local_dim=st.integers(2, 8), copies=st.integers(1, 3),
+           members=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_random_ensembles_match_the_dense_oracle(self, local_dim, copies, members, seed):
+        rng = np.random.default_rng(seed)
+        vs = rng.standard_normal((members, local_dim)) + 1j * rng.standard_normal(
+            (members, local_dim))
+        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+        folded = [reduce(np.kron, [v] * copies) for v in vs]
+        moment = DensityOperator(sum(np.outer(f, f.conj()) for f in folded) / members)
+        haar = haar_moment(local_dim, copies)
+        got = moments._haar_distance(moment, haar, local_dim, copies)
+        assert abs(got - corelin.trace_distance(moment, haar)) <= 1e-12
+
+    def test_no_full_dimension_eigensolve(self, monkeypatch):
+        # c1 (4,1,2): d^t = 1024, D = C(33, 2) = 528
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(mat, *args, **kwargs):
+            shapes.append(np.shape(mat))
+            return eigvalsh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(corelin.np.linalg, "eigvalsh", recording)
+        compare_to_haar(c1(4, 1, 2), Method.DELTA_PAIRING)
+        assert shapes == [(528, 528)]
+
+    @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3)])
+    def test_budget_estimate_covers_measured_peak(self, local_dim, copies):
+        moment = ensemble_moment_deltapair(plain(local_dim.bit_length() - 1, copies))
+        haar = haar_moment(local_dim, copies)
+        measured = measured_peak(
+            lambda: moments._haar_distance(moment, haar, local_dim, copies))
+        estimate = 16 * moments._distance_peak_entries(local_dim, copies)
+        assert measured <= estimate <= 2 * measured
+
+    def test_budget_refuses_the_stage_before_it_allocates(self, monkeypatch):
+        # (32)^2: the stage needs about 13 MiB
+        spec = c1(4, 1, 2)
+        moment = ensemble_moment_deltapair(spec)
+        haar = haar_moment(32, 2)
+        assert 16 * moments._distance_peak_entries(32, 2) > 8 << 20
+        compressions = []
+        monkeypatch.setattr(corelin, "symmetric_compression",
+                            lambda *args, **kwargs: compressions.append(args))
+        with pytest.raises(BudgetError, match="distance stage"):
+            moments._haar_distance(moment, haar, 32, 2, budget_override=8)
+        assert compressions == []
+
+
 class TestUnitaryConjugationInvariance:
     def test_distance_invariant_under_member_conjugation(self, rng):
         # conjugating every member by a fixed U conjugates the moment by
@@ -428,7 +500,8 @@ class TestUnitaryConjugationInvariance:
 
 class TestExpansionTrend:
     def test_distance_non_increasing_in_register_width(self):
-        # slow: the widest point runs a 4096-dimensional eigendecomposition
+        # the widest point's distance is a 2080-dimensional eigendecomposition
+        # (the Sym^2 compression of its 4096-dimensional moment)
         distances = [
             compare_to_haar(c1(n, 1, 2), Method.DELTA_PAIRING).haar_distance
             for n in (3, 4, 5)
