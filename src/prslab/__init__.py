@@ -1,7 +1,7 @@
 """Exact desk-scale simulation and verification of phase-state ensembles,
 their length-expansion circuits, and the counting objects behind them."""
 
-from .boolfn import BooleanFunction, PrfKey, as_indicator_vector, enumerate_all, prf_eval
+from .boolfn import BooleanFunction, PrfKey, enumerate_all, prf_eval
 from .budget import BudgetError
 from .combinatorics import (
     dist_count,

@@ -22,26 +22,31 @@ KEY_BYTES = 16
 _MAX_TABLE_BITS = 20  # full truth-table materialization cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BooleanFunction:
+    """The truth table f(0), ..., f(2^n - 1) of residues mod m, held as a
+    read-only int64 copy of the input made and range-checked here, once.
+    Compares by identity: compare tables with `np.array_equal`."""
+
     input_bits: int
     range_modulus: int
-    table: tuple[int, ...]
+    table: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(int(v) for v in self.table))
         n, m = self.input_bits, self.range_modulus
         if n < 0 or m < 1:
             raise ValueError(f"invalid function shape n={n}, m={m}")
-        if len(self.table) != 1 << n:
-            raise ValueError(
-                f"table has {len(self.table)} entries, expected 2**{n} = {1 << n}"
-            )
-        if any(not 0 <= v < m for v in self.table):
+        table = np.array(self.table, dtype=np.int64)
+        if table.shape != (1 << n,):
+            raise ValueError(f"table has shape {table.shape}, expected (2**{n},) = ({1 << n},)")
+        # a negative entry reads as a huge unsigned one, so one maximum checks both ends
+        if table.view(np.uint64).max() >= m:
             raise ValueError(f"table entry out of range [0, {m})")
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
 
     def __call__(self, x: int) -> int:
-        return self.table[x]
+        return int(self.table[x])
 
 
 @dataclass(frozen=True)
@@ -106,20 +111,5 @@ def derive_keys(count: int, seed: int, label: str = "prs") -> list[PrfKey]:
 
 
 def random_function(n: int, m: int, rng: np.random.Generator) -> BooleanFunction:
-    return BooleanFunction(n, m, tuple(int(v) for v in rng.integers(0, m, size=1 << n)))
+    return BooleanFunction(n, m, rng.integers(0, m, size=1 << n))
 
-
-def as_indicator_vector(f: BooleanFunction) -> np.ndarray:
-    """The length-2^n 0/1 table of a mod-2 function, as a bit vector."""
-    if f.range_modulus != 2:
-        raise ValueError(f"indicator form requires modulus 2, got {f.range_modulus}")
-    return np.asarray(f.table, dtype=np.uint8)
-
-
-def indicator_basis(n: int, x: int) -> np.ndarray:
-    """The standard basis bit vector e_x of length 2^n."""
-    if not 0 <= x < (1 << n):
-        raise ValueError(f"index {x} out of range for {n} bits")
-    e = np.zeros(1 << n, dtype=np.uint8)
-    e[x] = 1
-    return e

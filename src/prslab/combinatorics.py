@@ -36,39 +36,6 @@ def all_bit_strings(width: int) -> Iterator[str]:
         yield "".join(bits)
 
 
-def _unique_indices(elements: tuple[str, ...]) -> frozenset[int]:
-    t = len(elements)
-    return frozenset(
-        j for j in range(t)
-        if all(elements[j] != elements[k] for k in range(t) if k != j)
-    )
-
-
-@dataclass(frozen=True)
-class TupleClass:
-    """A tuple of bit strings together with its uniqueness structure."""
-
-    t: int
-    elements: tuple[str, ...]
-    unique_indices: frozenset[int]
-    distinct_count: int
-
-    @classmethod
-    def from_elements(cls, elements: Sequence[str]) -> "TupleClass":
-        elements = tuple(elements)
-        return cls(
-            len(elements), elements, _unique_indices(elements), len(set(elements))
-        )
-
-    def __post_init__(self):
-        if self.t != len(self.elements):
-            raise ShapeError(f"t={self.t} does not match {len(self.elements)} elements")
-        if _unique_indices(self.elements) != self.unique_indices:
-            raise ShapeError("unique_indices does not match the elements")
-        if len(set(self.elements)) != self.distinct_count:
-            raise ShapeError("distinct_count does not match the elements")
-
-
 def dist_count(n: int, t: int) -> int:
     """Number of t-tuples of pairwise-distinct n-bit strings, exactly.
 

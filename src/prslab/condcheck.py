@@ -68,20 +68,18 @@ class ConditionReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _witness_peak_entries(kind: PrsKind, n: int) -> int:
-    """Upper estimate of `phase_witness`'s peak, in 16-byte units: 2^n phase
-    layers of 2^n exponents, 8 bytes per tuple slot plus a 32-byte Python int
-    for each general-kind exponent above 256 (at most 2^n - 257 per layer;
-    smaller ones are cached), 512 bytes per layer object, plus 256 KiB."""
+def _witness_peak_entries(n: int) -> int:
+    """Upper estimate of `phase_witness`'s peak for either kind, in 16-byte
+    units: 2^n phase layers of 2^n int64 exponents, 512 bytes per layer
+    object, plus 256 KiB."""
     dim = 1 << n
-    big = max(0, dim - 257) if kind is PrsKind.GENERAL_PHASE else 0
-    return dim * (dim // 2 + 2 * big + 32) + (1 << 14)
+    return dim * (dim // 2 + 32) + (1 << 14)
 
 
 def phase_witness(kind: PrsKind, n: int, budget_override: int | None = None) -> ConditionWitness:
     """The phase generator's own factorization: U_x = `prsgen.phase_shift_unitary`,
     V = `prsgen.fourier_layer`, W = U_0 (the identity) and scale sqrt(N)."""
-    check_complex_array(_witness_peak_entries(kind, n), f"condition witness on {n} qubits",
+    check_complex_array(_witness_peak_entries(n), f"condition witness on {n} qubits",
                         budget_override)
     family = {x: prsgen.phase_shift_unitary(kind, n, x) for x in range(1 << n)}
     v = prsgen.fourier_layer(kind, tuple(range(n)))

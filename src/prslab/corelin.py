@@ -39,11 +39,12 @@ def _real_or_complex(arr: np.ndarray) -> type:
     return np.complex128 if np.iscomplexobj(arr) else np.float64
 
 
-def _frozen_copy(values: Any) -> np.ndarray:
-    """Read-only C-ordered copy of `values` in the dtype `_real_or_complex` picks:
-    the one coercion of both containers."""
+def _frozen_copy(values: Any, dtype: type | None = None) -> np.ndarray:
+    """Read-only C-ordered copy of `values` in `dtype`, by default the one
+    `_real_or_complex` picks: the one coercion of both containers and of the
+    layer payloads."""
     arr = np.asarray(values)
-    arr = arr.astype(_real_or_complex(arr), order="C", copy=True)
+    arr = arr.astype(dtype or _real_or_complex(arr), order="C", copy=True)
     arr.setflags(write=False)
     return arr
 
@@ -90,13 +91,6 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> PureState:
     """Haar-random pure state (normalized complex Gaussian vector)."""
     v = rng.standard_normal(1 << num_qubits) + 1j * rng.standard_normal(1 << num_qubits)
     return PureState(num_qubits, v / np.linalg.norm(v))
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def _stripe_rows(dim: int) -> int:
@@ -168,7 +162,7 @@ class LayerKind(Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryLayer:
     """One unitary acting on an ordered set of target qubits.
 
@@ -182,6 +176,9 @@ class UnitaryLayer:
     Payloads are validated here, once: a malformed phase table, modulus,
     permutation or custom matrix (including a non-unitary or NaN one) raises
     RegisterError at construction, so applying a layer re-checks nothing.
+    Array payloads are stored as read-only copies (int64 exponents, a
+    complex128 matrix), so a caller changing its input afterwards changes
+    nothing.  Layers compare by identity.
     """
 
     kind: LayerKind
@@ -198,15 +195,18 @@ class UnitaryLayer:
         dim = 1 << len(targets)
         if self.kind is LayerKind.PHASE_DIAGONAL:
             modulus, exponents = self.parameters
-            if len(exponents) != dim:
-                raise RegisterError(f"phase table has {len(exponents)} entries, expected {dim}")
+            modulus, exponents = int(modulus), _frozen_copy(exponents, np.int64)
+            object.__setattr__(self, "parameters", (modulus, exponents))
+            if exponents.shape != (dim,):
+                raise RegisterError(f"phase table has shape {exponents.shape}, expected ({dim},)")
             if not modulus >= 1:
                 raise RegisterError(f"phase modulus {modulus} must be >= 1")
         elif self.kind is LayerKind.PERMUTATION:
             if sorted(self.parameters) != list(range(dim)):
                 raise RegisterError(f"permutation payload is not a permutation of 0..{dim - 1}")
         elif self.kind is LayerKind.CUSTOM:
-            mat = np.asarray(self.parameters, dtype=np.complex128)
+            mat = _frozen_copy(self.parameters, np.complex128)
+            object.__setattr__(self, "parameters", mat)
             if mat.shape != (dim, dim):
                 raise RegisterError(f"custom matrix shape {mat.shape} != ({dim}, {dim})")
             dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
@@ -227,9 +227,7 @@ def qft_layer(targets) -> UnitaryLayer:
 
 
 def phase_diagonal_layer(targets, modulus: int, exponents) -> UnitaryLayer:
-    return UnitaryLayer(
-        LayerKind.PHASE_DIAGONAL, tuple(targets), (int(modulus), tuple(int(e) for e in exponents))
-    )
+    return UnitaryLayer(LayerKind.PHASE_DIAGONAL, tuple(targets), (modulus, exponents))
 
 
 def permutation_layer(targets, sigma) -> UnitaryLayer:
@@ -237,7 +235,7 @@ def permutation_layer(targets, sigma) -> UnitaryLayer:
 
 
 def custom_layer(targets, matrix) -> UnitaryLayer:
-    return UnitaryLayer(LayerKind.CUSTOM, tuple(targets), np.asarray(matrix, dtype=np.complex128))
+    return UnitaryLayer(LayerKind.CUSTOM, tuple(targets), matrix)
 
 
 def hadamard_matrix(n_bits: int) -> np.ndarray:
@@ -264,17 +262,16 @@ def _act(layer: UnitaryLayer, block: np.ndarray) -> np.ndarray:
         return np.fft.ifft(block, axis=0, norm="ortho")
     if layer.kind is LayerKind.PHASE_DIAGONAL:
         modulus, exponents = layer.parameters
-        exps = np.asarray(exponents, dtype=np.int64)
         if modulus == 2:
-            diag = np.where(exps % 2 == 1, -1.0, 1.0)
+            diag = np.where(exponents % 2 == 1, -1.0, 1.0)
         else:
-            diag = np.exp(2j * np.pi * (exps % modulus) / modulus)
+            diag = np.exp(2j * np.pi * (exponents % modulus) / modulus)
         return diag[:, None] * block
     if layer.kind is LayerKind.PERMUTATION:
         out = np.empty_like(block)
         out[np.asarray(layer.parameters)] = block
         return out
-    return np.asarray(layer.parameters, dtype=np.complex128) @ block
+    return layer.parameters @ block
 
 
 def materialize(layer: UnitaryLayer) -> np.ndarray:

@@ -164,13 +164,14 @@ def closed_form_construction1(
     q = n + i
     check_complex_array(1 << q, f"state on {q} qubits", budget_override)
     amps = np.zeros(1 << q)
+    table = f.table.tolist()
     n_overlap = n - i
     for xp in range(1 << i):
         for y in range(1 << n):
             y_head = y >> i  # the first n - i bits pair with x'' in the dot product
             acc = 0
             for xpp in range(1 << n_overlap):
-                e = f((xp << n_overlap) | xpp) + (y_head & xpp).bit_count() + f(y)
+                e = table[(xp << n_overlap) | xpp] + (y_head & xpp).bit_count() + table[y]
                 acc += -1 if e & 1 else 1
             amps[(xp << n) | y] = acc
     state = PureState(q, amps / (1 << n))

@@ -51,12 +51,12 @@ def prepare(gen: PrsGenerator, budget_override: int | None = None) -> PureState:
     """The generator's output on |0...0>: amplitude omega^{f(x)} / sqrt(N) at x."""
     n = gen.n
     check_complex_array(1 << n, f"state on {n} qubits", budget_override)
-    table = np.asarray(gen.f.table, dtype=np.int64)
+    table = gen.f.table
     if gen.kind is PrsKind.BINARY_PHASE:
         amp = 1.0 / math.sqrt(1 << n)
         return PureState(n, np.where(table & 1, -amp, amp))
     m = gen.f.range_modulus
-    return PureState(n, np.exp(2j * np.pi * (table % m) / m) / math.sqrt(1 << n))
+    return PureState(n, np.exp(2j * np.pi * table / m) / math.sqrt(1 << n))
 
 
 def fourier_layer(kind: PrsKind, targets) -> UnitaryLayer:

@@ -9,6 +9,13 @@ def rng():
     return np.random.default_rng(20240901)
 
 
+def random_unitary(dim, rng):
+    """Haar-random unitary via QR of a complex Gaussian matrix."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 def assert_vectors_close(a, b, atol):
     __tracebackhide__ = True
     a = np.asarray(a, dtype=complex).reshape(-1)

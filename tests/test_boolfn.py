@@ -8,14 +8,14 @@ from prslab.budget import BudgetError
 
 class TestEnumeration:
     def test_single_bit_order(self):
-        tables = [f.table for f in boolfn.enumerate_all(1, 2)]
-        assert tables == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        tables = [f.table.tolist() for f in boolfn.enumerate_all(1, 2)]
+        assert tables == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
     def test_two_bit_count(self):
         assert sum(1 for _ in boolfn.enumerate_all(2, 2)) == 16
 
     def test_three_bit_no_duplicates(self):
-        tables = {f.table for f in boolfn.enumerate_all(3, 2)}
+        tables = {tuple(f.table.tolist()) for f in boolfn.enumerate_all(3, 2)}
         assert len(tables) == 256
 
     def test_budget_error_states_count(self):
@@ -35,19 +35,33 @@ class TestEnumeration:
         assert np.array_equal(acc, total * np.eye(size, dtype=np.int64))
 
     def test_general_modulus_enumeration(self):
-        tables = [f.table for f in boolfn.enumerate_all(1, 4)]
+        tables = [f.table.tolist() for f in boolfn.enumerate_all(1, 4)]
         assert len(tables) == 16
-        assert tables[0] == (0, 0) and tables[1] == (0, 1) and tables[4] == (1, 0)
+        assert tables[0] == [0, 0] and tables[1] == [0, 1] and tables[4] == [1, 0]
 
 
 class TestTruthTable:
     def test_entry_out_of_range(self):
-        with pytest.raises(ValueError):
-            BooleanFunction(1, 2, (0, 2))
+        for table in ((0, 2), (0, -1)):
+            with pytest.raises(ValueError, match="out of range"):
+                BooleanFunction(1, 2, table)
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             BooleanFunction(2, 2, (0, 1))
+
+    def test_two_dimensional_table_refused(self):
+        with pytest.raises(ValueError, match="shape"):
+            BooleanFunction(1, 2, np.array([[0], [1]]))
+
+    def test_table_is_a_read_only_int64_copy(self):
+        source = np.array([0, 1, 1, 0], dtype=np.uint8)
+        f = BooleanFunction(2, 2, source)
+        assert f.table.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            f.table[0] = 1
+        source[0] = 1
+        assert f.table.tolist() == [0, 1, 1, 0]
 
 
 class TestPrf:
@@ -64,8 +78,8 @@ class TestPrf:
     def test_distinct_keys_give_distinct_tables(self):
         keys = boolfn.derive_keys(200, seed=7)
         differing = sum(
-            boolfn.prf_truth_table(keys[2 * k], 3, 2).table
-            != boolfn.prf_truth_table(keys[2 * k + 1], 3, 2).table
+            not np.array_equal(boolfn.prf_truth_table(keys[2 * k], 3, 2).table,
+                               boolfn.prf_truth_table(keys[2 * k + 1], 3, 2).table)
             for k in range(100)
         )
         assert differing >= 95
@@ -92,19 +106,3 @@ class TestPrf:
         with pytest.raises(ValueError, match="cap"):
             boolfn.prf_truth_table(PrfKey(b"\x00" * 16), 21, 2)
 
-
-class TestIndicatorVectors:
-    def test_table_as_vector(self):
-        f = BooleanFunction(2, 2, (0, 1, 1, 0))
-        assert boolfn.as_indicator_vector(f).tolist() == [0, 1, 1, 0]
-
-    def test_basis_indicator(self):
-        assert boolfn.indicator_basis(2, 2).tolist() == [0, 0, 1, 0]
-
-    def test_xor_self_cancellation(self):
-        e = boolfn.indicator_basis(2, 1)
-        assert not np.any(e ^ e)
-
-    def test_modulus_two_required(self):
-        with pytest.raises(ValueError):
-            boolfn.as_indicator_vector(BooleanFunction(1, 4, (0, 3)))

@@ -15,7 +15,6 @@ from prslab import corelin
 from prslab.budget import BudgetError
 from prslab.combinatorics import (
     ShapeError,
-    TupleClass,
     dist_count,
     dist_lower_bound,
     in_dist_set,
@@ -150,17 +149,6 @@ class TestPermStateNorm:
     def test_length_cap(self):
         with pytest.raises(ValueError):
             perm_state_norm_sq(("0",) * 9)
-
-
-class TestTupleClass:
-    def test_unique_structure(self):
-        tc = TupleClass.from_elements(("00", "01", "00", "10"))
-        assert tc.unique_indices == frozenset({1, 3})
-        assert tc.distinct_count == 3
-
-    def test_invariants_recomputed(self):
-        with pytest.raises(ShapeError):
-            TupleClass(2, ("0", "0"), frozenset({0, 1}), 1)
 
 
 class TestDistPredicate:

@@ -238,6 +238,22 @@ def test_one_shot_function_stream_is_checked():
                                           boolfn.enumerate_all(2, 2)))
 
 
+def same_layer(a, b):
+    """Layers compare by identity; this compares kind, targets and payload."""
+    if (a.kind, a.target_qubits) != (b.kind, b.target_qubits):
+        return False
+    if a.kind is corelin.LayerKind.PHASE_DIAGONAL:
+        return a.parameters[0] == b.parameters[0] and np.array_equal(a.parameters[1],
+                                                                     b.parameters[1])
+    return a.parameters is None and b.parameters is None  # the Fourier layers
+
+
+def same_witness(a, b):
+    return (a.n == b.n and a.scale == b.scale and a.u_family.keys() == b.u_family.keys()
+            and all(same_layer(a.u_family[x], b.u_family[x]) for x in a.u_family)
+            and same_layer(a.v, b.v) and same_layer(a.w, b.w))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_phase_witness_is_the_generators_own_factorization(n):
     targets = tuple(range(n))
@@ -246,11 +262,11 @@ def test_phase_witness_is_the_generators_own_factorization(n):
     for kind, builder in ((PrsKind.BINARY_PHASE, binary_phase_witness),
                           (PrsKind.GENERAL_PHASE, general_phase_witness)):
         witness = phase_witness(kind, n)
-        assert builder(n) == witness
+        assert same_witness(builder(n), witness)
         assert witness.n == n and witness.scale == math.sqrt(1 << n)
-        assert witness.v == expected_v[kind]
+        assert same_layer(witness.v, expected_v[kind])
         for x in range(1 << n):
-            assert witness.u_family[x] == prsgen.phase_shift_unitary(kind, n, x)
+            assert same_layer(witness.u_family[x], prsgen.phase_shift_unitary(kind, n, x))
         assert np.array_equal(corelin.materialize(witness.w), np.eye(1 << n))
 
 
@@ -273,9 +289,9 @@ def test_budget_estimates_cover_measured_peaks(n):
 @pytest.mark.parametrize("kind", list(PrsKind))
 @pytest.mark.parametrize("n", [8, 10])
 def test_witness_budget_estimate_covers_measured_peak(kind, n):
-    # general exponents above 256 are Python ints of their own; binary ones are cached
+    # both kinds hold 8 bytes per exponent: one int64 array per layer
     measured = measured_peak(lambda: condcheck.phase_witness(kind, n))
-    assert measured <= 16 * condcheck._witness_peak_entries(kind, n) <= 2 * measured
+    assert measured <= 16 * condcheck._witness_peak_entries(n) <= 2 * measured
 
 
 def test_witness_refuses_to_exceed_the_budget():

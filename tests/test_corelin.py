@@ -24,13 +24,12 @@ from prslab.corelin import (
     phase_diagonal_layer,
     permutation_layer,
     random_state,
-    random_unitary,
     symmetric_compression,
     symmetric_projector,
     trace_distance,
 )
 
-from conftest import assert_matrices_close, assert_vectors_close, measured_peak
+from conftest import assert_matrices_close, assert_vectors_close, measured_peak, random_unitary
 
 
 class TestPureState:
@@ -84,16 +83,34 @@ class TestUnitaryLayer:
         "make, match",
         [
             (lambda: phase_diagonal_layer((0, 1), 2, [0, 1, 0]), "phase table"),
+            (lambda: phase_diagonal_layer((0, 1), 2, np.zeros((4, 1), dtype=int)), "phase table"),
             (lambda: phase_diagonal_layer((0,), 0, [0, 1]), "modulus"),
             (lambda: permutation_layer((0, 1), [0, 1, 1, 2]), "permutation"),
             (lambda: corelin.custom_layer((0,), np.eye(4)), "shape"),
             (lambda: corelin.custom_layer((0,), [[np.nan, 0.0], [0.0, 1.0]]), "unitary"),
         ],
-        ids=["table-length", "modulus-zero", "not-a-permutation", "custom-shape", "custom-nan"],
+        ids=["table-length", "table-shape", "modulus-zero", "not-a-permutation", "custom-shape",
+             "custom-nan"],
     )
     def test_invalid_payload_rejected_at_construction(self, make, match):
         with pytest.raises(RegisterError, match=match):
             make()
+
+    def test_array_payloads_are_read_only_copies(self, rng):
+        # a layer validated at construction stays valid: changing the
+        # caller's arrays afterwards changes neither layer
+        u, exponents = random_unitary(2, rng), np.array([0, 1])
+        custom = corelin.custom_layer((0,), u)
+        phase = phase_diagonal_layer((0,), 2, exponents)
+        expected = u.copy(), np.diag([1.0, -1.0])
+        u[0, 0] = 5.0
+        exponents[1] = 0
+        assert np.array_equal(corelin.materialize(custom), expected[0])
+        assert np.array_equal(corelin.materialize(phase), expected[1])
+        assert phase.parameters[1].dtype == np.int64
+        for payload in (custom.parameters, phase.parameters[1]):
+            with pytest.raises(ValueError, match="read-only"):
+                payload[0] = 0
 
 
 class TestApplyLayer:

@@ -208,7 +208,9 @@ class TestCircuit:
         for kind in PrsKind:
             f = boolfn.constant_function(n, kind.range_modulus(n))
             spec = expand.circuit(source, (f,), n, kind, i, ell)
-            assert spec.final_layer == prsgen.fourier_layer(kind, range(spec.total_qubits))
+            fourier = prsgen.fourier_layer(kind, range(spec.total_qubits))
+            assert spec.final_layer.kind is fourier.kind
+            assert spec.final_layer.target_qubits == fourier.target_qubits
             assert spec.total_qubits == max(expand.block_offsets(source, n, i, ell)) + n
             bare = expand.circuit(source, (f,), n, kind, i, ell, include_final_layer=False)
             assert bare.final_layer is None and bare.blocks == spec.blocks

@@ -1,6 +1,6 @@
 import itertools
 import json
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from prslab.moments import (
 )
 from prslab.prsgen import PrsGenerator, PrsKind
 
-from conftest import assert_matrices_close, assert_vectors_close, measured_peak
+from conftest import assert_matrices_close, assert_vectors_close, measured_peak, random_unitary
 
 
 def plain(n, t, space=None):
@@ -131,14 +131,15 @@ class TestBruteForce:
             assert got.trace().real == pytest.approx(1.0, abs=1e-12)
 
     def test_first_exhaustive_member_streams(self):
-        # the 65 536 tables of enumerate_all(4, 2) take 17.5 MiB; one member needs one
+        # the 65 536 tables of enumerate_all(4, 2) take 21.5 MiB; one member needs one
         measured = measured_peak(lambda: next(moments.member_functions(plain(4, 1))))
         assert measured < 1 << 20
 
     def test_exhaustive_members_run_over_every_table_tuple_in_order(self):
         spec = MomentSpec(Source.CONSTRUCTION2, n=2, t=1)  # three draws of 16 tables
-        tables = list(boolfn.enumerate_all(2, 2))
-        assert list(moments.member_functions(spec)) == list(
+        tables = [tuple(f.table.tolist()) for f in boolfn.enumerate_all(2, 2)]
+        assert [tuple(tuple(f.table.tolist()) for f in fns)
+                for fns in moments.member_functions(spec)] == list(
             itertools.product(tables, repeat=3))
 
     def test_shared_key_variant_reuses_one_function(self):
@@ -337,7 +338,7 @@ class TestHaarMoment:
         assert measured <= estimate <= 2 * measured
 
     def test_commutes_with_tensor_power_unitary(self, rng):
-        u = corelin.random_unitary(2, rng)
+        u = random_unitary(2, rng)
         u2 = np.kron(u, u)
         h = haar_moment(2, 2).matrix
         assert_matrices_close(u2 @ h @ u2.conj().T, h, 1e-12)
@@ -389,6 +390,13 @@ class TestCompareToHaar:
             assert payload["moment_im"] == [[0.0] * 64] * 64
 
 
+@pytest.fixture(scope="module")
+def pairing_report():
+    """`compare_to_haar(spec, Method.DELTA_PAIRING)`, built once per spec in this
+    module: the c1 (5,1,2) report, a 4096-dimensional moment, serves two tests."""
+    return cache(lambda spec: compare_to_haar(spec, Method.DELTA_PAIRING))
+
+
 def dense_distance(report):
     """The d^t x d^t oracle: trace distance from the report's moment to `haar_moment`."""
     haar = haar_moment(1 << report.spec.output_qubits, report.spec.t)
@@ -399,8 +407,8 @@ class TestDistanceInTheSymmetricSubspace:
     @pytest.mark.parametrize("spec", [
         plain(3, 3), plain(2, 4), c1(3, 1, 2), c1(4, 1, 2), c1(5, 1, 2),
     ], ids=["plain-3-3", "plain-2-4", "c1-3-1-2", "c1-4-1-2", "c1-5-1-2"])
-    def test_pairing_distance_matches_the_dense_oracle(self, spec):
-        report = compare_to_haar(spec, Method.DELTA_PAIRING)
+    def test_pairing_distance_matches_the_dense_oracle(self, spec, pairing_report):
+        report = pairing_report(spec)
         assert abs(report.haar_distance - dense_distance(report)) <= 1e-12
 
     @pytest.mark.parametrize("spec", [
@@ -476,7 +484,7 @@ class TestUnitaryConjugationInvariance:
         # U^(x)t; the symmetric projector commutes, so the distance is fixed
         spec = c1(2, 1, 2)
         moment = ensemble_moment_deltapair(spec).matrix
-        u = corelin.random_unitary(8, rng)
+        u = random_unitary(8, rng)
         u_t = np.kron(u, u)
         conjugated = DensityOperator(u_t @ moment @ u_t.conj().T)
         haar = haar_moment(8, 2)
@@ -487,7 +495,7 @@ class TestUnitaryConjugationInvariance:
     def test_member_level_equals_moment_level(self, rng):
         # small-size identity check of the rewrite used above
         spec = plain(2, 2)
-        u = corelin.random_unitary(4, rng)
+        u = random_unitary(4, rng)
         members = [moments.member_state(spec, fns) for fns in moments.member_functions(spec)]
         vs = np.array([
             reduce(np.kron, [u @ s.amplitudes] * 2) for s in members
@@ -499,12 +507,9 @@ class TestUnitaryConjugationInvariance:
 
 
 class TestExpansionTrend:
-    def test_distance_non_increasing_in_register_width(self):
+    def test_distance_non_increasing_in_register_width(self, pairing_report):
         # the widest point's distance is a 2080-dimensional eigendecomposition
         # (the Sym^2 compression of its 4096-dimensional moment)
-        distances = [
-            compare_to_haar(c1(n, 1, 2), Method.DELTA_PAIRING).haar_distance
-            for n in (3, 4, 5)
-        ]
+        distances = [pairing_report(c1(n, 1, 2)).haar_distance for n in (3, 4, 5)]
         assert distances[1] <= distances[0] + 1e-10
         assert distances[2] <= distances[1] + 1e-10
