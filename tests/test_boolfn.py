@@ -63,6 +63,19 @@ class TestTruthTable:
         source[0] = 1
         assert f.table.tolist() == [0, 1, 1, 0]
 
+    def test_functions_compare_by_identity(self):
+        # a generated __eq__ would raise on the array field; identity never does
+        f, g = BooleanFunction(2, 2, (0, 1, 1, 0)), BooleanFunction(2, 2, (0, 1, 1, 0))
+        assert f == f and f != g
+        assert len({f, g}) == 2
+
+    def test_random_function_table_is_read_only_and_in_range(self):
+        f = boolfn.random_function(5, 8, np.random.default_rng(3))
+        g = boolfn.random_function(5, 8, np.random.default_rng(3))
+        assert f.table.dtype == np.int64 and not f.table.flags.writeable
+        assert 0 <= f.table.min() and f.table.max() < 8
+        assert np.array_equal(f.table, g.table)
+
 
 class TestPrf:
     def test_deterministic(self):

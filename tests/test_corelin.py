@@ -112,6 +112,12 @@ class TestUnitaryLayer:
             with pytest.raises(ValueError, match="read-only"):
                 payload[0] = 0
 
+    def test_layers_compare_by_identity(self):
+        a = phase_diagonal_layer((0, 1), 2, [0, 1, 1, 0])
+        b = phase_diagonal_layer((0, 1), 2, [0, 1, 1, 0])
+        assert a == a and a != b
+        assert len({a, b, hadamard_all_layer((0, 1))}) == 3
+
 
 class TestApplyLayer:
     def test_hadamard_on_zero(self):

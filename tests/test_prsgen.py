@@ -41,6 +41,13 @@ class TestPrepare:
         out = prsgen.prepare(gen)
         assert np.max(np.abs(np.abs(out.amplitudes) - 1 / math.sqrt(8))) <= 1e-15
 
+    @pytest.mark.parametrize("kind, m", [(PrsKind.BINARY_PHASE, 2), (PrsKind.GENERAL_PHASE, 4)])
+    def test_state_does_not_depend_on_the_table_container(self, kind, m):
+        values = [0, m - 1, 1, 0]
+        states = [prsgen.prepare(PrsGenerator(kind, 2, BooleanFunction(2, m, table))).amplitudes
+                  for table in (tuple(values), values, np.array(values, dtype=np.uint8))]
+        assert all(np.array_equal(states[0], s) for s in states[1:])
+
     def test_kind_modulus_mismatch(self):
         with pytest.raises(ValueError):
             PrsGenerator(PrsKind.GENERAL_PHASE, 2, BooleanFunction(2, 2, (0, 0, 1, 1)))
