@@ -1,9 +1,14 @@
-"""Memory and enumeration budgets with fail-fast size arithmetic."""
+"""Memory and enumeration budgets with fail-fast size arithmetic.
+
+The memory budget is one process setting that every check reads: the
+innermost `limit`, else PRS_LAB_BUDGET_MIB, else DEFAULT_BUDGET_MIB."""
 
 from __future__ import annotations
 
 import numbers
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 DEFAULT_BUDGET_MIB = 2048
 BUDGET_ENV_VAR = "PRS_LAB_BUDGET_MIB"
@@ -12,6 +17,8 @@ DEFAULT_ENUMERATION_LIMIT = 1 << 20
 
 _BYTES_PER_COMPLEX = 16
 _MIB = 1 << 20
+
+_LIMIT: ContextVar[int | None] = ContextVar("prslab_budget_mib", default=None)
 
 
 class BudgetError(MemoryError):
@@ -30,28 +37,39 @@ def _positive_mib(value, source: str) -> int:
     return mib
 
 
-def budget_mib(override: int | None = None) -> int:
-    """Resolve the active budget: explicit override, else env var, else default.
-
-    A value that is not a whole number >= 1 raises BudgetError naming its source.
-    """
-    if override is not None:
-        return _positive_mib(override, "the budget override (--budget-mib)")
+def budget_mib() -> int:
+    """The active budget in MiB; an env value that is not a whole number >= 1
+    raises BudgetError naming the variable."""
+    mib = _LIMIT.get()
+    if mib is not None:
+        return mib
     env = os.environ.get(BUDGET_ENV_VAR)
     if env is not None:
         return _positive_mib(env, BUDGET_ENV_VAR)
     return DEFAULT_BUDGET_MIB
 
 
-def check_complex_array(entries: int, what: str, override: int | None = None) -> None:
+@contextmanager
+def limit(mib):
+    """Set the budget to `mib` MiB for the block, restoring the previous
+    setting on exit; a value that is not a whole number >= 1 raises
+    BudgetError before the block runs."""
+    token = _LIMIT.set(_positive_mib(mib, "the budget override (--budget-mib)"))
+    try:
+        yield
+    finally:
+        _LIMIT.reset(token)
+
+
+def check_complex_array(entries: int, what: str) -> None:
     """Fail fast if `entries` 16-byte units (one complex128 or two float64
     values each) would not fit in the budget."""
-    limit = budget_mib(override)
+    limit_mib = budget_mib()
     required = entries * _BYTES_PER_COMPLEX
-    if required > limit * _MIB:
+    if required > limit_mib * _MIB:
         raise BudgetError(
             f"{what} requires {required / _MIB:.1f} MiB "
-            f"({entries} entries of 16 bytes) but the budget is {limit} MiB"
+            f"({entries} entries of 16 bytes) but the budget is {limit_mib} MiB"
         )
 
 

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import boolfn, combinatorics, condcheck, expand, moments
-from .budget import BudgetError, budget_mib
+from . import boolfn, budget, combinatorics, condcheck, expand, moments
+from .budget import BudgetError
 from .moments import ExhaustiveAllFunctions, Method, MomentSpec, PrfKeys, Source, UniformSample
 from .prsgen import PrsGenerator, PrsKind
 
@@ -73,14 +73,15 @@ def _parse_space(text: str, seed: int | None):
     raise ValueError(f"unknown function space {text!r}")
 
 
-def _functions(n: int, m: int, samples: int | None, seed: int | None) -> list:
-    """Every n-bit function mod m when `samples` is None, else that many seeded draws."""
+def _functions(n: int, m: int, samples: int | None, seed: int | None):
+    """An iterator over every n-bit function mod m when `samples` is None, else
+    over that many seeded draws; a missing seed is refused here, before any draw."""
     if samples is None:
-        return list(boolfn.enumerate_all(n, m))
+        return boolfn.enumerate_all(n, m)
     if seed is None:
         raise ValueError("--seed is required when sampling functions")
     rng = np.random.default_rng(seed)
-    return [boolfn.random_function(n, m, rng) for _ in range(samples)]
+    return (boolfn.random_function(n, m, rng) for _ in range(samples))
 
 
 _METHODS = {
@@ -136,7 +137,7 @@ def cmd_moments(args, out_dir: Path) -> int:
     space = _parse_space(args.space, args.seed)
     spec = _moment_spec(args.source, args.kind, args.n, args.i, args.ell, args.t,
                         space, args.shared_key)
-    reports = [moments.compare_to_haar(spec, m, args.budget_mib) for m in methods]
+    reports = [moments.compare_to_haar(spec, m) for m in methods]
     rows = [_report_row(report, args.canonical) for report in reports]
     payloads = [json.loads(report.to_json(canonical_runtime=args.canonical))
                 for report in reports]
@@ -146,16 +147,14 @@ def cmd_moments(args, out_dir: Path) -> int:
 
 
 def cmd_expand_check(args, out_dir: Path) -> int:
-    functions = _functions(args.n, 2, args.samples, args.seed)
-    worst = 0.0
-    for f in functions:
-        circuit = expand.evaluate(expand.construction1(f, args.n, args.i), args.budget_mib)
-        direct = expand.closed_form_construction1(f, args.n, args.i,
-                                                  budget_override=args.budget_mib)
+    worst, count = 0.0, 0
+    for count, f in enumerate(_functions(args.n, 2, args.samples, args.seed), 1):
+        circuit = expand.evaluate(expand.construction1(f, args.n, args.i))
+        direct = expand.closed_form_construction1(f, args.n, args.i)
         worst = max(worst, float(np.max(np.abs(circuit.amplitudes - direct.amplitudes))))
     passed = worst <= 1e-12
     write_json(out_dir / "expand_check.json", {
-        "n": args.n, "i": args.i, "functions": len(functions),
+        "n": args.n, "i": args.i, "functions": count,
         "max_deviation": worst, "passed": passed,
     })
     return 0 if passed else 1
@@ -219,14 +218,12 @@ def cmd_good_census(args, out_dir: Path) -> int:
 
 def cmd_condition(args, out_dir: Path) -> int:
     n, kind = args.n, PrsKind(args.witness)
-    witness = condcheck.phase_witness(kind, n, args.budget_mib)
+    witness = condcheck.phase_witness(kind, n)
     exhaustive = kind is PrsKind.BINARY_PHASE and n <= 3
     functions = _functions(n, kind.range_modulus(n), None if exhaustive else args.samples,
                            args.seed)
-    report1 = condcheck.check_cond1(
-        lambda f: PrsGenerator(kind, n, f), witness, n, functions, budget_override=args.budget_mib
-    )
-    report2 = condcheck.check_cond2(witness, budget_override=args.budget_mib)
+    report1 = condcheck.check_cond1(lambda f: PrsGenerator(kind, n, f), witness, n, functions)
+    report2 = condcheck.check_cond2(witness)
     payload = {
         "witness": args.witness,
         "passed": report1.passed and report2.passed,
@@ -236,22 +233,26 @@ def cmd_condition(args, out_dir: Path) -> int:
     return 0 if payload["passed"] else 1
 
 
-def cmd_sweep(args, out_dir: Path, config: dict) -> int:
-    grid = config.get("grid")
-    if grid is None:
+# each sweep grid axis with its default; every axis but the method spans the points
+_GRID_AXES = {
+    "source": ["plain"], "kind": ["binary"], "n": [], "i": [None], "ell": [None], "t": [1],
+    "space": ["exhaustive"], "shared_key": [False], "method": ["bruteforce"],
+}
+
+
+def cmd_sweep(args, out_dir: Path) -> int:
+    grid, seed = args.grid, args.seed
+    if not isinstance(grid, dict):
         raise ValueError("sweep needs a config file with a 'grid' object")
-    seed = args.seed if args.seed is not None else config.get("seed")
-    axes = {
-        "source": grid.get("source", ["plain"]),
-        "kind": grid.get("kind", ["binary"]),
-        "n": grid.get("n", []),
-        "i": grid.get("i", [None]),
-        "ell": grid.get("ell", [None]),
-        "t": grid.get("t", [1]),
-        "space": grid.get("space", ["exhaustive"]),
-        "shared_key": grid.get("shared_key", [False]),
-    }
-    methods = [_METHODS[m] for m in grid.get("method", ["bruteforce"])]
+    axes = {name: grid.get(name, default) for name, default in _GRID_AXES.items()}
+    for name, values in axes.items():
+        if not isinstance(values, list):
+            raise ValueError(f"sweep grid axis {name!r} must be a list, got {values!r}")
+    method_names = axes.pop("method")
+    for name in method_names:
+        if not isinstance(name, str) or name not in _METHODS:
+            raise ValueError(f"unknown sweep method {name!r}; expected one of {list(_METHODS)}")
+    methods = [_METHODS[m] for m in method_names]
     points = sorted(
         itertools.product(*axes.values()),
         key=lambda p: tuple(str(v) for v in p),
@@ -263,10 +264,7 @@ def cmd_sweep(args, out_dir: Path, config: dict) -> int:
         try:
             space = _parse_space(space_text, seed)
             spec = _moment_spec(source, kind, n, i, ell, t, space, shared_key)
-            reports = [
-                moments.compare_to_haar(spec, method, args.budget_mib)
-                for method in methods
-            ]
+            reports = [moments.compare_to_haar(spec, method) for method in methods]
             equiv = None
             if len(reports) > 1:
                 mats = [r.moment.matrix for r in reports]
@@ -297,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("moments", help="one ensemble-vs-Haar comparison")
+    p.set_defaults(func=cmd_moments)
     p.add_argument("--source", choices=[s.value for s in Source], required=True)
     p.add_argument("--kind", choices=[k.value for k in PrsKind], default="binary")
     p.add_argument("--n", type=int, required=True)
@@ -310,76 +309,73 @@ def build_parser() -> argparse.ArgumentParser:
                         "block (experimental variant, no agreement guarantee)")
 
     p = sub.add_parser("expand-check", help="circuit vs closed-form oracle")
+    p.set_defaults(func=cmd_expand_check)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--samples", type=int, default=None,
                    help="sample count (default: exhaustive over all functions)")
 
     p = sub.add_parser("lemmas", help="exact counting bounds")
+    p.set_defaults(func=cmd_lemmas)
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--max-t", type=int, default=5)
 
     p = sub.add_parser("good-census", help="recombination census and round-trips")
+    p.set_defaults(func=cmd_good_census)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
 
     p = sub.add_parser("condition", help="basis-factorization condition checks")
+    p.set_defaults(func=cmd_condition)
     p.add_argument("--witness", choices=["binary", "general"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=64)
 
     p = sub.add_parser("sweep", help="grid of moment comparisons from a config file")
+    p.set_defaults(func=cmd_sweep, grid=None)  # grid: the config file's grid object
 
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> dict:
+def _apply_config(args: argparse.Namespace) -> None:
+    """Fill the flags left unset, and the sweep's grid, from the config file;
+    a file that cannot be read or does not hold a JSON object raises ValueError."""
     if args.config is None:
-        return {}
-    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        return
+    try:
+        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ValueError(f"config {args.config} must hold a JSON object, "
+                         f"got {type(config).__name__}")
     for key, value in config.items():
         attr = key.replace("-", "_")
-        if attr in ("grid",):
-            continue
         if not hasattr(args, attr):
             continue
         current = getattr(args, attr)
         # identity checks: an explicit `--seed 0` must not look unset
         if current is None or current is False:
-            if attr == "out_dir":
-                value = Path(value)
             setattr(args, attr, value)
-    return config
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = _apply_config(args)
-    out_dir = Path(args.out_dir) if args.out_dir is not None else Path("prslab_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    args = build_parser().parse_args(argv)
     try:
-        args.budget_mib = budget_mib(args.budget_mib)  # resolved once, before any work
-        if args.command == "moments":
-            return cmd_moments(args, out_dir)
-        if args.command == "expand-check":
-            return cmd_expand_check(args, out_dir)
-        if args.command == "lemmas":
-            return cmd_lemmas(args, out_dir)
-        if args.command == "good-census":
-            return cmd_good_census(args, out_dir)
-        if args.command == "condition":
-            return cmd_condition(args, out_dir)
-        if args.command == "sweep":
-            return cmd_sweep(args, out_dir, config)
+        _apply_config(args)
+        out_dir = Path(args.out_dir) if args.out_dir is not None else Path("prslab_out")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # resolved once, before any work; every check of the command reads it
+        mib = budget.budget_mib() if args.budget_mib is None else args.budget_mib
+        with budget.limit(mib):
+            return args.func(args, out_dir)
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # ShapeError included
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

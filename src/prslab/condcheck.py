@@ -76,11 +76,10 @@ def _witness_peak_entries(n: int) -> int:
     return dim * (dim // 2 + 32) + (1 << 14)
 
 
-def phase_witness(kind: PrsKind, n: int, budget_override: int | None = None) -> ConditionWitness:
+def phase_witness(kind: PrsKind, n: int) -> ConditionWitness:
     """The phase generator's own factorization: U_x = `prsgen.phase_shift_unitary`,
     V = `prsgen.fourier_layer`, W = U_0 (the identity) and scale sqrt(N)."""
-    check_complex_array(_witness_peak_entries(n), f"condition witness on {n} qubits",
-                        budget_override)
+    check_complex_array(_witness_peak_entries(n), f"condition witness on {n} qubits")
     family = {x: prsgen.phase_shift_unitary(kind, n, x) for x in range(1 << n)}
     v = prsgen.fourier_layer(kind, tuple(range(n)))
     return ConditionWitness(n, family, v, family[0], math.sqrt(1 << n))
@@ -129,7 +128,6 @@ def check_cond1(
     witness: ConditionWitness,
     n: int,
     functions: Iterable[BooleanFunction],
-    budget_override: int | None = None,
 ) -> ConditionReport:
     """Verify gen|x> == U_x gen|0> for every sampled function and every x.
 
@@ -142,7 +140,7 @@ def check_cond1(
     if n != witness.n:
         raise ValueError(f"checking {n} qubits against a witness on {witness.n}")
     dim = 1 << n
-    check_complex_array(_cond1_peak_entries(dim), f"condition 1 on {n} qubits", budget_override)
+    check_complex_array(_cond1_peak_entries(dim), f"condition 1 on {n} qubits")
     targets = tuple(range(n))
     family = np.empty((dim, dim, dim), dtype=np.complex128)
     for x in range(dim):
@@ -152,7 +150,7 @@ def check_cond1(
         gen = gen_factory(f)
         gen_matrix = (corelin.materialize(prsgen.phase_layer(gen, targets))
                       @ corelin.materialize(prsgen.fourier_layer(gen.kind, targets)))
-        rhs = family @ prsgen.prepare(gen, budget_override).amplitudes
+        rhs = family @ prsgen.prepare(gen).amplitudes
         dev = np.abs(gen_matrix.T - rhs).max(axis=1)
         del gen_matrix, rhs  # the next function's layers need their room
         worst = dev if worst is None else np.maximum(worst, dev)
@@ -161,7 +159,7 @@ def check_cond1(
     return _report(1, witness, worst)
 
 
-def check_cond2(witness: ConditionWitness, budget_override: int | None = None) -> ConditionReport:
+def check_cond2(witness: ConditionWitness) -> ConditionReport:
     """Verify sum_x |x> (x) U_x^T |y> == scale * V|y> (x) W|y> for every basis y.
 
     Block x of the left side is row y of U_x, so the identity says row y of
@@ -170,7 +168,7 @@ def check_cond2(witness: ConditionWitness, budget_override: int | None = None) -
     fails the report and is named in it.
     """
     n, dim = witness.n, 1 << witness.n
-    check_complex_array(_cond2_peak_entries(dim), f"condition 2 on {n} qubits", budget_override)
+    check_complex_array(_cond2_peak_entries(dim), f"condition 2 on {n} qubits")
     v_mat = corelin.materialize(witness.v)
     w_rows = corelin.materialize(witness.w).T
     worst = np.zeros(dim)

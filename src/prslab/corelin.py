@@ -93,26 +93,30 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> PureState:
     return PureState(num_qubits, v / np.linalg.norm(v))
 
 
-def _stripe_rows(dim: int) -> int:
-    """Rows in one stripe of the Hermiticity check: about 2^16 entries."""
-    return max(1, (1 << 16) // max(1, dim))
+_TILE = 64  # side of the square tiles the Hermiticity check compares
 
 
 def _hermitian_deviation(mat: np.ndarray) -> float:
-    """max |mat - mat^H|, over row stripes so that the check holds a few MiB
-    besides the matrix; NaN propagates."""
-    rows = _stripe_rows(len(mat))
-    stripes = [np.max(np.abs(mat[k : k + rows] - mat[:, k : k + rows].conj().T))
-               for k in range(0, len(mat), rows)]
-    return float(np.max(stripes, initial=0.0))
+    """max |mat - mat^H|, over the pairs of _TILE x _TILE tiles (i, j >= i),
+    so that the check holds a few tile-sized temporaries besides the matrix
+    and reads both tiles of a pair from cache; NaN propagates."""
+    dim, worst = len(mat), 0.0
+    for i in range(0, dim, _TILE):
+        for j in range(i, dim, _TILE):
+            upper = mat[i : i + _TILE, j : j + _TILE]
+            lower = mat[j : j + _TILE, i : i + _TILE]
+            worst = np.maximum(worst, abs(upper - lower.conj().T).max())
+    return float(worst)
 
 
 def _operator_build_entries(dim: int, complex_: bool = False) -> int:
     """16-byte units that building a dim x dim DensityOperator holds besides
-    its input: the float64 (or complex128) copy and the two temporaries of
-    one Hermiticity stripe."""
-    stripe = min(dim, _stripe_rows(dim)) * dim
-    return dim * dim + 2 * stripe if complex_ else dim * dim // 2 + stripe
+    its input: the float64 (or complex128) copy and, for one Hermiticity tile
+    pair, the conjugate copy (complex only), the difference, its absolute
+    value and numpy's ufunc buffer for the strided tiles: at most 4 (real)
+    or 5 (complex) tile-sized arrays."""
+    tile = min(dim, _TILE) ** 2
+    return dim * dim + 5 * tile if complex_ else dim * dim // 2 + 2 * tile
 
 
 @dataclass(frozen=True)
@@ -170,15 +174,15 @@ class UnitaryLayer:
       HADAMARD_ALL  -- none
       QFT           -- none (kernel omega_N^{xy}/sqrt(N), N = 2**len(targets))
       PHASE_DIAGONAL-- (modulus, exponents): diag of omega_modulus**exponent
-      PERMUTATION   -- tuple sigma over basis labels: |x> -> |sigma(x)>
+      PERMUTATION   -- sigma over basis labels: |x> -> |sigma(x)>
       CUSTOM        -- explicit complex matrix
 
     Payloads are validated here, once: a malformed phase table, modulus,
     permutation or custom matrix (including a non-unitary or NaN one) raises
     RegisterError at construction, so applying a layer re-checks nothing.
-    Array payloads are stored as read-only copies (int64 exponents, a
-    complex128 matrix), so a caller changing its input afterwards changes
-    nothing.  Layers compare by identity.
+    Array payloads are stored as read-only copies (int64 exponents and
+    permutations, a complex128 matrix), so a caller changing its input
+    afterwards changes nothing.  Layers compare by identity.
     """
 
     kind: LayerKind
@@ -202,7 +206,9 @@ class UnitaryLayer:
             if not modulus >= 1:
                 raise RegisterError(f"phase modulus {modulus} must be >= 1")
         elif self.kind is LayerKind.PERMUTATION:
-            if sorted(self.parameters) != list(range(dim)):
+            sigma = _frozen_copy(self.parameters, np.int64)
+            object.__setattr__(self, "parameters", sigma)
+            if sigma.shape != (dim,) or not np.array_equal(np.sort(sigma), np.arange(dim)):
                 raise RegisterError(f"permutation payload is not a permutation of 0..{dim - 1}")
         elif self.kind is LayerKind.CUSTOM:
             mat = _frozen_copy(self.parameters, np.complex128)
@@ -231,7 +237,7 @@ def phase_diagonal_layer(targets, modulus: int, exponents) -> UnitaryLayer:
 
 
 def permutation_layer(targets, sigma) -> UnitaryLayer:
-    return UnitaryLayer(LayerKind.PERMUTATION, tuple(targets), tuple(int(s) for s in sigma))
+    return UnitaryLayer(LayerKind.PERMUTATION, tuple(targets), sigma)
 
 
 def custom_layer(targets, matrix) -> UnitaryLayer:
@@ -269,7 +275,7 @@ def _act(layer: UnitaryLayer, block: np.ndarray) -> np.ndarray:
         return diag[:, None] * block
     if layer.kind is LayerKind.PERMUTATION:
         out = np.empty_like(block)
-        out[np.asarray(layer.parameters)] = block
+        out[layer.parameters] = block
         return out
     return layer.parameters @ block
 
@@ -347,9 +353,7 @@ def _projector_peak_entries(dim: int, copies: int) -> int:
     return dim * dim // 2 + _operator_build_entries(dim) + (copies + 3) * dim // 2 + (1 << 10)
 
 
-def symmetric_projector(
-    local_dim: int, copies: int, budget_override: int | None = None
-) -> DensityOperator:
+def symmetric_projector(local_dim: int, copies: int) -> DensityOperator:
     """Unnormalized projector onto the symmetric subspace of `copies` factors.
 
     Averages all factor permutations; idempotent, trace C(D+t-1, t); float64.
@@ -357,11 +361,8 @@ def symmetric_projector(
     if local_dim < 1 or copies < 1:
         raise RegisterError("local_dim and copies must be >= 1")
     dim = local_dim**copies
-    check_complex_array(
-        _projector_peak_entries(dim, copies),
-        f"symmetric projector on ({local_dim})^{copies}",
-        budget_override,
-    )
+    check_complex_array(_projector_peak_entries(dim, copies),
+                        f"symmetric projector on ({local_dim})^{copies}")
     proj = np.zeros((dim, dim), dtype=np.float64)
     src = np.arange(dim)
     digits = [(src // local_dim ** (copies - 1 - j)) % local_dim for j in range(copies)]
@@ -405,9 +406,7 @@ def _compression_peak_entries(local_dim: int, copies: int, complex_: bool = Fals
     return max(product, build) + (2 * copies + 12) * dim // 2 + (1 << 12)
 
 
-def symmetric_compression(
-    op: DensityOperator, local_dim: int, copies: int, budget_override: int | None = None
-) -> DensityOperator:
+def symmetric_compression(op: DensityOperator, local_dim: int, copies: int) -> DensityOperator:
     """V^T op V: `op` compressed to the symmetric subspace, a D x D operator
     with D = C(d+t-1, t), formed as two sparse-dense products with the
     isometry V of `_symmetric_isometry`; float64 for a real `op`.
@@ -423,11 +422,8 @@ def symmetric_compression(
     dim = local_dim**copies
     if op.dim != dim:
         raise RegisterError(f"operator dimension {op.dim} != ({local_dim})^{copies} = {dim}")
-    check_complex_array(
-        _compression_peak_entries(local_dim, copies, np.iscomplexobj(op.matrix)),
-        f"symmetric compression of ({local_dim})^{copies}",
-        budget_override,
-    )
+    check_complex_array(_compression_peak_entries(local_dim, copies, np.iscomplexobj(op.matrix)),
+                        f"symmetric compression of ({local_dim})^{copies}")
     iso = _symmetric_isometry(local_dim, copies)
     compressed = (iso.T @ op.matrix) @ iso
     lost = abs(complex(np.trace(compressed)) - op.trace())

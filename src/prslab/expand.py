@@ -17,7 +17,7 @@ import numpy as np
 
 from . import corelin, prsgen
 from .boolfn import BooleanFunction
-from .budget import budget_mib, check_complex_array
+from .budget import check_complex_array
 from .corelin import PureState, UnitaryLayer
 from .prsgen import PrsGenerator, PrsKind
 
@@ -122,15 +122,14 @@ def construction3(
     return circuit(Source.CONSTRUCTION3, fs, n, kind, None, len(fs), include_final_layer)
 
 
-def evaluate(spec: ConstructionSpec, budget_override: int | None = None) -> PureState:
+def evaluate(spec: ConstructionSpec) -> PureState:
     """Run the circuit on |0...0>: blocks in listed order, then the final layer.
     The first block meets |0...0>, so it is `prsgen.prepare` placed at its offset."""
     q = spec.total_qubits
-    limit = budget_mib(budget_override)  # one lookup for both checks
-    check_complex_array(1 << q, f"state on {q} qubits", limit)
+    check_complex_array(1 << q, f"state on {q} qubits")
     if spec.blocks:
         offset, gen = spec.blocks[0]
-        state = prsgen.prepare(gen, limit)
+        state = prsgen.prepare(gen)
         if gen.n < q:
             amps = np.zeros(1 << q, dtype=state.amplitudes.dtype)
             low = q - offset - gen.n  # qubits below the block
@@ -150,7 +149,6 @@ def closed_form_construction1(
     n: int,
     i: int,
     include_final_layer: bool = True,
-    budget_override: int | None = None,
 ) -> PureState:
     """Direct amplitude sum for the two-block overlap circuit (sign phases only).
 
@@ -162,7 +160,7 @@ def closed_form_construction1(
     if f.range_modulus != 2:
         raise ValueError("closed form is defined for sign phases (modulus 2)")
     q = n + i
-    check_complex_array(1 << q, f"state on {q} qubits", budget_override)
+    check_complex_array(1 << q, f"state on {q} qubits")
     amps = np.zeros(1 << q)
     table = f.table.tolist()
     n_overlap = n - i

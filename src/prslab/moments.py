@@ -206,6 +206,15 @@ def _chunk_rows(dim: int) -> int:
     return max(1, min(1024, (64 << 20) // (dim * 16)))
 
 
+def _spec_chunk_rows(spec: MomentSpec) -> int:
+    """Members per accumulation step for the spec: `_chunk_rows`, or fewer
+    for a sampled space with fewer members, so that the peak estimate counts
+    only rows that exist; the spec's own members fall into the same chunks."""
+    rows = _chunk_rows(1 << (spec.output_qubits * spec.t))
+    space = spec.function_space
+    return rows if isinstance(space, ExhaustiveAllFunctions) else min(rows, space.count)
+
+
 def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     """Upper estimate of the brute-force route's peak, in 16-byte units: the
     d^t x d^t accumulator, then the larger of one chunk's step (the matmul
@@ -218,30 +227,25 @@ def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     dim = local_dim**spec.t
     complex_ = spec.kind is PrsKind.GENERAL_PHASE
     per_unit = 1 if complex_ else 2  # entries per 16 bytes
-    chunk = _chunk_rows(dim) * (2 * local_dim + 2 * dim + dim // local_dim)
+    chunk = _spec_chunk_rows(spec) * (2 * local_dim + 2 * dim + dim // local_dim)
     step = (2 * dim * dim + chunk) // per_unit
     build = dim * dim // per_unit + corelin._operator_build_entries(dim, complex_)
     return max(step, build) + (1 << 16)
 
 
-def ensemble_moment_over_functions(
-    spec: MomentSpec, function_tuples, budget_override: int | None = None
-) -> DensityOperator:
+def ensemble_moment_over_functions(spec: MomentSpec, function_tuples) -> DensityOperator:
     """Average the t-fold projectors of the members drawn from an iterable."""
     dim = 1 << (spec.output_qubits * spec.t)
-    check_complex_array(_bruteforce_peak_entries(spec), f"moment accumulation peak, dim {dim}",
-                        budget_override)
-    chunk_rows = _chunk_rows(dim)
+    check_complex_array(_bruteforce_peak_entries(spec), f"moment accumulation peak, dim {dim}")
+    chunk_rows = _spec_chunk_rows(spec)
     states = (member_state(spec, fns).amplitudes for fns in function_tuples)
     chunks = iter(lambda: list(itertools.islice(states, chunk_rows)), [])
     return _average_t_fold(map(np.array, chunks), spec.t)
 
 
-def ensemble_moment_bruteforce(
-    spec: MomentSpec, budget_override: int | None = None
-) -> DensityOperator:
+def ensemble_moment_bruteforce(spec: MomentSpec) -> DensityOperator:
     """Exact (exhaustive space) or empirical (sampled space) ensemble average."""
-    return ensemble_moment_over_functions(spec, member_functions(spec), budget_override)
+    return ensemble_moment_over_functions(spec, member_functions(spec))
 
 
 def _pairing_peak_entries(spec: MomentSpec) -> int:
@@ -258,9 +262,7 @@ def _pairing_peak_entries(spec: MomentSpec) -> int:
     return 6 * tuples + dense + max(conjugation, corelin._operator_build_entries(dim)) + (1 << 16)
 
 
-def ensemble_moment_deltapair(
-    spec: MomentSpec, budget_override: int | None = None
-) -> DensityOperator:
+def ensemble_moment_deltapair(spec: MomentSpec) -> DensityOperator:
     """All-functions moment via XOR-vector grouping; no function enumeration.
 
     Sign-phase kind, exhaustive space, any source.  Each block is a Hadamard
@@ -283,7 +285,7 @@ def ensemble_moment_deltapair(
             f"parity vectors need {draws << n} bits; the pairing route packs them "
             f"into one {_MAX_KEY_BITS}-bit key"
         )
-    check_complex_array(_pairing_peak_entries(spec), "pairing route peak", budget_override)
+    check_complex_array(_pairing_peak_entries(spec), "pairing route peak")
 
     tuple_bits = n * len(offsets) * t
     idx = np.arange(1 << tuple_bits, dtype=np.uint64)
@@ -320,12 +322,10 @@ def ensemble_moment_deltapair(
     return DensityOperator(matrix)
 
 
-def haar_moment(
-    local_dim: int, copies: int, budget_override: int | None = None
-) -> DensityOperator:
+def haar_moment(local_dim: int, copies: int) -> DensityOperator:
     """Average t-fold projector of a Haar-random state: the normalized
     symmetric-subspace projector."""
-    proj = corelin.symmetric_projector(local_dim, copies, budget_override)
+    proj = corelin.symmetric_projector(local_dim, copies)
     matrix = proj.matrix / corelin.symmetric_subspace_dimension(local_dim, copies)
     del proj  # so the peak stays the projector's own, which its budget check covers
     return DensityOperator(matrix)
@@ -365,29 +365,20 @@ def _distance_peak_entries(local_dim: int, copies: int, complex_: bool = False) 
 
 
 def _haar_distance(
-    moment: DensityOperator,
-    haar: DensityOperator,
-    local_dim: int,
-    copies: int,
-    budget_override: int | None = None,
+    moment: DensityOperator, haar: DensityOperator, local_dim: int, copies: int
 ) -> float:
     """Trace distance between a moment and the Haar moment, taken on their
     D x D compressions to the symmetric subspace (the Haar moment's is I/D),
     so the eigensolve runs at D = C(d+t-1, t), not at d^t."""
-    check_complex_array(
-        _distance_peak_entries(local_dim, copies, np.iscomplexobj(moment.matrix)),
-        f"distance stage in Sym^{copies} of ({local_dim})^{copies}",
-        budget_override,
-    )
+    check_complex_array(_distance_peak_entries(local_dim, copies, np.iscomplexobj(moment.matrix)),
+                        f"distance stage in Sym^{copies} of ({local_dim})^{copies}")
     return corelin.trace_distance(
-        corelin.symmetric_compression(moment, local_dim, copies, budget_override),
-        corelin.symmetric_compression(haar, local_dim, copies, budget_override),
+        corelin.symmetric_compression(moment, local_dim, copies),
+        corelin.symmetric_compression(haar, local_dim, copies),
     )
 
 
-def compare_to_haar(
-    spec: MomentSpec, method: Method, budget_override: int | None = None
-) -> MomentReport:
+def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
     """Compute the ensemble moment by the chosen route and its trace distance
     to the Haar moment.  Both moments lie in the symmetric subspace, so the
     distance is taken on their D x D compressions there
@@ -401,12 +392,12 @@ def compare_to_haar(
         raise ValueError("brute_force labels exhaustive ensembles; use monte_carlo")
     start = time.perf_counter()
     if method is Method.DELTA_PAIRING:
-        moment = ensemble_moment_deltapair(spec, budget_override)
+        moment = ensemble_moment_deltapair(spec)
     else:
-        moment = ensemble_moment_bruteforce(spec, budget_override)
+        moment = ensemble_moment_bruteforce(spec)
     local_dim = 1 << spec.output_qubits
-    haar = haar_moment(local_dim, spec.t, budget_override)
-    distance = _haar_distance(moment, haar, local_dim, spec.t, budget_override)
+    haar = haar_moment(local_dim, spec.t)
+    distance = _haar_distance(moment, haar, local_dim, spec.t)
     runtime_ms = int(round((time.perf_counter() - start) * 1000))
     seed = getattr(spec.function_space, "seed", 0)
     return MomentReport(spec, method, moment, float(distance), runtime_ms, seed)

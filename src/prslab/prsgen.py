@@ -47,10 +47,10 @@ class PrsGenerator:
             )
 
 
-def prepare(gen: PrsGenerator, budget_override: int | None = None) -> PureState:
+def prepare(gen: PrsGenerator) -> PureState:
     """The generator's output on |0...0>: amplitude omega^{f(x)} / sqrt(N) at x."""
     n = gen.n
-    check_complex_array(1 << n, f"state on {n} qubits", budget_override)
+    check_complex_array(1 << n, f"state on {n} qubits")
     table = gen.f.table
     if gen.kind is PrsKind.BINARY_PHASE:
         amp = 1.0 / math.sqrt(1 << n)

@@ -13,8 +13,10 @@ class TestBudgetMib:
     def test_env_and_override(self, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, " 64 ")
         assert budget.budget_mib() == 64
-        assert budget.budget_mib(32) == 32
-        assert budget.budget_mib(np.int64(16)) == 16
+        with budget.limit(32):
+            assert budget.budget_mib() == 32
+        with budget.limit(np.int64(16)):
+            assert budget.budget_mib() == 16
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", ""])
     def test_env_value_not_a_positive_whole_number_is_refused(self, monkeypatch, value):
@@ -26,6 +28,33 @@ class TestBudgetMib:
 
     @pytest.mark.parametrize("value", [0, -1, 1.5, 2048.0, True, "abc"])
     def test_override_not_a_positive_whole_number_is_refused(self, value):
-        with pytest.raises(BudgetError, match="--budget-mib"):
-            budget.budget_mib(value)
+        with pytest.raises(BudgetError, match="--budget-mib"), budget.limit(value):
+            budget.budget_mib()
 
+
+class TestLimit:
+    def test_previous_value_restored_on_exit_and_on_an_exception(self, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "64")
+        with budget.limit(8):
+            assert budget.budget_mib() == 8
+        assert budget.budget_mib() == 64
+        with pytest.raises(BudgetError, match="budget is 1 MiB"), budget.limit(1):
+            budget.check_complex_array(1 << 17, "two MiB")
+        assert budget.budget_mib() == 64
+
+    def test_nested_limits(self, monkeypatch):
+        monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+        with budget.limit(100):
+            with budget.limit(10):
+                assert budget.budget_mib() == 10
+                budget.check_complex_array(10 << 16, "ten MiB")
+                with pytest.raises(BudgetError):
+                    budget.check_complex_array(11 << 16, "eleven MiB")
+            assert budget.budget_mib() == 100
+        assert budget.budget_mib() == DEFAULT_BUDGET_MIB
+
+    def test_refused_value_leaves_the_setting_unchanged(self):
+        with budget.limit(5):
+            with pytest.raises(BudgetError, match="--budget-mib"), budget.limit(0):
+                pass
+            assert budget.budget_mib() == 5

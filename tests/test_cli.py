@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from prslab import cli
+from prslab import budget, cli
+from prslab.budget import DEFAULT_BUDGET_MIB
+
+from conftest import measured_peak
 
 
 def run(args):
@@ -181,6 +184,24 @@ class TestSweepCommand:
         assert run(["--config", cfg, "--out-dir", tmp_path / "out", "sweep"]) == 2
         assert capsys.readouterr().err == "input error: sweep needs a config file with a 'grid' object\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "cannot read config"),
+        (None, "cannot read config"),
+        ("[1, 2]", "must hold a JSON object, got list"),
+        (json.dumps({"grid": {"n": [2], "method": ["brute"]}}), "unknown sweep method 'brute'"),
+        (json.dumps({"grid": {"n": 2}}), "sweep grid axis 'n' must be a list, got 2"),
+    ], ids=["invalid-json", "missing-file", "not-an-object", "unknown-method", "scalar-axis"])
+    def test_malformed_config_exits_2_without_a_report(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "config.json"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out-dir", out, "sweep"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and message in err and err.count("\n") == 1
+        assert not (out / "sweep.csv").exists()
+        assert not (out / "sweep_failures.json").exists()
+
 
 class TestVerificationCommands:
     def test_lemmas(self, tmp_path):
@@ -221,6 +242,11 @@ class TestVerificationCommands:
         assert run(["--out-dir", tmp_path / "no_seed", "expand-check",
                     "--n", "4", "--i", "2", "--samples", "20"]) == 2
 
+    def test_exhaustive_functions_stream(self):
+        # the 65 536 tables of enumerate_all(4, 2) take 21.5 MiB; one draw needs one
+        measured = measured_peak(lambda: next(cli._functions(4, 2, None, None)))
+        assert measured < 1 << 20
+
     def test_budget_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PRS_LAB_BUDGET_MIB", "1")
         code = run(["--out-dir", tmp_path, "moments", "--source", "plain",
@@ -251,6 +277,35 @@ class TestVerificationCommands:
                     "--source", "plain", "--n", "2", "--t", "1"])
         assert code == 2
         assert "--budget-mib" in capsys.readouterr().err
+
+    def test_every_budget_check_of_a_command_reads_the_flag(self, tmp_path, monkeypatch):
+        resolved = []
+        resolve = budget.budget_mib
+
+        def record(*args):
+            resolved.append(resolve(*args))
+            return resolved[-1]
+
+        monkeypatch.setattr(budget, "budget_mib", record)
+        assert run(["--budget-mib", "4096", "--out-dir", tmp_path, "moments", "--source",
+                    "plain", "--n", "2", "--t", "1", "--method", "bruteforce"]) == 0
+        # 16 members, each with the checks of its register and its first block
+        assert len(resolved) >= 2 * 16
+        assert set(resolved) == {4096}
+
+    @pytest.mark.parametrize("env, expected", [(None, DEFAULT_BUDGET_MIB), ("64", 64)])
+    def test_a_refused_flag_run_leaves_no_budget_behind(self, tmp_path, monkeypatch, capsys,
+                                                        env, expected):
+        if env is None:
+            monkeypatch.delenv("PRS_LAB_BUDGET_MIB", raising=False)
+        else:
+            monkeypatch.setenv("PRS_LAB_BUDGET_MIB", env)
+        args = ["moments", "--source", "plain", "--n", "4", "--t", "2", "--method", "deltapair"]
+        assert run(["--budget-mib", "1", "--out-dir", tmp_path / "a"] + args) == 2
+        assert "but the budget is 1 MiB" in capsys.readouterr().err
+        assert budget.budget_mib() == expected
+        assert run(["--out-dir", tmp_path / "b"] + args) == 0
+        assert (tmp_path / "b" / "moments.csv").exists()
 
     @pytest.mark.parametrize("n,i,t,message", [
         (4, -1, 2, "got n=4, i=-1, t=2"),

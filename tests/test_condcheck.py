@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prslab import boolfn, condcheck, corelin, prsgen
+from prslab import boolfn, budget, condcheck, corelin, prsgen
 from prslab.budget import BudgetError
 from prslab.condcheck import (
     DEVIATION_ATOL,
@@ -295,13 +295,14 @@ def test_witness_budget_estimate_covers_measured_peak(kind, n):
 
 
 def test_witness_refuses_to_exceed_the_budget():
-    with pytest.raises(BudgetError, match="condition witness on 10 qubits"):
-        condcheck.phase_witness(PrsKind.GENERAL_PHASE, 10, budget_override=1)
+    with pytest.raises(BudgetError, match="condition witness on 10 qubits"), budget.limit(1):
+        condcheck.phase_witness(PrsKind.GENERAL_PHASE, 10)
 
 
 def test_checks_refuse_to_exceed_the_budget():
     witness = binary_phase_witness(7)  # U_x family: 128^3 entries, 32 MiB
-    with pytest.raises(BudgetError, match="condition 1 on 7 qubits"):
-        check_cond1(binary_factory(7), witness, 7, [], budget_override=1)
-    with pytest.raises(BudgetError, match="condition 2 on 9 qubits"):
-        check_cond2(binary_phase_witness(9), budget_override=1)
+    with pytest.raises(BudgetError, match="condition 1 on 7 qubits"), budget.limit(1):
+        check_cond1(binary_factory(7), witness, 7, [])
+    wide = binary_phase_witness(9)
+    with pytest.raises(BudgetError, match="condition 2 on 9 qubits"), budget.limit(1):
+        check_cond2(wide)

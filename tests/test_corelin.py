@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prslab import corelin
+from prslab import budget, corelin
 from prslab.budget import BudgetError
 from prslab.corelin import (
     DensityOperator,
@@ -86,11 +86,13 @@ class TestUnitaryLayer:
             (lambda: phase_diagonal_layer((0, 1), 2, np.zeros((4, 1), dtype=int)), "phase table"),
             (lambda: phase_diagonal_layer((0,), 0, [0, 1]), "modulus"),
             (lambda: permutation_layer((0, 1), [0, 1, 1, 2]), "permutation"),
+            (lambda: permutation_layer((0, 1), [0, 1, 2]), "permutation"),
+            (lambda: permutation_layer((0, 1), [[0, 1], [2, 3]]), "permutation"),
             (lambda: corelin.custom_layer((0,), np.eye(4)), "shape"),
             (lambda: corelin.custom_layer((0,), [[np.nan, 0.0], [0.0, 1.0]]), "unitary"),
         ],
-        ids=["table-length", "table-shape", "modulus-zero", "not-a-permutation", "custom-shape",
-             "custom-nan"],
+        ids=["table-length", "table-shape", "modulus-zero", "not-a-permutation",
+             "permutation-length", "permutation-shape", "custom-shape", "custom-nan"],
     )
     def test_invalid_payload_rejected_at_construction(self, make, match):
         with pytest.raises(RegisterError, match=match):
@@ -111,6 +113,18 @@ class TestUnitaryLayer:
         for payload in (custom.parameters, phase.parameters[1]):
             with pytest.raises(ValueError, match="read-only"):
                 payload[0] = 0
+
+    def test_permutation_payload_is_a_read_only_int64_copy(self):
+        sigma = np.array([3, 1, 0, 2])
+        layer = permutation_layer((0, 1), sigma)
+        sigma[:] = [0, 1, 2, 3]
+        assert layer.parameters.dtype == np.int64
+        assert layer.parameters.tolist() == [3, 1, 0, 2]
+        expected = np.zeros((4, 4))
+        expected[[3, 1, 0, 2], range(4)] = 1.0  # |x> -> |sigma(x)>
+        assert np.array_equal(corelin.materialize(layer), expected)
+        with pytest.raises(ValueError, match="read-only"):
+            layer.parameters[0] = 0
 
     def test_layers_compare_by_identity(self):
         a = phase_diagonal_layer((0, 1), 2, [0, 1, 1, 0])
@@ -432,8 +446,8 @@ class TestSymmetricCompression:
     def test_budget_error_before_building(self):
         # (32)^2 needs about 11 MiB; the identity is refused only after building
         op = DensityOperator(np.eye(1024) / 1024)
-        with pytest.raises(BudgetError, match="symmetric compression"):
-            symmetric_compression(op, 32, 2, budget_override=1)
+        with pytest.raises(BudgetError, match="symmetric compression"), budget.limit(1):
+            symmetric_compression(op, 32, 2)
 
 
 class TestDensityOperator:

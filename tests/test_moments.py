@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prslab import boolfn, corelin, expand, moments
+from prslab import boolfn, budget, corelin, expand, moments
 from prslab.budget import DEFAULT_BUDGET_MIB, BudgetError
 from prslab.corelin import DensityOperator
 from prslab.moments import (
@@ -300,8 +300,8 @@ class TestDeltaPairing:
         # the c1 n=5 t=2 pairing peaks above 390 MiB (measured 396 MiB)
         spec = c1(5, 1, 2)
         assert 16 * moments._pairing_peak_entries(spec) < DEFAULT_BUDGET_MIB << 20
-        with pytest.raises(BudgetError, match="pairing route peak"):
-            ensemble_moment_deltapair(spec, budget_override=390)
+        with pytest.raises(BudgetError, match="pairing route peak"), budget.limit(390):
+            ensemble_moment_deltapair(spec)
 
 
 class TestHaarMoment:
@@ -473,8 +473,8 @@ class TestDistanceInTheSymmetricSubspace:
         compressions = []
         monkeypatch.setattr(corelin, "symmetric_compression",
                             lambda *args, **kwargs: compressions.append(args))
-        with pytest.raises(BudgetError, match="distance stage"):
-            moments._haar_distance(moment, haar, 32, 2, budget_override=8)
+        with pytest.raises(BudgetError, match="distance stage"), budget.limit(8):
+            moments._haar_distance(moment, haar, 32, 2)
         assert compressions == []
 
 
