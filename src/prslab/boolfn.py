@@ -24,9 +24,11 @@ _MAX_TABLE_BITS = 20  # full truth-table materialization cap
 
 @dataclass(frozen=True, eq=False)
 class BooleanFunction:
-    """The truth table f(0), ..., f(2^n - 1) of residues mod m, held as a
-    read-only int64 copy of the input made and range-checked here, once.
-    Compares by identity: compare tables with `np.array_equal`."""
+    """The truth table f(0), ..., f(2^n - 1) of residues mod m, or a batch of
+    such tables as the rows of a (members, 2^n) array, held as a read-only
+    int64 copy of the input made and range-checked here, once.  Calling it
+    evaluates one function.  Compares by identity: compare tables with
+    `np.array_equal`."""
 
     input_bits: int
     range_modulus: int
@@ -37,8 +39,9 @@ class BooleanFunction:
         if n < 0 or m < 1:
             raise ValueError(f"invalid function shape n={n}, m={m}")
         table = np.array(self.table, dtype=np.int64)
-        if table.shape != (1 << n,):
-            raise ValueError(f"table has shape {table.shape}, expected (2**{n},) = ({1 << n},)")
+        if table.shape[-1:] != (1 << n,) or table.ndim > 2 or not table.size:
+            raise ValueError(f"table has shape {table.shape}, expected (2**{n},) = ({1 << n},) "
+                             f"or (members >= 1, {1 << n})")
         # a negative entry reads as a huge unsigned one, so one maximum checks both ends
         if table.view(np.uint64).max() >= m:
             raise ValueError(f"table entry out of range [0, {m})")

@@ -50,11 +50,12 @@ def budget_mib() -> int:
 
 
 @contextmanager
-def limit(mib):
+def limit(mib, origin: str = "the budget limit"):
     """Set the budget to `mib` MiB for the block, restoring the previous
     setting on exit; a value that is not a whole number >= 1 raises
-    BudgetError before the block runs."""
-    token = _LIMIT.set(_positive_mib(mib, "the budget override (--budget-mib)"))
+    BudgetError naming `origin`, where the value came from, before the
+    block runs."""
+    token = _LIMIT.set(_positive_mib(mib, origin))
     try:
         yield
     finally:

@@ -242,6 +242,7 @@ _GRID_AXES = {
 
 def cmd_sweep(args, out_dir: Path) -> int:
     grid, seed = args.grid, args.seed
+    flags = _flag_actions(build_parser(), "moments")  # a point's values are moments flags
     if not isinstance(grid, dict):
         raise ValueError("sweep needs a config file with a 'grid' object")
     axes = {name: grid.get(name, default) for name, default in _GRID_AXES.items()}
@@ -262,6 +263,8 @@ def cmd_sweep(args, out_dir: Path) -> int:
         point_desc = {"source": source, "kind": kind, "n": n, "i": i, "ell": ell,
                       "t": t, "space": space_text, "shared_key": shared_key}
         try:
+            for name, value in point_desc.items():
+                _flag_value(flags[name], value)
             space = _parse_space(space_text, seed)
             spec = _moment_spec(source, kind, n, i, ell, t, space, shared_key)
             reports = [moments.compare_to_haar(spec, method) for method in methods]
@@ -338,11 +341,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill the flags left unset, and the sweep's grid, from the config file;
-    a file that cannot be read or does not hold a JSON object raises ValueError."""
+def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """dest -> action of each top-level flag and each flag of the subcommand."""
+    actions = list(parser._actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            actions += action.choices[command]._actions
+    return {action.dest: action for action in actions}
+
+
+def _flag_value(action: argparse.Action, value):
+    """A JSON value as the flag would hold it: true or false for a switch, a
+    whole number for an int flag, a string (as a Path for a path flag)
+    otherwise, and one of the flag's choices if it has them; null for an
+    optional flag that is unset by default.  Any other value raises
+    ValueError naming the flag."""
+    if value is None and action.default is None and not action.required:
+        return None
+    if action.nargs == 0:
+        ok, want = isinstance(value, bool), "true or false"
+    elif action.type is int:
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "a whole number"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if ok and action.choices is not None and value not in action.choices:
+        ok, want = False, f"one of {list(action.choices)}"
+    if not ok:
+        raise ValueError(f"{action.dest.replace('_', '-')} must be {want}, got {value!r}")
+    return Path(value) if action.type is Path else value
+
+
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> set[str]:
+    """Fill the flags left unset, and the sweep's grid, from the config file,
+    and return the names of the flags it filled.  A file that cannot be read,
+    does not hold a JSON object or gives a flag a value it cannot take raises
+    ValueError."""
     if args.config is None:
-        return
+        return set()
     try:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -350,6 +385,8 @@ def _apply_config(args: argparse.Namespace) -> None:
     if not isinstance(config, dict):
         raise ValueError(f"config {args.config} must hold a JSON object, "
                          f"got {type(config).__name__}")
+    flags = _flag_actions(parser, args.command)
+    filled = set()
     for key, value in config.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
@@ -357,18 +394,26 @@ def _apply_config(args: argparse.Namespace) -> None:
         current = getattr(args, attr)
         # identity checks: an explicit `--seed 0` must not look unset
         if current is None or current is False:
-            setattr(args, attr, value)
+            setattr(args, attr, _flag_value(flags[attr], value) if attr in flags else value)
+            filled.add(attr)
+    return filled
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        from_config = _apply_config(args, parser)
         out_dir = Path(args.out_dir) if args.out_dir is not None else Path("prslab_out")
         out_dir.mkdir(parents=True, exist_ok=True)
         # resolved once, before any work; every check of the command reads it
-        mib = budget.budget_mib() if args.budget_mib is None else args.budget_mib
-        with budget.limit(mib):
+        if args.budget_mib is None:
+            mib, origin = budget.budget_mib(), budget.BUDGET_ENV_VAR
+        elif "budget_mib" in from_config:
+            mib, origin = args.budget_mib, f"budget-mib in {args.config}"
+        else:
+            mib, origin = args.budget_mib, "--budget-mib"
+        with budget.limit(mib, origin):
             return args.func(args, out_dir)
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)

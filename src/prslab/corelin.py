@@ -51,32 +51,47 @@ def _frozen_copy(values: Any, dtype: type | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit-norm amplitude vector over ``num_qubits`` qubits; float64 for real
-    input, complex128 otherwise."""
+    """Unit-norm amplitude vector over ``num_qubits`` qubits, or a batch of
+    them as the rows of a 2-D array, each row checked to norm 1; float64 for
+    real input, complex128 otherwise.  Input of any other shape is flattened
+    to one vector."""
 
     num_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _frozen_copy(np.reshape(self.amplitudes, -1)))
+        amps = np.asarray(self.amplitudes)
+        amps = _frozen_copy(amps if amps.ndim == 2 else amps.reshape(-1))
+        object.__setattr__(self, "amplitudes", amps)
         if self.num_qubits < 0:
             raise RegisterError(f"negative qubit count {self.num_qubits}")
         expected = 1 << self.num_qubits
-        if self.amplitudes.shape[0] != expected:
+        if self.amplitudes.shape[-1] != expected:
             raise RegisterError(
-                f"amplitude vector has length {self.amplitudes.shape[0]}, "
+                f"amplitude vector has length {self.amplitudes.shape[-1]}, "
                 f"expected 2**{self.num_qubits} = {expected}"
             )
-        norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
-        if not abs(norm_sq - 1.0) <= NORM_ATOL:
-            raise RegisterError(f"squared norm {norm_sq!r} deviates from 1 beyond {NORM_ATOL}")
+        pairs = self.amplitudes.view(np.float64)  # a complex entry as (re, im), no copy
+        norm_sq = np.einsum("...i,...i->...", pairs, pairs)
+        bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= NORM_ATOL))
+        if bad.size:
+            row = f"row {bad[0]}: " if norm_sq.ndim else ""
+            raise RegisterError(f"{row}squared norm {float(norm_sq.flat[bad[0]])!r} "
+                                f"deviates from 1 beyond {NORM_ATOL}")
 
     @property
     def dim(self) -> int:
         return 1 << self.num_qubits
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        """() for one state, (members,) for a batch."""
+        return self.amplitudes.shape[:-1]
+
+    def norm(self):
+        """The norm of the state, or the array of the rows' norms."""
+        norms = np.linalg.norm(self.amplitudes, axis=-1)
+        return float(norms) if norms.ndim == 0 else norms
 
 
 def basis_state(num_qubits: int, index: int) -> PureState:
@@ -177,6 +192,9 @@ class UnitaryLayer:
       PERMUTATION   -- sigma over basis labels: |x> -> |sigma(x)>
       CUSTOM        -- explicit complex matrix
 
+    A phase table may also be a (members, 2**width) array, one row per
+    member of a batch state (see `apply_layer`).
+
     Payloads are validated here, once: a malformed phase table, modulus,
     permutation or custom matrix (including a non-unitary or NaN one) raises
     RegisterError at construction, so applying a layer re-checks nothing.
@@ -201,8 +219,9 @@ class UnitaryLayer:
             modulus, exponents = self.parameters
             modulus, exponents = int(modulus), _frozen_copy(exponents, np.int64)
             object.__setattr__(self, "parameters", (modulus, exponents))
-            if exponents.shape != (dim,):
-                raise RegisterError(f"phase table has shape {exponents.shape}, expected ({dim},)")
+            if exponents.shape[-1:] != (dim,) or exponents.ndim > 2:
+                raise RegisterError(f"phase table has shape {exponents.shape}, "
+                                    f"expected ({dim},) or (members, {dim})")
             if not modulus >= 1:
                 raise RegisterError(f"phase modulus {modulus} must be >= 1")
         elif self.kind is LayerKind.PERMUTATION:
@@ -222,6 +241,11 @@ class UnitaryLayer:
     @property
     def width(self) -> int:
         return len(self.target_qubits)
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        """(members,) for a phase layer with one exponent row per member, else ()."""
+        return self.parameters[1].shape[:-1] if self.kind is LayerKind.PHASE_DIAGONAL else ()
 
 
 def hadamard_all_layer(targets) -> UnitaryLayer:
@@ -257,49 +281,68 @@ _WALSH_FACTORS = tuple(hadamard_matrix(w) for w in range(_MAX_FACTOR_BITS + 1))
 
 
 def _act(layer: UnitaryLayer, block: np.ndarray) -> np.ndarray:
-    """Apply the layer to axis 0 of a (2^width, k) block.
+    """Apply the layer to axis 2 of a (members, a, 2^width, k) block; row m
+    of a batched phase table acts on member m.
 
     This is the only definition of each kind's action: `apply_layer` runs it
     on the target register and `materialize` on the identity.
     """
     if layer.kind is LayerKind.HADAMARD_ALL:
-        return hadamard_transform(block)
+        return hadamard_transform(block, axis=2)
     if layer.kind is LayerKind.QFT:
-        return np.fft.ifft(block, axis=0, norm="ortho")
+        return np.fft.ifft(block, axis=2, norm="ortho")
     if layer.kind is LayerKind.PHASE_DIAGONAL:
         modulus, exponents = layer.parameters
         if modulus == 2:
             diag = np.where(exponents % 2 == 1, -1.0, 1.0)
         else:
             diag = np.exp(2j * np.pi * (exponents % modulus) / modulus)
-        return diag[:, None] * block
+        return diag.reshape(layer.batch_shape + (1, -1, 1)) * block
     if layer.kind is LayerKind.PERMUTATION:
         out = np.empty_like(block)
-        out[layer.parameters] = block
+        out[:, :, layer.parameters] = block
         return out
     return layer.parameters @ block
 
 
 def materialize(layer: UnitaryLayer) -> np.ndarray:
-    """Dense matrix of the layer on its own 2^width-dimensional register."""
-    return _act(layer, np.eye(1 << layer.width, dtype=np.complex128))
+    """Dense matrix of the layer on its own 2^width-dimensional register
+    (a stack of them, one per member, for a batched phase table)."""
+    dim = 1 << layer.width
+    eye = np.eye(dim, dtype=np.complex128).reshape(1, 1, dim, dim)
+    return _act(layer, eye).reshape(layer.batch_shape + (dim, dim))
 
 
 def apply_layer(state: PureState, layer: UnitaryLayer) -> PureState:
-    """Apply the layer on its target qubits, identity elsewhere."""
+    """Apply the layer on its target qubits, identity elsewhere, along the
+    last axis of the amplitudes: to the state, or to every row of a batch.
+    A batched phase table needs a batch of as many rows; row m acts on
+    member m."""
     q = state.num_qubits
     for t in layer.target_qubits:
         if not 0 <= t < q:
             raise RegisterError(
                 f"layer targets qubit {t} but the state has qubits 0..{q - 1}"
             )
-    w = layer.width
+    lead = state.batch_shape
+    if layer.batch_shape not in ((), lead):
+        raise RegisterError(f"layer has phase rows {layer.batch_shape}, "
+                            f"the state has rows {lead}")
+    w, targets = layer.width, layer.target_qubits
     if w == 0:
         return state
-    order = layer.target_qubits + tuple(j for j in range(q) if j not in layer.target_qubits)
-    psi = state.amplitudes.reshape([2] * q).transpose(order)
-    psi = _act(layer, psi.reshape(1 << w, -1)).reshape([2] * q)
-    return PureState(q, psi.transpose(np.argsort(order)).reshape(-1))
+    amps = state.amplitudes.reshape(-1, 1 << q)  # one state is a batch of one
+    if targets == tuple(range(targets[0], targets[0] + w)):
+        # the qubits before the targets, the targets and the qubits after
+        # them are three axes of the amplitudes as they lie: no transpose
+        out = _act(layer, amps.reshape(len(amps), 1 << targets[0], 1 << w, -1))
+    else:
+        order = targets + tuple(j for j in range(q) if j not in targets)
+        axes = (0,) + tuple(1 + j for j in order)
+        psi = amps.reshape((len(amps),) + (2,) * q).transpose(axes)
+        out = _act(layer, psi.reshape(len(amps), 1, 1 << w, -1))
+        out = out.reshape(psi.shape).transpose(np.argsort(axes))
+    return PureState(q, out.reshape(lead + (-1,)))
 
 
 def partial_trace(state: PureState, traced_qubits) -> DensityOperator:
@@ -435,30 +478,31 @@ def symmetric_compression(op: DensityOperator, local_dim: int, copies: int) -> D
     return DensityOperator(compressed, normalized=op.normalized)
 
 
-def hadamard_transform(arr: np.ndarray) -> np.ndarray:
-    """Apply H^{(x) m} along axis 0, a power-of-two axis; returns a new array.
+def hadamard_transform(arr: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Apply H^{(x) m} along `axis`, a power-of-two axis; returns a new array.
 
     H^{(x) m} is the Kronecker product of H^{(x) w} factors, w at most
     _MAX_FACTOR_BITS and the widths as equal as possible, so each factor is
-    one matrix product over its w bits of the axis-0 index.  Real input
-    comes back float64, complex input complex128.  Holds the input and two
-    intermediate copies at most.
+    one matrix product over its w bits of the axis index, for every index
+    of the axes before it at once.  Real input comes back float64, complex
+    input complex128.  Holds the input and two intermediate copies at most.
     """
     x = np.asarray(arr)
-    n = x.shape[0] if x.ndim else 0
+    n = x.shape[axis] if x.ndim else 0
     if n == 0 or n & (n - 1):
         raise RegisterError(f"axis length {n} is not a power of two")
+    axis %= x.ndim
     m = n.bit_length() - 1
     parts = max(1, -(-m // _MAX_FACTOR_BITS))
-    cols = math.prod(x.shape[1:])
+    lead, cols = math.prod(x.shape[:axis]), math.prod(x.shape[axis + 1:])
     out = x.astype(_real_or_complex(x), copy=False)
     done = 0
     for k in range(parts):
         w = m // parts + (k < m % parts)
         trail = (n >> (done + w)) * cols
-        block = out.reshape(1 << done, 1 << w, trail)
+        block = out.reshape(lead, 1 << done, 1 << w, trail)
         if trail == 1:  # H is symmetric: one (rows, 2^w) @ H, not a gemv per row
-            out = block.reshape(1 << done, 1 << w) @ _WALSH_FACTORS[w]
+            out = block.reshape(lead << done, 1 << w) @ _WALSH_FACTORS[w]
         else:
             out = np.matmul(_WALSH_FACTORS[w], block)
         done += w

@@ -10,6 +10,7 @@ circuit path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,7 +26,9 @@ from .prsgen import PrsGenerator, PrsKind
 @dataclass(frozen=True)
 class ConstructionSpec:
     """Generators applied in order, each on qubits [offset, offset + gen.n) of a
-    `total_qubits` register, then the optional final layer on the register."""
+    `total_qubits` register, then the optional final layer on the register.
+    Generators keyed by batches of functions, all of one size, make a batch
+    circuit: member k of every block keys the k-th output row."""
 
     total_qubits: int
     blocks: tuple[tuple[int, PrsGenerator], ...]
@@ -124,17 +127,20 @@ def construction3(
 
 def evaluate(spec: ConstructionSpec) -> PureState:
     """Run the circuit on |0...0>: blocks in listed order, then the final layer.
-    The first block meets |0...0>, so it is `prsgen.prepare` placed at its offset."""
+    The first block meets |0...0>, so it is `prsgen.prepare` placed at its offset.
+    A batch circuit runs every member at once: one row per member."""
     q = spec.total_qubits
-    check_complex_array(1 << q, f"state on {q} qubits")
+    lead = spec.blocks[0][1].f.table.shape[:-1] if spec.blocks else ()  # (members,) for a batch
+    check_complex_array(math.prod(lead) << q, f"state on {q} qubits")
     if spec.blocks:
         offset, gen = spec.blocks[0]
         state = prsgen.prepare(gen)
         if gen.n < q:
-            amps = np.zeros(1 << q, dtype=state.amplitudes.dtype)
+            amps = np.zeros(lead + (1 << q,), dtype=state.amplitudes.dtype)
             low = q - offset - gen.n  # qubits below the block
-            amps[: 1 << (gen.n + low) : 1 << low] = state.amplitudes
+            amps[..., : 1 << (gen.n + low) : 1 << low] = state.amplitudes
             state = PureState(q, amps)
+            del amps  # the state holds its own copy
     else:
         state = corelin.basis_state(q, 0)
     for offset, gen in spec.blocks[1:]:

@@ -3,7 +3,8 @@
 Two independent routes compute the all-functions average of the t-fold
 projector for sign-phase ensembles:
 
-* brute force -- build every member state and average the outer products;
+* brute force -- run the members through their circuit as one batch per
+  accumulation chunk and average the outer products of the rows;
 * XOR pairing -- group tuples of basis labels by the parity vector their
   phase exponents induce on the function table.  Averaging the sign over
   *all* functions kills every cross term whose parity vectors differ, so the
@@ -179,8 +180,26 @@ def member_functions(spec: MomentSpec):
 
 
 def member_state(spec: MomentSpec, fns: tuple[BooleanFunction, ...]) -> PureState:
-    """Single-copy ensemble member for one drawn function tuple."""
+    """Single-copy ensemble member for one drawn function tuple; for a tuple
+    of function batches, the batch of members, one row each."""
     return expand.evaluate(expand.circuit(spec.source, fns, spec.n, spec.kind, spec.i, spec.ell))
+
+
+def member_states(spec: MomentSpec, function_tuples) -> PureState:
+    """The members of a non-empty iterable of function tuples as the rows of
+    one batch state: the tables stacked into a (members, draws, 2^n) array,
+    each draw one batch function, and the spec's circuit run once over them.
+    Only the tables of the tuples are kept while the iterable is read."""
+    shapes, tables = set(), []
+    for fns in function_tuples:
+        shapes.update((f.input_bits, f.range_modulus) for f in fns)
+        tables.append([f.table for f in fns])
+    if len(shapes) != 1:
+        raise ValueError(f"a batch needs functions of one (n, m), got {sorted(shapes)}")
+    ((n, m),) = shapes
+    tables = np.array(tables)
+    return member_state(spec, tuple(BooleanFunction(n, m, tables[:, d])
+                                    for d in range(tables.shape[1])))
 
 
 def _average_t_fold(chunks, t: int) -> DensityOperator:
@@ -217,20 +236,29 @@ def _spec_chunk_rows(spec: MomentSpec) -> int:
 
 def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     """Upper estimate of the brute-force route's peak, in 16-byte units: the
-    d^t x d^t accumulator, then the larger of one chunk's step (the matmul
-    temporary, the member rows as a list and as an array, the t-fold rows
-    with their previous fold and their conjugate) and what wrapping the
-    normalized accumulator in a DensityOperator holds, plus 1 MiB of numpy
-    ufunc buffers and Python objects.  Entries are complex128 for the
-    general kind and float64 for sign phases."""
+    d^t x d^t accumulator, then the largest of one chunk's evaluation, one
+    chunk's accumulation (the matmul temporary, the member rows, the t-fold
+    rows with their previous fold and their conjugate) and what wrapping
+    the normalized accumulator in a DensityOperator holds, plus 1 MiB of
+    numpy ufunc buffers and Python objects.  The evaluation holds the
+    chunk's tables, stacked and copied into batch functions, and copies of
+    its member rows: 3 for plain (the prepared rows, a temporary of their
+    phases and the state's copy), 5 for a circuit (a block's input state,
+    a layer's result and the next state's copy of it, the hadamard
+    transform's intermediate and the phase multiply's result).  Entries
+    are complex128 for the general kind and float64 for sign phases; table
+    entries are int64."""
     local_dim = 1 << spec.output_qubits
     dim = local_dim**spec.t
+    rows = _spec_chunk_rows(spec)
     complex_ = spec.kind is PrsKind.GENERAL_PHASE
     per_unit = 1 if complex_ else 2  # entries per 16 bytes
-    chunk = _spec_chunk_rows(spec) * (2 * local_dim + 2 * dim + dim // local_dim)
-    step = (2 * dim * dim + chunk) // per_unit
-    build = dim * dim // per_unit + corelin._operator_build_entries(dim, complex_)
-    return max(step, build) + (1 << 16)
+    tables = rows * spec.functions_per_member << spec.n  # two int64 copies: one unit each
+    copies = 3 if spec.source is Source.PLAIN else 5
+    evaluation = tables + copies * rows * local_dim // per_unit
+    accumulation = (dim * dim + rows * (local_dim + 2 * dim + dim // local_dim)) // per_unit
+    build = corelin._operator_build_entries(dim, complex_)
+    return dim * dim // per_unit + max(evaluation, accumulation, build) + (1 << 16)
 
 
 def ensemble_moment_over_functions(spec: MomentSpec, function_tuples) -> DensityOperator:
@@ -238,9 +266,11 @@ def ensemble_moment_over_functions(spec: MomentSpec, function_tuples) -> Density
     dim = 1 << (spec.output_qubits * spec.t)
     check_complex_array(_bruteforce_peak_entries(spec), f"moment accumulation peak, dim {dim}")
     chunk_rows = _spec_chunk_rows(spec)
-    states = (member_state(spec, fns).amplitudes for fns in function_tuples)
-    chunks = iter(lambda: list(itertools.islice(states, chunk_rows)), [])
-    return _average_t_fold(map(np.array, chunks), spec.t)
+    tuples = iter(function_tuples)
+    # each chunk is read to its end before the next one starts
+    chunks = (itertools.chain((first,), itertools.islice(tuples, chunk_rows - 1))
+              for first in tuples)
+    return _average_t_fold((member_states(spec, chunk).amplitudes for chunk in chunks), spec.t)
 
 
 def ensemble_moment_bruteforce(spec: MomentSpec) -> DensityOperator:

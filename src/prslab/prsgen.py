@@ -48,10 +48,11 @@ class PrsGenerator:
 
 
 def prepare(gen: PrsGenerator) -> PureState:
-    """The generator's output on |0...0>: amplitude omega^{f(x)} / sqrt(N) at x."""
+    """The generator's output on |0...0>: amplitude omega^{f(x)} / sqrt(N) at x;
+    one row per member for a generator keyed by a batch of functions."""
     n = gen.n
-    check_complex_array(1 << n, f"state on {n} qubits")
     table = gen.f.table
+    check_complex_array(table.size, f"state on {n} qubits")
     if gen.kind is PrsKind.BINARY_PHASE:
         amp = 1.0 / math.sqrt(1 << n)
         return PureState(n, np.where(table & 1, -amp, amp))
@@ -67,7 +68,8 @@ def fourier_layer(kind: PrsKind, targets) -> UnitaryLayer:
 
 
 def phase_layer(gen: PrsGenerator, targets) -> UnitaryLayer:
-    """Diagonal phase layer omega^{f(x)} on the target register."""
+    """Diagonal phase layer omega^{f(x)} on the target register, with one
+    exponent row per member for a batch of functions."""
     return corelin.phase_diagonal_layer(targets, gen.f.range_modulus, gen.f.table)
 
 

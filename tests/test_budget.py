@@ -28,7 +28,8 @@ class TestBudgetMib:
 
     @pytest.mark.parametrize("value", [0, -1, 1.5, 2048.0, True, "abc"])
     def test_override_not_a_positive_whole_number_is_refused(self, value):
-        with pytest.raises(BudgetError, match="--budget-mib"), budget.limit(value):
+        with pytest.raises(BudgetError, match="^the budget limit must be a whole number"), \
+                budget.limit(value):
             budget.budget_mib()
 
 
@@ -55,6 +56,6 @@ class TestLimit:
 
     def test_refused_value_leaves_the_setting_unchanged(self):
         with budget.limit(5):
-            with pytest.raises(BudgetError, match="--budget-mib"), budget.limit(0):
+            with pytest.raises(BudgetError, match="budget limit"), budget.limit(0):
                 pass
             assert budget.budget_mib() == 5

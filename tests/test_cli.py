@@ -82,6 +82,24 @@ class TestMomentsCommand:
         assert (tmp_path / "from_config" / "moments.csv").exists()
 
 
+    @pytest.mark.parametrize("config, message", [
+        ({"out_dir": 3}, "out-dir must be a string, got 3"),
+        ({"seed": "1"}, "seed must be a whole number, got '1'"),
+        ({"budget-mib": 1.5}, "budget-mib must be a whole number, got 1.5"),
+        ({"canonical": 1}, "canonical must be true or false, got 1"),
+        ({"seed": [1]}, "seed must be a whole number, got [1]"),
+    ], ids=["number-out-dir", "string-seed", "float-budget", "number-canonical", "list-seed"])
+    def test_wrongly_typed_config_value_exits_2_without_a_report(self, tmp_path, monkeypatch,
+                                                                capsys, config, message):
+        monkeypatch.chdir(tmp_path)  # where the default out dir would go
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["--config", cfg, "lemmas"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: {message}\n"
+        assert not list(tmp_path.rglob("*.csv"))
+
+
 class TestSweepCommand:
     CONFIG = {
         "grid": {
@@ -178,6 +196,24 @@ class TestSweepCommand:
         (failure,) = json.loads((out / "sweep_failures.json").read_text())
         assert failure["point"]["space"] == "prf:4"
         assert "--seed is required" in failure["error"]
+
+    @pytest.mark.parametrize("grid, axis, message", [
+        ({"n": ["a"]}, "n", "n must be a whole number, got 'a'"),
+        ({"n": [2], "t": [True]}, "t", "t must be a whole number, got True"),
+        ({"n": [None]}, "n", "n must be a whole number, got None"),
+        ({"n": [2], "source": [3]}, "source", "source must be a string, got 3"),
+        ({"n": [2], "space": [None]}, "space", "space must be a string, got None"),
+        ({"n": [2], "shared_key": ["yes"]}, "shared_key", "shared-key must be true or false"),
+        ({"n": [2], "kind": ["sign"]}, "kind", "kind must be one of ['binary', 'general']"),
+    ], ids=["string-n", "bool-t", "null-n", "number-source", "null-space", "string-shared-key",
+            "unknown-kind"])
+    def test_wrongly_typed_value_isolated_in_manifest(self, tmp_path, grid, axis, message):
+        cfg = self.write_config(tmp_path, {"grid": grid, "seed": 0})
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out-dir", out, "--canonical", "sweep"]) == 1
+        (failure,) = json.loads((out / "sweep_failures.json").read_text())
+        assert failure["point"][axis] == grid[axis][0]
+        assert message in failure["error"]
 
     def test_config_without_grid_exits_2(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, {"seed": 0})
@@ -278,6 +314,23 @@ class TestVerificationCommands:
         assert code == 2
         assert "--budget-mib" in capsys.readouterr().err
 
+    def test_bad_budget_message_names_where_the_value_came_from(self, tmp_path, monkeypatch,
+                                                                capsys):
+        args = ["lemmas", "--max-n", "1", "--max-t", "1"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"budget-mib": 0}))
+        assert run(["--config", cfg, "--out-dir", tmp_path] + args) == 2
+        assert capsys.readouterr().err == (
+            f"budget error: budget-mib in {cfg} must be a whole number of MiB >= 1, got 0\n")
+        assert run(["--budget-mib", "0", "--out-dir", tmp_path] + args) == 2
+        assert capsys.readouterr().err == (
+            "budget error: --budget-mib must be a whole number of MiB >= 1, got 0\n")
+        monkeypatch.setenv("PRS_LAB_BUDGET_MIB", "0")
+        assert run(["--out-dir", tmp_path] + args) == 2
+        assert capsys.readouterr().err == (
+            "budget error: PRS_LAB_BUDGET_MIB must be a whole number of MiB >= 1, got '0'\n")
+        assert not (tmp_path / "lemmas.csv").exists()
+
     def test_every_budget_check_of_a_command_reads_the_flag(self, tmp_path, monkeypatch):
         resolved = []
         resolve = budget.budget_mib
@@ -289,8 +342,9 @@ class TestVerificationCommands:
         monkeypatch.setattr(budget, "budget_mib", record)
         assert run(["--budget-mib", "4096", "--out-dir", tmp_path, "moments", "--source",
                     "plain", "--n", "2", "--t", "1", "--method", "bruteforce"]) == 0
-        # 16 members, each with the checks of its register and its first block
-        assert len(resolved) >= 2 * 16
+        # the accumulation peak; the 16 members' batch register and its first
+        # block; the Haar projector, the distance stage and its two compressions
+        assert len(resolved) >= 7
         assert set(resolved) == {4096}
 
     @pytest.mark.parametrize("env, expected", [(None, DEFAULT_BUDGET_MIB), ("64", 64)])

@@ -41,6 +41,12 @@ class TestPureState:
         with pytest.raises(RegisterError):
             PureState(1, [1.0, 1.0])
 
+    def test_batch_rows_each_checked_to_norm_one(self):
+        batch = PureState(1, [[1.0, 0.0], [0.6, 0.8]])
+        assert batch.batch_shape == (2,) and np.allclose(batch.norm(), [1.0, 1.0])
+        with pytest.raises(RegisterError, match="row 1: squared norm"):
+            PureState(1, [[1.0, 0.0], [1.0, 1.0]])
+
     def test_nan_amplitude_rejected(self):
         for amps in ([np.nan, 0.0], [np.nan, 0.0j]):  # float64, then complex128
             with pytest.raises(RegisterError, match="norm"):
@@ -172,6 +178,31 @@ class TestApplyLayer:
         perm = corelin.register_permutation_operator(2, 3, (2, 0, 1))
         expected = perm.T @ np.kron(u, np.eye(2)) @ perm @ s.amplitudes
         assert_vectors_close(out.amplitudes, expected, 1e-14)
+
+    @pytest.mark.parametrize("targets", [(1, 2), (2, 0), (0, 1, 2), (1,)])
+    def test_batch_rows_match_one_state_at_a_time(self, targets, rng):
+        rows = [random_state(3, rng) for _ in range(5)]
+        batch = PureState(3, [s.amplitudes for s in rows])
+        dim = 1 << len(targets)
+        exponents = rng.integers(0, 8, size=(5, dim))
+        layers = [hadamard_all_layer(targets), corelin.qft_layer(targets),
+                  permutation_layer(targets, rng.permutation(dim)),
+                  corelin.custom_layer(targets, random_unitary(dim, rng)),
+                  phase_diagonal_layer(targets, 8, exponents[2])]
+        for layer in layers:
+            out = apply_layer(batch, layer)
+            for row, s in zip(out.amplitudes, rows):
+                assert_vectors_close(row, apply_layer(s, layer).amplitudes, 1e-15)
+        out = apply_layer(batch, phase_diagonal_layer(targets, 8, exponents))
+        for k, s in enumerate(rows):
+            alone = apply_layer(s, phase_diagonal_layer(targets, 8, exponents[k]))
+            assert_vectors_close(out.amplitudes[k], alone.amplitudes, 1e-15)
+
+    def test_phase_rows_must_match_the_state_rows(self, rng):
+        layer = phase_diagonal_layer((0,), 2, [[0, 1]] * 3)
+        for state in (random_state(1, rng), PureState(1, [[1.0, 0.0]] * 2)):
+            with pytest.raises(RegisterError, match=r"phase rows \(3,\)"):
+                apply_layer(state, layer)
 
     @pytest.mark.parametrize("kind", list(LayerKind))
     def test_norm_preserved_across_1000_random_states(self, kind, rng):

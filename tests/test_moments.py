@@ -108,6 +108,72 @@ class TestMomentSpec:
                                  moments.member_state(spec, (f,)).amplitudes, 1e-15)
 
 
+# every source at small sizes; the multi-block ones with and without a shared key
+BATCH_SPECS = [
+    MomentSpec(source, n=n, t=1, kind=kind, i=i, ell=ell, shared_key=shared)
+    for kind in PrsKind
+    for source, n, i, ell, shared in [
+        (Source.PLAIN, 1, None, None, False), (Source.PLAIN, 3, None, None, False),
+        (Source.CONSTRUCTION1, 2, 1, None, False), (Source.CONSTRUCTION1, 3, 2, None, False),
+        (Source.CONSTRUCTION2, 2, None, None, False), (Source.CONSTRUCTION2, 2, None, None, True),
+        (Source.CONSTRUCTION2, 4, None, None, False),
+        (Source.CONSTRUCTION3, 2, None, 3, False), (Source.CONSTRUCTION3, 2, None, 3, True),
+        (Source.CONSTRUCTION3, 4, None, 2, False),
+    ]
+]
+
+
+class TestMemberBatch:
+    @settings(max_examples=80, deadline=None)
+    @given(spec=st.sampled_from(BATCH_SPECS), members=st.integers(1, 64),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_row_is_the_member_evaluated_alone(self, spec, members, seed):
+        rng = np.random.default_rng(seed)
+        m = spec.kind.range_modulus(spec.n)
+        tuples = [tuple(boolfn.random_function(spec.n, m, rng)
+                        for _ in range(spec.functions_per_member)) for _ in range(members)]
+        batch = moments.member_states(spec, tuples)
+        assert batch.amplitudes.shape == (members, 1 << spec.output_qubits)
+        for row, fns in zip(batch.amplitudes, tuples):
+            alone = expand.evaluate(expand.circuit(spec.source, fns, spec.n, spec.kind,
+                                                   spec.i, spec.ell))
+            assert row.dtype == alone.amplitudes.dtype
+            assert_vectors_close(row, alone.amplitudes, 1e-15)
+
+    def test_functions_of_another_shape_are_refused(self, rng):
+        spec = MomentSpec(Source.PLAIN, n=2, t=1, kind=PrsKind.GENERAL_PHASE)
+        with pytest.raises(ValueError, match="modulus 4, got 2"):
+            moments.member_states(spec, [(boolfn.random_function(2, 2, rng),)] * 3)
+        mixed = [(boolfn.random_function(2, 4, rng),), (boolfn.random_function(2, 2, rng),)]
+        with pytest.raises(ValueError, match="one \\(n, m\\)"):
+            moments.member_states(spec, mixed)
+
+    def test_moment_path_builds_no_state_per_member(self, monkeypatch):
+        built = []
+        init = corelin.PureState.__post_init__
+
+        def count(state):
+            built.append(state.amplitudes.shape)
+            init(state)
+
+        monkeypatch.setattr(corelin.PureState, "__post_init__", count)
+        ensemble_moment_bruteforce(MomentSpec(Source.CONSTRUCTION2, n=2, t=1))
+        # 4096 members in 4 chunks of 1024, each with 7 batch states: the
+        # prepared first block, its placement in the register, two layers
+        # for each further block and the final layer
+        assert len(built) == 4 * 7
+        assert all(shape[0] == 1024 for shape in built)
+
+    @pytest.mark.parametrize("spec", [
+        plain(4, 2), MomentSpec(Source.PLAIN, n=2, t=2, kind=PrsKind.GENERAL_PHASE),
+    ], ids=["plain-4-2", "general-plain-2-2"])
+    def test_benchmark_points_match_the_per_member_accumulation(self, spec):
+        # the other three exhaustive benchmark points (c1 n=3 i=1 t=2, c2 n=2
+        # t=1, c3 n=2 ell=3 t=1) are cases of the complex-accumulation test
+        got = ensemble_moment_bruteforce(spec).matrix
+        assert_matrices_close(got, complex_reference_moment(spec), 1e-15)
+
+
 class TestBruteForce:
     def test_plain_first_moment_is_maximally_mixed(self):
         got = ensemble_moment_bruteforce(plain(2, 1))
@@ -215,11 +281,19 @@ class TestBruteForce:
         plain(5, 2, UniformSample(256, 1)),
         MomentSpec(Source.PLAIN, n=5, t=2, kind=PrsKind.GENERAL_PHASE,
                    function_space=UniformSample(256, 1)),
-    ], ids=["c3-2-ell4-2-uniform64", "plain-5-2-uniform256", "general-plain-5-2-uniform256"])
+        MomentSpec(Source.PLAIN, n=8, t=1, kind=PrsKind.GENERAL_PHASE,
+                   function_space=UniformSample(1024, 1)),
+        MomentSpec(Source.CONSTRUCTION2, n=4, t=1, kind=PrsKind.GENERAL_PHASE,
+                   function_space=UniformSample(1024, 1)),
+    ], ids=["c3-2-ell4-2-uniform64", "plain-5-2-uniform256", "general-plain-5-2-uniform256",
+            "general-plain-8-1-uniform1024", "general-c2-4-1-uniform1024"])
     def test_budget_estimate_covers_measured_peak(self, spec):
         # dim 1024: the accumulator, the matmul temporary, one chunk and the
         # DensityOperator build peak above 2 dim^2 entries: about 18 MiB for
-        # float64 (sign-phase) members, 40 MiB for complex128 ones
+        # float64 (sign-phase) members, 40 MiB for complex128 ones.  dim 256
+        # with 1024 members: the chunk's evaluation, 4 MiB a copy of its
+        # rows, outweighs the 1 MiB accumulator: about 12 MiB for the
+        # prepared plain rows, 17 MiB for the circuit's
         measured = measured_peak(lambda: ensemble_moment_bruteforce(spec))
         estimate = 16 * moments._bruteforce_peak_entries(spec)
         assert measured <= estimate <= 2 * measured
