@@ -96,10 +96,22 @@ def prf_eval(key: PrfKey, n: int, m: int, x: int) -> int:
 
 
 def prf_truth_table(key: PrfKey, n: int, m: int) -> BooleanFunction:
-    """Materialize the full truth table of the keyed function (n <= 20)."""
+    """Materialize the full truth table of the keyed function (n <= 20).
+
+    The per-key prefix (label | n | m | key) is hashed once and the hash state
+    copied for each input x, so entry x equals prf_eval(key, n, m, x)."""
     if n > _MAX_TABLE_BITS:
         raise ValueError(f"refusing to materialize 2**{n} entries (cap n={_MAX_TABLE_BITS})")
-    return BooleanFunction(n, m, tuple(prf_eval(key, n, m, x) for x in range(1 << n)))
+    prefix = hashlib.sha256(
+        key.label.encode() + b"\x1f" + n.to_bytes(2, "big") + m.to_bytes(8, "big")
+        + key.key_bytes
+    )
+    table = []
+    for x in range(1 << n):
+        h = prefix.copy()
+        h.update(x.to_bytes(4, "big"))
+        table.append(int.from_bytes(h.digest(), "big") % m)
+    return BooleanFunction(n, m, table)
 
 
 def derive_keys(count: int, seed: int, label: str = "prs") -> list[PrfKey]:

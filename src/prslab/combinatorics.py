@@ -4,15 +4,17 @@ the recombination predicate and its pairing witness.
 Everything here is integer or rational arithmetic; no floating point.  The
 public API takes bit strings (Python strings of '0'/'1', read left to right,
 consistent with the package-wide most-significant-bit-first convention).
-The good-set predicate and census run on the integers those strings spell:
-the string functions validate, convert with int(s, 2) and call the same
-integer predicate.
+The good-set predicate, census and recombination witness run on the
+integers those strings spell: the string functions validate and convert each
+string once (`_bit_values`) and call the same integer predicate; the witness
+formats strings back only when they are read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -26,9 +28,18 @@ class ShapeError(ValueError):
     """Tuple components have inconsistent bit widths or lengths."""
 
 
-def _check_bits(s: str, width: int, what: str) -> None:
-    if len(s) != width or s.strip("01"):
-        raise ShapeError(f"{what} must be a {width}-bit string, got {s!r}")
+def _bit_values(strings: Sequence[str], width: int, what: str) -> list[int]:
+    """The integers the width-bit strings spell, each string checked once.
+
+    int(s, 2) alone would also take "0b1", "0_1" and " 11"; the empty string
+    (width 0) spells 0.
+    """
+    values = []
+    for j, s in enumerate(strings):
+        if len(s) != width or s.strip("01"):
+            raise ShapeError(f"{what}[{j}] must be a {width}-bit string, got {s!r}")
+        values.append(int(s or "0", 2))
+    return values
 
 
 def all_bit_strings(width: int) -> Iterator[str]:
@@ -73,10 +84,7 @@ def perm_state_norm_sq(elements: Sequence[str]) -> Fraction:
         raise ValueError("need at least one element")
     if t > _MAX_PERM_LEN:
         raise ValueError(f"t={t} exceeds the factorial-enumeration cap {_MAX_PERM_LEN}")
-    images: dict[tuple[str, ...], int] = {}
-    for pi in itertools.permutations(range(t)):
-        image = tuple(elements[pi[j]] for j in range(t))
-        images[image] = images.get(image, 0) + 1
+    images = Counter(itertools.permutations(elements))
     total = sum(c * c for c in images.values())
     norm_sq = Fraction(total, math.factorial(t))
     k = len(set(elements))
@@ -109,11 +117,9 @@ def in_dist_set(
     tail = n - i
     if tail < 1:
         raise ShapeError(f"need n > i, got n={n}, i={i}")
-    for j in range(t):
-        _check_bits(x_prime[j], i, f"x'[{j}]")
-        _check_bits(x_dprime[j], tail, f"x''[{j}]")
-        _check_bits(y[j], n, f"y[{j}]")
-    combined = list(x_dprime) + [yj[-tail:] for yj in y]
+    _bit_values(x_prime, i, "x'")
+    low = (1 << tail) - 1
+    combined = _bit_values(x_dprime, tail, "x''") + [v & low for v in _bit_values(y, n, "y")]
     return len(set(combined)) == 2 * t
 
 
@@ -137,6 +143,17 @@ def _suffix_prefix_clash(y_j: str, n: int, i: int) -> bool:
     return _clash(int(y_j or "0", 2), n, i)  # the empty string spells 0
 
 
+def _good_set_values(
+    x_prime: Sequence[str], y: Sequence[str], n: int, i: int
+) -> tuple[list[int], list[int]]:
+    """The integer x' and y tuples of a well-formed (x', y) pair; ShapeError otherwise."""
+    if n < 2 * i:
+        raise ShapeError(f"suffix/prefix condition undefined for n={n} < 2i={2 * i}")
+    if len(x_prime) != len(y) or not y:
+        raise ShapeError(f"component counts differ: {len(x_prime)} vs {len(y)}")
+    return _bit_values(x_prime, i, "x'"), _bit_values(y, n, "y")
+
+
 def in_good_set(x_prime: Sequence[str], y: Sequence[str], n: int, i: int) -> bool:
     """Recombination-friendly tuples: heads of y pairwise distinct and no
     suffix/prefix clash in any y_j.
@@ -144,37 +161,54 @@ def in_good_set(x_prime: Sequence[str], y: Sequence[str], n: int, i: int) -> boo
     The head of y_j is its first (n - i) bits.  Requires n >= 2i, else the
     suffix/prefix comparison is undefined.
     """
-    if n < 2 * i:
-        raise ShapeError(f"suffix/prefix condition undefined for n={n} < 2i={2 * i}")
-    x_prime, y = tuple(x_prime), tuple(y)
-    t = len(y)
-    if len(x_prime) != t or t == 0:
-        raise ShapeError(f"component counts differ: {len(x_prime)} vs {len(y)}")
-    for j in range(t):
-        _check_bits(x_prime[j], i, f"x'[{j}]")
-        _check_bits(y[j], n, f"y[{j}]")
-    return _is_good([int(yj or "0", 2) for yj in y], n, i)  # "" spells 0
+    _, ys = _good_set_values(tuple(x_prime), tuple(y), n, i)
+    return _is_good(ys, n, i)
 
 
 @dataclass(frozen=True)
 class RecombinationWitness:
     """Explicit pairing of head-carrier elements with their y partners.
 
-    pairs[j] = (x'_j + head(y_j), y_j, x'_j + y_j).  `elements_distinct`
-    records whether the 2t paired strings are pairwise distinct, i.e. whether
-    the pairing is recoverable from the element set alone.
+    Holds the integer x' (i bits) and y (n bits) tuples; the strings are
+    formatted when read.  pairs[j] = (x'_j + head(y_j), y_j, x'_j + y_j).
+    `elements_distinct` records whether the 2t paired values are pairwise
+    distinct, i.e. whether the pairing is recoverable from the element set
+    alone.
     """
 
-    pairs: tuple[tuple[str, str, str], ...]
-    recombined: frozenset[str]
-    elements_distinct: bool
+    n: int
+    i: int
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
+
+    @property
+    def pairs(self) -> tuple[tuple[str, str, str], ...]:
+        n, i = self.n, self.i
+        return tuple(
+            (format(x << (n - i) | y >> i, f"0{n}b"), format(y, f"0{n}b"),
+             format(x << n | y, f"0{n + i}b"))
+            for x, y in zip(self.xs, self.ys)
+        )
+
+    @property
+    def recombined(self) -> frozenset[str]:
+        return frozenset(p[2] for p in self.pairs)
+
+    @property
+    def elements_distinct(self) -> bool:
+        shift = self.n - self.i
+        elements = {x << shift | y >> self.i for x, y in zip(self.xs, self.ys)}
+        elements.update(self.ys)
+        return len(elements) == 2 * len(self.ys)
 
     def round_trip(self) -> bool:
-        """Split each recombined string back into (x', y) and compare."""
-        i = len(self.pairs[0][2]) - len(self.pairs[0][1])
-        rebuilt = {(s[:i], s[i:]) for s in self.recombined}
-        original = {(p[2][:i], p[1]) for p in self.pairs}
-        return rebuilt == original and len(self.recombined) == len(self.pairs)
+        """Split each joined value x << n | y back into (x, y) and compare;
+        the t joined values must be distinct."""
+        n = self.n
+        joined = [x << n | y for x, y in zip(self.xs, self.ys)]
+        low = (1 << n) - 1
+        return (len(set(joined)) == len(joined) and [v >> n for v in joined] == list(self.xs)
+                and [v & low for v in joined] == list(self.ys))
 
 
 def recombination_elements(
@@ -196,19 +230,11 @@ def recombine(x_prime: Sequence[str], y: Sequence[str]) -> RecombinationWitness:
     x_prime, y = tuple(x_prime), tuple(y)
     if not y or not x_prime:
         raise ShapeError("empty tuples")
-    i = len(x_prime[0])
-    n = len(y[0])
-    if not in_good_set(x_prime, y, n, i):
+    n, i = len(y[0]), len(x_prime[0])
+    xs, ys = _good_set_values(x_prime, y, n, i)
+    if not _is_good(ys, n, i):
         raise ValueError("tuple is not in the recombination-friendly set")
-    pairs = tuple(
-        (xpj + yj[: n - i], yj, xpj + yj) for xpj, yj in zip(x_prime, y)
-    )
-    elements = recombination_elements(x_prime, y, n, i)
-    return RecombinationWitness(
-        pairs=pairs,
-        recombined=frozenset(p[2] for p in pairs),
-        elements_distinct=len(set(elements)) == len(elements),
-    )
+    return RecombinationWitness(n, i, tuple(xs), tuple(ys))
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,14 @@ class TestPrf:
         with pytest.raises(ValueError):
             boolfn.prf_eval(PrfKey(b"\x00" * 16), 2, 2, 4)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_truth_table_equals_prf_eval(self, n):
+        # the table hashes the per-key prefix once; prf_eval hashes each message whole
+        for key in boolfn.derive_keys(3, seed=5, label="table"):
+            for m in (2, 1 << n):
+                table = boolfn.prf_truth_table(key, n, m).table
+                assert table.tolist() == [boolfn.prf_eval(key, n, m, x) for x in range(1 << n)]
+
     def test_general_modulus_table(self):
         f = boolfn.prf_truth_table(PrfKey(b"\x02" * 16), 3, 8)
         assert all(0 <= v < 8 for v in f.table)

@@ -146,6 +146,13 @@ class TestPermStateNorm:
                 dense = float(np.vdot(acc, acc).real) / math.factorial(t)
                 assert abs(dense - float(perm_state_norm_sq(elements))) <= 1e-12
 
+    def test_closed_form_over_all_shapes(self):
+        # the norm is the product of the multiplicity factorials, through t = 7
+        for t in range(1, 8):
+            for shape in partitions(t):
+                expected = math.prod(math.factorial(mult) for mult in shape)
+                assert perm_state_norm_sq(tuple_with_shape(shape)) == expected
+
     def test_length_cap(self):
         with pytest.raises(ValueError):
             perm_state_norm_sq(("0",) * 9)
@@ -242,6 +249,25 @@ def string_scan(n, i, t):
                 yield x_prime, y
 
 
+def string_recombine(x_prime, y):
+    """The recombination witness built on bit strings: (pairs, recombined,
+    elements_distinct, round_trip) with pairs[j] = (x'_j + head(y_j), y_j,
+    x'_j + y_j), the round trip splitting the recombined set back into (x', y)."""
+    i, n = len(x_prime[0]), len(y[0])
+    pairs = tuple((xpj + yj[: n - i], yj, xpj + yj) for xpj, yj in zip(x_prime, y))
+    recombined = frozenset(p[2] for p in pairs)
+    elements = [s for p in pairs for s in p[:2]]
+    rebuilt = {(s[:i], s[i:]) for s in recombined}
+    original = {(p[2][:i], p[1]) for p in pairs}
+    round_trip = rebuilt == original and len(recombined) == len(pairs)
+    return pairs, recombined, len(set(elements)) == len(elements), round_trip
+
+
+def integer_recombine(x_prime, y):
+    witness = recombine(x_prime, y)
+    return witness.pairs, witness.recombined, witness.elements_distinct, witness.round_trip()
+
+
 @st.composite
 def good_set_tuples(draw):
     n = draw(st.integers(1, 12))
@@ -307,6 +333,39 @@ class TestIntegerGoodSet:
 
 
 class TestRecombine:
+    @pytest.mark.parametrize("n,i,t", [p for p in CENSUS_POINTS if p[1] >= 1])
+    def test_integer_witness_matches_string_witness_on_every_member(self, n, i, t):
+        for x_prime, y in cb.iter_good_members(n, i, t):
+            assert integer_recombine(x_prime, y) == string_recombine(x_prime, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(good_set_tuples())
+    def test_integer_witness_matches_string_witness_on_draws(self, case):
+        n, i, xs, ys = case
+        x_prime = tuple(format(x, f"0{i}b") if i else "" for x in xs)
+        y = tuple(format(v, f"0{n}b") for v in ys)
+        if string_good(x_prime, y, n, i):
+            assert integer_recombine(x_prime, y) == string_recombine(x_prime, y)
+        else:
+            with pytest.raises(ValueError, match="not in the recombination-friendly set"):
+                recombine(x_prime, y)
+
+    @pytest.mark.parametrize("x_prime,y", [
+        *((("0",), (bad,)) for bad in ("0a1", "0_1", " 11")),
+        *((("0", "1"), ("011", bad)) for bad in ("0a1", "0_1", " 11", "01", "0111")),
+        (("2",), ("011",)),
+        (("0", ""), ("011", "101")),
+        (("0",), ("011", "101")),
+        (("0", "1"), ("011",)),
+        (("00",), ("011",)),
+    ])
+    def test_malformed_input_raises_as_in_good_set(self, x_prime, y):
+        with pytest.raises(ShapeError) as expected:
+            in_good_set(x_prime, y, len(y[0]), len(x_prime[0]))
+        with pytest.raises(ShapeError) as raised:
+            recombine(x_prime, y)
+        assert str(raised.value) == str(expected.value)
+
     def test_single_pair_ordering(self):
         witness = recombine(("1",), ("011",))
         assert witness.pairs == (("101", "011", "1011"),)
