@@ -9,7 +9,6 @@ security claim attached.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -21,13 +20,16 @@ KEY_BYTES = 16
 
 _MAX_TABLE_BITS = 20  # full truth-table materialization cap
 
+_DECODE_ROWS = 1024  # tables decoded and checked at once by enumerate_all
+
 
 @dataclass(frozen=True, eq=False)
 class BooleanFunction:
     """The truth table f(0), ..., f(2^n - 1) of residues mod m, or a batch of
     such tables as the rows of a (members, 2^n) array, held as a read-only
-    int64 copy of the input made and range-checked here, once.  Calling it
-    evaluates one function.  Compares by identity: compare tables with
+    int64 copy of the input made and range-checked here, once; the functions
+    `enumerate_all` yields are rows of such a batch and share its storage.
+    Calling it evaluates one function.  Compares by identity: compare tables with
     `np.array_equal`."""
 
     input_bits: int
@@ -51,6 +53,19 @@ class BooleanFunction:
     def __call__(self, x: int) -> int:
         return int(self.table[x])
 
+    def _rows(self) -> Iterator[BooleanFunction]:
+        """The rows of this checked batch as single functions whose tables are
+        read-only views of its storage, neither copied nor checked again."""
+        cls, n, m = type(self), self.input_bits, self.range_modulus
+        # set as __init__ sets them, so the instance keeps its compact attribute layout
+        set_ = object.__setattr__
+        for row in self.table:
+            f = object.__new__(cls)
+            set_(f, "input_bits", n)
+            set_(f, "range_modulus", m)
+            set_(f, "table", row)
+            yield f
+
 
 @dataclass(frozen=True)
 class PrfKey:
@@ -73,10 +88,17 @@ def function_count(n: int, m: int) -> int:
 
 
 def enumerate_all(n: int, m: int) -> Iterator[BooleanFunction]:
-    """All m^(2^n) functions, in lexicographic table order (table[0] most significant)."""
-    check_enumeration(function_count(n, m), f"function space n={n}, m={m}")
-    for table in itertools.product(range(m), repeat=1 << n):
-        yield BooleanFunction(n, m, table)
+    """All m^(2^n) functions, in lexicographic table order (table[0] most significant).
+
+    Function k is the 2^n digits of k in base m.  Up to `_DECODE_ROWS`
+    consecutive indices are decoded into one batch, checked once, and its
+    rows yielded as functions that share the batch's storage."""
+    count = function_count(n, m)
+    check_enumeration(count, f"function space n={n}, m={m}")
+    place = np.array([m**k for k in reversed(range(1 << n))], dtype=np.int64)
+    for start in range(0, count, _DECODE_ROWS):
+        index = np.arange(start, min(start + _DECODE_ROWS, count), dtype=np.int64)
+        yield from BooleanFunction(n, m, index[:, None] // place % m)._rows()
 
 
 def prf_eval(key: PrfKey, n: int, m: int, x: int) -> int:

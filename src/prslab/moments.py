@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -38,6 +39,8 @@ from .expand import Source
 from .prsgen import PrsKind
 
 _MAX_KEY_BITS = 64  # XOR parity vectors are packed into uint64 words
+
+_function_shape = operator.attrgetter("input_bits", "range_modulus")
 
 
 class Method(Enum):
@@ -188,16 +191,14 @@ def member_state(spec: MomentSpec, fns: tuple[BooleanFunction, ...]) -> PureStat
 def member_states(spec: MomentSpec, function_tuples) -> PureState:
     """The members of a non-empty iterable of function tuples as the rows of
     one batch state: the tables stacked into a (members, draws, 2^n) array,
-    each draw one batch function, and the spec's circuit run once over them.
-    Only the tables of the tuples are kept while the iterable is read."""
-    shapes, tables = set(), []
-    for fns in function_tuples:
-        shapes.update((f.input_bits, f.range_modulus) for f in fns)
-        tables.append([f.table for f in fns])
+    each draw one batch function, and the spec's circuit run once over them."""
+    members = list(function_tuples)
+    shapes = set(map(_function_shape, itertools.chain.from_iterable(members)))
     if len(shapes) != 1:
         raise ValueError(f"a batch needs functions of one (n, m), got {sorted(shapes)}")
     ((n, m),) = shapes
-    tables = np.array(tables)
+    tables = np.array([[f.table for f in fns] for fns in members])
+    del members  # the circuit needs only the stacked tables
     return member_state(spec, tuple(BooleanFunction(n, m, tables[:, d])
                                     for d in range(tables.shape[1])))
 
@@ -239,26 +240,32 @@ def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     d^t x d^t accumulator, then the largest of one chunk's evaluation, one
     chunk's accumulation (the matmul temporary, the member rows, the t-fold
     rows with their previous fold and their conjugate) and what wrapping
-    the normalized accumulator in a DensityOperator holds, plus 1 MiB of
+    the normalized accumulator in a DensityOperator holds, plus 512 KiB of
     numpy ufunc buffers and Python objects.  The evaluation holds the
     chunk's tables, stacked and copied into batch functions, and copies of
     its member rows: 3 for plain (the prepared rows, a temporary of their
     phases and the state's copy), 5 for a circuit (a block's input state,
     a layer's result and the next state's copy of it, the hadamard
-    transform's intermediate and the phase multiply's result).  Entries
-    are complex128 for the general kind and float64 for sign phases; table
-    entries are int64."""
+    transform's intermediate and the phase multiply's result).  An
+    exhaustive space also holds the block of tables `boolfn.enumerate_all`
+    is yielding from and, for more than one draw, the block the other
+    draws' tables were listed from.  Entries are complex128 for the general
+    kind and float64 for sign phases; table entries are int64."""
     local_dim = 1 << spec.output_qubits
     dim = local_dim**spec.t
     rows = _spec_chunk_rows(spec)
     complex_ = spec.kind is PrsKind.GENERAL_PHASE
     per_unit = 1 if complex_ else 2  # entries per 16 bytes
     tables = rows * spec.functions_per_member << spec.n  # two int64 copies: one unit each
+    if isinstance(spec.function_space, ExhaustiveAllFunctions):
+        count = boolfn.function_count(spec.n, spec.kind.range_modulus(spec.n))
+        block = min(count, boolfn._DECODE_ROWS) << spec.n
+        tables += block // 2 * min(2, spec.functions_per_member)
     copies = 3 if spec.source is Source.PLAIN else 5
     evaluation = tables + copies * rows * local_dim // per_unit
     accumulation = (dim * dim + rows * (local_dim + 2 * dim + dim // local_dim)) // per_unit
     build = corelin._operator_build_entries(dim, complex_)
-    return dim * dim // per_unit + max(evaluation, accumulation, build) + (1 << 16)
+    return dim * dim // per_unit + max(evaluation, accumulation, build) + (1 << 15)
 
 
 def ensemble_moment_over_functions(spec: MomentSpec, function_tuples) -> DensityOperator:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,36 @@ from prslab.boolfn import BooleanFunction, PrfKey
 from prslab.budget import BudgetError
 
 
+def product_tables(n, m):
+    """Every table of the (n, m) function space, one itertools.product tuple
+    each, in lexicographic order: the enumeration before tables were decoded
+    from their index."""
+    return list(itertools.product(range(m), repeat=1 << n))
+
+
+# every (n, m) with m <= 16 and m^(2^n) <= 2^16: n = 4, m = 2 spans 64 decode
+# blocks; m = 1 (one table) reaches n = 5, and m = 3 is not a power of two
+ENUMERATION_POINTS = [(n, m) for n in range(6) for m in range(1, 17)
+                      if m ** (1 << n) <= 1 << 16]
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("n,m", ENUMERATION_POINTS)
+    def test_decoded_tables_equal_the_product_enumeration(self, n, m):
+        functions = list(boolfn.enumerate_all(n, m))
+        for f in functions:
+            assert (f.input_bits, f.range_modulus) == (n, m)
+            assert f.table.shape == (1 << n,) and f.table.dtype == np.int64
+            assert not f.table.flags.writeable
+        got = np.array([f.table for f in functions])
+        assert np.array_equal(got, np.array(product_tables(n, m)))
+
+    def test_yielded_tables_refuse_writes(self):
+        f = next(itertools.islice(boolfn.enumerate_all(4, 2), 1500, None))
+        with pytest.raises(ValueError, match="read-only"):
+            f.table[0] = 1
+        assert isinstance(f(15), int) and f.table.tolist() == list(product_tables(4, 2)[1500])
+
     def test_single_bit_order(self):
         tables = [f.table.tolist() for f in boolfn.enumerate_all(1, 2)]
         assert tables == [[0, 0], [0, 1], [1, 0], [1, 1]]

@@ -270,12 +270,16 @@ def integer_recombine(x_prime, y):
 
 @st.composite
 def good_set_tuples(draw):
-    n = draw(st.integers(1, 12))
-    i = draw(st.integers(0, n // 2))
+    # half the draws give the last y_j the head of y_0, so head collisions are
+    # common; the other half, where members come from, draws distinct heads
+    # and 1 <= i < n/2, since at i = 0 or n = 2i every y clashes
+    collide = draw(st.booleans())
+    n = draw(st.integers(1 if collide else 3, 12))
+    i = draw(st.integers(0, n // 2) if collide else st.integers(1, (n - 1) // 2))
     t = draw(st.integers(1, 4))
-    ys = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=t, max_size=t))
-    # half the draws give the last y_j the head of y_0, so head collisions are common
-    if draw(st.booleans()):
+    ys = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=t, max_size=t,
+                       unique_by=None if collide else (lambda y: y >> i)))
+    if collide:
         ys[-1] = ys[0] ^ draw(st.integers(0, (1 << i) - 1))
     xs = draw(st.lists(st.integers(0, (1 << i) - 1), min_size=t, max_size=t))
     return n, i, xs, ys
