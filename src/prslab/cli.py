@@ -91,19 +91,6 @@ _METHODS = {
 }
 
 
-def _moment_spec(source, kind, n, i, ell, t, space, shared_key=False) -> MomentSpec:
-    return MomentSpec(
-        source=Source(source),
-        n=n,
-        t=t,
-        kind=PrsKind(kind),
-        i=i,
-        ell=ell,
-        function_space=space,
-        shared_key=shared_key,
-    )
-
-
 def _space_text(space) -> str:
     """The function space as the CLI spells it: exhaustive, prf:COUNT or uniform:COUNT."""
     desc = space.descriptor()
@@ -135,8 +122,8 @@ def cmd_moments(args, out_dir: Path) -> int:
         else [_METHODS[args.method]]
     )
     space = _parse_space(args.space, args.seed)
-    spec = _moment_spec(args.source, args.kind, args.n, args.i, args.ell, args.t,
-                        space, args.shared_key)
+    spec = MomentSpec(Source(args.source), args.n, args.t, PrsKind(args.kind), i=args.i,
+                      ell=args.ell, function_space=space, shared_key=args.shared_key)
     reports = [moments.compare_to_haar(spec, m) for m in methods]
     rows = [_report_row(report, args.canonical) for report in reports]
     payloads = [json.loads(report.to_json(canonical_runtime=args.canonical))
@@ -266,7 +253,8 @@ def cmd_sweep(args, out_dir: Path) -> int:
             for name, value in point_desc.items():
                 _flag_value(flags[name], value)
             space = _parse_space(space_text, seed)
-            spec = _moment_spec(source, kind, n, i, ell, t, space, shared_key)
+            spec = MomentSpec(Source(source), n, t, PrsKind(kind), i=i, ell=ell,
+                              function_space=space, shared_key=shared_key)
             reports = [moments.compare_to_haar(spec, method) for method in methods]
             equiv = None
             if len(reports) > 1:

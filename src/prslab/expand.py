@@ -2,16 +2,18 @@
 
 A circuit is a list of same-width generators, each placed at a qubit offset
 and applied in order to the all-zeros register, optionally followed by one
-mixing layer on the whole register; each source's block layout and circuit
-are defined here only.  The two-block overlap construction additionally has
-a closed-form amplitude formula, kept as an independent oracle against the
-circuit path.
+mixing layer on the whole register.  Each source is one `Layout`: where its
+blocks sit, which function draw keys each block, and whether the mixing
+layer follows.  `layout` is the only code that tells the sources apart; the
+circuit builder and the moment routes read the layout.  The two-block
+overlap construction additionally has a closed-form amplitude formula, kept
+as an independent oracle against the circuit path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -54,75 +56,95 @@ class Source(Enum):
     CONSTRUCTION3 = "construction3"
 
 
-def block_offsets(source: Source, n: int, i: int | None = None,
-                  ell: int | None = None) -> tuple[int, ...]:
-    """Qubit offset of each n-wide block of a source, in the order the circuit
-    applies them: the one definition and check of each source's geometry.
-    Fields a source does not use are ignored."""
+@dataclass(frozen=True)
+class Layout:
+    """Blocks of width n: block k sits at qubit offset offsets[k] and is keyed
+    by function draw keys[k]; the Fourier layer on the whole register follows
+    iff final_layer."""
+
+    n: int
+    offsets: tuple[int, ...]
+    keys: tuple[int, ...]
+    final_layer: bool
+
+    @property
+    def qubits(self) -> int:
+        return max(self.offsets) + self.n
+
+    @property
+    def draws(self) -> int:  # independent function draws per ensemble member
+        return max(self.keys) + 1
+
+
+def layout(source: Source, n: int, i: int | None = None, ell: int | None = None,
+           shared_key: bool = False) -> Layout:
+    """A source's block layout, the only code that tells the sources apart:
+    each one's geometry and its check.  Every block draws its own function,
+    except construction1's (one keys both) and, under `shared_key`, a
+    multi-draw source's.  Fields a source does not use are ignored."""
     if n < 1:
         raise ValueError(f"block width must be >= 1, got n={n}")
     if source is Source.PLAIN:
-        return (0,)
-    if source is Source.CONSTRUCTION1:
+        offsets, keys = (0,), (0,)
+    elif source is Source.CONSTRUCTION1:
         if i is None or not 1 <= i < n:
             raise ValueError(f"construction1 needs the added-qubit count 1 <= i < n, "
                              f"got i={i}, n={n}")
-        return (0, i)
-    if n % 2:
+        offsets, keys = (0, i), (0, 0)
+    elif n % 2:
         raise ValueError(f"{source.value} needs an even n >= 2, got n={n}")
-    if source is Source.CONSTRUCTION2:
-        return (0, n, n // 2)
-    if ell is None or ell < 1:
+    elif source is Source.CONSTRUCTION2:
+        offsets, keys = (0, n, n // 2), (0, 1, 2)
+    elif ell is None or ell < 1:
         raise ValueError(f"construction3 needs the block count ell >= 1, got ell={ell}")
-    return tuple(j * n // 2 for j in range(ell))
+    else:
+        offsets = tuple(j * n // 2 for j in range(ell))
+        keys = tuple(range(ell))
+    if shared_key:
+        if max(keys) == 0:
+            raise ValueError(f"{source.value} draws one function per member already")
+        keys = (0,) * len(offsets)
+    return Layout(n, offsets, keys, source is not Source.PLAIN)
 
 
-def circuit(source: Source, fns, n: int, kind: PrsKind = PrsKind.BINARY_PHASE,
-            i: int | None = None, ell: int | None = None,
-            include_final_layer: bool = True) -> ConstructionSpec:
-    """The source's blocks, block k the generator keyed by fns[k % len(fns)],
-    then (every source but plain) the Fourier layer on the whole output
-    register.  A function that does not fit the kind at width n is refused here."""
-    offsets = block_offsets(source, n, i, ell)
-    q = max(offsets) + n
-    blocks = tuple((offset, PrsGenerator(kind, n, fns[k % len(fns)]))
-                   for k, offset in enumerate(offsets))
-    final = include_final_layer and source is not Source.PLAIN
-    return ConstructionSpec(q, blocks, prsgen.fourier_layer(kind, range(q)) if final else None)
+def circuit(layout: Layout, fns, kind: PrsKind = PrsKind.BINARY_PHASE) -> ConstructionSpec:
+    """The layout's blocks, block k the generator keyed by fns[layout.keys[k]],
+    then the Fourier layer on the whole register iff the layout has one.  A
+    function that does not fit the kind at width n is refused here."""
+    if len(fns) != layout.draws:
+        raise ValueError(f"the layout draws {layout.draws} functions per member, "
+                         f"got {len(fns)}")
+    q = layout.qubits
+    blocks = tuple((offset, PrsGenerator(kind, layout.n, fns[key]))
+                   for offset, key in zip(layout.offsets, layout.keys))
+    return ConstructionSpec(q, blocks,
+                            prsgen.fourier_layer(kind, range(q)) if layout.final_layer else None)
 
 
-def construction1(
-    f: BooleanFunction,
-    n: int,
-    i: int,
-    kind: PrsKind = PrsKind.BINARY_PHASE,
-    include_final_layer: bool = True,
-) -> ConstructionSpec:
+def _construction(source: str, fns, n: int, kind: PrsKind, include_final_layer: bool,
+                  i: int | None = None) -> ConstructionSpec:
+    """The circuit of the source named by value, as the CLI names it; ell is len(fns)."""
+    lay = layout(Source(source), n, i, len(fns))
+    return circuit(replace(lay, final_layer=lay.final_layer and include_final_layer), fns, kind)
+
+
+def construction1(f: BooleanFunction, n: int, i: int, kind: PrsKind = PrsKind.BINARY_PHASE,
+                  include_final_layer: bool = True) -> ConstructionSpec:
     """Two same-keyed blocks overlapping on n - i qubits; output n + i qubits."""
-    return circuit(Source.CONSTRUCTION1, (f,), n, kind, i, None, include_final_layer)
+    return _construction("construction1", (f,), n, kind, include_final_layer, i)
 
 
-def construction2(
-    f1: BooleanFunction,
-    f2: BooleanFunction,
-    f3: BooleanFunction,
-    n: int,
-    kind: PrsKind = PrsKind.BINARY_PHASE,
-    include_final_layer: bool = True,
-) -> ConstructionSpec:
+def construction2(f1: BooleanFunction, f2: BooleanFunction, f3: BooleanFunction, n: int,
+                  kind: PrsKind = PrsKind.BINARY_PHASE,
+                  include_final_layer: bool = True) -> ConstructionSpec:
     """Two parallel blocks at offsets 0 and n, then one centered block; output 2n qubits."""
-    return circuit(Source.CONSTRUCTION2, (f1, f2, f3), n, kind, None, None, include_final_layer)
+    return _construction("construction2", (f1, f2, f3), n, kind, include_final_layer)
 
 
-def construction3(
-    fs,
-    n: int,
-    kind: PrsKind = PrsKind.BINARY_PHASE,
-    include_final_layer: bool = True,
-) -> ConstructionSpec:
+def construction3(fs, n: int, kind: PrsKind = PrsKind.BINARY_PHASE,
+                  include_final_layer: bool = True) -> ConstructionSpec:
     """Stairs of ell = len(fs) blocks at stride n/2; output (n/2)(ell + 1) qubits."""
-    fs = tuple(fs)
-    return circuit(Source.CONSTRUCTION3, fs, n, kind, None, len(fs), include_final_layer)
+    return _construction("construction3", tuple(fs), n, kind, include_final_layer)
 
 
 def evaluate(spec: ConstructionSpec) -> PureState:
@@ -162,7 +184,7 @@ def closed_form_construction1(
     register x'' of (-1)^(f(x'x'') + y.(x''0^i) + f(y)) / 2^n, with no circuit
     simulation; used as an oracle against `evaluate`.
     """
-    block_offsets(Source.CONSTRUCTION1, n, i)  # rejects i outside 1 <= i < n
+    layout(Source("construction1"), n, i)  # rejects i outside 1 <= i < n
     if f.range_modulus != 2:
         raise ValueError("closed form is defined for sign phases (modulus 2)")
     q = n + i

@@ -27,6 +27,7 @@ import operator
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -35,7 +36,7 @@ from . import boolfn, corelin, expand
 from .boolfn import BooleanFunction
 from .budget import check_complex_array, check_enumeration
 from .corelin import DensityOperator, PureState
-from .expand import Source
+from .expand import Layout, Source  # Source is re-exported for MomentSpec users
 from .prsgen import PrsKind
 
 _MAX_KEY_BITS = 64  # XOR parity vectors are packed into uint64 words
@@ -92,26 +93,11 @@ class MomentSpec:
     def __post_init__(self):
         if self.t < 1:
             raise ValueError(f"copy count must be >= 1, got {self.t}")
-        expand.block_offsets(self.source, self.n, self.i, self.ell)  # checks the geometry
-        if self.shared_key and self.source in (Source.PLAIN, Source.CONSTRUCTION1):
-            raise ValueError(f"{self.source.value} draws one function per member already")
+        self.layout  # built here, so a bad geometry or shared key is refused at once
 
-    @property
-    def block_offsets(self) -> tuple[int, ...]:
-        """Qubit offset of each n-wide block, in the order the circuit applies them."""
-        return expand.block_offsets(self.source, self.n, self.i, self.ell)
-
-    @property
-    def output_qubits(self) -> int:
-        return max(self.block_offsets) + self.n
-
-    @property
-    def functions_per_member(self) -> int:
-        """Independent function draws per ensemble member: one per block, except
-        construction1 (one function keys both blocks) and the shared-key variant."""
-        if self.shared_key or self.source is Source.CONSTRUCTION1:
-            return 1
-        return len(self.block_offsets)
+    @cached_property
+    def layout(self) -> Layout:
+        return expand.layout(self.source, self.n, self.i, self.ell, self.shared_key)
 
     def descriptor(self) -> dict:
         out = {"source": self.source.value, "kind": self.kind.value,
@@ -157,23 +143,21 @@ class MomentReport:
 def member_functions(spec: MomentSpec):
     """Yield one function tuple per ensemble member (one entry per draw)."""
     n, m = spec.n, spec.kind.range_modulus(spec.n)
-    draws = spec.functions_per_member
+    draws = spec.layout.draws
     space = spec.function_space
     if isinstance(space, ExhaustiveAllFunctions):
         per_draw = boolfn.function_count(n, m)
         check_enumeration(per_draw**draws, f"exhaustive ensemble n={n}, draws={draws}")
-        # the first draw streams; only the other draws' tables are held
-        rest = list(boolfn.enumerate_all(n, m)) if draws > 1 else ()
+        # the first draw streams; only the other draws' tables, and their tuples, are held
+        tails = (list(itertools.product(boolfn.enumerate_all(n, m), repeat=draws - 1))
+                 if draws > 1 else [()])
         for f in boolfn.enumerate_all(n, m):
-            for tail in itertools.product(rest, repeat=draws - 1):
+            for tail in tails:
                 yield (f,) + tail
     elif isinstance(space, PrfKeys):
         keys = boolfn.derive_keys(space.count * draws, space.seed, spec.source.value)
-        for member in range(space.count):
-            yield tuple(
-                boolfn.prf_truth_table(keys[member * draws + b], n, m)
-                for b in range(draws)
-            )
+        for start in range(0, len(keys), draws):
+            yield tuple(boolfn.prf_truth_table(key, n, m) for key in keys[start:start + draws])
     elif isinstance(space, UniformSample):
         rng = np.random.default_rng(space.seed)
         for _ in range(space.count):
@@ -185,7 +169,7 @@ def member_functions(spec: MomentSpec):
 def member_state(spec: MomentSpec, fns: tuple[BooleanFunction, ...]) -> PureState:
     """Single-copy ensemble member for one drawn function tuple; for a tuple
     of function batches, the batch of members, one row each."""
-    return expand.evaluate(expand.circuit(spec.source, fns, spec.n, spec.kind, spec.i, spec.ell))
+    return expand.evaluate(expand.circuit(spec.layout, fns, spec.kind))
 
 
 def member_states(spec: MomentSpec, function_tuples) -> PureState:
@@ -230,7 +214,7 @@ def _spec_chunk_rows(spec: MomentSpec) -> int:
     """Members per accumulation step for the spec: `_chunk_rows`, or fewer
     for a sampled space with fewer members, so that the peak estimate counts
     only rows that exist; the spec's own members fall into the same chunks."""
-    rows = _chunk_rows(1 << (spec.output_qubits * spec.t))
+    rows = _chunk_rows(1 << (spec.layout.qubits * spec.t))
     space = spec.function_space
     return rows if isinstance(space, ExhaustiveAllFunctions) else min(rows, space.count)
 
@@ -243,34 +227,39 @@ def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     the normalized accumulator in a DensityOperator holds, plus 512 KiB of
     numpy ufunc buffers and Python objects.  The evaluation holds the
     chunk's tables, stacked and copied into batch functions, and copies of
-    its member rows: 3 for plain (the prepared rows, a temporary of their
-    phases and the state's copy), 5 for a circuit (a block's input state,
-    a layer's result and the next state's copy of it, the hadamard
-    transform's intermediate and the phase multiply's result).  An
-    exhaustive space also holds the block of tables `boolfn.enumerate_all`
-    is yielding from and, for more than one draw, the block the other
-    draws' tables were listed from.  Entries are complex128 for the general
-    kind and float64 for sign phases; table entries are int64."""
-    local_dim = 1 << spec.output_qubits
+    its member rows: 3 for one block with no final layer (the prepared
+    rows, a temporary of their phases and the state's copy), 5 for a
+    circuit (a block's input state, a layer's result and the next state's
+    copy of it, the hadamard transform's intermediate and the phase
+    multiply's result).  An exhaustive space also holds the block of
+    tables `boolfn.enumerate_all` is yielding from and, for more than one
+    draw, the block the other draws' tables were listed from and, for the
+    whole run, the list of their tuples (48 bytes and 8 per draw each).
+    Entries are complex128 for the general kind and float64 for sign
+    phases; table entries are int64."""
+    layout = spec.layout
+    local_dim = 1 << layout.qubits
     dim = local_dim**spec.t
     rows = _spec_chunk_rows(spec)
     complex_ = spec.kind is PrsKind.GENERAL_PHASE
     per_unit = 1 if complex_ else 2  # entries per 16 bytes
-    tables = rows * spec.functions_per_member << spec.n  # two int64 copies: one unit each
+    tables = rows * layout.draws << spec.n  # two int64 copies: one unit each
+    tails = 0
     if isinstance(spec.function_space, ExhaustiveAllFunctions):
         count = boolfn.function_count(spec.n, spec.kind.range_modulus(spec.n))
         block = min(count, boolfn._DECODE_ROWS) << spec.n
-        tables += block // 2 * min(2, spec.functions_per_member)
-    copies = 3 if spec.source is Source.PLAIN else 5
+        tables += block // 2 * min(2, layout.draws)
+        tails = count ** (layout.draws - 1) * (layout.draws + 6) // 2
+    copies = 3 if len(layout.offsets) == 1 and not layout.final_layer else 5
     evaluation = tables + copies * rows * local_dim // per_unit
     accumulation = (dim * dim + rows * (local_dim + 2 * dim + dim // local_dim)) // per_unit
     build = corelin._operator_build_entries(dim, complex_)
-    return dim * dim // per_unit + max(evaluation, accumulation, build) + (1 << 15)
+    return dim * dim // per_unit + tails + max(evaluation, accumulation, build) + (1 << 15)
 
 
 def ensemble_moment_over_functions(spec: MomentSpec, function_tuples) -> DensityOperator:
     """Average the t-fold projectors of the members drawn from an iterable."""
-    dim = 1 << (spec.output_qubits * spec.t)
+    dim = 1 << (spec.layout.qubits * spec.t)
     check_complex_array(_bruteforce_peak_entries(spec), f"moment accumulation peak, dim {dim}")
     chunk_rows = _spec_chunk_rows(spec)
     tuples = iter(function_tuples)
@@ -289,34 +278,35 @@ def _pairing_peak_entries(spec: MomentSpec) -> int:
     """Upper estimate of the pairing route's peak allocation, in 16-byte
     units: at most 96 bytes per tuple while tuples are keyed and grouped,
     then the float64 d^t x d^t moment together with the larger of the
-    Hadamard conjugation's two intermediate copies (every source but plain)
-    and what wrapping the result in a DensityOperator holds, plus 1 MiB of
-    numpy ufunc buffers."""
-    tuples = 1 << (spec.n * len(spec.block_offsets) * spec.t)
-    dim = 1 << (spec.output_qubits * spec.t)
+    Hadamard conjugation's two intermediate copies (when the layout ends
+    with the Fourier layer) and what wrapping the result in a
+    DensityOperator holds, plus 1 MiB of numpy ufunc buffers."""
+    layout = spec.layout
+    tuples = 1 << (spec.n * len(layout.offsets) * spec.t)
+    dim = 1 << (layout.qubits * spec.t)
     dense = dim * dim // 2
-    conjugation = 0 if spec.source is Source.PLAIN else 2 * dense
+    conjugation = 2 * dense if layout.final_layer else 0
     return 6 * tuples + dense + max(conjugation, corelin._operator_build_entries(dim)) + (1 << 16)
 
 
 def ensemble_moment_deltapair(spec: MomentSpec) -> DensityOperator:
     """All-functions moment via XOR-vector grouping; no function enumeration.
 
-    Sign-phase kind, exhaustive space, any source.  Each block is a Hadamard
+    Sign-phase kind, exhaustive space, any layout.  Each block is a Hadamard
     layer on its n targets then a sign phase, so a path through the t copies
     picks one n-bit label b per block and copy (the next n bits of the tuple
     index).  The Hadamard layer signs the path by (-1)^(targets.b) for the
     label it meets and writes b over its targets; the phase's (-1)^f(b) enters
-    the key as the one-hot bit of b in the word of the block's function draw.
-    Before the final Hadamard layer the moment is G^T G / 2^(tuple bits), G
-    the signed key-by-label path matrix.  Agrees with brute force up to rounding.
+    the key as the one-hot bit of b in word layout.keys[k], the draw keying block k.
+    Before the final Hadamard layer (if any) the moment is G^T G / 2^(tuple
+    bits), G the signed key-by-label path matrix.  Agrees with brute force up to rounding.
     """
     if spec.kind is not PrsKind.BINARY_PHASE:
         raise ValueError("pairing route requires the sign-phase kind")
     if not isinstance(spec.function_space, ExhaustiveAllFunctions):
         raise ValueError("pairing route computes the exhaustive all-functions average")
-    n, t, q = spec.n, spec.t, spec.output_qubits
-    offsets, draws = spec.block_offsets, spec.functions_per_member
+    layout = spec.layout
+    n, t, q, draws = spec.n, spec.t, layout.qubits, layout.draws
     if draws << n > _MAX_KEY_BITS:
         raise ValueError(
             f"parity vectors need {draws << n} bits; the pairing route packs them "
@@ -324,7 +314,7 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> DensityOperator:
         )
     check_complex_array(_pairing_peak_entries(spec), "pairing route peak")
 
-    tuple_bits = n * len(offsets) * t
+    tuple_bits = n * len(layout.offsets) * t
     idx = np.arange(1 << tuple_bits, dtype=np.uint64)
     keys = np.zeros_like(idx)
     cols = np.zeros_like(idx)
@@ -334,13 +324,13 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> DensityOperator:
     shift = tuple_bits
     for j in range(t):
         label = np.zeros_like(idx)
-        for k, offset in enumerate(offsets):
+        for offset, draw in zip(layout.offsets, layout.keys):
             shift -= n
             b = (idx >> np.uint64(shift)) & mask_n
             low = np.uint64(q - offset - n)  # bit position of the block's last qubit
             parity ^= np.bitwise_count((label >> low) & b)
             label = (label & ~(mask_n << low)) | (b << low)
-            keys ^= one << (b + np.uint64((k % draws) << n))
+            keys ^= one << (b + np.uint64(draw << n))
         cols |= label << np.uint64(q * (t - 1 - j))
     _, inverse = np.unique(keys, return_inverse=True)
     groups = sparse.coo_matrix(
@@ -354,7 +344,7 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> DensityOperator:
     trace = float(np.trace(matrix))
     if abs(trace - 1.0) > 1e-9:
         raise AssertionError(f"pairing moment trace {trace} deviates from 1")
-    if spec.source is not Source.PLAIN:
+    if layout.final_layer:
         matrix = corelin.hadamard_conjugate(matrix)
     return DensityOperator(matrix)
 
@@ -432,7 +422,7 @@ def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
         moment = ensemble_moment_deltapair(spec)
     else:
         moment = ensemble_moment_bruteforce(spec)
-    local_dim = 1 << spec.output_qubits
+    local_dim = 1 << spec.layout.qubits
     haar = haar_moment(local_dim, spec.t)
     distance = _haar_distance(moment, haar, local_dim, spec.t)
     runtime_ms = int(round((time.perf_counter() - start) * 1000))

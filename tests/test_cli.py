@@ -1,4 +1,6 @@
+import itertools
 import json
+import time
 
 import pytest
 
@@ -453,3 +455,54 @@ class TestCsvColumns:
         lines = read_lines(tmp_path / "moments.csv")
         row = dict(zip(lines[1].split(","), lines[2].split(",")))
         assert (row["ell"], row["shared_key"], row["space"]) == ("", "True", "uniform:4")
+
+
+class TestCanonicalOutput:
+    # every field of each artifact that may differ between two runs of one
+    # command; a field added to an artifact is volatile unless two runs under
+    # different clocks write it the same
+    VOLATILE = {
+        "moments.json": {"runtime_ms"},
+        "moments.csv": {"runtime_ms"},
+        "sweep.csv": {"runtime_ms"},
+    }
+
+    def records(self, tmp_path, monkeypatch, name, tick, canonical):
+        """Run `moments` and `sweep` with every clock advancing `tick` seconds
+        a read; each artifact as its bytes and its list of {field: value}."""
+        for clock in ("perf_counter", "monotonic", "process_time", "time"):
+            monkeypatch.setattr(time, clock, itertools.count(1.0, tick).__next__)
+        out = tmp_path / name
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"grid": {
+            "source": ["plain", "construction3"], "n": [2], "ell": [2], "t": [1],
+            "method": ["bruteforce", "deltapair"]}}))
+        flags = ["--canonical"] if canonical else []
+        assert run(["--seed", "3", "--out-dir", out, *flags, "moments", "--source",
+                    "construction1", "--n", "2", "--i", "1", "--t", "1", "--method", "both"]) == 0
+        assert run(["--config", cfg, "--out-dir", out, *flags, "sweep"]) == 0
+        monkeypatch.undo()
+        found = {"moments.json": json.loads((out / "moments.json").read_text())}
+        for artifact in ("moments.csv", "sweep.csv"):
+            lines = read_lines(out / artifact)
+            header = lines[1].split(",")
+            found[artifact] = [dict(zip(header, line.split(","))) for line in lines[2:]]
+        return {artifact: ((out / artifact).read_bytes(), rows)
+                for artifact, rows in found.items()}
+
+    def test_canonical_zeroes_every_volatile_field(self, tmp_path, monkeypatch):
+        fast = self.records(tmp_path, monkeypatch, "fast", 0.001, canonical=False)
+        slow = self.records(tmp_path, monkeypatch, "slow", 7.0, canonical=False)
+        assert set(fast) == set(self.VOLATILE)
+        for artifact, volatile in self.VOLATILE.items():
+            (_, fast_rows), (_, slow_rows) = fast[artifact], slow[artifact]
+            assert len(fast_rows) == len(slow_rows) >= 2
+            differing = {key for a, b in zip(fast_rows, slow_rows) for key in a
+                         if a[key] != b[key]}
+            assert differing == volatile, artifact
+        canonical = [self.records(tmp_path, monkeypatch, name, tick, canonical=True)
+                     for name, tick in (("canonical-fast", 0.001), ("canonical-slow", 7.0))]
+        assert canonical[0] == canonical[1]
+        for artifact, volatile in self.VOLATILE.items():
+            _, rows = canonical[0][artifact]
+            assert all(str(row[key]) == "0" for row in rows for key in volatile), artifact

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -190,13 +191,32 @@ class TestCircuit:
     def test_moments_re_exports_the_source_enum(self):
         assert moments.Source is expand.Source
 
-    def test_block_k_is_keyed_by_draw_k_mod_draws(self, rng):
-        fs = [boolfn.random_function(2, 2, rng) for _ in range(2)]
-        spec = expand.circuit(expand.Source.CONSTRUCTION3, fs, 2, ell=5)
-        assert [gen.f for _, gen in spec.blocks] == [fs[0], fs[1], fs[0], fs[1], fs[0]]
+    # every preset, the shared-key variants of construction2 and construction3 included
+    @pytest.mark.parametrize("source,n,i,ell,shared,offsets,keys", [
+        (expand.Source.PLAIN, 2, None, None, False, (0,), (0,)),
+        (expand.Source.CONSTRUCTION1, 3, 2, None, False, (0, 2), (0, 0)),
+        (expand.Source.CONSTRUCTION2, 2, None, None, False, (0, 2, 1), (0, 1, 2)),
+        (expand.Source.CONSTRUCTION2, 2, None, None, True, (0, 2, 1), (0, 0, 0)),
+        (expand.Source.CONSTRUCTION3, 2, None, 1, False, (0,), (0,)),
+        (expand.Source.CONSTRUCTION3, 2, None, 4, False, (0, 1, 2, 3), (0, 1, 2, 3)),
+        (expand.Source.CONSTRUCTION3, 4, None, 3, True, (0, 2, 4), (0, 0, 0)),
+    ], ids=["plain", "c1", "c2", "c2-shared", "c3-ell1", "c3-ell4", "c3-shared"])
+    def test_block_k_is_keyed_by_function_keys_k(self, source, n, i, ell, shared, offsets,
+                                                  keys, rng):
+        layout = expand.layout(source, n, i, ell, shared)
+        assert (layout.n, layout.offsets, layout.keys) == (n, offsets, keys)
+        assert layout.draws == len(set(keys)) and layout.qubits == max(offsets) + n
+        fns = tuple(boolfn.random_function(n, 2, rng) for _ in range(layout.draws))
+        spec = expand.circuit(layout, fns)
+        assert [offset for offset, _ in spec.blocks] == list(offsets)
+        assert [gen.f for _, gen in spec.blocks] == [fns[key] for key in keys]
+        for wrong in (fns[:-1], fns + fns[:1]):
+            with pytest.raises(ValueError, match=f"the layout draws {layout.draws} functions "
+                                                 f"per member, got {len(wrong)}"):
+                expand.circuit(layout, wrong)
 
     def test_plain_is_one_block_without_final_layer(self):
-        spec = expand.circuit(expand.Source.PLAIN, (F0_N2,), 2)
+        spec = expand.circuit(expand.layout(expand.Source.PLAIN, 2), (F0_N2,))
         assert spec == expand.ConstructionSpec(2, ((0, binary_gen(F0_N2)),))
 
     @pytest.mark.parametrize("source,n,i,ell", [
@@ -205,20 +225,22 @@ class TestCircuit:
         (expand.Source.CONSTRUCTION3, 4, None, 3),
     ])
     def test_every_multi_block_source_ends_with_the_fourier_layer(self, source, n, i, ell):
+        layout = expand.layout(source, n, i, ell)
+        assert layout.final_layer
         for kind in PrsKind:
-            f = boolfn.constant_function(n, kind.range_modulus(n))
-            spec = expand.circuit(source, (f,), n, kind, i, ell)
+            fns = (boolfn.constant_function(n, kind.range_modulus(n)),) * layout.draws
+            spec = expand.circuit(layout, fns, kind)
             fourier = prsgen.fourier_layer(kind, range(spec.total_qubits))
             assert spec.final_layer.kind is fourier.kind
             assert spec.final_layer.target_qubits == fourier.target_qubits
-            assert spec.total_qubits == max(expand.block_offsets(source, n, i, ell)) + n
-            bare = expand.circuit(source, (f,), n, kind, i, ell, include_final_layer=False)
+            assert spec.total_qubits == layout.qubits
+            bare = expand.circuit(replace(layout, final_layer=False), fns, kind)
             assert bare.final_layer is None and bare.blocks == spec.blocks
 
     # every source, and construction1 through its own entry point
     @pytest.mark.parametrize("build", [
-        lambda f: expand.circuit(expand.Source.PLAIN, (f,), 2),
-        lambda f: expand.circuit(expand.Source.CONSTRUCTION3, (F0_N2, f), 2, ell=2),
+        lambda f: expand.circuit(expand.layout(expand.Source.PLAIN, 2), (f,)),
+        lambda f: expand.circuit(expand.layout(expand.Source.CONSTRUCTION3, 2, ell=2), (F0_N2, f)),
         lambda f: expand.construction1(f, 2, 1),
         lambda f: expand.construction2(F0_N2, F0_N2, f, 2),
     ], ids=["plain", "c3-second-draw", "construction1", "construction2"])

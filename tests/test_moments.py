@@ -88,18 +88,20 @@ class TestMomentSpec:
             return evaluate(construction, *args, **kwargs)
 
         monkeypatch.setattr(expand, "evaluate", capture)
-        fns = tuple(boolfn.random_function(spec.n, 2, rng)
-                    for _ in range(spec.functions_per_member))
+        layout = spec.layout
+        fns = tuple(boolfn.random_function(spec.n, 2, rng) for _ in range(layout.draws))
         moments.member_state(spec, fns)
         (construction,) = evaluated
-        assert tuple(offset for offset, _ in construction.blocks) == spec.block_offsets
+        assert tuple(offset for offset, _ in construction.blocks) == layout.offsets
+        assert [gen.f for _, gen in construction.blocks] == [fns[key] for key in layout.keys]
         assert {gen.n for _, gen in construction.blocks} == {spec.n}
-        assert construction.total_qubits == spec.output_qubits
+        assert construction.total_qubits == layout.qubits
+        assert (construction.final_layer is not None) == layout.final_layer
 
     def test_plain_block_offsets_match_one_block_circuit(self, rng):
         # the plain member is prepared directly; it equals the one-block circuit
         spec = plain(3, 1)
-        assert spec.block_offsets == (0,) and spec.output_qubits == 3
+        assert spec.layout == expand.Layout(3, (0,), (0,), False)
         for _ in range(8):
             f = boolfn.random_function(3, 2, rng)
             block = (0, PrsGenerator(spec.kind, 3, f))
@@ -131,12 +133,11 @@ class TestMemberBatch:
         rng = np.random.default_rng(seed)
         m = spec.kind.range_modulus(spec.n)
         tuples = [tuple(boolfn.random_function(spec.n, m, rng)
-                        for _ in range(spec.functions_per_member)) for _ in range(members)]
+                        for _ in range(spec.layout.draws)) for _ in range(members)]
         batch = moments.member_states(spec, tuples)
-        assert batch.amplitudes.shape == (members, 1 << spec.output_qubits)
+        assert batch.amplitudes.shape == (members, 1 << spec.layout.qubits)
         for row, fns in zip(batch.amplitudes, tuples):
-            alone = expand.evaluate(expand.circuit(spec.source, fns, spec.n, spec.kind,
-                                                   spec.i, spec.ell))
+            alone = expand.evaluate(expand.circuit(spec.layout, fns, spec.kind))
             assert row.dtype == alone.amplitudes.dtype
             assert_vectors_close(row, alone.amplitudes, 1e-15)
 
@@ -241,8 +242,7 @@ class TestBruteForce:
     ], ids=["plain", "c1", "c2", "c3", "c2-shared", "c3-shared", "general-plain", "general-c1"])
     def test_member_dtype_follows_the_kind(self, spec, dtype, rng):
         m = spec.kind.range_modulus(spec.n)
-        fns = tuple(boolfn.random_function(spec.n, m, rng)
-                    for _ in range(spec.functions_per_member))
+        fns = tuple(boolfn.random_function(spec.n, m, rng) for _ in range(spec.layout.draws))
         assert moments.member_state(spec, fns).amplitudes.dtype == dtype
 
     @pytest.mark.parametrize("spec", [
@@ -257,8 +257,12 @@ class TestBruteForce:
         assert_matrices_close(got, complex_reference_moment(spec), 1e-15)
 
     def test_shared_key_rejected_for_single_function_sources(self):
-        with pytest.raises(ValueError, match="one function per member"):
-            MomentSpec(Source.PLAIN, n=2, t=1, shared_key=True)
+        # each layout already has one draw: the variant would change only the descriptor
+        for source, i, ell in [(Source.PLAIN, None, None), (Source.CONSTRUCTION1, 1, None),
+                               (Source.CONSTRUCTION3, None, 1)]:
+            with pytest.raises(ValueError, match=f"^{source.value} draws one function per "
+                                                 "member already$"):
+                MomentSpec(source, n=2, t=1, i=i, ell=ell, shared_key=True)
 
     def test_general_kind_first_moment_exact(self):
         # summing a full cycle of roots of unity kills every off-diagonal
@@ -282,6 +286,7 @@ class TestBruteForce:
         plain(4, 2),
         plain(4, 1),
         MomentSpec(Source.CONSTRUCTION3, n=2, t=2, ell=4, function_space=UniformSample(64, 1)),
+        MomentSpec(Source.CONSTRUCTION3, n=2, t=1, ell=3),
         plain(5, 2, UniformSample(256, 1)),
         MomentSpec(Source.PLAIN, n=5, t=2, kind=PrsKind.GENERAL_PHASE,
                    function_space=UniformSample(256, 1)),
@@ -289,7 +294,8 @@ class TestBruteForce:
                    function_space=UniformSample(1024, 1)),
         MomentSpec(Source.CONSTRUCTION2, n=4, t=1, kind=PrsKind.GENERAL_PHASE,
                    function_space=UniformSample(1024, 1)),
-    ], ids=["plain-4-2", "plain-4-1", "c3-2-ell4-2-uniform64", "plain-5-2-uniform256", "general-plain-5-2-uniform256",
+    ], ids=["plain-4-2", "plain-4-1", "c3-2-ell4-2-uniform64", "c3-2-ell3-1",
+            "plain-5-2-uniform256", "general-plain-5-2-uniform256",
             "general-plain-8-1-uniform1024", "general-c2-4-1-uniform1024"])
     def test_budget_estimate_covers_measured_peak(self, spec):
         # dim 1024: the accumulator, the matmul temporary, one chunk and the
@@ -299,7 +305,9 @@ class TestBruteForce:
         # rows, outweighs the 1 MiB accumulator: about 12 MiB for the
         # prepared plain rows, 17 MiB for the circuit's.  Exhaustive plain
         # n=4: enumerate_all's block of 1024 decoded tables is live beside a
-        # chunk; about 3.3 MiB at t=2 and 0.8 MiB at t=1
+        # chunk; about 3.3 MiB at t=2 and 0.8 MiB at t=1.  Exhaustive c3
+        # ell=3: the list of the other two draws' 256 table pairs is held for
+        # the whole run; about 1 MiB
         measured = measured_peak(lambda: ensemble_moment_bruteforce(spec))
         estimate = 16 * moments._bruteforce_peak_entries(spec)
         assert measured <= estimate <= 2 * measured
@@ -479,7 +487,7 @@ def pairing_report():
 
 def dense_distance(report):
     """The d^t x d^t oracle: trace distance from the report's moment to `haar_moment`."""
-    haar = haar_moment(1 << report.spec.output_qubits, report.spec.t)
+    haar = haar_moment(1 << report.spec.layout.qubits, report.spec.t)
     return corelin.trace_distance(report.moment, haar)
 
 
