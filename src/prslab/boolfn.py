@@ -79,10 +79,6 @@ class PrfKey:
             )
 
 
-def constant_function(n: int, m: int = 2, value: int = 0) -> BooleanFunction:
-    return BooleanFunction(n, m, (value,) * (1 << n))
-
-
 def function_count(n: int, m: int) -> int:
     return m ** (1 << n)
 

@@ -211,17 +211,6 @@ class RecombinationWitness:
                 and [v & low for v in joined] == list(self.ys))
 
 
-def recombination_elements(
-    x_prime: Sequence[str], y: Sequence[str], n: int, i: int
-) -> list[str]:
-    """The 2t n-bit strings {x'_j + head(y_j)} and {y_j}, in pair order."""
-    out = []
-    for xpj, yj in zip(x_prime, y):
-        out.append(xpj + yj[: n - i])
-        out.append(yj)
-    return out
-
-
 def recombine(x_prime: Sequence[str], y: Sequence[str]) -> RecombinationWitness:
     """Pair each x'_j + head(y_j) with its y_j and concatenate to x'_j + y_j.
 

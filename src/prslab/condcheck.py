@@ -4,7 +4,8 @@ Condition 1: the generator's action on any basis state |x> equals a
 key-independent unitary U_x applied to its action on |0>.  Condition 2: the
 U_x family transpose-aligns, i.e. sum_x |x> (x) U_x^T |y> equals a declared
 constant times V|y> (x) W|y> for every basis y.  Witnesses are data, so
-third-party generators plug in through a factory plus a U_x table.
+third-party generators plug in through a factory plus a table of U_x phase
+exponents, one row per basis label x.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import corelin, prsgen
 from .boolfn import BooleanFunction
 from .budget import check_complex_array
-from .corelin import UnitaryLayer
+from .corelin import LayerKind, UnitaryLayer
 from .prsgen import PrsGenerator, PrsKind
 
 DEVIATION_ATOL = 1e-10
@@ -29,6 +30,9 @@ DEVIATION_ATOL = 1e-10
 class ConditionWitness:
     """U_x family plus the alignment pair (V, W) and the declared scale.
 
+    The family is one batched phase layer `u` on qubits 0..n-1: row x of its
+    (2^n, 2^n) exponent table is the diagonal of U_x.
+
     The displayed alignment identity is not norm-consistent as written (the
     left side carries an extra sqrt(N) for the shipped witnesses), so the
     scale relating the two sides is an explicit field rather than a silent
@@ -36,17 +40,26 @@ class ConditionWitness:
     """
 
     n: int
-    u_family: Mapping[int, UnitaryLayer]
+    u: UnitaryLayer
     v: UnitaryLayer
     w: UnitaryLayer
     scale: float
 
     def __post_init__(self):
-        missing = [x for x in range(1 << self.n) if x not in self.u_family]
-        if missing:
-            raise ValueError(f"u_family misses basis labels {missing[:4]}...")
+        u, rows = self.u, (1 << self.n,)
+        if (u.kind is not LayerKind.PHASE_DIAGONAL or u.target_qubits != tuple(range(self.n))
+                or u.batch_shape != rows):
+            raise ValueError(f"u must be a phase layer on qubits 0..{self.n - 1} with "
+                             f"{rows[0]} table rows, one per label x; got a {u.kind.value} "
+                             f"layer on {u.target_qubits} with rows {u.batch_shape}")
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
+
+
+def _row(u: UnitaryLayer, x: int) -> UnitaryLayer:
+    """U_x alone: row x of a batched phase layer as a phase layer."""
+    modulus, table = u.parameters
+    return corelin.phase_diagonal_layer(u.target_qubits, modulus, table[x])
 
 
 @dataclass(frozen=True)
@@ -70,19 +83,20 @@ class ConditionReport:
 
 def _witness_peak_entries(n: int) -> int:
     """Upper estimate of `phase_witness`'s peak for either kind, in 16-byte
-    units: 2^n phase layers of 2^n int64 exponents, 512 bytes per layer
-    object, plus 256 KiB."""
+    units: the (2^n, 2^n) int64 exponent table the broadcast builds in place
+    and the layer's read-only copy of it, plus 256 KiB."""
     dim = 1 << n
-    return dim * (dim // 2 + 32) + (1 << 14)
+    return dim * dim + (1 << 14)
 
 
 def phase_witness(kind: PrsKind, n: int) -> ConditionWitness:
-    """The phase generator's own factorization: U_x = `prsgen.phase_shift_unitary`,
-    V = `prsgen.fourier_layer`, W = U_0 (the identity) and scale sqrt(N)."""
+    """The phase generator's own factorization: U_x = row x of
+    `prsgen.phase_shift_family`, V = `prsgen.fourier_layer`, W = U_0 (the
+    identity) and scale sqrt(N)."""
     check_complex_array(_witness_peak_entries(n), f"condition witness on {n} qubits")
-    family = {x: prsgen.phase_shift_unitary(kind, n, x) for x in range(1 << n)}
+    u = prsgen.phase_shift_family(kind, n)
     v = prsgen.fourier_layer(kind, tuple(range(n)))
-    return ConditionWitness(n, family, v, family[0], math.sqrt(1 << n))
+    return ConditionWitness(n, u, v, _row(u, 0), math.sqrt(1 << n))
 
 
 def binary_phase_witness(n: int) -> ConditionWitness:
@@ -133,7 +147,7 @@ def check_cond1(
 
     Per function, one identity over all x: column x of the generator's matrix
     (its two layers, as `prsgen.apply_to_register` applies them) equals U_x,
-    from the family built once per call, applied to `prsgen.prepare(gen)`.
+    from the family materialized once per call, applied to `prsgen.prepare(gen)`.
     Records, per label x, the worst deviation over the sample; passes iff
     every one is within DEVIATION_ATOL.
     """
@@ -142,9 +156,7 @@ def check_cond1(
     dim = 1 << n
     check_complex_array(_cond1_peak_entries(dim), f"condition 1 on {n} qubits")
     targets = tuple(range(n))
-    family = np.empty((dim, dim, dim), dtype=np.complex128)
-    for x in range(dim):
-        family[x] = corelin.materialize(witness.u_family[x])
+    family = corelin.materialize(witness.u)  # (dim, dim, dim): U_x for every x
     worst = None
     for f in functions:
         gen = gen_factory(f)
@@ -174,6 +186,6 @@ def check_cond2(witness: ConditionWitness) -> ConditionReport:
     worst = np.zeros(dim)
     for x in range(dim):
         rhs = witness.scale * (v_mat[x][:, None] * w_rows)
-        np.maximum(worst, np.abs(corelin.materialize(witness.u_family[x]) - rhs).max(axis=1),
+        np.maximum(worst, np.abs(corelin.materialize(_row(witness.u, x)) - rhs).max(axis=1),
                    out=worst)
     return _report(2, witness, worst)

@@ -3,8 +3,10 @@
 States and operators follow one dtype rule: real input is stored as
 float64, anything else as complex128, so sign-phase states, their moments and
 the symmetric projector never carry an imaginary part.  Each is wrapped in a
-thin validating container.  Everything here is a pure function on immutable
-inputs, so values can be shared freely across threads.
+thin validating container.  A circuit layer is one of three kinds, the
+halves of a phase-state generator: all-Hadamard, the Fourier kernel, or a
+phase diagonal.  Everything here is a pure function on immutable inputs, so
+values can be shared freely across threads.
 
 Convention used throughout the package: qubit 0 is the *most significant* bit
 of a basis-state label, i.e. the basis index of |b0 b1 ... b(q-1)> is
@@ -26,7 +28,6 @@ from .budget import check_complex_array
 
 NORM_ATOL = 1e-10
 HERMITIAN_ATOL = 1e-10
-UNITARY_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-8
 
 
@@ -42,7 +43,7 @@ def _real_or_complex(arr: np.ndarray) -> type:
 def _frozen_copy(values: Any, dtype: type | None = None) -> np.ndarray:
     """Read-only C-ordered copy of `values` in `dtype`, by default the one
     `_real_or_complex` picks: the one coercion of both containers and of the
-    layer payloads."""
+    phase tables."""
     arr = np.asarray(values)
     arr = arr.astype(dtype or _real_or_complex(arr), order="C", copy=True)
     arr.setflags(write=False)
@@ -100,12 +101,6 @@ def basis_state(num_qubits: int, index: int) -> PureState:
     amps = np.zeros(1 << num_qubits)
     amps[index] = 1.0
     return PureState(num_qubits, amps)
-
-
-def random_state(num_qubits: int, rng: np.random.Generator) -> PureState:
-    """Haar-random pure state (normalized complex Gaussian vector)."""
-    v = rng.standard_normal(1 << num_qubits) + 1j * rng.standard_normal(1 << num_qubits)
-    return PureState(num_qubits, v / np.linalg.norm(v))
 
 
 _TILE = 64  # side of the square tiles the Hermiticity check compares
@@ -177,8 +172,6 @@ class LayerKind(Enum):
     HADAMARD_ALL = "hadamard_all"
     QFT = "qft"
     PHASE_DIAGONAL = "phase_diagonal"
-    PERMUTATION = "permutation"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,18 +182,15 @@ class UnitaryLayer:
       HADAMARD_ALL  -- none
       QFT           -- none (kernel omega_N^{xy}/sqrt(N), N = 2**len(targets))
       PHASE_DIAGONAL-- (modulus, exponents): diag of omega_modulus**exponent
-      PERMUTATION   -- sigma over basis labels: |x> -> |sigma(x)>
-      CUSTOM        -- explicit complex matrix
 
     A phase table may also be a (members, 2**width) array, one row per
     member of a batch state (see `apply_layer`).
 
-    Payloads are validated here, once: a malformed phase table, modulus,
-    permutation or custom matrix (including a non-unitary or NaN one) raises
-    RegisterError at construction, so applying a layer re-checks nothing.
-    Array payloads are stored as read-only copies (int64 exponents and
-    permutations, a complex128 matrix), so a caller changing its input
-    afterwards changes nothing.  Layers compare by identity.
+    The payload is validated here, once: a malformed phase table or modulus
+    raises RegisterError at construction, so applying a layer re-checks
+    nothing.  The exponents are stored as a read-only int64 copy, so a
+    caller changing its input afterwards changes nothing.  Layers compare by
+    identity.
     """
 
     kind: LayerKind
@@ -224,19 +214,6 @@ class UnitaryLayer:
                                     f"expected ({dim},) or (members, {dim})")
             if not modulus >= 1:
                 raise RegisterError(f"phase modulus {modulus} must be >= 1")
-        elif self.kind is LayerKind.PERMUTATION:
-            sigma = _frozen_copy(self.parameters, np.int64)
-            object.__setattr__(self, "parameters", sigma)
-            if sigma.shape != (dim,) or not np.array_equal(np.sort(sigma), np.arange(dim)):
-                raise RegisterError(f"permutation payload is not a permutation of 0..{dim - 1}")
-        elif self.kind is LayerKind.CUSTOM:
-            mat = _frozen_copy(self.parameters, np.complex128)
-            object.__setattr__(self, "parameters", mat)
-            if mat.shape != (dim, dim):
-                raise RegisterError(f"custom matrix shape {mat.shape} != ({dim}, {dim})")
-            dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
-            if not dev <= UNITARY_ATOL:
-                raise RegisterError(f"custom matrix deviates from unitary by {dev:.3e}")
 
     @property
     def width(self) -> int:
@@ -258,14 +235,6 @@ def qft_layer(targets) -> UnitaryLayer:
 
 def phase_diagonal_layer(targets, modulus: int, exponents) -> UnitaryLayer:
     return UnitaryLayer(LayerKind.PHASE_DIAGONAL, tuple(targets), (modulus, exponents))
-
-
-def permutation_layer(targets, sigma) -> UnitaryLayer:
-    return UnitaryLayer(LayerKind.PERMUTATION, tuple(targets), sigma)
-
-
-def custom_layer(targets, matrix) -> UnitaryLayer:
-    return UnitaryLayer(LayerKind.CUSTOM, tuple(targets), matrix)
 
 
 def hadamard_matrix(n_bits: int) -> np.ndarray:
@@ -291,18 +260,12 @@ def _act(layer: UnitaryLayer, block: np.ndarray) -> np.ndarray:
         return hadamard_transform(block, axis=2)
     if layer.kind is LayerKind.QFT:
         return np.fft.ifft(block, axis=2, norm="ortho")
-    if layer.kind is LayerKind.PHASE_DIAGONAL:
-        modulus, exponents = layer.parameters
-        if modulus == 2:
-            diag = np.where(exponents % 2 == 1, -1.0, 1.0)
-        else:
-            diag = np.exp(2j * np.pi * (exponents % modulus) / modulus)
-        return diag.reshape(layer.batch_shape + (1, -1, 1)) * block
-    if layer.kind is LayerKind.PERMUTATION:
-        out = np.empty_like(block)
-        out[:, :, layer.parameters] = block
-        return out
-    return layer.parameters @ block
+    modulus, exponents = layer.parameters
+    if modulus == 2:
+        diag = np.where(exponents % 2 == 1, -1.0, 1.0)
+    else:
+        diag = np.exp(2j * np.pi * (exponents % modulus) / modulus)
+    return diag.reshape(layer.batch_shape + (1, -1, 1)) * block
 
 
 def materialize(layer: UnitaryLayer) -> np.ndarray:
@@ -365,24 +328,6 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
         raise RegisterError(f"dimension mismatch {a.dim} != {b.dim}")
     eigs = np.linalg.eigvalsh(a.matrix - b.matrix)
     return float(0.5 * np.sum(np.abs(eigs)))
-
-
-def register_permutation_operator(local_dim: int, copies: int, perm) -> np.ndarray:
-    """Operator permuting tensor factors: |a_1..a_t> -> |a_{perm(1)}..a_{perm(t)}>.
-
-    ``perm`` is 0-indexed: output slot j holds input component perm[j].
-    A 0/1 float64 matrix.
-    """
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(copies)):
-        raise RegisterError(f"{perm} is not a permutation of 0..{copies - 1}")
-    dim = local_dim**copies
-    src = np.arange(dim)
-    digits = [(src // local_dim ** (copies - 1 - j)) % local_dim for j in range(copies)]
-    dst = sum(digits[perm[j]] * local_dim ** (copies - 1 - j) for j in range(copies))
-    op = np.zeros((dim, dim))
-    op[dst, src] = 1.0
-    return op
 
 
 def symmetric_subspace_dimension(local_dim: int, copies: int) -> int:

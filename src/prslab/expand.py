@@ -13,7 +13,7 @@ as an independent oracle against the circuit path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -60,12 +60,27 @@ class Source(Enum):
 class Layout:
     """Blocks of width n: block k sits at qubit offset offsets[k] and is keyed
     by function draw keys[k]; the Fourier layer on the whole register follows
-    iff final_layer."""
+    iff final_layer.  A layout has at least one block, one key per block, no
+    negative offset, and keys that use every draw from 0 to draws - 1."""
 
     n: int
     offsets: tuple[int, ...]
     keys: tuple[int, ...]
     final_layer: bool
+
+    def __post_init__(self):
+        offsets, keys = tuple(self.offsets), tuple(self.keys)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "keys", keys)
+        if self.n < 1:
+            raise ValueError(f"block width must be >= 1, got n={self.n}")
+        if not offsets or len(offsets) != len(keys):
+            raise ValueError(f"a layout needs one key per block and at least one block, "
+                             f"got offsets {offsets} and keys {keys}")
+        if min(offsets) < 0:
+            raise ValueError(f"block offsets {offsets} include a negative one")
+        if set(keys) != set(range(max(keys) + 1)):
+            raise ValueError(f"keys {keys} do not use every draw from 0 to {max(keys)}")
 
     @property
     def qubits(self) -> int:
@@ -82,8 +97,6 @@ def layout(source: Source, n: int, i: int | None = None, ell: int | None = None,
     each one's geometry and its check.  Every block draws its own function,
     except construction1's (one keys both) and, under `shared_key`, a
     multi-draw source's.  Fields a source does not use are ignored."""
-    if n < 1:
-        raise ValueError(f"block width must be >= 1, got n={n}")
     if source is Source.PLAIN:
         offsets, keys = (0,), (0,)
     elif source is Source.CONSTRUCTION1:
@@ -121,30 +134,22 @@ def circuit(layout: Layout, fns, kind: PrsKind = PrsKind.BINARY_PHASE) -> Constr
                             prsgen.fourier_layer(kind, range(q)) if layout.final_layer else None)
 
 
-def _construction(source: str, fns, n: int, kind: PrsKind, include_final_layer: bool,
-                  i: int | None = None) -> ConstructionSpec:
-    """The circuit of the source named by value, as the CLI names it; ell is len(fns)."""
-    lay = layout(Source(source), n, i, len(fns))
-    return circuit(replace(lay, final_layer=lay.final_layer and include_final_layer), fns, kind)
-
-
-def construction1(f: BooleanFunction, n: int, i: int, kind: PrsKind = PrsKind.BINARY_PHASE,
-                  include_final_layer: bool = True) -> ConstructionSpec:
+def construction1(f: BooleanFunction, n: int, i: int,
+                  kind: PrsKind = PrsKind.BINARY_PHASE) -> ConstructionSpec:
     """Two same-keyed blocks overlapping on n - i qubits; output n + i qubits."""
-    return _construction("construction1", (f,), n, kind, include_final_layer, i)
+    return circuit(layout(Source("construction1"), n, i), (f,), kind)
 
 
 def construction2(f1: BooleanFunction, f2: BooleanFunction, f3: BooleanFunction, n: int,
-                  kind: PrsKind = PrsKind.BINARY_PHASE,
-                  include_final_layer: bool = True) -> ConstructionSpec:
+                  kind: PrsKind = PrsKind.BINARY_PHASE) -> ConstructionSpec:
     """Two parallel blocks at offsets 0 and n, then one centered block; output 2n qubits."""
-    return _construction("construction2", (f1, f2, f3), n, kind, include_final_layer)
+    return circuit(layout(Source("construction2"), n), (f1, f2, f3), kind)
 
 
-def construction3(fs, n: int, kind: PrsKind = PrsKind.BINARY_PHASE,
-                  include_final_layer: bool = True) -> ConstructionSpec:
+def construction3(fs, n: int, kind: PrsKind = PrsKind.BINARY_PHASE) -> ConstructionSpec:
     """Stairs of ell = len(fs) blocks at stride n/2; output (n/2)(ell + 1) qubits."""
-    return _construction("construction3", tuple(fs), n, kind, include_final_layer)
+    fs = tuple(fs)
+    return circuit(layout(Source("construction3"), n, ell=len(fs)), fs, kind)
 
 
 def evaluate(spec: ConstructionSpec) -> PureState:

@@ -11,11 +11,11 @@ projector for sign-phase ensembles:
   exact moment is a sum of per-group outer products and never enumerates a
   single function.
 
-The Haar moment is the normalized projector onto the symmetric subspace,
-cross-checked by Monte Carlo averaging of random states.  Every ensemble
-moment lies in that subspace too, of dimension D = C(d+t-1, t), so the
-distance to the Haar moment is taken on the D x D compressions of the two
-operators; the dense d^t x d^t `corelin.trace_distance` is kept as the
+The Haar moment is the normalized projector onto the symmetric subspace;
+the tests cross-check it by Monte Carlo averaging of random states.  Every
+ensemble moment lies in that subspace too, of dimension D = C(d+t-1, t), so
+the distance to the Haar moment is taken on the D x D compressions of the
+two operators; the dense d^t x d^t `corelin.trace_distance` is kept as the
 oracle the compressed distance is tested against.
 """
 
@@ -356,24 +356,6 @@ def haar_moment(local_dim: int, copies: int) -> DensityOperator:
     matrix = proj.matrix / corelin.symmetric_subspace_dimension(local_dim, copies)
     del proj  # so the peak stays the projector's own, which its budget check covers
     return DensityOperator(matrix)
-
-
-def haar_moment_monte_carlo(
-    local_dim: int, copies: int, samples: int, seed: int
-) -> DensityOperator:
-    """Empirical t-fold moment over random states (secondary oracle)."""
-    rng = np.random.default_rng(seed)
-    chunk = max(1, min(samples, (32 << 20) // (local_dim**copies * 16)))
-
-    def gaussian_chunks():
-        for done in range(0, samples, chunk):
-            rows = min(chunk, samples - done)
-            states = rng.standard_normal((rows, local_dim)) + 1j * rng.standard_normal(
-                (rows, local_dim)
-            )
-            yield states / np.linalg.norm(states, axis=1, keepdims=True)
-
-    return _average_t_fold(gaussian_chunks(), copies)
 
 
 def _distance_peak_entries(local_dim: int, copies: int, complex_: bool = False) -> int:

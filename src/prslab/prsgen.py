@@ -89,19 +89,20 @@ def apply_to_state(gen: PrsGenerator, state: PureState) -> PureState:
     return apply_to_register(gen, state, 0)
 
 
-def phase_shift_unitary(kind: PrsKind, n: int, x: int) -> UnitaryLayer:
-    """Key-independent diagonal unitary relating outputs on |x> and on |0>.
+def phase_shift_family(kind: PrsKind, n: int) -> UnitaryLayer:
+    """The key-independent diagonal unitaries U_x relating outputs on |x> and
+    on |0>, for every x at once: one phase layer on qubits 0..n-1 whose table
+    row x holds the exponents of U_x.
 
     Binary kind: diag((-1)^{x.y}) with bitwise dot; general kind:
-    diag(omega_N^{x*y}) with the integer product mod N.  x = 0 is identity.
+    diag(omega_N^{x*y}) with the integer product mod N.  Row 0 is the identity.
     """
-    if not 0 <= x < (1 << n):
-        raise ValueError(f"basis label {x} out of range for {n} bits")
+    modulus = kind.range_modulus(n)
+    labels = np.arange(1 << n, dtype=np.int64)
     if kind is PrsKind.BINARY_PHASE:
-        y = np.arange(1 << n, dtype=np.uint64)
-        exponents = np.bitwise_count(np.uint64(x) & y) & 1
-        modulus = 2
+        exponents = labels[:, None] & labels
+        np.bitwise_count(exponents, out=exponents)
     else:
-        modulus = 1 << n
-        exponents = (x * np.arange(1 << n, dtype=np.int64)) % modulus
-    return corelin.phase_diagonal_layer(tuple(range(n)), modulus, exponents)
+        exponents = labels[:, None] * labels
+    exponents %= modulus
+    return corelin.phase_diagonal_layer(range(n), modulus, exponents)

@@ -22,9 +22,10 @@ from prslab.moments import (
     ensemble_moment_bruteforce,
     ensemble_moment_deltapair,
     haar_moment,
-    haar_moment_monte_carlo,
 )
 from prslab.prsgen import PrsGenerator, PrsKind
+
+from conftest import haar_moment_monte_carlo, register_permutation_operator
 
 
 def _verdict(num, name, passed, detail=""):
@@ -144,7 +145,7 @@ def test_criterion_6_counting_lemmas():
                 base[sum(v * local ** (t - 1 - j) for j, v in enumerate(labels))] = 1.0
                 acc = np.zeros_like(base)
                 for pi in itertools.permutations(range(t)):
-                    acc += corelin.register_permutation_operator(local, t, pi) @ base
+                    acc += register_permutation_operator(local, t, pi) @ base
                 dense = float(np.vdot(acc, acc).real) / math.factorial(t)
                 cross_ok &= abs(dense - float(norm_sq)) <= 1e-12
     _verdict(6, "counting lemmas hold exactly", bound_ok and norm_ok and cross_ok,
@@ -224,17 +225,17 @@ def test_criterion_8_generalization_condition():
     # negative controls must fail and locate their counterexamples
     n = 2
     good = condcheck.binary_phase_witness(n)
-    identity = corelin.permutation_layer((0, 1), range(4))
+    modulus, table = good.u.parameters
+    identity_rows = np.zeros_like(table)  # U_x = identity for every x, as U_0 is
     broken_family = condcheck.ConditionWitness(
-        n,
-        {x: (good.u_family[x] if x == 0 else identity) for x in range(4)},
+        n, corelin.phase_diagonal_layer(good.u.target_qubits, modulus, identity_rows),
         good.v, good.w, good.scale,
     )
     neg1 = condcheck.check_cond1(
         lambda f: PrsGenerator(PrsKind.BINARY_PHASE, n, f),
         broken_family, n, boolfn.enumerate_all(n, 2),
     )
-    unscaled = condcheck.ConditionWitness(n, good.u_family, good.v, good.w, 1.0)
+    unscaled = condcheck.ConditionWitness(n, good.u, good.v, good.w, 1.0)
     neg2 = condcheck.check_cond2(unscaled)
     ok &= (not neg1.passed) and len(neg1.failures) > 0
     ok &= (not neg2.passed) and len(neg2.failures) > 0

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prslab import combinatorics as cb
-from prslab import corelin
 from prslab.budget import BudgetError
 from prslab.combinatorics import (
     ShapeError,
@@ -23,6 +22,8 @@ from prslab.combinatorics import (
     perm_state_norm_sq,
     recombine,
 )
+
+from conftest import recombination_elements, register_permutation_operator
 
 
 def partitions(t, smallest=1):
@@ -142,7 +143,7 @@ class TestPermStateNorm:
                 base[sum(v * local ** (t - 1 - j) for j, v in enumerate(labels))] = 1.0
                 acc = np.zeros_like(base)
                 for pi in itertools.permutations(range(t)):
-                    acc += corelin.register_permutation_operator(local, t, pi) @ base
+                    acc += register_permutation_operator(local, t, pi) @ base
                 dense = float(np.vdot(acc, acc).real) / math.factorial(t)
                 assert abs(dense - float(perm_state_norm_sq(elements))) <= 1e-12
 
@@ -395,7 +396,7 @@ class TestRecombine:
         assert len(colliding) == 16
         example = (("0", "0"), ("001", "011"))
         assert example in members
-        elements = cb.recombination_elements(*example, 3, 1)
+        elements = recombination_elements(*example, 3, 1)
         assert len(set(elements)) == 3  # "001" plays both roles
 
     @pytest.mark.xfail(
@@ -410,7 +411,7 @@ class TestRecombine:
     def test_good_members_have_distinct_elements(self):
         for n, i, t in ((3, 1, 2), (4, 1, 2)):
             for x_prime, y in cb.iter_good_members(n, i, t):
-                elements = cb.recombination_elements(x_prime, y, n, i)
+                elements = recombination_elements(x_prime, y, n, i)
                 assert len(set(elements)) == 2 * t
 
     def test_distinctness_restored_by_strengthened_predicate(self):
@@ -422,7 +423,7 @@ class TestRecombine:
             witness = recombine(x_prime, y)
             if not witness.elements_distinct:
                 continue
-            elements = set(cb.recombination_elements(x_prime, y, n, i))
+            elements = set(recombination_elements(x_prime, y, n, i))
             assert len(elements) == 2 * t
             assert witness.round_trip()
 

@@ -30,11 +30,24 @@ def general_factory(n):
     return lambda f: PrsGenerator(PrsKind.GENERAL_PHASE, n, f)
 
 
+def u_x(witness, x):
+    """U_x alone, built from row x of the witness's exponent table."""
+    modulus, table = witness.u.parameters
+    return corelin.phase_diagonal_layer(tuple(range(witness.n)), modulus, table[x])
+
+
+def with_table(witness, table):
+    """The witness with row x of `table` as the exponents of U_x."""
+    modulus = witness.u.parameters[0]
+    u = corelin.phase_diagonal_layer(witness.u.target_qubits, modulus, table)
+    return ConditionWitness(witness.n, u, witness.v, witness.w, witness.scale)
+
+
 def sabotage_u_family(witness, n):
     """U_x = identity for x != 0: breaks the basis factorization."""
-    identity = corelin.permutation_layer(tuple(range(n)), range(1 << n))
-    family = {x: (witness.u_family[x] if x == 0 else identity) for x in range(1 << n)}
-    return ConditionWitness(n, family, witness.v, witness.w, witness.scale)
+    table = witness.u.parameters[1].copy()
+    table[1:] = 0
+    return with_table(witness, table)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -68,7 +81,7 @@ class TestNegativeControls:
     def test_missing_scale_fails_cond2(self):
         n = 2
         good = binary_phase_witness(n)
-        witness = ConditionWitness(n, good.u_family, good.v, good.w, scale=1.0)
+        witness = ConditionWitness(n, good.u, good.v, good.w, scale=1.0)
         report = check_cond2(witness)
         assert not report.passed
         assert report.failures  # every y off by the sqrt(N) factor
@@ -80,25 +93,28 @@ class TestNegativeControls:
         n = 2
         good = binary_phase_witness(n)
         broken_y = 2
-        family = {}
-        for x in range(4):
-            modulus, exponents = good.u_family[x].parameters
-            tweaked = list(exponents)
-            tweaked[broken_y] = (tweaked[broken_y] + 1) % 2
-            family[x] = corelin.phase_diagonal_layer((0, 1), modulus, tweaked)
-        witness = ConditionWitness(n, family, good.v, good.w, good.scale)
+        table = good.u.parameters[1].copy()
+        table[:, broken_y] = (table[:, broken_y] + 1) % 2
+        witness = with_table(good, table)
         report = check_cond2(witness)
         assert not report.passed
         assert [f.location for f in report.failures] == [broken_y]
 
 
 class TestValidationAndReports:
-    def test_family_must_cover_all_labels(self):
+    @pytest.mark.parametrize("make_u", [
+        lambda modulus, table: corelin.phase_diagonal_layer((0, 1), modulus, table[:3]),
+        lambda modulus, table: corelin.phase_diagonal_layer((0, 1), modulus, table[1]),
+        lambda modulus, table: corelin.phase_diagonal_layer((1, 0), modulus, table),
+        lambda modulus, table: corelin.phase_diagonal_layer((0, 1, 2), modulus,
+                                                            np.zeros((4, 8), dtype=int)),
+        lambda modulus, table: corelin.qft_layer((0, 1)),
+    ], ids=["missing-row", "one-row", "target-order", "target-width", "not-a-phase-layer"])
+    def test_family_must_be_one_phase_row_per_label(self, make_u):
         good = binary_phase_witness(2)
-        family = dict(good.u_family)
-        del family[3]
-        with pytest.raises(ValueError, match="misses"):
-            ConditionWitness(2, family, good.v, good.w, good.scale)
+        with pytest.raises(ValueError, match=r"u must be a phase layer on qubits 0\.\.1 "
+                                             r"with 4 table rows"):
+            ConditionWitness(2, make_u(*good.u.parameters), good.v, good.w, good.scale)
 
     def test_empty_function_sample_rejected(self):
         witness = binary_phase_witness(1)
@@ -136,7 +152,7 @@ def reference_cond1(gen_factory, witness, n, functions):
         base = prsgen.prepare(gen)
         for x in range(1 << n):
             lhs = prsgen.apply_to_state(gen, corelin.basis_state(n, x))
-            rhs = corelin.apply_layer(base, witness.u_family[x])
+            rhs = corelin.apply_layer(base, u_x(witness, x))
             worst[x] = max(worst[x], float(np.max(np.abs(lhs.amplitudes - rhs.amplitudes))))
     return worst
 
@@ -144,7 +160,7 @@ def reference_cond1(gen_factory, witness, n, functions):
 def reference_cond2(witness):
     """Worst deviation per label y: the stacked vector sum_x |x> (x) U_x^T |y>."""
     dim = 1 << witness.n
-    u_mats = [corelin.materialize(witness.u_family[x]) for x in range(dim)]
+    u_mats = [corelin.materialize(u_x(witness, x)) for x in range(dim)]
     v_mat = corelin.materialize(witness.v)
     w_mat = corelin.materialize(witness.w)
     worst = {}
@@ -174,27 +190,25 @@ def sample_functions(kind, n, count, seed):
 
 def break_entry(witness, x, y, shift):
     """Shift the phase exponent of U_x at label y by `shift`."""
-    modulus, exponents = witness.u_family[x].parameters
-    tweaked = list(exponents)
-    tweaked[y] = (tweaked[y] + shift) % modulus
-    family = dict(witness.u_family)
-    family[x] = corelin.phase_diagonal_layer(tuple(range(witness.n)), modulus, tweaked)
-    return ConditionWitness(witness.n, family, witness.v, witness.w, witness.scale)
+    modulus, table = witness.u.parameters
+    table = table.copy()
+    table[x, y] = (table[x, y] + shift) % modulus
+    return with_table(witness, table)
 
 
 def break_label(witness, y):
     """Flip the phase every U_x applies at label y: only that y breaks cond2."""
-    for x in range(1 << witness.n):
-        modulus = witness.u_family[x].parameters[0]
-        witness = break_entry(witness, x, y, modulus // 2)
-    return witness
+    modulus, table = witness.u.parameters
+    table = table.copy()
+    table[:, y] = (table[:, y] + modulus // 2) % modulus
+    return with_table(witness, table)
 
 
 FACTORIES = {PrsKind.BINARY_PHASE: binary_factory, PrsKind.GENERAL_PHASE: general_factory}
 CONTROLS = {
     "shipped": lambda w, n: w,
     "identity_family": sabotage_u_family,
-    "unscaled": lambda w, n: ConditionWitness(n, w.u_family, w.v, w.w, scale=1.0),
+    "unscaled": lambda w, n: ConditionWitness(n, w.u, w.v, w.w, scale=1.0),
     "broken_label": lambda w, n: break_label(w, (1 << n) - 1),
 }
 
@@ -249,8 +263,7 @@ def same_layer(a, b):
 
 
 def same_witness(a, b):
-    return (a.n == b.n and a.scale == b.scale and a.u_family.keys() == b.u_family.keys()
-            and all(same_layer(a.u_family[x], b.u_family[x]) for x in a.u_family)
+    return (a.n == b.n and a.scale == b.scale and same_layer(a.u, b.u)
             and same_layer(a.v, b.v) and same_layer(a.w, b.w))
 
 
@@ -265,8 +278,8 @@ def test_phase_witness_is_the_generators_own_factorization(n):
         assert same_witness(builder(n), witness)
         assert witness.n == n and witness.scale == math.sqrt(1 << n)
         assert same_layer(witness.v, expected_v[kind])
-        for x in range(1 << n):
-            assert same_layer(witness.u_family[x], prsgen.phase_shift_unitary(kind, n, x))
+        assert same_layer(witness.u, prsgen.phase_shift_family(kind, n))
+        assert same_layer(witness.w, u_x(witness, 0))
         assert np.array_equal(corelin.materialize(witness.w), np.eye(1 << n))
 
 
@@ -289,7 +302,8 @@ def test_budget_estimates_cover_measured_peaks(n):
 @pytest.mark.parametrize("kind", list(PrsKind))
 @pytest.mark.parametrize("n", [8, 10])
 def test_witness_budget_estimate_covers_measured_peak(kind, n):
-    # both kinds hold 8 bytes per exponent: one int64 array per layer
+    # both kinds hold 16 bytes per exponent: the int64 table the broadcast
+    # builds in place and the layer's read-only copy of it
     measured = measured_peak(lambda: condcheck.phase_witness(kind, n))
     assert measured <= 16 * condcheck._witness_peak_entries(n) <= 2 * measured
 

@@ -22,14 +22,19 @@ from prslab.corelin import (
     hadamard_all_layer,
     partial_trace,
     phase_diagonal_layer,
-    permutation_layer,
-    random_state,
     symmetric_compression,
     symmetric_projector,
     trace_distance,
 )
 
-from conftest import assert_matrices_close, assert_vectors_close, measured_peak, random_unitary
+from conftest import (
+    assert_matrices_close,
+    assert_vectors_close,
+    measured_peak,
+    random_state,
+    random_unitary,
+    register_permutation_operator,
+)
 
 
 class TestPureState:
@@ -63,7 +68,7 @@ class TestPureState:
 
     def test_basis_state_and_permutation_operator_are_real(self):
         assert basis_state(2, 1).amplitudes.dtype == np.float64
-        op = corelin.register_permutation_operator(2, 2, (1, 0))
+        op = register_permutation_operator(2, 2, (1, 0))
         assert op.dtype == np.float64 and set(np.unique(op)) == {0.0, 1.0}
 
     def test_amplitudes_are_read_only(self):
@@ -81,56 +86,29 @@ class TestUnitaryLayer:
         with pytest.raises(RegisterError):
             hadamard_all_layer((-1,))
 
-    def test_custom_payload_must_be_unitary(self):
-        with pytest.raises(RegisterError, match="unitary"):
-            corelin.custom_layer((0,), np.array([[1.0, 0.0], [1.0, 1.0]]))
-
     @pytest.mark.parametrize(
         "make, match",
         [
             (lambda: phase_diagonal_layer((0, 1), 2, [0, 1, 0]), "phase table"),
             (lambda: phase_diagonal_layer((0, 1), 2, np.zeros((4, 1), dtype=int)), "phase table"),
             (lambda: phase_diagonal_layer((0,), 0, [0, 1]), "modulus"),
-            (lambda: permutation_layer((0, 1), [0, 1, 1, 2]), "permutation"),
-            (lambda: permutation_layer((0, 1), [0, 1, 2]), "permutation"),
-            (lambda: permutation_layer((0, 1), [[0, 1], [2, 3]]), "permutation"),
-            (lambda: corelin.custom_layer((0,), np.eye(4)), "shape"),
-            (lambda: corelin.custom_layer((0,), [[np.nan, 0.0], [0.0, 1.0]]), "unitary"),
         ],
-        ids=["table-length", "table-shape", "modulus-zero", "not-a-permutation",
-             "permutation-length", "permutation-shape", "custom-shape", "custom-nan"],
+        ids=["table-length", "table-shape", "modulus-zero"],
     )
     def test_invalid_payload_rejected_at_construction(self, make, match):
         with pytest.raises(RegisterError, match=match):
             make()
 
-    def test_array_payloads_are_read_only_copies(self, rng):
+    def test_array_payloads_are_read_only_copies(self):
         # a layer validated at construction stays valid: changing the
-        # caller's arrays afterwards changes neither layer
-        u, exponents = random_unitary(2, rng), np.array([0, 1])
-        custom = corelin.custom_layer((0,), u)
+        # caller's array afterwards changes nothing
+        exponents = np.array([0, 1])
         phase = phase_diagonal_layer((0,), 2, exponents)
-        expected = u.copy(), np.diag([1.0, -1.0])
-        u[0, 0] = 5.0
         exponents[1] = 0
-        assert np.array_equal(corelin.materialize(custom), expected[0])
-        assert np.array_equal(corelin.materialize(phase), expected[1])
+        assert np.array_equal(corelin.materialize(phase), np.diag([1.0, -1.0]))
         assert phase.parameters[1].dtype == np.int64
-        for payload in (custom.parameters, phase.parameters[1]):
-            with pytest.raises(ValueError, match="read-only"):
-                payload[0] = 0
-
-    def test_permutation_payload_is_a_read_only_int64_copy(self):
-        sigma = np.array([3, 1, 0, 2])
-        layer = permutation_layer((0, 1), sigma)
-        sigma[:] = [0, 1, 2, 3]
-        assert layer.parameters.dtype == np.int64
-        assert layer.parameters.tolist() == [3, 1, 0, 2]
-        expected = np.zeros((4, 4))
-        expected[[3, 1, 0, 2], range(4)] = 1.0  # |x> -> |sigma(x)>
-        assert np.array_equal(corelin.materialize(layer), expected)
         with pytest.raises(ValueError, match="read-only"):
-            layer.parameters[0] = 0
+            phase.parameters[1][0] = 0
 
     def test_layers_compare_by_identity(self):
         a = phase_diagonal_layer((0, 1), 2, [0, 1, 1, 0])
@@ -143,11 +121,6 @@ class TestApplyLayer:
     def test_hadamard_on_zero(self):
         out = apply_layer(basis_state(1, 0), hadamard_all_layer((0,)))
         assert_vectors_close(out.amplitudes, np.array([1, 1]) / math.sqrt(2), 1e-15)
-
-    def test_identity_permutation_is_identity(self, rng):
-        s = random_state(3, rng)
-        out = apply_layer(s, permutation_layer((0, 1, 2), range(8)))
-        assert_vectors_close(out.amplitudes, s.amplitudes, 0.0)
 
     def test_phase_diagonal_against_explicit_matrix(self):
         # f(x) = x0 * x1 flips the sign of |11> only
@@ -164,18 +137,22 @@ class TestApplyLayer:
 
     def test_sub_register_action(self, rng):
         # layer on qubit 1 of 2 must equal I (x) U
-        u = random_unitary(2, rng)
+        layer, u = _layer_and_reference(LayerKind.QFT, (1,), None)
         s = random_state(2, rng)
-        out = apply_layer(s, corelin.custom_layer((1,), u))
+        out = apply_layer(s, layer)
         expected = np.kron(np.eye(2), u) @ s.amplitudes
         assert_vectors_close(out.amplitudes, expected, 1e-14)
 
     def test_non_contiguous_targets(self, rng):
-        # targets (2, 0): operator MSB is state qubit 2, operator LSB is qubit 0
-        u = random_unitary(4, rng)
+        # targets (2, 0): operator MSB is state qubit 2, operator LSB is qubit 0;
+        # the QFT kernel is not symmetric under reversing its qubits, so the
+        # order is pinned
+        layer, u = _layer_and_reference(LayerKind.QFT, (2, 0), None)
+        bit_reversal = [0, 2, 1, 3]
+        assert not np.allclose(u, u[np.ix_(bit_reversal, bit_reversal)])
         s = random_state(3, rng)
-        out = apply_layer(s, corelin.custom_layer((2, 0), u))
-        perm = corelin.register_permutation_operator(2, 3, (2, 0, 1))
+        out = apply_layer(s, layer)
+        perm = register_permutation_operator(2, 3, (2, 0, 1))
         expected = perm.T @ np.kron(u, np.eye(2)) @ perm @ s.amplitudes
         assert_vectors_close(out.amplitudes, expected, 1e-14)
 
@@ -186,8 +163,6 @@ class TestApplyLayer:
         dim = 1 << len(targets)
         exponents = rng.integers(0, 8, size=(5, dim))
         layers = [hadamard_all_layer(targets), corelin.qft_layer(targets),
-                  permutation_layer(targets, rng.permutation(dim)),
-                  corelin.custom_layer(targets, random_unitary(dim, rng)),
                   phase_diagonal_layer(targets, 8, exponents[2])]
         for layer in layers:
             out = apply_layer(batch, layer)
@@ -212,15 +187,11 @@ class TestApplyLayer:
             layers = [hadamard_all_layer((0, 1, 2)), hadamard_all_layer((1,))]
         elif kind is LayerKind.QFT:
             layers = [corelin.qft_layer((0, 1, 2)), corelin.qft_layer((0, 2))]
-        elif kind is LayerKind.PHASE_DIAGONAL:
+        else:
             layers = [
                 phase_diagonal_layer((0, 1), 4, rng.integers(0, 4, size=4)),
                 phase_diagonal_layer((0, 1, 2), 8, rng.integers(0, 8, size=8)),
             ]
-        elif kind is LayerKind.PERMUTATION:
-            layers = [permutation_layer((0, 1, 2), rng.permutation(8))]
-        else:
-            layers = [corelin.custom_layer((0, 1), random_unitary(4, rng))]
         for k in range(1000):
             s = random_state(n, rng)
             out = apply_layer(s, layers[k % len(layers)])
@@ -236,18 +207,10 @@ def _layer_and_reference(kind, targets, data):
         idx = np.arange(dim)
         omega = np.exp(2j * np.pi * np.outer(idx, idx) / dim)
         return corelin.qft_layer(targets), omega / math.sqrt(dim)
-    if kind is LayerKind.PHASE_DIAGONAL:
-        modulus = data.draw(st.integers(1, 9))
-        exps = data.draw(st.lists(st.integers(-20, 20), min_size=dim, max_size=dim))
-        diag = np.diag(np.exp(2j * np.pi * np.asarray(exps) / modulus))
-        return phase_diagonal_layer(targets, modulus, exps), diag
-    if kind is LayerKind.PERMUTATION:
-        sigma = data.draw(st.permutations(range(dim)))
-        mat = np.zeros((dim, dim))
-        mat[sigma, range(dim)] = 1.0
-        return permutation_layer(targets, sigma), mat
-    u = random_unitary(dim, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
-    return corelin.custom_layer(targets, u), u
+    modulus = data.draw(st.integers(1, 9))
+    exps = data.draw(st.lists(st.integers(-20, 20), min_size=dim, max_size=dim))
+    diag = np.diag(np.exp(2j * np.pi * np.asarray(exps) / modulus))
+    return phase_diagonal_layer(targets, modulus, exps), diag
 
 
 class TestLayerKernelProperty:
@@ -262,7 +225,7 @@ class TestLayerKernelProperty:
         targets = tuple(order[:w])
         layer, mat = _layer_and_reference(kind, targets, data)
         rest = tuple(j for j in range(q) if j not in targets)
-        perm = corelin.register_permutation_operator(2, q, targets + rest)
+        perm = register_permutation_operator(2, q, targets + rest)
         s = random_state(q, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
         expected = perm.T @ np.kron(mat, np.eye(1 << (q - w))) @ perm @ s.amplitudes
         assert_vectors_close(apply_layer(s, layer).amplitudes, expected, 1e-12)
@@ -606,7 +569,6 @@ class TestHadamardTransform:
             hadamard_all_layer((0, 1)),
             corelin.qft_layer((0, 1, 2)),
             phase_diagonal_layer((0,), 2, [0, 1]),
-            permutation_layer((0, 1), [3, 1, 0, 2]),
         ):
             mat = corelin.materialize(layer)
             dim = 1 << layer.width

@@ -9,14 +9,20 @@ from prslab.boolfn import BooleanFunction
 from prslab.budget import BudgetError
 from prslab.prsgen import PrsGenerator, PrsKind
 
-from conftest import assert_vectors_close
+from conftest import assert_vectors_close, constant_function
 
 
-F0_N2 = boolfn.constant_function(2)
+F0_N2 = constant_function(2)
 
 
 def binary_gen(f):
     return PrsGenerator(PrsKind.BINARY_PHASE, f.input_bits, f)
+
+
+def without_final_layer(source, fns, n, i=None):
+    """The source's circuit with the final Fourier layer left out."""
+    layout = expand.layout(source, n, i, len(fns))
+    return expand.circuit(replace(layout, final_layer=False), fns)
 
 
 def t_fold_moment(states, t):
@@ -44,14 +50,14 @@ class TestConstruction1:
     def test_constant_function_state_before_final_layer(self):
         # direct evaluation of the displayed sum with f = 0: the overlap sum
         # kills every y whose leading bit is set
-        spec = expand.construction1(F0_N2, 2, 1, include_final_layer=False)
+        spec = without_final_layer(expand.Source.CONSTRUCTION1, (F0_N2,), 2, 1)
         got = expand.evaluate(spec)
         expected = np.zeros(8)
         expected[[0, 1, 4, 5]] = 0.5
         assert_vectors_close(got.amplitudes, expected, 1e-12)
 
     def test_general_kind_final_layer_is_fourier(self):
-        f = boolfn.constant_function(2, 4)
+        f = constant_function(2, 4)
         spec = expand.construction1(f, 2, 1, kind=PrsKind.GENERAL_PHASE)
         assert spec.final_layer.kind is corelin.LayerKind.QFT
 
@@ -62,7 +68,8 @@ class TestClosedForm:
             for f in boolfn.enumerate_all(n, 2):
                 for final in (False, True):
                     circuit = expand.evaluate(
-                        expand.construction1(f, n, i, include_final_layer=final)
+                        expand.construction1(f, n, i) if final
+                        else without_final_layer(expand.Source.CONSTRUCTION1, (f,), n, i)
                     )
                     direct = expand.closed_form_construction1(f, n, i, include_final_layer=final)
                     assert_vectors_close(circuit.amplitudes, direct.amplitudes, 1e-12)
@@ -75,18 +82,18 @@ class TestClosedForm:
 
     def test_requires_sign_phases(self):
         with pytest.raises(ValueError):
-            expand.closed_form_construction1(boolfn.constant_function(2, 4), 2, 1)
+            expand.closed_form_construction1(constant_function(2, 4), 2, 1)
 
 
 class TestConstruction2:
     def test_layout(self):
-        f1, f2, f3 = (boolfn.constant_function(2) for _ in range(3))
+        f1, f2, f3 = (constant_function(2) for _ in range(3))
         spec = expand.construction2(f1, f2, f3, 2)
         assert spec.total_qubits == 4
         assert [offset for offset, _ in spec.blocks] == [0, 2, 1]
 
     def test_odd_width_rejected(self):
-        f = boolfn.constant_function(3)
+        f = constant_function(3)
         with pytest.raises(ValueError):
             expand.construction2(f, f, f, 3)
 
@@ -98,7 +105,7 @@ class TestConstruction2:
 
         for _ in range(5):
             f1, f2, f3 = (boolfn.random_function(2, 2, rng) for _ in range(3))
-            spec = expand.construction2(f1, f2, f3, 2, include_final_layer=False)
+            spec = without_final_layer(expand.Source.CONSTRUCTION2, (f1, f2, f3), 2)
             got = expand.evaluate(spec).amplitudes
             op = block_op(f3, 1, 4) @ block_op(f2, 2, 4) @ block_op(f1, 0, 4)
             assert_vectors_close(got, op[:, 0], 1e-13)
@@ -111,7 +118,7 @@ class TestConstruction3:
         assert len(spec.blocks) == 1
 
     def test_three_steps_layout(self):
-        fs = [boolfn.constant_function(2) for _ in range(3)]
+        fs = [constant_function(2) for _ in range(3)]
         spec = expand.construction3(fs, 2)
         assert spec.total_qubits == 4
         assert [offset for offset, _ in spec.blocks] == [0, 1, 2]
@@ -119,7 +126,7 @@ class TestConstruction3:
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
     def test_qubit_count_formula(self, n, ell):
-        fs = [boolfn.constant_function(n) for _ in range(ell)]
+        fs = [constant_function(n) for _ in range(ell)]
         assert expand.construction3(fs, n).total_qubits == (n // 2) * (ell + 1)
 
 
@@ -150,7 +157,7 @@ class TestEvaluate:
     def test_mixed_block_widths_rejected(self):
         with pytest.raises(ValueError, match=r"block widths differ: \[2, 3\]"):
             expand.ConstructionSpec(
-                5, ((0, binary_gen(F0_N2)), (2, binary_gen(boolfn.constant_function(3))))
+                5, ((0, binary_gen(F0_N2)), (2, binary_gen(constant_function(3))))
             )
 
     @pytest.mark.parametrize("offset", [-1, -2])
@@ -185,6 +192,37 @@ class TestFirstBlockPrepared:
             spec = expand.ConstructionSpec(q, blocks, layer)
             assert_vectors_close(expand.evaluate(spec).amplitudes,
                                  self.reference(spec).amplitudes, 1e-15)
+
+
+class TestLayout:
+    # one case per rule: each of these would otherwise build a circuit that
+    # is not the layout's (zip drops a block), fail on a bare max(), or
+    # report a draw that keys no block
+    @pytest.mark.parametrize("args,match", [
+        ((0, (0,), (0,), False), r"block width must be >= 1, got n=0"),
+        ((2, (), (), False), r"at least one block, got offsets \(\) and keys \(\)"),
+        ((2, (0, 1), (0,), True), r"one key per block .* got offsets \(0, 1\) and keys \(0,\)"),
+        ((2, (-1, 0), (0, 1), True), r"block offsets \(-1, 0\) include a negative one"),
+        ((2, (0, 2), (0, 2), True), r"keys \(0, 2\) do not use every draw from 0 to 2"),
+    ], ids=["width", "empty", "unequal-lengths", "negative-offset", "unused-draw"])
+    def test_malformed_layout_refused(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            expand.Layout(*args)
+
+    def test_every_preset_layout_is_valid(self):
+        Source = expand.Source
+        presets = [expand.layout(Source.PLAIN, n) for n in range(1, 6)]
+        presets += [expand.layout(Source.CONSTRUCTION1, n, i)
+                    for n in range(2, 7) for i in range(1, n)]
+        for n in (2, 4, 6):
+            presets += [expand.layout(Source.CONSTRUCTION2, n, shared_key=shared)
+                        for shared in (False, True)]
+            presets += [expand.layout(Source.CONSTRUCTION3, n, ell=ell, shared_key=shared)
+                        for ell in range(1, 6) for shared in (False, True) if ell > 1 or not shared]
+        for lay in presets:
+            assert replace(lay) == lay  # __post_init__ runs again on the copy
+            assert lay.qubits == max(lay.offsets) + lay.n
+            assert sorted(set(lay.keys)) == list(range(lay.draws))
 
 
 class TestCircuit:
@@ -228,7 +266,7 @@ class TestCircuit:
         layout = expand.layout(source, n, i, ell)
         assert layout.final_layer
         for kind in PrsKind:
-            fns = (boolfn.constant_function(n, kind.range_modulus(n)),) * layout.draws
+            fns = (constant_function(n, kind.range_modulus(n)),) * layout.draws
             spec = expand.circuit(layout, fns, kind)
             fourier = prsgen.fourier_layer(kind, range(spec.total_qubits))
             assert spec.final_layer.kind is fourier.kind
@@ -245,8 +283,8 @@ class TestCircuit:
         lambda f: expand.construction2(F0_N2, F0_N2, f, 2),
     ], ids=["plain", "c3-second-draw", "construction1", "construction2"])
     @pytest.mark.parametrize("f,match", [
-        (boolfn.constant_function(3), "function takes 3-bit inputs, generator is on 2 qubits"),
-        (boolfn.constant_function(2, 4), "binary kind needs range modulus 2, got 4"),
+        (constant_function(3), "function takes 3-bit inputs, generator is on 2 qubits"),
+        (constant_function(2, 4), "binary kind needs range modulus 2, got 4"),
     ], ids=["width", "modulus"])
     def test_misfit_function_refused_when_the_circuit_is_built(self, build, f, match):
         with pytest.raises(ValueError, match=match):
@@ -256,15 +294,15 @@ class TestCircuit:
     @pytest.mark.parametrize("build,spec_args,match", [
         (lambda: expand.construction1(F0_N2, 2, 2), (moments.Source.CONSTRUCTION1, 2, 2, None),
          r"construction1 needs the added-qubit count 1 <= i < n, got i=2, n=2"),
-        (lambda: expand.construction2(*[boolfn.constant_function(3)] * 3, 3),
+        (lambda: expand.construction2(*[constant_function(3)] * 3, 3),
          (moments.Source.CONSTRUCTION2, 3, None, None),
          r"construction2 needs an even n >= 2, got n=3"),
-        (lambda: expand.construction3([boolfn.constant_function(3)] * 2, 3),
+        (lambda: expand.construction3([constant_function(3)] * 2, 3),
          (moments.Source.CONSTRUCTION3, 3, None, 2),
          r"construction3 needs an even n >= 2, got n=3"),
         (lambda: expand.construction3([], 2), (moments.Source.CONSTRUCTION3, 2, None, 0),
          r"construction3 needs the block count ell >= 1, got ell=0"),
-        (lambda: expand.construction2(*[boolfn.constant_function(0)] * 3, 0),
+        (lambda: expand.construction2(*[constant_function(0)] * 3, 0),
          (moments.Source.CONSTRUCTION2, 0, None, None),
          r"block width must be >= 1, got n=0"),
     ])
@@ -284,7 +322,7 @@ class TestMomentInvarianceUnderAppendedUnitary:
         functions = list(boolfn.enumerate_all(2, 2))
         with_final = [expand.evaluate(expand.construction1(f, 2, 1)) for f in functions]
         without = [
-            expand.evaluate(expand.construction1(f, 2, 1, include_final_layer=False))
+            expand.evaluate(without_final_layer(expand.Source.CONSTRUCTION1, (f,), 2, 1))
             for f in functions
         ]
         haar = moments.haar_moment(8, t)

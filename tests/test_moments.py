@@ -21,11 +21,16 @@ from prslab.moments import (
     ensemble_moment_bruteforce,
     ensemble_moment_deltapair,
     haar_moment,
-    haar_moment_monte_carlo,
 )
 from prslab.prsgen import PrsGenerator, PrsKind
 
-from conftest import assert_matrices_close, assert_vectors_close, measured_peak, random_unitary
+from conftest import (
+    assert_matrices_close,
+    assert_vectors_close,
+    haar_moment_monte_carlo,
+    measured_peak,
+    random_unitary,
+)
 
 
 def plain(n, t, space=None):

@@ -5,10 +5,10 @@ import pytest
 
 from prslab import boolfn, corelin, prsgen
 from prslab.boolfn import BooleanFunction
-from prslab.corelin import basis_state, random_state
+from prslab.corelin import PureState, basis_state
 from prslab.prsgen import PrsGenerator, PrsKind
 
-from conftest import assert_vectors_close
+from conftest import assert_vectors_close, constant_function, random_state
 
 
 def binary_gen(f: BooleanFunction) -> PrsGenerator:
@@ -17,7 +17,7 @@ def binary_gen(f: BooleanFunction) -> PrsGenerator:
 
 class TestPrepare:
     def test_constant_zero_single_qubit(self):
-        out = prsgen.prepare(binary_gen(boolfn.constant_function(1)))
+        out = prsgen.prepare(binary_gen(constant_function(1)))
         assert_vectors_close(out.amplitudes, np.array([1, 1]) / math.sqrt(2), 1e-15)
 
     def test_two_qubit_sign_pattern(self):
@@ -64,7 +64,7 @@ class TestApplyToState:
 
     def test_basis_input_sign_pattern(self):
         # constant function, input |10>: signs (-1)^(x.y) over y
-        gen = binary_gen(boolfn.constant_function(2))
+        gen = binary_gen(constant_function(2))
         out = prsgen.apply_to_state(gen, basis_state(2, 2))
         assert_vectors_close(out.amplitudes, np.array([1, 1, -1, -1]) / 2, 1e-12)
 
@@ -90,51 +90,61 @@ class TestApplyToState:
         assert abs(before - after) <= 1e-12
 
     def test_qubit_count_mismatch(self, rng):
-        gen = binary_gen(boolfn.constant_function(2))
+        gen = binary_gen(constant_function(2))
         with pytest.raises(corelin.RegisterError):
             prsgen.apply_to_state(gen, basis_state(3, 0))
 
 
-class TestPhaseShiftUnitary:
+class TestPhaseShiftFamily:
     def test_zero_label_is_identity(self):
         for kind in PrsKind:
-            mat = corelin.materialize(prsgen.phase_shift_unitary(kind, 2, 0))
-            assert np.array_equal(mat, np.eye(4))
+            mat = corelin.materialize(prsgen.phase_shift_family(kind, 2))
+            assert np.array_equal(mat[0], np.eye(4))
 
     def test_binary_single_qubit(self):
-        mat = corelin.materialize(prsgen.phase_shift_unitary(PrsKind.BINARY_PHASE, 1, 1))
-        assert np.array_equal(mat, np.diag([1.0, -1.0]))
+        mat = corelin.materialize(prsgen.phase_shift_family(PrsKind.BINARY_PHASE, 1))
+        assert np.array_equal(mat[1], np.diag([1.0, -1.0]))
 
     def test_general_two_qubit(self):
-        mat = corelin.materialize(prsgen.phase_shift_unitary(PrsKind.GENERAL_PHASE, 2, 1))
-        assert_vectors_close(np.diagonal(mat), [1, 1j, -1, -1j], 1e-15)
+        mat = corelin.materialize(prsgen.phase_shift_family(PrsKind.GENERAL_PHASE, 2))
+        assert_vectors_close(np.diagonal(mat[1]), [1, 1j, -1, -1j], 1e-15)
+
+    @pytest.mark.parametrize("kind", list(PrsKind))
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_row_x_is_the_per_label_formula(self, n, kind):
+        # one phase layer on the whole register, row x the exponents of U_x:
+        # x.y mod 2 (bitwise dot) for binary, x*y mod 2^n for general
+        family = prsgen.phase_shift_family(kind, n)
+        modulus, table = family.parameters
+        assert family.kind is corelin.LayerKind.PHASE_DIAGONAL
+        assert family.target_qubits == tuple(range(n))
+        assert modulus == kind.range_modulus(n) and table.shape == (1 << n, 1 << n)
+        for x in range(1 << n):
+            expected = [(x & y).bit_count() % 2 if kind is PrsKind.BINARY_PHASE
+                        else x * y % modulus for y in range(1 << n)]
+            assert table[x].tolist() == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_basis_action_factors_through_shift_binary(self, n):
-        # full enumeration: gen|x> equals U_x applied to gen|0>
+        # full enumeration: gen|x> equals U_x applied to gen|0>, every x at
+        # once as row x of a batch of copies of gen|0>
+        family = prsgen.phase_shift_family(PrsKind.BINARY_PHASE, n)
         for f in boolfn.enumerate_all(n, 2):
             gen = binary_gen(f)
-            base = prsgen.prepare(gen)
+            copies = PureState(n, np.tile(prsgen.prepare(gen).amplitudes, (1 << n, 1)))
+            via_shift = corelin.apply_layer(copies, family)
             for x in range(1 << n):
                 via_gen = prsgen.apply_to_state(gen, basis_state(n, x))
-                via_shift = corelin.apply_layer(
-                    base, prsgen.phase_shift_unitary(PrsKind.BINARY_PHASE, n, x)
-                )
-                assert_vectors_close(via_gen.amplitudes, via_shift.amplitudes, 1e-12)
+                assert_vectors_close(via_gen.amplitudes, via_shift.amplitudes[x], 1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_basis_action_factors_through_shift_general(self, n, rng):
+        family = prsgen.phase_shift_family(PrsKind.GENERAL_PHASE, n)
         for _ in range(64):
             f = boolfn.random_function(n, 1 << n, rng)
             gen = PrsGenerator(PrsKind.GENERAL_PHASE, n, f)
-            base = prsgen.prepare(gen)
+            copies = PureState(n, np.tile(prsgen.prepare(gen).amplitudes, (1 << n, 1)))
+            via_shift = corelin.apply_layer(copies, family)
             for x in range(1 << n):
                 via_gen = prsgen.apply_to_state(gen, basis_state(n, x))
-                via_shift = corelin.apply_layer(
-                    base, prsgen.phase_shift_unitary(PrsKind.GENERAL_PHASE, n, x)
-                )
-                assert_vectors_close(via_gen.amplitudes, via_shift.amplitudes, 1e-12)
-
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            prsgen.phase_shift_unitary(PrsKind.BINARY_PHASE, 2, 4)
+                assert_vectors_close(via_gen.amplitudes, via_shift.amplitudes[x], 1e-12)

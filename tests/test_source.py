@@ -47,3 +47,24 @@ def test_source_members_are_read_only_in_expand_layout():
                 offenders.append(f"{path.name}:{node.lineno}")
     assert inside_layout, "expand.layout not found"
     assert offenders == []
+
+
+def test_every_public_name_is_exported_or_used_by_another_name():
+    # a public function or class that no command, route or other function
+    # reaches is test scaffolding: it belongs in tests/conftest.py.  Only
+    # code counts (Name and Attribute nodes), not docstrings, and a
+    # definition does not count as a use of itself
+    package = Path(prslab.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(package.glob("*.py"))}
+    exported = {alias.asname or alias.name for node in ast.walk(trees.pop("__init__.py"))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    public = [(name, node.name) for name, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    assert len(public) >= 50
+    assert [f"{module}:{name}" for module, name in public
+            if name not in exported and name not in used] == []
