@@ -69,18 +69,16 @@ class Layout:
     final_layer: bool
 
     def __post_init__(self):
-        offsets, keys = tuple(self.offsets), tuple(self.keys)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "keys", keys)
         if self.n < 1:
             raise ValueError(f"block width must be >= 1, got n={self.n}")
-        if not offsets or len(offsets) != len(keys):
+        if not self.offsets or len(self.offsets) != len(self.keys):
             raise ValueError(f"a layout needs one key per block and at least one block, "
-                             f"got offsets {offsets} and keys {keys}")
-        if min(offsets) < 0:
-            raise ValueError(f"block offsets {offsets} include a negative one")
-        if set(keys) != set(range(max(keys) + 1)):
-            raise ValueError(f"keys {keys} do not use every draw from 0 to {max(keys)}")
+                             f"got offsets {self.offsets} and keys {self.keys}")
+        if min(self.offsets) < 0:
+            raise ValueError(f"block offsets {self.offsets} include a negative one")
+        if set(self.keys) != set(range(max(self.keys) + 1)):
+            raise ValueError(f"keys {self.keys} do not use every draw from 0 "
+                             f"to {max(self.keys)}")
 
     @property
     def qubits(self) -> int:
