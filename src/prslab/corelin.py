@@ -5,8 +5,10 @@ float64, anything else as complex128, so sign-phase states, their moments and
 the symmetric projector never carry an imaginary part.  Each is wrapped in a
 thin validating container.  A circuit layer is one of three kinds, the
 halves of a phase-state generator: all-Hadamard, the Fourier kernel, or a
-phase diagonal.  Everything here is a pure function on immutable inputs, so
-values can be shared freely across threads.
+phase diagonal.  The compression of an operator to the symmetric subspace
+is an index gather on its matrix; no isometry is built.  Everything here is
+a pure function on immutable inputs, so values can be shared freely across
+threads.
 
 Convention used throughout the package: qubit 0 is the *most significant* bit
 of a basis-state label, i.e. the basis index of |b0 b1 ... b(q-1)> is
@@ -22,7 +24,6 @@ from enum import Enum
 from typing import Any
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .budget import check_complex_array
 
@@ -361,43 +362,64 @@ def symmetric_projector(local_dim: int, copies: int) -> DensityOperator:
     return DensityOperator(proj, normalized=False)
 
 
-def _symmetric_isometry(local_dim: int, copies: int) -> sparse.csr_matrix:
-    """The d^t x D isometry V onto the symmetric subspace, as CSR.
+def _symmetric_classes(local_dim: int, copies: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multiset classes of the d^t basis labels, in the order of their
+    sorted digit tuples: a (t!, D) array whose row sigma holds, for every
+    class, the label of its sorted digits permuted by sigma, and the D
+    class sizes (the distinct labels in each column)."""
+    shape = (local_dim,) * copies
+    digits = np.indices(shape).reshape(copies, -1)
+    sorted_ = np.all(digits[:-1] <= digits[1:], axis=0)
+    digits = digits[:, sorted_]  # (t, D): the sorted tuples, in label order
+    labels = np.array([np.ravel_multi_index(digits[list(perm)], shape)
+                       for perm in itertools.permutations(range(copies))])
+    ordered = np.sort(labels, axis=0)
+    sizes = 1 + np.count_nonzero(ordered[1:] != ordered[:-1], axis=0)
+    return labels, sizes
 
-    Row k has one nonzero, 1/sqrt(class size), in the column of the multiset
-    class of k's digit tuple; the columns are the classes in the order of
-    their sorted digits.  V^T V is the D x D identity and V V^T the
-    projector `symmetric_projector` builds densely.
-    """
-    dim, shape = local_dim**copies, (local_dim,) * copies
-    multisets = np.array(np.unravel_index(np.arange(dim), shape))
-    multisets.sort(axis=0)
-    _, classes, sizes = np.unique(np.ravel_multi_index(multisets, shape),
-                                  return_inverse=True, return_counts=True)
-    weights = 1.0 / np.sqrt(sizes[classes])
-    return sparse.csr_matrix((weights, classes, np.arange(dim + 1)), shape=(dim, len(sizes)))
+
+_GATHER_BYTES = 1 << 18  # the rows of op one compression step gathers: they stay in cache
+
+
+def _gather_rows(dim: int, itemsize: int) -> int:
+    """Rows of a dim x dim operator that one compression step gathers."""
+    return max(1, _GATHER_BYTES // (dim * itemsize))
 
 
 def _compression_peak_entries(local_dim: int, copies: int, complex_: bool = False) -> int:
     """Upper estimate of `symmetric_compression`'s peak besides its input, in
-    16-byte units: the larger of the product step (the D x d^t product V^T op,
-    the C-ordered copy of its transpose that the second sparse product reads,
-    and the D x D result) and the D x D result with what wrapping it in a
-    DensityOperator holds, plus 2 copies + 12 int64 index arrays of d^t entries
-    and 64 KiB of Python objects.  Entries are complex128 for a complex
-    operator and float64 otherwise."""
+    16-byte units: the larger of a gather step (the D x D result, one block
+    of gathered rows and its running sum, one gathered column block) and the
+    result with what wrapping it in a DensityOperator holds, plus the index
+    arrays: t int64 digits and t bool masks of d^t entries, 3 t! + t + 2 int64
+    arrays of D entries (the permuted labels as a list and stacked, their
+    sorted copy, the sorted digits and the sizes) and 128 bytes of array
+    header per permutation.  Entries are complex128 for a complex operator
+    and float64 otherwise."""
     dim = local_dim**copies
     sym = symmetric_subspace_dimension(local_dim, copies)
     per_unit = 1 if complex_ else 2  # entries per 16 bytes
-    product = (2 * sym * dim + sym * sym) // per_unit
+    block = min(sym, _gather_rows(dim, 16 // per_unit))
+    gather = (sym * sym + 2 * block * dim + block * sym) // per_unit
     build = sym * sym // per_unit + _operator_build_entries(sym, complex_)
-    return max(product, build) + (2 * copies + 12) * dim // 2 + (1 << 12)
+    perms = math.factorial(copies)
+    indices = (copies * dim // 2 + copies * dim // 16
+               + (3 * perms + copies + 2) * sym // 2 + 8 * perms)
+    return max(gather, build) + indices + (1 << 9)
 
 
 def symmetric_compression(op: DensityOperator, local_dim: int, copies: int) -> DensityOperator:
     """V^T op V: `op` compressed to the symmetric subspace, a D x D operator
-    with D = C(d+t-1, t), formed as two sparse-dense products with the
-    isometry V of `_symmetric_isometry`; float64 for a real `op`.
+    with D = C(d+t-1, t); float64 for a real `op`.
+
+    Column a of the isometry V is the class of the sorted digit tuple r_a,
+    1/sqrt(c_a) on each of its c_a labels; the t! permutations sigma of r_a
+    give labels p_sigma(a), each of them t!/c_a times.  So
+    (V^T op V)[a, b] = s_a s_b sum_sigma sum_tau op[p_sigma(a), p_tau(b)]
+    with s_a = sqrt(c_a)/t!: for a block of classes a, a sum of t! row
+    gathers of op, then of t! column gathers of that sum.  This holds for
+    every operator, with or without weight outside Sym^t, and builds no
+    isometry.
 
     For a trace-1 PSD operator the compressed trace is Tr(Pi op), which is 1
     exactly when op is supported in Sym^t; then the compression keeps every
@@ -412,8 +434,22 @@ def symmetric_compression(op: DensityOperator, local_dim: int, copies: int) -> D
         raise RegisterError(f"operator dimension {op.dim} != ({local_dim})^{copies} = {dim}")
     check_complex_array(_compression_peak_entries(local_dim, copies, np.iscomplexobj(op.matrix)),
                         f"symmetric compression of ({local_dim})^{copies}")
-    iso = _symmetric_isometry(local_dim, copies)
-    compressed = (iso.T @ op.matrix) @ iso
+    labels, sizes = _symmetric_classes(local_dim, copies)
+    mat, sym = op.matrix, len(sizes)
+    compressed = np.empty((sym, sym), dtype=mat.dtype)
+    step = _gather_rows(dim, mat.itemsize)
+    for start in range(0, sym, step):
+        rows = mat.take(labels[0, start:start + step], axis=0)
+        for perm in labels[1:, start:start + step]:
+            rows += mat.take(perm, axis=0)
+        block = compressed[start:start + step]
+        rows.take(labels[0], axis=1, out=block)
+        for perm in labels[1:]:
+            block += rows.take(perm, axis=1)
+    del rows  # wrapping the result needs none of the gathered rows
+    scale = np.sqrt(sizes) / math.factorial(copies)
+    compressed *= scale[:, None]
+    compressed *= scale
     lost = abs(complex(np.trace(compressed)) - op.trace())
     if not lost <= 1e-9:
         raise RegisterError(

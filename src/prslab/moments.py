@@ -16,7 +16,9 @@ the tests cross-check it by Monte Carlo averaging of random states.  Every
 ensemble moment lies in that subspace too, of dimension D = C(d+t-1, t), so
 the distance to the Haar moment is taken on the D x D compressions of the
 two operators; the dense d^t x d^t `corelin.trace_distance` is kept as the
-oracle the compressed distance is tested against.
+oracle the compressed distance is tested against.  The compression is an
+index gather (`corelin.symmetric_compression`), so the pairing route's one
+sparse product G^T G is the only code that imports scipy, and only when it runs.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sparse
 
 from . import boolfn, corelin, expand
 from .boolfn import BooleanFunction
@@ -301,6 +302,9 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> DensityOperator:
     Before the final Hadamard layer (if any) the moment is G^T G / 2^(tuple
     bits), G the signed key-by-label path matrix.  Agrees with brute force up to rounding.
     """
+    # the one sparse product in prslab: imported here, so no other route loads scipy
+    import scipy.sparse as sparse
+
     if spec.kind is not PrsKind.BINARY_PHASE:
         raise ValueError("pairing route requires the sign-phase kind")
     if not isinstance(spec.function_space, ExhaustiveAllFunctions):
@@ -405,6 +409,10 @@ def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
     else:
         moment = ensemble_moment_bruteforce(spec)
     local_dim = 1 << spec.layout.qubits
+    # the Haar moment compresses to I/D, but the traced benchmark
+    # (perfbench/tracer.py BASELINE_ROWS) times the `symmetric_projector` and
+    # `trace_distance` spans of this call by name; writing I/D directly waits
+    # for the benchmark change that stops reading them
     haar = haar_moment(local_dim, spec.t)
     distance = _haar_distance(moment, haar, local_dim, spec.t)
     runtime_ms = int(round((time.perf_counter() - start) * 1000))

@@ -47,6 +47,24 @@ def register_permutation_operator(local_dim: int, copies: int, perm) -> np.ndarr
     return op
 
 
+def symmetric_isometry(local_dim: int, copies: int) -> np.ndarray:
+    """The dense d^t x D isometry V onto the symmetric subspace.
+
+    Row k has one nonzero, 1/sqrt(class size), in the column of the multiset
+    class of k's digit tuple; the columns are the classes in the order of
+    their sorted digits.  V^T V is the D x D identity and V V^T the
+    projector `symmetric_projector` builds.
+    """
+    dim, shape = local_dim**copies, (local_dim,) * copies
+    multisets = np.array(np.unravel_index(np.arange(dim), shape))
+    multisets.sort(axis=0)
+    _, classes, sizes = np.unique(np.ravel_multi_index(multisets, shape),
+                                  return_inverse=True, return_counts=True)
+    iso = np.zeros((dim, len(sizes)))
+    iso[np.arange(dim), classes] = 1.0 / np.sqrt(sizes[classes])
+    return iso
+
+
 def constant_function(n: int, m: int = 2, value: int = 0) -> BooleanFunction:
     return BooleanFunction(n, m, (value,) * (1 << n))
 

@@ -34,6 +34,7 @@ from conftest import (
     random_state,
     random_unitary,
     register_permutation_operator,
+    symmetric_isometry,
 )
 
 
@@ -386,13 +387,32 @@ class TestSymmetricCompression:
         (2, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (4, 4),
     ])
     def test_isometry_onto_the_symmetric_subspace(self, local_dim, copies):
-        iso = corelin._symmetric_isometry(local_dim, copies)
+        iso = symmetric_isometry(local_dim, copies)
         sym = corelin.symmetric_subspace_dimension(local_dim, copies)
         assert iso.shape == (local_dim**copies, sym)
-        assert np.all(np.diff(iso.indptr) == 1)  # one nonzero per row
-        assert_matrices_close((iso.T @ iso).toarray(), np.eye(sym), 1e-14)
-        assert_matrices_close((iso @ iso.T).toarray(),
-                              symmetric_projector(local_dim, copies).matrix, 1e-14)
+        assert np.all(np.count_nonzero(iso, axis=1) == 1)
+        assert_matrices_close(iso.T @ iso, np.eye(sym), 1e-14)
+        assert_matrices_close(iso @ iso.T, symmetric_projector(local_dim, copies).matrix, 1e-14)
+
+    @pytest.mark.parametrize("local_dim,copies", [(2, 1), (4, 2), (3, 3), (2, 4), (8, 2)])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_equals_the_isometry_product_outside_the_subspace(self, rng, local_dim, copies,
+                                                             complex_):
+        # a random Hermitian H has weight everywhere; adding c (I - Pi), which
+        # compresses to 0, makes the traces agree so the refusal lets it through
+        dim = local_dim**copies
+        h = rng.standard_normal((dim, dim))
+        if complex_:
+            h = h + 1j * rng.standard_normal((dim, dim))
+        h = (h + h.conj().T) / 2
+        iso = symmetric_isometry(local_dim, copies)
+        outside = np.eye(dim) - iso @ iso.T
+        if copies > 1:
+            h += outside * (np.trace(iso.T @ h @ iso) - np.trace(h)) / np.trace(outside)
+            assert np.abs(outside @ h @ iso).max() > 0.1  # off the subspace
+        got = symmetric_compression(DensityOperator(h, normalized=False), local_dim, copies)
+        assert got.matrix.dtype == (np.complex128 if complex_ else np.float64)
+        assert_matrices_close(got.matrix, iso.T @ h @ iso, 1e-13)
 
     @pytest.mark.parametrize("local_dim,copies", [(2, 2), (4, 2), (3, 3), (8, 2)])
     def test_haar_moment_compresses_to_the_maximally_mixed_state(self, local_dim, copies):
@@ -429,7 +449,7 @@ class TestSymmetricCompression:
         with pytest.raises(RegisterError, match="dimension"):
             symmetric_compression(DensityOperator(np.eye(8) / 8), 2, 2)
 
-    @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3)])
+    @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3), (3, 4)])
     def test_budget_estimate_covers_measured_peak(self, local_dim, copies):
         haar = DensityOperator(symmetric_projector(local_dim, copies).matrix
                                / corelin.symmetric_subspace_dimension(local_dim, copies))

@@ -462,6 +462,17 @@ class TestCompareToHaar:
         with pytest.raises(ValueError):
             compare_to_haar(plain(2, 1, PrfKeys(4, seed=0)), Method.DELTA_PAIRING)
 
+    @pytest.mark.parametrize("n,method", [
+        *((n, Method.DELTA_PAIRING) for n in (2, 3, 4, 5)),
+        *((n, Method.BRUTE_FORCE) for n in (2, 3)),
+    ])
+    def test_plain_binary_two_copies_has_the_closed_form_distance(self, n, method):
+        # every member has the uniform computational-basis distribution, whose
+        # distance to Haar's is (d-1)/(d(d+1)); the moment's is exactly twice it
+        d = 1 << n
+        report = compare_to_haar(plain(n, 2), method)
+        assert abs(report.haar_distance - 2 * (d - 1) / (d * (d + 1))) <= 1e-12
+
     def test_report_json_shape(self):
         report = compare_to_haar(c1(2, 1, 1), Method.DELTA_PAIRING)
         payload = json.loads(report.to_json(include_matrix=True))

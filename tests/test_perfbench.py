@@ -30,7 +30,9 @@ def traced(jobs, tracer, workload, labels):
     return recorder
 
 
-@pytest.mark.parametrize("workload", ["exhaustive_bruteforce", "sampled_keyed", "lemma_checks"])
+@pytest.mark.parametrize("workload", [
+    "exact_pairing", "exhaustive_bruteforce", "sampled_keyed", "lemma_checks",
+])
 def test_baseline_rows_find_their_spans(perfbench, workload):
     jobs, tracer = perfbench
     wanted = [row for row in tracer.BASELINE_ROWS if row[1] == workload]

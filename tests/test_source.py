@@ -1,6 +1,9 @@
 """Rules that every module of the package keeps."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import prslab
@@ -112,3 +115,51 @@ def test_every_public_name_is_reached_from_the_package_or_its_command():
     # a public function or class that no command or exported route reaches
     # is test scaffolding: it belongs in tests/conftest.py
     assert unreached_public_names(Path(prslab.__file__).parent) == []
+
+
+def _imports_scipy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "scipy")
+
+
+def test_scipy_is_imported_only_by_the_pairing_product():
+    # every other command and route starts without scipy: no module imports
+    # it at import time, and the pairing route imports it where it needs it
+    modules = sorted(Path(prslab.__file__).parent.rglob("*.py"))
+    allowed, offenders = set(), []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno} at module level"
+                      for node in tree.body if _imports_scipy(node)]
+        if path.name == "moments.py":
+            (pairing,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                          and node.name == "ensemble_moment_deltapair"]
+            allowed = {id(node) for node in ast.walk(pairing)}
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if _imports_scipy(node) and id(node) not in allowed]
+    assert allowed, "moments.ensemble_moment_deltapair not found"
+    assert offenders == []
+
+
+SCIPY_FREE_SCRIPT = """
+import sys
+import prslab, prslab.cli
+from prslab.moments import Method, MomentSpec, PrfKeys, Source, compare_to_haar
+compare_to_haar(MomentSpec(Source.PLAIN, n=2, t=2), Method.BRUTE_FORCE)
+compare_to_haar(MomentSpec(Source.PLAIN, n=2, t=2, function_space=PrfKeys(8, seed=1)),
+                Method.MONTE_CARLO)
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+compare_to_haar(MomentSpec(Source.PLAIN, n=2, t=2), Method.DELTA_PAIRING)
+assert "scipy.sparse" in sys.modules
+"""
+
+
+def test_brute_force_and_sampled_routes_run_without_scipy():
+    src = str(Path(prslab.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
