@@ -45,6 +45,6 @@ from .moments import (
     ensemble_moment_deltapair,
     haar_moment,
 )
-from .prsgen import PrsGenerator, PrsKind, apply_to_state, phase_shift_family, prepare
+from .prsgen import PrsGenerator, PrsKind, phase_shift_family, prepare
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -97,33 +97,30 @@ def enumerate_all(n: int, m: int) -> Iterator[BooleanFunction]:
         yield from BooleanFunction(n, m, index[:, None] // place % m)._rows()
 
 
+def _prefix_hash(key: PrfKey, n: int, m: int):
+    """sha256 state after the per-key prefix label | 0x1f | n | m | key of
+    every entry's message; entry x appends x as 4 bytes."""
+    return hashlib.sha256(key.label.encode() + b"\x1f" + n.to_bytes(2, "big")
+                          + m.to_bytes(8, "big") + key.key_bytes)
+
+
 def prf_eval(key: PrfKey, n: int, m: int, x: int) -> int:
     """Keyed pseudorandom residue: sha256(label | n | m | key | x) mod m."""
     if not 0 <= x < (1 << n):
         raise ValueError(f"input {x} out of range for {n} bits")
-    msg = (
-        key.label.encode()
-        + b"\x1f"
-        + n.to_bytes(2, "big")
-        + m.to_bytes(8, "big")
-        + key.key_bytes
-        + x.to_bytes(4, "big")
-    )
-    digest = hashlib.sha256(msg).digest()
-    return int.from_bytes(digest, "big") % m
+    h = _prefix_hash(key, n, m)
+    h.update(x.to_bytes(4, "big"))
+    return int.from_bytes(h.digest(), "big") % m
 
 
 def prf_truth_table(key: PrfKey, n: int, m: int) -> BooleanFunction:
     """Materialize the full truth table of the keyed function (n <= 20).
 
-    The per-key prefix (label | n | m | key) is hashed once and the hash state
-    copied for each input x, so entry x equals prf_eval(key, n, m, x)."""
+    The per-key prefix is hashed once and the hash state copied for each
+    input x, so entry x equals prf_eval(key, n, m, x)."""
     if n > _MAX_TABLE_BITS:
         raise ValueError(f"refusing to materialize 2**{n} entries (cap n={_MAX_TABLE_BITS})")
-    prefix = hashlib.sha256(
-        key.label.encode() + b"\x1f" + n.to_bytes(2, "big") + m.to_bytes(8, "big")
-        + key.key_bytes
-    )
+    prefix = _prefix_hash(key, n, m)
     table = []
     for x in range(1 << n):
         h = prefix.copy()

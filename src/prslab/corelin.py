@@ -96,14 +96,6 @@ class PureState:
         return float(norms) if norms.ndim == 0 else norms
 
 
-def basis_state(num_qubits: int, index: int) -> PureState:
-    if not 0 <= index < (1 << num_qubits):
-        raise RegisterError(f"basis index {index} out of range for {num_qubits} qubits")
-    amps = np.zeros(1 << num_qubits)
-    amps[index] = 1.0
-    return PureState(num_qubits, amps)
-
-
 _TILE = 64  # side of the square tiles the Hermiticity check compares
 
 
@@ -177,7 +169,8 @@ class LayerKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class UnitaryLayer:
-    """One unitary acting on an ordered set of target qubits.
+    """One unitary acting on a run of consecutive qubits, its targets: qubit
+    targets[0] is the most significant bit of the layer's own register.
 
     parameters by kind:
       HADAMARD_ALL  -- none
@@ -201,10 +194,10 @@ class UnitaryLayer:
     def __post_init__(self):
         targets = tuple(int(t) for t in self.target_qubits)
         object.__setattr__(self, "target_qubits", targets)
-        if len(set(targets)) != len(targets):
-            raise RegisterError(f"target qubits {targets} are not distinct")
-        if any(t < 0 for t in targets):
-            raise RegisterError(f"negative qubit index in {targets}")
+        first = targets[0] if targets else 0
+        if first < 0 or targets != tuple(range(first, first + len(targets))):
+            raise RegisterError(f"target qubits {targets} are not a run of "
+                                f"ascending consecutive qubits >= 0")
         dim = 1 << len(targets)
         if self.kind is LayerKind.PHASE_DIAGONAL:
             modulus, exponents = self.parameters
@@ -282,31 +275,21 @@ def apply_layer(state: PureState, layer: UnitaryLayer) -> PureState:
     last axis of the amplitudes: to the state, or to every row of a batch.
     A batched phase table needs a batch of as many rows; row m acts on
     member m."""
-    q = state.num_qubits
-    for t in layer.target_qubits:
-        if not 0 <= t < q:
-            raise RegisterError(
-                f"layer targets qubit {t} but the state has qubits 0..{q - 1}"
-            )
+    q, w, targets = state.num_qubits, layer.width, layer.target_qubits
+    if w and targets[-1] >= q:
+        raise RegisterError(
+            f"layer targets qubit {targets[-1]} but the state has qubits 0..{q - 1}"
+        )
     lead = state.batch_shape
     if layer.batch_shape not in ((), lead):
         raise RegisterError(f"layer has phase rows {layer.batch_shape}, "
                             f"the state has rows {lead}")
-    w, targets = layer.width, layer.target_qubits
     if w == 0:
         return state
-    amps = state.amplitudes.reshape(-1, 1 << q)  # one state is a batch of one
-    if targets == tuple(range(targets[0], targets[0] + w)):
-        # the qubits before the targets, the targets and the qubits after
-        # them are three axes of the amplitudes as they lie: no transpose
-        out = _act(layer, amps.reshape(len(amps), 1 << targets[0], 1 << w, -1))
-    else:
-        order = targets + tuple(j for j in range(q) if j not in targets)
-        axes = (0,) + tuple(1 + j for j in order)
-        psi = amps.reshape((len(amps),) + (2,) * q).transpose(axes)
-        out = _act(layer, psi.reshape(len(amps), 1, 1 << w, -1))
-        out = out.reshape(psi.shape).transpose(np.argsort(axes))
-    return PureState(q, out.reshape(lead + (-1,)))
+    # the qubits before the targets, the targets and the qubits after them
+    # are three axes of the amplitudes as they lie: no transpose
+    amps = state.amplitudes.reshape(-1, 1 << targets[0], 1 << w, 1 << (q - 1 - targets[-1]))
+    return PureState(q, _act(layer, amps).reshape(lead + (-1,)))
 
 
 def partial_trace(state: PureState, traced_qubits) -> DensityOperator:
@@ -335,30 +318,31 @@ def symmetric_subspace_dimension(local_dim: int, copies: int) -> int:
     return math.comb(local_dim + copies - 1, copies)
 
 
-def _projector_peak_entries(dim: int, copies: int) -> int:
+def _projector_peak_entries(local_dim: int, copies: int) -> int:
     """Upper estimate of `symmetric_projector`'s peak, in 16-byte units: the
-    float64 matrix, what wrapping it in a DensityOperator holds, copies + 3
-    int64 index arrays of dim entries, and 16 KiB of Python objects."""
-    return dim * dim // 2 + _operator_build_entries(dim) + (copies + 3) * dim // 2 + (1 << 10)
+    float64 matrix, what wrapping it in a DensityOperator holds, the class
+    arrays and 256 KiB of Python objects and of the buffers numpy iterates
+    the broadcast (t!, t!, D) index arrays with."""
+    dim = local_dim**copies
+    return (dim * dim // 2 + _operator_build_entries(dim)
+            + _classes_peak_entries(local_dim, copies) + (1 << 14))
 
 
 def symmetric_projector(local_dim: int, copies: int) -> DensityOperator:
     """Unnormalized projector onto the symmetric subspace of `copies` factors.
 
-    Averages all factor permutations; idempotent, trace C(D+t-1, t); float64.
+    The average of all factor permutations: entry (x, y) is 1/c_a when the
+    labels x and y lie in the same multiset class a, of c_a labels, and 0
+    otherwise.  Idempotent, trace C(D+t-1, t); float64.
     """
     if local_dim < 1 or copies < 1:
         raise RegisterError("local_dim and copies must be >= 1")
     dim = local_dim**copies
-    check_complex_array(_projector_peak_entries(dim, copies),
+    check_complex_array(_projector_peak_entries(local_dim, copies),
                         f"symmetric projector on ({local_dim})^{copies}")
+    labels, sizes = _symmetric_classes(local_dim, copies)
     proj = np.zeros((dim, dim), dtype=np.float64)
-    src = np.arange(dim)
-    digits = [(src // local_dim ** (copies - 1 - j)) % local_dim for j in range(copies)]
-    for perm in itertools.permutations(range(copies)):
-        dst = sum(digits[perm[j]] * local_dim ** (copies - 1 - j) for j in range(copies))
-        np.add.at(proj, (dst, src), 1.0)
-    proj /= math.factorial(copies)
+    proj[labels[:, None, :], labels[None, :, :]] = 1.0 / sizes
     return DensityOperator(proj, normalized=False)
 
 
@@ -386,26 +370,32 @@ def _gather_rows(dim: int, itemsize: int) -> int:
     return max(1, _GATHER_BYTES // (dim * itemsize))
 
 
+def _classes_peak_entries(local_dim: int, copies: int) -> int:
+    """What `_symmetric_classes` holds, in 16-byte units: t int64 digits and
+    t bool masks of d^t entries, 3 t! + t + 2 int64 arrays of D entries (the
+    permuted labels as a list and stacked, their sorted copy, the sorted
+    digits and the sizes) and 128 bytes of array header per permutation."""
+    dim = local_dim**copies
+    sym = symmetric_subspace_dimension(local_dim, copies)
+    perms = math.factorial(copies)
+    return (copies * dim // 2 + copies * dim // 16
+            + (3 * perms + copies + 2) * sym // 2 + 8 * perms)
+
+
 def _compression_peak_entries(local_dim: int, copies: int, complex_: bool = False) -> int:
     """Upper estimate of `symmetric_compression`'s peak besides its input, in
     16-byte units: the larger of a gather step (the D x D result, one block
     of gathered rows and its running sum, one gathered column block) and the
-    result with what wrapping it in a DensityOperator holds, plus the index
-    arrays: t int64 digits and t bool masks of d^t entries, 3 t! + t + 2 int64
-    arrays of D entries (the permuted labels as a list and stacked, their
-    sorted copy, the sorted digits and the sizes) and 128 bytes of array
-    header per permutation.  Entries are complex128 for a complex operator
-    and float64 otherwise."""
+    result with what wrapping it in a DensityOperator holds, plus the class
+    arrays.  Entries are complex128 for a complex operator and float64
+    otherwise."""
     dim = local_dim**copies
     sym = symmetric_subspace_dimension(local_dim, copies)
     per_unit = 1 if complex_ else 2  # entries per 16 bytes
     block = min(sym, _gather_rows(dim, 16 // per_unit))
     gather = (sym * sym + 2 * block * dim + block * sym) // per_unit
     build = sym * sym // per_unit + _operator_build_entries(sym, complex_)
-    perms = math.factorial(copies)
-    indices = (copies * dim // 2 + copies * dim // 16
-               + (3 * perms + copies + 2) * sym // 2 + 8 * perms)
-    return max(gather, build) + indices + (1 << 9)
+    return max(gather, build) + _classes_peak_entries(local_dim, copies) + (1 << 9)
 
 
 def symmetric_compression(op: DensityOperator, local_dim: int, copies: int) -> DensityOperator:

@@ -1,13 +1,12 @@
 """Length-expansion circuits: phase-PRS generators at qubit offsets.
 
-A circuit is a list of same-width generators, each placed at a qubit offset
-and applied in order to the all-zeros register, optionally followed by one
-mixing layer on the whole register.  Each source is one `Layout`: where its
-blocks sit, which function draw keys each block, and whether the mixing
-layer follows.  `layout` is the only code that tells the sources apart; the
-circuit builder and the moment routes read the layout.  The two-block
-overlap construction additionally has a closed-form amplitude formula, kept
-as an independent oracle against the circuit path.
+A circuit is a `Layout` and one generator per function draw: the layout
+says where each same-width block sits, which draw keys it, and whether one
+mixing layer on the whole register follows; the blocks are applied in
+order to the all-zeros register.  `layout` is the only code that tells the
+sources apart; the circuit builder and the moment routes read the layout.
+The two-block overlap construction additionally has a closed-form amplitude
+formula, kept as an independent oracle against the circuit path.
 """
 
 from __future__ import annotations
@@ -21,32 +20,8 @@ import numpy as np
 from . import corelin, prsgen
 from .boolfn import BooleanFunction
 from .budget import check_complex_array
-from .corelin import PureState, UnitaryLayer
+from .corelin import PureState
 from .prsgen import PrsGenerator, PrsKind
-
-
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """Generators applied in order, each on qubits [offset, offset + gen.n) of a
-    `total_qubits` register, then the optional final layer on the register.
-    Generators keyed by batches of functions, all of one size, make a batch
-    circuit: member k of every block keys the k-th output row."""
-
-    total_qubits: int
-    blocks: tuple[tuple[int, PrsGenerator], ...]
-    final_layer: UnitaryLayer | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        widths = {gen.n for _, gen in self.blocks}
-        if len(widths) > 1:
-            raise ValueError(f"block widths differ: {sorted(widths)}")
-        for offset, gen in self.blocks:
-            if offset < 0 or offset + gen.n > self.total_qubits:
-                raise ValueError(
-                    f"block at offset {offset} width {gen.n} does not fit in "
-                    f"{self.total_qubits} qubits"
-                )
 
 
 class Source(Enum):
@@ -89,6 +64,25 @@ class Layout:
         return max(self.keys) + 1
 
 
+@dataclass(frozen=True)
+class ConstructionSpec:
+    """A layout's circuit: block k is generators[layout.keys[k]] on qubits
+    [offsets[k], offsets[k] + n) of the layout's register, then the Fourier
+    layer of the generators' kind on the whole register iff the layout has
+    one.  Generators keyed by batches of functions, all of one size, make a
+    batch circuit: member m of every draw keys the m-th output row."""
+
+    layout: Layout
+    generators: tuple[PrsGenerator, ...]
+
+    def __post_init__(self):
+        gens = tuple(self.generators)
+        object.__setattr__(self, "generators", gens)
+        if len(gens) != self.layout.draws or any(gen.n != self.layout.n for gen in gens):
+            raise ValueError(f"the layout draws {self.layout.draws} generators of width "
+                             f"{self.layout.n}, got widths {[gen.n for gen in gens]}")
+
+
 def layout(source: Source, n: int, i: int | None = None, ell: int | None = None,
            shared_key: bool = False) -> Layout:
     """A source's block layout, the only code that tells the sources apart:
@@ -119,17 +113,12 @@ def layout(source: Source, n: int, i: int | None = None, ell: int | None = None,
 
 
 def circuit(layout: Layout, fns, kind: PrsKind = PrsKind.BINARY_PHASE) -> ConstructionSpec:
-    """The layout's blocks, block k the generator keyed by fns[layout.keys[k]],
-    then the Fourier layer on the whole register iff the layout has one.  A
-    function that does not fit the kind at width n is refused here."""
+    """The layout's circuit with draw d keyed by fns[d].  A function that does
+    not fit the kind at width n is refused here."""
     if len(fns) != layout.draws:
         raise ValueError(f"the layout draws {layout.draws} functions per member, "
                          f"got {len(fns)}")
-    q = layout.qubits
-    blocks = tuple((offset, PrsGenerator(kind, layout.n, fns[key]))
-                   for offset, key in zip(layout.offsets, layout.keys))
-    return ConstructionSpec(q, blocks,
-                            prsgen.fourier_layer(kind, range(q)) if layout.final_layer else None)
+    return ConstructionSpec(layout, tuple(PrsGenerator(kind, layout.n, f) for f in fns))
 
 
 def construction1(f: BooleanFunction, n: int, i: int,
@@ -150,28 +139,41 @@ def construction3(fs, n: int, kind: PrsKind = PrsKind.BINARY_PHASE) -> Construct
     return circuit(layout(Source("construction3"), n, ell=len(fs)), fs, kind)
 
 
+def _evaluation_peak_entries(layout: Layout, members: int, complex_: bool) -> int:
+    """Upper estimate of `evaluate`'s peak besides its input tables, in
+    16-byte units: copies of the member rows, complex128 for the general
+    kind and float64 for sign phases.  3 for one block with no final layer
+    (the prepared rows, a temporary of their phases and the state's copy),
+    5 for a circuit (a block's input state, a layer's result and the next
+    state's copy of it, the transform's intermediate and the phase
+    multiply's result)."""
+    copies = 3 if len(layout.offsets) == 1 and not layout.final_layer else 5
+    rows = copies * members << layout.qubits
+    return rows if complex_ else rows // 2
+
+
 def evaluate(spec: ConstructionSpec) -> PureState:
-    """Run the circuit on |0...0>: blocks in listed order, then the final layer.
+    """Run the circuit on |0...0>: blocks in layout order, then the final layer.
     The first block meets |0...0>, so it is `prsgen.prepare` placed at its offset.
     A batch circuit runs every member at once: one row per member."""
-    q = spec.total_qubits
-    lead = spec.blocks[0][1].f.table.shape[:-1] if spec.blocks else ()  # (members,) for a batch
-    check_complex_array(math.prod(lead) << q, f"state on {q} qubits")
-    if spec.blocks:
-        offset, gen = spec.blocks[0]
-        state = prsgen.prepare(gen)
-        if gen.n < q:
-            amps = np.zeros(lead + (1 << q,), dtype=state.amplitudes.dtype)
-            low = q - offset - gen.n  # qubits below the block
-            amps[..., : 1 << (gen.n + low) : 1 << low] = state.amplitudes
-            state = PureState(q, amps)
-            del amps  # the state holds its own copy
-    else:
-        state = corelin.basis_state(q, 0)
-    for offset, gen in spec.blocks[1:]:
-        state = prsgen.apply_to_register(gen, state, offset)
-    if spec.final_layer is not None:
-        state = corelin.apply_layer(state, spec.final_layer)
+    layout, gens = spec.layout, spec.generators
+    q, n = layout.qubits, layout.n
+    first = gens[layout.keys[0]]
+    lead = first.f.table.shape[:-1]  # (members,) for a batch
+    check_complex_array(
+        _evaluation_peak_entries(layout, math.prod(lead), first.kind is PrsKind.GENERAL_PHASE),
+        f"evaluation on {q} qubits")
+    state = prsgen.prepare(first)
+    if n < q:
+        amps = np.zeros(lead + (1 << q,), dtype=state.amplitudes.dtype)
+        low = q - layout.offsets[0] - n  # qubits below the block
+        amps[..., : 1 << (n + low) : 1 << low] = state.amplitudes
+        state = PureState(q, amps)
+        del amps  # the state holds its own copy
+    for offset, key in zip(layout.offsets[1:], layout.keys[1:]):
+        state = prsgen.apply_to_register(gens[key], state, offset)
+    if layout.final_layer:
+        state = corelin.apply_layer(state, prsgen.fourier_layer(first.kind, range(q)))
     return state
 
 
@@ -188,8 +190,7 @@ def closed_form_construction1(
     simulation; used as an oracle against `evaluate`.
     """
     layout(Source("construction1"), n, i)  # rejects i outside 1 <= i < n
-    if f.range_modulus != 2:
-        raise ValueError("closed form is defined for sign phases (modulus 2)")
+    PrsGenerator(PrsKind.BINARY_PHASE, n, f)  # rejects f of another width or modulus
     q = n + i
     check_complex_array(1 << q, f"state on {q} qubits")
     amps = np.zeros(1 << q)

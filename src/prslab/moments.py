@@ -227,15 +227,12 @@ def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     rows with their previous fold and their conjugate) and what wrapping
     the normalized accumulator in a DensityOperator holds, plus 512 KiB of
     numpy ufunc buffers and Python objects.  The evaluation holds the
-    chunk's tables, stacked and copied into batch functions, and copies of
-    its member rows: 3 for one block with no final layer (the prepared
-    rows, a temporary of their phases and the state's copy), 5 for a
-    circuit (a block's input state, a layer's result and the next state's
-    copy of it, the hadamard transform's intermediate and the phase
-    multiply's result).  An exhaustive space also holds the block of
-    tables `boolfn.enumerate_all` is yielding from and, for more than one
-    draw, the block the other draws' tables were listed from and, for the
-    whole run, the list of their tuples (48 bytes and 8 per draw each).
+    chunk's tables, stacked and copied into batch functions, and what
+    `expand.evaluate` holds for the chunk.  An exhaustive space also holds
+    the block of tables `boolfn.enumerate_all` is yielding from and, for
+    more than one draw, the block the other draws' tables were listed from
+    and, for the whole run, the list of their tuples (48 bytes and 8 per
+    draw each).
     Entries are complex128 for the general kind and float64 for sign
     phases; table entries are int64."""
     layout = spec.layout
@@ -251,8 +248,7 @@ def _bruteforce_peak_entries(spec: MomentSpec) -> int:
         block = min(count, boolfn._DECODE_ROWS) << spec.n
         tables += block // 2 * min(2, layout.draws)
         tails = count ** (layout.draws - 1) * (layout.draws + 6) // 2
-    copies = 3 if len(layout.offsets) == 1 and not layout.final_layer else 5
-    evaluation = tables + copies * rows * local_dim // per_unit
+    evaluation = tables + expand._evaluation_peak_entries(layout, rows, complex_)
     accumulation = (dim * dim + rows * (local_dim + 2 * dim + dim // local_dim)) // per_unit
     build = corelin._operator_build_entries(dim, complex_)
     return dim * dim // per_unit + tails + max(evaluation, accumulation, build) + (1 << 15)

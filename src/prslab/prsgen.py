@@ -80,15 +80,6 @@ def apply_to_register(gen: PrsGenerator, state: PureState, offset: int) -> PureS
     return corelin.apply_layer(state, phase_layer(gen, targets))
 
 
-def apply_to_state(gen: PrsGenerator, state: PureState) -> PureState:
-    """Generator unitary on a full register of exactly n qubits."""
-    if state.num_qubits != gen.n:
-        raise corelin.RegisterError(
-            f"generator acts on {gen.n} qubits, state has {state.num_qubits}"
-        )
-    return apply_to_register(gen, state, 0)
-
-
 def phase_shift_family(kind: PrsKind, n: int) -> UnitaryLayer:
     """The key-independent diagonal unitaries U_x relating outputs on |x> and
     on |0>, for every x at once: one phase layer on qubits 0..n-1 whose table

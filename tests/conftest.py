@@ -29,6 +29,15 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> PureState:
     return PureState(num_qubits, v / np.linalg.norm(v))
 
 
+def basis_state(num_qubits: int, index: int) -> PureState:
+    """The float64 basis state |index> on `num_qubits` qubits."""
+    if not 0 <= index < (1 << num_qubits):
+        raise RegisterError(f"basis index {index} out of range for {num_qubits} qubits")
+    amps = np.zeros(1 << num_qubits)
+    amps[index] = 1.0
+    return PureState(num_qubits, amps)
+
+
 def register_permutation_operator(local_dim: int, copies: int, perm) -> np.ndarray:
     """Operator permuting tensor factors: |a_1..a_t> -> |a_{perm(1)}..a_{perm(t)}>.
 

@@ -19,7 +19,7 @@ from prslab.condcheck import (
 )
 from prslab.prsgen import PrsGenerator, PrsKind
 
-from conftest import measured_peak
+from conftest import basis_state, measured_peak
 
 
 def binary_factory(n):
@@ -105,11 +105,11 @@ class TestValidationAndReports:
     @pytest.mark.parametrize("make_u", [
         lambda modulus, table: corelin.phase_diagonal_layer((0, 1), modulus, table[:3]),
         lambda modulus, table: corelin.phase_diagonal_layer((0, 1), modulus, table[1]),
-        lambda modulus, table: corelin.phase_diagonal_layer((1, 0), modulus, table),
+        lambda modulus, table: corelin.phase_diagonal_layer((1, 2), modulus, table),
         lambda modulus, table: corelin.phase_diagonal_layer((0, 1, 2), modulus,
                                                             np.zeros((4, 8), dtype=int)),
         lambda modulus, table: corelin.qft_layer((0, 1)),
-    ], ids=["missing-row", "one-row", "target-order", "target-width", "not-a-phase-layer"])
+    ], ids=["missing-row", "one-row", "target-offset", "target-width", "not-a-phase-layer"])
     def test_family_must_be_one_phase_row_per_label(self, make_u):
         good = binary_phase_witness(2)
         with pytest.raises(ValueError, match=r"u must be a phase layer on qubits 0\.\.1 "
@@ -151,7 +151,7 @@ def reference_cond1(gen_factory, witness, n, functions):
         gen = gen_factory(f)
         base = prsgen.prepare(gen)
         for x in range(1 << n):
-            lhs = prsgen.apply_to_state(gen, corelin.basis_state(n, x))
+            lhs = prsgen.apply_to_register(gen, basis_state(n, x), 0)
             rhs = corelin.apply_layer(base, u_x(witness, x))
             worst[x] = max(worst[x], float(np.max(np.abs(lhs.amplitudes - rhs.amplitudes))))
     return worst

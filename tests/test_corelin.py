@@ -1,8 +1,10 @@
+import itertools
 import math
 import os
 import re
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,6 @@ from prslab.corelin import (
     PureState,
     RegisterError,
     apply_layer,
-    basis_state,
     hadamard_all_layer,
     partial_trace,
     phase_diagonal_layer,
@@ -30,6 +31,7 @@ from prslab.corelin import (
 from conftest import (
     assert_matrices_close,
     assert_vectors_close,
+    basis_state,
     measured_peak,
     random_state,
     random_unitary,
@@ -79,13 +81,23 @@ class TestPureState:
 
 
 class TestUnitaryLayer:
-    def test_targets_must_be_distinct(self):
-        with pytest.raises(RegisterError):
-            hadamard_all_layer((0, 0))
+    @pytest.mark.parametrize("targets", [
+        (0, 0), (-1,), (-1, 0), (1, 0), (2, 0), (0, 2), (0, 1, 3),
+    ])
+    @pytest.mark.parametrize("make", [
+        hadamard_all_layer,
+        corelin.qft_layer,
+        lambda targets: phase_diagonal_layer(targets, 2, [0] * (1 << len(targets))),
+    ], ids=["hadamard", "qft", "phase"])
+    def test_targets_other_than_a_run_of_ascending_qubits_refused(self, make, targets):
+        with pytest.raises(RegisterError, match=re.escape(f"target qubits {targets} are not")):
+            make(targets)
 
-    def test_negative_target_rejected(self):
-        with pytest.raises(RegisterError):
-            hadamard_all_layer((-1,))
+    def test_the_empty_run_acts_as_the_identity(self, rng):
+        s = random_state(2, rng)
+        for layer in (hadamard_all_layer(()), corelin.qft_layer(()),
+                      phase_diagonal_layer((), 2, [1])):
+            assert apply_layer(s, layer) is s
 
     @pytest.mark.parametrize(
         "make, match",
@@ -132,32 +144,21 @@ class TestApplyLayer:
         assert_vectors_close(out.amplitudes, expected, 0.0)
         assert_vectors_close(out.amplitudes, [0.5, 0.5, 0.5, -0.5], 0.0)
 
-    def test_out_of_range_target_names_qubit(self):
-        with pytest.raises(RegisterError, match="qubit 5"):
-            apply_layer(basis_state(2, 0), hadamard_all_layer((5,)))
+    @pytest.mark.parametrize("targets,qubit", [((5,), 5), ((1, 2), 2), ((0, 1, 2), 2)])
+    def test_out_of_range_target_names_qubit(self, targets, qubit):
+        with pytest.raises(RegisterError, match=f"targets qubit {qubit} but the state "
+                                                r"has qubits 0\.\.1"):
+            apply_layer(basis_state(2, 0), hadamard_all_layer(targets))
 
     def test_sub_register_action(self, rng):
         # layer on qubit 1 of 2 must equal I (x) U
-        layer, u = _layer_and_reference(LayerKind.QFT, (1,), None)
+        layer, u = _layer_and_reference(LayerKind.QFT, (1,), rng)
         s = random_state(2, rng)
         out = apply_layer(s, layer)
         expected = np.kron(np.eye(2), u) @ s.amplitudes
         assert_vectors_close(out.amplitudes, expected, 1e-14)
 
-    def test_non_contiguous_targets(self, rng):
-        # targets (2, 0): operator MSB is state qubit 2, operator LSB is qubit 0;
-        # the QFT kernel is not symmetric under reversing its qubits, so the
-        # order is pinned
-        layer, u = _layer_and_reference(LayerKind.QFT, (2, 0), None)
-        bit_reversal = [0, 2, 1, 3]
-        assert not np.allclose(u, u[np.ix_(bit_reversal, bit_reversal)])
-        s = random_state(3, rng)
-        out = apply_layer(s, layer)
-        perm = register_permutation_operator(2, 3, (2, 0, 1))
-        expected = perm.T @ np.kron(u, np.eye(2)) @ perm @ s.amplitudes
-        assert_vectors_close(out.amplitudes, expected, 1e-14)
-
-    @pytest.mark.parametrize("targets", [(1, 2), (2, 0), (0, 1, 2), (1,)])
+    @pytest.mark.parametrize("targets", [(1, 2), (0, 1), (0, 1, 2), (1,)])
     def test_batch_rows_match_one_state_at_a_time(self, targets, rng):
         rows = [random_state(3, rng) for _ in range(5)]
         batch = PureState(3, [s.amplitudes for s in rows])
@@ -187,7 +188,7 @@ class TestApplyLayer:
         if kind is LayerKind.HADAMARD_ALL:
             layers = [hadamard_all_layer((0, 1, 2)), hadamard_all_layer((1,))]
         elif kind is LayerKind.QFT:
-            layers = [corelin.qft_layer((0, 1, 2)), corelin.qft_layer((0, 2))]
+            layers = [corelin.qft_layer((0, 1, 2)), corelin.qft_layer((1, 2))]
         else:
             layers = [
                 phase_diagonal_layer((0, 1), 4, rng.integers(0, 4, size=4)),
@@ -199,38 +200,51 @@ class TestApplyLayer:
             assert abs(out.norm() - 1.0) <= 1e-12
 
 
-def _layer_and_reference(kind, targets, data):
-    """A layer of `kind` on `targets` and its dense matrix, built independently."""
+def _layer_and_reference(kind, targets, rng, members=None):
+    """A layer of `kind` on `targets` and its dense matrix, built independently;
+    a phase layer with one random table row per member, and a stack of
+    matrices, when `members` is given."""
     dim = 1 << len(targets)
     if kind is LayerKind.HADAMARD_ALL:
-        return hadamard_all_layer(targets), corelin.hadamard_matrix(len(targets))
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+        return hadamard_all_layer(targets), reduce(np.kron, [h] * len(targets), np.eye(1))
     if kind is LayerKind.QFT:
         idx = np.arange(dim)
         omega = np.exp(2j * np.pi * np.outer(idx, idx) / dim)
         return corelin.qft_layer(targets), omega / math.sqrt(dim)
-    modulus = data.draw(st.integers(1, 9))
-    exps = data.draw(st.lists(st.integers(-20, 20), min_size=dim, max_size=dim))
-    diag = np.diag(np.exp(2j * np.pi * np.asarray(exps) / modulus))
-    return phase_diagonal_layer(targets, modulus, exps), diag
+    modulus = int(rng.integers(1, 10))
+    exps = rng.integers(-20, 21, size=(dim,) if members is None else (members, dim))
+    diag = np.exp(2j * np.pi * exps / modulus)
+    return phase_diagonal_layer(targets, modulus, exps), diag[..., None] * np.eye(dim)
 
 
-class TestLayerKernelProperty:
+class TestLayerOnEveryRun:
     @pytest.mark.parametrize("kind", list(LayerKind))
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_apply_matches_permuted_dense_reference(self, kind, data):
-        # P^T (M (x) I) P psi, where P brings the targets, in order, to the front
-        q = data.draw(st.integers(1, 5))
-        order = data.draw(st.permutations(range(q)))
-        w = data.draw(st.integers(1, q))
-        targets = tuple(order[:w])
-        layer, mat = _layer_and_reference(kind, targets, data)
-        rest = tuple(j for j in range(q) if j not in targets)
-        perm = register_permutation_operator(2, q, targets + rest)
-        s = random_state(q, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
-        expected = perm.T @ np.kron(mat, np.eye(1 << (q - w))) @ perm @ s.amplitudes
-        assert_vectors_close(apply_layer(s, layer).amplitudes, expected, 1e-12)
-        assert_matrices_close(corelin.materialize(layer), mat, 1e-12)
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_apply_matches_the_dense_kronecker_reference(self, kind, q, rng):
+        # every run of `width` qubits from `first` acts as
+        # I_(2^first) (x) U (x) I_(2^(q - first - width)): on one state, on
+        # every row of a batch, and row by row for a table row per member
+        states = np.array([random_state(q, rng).amplitudes for _ in range(3)])
+        for first in range(q):
+            for width in range(1, q - first + 1):
+                targets = tuple(range(first, first + width))
+
+                def padded(u):
+                    return np.kron(np.kron(np.eye(1 << first), u),
+                                   np.eye(1 << (q - first - width)))
+
+                layer, u = _layer_and_reference(kind, targets, rng)
+                assert_matrices_close(corelin.materialize(layer), u, 1e-12)
+                one = apply_layer(PureState(q, states[0]), layer).amplitudes
+                assert_vectors_close(one, padded(u) @ states[0], 1e-12)
+                batch = apply_layer(PureState(q, states), layer).amplitudes
+                assert_matrices_close(batch, states @ padded(u).T, 1e-12)
+                if kind is LayerKind.PHASE_DIAGONAL:
+                    layer, us = _layer_and_reference(kind, targets, rng, members=3)
+                    rows = apply_layer(PureState(q, states), layer).amplitudes
+                    assert_matrices_close(rows, np.einsum("kij,kj->ki", padded(us), states),
+                                          1e-12)
 
 
 class TestPartialTrace:
@@ -362,10 +376,24 @@ class TestSymmetricProjector:
     def test_is_real(self):
         assert symmetric_projector(3, 2).matrix.dtype == np.float64
 
+    @pytest.mark.parametrize("local_dim,copies", [
+        (1, 2), (2, 1), (2, 2), (3, 2), (8, 2), (2, 3), (3, 3), (4, 3), (3, 4), (2, 5),
+    ])
+    def test_is_the_permutation_average_and_the_isometry_projector(self, local_dim, copies):
+        # byte for byte the average of the t! factor permutations, and V V^T
+        # for the conftest isometry oracle V
+        proj = symmetric_projector(local_dim, copies).matrix
+        perms = list(itertools.permutations(range(copies)))
+        average = sum(register_permutation_operator(local_dim, copies, perm)
+                      for perm in perms) / len(perms)
+        assert proj.tobytes() == average.tobytes()
+        iso = symmetric_isometry(local_dim, copies)
+        assert_matrices_close(proj, iso @ iso.T, 1e-15)
+
     @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3)])
     def test_budget_estimate_covers_measured_peak(self, local_dim, copies):
         measured = measured_peak(lambda: symmetric_projector(local_dim, copies))
-        estimate = 16 * corelin._projector_peak_entries(local_dim**copies, copies)
+        estimate = 16 * corelin._projector_peak_entries(local_dim, copies)
         assert measured <= estimate <= 2 * measured
 
 

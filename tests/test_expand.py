@@ -4,12 +4,13 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from prslab import boolfn, corelin, expand, moments, prsgen
+from prslab import boolfn, budget, corelin, expand, moments, prsgen
 from prslab.boolfn import BooleanFunction
 from prslab.budget import BudgetError
+from prslab.expand import Layout
 from prslab.prsgen import PrsGenerator, PrsKind
 
-from conftest import assert_vectors_close, constant_function
+from conftest import assert_vectors_close, basis_state, constant_function, measured_peak
 
 
 F0_N2 = constant_function(2)
@@ -33,14 +34,14 @@ def t_fold_moment(states, t):
 class TestConstruction1:
     def test_layout(self):
         spec = expand.construction1(F0_N2, 2, 1)
-        assert spec.total_qubits == 3
-        assert [offset for offset, _ in spec.blocks] == [0, 1]
-        assert spec.final_layer is not None
+        assert spec.layout == Layout(2, (0, 1), (0, 0), True)
+        assert spec.layout.qubits == 3
 
     def test_blocks_share_the_function(self):
         f = BooleanFunction(2, 2, (0, 1, 0, 1))
         spec = expand.construction1(f, 2, 1)
-        assert spec.blocks[0][1].f == spec.blocks[1][1].f == f
+        (gen,) = spec.generators
+        assert gen.f is f and spec.layout.keys == (0, 0)
 
     @pytest.mark.parametrize("i", [0, 2, 3])
     def test_added_qubits_out_of_range(self, i):
@@ -56,10 +57,13 @@ class TestConstruction1:
         expected[[0, 1, 4, 5]] = 0.5
         assert_vectors_close(got.amplitudes, expected, 1e-12)
 
-    def test_general_kind_final_layer_is_fourier(self):
-        f = constant_function(2, 4)
+    def test_general_kind_final_layer_is_fourier(self, rng):
+        f = boolfn.random_function(2, 4, rng)
         spec = expand.construction1(f, 2, 1, kind=PrsKind.GENERAL_PHASE)
-        assert spec.final_layer.kind is corelin.LayerKind.QFT
+        bare = expand.evaluate(expand.circuit(replace(spec.layout, final_layer=False), (f,),
+                                              PrsKind.GENERAL_PHASE))
+        expected = corelin.apply_layer(bare, corelin.qft_layer(range(3)))
+        assert_vectors_close(expand.evaluate(spec).amplitudes, expected.amplitudes, 1e-14)
 
 
 class TestClosedForm:
@@ -81,16 +85,24 @@ class TestClosedForm:
             assert abs(state.norm() - 1.0) <= 1e-12
 
     def test_requires_sign_phases(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="binary kind needs range modulus 2, got 4"):
             expand.closed_form_construction1(constant_function(2, 4), 2, 1)
+
+    def test_refuses_a_function_of_another_width(self):
+        # as construction1 does: a 3-bit f at n = 2 would give a 3-qubit state
+        for build in (expand.construction1, expand.closed_form_construction1):
+            with pytest.raises(ValueError, match="function takes 3-bit inputs, "
+                                                 "generator is on 2 qubits"):
+                build(constant_function(3), 2, 1)
 
 
 class TestConstruction2:
     def test_layout(self):
         f1, f2, f3 = (constant_function(2) for _ in range(3))
         spec = expand.construction2(f1, f2, f3, 2)
-        assert spec.total_qubits == 4
-        assert [offset for offset, _ in spec.blocks] == [0, 2, 1]
+        assert spec.layout == Layout(2, (0, 2, 1), (0, 1, 2), True)
+        assert spec.layout.qubits == 4
+        assert [gen.f for gen in spec.generators] == [f1, f2, f3]
 
     def test_odd_width_rejected(self):
         f = constant_function(3)
@@ -114,56 +126,78 @@ class TestConstruction2:
 class TestConstruction3:
     def test_degenerate_single_block(self):
         spec = expand.construction3([F0_N2], 2)
-        assert spec.total_qubits == 2
-        assert len(spec.blocks) == 1
+        assert spec.layout == Layout(2, (0,), (0,), True)
+        assert len(spec.generators) == 1
 
     def test_three_steps_layout(self):
         fs = [constant_function(2) for _ in range(3)]
         spec = expand.construction3(fs, 2)
-        assert spec.total_qubits == 4
-        assert [offset for offset, _ in spec.blocks] == [0, 1, 2]
+        assert spec.layout == Layout(2, (0, 1, 2), (0, 1, 2), True)
+        assert spec.layout.qubits == 4
 
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
     def test_qubit_count_formula(self, n, ell):
         fs = [constant_function(n) for _ in range(ell)]
-        assert expand.construction3(fs, n).total_qubits == (n // 2) * (ell + 1)
+        assert expand.construction3(fs, n).layout.qubits == (n // 2) * (ell + 1)
 
 
 class TestEvaluate:
-    def test_empty_spec_is_all_zeros(self):
-        spec = expand.ConstructionSpec(3, ())
-        got = expand.evaluate(spec)
-        assert_vectors_close(got.amplitudes, corelin.basis_state(3, 0).amplitudes, 0.0)
-
     def test_single_full_width_block_reduces_to_prepare(self, rng):
-        from prslab import prsgen
-
         gen = binary_gen(boolfn.random_function(3, 2, rng))
-        spec = expand.ConstructionSpec(3, ((0, gen),))
+        spec = expand.ConstructionSpec(Layout(3, (0,), (0,), False), (gen,))
         assert_vectors_close(
             expand.evaluate(spec).amplitudes, prsgen.prepare(gen).amplitudes, 1e-12
         )
 
     def test_budget_error(self):
-        spec = expand.ConstructionSpec(40, ())
-        with pytest.raises(BudgetError):
+        spec = expand.ConstructionSpec(Layout(2, (38,), (0,), False), (binary_gen(F0_N2),))
+        with pytest.raises(BudgetError, match="evaluation on 40 qubits"):
             expand.evaluate(spec)
 
-    def test_block_exceeding_register_rejected(self):
-        with pytest.raises(ValueError, match="offset 1 width 2 does not fit in 2 qubits"):
-            expand.ConstructionSpec(2, ((1, binary_gen(F0_N2)),))
+    @pytest.mark.parametrize("widths", [(), (2,), (2, 3), (3, 3), (2, 2, 2)])
+    def test_spec_holds_one_generator_of_the_layout_width_per_draw(self, widths):
+        layout = Layout(2, (0, 1, 1), (1, 0, 1), True)
+        gens = tuple(binary_gen(constant_function(w)) for w in widths)
+        with pytest.raises(ValueError, match=r"the layout draws 2 generators of width 2, "
+                                             rf"got widths \[{', '.join(map(str, widths))}\]"):
+            expand.ConstructionSpec(layout, gens)
 
-    def test_mixed_block_widths_rejected(self):
-        with pytest.raises(ValueError, match=r"block widths differ: \[2, 3\]"):
-            expand.ConstructionSpec(
-                5, ((0, binary_gen(F0_N2)), (2, binary_gen(constant_function(3))))
-            )
+    # direct calls: a wide single member and 1024-member batches of every
+    # source; a plain member holds about 2.1 copies of its rows at its peak,
+    # a circuit 4.0-4.3
+    @pytest.mark.parametrize("source,n,i,ell,kind,members", [
+        ("plain", 14, None, None, PrsKind.BINARY_PHASE, None),
+        ("plain", 12, None, None, PrsKind.GENERAL_PHASE, None),
+        ("construction1", 8, 6, None, PrsKind.BINARY_PHASE, None),
+        ("construction2", 8, None, None, PrsKind.GENERAL_PHASE, None),
+        ("plain", 4, None, None, PrsKind.BINARY_PHASE, 1024),
+        ("construction1", 4, 2, None, PrsKind.BINARY_PHASE, 1024),
+        ("construction2", 4, None, None, PrsKind.GENERAL_PHASE, 1024),
+        ("construction3", 2, None, 3, PrsKind.GENERAL_PHASE, 1024),
+    ], ids=["plain-14", "general-plain-12", "c1-8-6", "general-c2-8", "plain-4-batch",
+            "c1-4-2-batch", "general-c2-4-batch", "general-c3-2-ell3-batch"])
+    def test_budget_estimate_covers_measured_peak(self, source, n, i, ell, kind, members, rng):
+        layout = expand.layout(expand.Source(source), n, i, ell)
+        m = kind.range_modulus(n)
+        shape = (1 << n,) if members is None else (members, 1 << n)
+        fns = tuple(BooleanFunction(n, m, rng.integers(0, m, size=shape))
+                    for _ in range(layout.draws))
+        spec = expand.circuit(layout, fns, kind)
+        measured = measured_peak(lambda: expand.evaluate(spec))
+        estimate = 16 * expand._evaluation_peak_entries(
+            layout, members or 1, kind is PrsKind.GENERAL_PHASE)
+        assert measured <= estimate <= 2 * measured
 
-    @pytest.mark.parametrize("offset", [-1, -2])
-    def test_negative_offset_rejected(self, offset):
-        with pytest.raises(ValueError, match=f"offset {offset} width 2 does not fit"):
-            expand.ConstructionSpec(3, ((offset, binary_gen(F0_N2)),))
+    @pytest.mark.parametrize("spec", [
+        expand.construction2(*[constant_function(8, 256)] * 3, 8, PrsKind.GENERAL_PHASE),
+        expand.construction1(BooleanFunction(4, 2, np.zeros((1024, 16), dtype=int)), 4, 2),
+    ], ids=["general-c2-8", "c1-4-2-batch"])
+    def test_refused_when_the_state_fits_but_its_evaluation_does_not(self, spec):
+        # each final state is 1 MiB at most, and its evaluation 2.5-5 MiB
+        assert expand.evaluate(spec).amplitudes.nbytes <= 1 << 20
+        with budget.limit(1), pytest.raises(BudgetError, match="evaluation on"):
+            expand.evaluate(spec)
 
 
 class TestFirstBlockPrepared:
@@ -171,25 +205,31 @@ class TestFirstBlockPrepared:
 
     @staticmethod
     def reference(spec):
-        state = corelin.basis_state(spec.total_qubits, 0)
-        for offset, gen in spec.blocks:
-            state = prsgen.apply_to_register(gen, state, offset)
-        if spec.final_layer is not None:
-            state = corelin.apply_layer(state, spec.final_layer)
+        layout = spec.layout
+        state = basis_state(layout.qubits, 0)
+        for offset, key in zip(layout.offsets, layout.keys):
+            state = prsgen.apply_to_register(spec.generators[key], state, offset)
+        if layout.final_layer:
+            kind = spec.generators[0].kind
+            state = corelin.apply_layer(state, prsgen.fourier_layer(kind, range(layout.qubits)))
         return state
 
     @pytest.mark.parametrize("kind", list(PrsKind))
-    @pytest.mark.parametrize("offsets", [(2, 0), (1,), (0, 2, 1), (2,)])
+    # a block below the register's top, a lone block at an offset, three
+    # overlapping blocks, repeated offsets, a repeated key, and a first block
+    # keyed by a later draw
+    @pytest.mark.parametrize("offsets,keys", [
+        ((2, 0), (0, 1)), ((1,), (0,)), ((0, 2, 1), (0, 1, 2)), ((1, 1), (0, 1)),
+        ((2, 0, 2), (0, 1, 0)), ((0, 0, 1), (1, 0, 1)),
+    ], ids=["below-top", "lone-offset", "three-blocks", "repeated-offset",
+            "repeated-key", "first-keyed-by-draw-1"])
     @pytest.mark.parametrize("final", [False, True])
-    def test_matches_layer_by_layer_reference(self, kind, offsets, final, rng):
-        q, n = 5, 3
+    def test_matches_layer_by_layer_reference(self, kind, offsets, keys, final, rng):
+        layout = Layout(3, offsets, keys, final)
         for _ in range(4):
-            blocks = tuple(
-                (o, PrsGenerator(kind, n, boolfn.random_function(n, kind.range_modulus(n), rng)))
-                for o in offsets
-            )
-            layer = prsgen.fourier_layer(kind, tuple(range(q))) if final else None
-            spec = expand.ConstructionSpec(q, blocks, layer)
+            fns = tuple(boolfn.random_function(3, kind.range_modulus(3), rng)
+                        for _ in range(layout.draws))
+            spec = expand.circuit(layout, fns, kind)
             assert_vectors_close(expand.evaluate(spec).amplitudes,
                                  self.reference(spec).amplitudes, 1e-15)
 
@@ -246,8 +286,8 @@ class TestCircuit:
         assert layout.draws == len(set(keys)) and layout.qubits == max(offsets) + n
         fns = tuple(boolfn.random_function(n, 2, rng) for _ in range(layout.draws))
         spec = expand.circuit(layout, fns)
-        assert [offset for offset, _ in spec.blocks] == list(offsets)
-        assert [gen.f for _, gen in spec.blocks] == [fns[key] for key in keys]
+        assert spec.layout is layout
+        assert [spec.generators[key].f for key in layout.keys] == [fns[key] for key in keys]
         for wrong in (fns[:-1], fns + fns[:1]):
             with pytest.raises(ValueError, match=f"the layout draws {layout.draws} functions "
                                                  f"per member, got {len(wrong)}"):
@@ -255,7 +295,7 @@ class TestCircuit:
 
     def test_plain_is_one_block_without_final_layer(self):
         spec = expand.circuit(expand.layout(expand.Source.PLAIN, 2), (F0_N2,))
-        assert spec == expand.ConstructionSpec(2, ((0, binary_gen(F0_N2)),))
+        assert spec == expand.ConstructionSpec(Layout(2, (0,), (0,), False), (binary_gen(F0_N2),))
 
     @pytest.mark.parametrize("source,n,i,ell", [
         (expand.Source.CONSTRUCTION1, 4, 3, None),
@@ -268,12 +308,11 @@ class TestCircuit:
         for kind in PrsKind:
             fns = (constant_function(n, kind.range_modulus(n)),) * layout.draws
             spec = expand.circuit(layout, fns, kind)
-            fourier = prsgen.fourier_layer(kind, range(spec.total_qubits))
-            assert spec.final_layer.kind is fourier.kind
-            assert spec.final_layer.target_qubits == fourier.target_qubits
-            assert spec.total_qubits == layout.qubits
             bare = expand.circuit(replace(layout, final_layer=False), fns, kind)
-            assert bare.final_layer is None and bare.blocks == spec.blocks
+            assert bare.generators == spec.generators
+            fourier = prsgen.fourier_layer(kind, range(layout.qubits))
+            expected = corelin.apply_layer(expand.evaluate(bare), fourier)
+            assert_vectors_close(expand.evaluate(spec).amplitudes, expected.amplitudes, 1e-14)
 
     # every source, and construction1 through its own entry point
     @pytest.mark.parametrize("build", [

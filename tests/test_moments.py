@@ -97,11 +97,9 @@ class TestMomentSpec:
         fns = tuple(boolfn.random_function(spec.n, 2, rng) for _ in range(layout.draws))
         moments.member_state(spec, fns)
         (construction,) = evaluated
-        assert tuple(offset for offset, _ in construction.blocks) == layout.offsets
-        assert [gen.f for _, gen in construction.blocks] == [fns[key] for key in layout.keys]
-        assert {gen.n for _, gen in construction.blocks} == {spec.n}
-        assert construction.total_qubits == layout.qubits
-        assert (construction.final_layer is not None) == layout.final_layer
+        assert construction.layout is layout
+        assert [gen.f for gen in construction.generators] == list(fns)
+        assert {gen.n for gen in construction.generators} == {spec.n}
 
     def test_plain_block_offsets_match_one_block_circuit(self, rng):
         # the plain member is prepared directly; it equals the one-block circuit
@@ -109,8 +107,8 @@ class TestMomentSpec:
         assert spec.layout == expand.Layout(3, (0,), (0,), False)
         for _ in range(8):
             f = boolfn.random_function(3, 2, rng)
-            block = (0, PrsGenerator(spec.kind, 3, f))
-            circuit = expand.evaluate(expand.ConstructionSpec(3, (block,)))
+            gen = PrsGenerator(spec.kind, 3, f)
+            circuit = expand.evaluate(expand.ConstructionSpec(spec.layout, (gen,)))
             assert_vectors_close(circuit.amplitudes,
                                  moments.member_state(spec, (f,)).amplitudes, 1e-15)
 
@@ -427,7 +425,7 @@ class TestHaarMoment:
         # normalizing frees the projector first, so the projector's own
         # budget estimate covers the whole Haar oracle
         measured = measured_peak(lambda: haar_moment(local_dim, copies))
-        estimate = 16 * corelin._projector_peak_entries(local_dim**copies, copies)
+        estimate = 16 * corelin._projector_peak_entries(local_dim, copies)
         assert measured <= estimate <= 2 * measured
 
     def test_commutes_with_tensor_power_unitary(self, rng):

@@ -5,10 +5,10 @@ import pytest
 
 from prslab import boolfn, corelin, prsgen
 from prslab.boolfn import BooleanFunction
-from prslab.corelin import PureState, basis_state
+from prslab.corelin import PureState
 from prslab.prsgen import PrsGenerator, PrsKind
 
-from conftest import assert_vectors_close, constant_function, random_state
+from conftest import assert_vectors_close, basis_state, constant_function, random_state
 
 
 def binary_gen(f: BooleanFunction) -> PrsGenerator:
@@ -55,17 +55,17 @@ class TestPrepare:
             PrsGenerator(PrsKind.BINARY_PHASE, 2, BooleanFunction(2, 4, (0, 0, 1, 1)))
 
 
-class TestApplyToState:
+class TestApplyToRegister:
     def test_zero_input_reproduces_prepare(self):
         for f in boolfn.enumerate_all(2, 2):
             gen = binary_gen(f)
-            out = prsgen.apply_to_state(gen, basis_state(2, 0))
+            out = prsgen.apply_to_register(gen, basis_state(2, 0), 0)
             assert_vectors_close(out.amplitudes, prsgen.prepare(gen).amplitudes, 1e-12)
 
     def test_basis_input_sign_pattern(self):
         # constant function, input |10>: signs (-1)^(x.y) over y
         gen = binary_gen(constant_function(2))
-        out = prsgen.apply_to_state(gen, basis_state(2, 2))
+        out = prsgen.apply_to_register(gen, basis_state(2, 2), 0)
         assert_vectors_close(out.amplitudes, np.array([1, 1, -1, -1]) / 2, 1e-12)
 
     def test_general_kind_basis_action(self, rng):
@@ -74,7 +74,7 @@ class TestApplyToState:
         f = boolfn.random_function(n, 4, rng)
         gen = PrsGenerator(PrsKind.GENERAL_PHASE, n, f)
         x = 3
-        out = prsgen.apply_to_state(gen, basis_state(n, x))
+        out = prsgen.apply_to_register(gen, basis_state(n, x), 0)
         omega = np.exp(2j * np.pi / 4)
         expected = np.array([omega ** ((f(y) + x * y) % 4) for y in range(4)]) / 2
         assert_vectors_close(out.amplitudes, expected, 1e-12)
@@ -84,15 +84,26 @@ class TestApplyToState:
         u, v = random_state(3, rng), random_state(3, rng)
         before = np.vdot(u.amplitudes, v.amplitudes)
         after = np.vdot(
-            prsgen.apply_to_state(gen, u).amplitudes,
-            prsgen.apply_to_state(gen, v).amplitudes,
+            prsgen.apply_to_register(gen, u, 0).amplitudes,
+            prsgen.apply_to_register(gen, v, 0).amplitudes,
         )
         assert abs(before - after) <= 1e-12
 
-    def test_qubit_count_mismatch(self, rng):
+    @pytest.mark.parametrize("offset", [0, 1, 2])
+    def test_acts_on_its_qubits_and_as_identity_elsewhere(self, offset, rng):
+        # the generator on qubits [offset, offset + 2) of 4 is
+        # I (x) diag((-1)^f) H (x) I
+        f = boolfn.random_function(2, 2, rng)
+        u = np.diag(np.where(f.table % 2 == 1, -1.0, 1.0)) @ corelin.hadamard_matrix(2)
+        s = random_state(4, rng)
+        out = prsgen.apply_to_register(binary_gen(f), s, offset)
+        expected = np.kron(np.kron(np.eye(1 << offset), u), np.eye(1 << (2 - offset)))
+        assert_vectors_close(out.amplitudes, expected @ s.amplitudes, 1e-14)
+
+    def test_block_beyond_the_register_names_the_qubit(self):
         gen = binary_gen(constant_function(2))
-        with pytest.raises(corelin.RegisterError):
-            prsgen.apply_to_state(gen, basis_state(3, 0))
+        with pytest.raises(corelin.RegisterError, match=r"qubit 3 but the state has qubits 0\.\.2"):
+            prsgen.apply_to_register(gen, basis_state(3, 0), 2)
 
 
 class TestPhaseShiftFamily:
@@ -134,7 +145,7 @@ class TestPhaseShiftFamily:
             copies = PureState(n, np.tile(prsgen.prepare(gen).amplitudes, (1 << n, 1)))
             via_shift = corelin.apply_layer(copies, family)
             for x in range(1 << n):
-                via_gen = prsgen.apply_to_state(gen, basis_state(n, x))
+                via_gen = prsgen.apply_to_register(gen, basis_state(n, x), 0)
                 assert_vectors_close(via_gen.amplitudes, via_shift.amplitudes[x], 1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -146,5 +157,5 @@ class TestPhaseShiftFamily:
             copies = PureState(n, np.tile(prsgen.prepare(gen).amplitudes, (1 << n, 1)))
             via_shift = corelin.apply_layer(copies, family)
             for x in range(1 << n):
-                via_gen = prsgen.apply_to_state(gen, basis_state(n, x))
+                via_gen = prsgen.apply_to_register(gen, basis_state(n, x), 0)
                 assert_vectors_close(via_gen.amplitudes, via_shift.amplitudes[x], 1e-12)
