@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import boolfn, budget, combinatorics, condcheck, expand, moments
+from . import budget, combinatorics, condcheck, expand, moments
 from .budget import BudgetError
 from .moments import ExhaustiveAllFunctions, Method, MomentSpec, PrfKeys, Source, UniformSample
 from .prsgen import PrsGenerator, PrsKind
@@ -59,29 +59,16 @@ def write_json(path: Path, payload) -> None:
 
 
 def _parse_space(text: str, seed: int | None):
+    """The function space a --space value names; the space checks its count and seed."""
     if text == "exhaustive":
         return ExhaustiveAllFunctions()
     for prefix, cls in (("prf:", PrfKeys), ("uniform:", UniformSample)):
         if text.startswith(prefix):
             digits = text[len(prefix):]
-            count = int(digits) if digits.isdecimal() else 0
-            if count < 1:
-                raise ValueError(f"the count in {text!r} must be a whole number >= 1")
             if seed is None:
                 raise ValueError(f"--seed is required for the sampled space {text!r}")
-            return cls(count, seed)
+            return cls(int(digits) if digits.isdecimal() else digits, seed)
     raise ValueError(f"unknown function space {text!r}")
-
-
-def _functions(n: int, m: int, samples: int | None, seed: int | None):
-    """An iterator over every n-bit function mod m when `samples` is None, else
-    over that many seeded draws; a missing seed is refused here, before any draw."""
-    if samples is None:
-        return boolfn.enumerate_all(n, m)
-    if seed is None:
-        raise ValueError("--seed is required when sampling functions")
-    rng = np.random.default_rng(seed)
-    return (boolfn.random_function(n, m, rng) for _ in range(samples))
 
 
 _METHODS = {
@@ -134,8 +121,10 @@ def cmd_moments(args, out_dir: Path) -> int:
 
 
 def cmd_expand_check(args, out_dir: Path) -> int:
+    space = (ExhaustiveAllFunctions() if args.samples is None
+             else UniformSample(args.samples, args.seed))
     worst, count = 0.0, 0
-    for count, f in enumerate(_functions(args.n, 2, args.samples, args.seed), 1):
+    for count, (f,) in enumerate(space.members(args.n, 2), 1):
         circuit = expand.evaluate(expand.construction1(f, args.n, args.i))
         direct = expand.closed_form_construction1(f, args.n, args.i)
         worst = max(worst, float(np.max(np.abs(circuit.amplitudes - direct.amplitudes))))
@@ -206,9 +195,9 @@ def cmd_good_census(args, out_dir: Path) -> int:
 def cmd_condition(args, out_dir: Path) -> int:
     n, kind = args.n, PrsKind(args.witness)
     witness = condcheck.phase_witness(kind, n)
-    exhaustive = kind is PrsKind.BINARY_PHASE and n <= 3
-    functions = _functions(n, kind.range_modulus(n), None if exhaustive else args.samples,
-                           args.seed)
+    space = (ExhaustiveAllFunctions() if kind is PrsKind.BINARY_PHASE and n <= 3
+             else UniformSample(args.samples, args.seed))
+    functions = (f for (f,) in space.members(n, kind.range_modulus(n)))
     report1 = condcheck.check_cond1(lambda f: PrsGenerator(kind, n, f), witness, n, functions)
     report2 = condcheck.check_cond2(witness)
     payload = {

@@ -138,11 +138,6 @@ def _is_good(ys: Sequence[int], n: int, i: int) -> bool:
     return _distinct_heads(ys, i) and not any(_clash(y, n, i) for y in ys)
 
 
-def _suffix_prefix_clash(y_j: str, n: int, i: int) -> bool:
-    """True when the (n-2i)-suffix of the bit string y_j equals its (n-2i)-prefix."""
-    return _clash(int(y_j or "0", 2), n, i)  # the empty string spells 0
-
-
 def _good_set_values(
     x_prime: Sequence[str], y: Sequence[str], n: int, i: int
 ) -> tuple[list[int], list[int]]:

@@ -20,7 +20,7 @@ import numpy as np
 from . import corelin, prsgen
 from .boolfn import BooleanFunction
 from .budget import check_complex_array
-from .corelin import LayerKind, UnitaryLayer
+from .corelin import LayerKind, PureState, UnitaryLayer
 from .prsgen import PrsGenerator, PrsKind
 
 DEVIATION_ATOL = 1e-10
@@ -113,11 +113,11 @@ GeneratorFactory = Callable[[BooleanFunction], PrsGenerator]
 
 
 def _cond1_peak_entries(dim: int) -> int:
-    """Upper estimate of `check_cond1`'s peak, in 16-byte units: the U_x
-    family, then per function the two materialized layers, their product
-    (the generator's matrix) and the compared (dim, dim) arrays, plus
-    256 KiB of numpy casting buffers and Python objects."""
-    return dim**3 + 5 * dim * dim + (1 << 14)
+    """Upper estimate of `check_cond1`'s peak, in 16-byte units: four (dim,
+    dim) complex128 arrays (the generator's matrix beside the prepared rows,
+    the family's phases and the rows they give), plus 256 KiB of numpy
+    casting buffers and Python objects."""
+    return 4 * dim * dim + (1 << 14)
 
 
 def _cond2_peak_entries(dim: int) -> int:
@@ -146,23 +146,23 @@ def check_cond1(
     """Verify gen|x> == U_x gen|0> for every sampled function and every x.
 
     Per function, one identity over all x: column x of the generator's matrix
-    (its two layers, as `prsgen.apply_to_register` applies them) equals U_x,
-    from the family materialized once per call, applied to `prsgen.prepare(gen)`.
-    Records, per label x, the worst deviation over the sample; passes iff
-    every one is within DEVIATION_ATOL.
+    (its two layers, as `prsgen.apply_to_register` applies them) equals row x
+    of the family layer applied to `prsgen.prepare(gen)` copied into one row
+    per label x, which is U_x gen|0>.  Records, per label x, the worst
+    deviation over the sample; passes iff every one is within DEVIATION_ATOL.
     """
     if n != witness.n:
         raise ValueError(f"checking {n} qubits against a witness on {witness.n}")
     dim = 1 << n
     check_complex_array(_cond1_peak_entries(dim), f"condition 1 on {n} qubits")
     targets = tuple(range(n))
-    family = corelin.materialize(witness.u)  # (dim, dim, dim): U_x for every x
     worst = None
     for f in functions:
         gen = gen_factory(f)
         gen_matrix = (corelin.materialize(prsgen.phase_layer(gen, targets))
                       @ corelin.materialize(prsgen.fourier_layer(gen.kind, targets)))
-        rhs = family @ prsgen.prepare(gen).amplitudes
+        prepared = np.broadcast_to(prsgen.prepare(gen).amplitudes, (dim, dim))
+        rhs = corelin.apply_layer(PureState(n, prepared), witness.u).amplitudes
         dev = np.abs(gen_matrix.T - rhs).max(axis=1)
         del gen_matrix, rhs  # the next function's layers need their room
         worst = dev if worst is None else np.maximum(worst, dev)

@@ -90,11 +90,6 @@ class PureState:
         """() for one state, (members,) for a batch."""
         return self.amplitudes.shape[:-1]
 
-    def norm(self):
-        """The norm of the state, or the array of the rows' norms."""
-        norms = np.linalg.norm(self.amplitudes, axis=-1)
-        return float(norms) if norms.ndim == 0 else norms
-
 
 _TILE = 64  # side of the square tiles the Hermiticity check compares
 
@@ -124,7 +119,8 @@ def _operator_build_entries(dim: int, complex_: bool = False) -> int:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian operator; with ``normalized=True`` also trace-1 and PSD-checked.
+    """Hermitian operator; with ``normalized=True`` also trace-1, with no
+    diagonal entry below EIGENVALUE_FLOOR (a necessary PSD condition).
 
     ``normalized=False`` admits unnormalized but still Hermitian operators
     (e.g. an unnormalized subspace projector).  Real input is stored as a
@@ -145,7 +141,7 @@ class DensityOperator:
             tr = complex(np.trace(mat))
             if not abs(tr - 1.0) <= HERMITIAN_ATOL:
                 raise RegisterError(f"trace {tr!r} deviates from 1 beyond {HERMITIAN_ATOL}")
-            # cheap necessary PSD condition; full spectrum via min_eigenvalue()
+            # the diagonal only: no eigensolve, which would cost O(dim^3)
             if mat.size and not float(np.min(mat.diagonal().real)) >= EIGENVALUE_FLOOR:
                 raise RegisterError("diagonal entry below PSD floor")
         object.__setattr__(self, "matrix", mat)
@@ -156,9 +152,6 @@ class DensityOperator:
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
 class LayerKind(Enum):

@@ -177,22 +177,25 @@ def evaluate(spec: ConstructionSpec) -> PureState:
     return state
 
 
-def closed_form_construction1(
-    f: BooleanFunction,
-    n: int,
-    i: int,
-    include_final_layer: bool = True,
-) -> PureState:
+def _closed_form_peak_entries(n: int, i: int) -> int:
+    """Upper estimate of `closed_form_construction1`'s peak, in 16-byte
+    units: four float64 copies of the 2^(n+i) amplitudes (the sums beside
+    the Hadamard layer's input and two intermediates), the table as a list
+    of 2^n Python ints, plus 32 KiB of Python objects."""
+    return (2 << (n + i)) + (1 << n) // 2 + (1 << 11)
+
+
+def closed_form_construction1(f: BooleanFunction, n: int, i: int) -> PureState:
     """Direct amplitude sum for the two-block overlap circuit (sign phases only).
 
     Evaluates, per output basis state |x'>|y|>, the sum over the overlap
     register x'' of (-1)^(f(x'x'') + y.(x''0^i) + f(y)) / 2^n, with no circuit
-    simulation; used as an oracle against `evaluate`.
+    simulation, then applies the final Hadamard layer; used as an oracle
+    against `evaluate`.
     """
-    layout(Source("construction1"), n, i)  # rejects i outside 1 <= i < n
-    PrsGenerator(PrsKind.BINARY_PHASE, n, f)  # rejects f of another width or modulus
+    construction1(f, n, i)  # rejects i outside 1 <= i < n and f of another width or modulus
     q = n + i
-    check_complex_array(1 << q, f"state on {q} qubits")
+    check_complex_array(_closed_form_peak_entries(n, i), f"closed form on {q} qubits")
     amps = np.zeros(1 << q)
     table = f.table.tolist()
     n_overlap = n - i
@@ -205,7 +208,4 @@ def closed_form_construction1(
                 acc += -1 if e & 1 else 1
             amps[(xp << n) | y] = acc
     state = PureState(q, amps / (1 << n))
-    if include_final_layer:
-        state = corelin.apply_layer(state, corelin.hadamard_all_layer(tuple(range(q))))
-    return state
-
+    return corelin.apply_layer(state, corelin.hadamard_all_layer(tuple(range(q))))

@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,26 +55,75 @@ class Method(Enum):
 
 @dataclass(frozen=True)
 class ExhaustiveAllFunctions:
+    """Every tuple of functions once, in table order: the exact average; seed 0."""
+
+    seed: ClassVar[int] = 0
+
     def descriptor(self) -> dict:
         return {"space": "exhaustive"}
 
+    def members(self, n: int, m: int, draws: int = 1, label: str = "prs"):
+        """Tuples of `draws` functions mod m on n bits, one per member."""
+        check_enumeration(boolfn.function_count(n, m)**draws,
+                          f"exhaustive ensemble n={n}, draws={draws}")
+        # the first draw streams; only the other draws' tables, and their tuples, are held
+        tails = (list(itertools.product(boolfn.enumerate_all(n, m), repeat=draws - 1))
+                 if draws > 1 else [()])
+        for f in boolfn.enumerate_all(n, m):
+            for tail in tails:
+                yield (f,) + tail
+
 
 @dataclass(frozen=True)
-class PrfKeys:
+class _SampledSpace:
+    """`count` members drawn from `seed`: a whole count >= 1, a whole seed in the
+    [lowest, highest) `seeds` its draw can use, and count * draws tables capped."""
+
     count: int
     seed: int
+    name: ClassVar[str]
+    seeds: ClassVar[tuple]
+
+    def __post_init__(self):
+        for what, value, (low, high) in (("count", self.count, (1, math.inf)),
+                                         ("seed", self.seed, self.seeds)):
+            if isinstance(value, bool) or not isinstance(value, int) or not low <= value < high:
+                raise ValueError(f"the {self.name} {what} must be a whole number in "
+                                 f"[{low}, {high}), got {value!r}")
 
     def descriptor(self) -> dict:
-        return {"space": "prf", "count": self.count, "seed": self.seed}
+        return {"space": self.name, "count": self.count, "seed": self.seed}
+
+    def members(self, n: int, m: int, draws: int = 1, label: str = "prs"):
+        """Tuples of `draws` functions mod m on n bits, one per member; PRF keys carry `label`."""
+        check_enumeration(self.count * draws,
+                          f"{self.name} ensemble of {self.count} members, draws={draws}")
+        yield from self._draw(n, m, draws, label)
 
 
 @dataclass(frozen=True)
-class UniformSample:
-    count: int
-    seed: int
+class PrfKeys(_SampledSpace):
+    """PRF tables under keys derived from the seed, packed into 8 signed
+    bytes, and labelled by the source."""
 
-    def descriptor(self) -> dict:
-        return {"space": "uniform", "count": self.count, "seed": self.seed}
+    name, seeds = "prf", (-(1 << 63), 1 << 63)
+
+    def _draw(self, n, m, draws, label):
+        keys = boolfn.derive_keys(self.count * draws, self.seed, label)
+        for start in range(0, len(keys), draws):
+            yield tuple(boolfn.prf_truth_table(key, n, m) for key in keys[start:start + draws])
+
+
+@dataclass(frozen=True)
+class UniformSample(_SampledSpace):
+    """Uniform tables from numpy's generator, which takes any seed >= 0."""
+
+    name, seeds = "uniform", (0, math.inf)
+
+    def _draw(self, n, m, draws, label):
+        rng = np.random.default_rng(self.seed)
+        for _ in range(self.count):
+            yield tuple(boolfn.random_function(n, m, rng) for _ in range(draws))
 
 
 FunctionSpace = ExhaustiveAllFunctions | PrfKeys | UniformSample
@@ -94,6 +145,8 @@ class MomentSpec:
     def __post_init__(self):
         if self.t < 1:
             raise ValueError(f"copy count must be >= 1, got {self.t}")
+        if not isinstance(self.function_space, FunctionSpace):
+            raise ValueError(f"unknown function space {self.function_space!r}")
         self.layout  # built here, so a bad geometry or shared key is refused at once
 
     @cached_property
@@ -101,16 +154,11 @@ class MomentSpec:
         return expand.layout(self.source, self.n, self.i, self.ell, self.shared_key)
 
     def descriptor(self) -> dict:
-        out = {"source": self.source.value, "kind": self.kind.value,
-               "n": self.n, "t": self.t}
-        if self.i is not None:
-            out["i"] = self.i
-        if self.ell is not None:
-            out["ell"] = self.ell
-        if self.shared_key:
-            out["shared_key"] = True
-        out.update(self.function_space.descriptor())
-        return out
+        """The spec's fields, leaving out an unset i or ell and a shared key that is off."""
+        out = {"source": self.source.value, "kind": self.kind.value, "n": self.n, "t": self.t,
+               "i": self.i, "ell": self.ell, "shared_key": self.shared_key or None}
+        out = {key: value for key, value in out.items() if value is not None}
+        return out | self.function_space.descriptor()
 
 
 @dataclass(frozen=True)
@@ -126,45 +174,18 @@ class MomentReport:
         if not 0.0 <= self.haar_distance <= 1.0 + 1e-12:
             raise ValueError(f"distance {self.haar_distance} outside [0, 1]")
 
-    def to_json(self, include_matrix: bool = False, canonical_runtime: bool = False) -> str:
-        payload = dict(self.spec.descriptor())
-        payload.update(
-            method=self.method.value,
-            haar_distance=self.haar_distance,
-            runtime_ms=0 if canonical_runtime else self.runtime_ms,
-            seed=self.seed,
-            dim=self.moment.dim,
-        )
-        if include_matrix:
-            payload["moment_re"] = self.moment.matrix.real.tolist()
-            payload["moment_im"] = self.moment.matrix.imag.tolist()
-        return json.dumps(payload, sort_keys=True)
+    def to_json(self, canonical_runtime: bool = False) -> str:
+        return json.dumps(self.spec.descriptor() | {
+            "method": self.method.value, "haar_distance": self.haar_distance,
+            "runtime_ms": 0 if canonical_runtime else self.runtime_ms,
+            "seed": self.seed, "dim": self.moment.dim,
+        }, sort_keys=True)
 
 
 def member_functions(spec: MomentSpec):
     """Yield one function tuple per ensemble member (one entry per draw)."""
-    n, m = spec.n, spec.kind.range_modulus(spec.n)
-    draws = spec.layout.draws
-    space = spec.function_space
-    if isinstance(space, ExhaustiveAllFunctions):
-        per_draw = boolfn.function_count(n, m)
-        check_enumeration(per_draw**draws, f"exhaustive ensemble n={n}, draws={draws}")
-        # the first draw streams; only the other draws' tables, and their tuples, are held
-        tails = (list(itertools.product(boolfn.enumerate_all(n, m), repeat=draws - 1))
-                 if draws > 1 else [()])
-        for f in boolfn.enumerate_all(n, m):
-            for tail in tails:
-                yield (f,) + tail
-    elif isinstance(space, PrfKeys):
-        keys = boolfn.derive_keys(space.count * draws, space.seed, spec.source.value)
-        for start in range(0, len(keys), draws):
-            yield tuple(boolfn.prf_truth_table(key, n, m) for key in keys[start:start + draws])
-    elif isinstance(space, UniformSample):
-        rng = np.random.default_rng(space.seed)
-        for _ in range(space.count):
-            yield tuple(boolfn.random_function(n, m, rng) for _ in range(draws))
-    else:  # pragma: no cover
-        raise TypeError(f"unknown function space {space!r}")
+    yield from spec.function_space.members(spec.n, spec.kind.range_modulus(spec.n),
+                                           spec.layout.draws, spec.source.value)
 
 
 def member_state(spec: MomentSpec, fns: tuple[BooleanFunction, ...]) -> PureState:
@@ -412,5 +433,5 @@ def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
     haar = haar_moment(local_dim, spec.t)
     distance = _haar_distance(moment, haar, local_dim, spec.t)
     runtime_ms = int(round((time.perf_counter() - start) * 1000))
-    seed = getattr(spec.function_space, "seed", 0)
-    return MomentReport(spec, method, moment, float(distance), runtime_ms, seed)
+    return MomentReport(spec, method, moment, float(distance), runtime_ms,
+                        spec.function_space.seed)

@@ -6,6 +6,7 @@ import pytest
 
 from prslab import budget, cli
 from prslab.budget import DEFAULT_BUDGET_MIB
+from prslab.moments import ExhaustiveAllFunctions
 
 from conftest import measured_peak
 
@@ -284,8 +285,29 @@ class TestVerificationCommands:
         # listed, the 65 536 functions of enumerate_all(4, 2) hold 21.5 MiB
         # (tracemalloc: 8 MiB of decoded blocks, 13.5 MiB of function
         # objects); the first draw needs one block of 1024 tables
-        measured = measured_peak(lambda: next(cli._functions(4, 2, None, None)))
+        measured = measured_peak(lambda: next(ExhaustiveAllFunctions().members(4, 2)))
         assert measured < 1 << 20
+
+    @pytest.mark.parametrize("seed,args,output", [
+        (1, ["expand-check", "--samples", "0"], "expand_check.json"),
+        (1, ["expand-check", "--samples", "-4"], "expand_check.json"),
+        (1, ["condition", "--witness", "general", "--n", "2", "--samples", "0"],
+         "condition_general.json"),
+        (1, ["moments", "--space", "prf:0"], "moments.csv"),
+        (1, ["moments", "--space", "uniform:x"], "moments.csv"),
+        (-1, ["moments", "--space", "uniform:4"], "moments.csv"),
+        (1 << 70, ["moments", "--space", "prf:4"], "moments.csv"),
+    ], ids=["expand-check-samples-0", "expand-check-samples-neg", "condition-samples-0",
+            "prf-count-0", "uniform-count-x", "uniform-seed-neg", "prf-seed-2^70"])
+    def test_bad_input_exits_2_with_one_line_and_no_output(self, tmp_path, capsys, seed, args,
+                                                           output):
+        command = {"expand-check": ["--n", "3", "--i", "1"],
+                   "moments": ["--source", "plain", "--n", "2", "--t", "1",
+                               "--method", "montecarlo"]}.get(args[0], [])
+        assert run(["--seed", seed, "--out-dir", tmp_path] + args + command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert not (tmp_path / output).exists()
 
     def test_budget_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PRS_LAB_BUDGET_MIB", "1")

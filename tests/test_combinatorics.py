@@ -221,13 +221,13 @@ class TestGoodPredicate:
         # the t-th power, exactly
         n, i, t = 4, 1, 2
         singles = sum(
-            1 for y in cb.all_bit_strings(n) if not cb._suffix_prefix_clash(y, n, i)
+            1 for y in cb.all_bit_strings(n) if not cb._clash(int(y, 2), n, i)
         )
         assert singles == (1 << n) - (1 << (2 * i))
         tuples = sum(
             1
             for ys in itertools.product(cb.all_bit_strings(n), repeat=t)
-            if all(not cb._suffix_prefix_clash(y, n, i) for y in ys)
+            if all(not cb._clash(int(y, 2), n, i) for y in ys)
         )
         assert tuples == singles**t
 

@@ -314,7 +314,7 @@ def test_witness_refuses_to_exceed_the_budget():
 
 
 def test_checks_refuse_to_exceed_the_budget():
-    witness = binary_phase_witness(7)  # U_x family: 128^3 entries, 32 MiB
+    witness = binary_phase_witness(7)  # four 128 x 128 complex arrays: 1 MiB
     with pytest.raises(BudgetError, match="condition 1 on 7 qubits"), budget.limit(1):
         check_cond1(binary_factory(7), witness, 7, [])
     wide = binary_phase_witness(9)

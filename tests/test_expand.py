@@ -69,20 +69,38 @@ class TestConstruction1:
 class TestClosedForm:
     def test_matches_circuit_for_all_functions_small(self):
         for n, i in ((2, 1), (3, 1), (3, 2)):
+            undo_final_layer = corelin.hadamard_all_layer(range(n + i))  # H is its own inverse
             for f in boolfn.enumerate_all(n, 2):
-                for final in (False, True):
-                    circuit = expand.evaluate(
-                        expand.construction1(f, n, i) if final
-                        else without_final_layer(expand.Source.CONSTRUCTION1, (f,), n, i)
-                    )
-                    direct = expand.closed_form_construction1(f, n, i, include_final_layer=final)
-                    assert_vectors_close(circuit.amplitudes, direct.amplitudes, 1e-12)
+                direct = expand.closed_form_construction1(f, n, i)
+                circuit = expand.evaluate(expand.construction1(f, n, i))
+                assert_vectors_close(circuit.amplitudes, direct.amplitudes, 1e-12)
+                bare = expand.evaluate(
+                    without_final_layer(expand.Source.CONSTRUCTION1, (f,), n, i))
+                assert_vectors_close(bare.amplitudes,
+                                     corelin.apply_layer(direct, undo_final_layer).amplitudes,
+                                     1e-12)
 
     def test_norm_one_for_random_functions(self, rng):
         for _ in range(100):
             f = boolfn.random_function(4, 2, rng)
             state = expand.closed_form_construction1(f, 4, 2)
-            assert abs(state.norm() - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
+
+    # the float64 sums, their scaled copy, the state's copy and the Hadamard
+    # layer's copies: about 4.0-4.5 copies of the amplitudes at the peak
+    @pytest.mark.parametrize("n,i", [(6, 4), (7, 5), (8, 6)])
+    def test_budget_estimate_covers_measured_peak(self, n, i, rng):
+        f = boolfn.random_function(n, 2, rng)
+        measured = measured_peak(lambda: expand.closed_form_construction1(f, n, i))
+        estimate = 16 * expand._closed_form_peak_entries(n, i)
+        assert measured <= estimate <= 2 * measured
+
+    def test_refused_when_the_state_fits_but_its_peak_does_not(self):
+        # the 16-qubit state is 512 KiB of float64, its peak about 2 MiB
+        state = expand.closed_form_construction1(constant_function(9), 9, 7)
+        assert state.amplitudes.nbytes <= 1 << 20
+        with budget.limit(1), pytest.raises(BudgetError, match="closed form on 16 qubits"):
+            expand.closed_form_construction1(constant_function(9), 9, 7)
 
     def test_requires_sign_phases(self):
         with pytest.raises(ValueError, match="binary kind needs range modulus 2, got 4"):

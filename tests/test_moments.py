@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from functools import cache, reduce
@@ -111,6 +112,140 @@ class TestMomentSpec:
             circuit = expand.evaluate(expand.ConstructionSpec(spec.layout, (gen,)))
             assert_vectors_close(circuit.amplitudes,
                                  moments.member_state(spec, (f,)).amplitudes, 1e-15)
+
+
+# (source, n, i, ell, shared_key) of each pinned point, one to three draws per member
+STREAM_POINTS = {
+    "plain-2": (Source.PLAIN, 2, None, None, False),
+    "plain-3": (Source.PLAIN, 3, None, None, False),
+    "c1-2-1": (Source.CONSTRUCTION1, 2, 1, None, False),
+    "c3-2-ell2": (Source.CONSTRUCTION3, 2, None, 2, False),
+    "c2-2": (Source.CONSTRUCTION2, 2, None, None, False),
+    "c2-2-shared": (Source.CONSTRUCTION2, 2, None, None, True),
+}
+STREAM_SPACES = {
+    "exhaustive": ExhaustiveAllFunctions(), "prf:64@7": PrfKeys(64, 7),
+    "prf:64@-3": PrfKeys(64, -3), "uniform:64@7": UniformSample(64, 7),
+    "uniform:64@2^70": UniformSample(64, 2**70),
+}
+# sha256 (first 16 hex digits) of the shape and the little-endian int64
+# tables of the first 4096 members of each point, kind and space; an
+# exhaustive space of more than 2^20 members is left out, as the enumeration
+# cap refuses it.  A uniform space ignores the source, so some digests repeat
+STREAM_DIGESTS = {
+    "plain-2 binary exhaustive": "3f95e2f99fbd2ed2",
+    "plain-2 binary prf:64@7": "a0e29dc79e9f3a33",
+    "plain-2 binary prf:64@-3": "04ad76fd8aa4ee7d",
+    "plain-2 binary uniform:64@7": "83f39beccfd1e6c6",
+    "plain-2 binary uniform:64@2^70": "007b91b8eee3b956",
+    "plain-2 general exhaustive": "8c4546a654e40876",
+    "plain-2 general prf:64@7": "1450976d794bb8a8",
+    "plain-2 general prf:64@-3": "5b23d22b9749d824",
+    "plain-2 general uniform:64@7": "c82fd5afb65b5743",
+    "plain-2 general uniform:64@2^70": "7a98b88a094f969f",
+    "plain-3 binary exhaustive": "8e48bab0e8025103",
+    "plain-3 binary prf:64@7": "c04a7c76084d818f",
+    "plain-3 binary prf:64@-3": "cd2db5fb755e0e05",
+    "plain-3 binary uniform:64@7": "f4c3938ef87dd596",
+    "plain-3 binary uniform:64@2^70": "f19d3983a7548acf",
+    "plain-3 general prf:64@7": "049c9cd93fd61a47",
+    "plain-3 general prf:64@-3": "f657a88099b3ef2c",
+    "plain-3 general uniform:64@7": "0ce07db90c27a3b0",
+    "plain-3 general uniform:64@2^70": "3fd85188de903531",
+    "c1-2-1 binary exhaustive": "3f95e2f99fbd2ed2",
+    "c1-2-1 binary prf:64@7": "359ff49317090b2a",
+    "c1-2-1 binary prf:64@-3": "927008cf1a3d5662",
+    "c1-2-1 binary uniform:64@7": "83f39beccfd1e6c6",
+    "c1-2-1 binary uniform:64@2^70": "007b91b8eee3b956",
+    "c1-2-1 general exhaustive": "8c4546a654e40876",
+    "c1-2-1 general prf:64@7": "624e93cb73b4bd47",
+    "c1-2-1 general prf:64@-3": "2afb717eab82d6ad",
+    "c1-2-1 general uniform:64@7": "c82fd5afb65b5743",
+    "c1-2-1 general uniform:64@2^70": "7a98b88a094f969f",
+    "c3-2-ell2 binary exhaustive": "18f4b4d059bb3517",
+    "c3-2-ell2 binary prf:64@7": "6ac590dc7cf742f7",
+    "c3-2-ell2 binary prf:64@-3": "99bc388f863fca56",
+    "c3-2-ell2 binary uniform:64@7": "3990afd107d8200a",
+    "c3-2-ell2 binary uniform:64@2^70": "3ab458a294d58da6",
+    "c3-2-ell2 general exhaustive": "635666b01f15a5c3",
+    "c3-2-ell2 general prf:64@7": "d9f06127d87c3fc3",
+    "c3-2-ell2 general prf:64@-3": "4b14d427db669b7a",
+    "c3-2-ell2 general uniform:64@7": "8c8c393c74d27b88",
+    "c3-2-ell2 general uniform:64@2^70": "3fa2a01f105a2f81",
+    "c2-2 binary exhaustive": "845135980986f627",
+    "c2-2 binary prf:64@7": "63840952e37d9b56",
+    "c2-2 binary prf:64@-3": "004ccbdef4a3ac17",
+    "c2-2 binary uniform:64@7": "b0a2d4e998ad1d97",
+    "c2-2 binary uniform:64@2^70": "d15573aa658d770f",
+    "c2-2 general prf:64@7": "286ab3cdf7ff8973",
+    "c2-2 general prf:64@-3": "b551b9fd14e1ac84",
+    "c2-2 general uniform:64@7": "d6806c9c3a86f94b",
+    "c2-2 general uniform:64@2^70": "8ec31dd460d5c9ca",
+    "c2-2-shared binary exhaustive": "3f95e2f99fbd2ed2",
+    "c2-2-shared binary prf:64@7": "441f4bd7321a96e0",
+    "c2-2-shared binary prf:64@-3": "94351ec13a08b737",
+    "c2-2-shared binary uniform:64@7": "83f39beccfd1e6c6",
+    "c2-2-shared binary uniform:64@2^70": "007b91b8eee3b956",
+    "c2-2-shared general exhaustive": "8c4546a654e40876",
+    "c2-2-shared general prf:64@7": "5bf072ebf31a4cf0",
+    "c2-2-shared general prf:64@-3": "3a1a588925788bc8",
+    "c2-2-shared general uniform:64@7": "c82fd5afb65b5743",
+    "c2-2-shared general uniform:64@2^70": "7a98b88a094f969f",
+}
+
+
+class TestFunctionSpaces:
+    @pytest.mark.parametrize("case", sorted(STREAM_DIGESTS))
+    def test_member_streams_are_pinned(self, case):
+        point, kind, space = case.split()
+        source, n, i, ell, shared = STREAM_POINTS[point]
+        spec = MomentSpec(source, n=n, t=1, kind=PrsKind(kind), i=i, ell=ell, shared_key=shared,
+                          function_space=STREAM_SPACES[space])
+        members = list(itertools.islice(moments.member_functions(spec), 4096))
+        tables = np.array([[f.table for f in fns] for fns in members], dtype="<i8")
+        digest = hashlib.sha256(repr(tables.shape).encode() + tables.tobytes()).hexdigest()
+        assert digest[:16] == STREAM_DIGESTS[case]
+
+    @pytest.mark.parametrize("cls", [PrfKeys, UniformSample])
+    @pytest.mark.parametrize("count", [None, True, 2.5, 0, -3])
+    def test_sampled_space_refuses_a_count_that_is_not_a_whole_number_from_1(self, cls, count):
+        with pytest.raises(ValueError, match=rf"count must be a whole number in \[1, inf\), "
+                                             rf"got {count}"):
+            cls(count, 1)
+
+    @pytest.mark.parametrize("cls,seed", [
+        *((cls, seed) for cls in (PrfKeys, UniformSample) for seed in (None, True, 1.5)),
+        (PrfKeys, 1 << 63), (PrfKeys, -(1 << 63) - 1), (UniformSample, -1),
+    ])
+    def test_sampled_space_refuses_a_seed_its_draw_cannot_use(self, cls, seed):
+        with pytest.raises(ValueError, match=rf"{cls.name} seed must be a whole number"):
+            cls(4, seed)
+
+    @pytest.mark.parametrize("space", [
+        PrfKeys(1, -(1 << 63)), PrfKeys(1, (1 << 63) - 1),
+        UniformSample(1, 0), UniformSample(1, 1 << 70),
+    ], ids=repr)
+    def test_seed_range_ends_draw(self, space):
+        (fns,) = space.members(2, 2)
+        assert len(fns) == 1
+
+    def test_moment_spec_refuses_a_space_that_is_not_one(self):
+        with pytest.raises(ValueError, match="unknown function space .exhaustive."):
+            MomentSpec(Source.PLAIN, n=2, t=1, function_space="exhaustive")
+
+    @pytest.mark.parametrize("cls", [PrfKeys, UniformSample])
+    @pytest.mark.parametrize("source,count", [
+        (Source.PLAIN, budget.DEFAULT_ENUMERATION_LIMIT + 1),
+        (Source.CONSTRUCTION2, budget.DEFAULT_ENUMERATION_LIMIT // 3 + 1),  # three draws each
+    ])
+    def test_sampled_members_share_the_enumeration_cap(self, cls, source, count):
+        spec = MomentSpec(source, n=2, t=1, function_space=cls(count, 1))
+        with pytest.raises(BudgetError, match=f"{cls.name} ensemble of {count} members"):
+            next(moments.member_functions(spec))
+
+    def test_exhaustive_space_reports_seed_0(self):
+        assert ExhaustiveAllFunctions().seed == 0
+        assert compare_to_haar(plain(1, 1), Method.BRUTE_FORCE).seed == 0
 
 
 # every source at small sizes; the multi-block ones with and without a shared key
@@ -473,23 +608,23 @@ class TestCompareToHaar:
 
     def test_report_json_shape(self):
         report = compare_to_haar(c1(2, 1, 1), Method.DELTA_PAIRING)
-        payload = json.loads(report.to_json(include_matrix=True))
+        payload = json.loads(report.to_json())
         assert payload["source"] == "construction1"
         assert payload["dim"] == 8
-        assert len(payload["moment_re"]) == 8
-
+        assert report.moment.matrix.shape == (8, 8)
 
     def test_real_moment_json_keeps_its_keys_and_reruns_byte_identical(self):
         for method in (Method.DELTA_PAIRING, Method.BRUTE_FORCE):
-            runs = [compare_to_haar(c1(2, 1, 2), method)
-                    .to_json(include_matrix=True, canonical_runtime=True) for _ in range(2)]
+            reports = [compare_to_haar(c1(2, 1, 2), method) for _ in range(2)]
+            runs = [report.to_json(canonical_runtime=True) for report in reports]
             assert runs[0] == runs[1]
-            payload = json.loads(runs[0])
-            assert set(payload) == {
+            assert reports[0].moment.matrix.tobytes() == reports[1].moment.matrix.tobytes()
+            assert set(json.loads(runs[0])) == {
                 "source", "kind", "n", "i", "t", "space", "method", "haar_distance",
-                "runtime_ms", "seed", "dim", "moment_re", "moment_im",
+                "runtime_ms", "seed", "dim",
             }
-            assert payload["moment_im"] == [[0.0] * 64] * 64
+            matrix = reports[0].moment.matrix
+            assert matrix.shape == (64, 64) and matrix.dtype == np.float64
 
 
 @pytest.fixture(scope="module")

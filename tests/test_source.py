@@ -4,9 +4,11 @@ import ast
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import prslab
+from prslab import moments
 
 
 def test_no_assert_statements_in_the_package():
@@ -49,6 +51,33 @@ def test_source_members_are_read_only_in_expand_layout():
             if (member or compared) and id(node) not in inside_layout:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert inside_layout, "expand.layout not found"
+    assert offenders == []
+
+
+SAMPLERS = {"enumerate_all", "random_function", "prf_truth_table", "derive_keys", "default_rng"}
+
+
+def test_members_are_drawn_only_by_the_function_spaces():
+    # one sampler: outside boolfn, only the function-space classes (the
+    # FunctionSpace members and their bases) name a function that enumerates
+    # or draws tables, so no command or route grows a second way to draw them
+    space_classes = {cls.__name__ for space in typing.get_args(moments.FunctionSpace)
+                     for cls in space.__mro__}
+    modules = sorted(Path(prslab.__file__).parent.rglob("*.py"))
+    allowed, offenders = set(), []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path.name == "moments.py":
+            classes = [node for node in tree.body
+                       if isinstance(node, ast.ClassDef) and node.name in space_classes]
+            allowed = {id(node) for cls in classes for node in ast.walk(cls)}
+        if path.name == "boolfn.py":
+            continue
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if (isinstance(node, ast.Name) and node.id in SAMPLERS
+                          or isinstance(node, ast.Attribute) and node.attr in SAMPLERS)
+                      and id(node) not in allowed]
+    assert allowed, "the function-space classes were not found in moments.py"
     assert offenders == []
 
 
