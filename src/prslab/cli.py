@@ -194,6 +194,8 @@ def cmd_good_census(args, out_dir: Path) -> int:
 
 def cmd_condition(args, out_dir: Path) -> int:
     n, kind = args.n, PrsKind(args.witness)
+    if args.samples < 1:  # refused on the enumerated path too, which draws no samples
+        raise ValueError(f"--samples must be a whole number >= 1, got {args.samples}")
     witness = condcheck.phase_witness(kind, n)
     space = (ExhaustiveAllFunctions() if kind is PrsKind.BINARY_PHASE and n <= 3
              else UniformSample(args.samples, args.seed))

@@ -6,8 +6,9 @@ the symmetric projector never carry an imaginary part.  Each is wrapped in a
 thin validating container.  A circuit layer is one of three kinds, the
 halves of a phase-state generator: all-Hadamard, the Fourier kernel, or a
 phase diagonal.  The compression of an operator to the symmetric subspace
-is an index gather on its matrix; no isometry is built.  Everything here is
-a pure function on immutable inputs, so values can be shared freely across
+is an index gather on its matrix; no isometry is built.  Everything here
+but `hadamard_conjugate`, which works in place on its caller's array, is a
+pure function on immutable inputs, so values can be shared freely across
 threads.
 
 Convention used throughout the package: qubit 0 is the *most significant* bit
@@ -42,12 +43,19 @@ def _real_or_complex(arr: np.ndarray) -> type:
 
 
 def _frozen_copy(values: Any, dtype: type | None = None) -> np.ndarray:
-    """Read-only C-ordered copy of `values` in `dtype`, by default the one
+    """`values` as a read-only C-ordered array in `dtype`, by default the one
     `_real_or_complex` picks: the one coercion of both containers and of the
-    phase tables."""
+    phase tables.  An array that is already read-only, owns its data, is
+    C-contiguous and has that dtype is taken as it is, so code that builds a
+    large array freezes it and hands it over without a second copy; anything
+    else is copied, so a caller's writable array or a view of one cannot
+    change a container."""
     arr = np.asarray(values)
-    arr = arr.astype(dtype or _real_or_complex(arr), order="C", copy=True)
-    arr.setflags(write=False)
+    dtype = dtype or _real_or_complex(arr)
+    flags = arr.flags
+    if flags.writeable or not flags.owndata or not flags.c_contiguous or arr.dtype != dtype:
+        arr = arr.astype(dtype, order="C", copy=True)
+        arr.setflags(write=False)
     return arr
 
 
@@ -63,7 +71,7 @@ class PureState:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes)
-        amps = _frozen_copy(amps if amps.ndim == 2 else amps.reshape(-1))
+        amps = _frozen_copy(amps if amps.ndim in (1, 2) else amps.reshape(-1))
         object.__setattr__(self, "amplitudes", amps)
         if self.num_qubits < 0:
             raise RegisterError(f"negative qubit count {self.num_qubits}")
@@ -108,13 +116,13 @@ def _hermitian_deviation(mat: np.ndarray) -> float:
 
 
 def _operator_build_entries(dim: int, complex_: bool = False) -> int:
-    """16-byte units that building a dim x dim DensityOperator holds besides
-    its input: the float64 (or complex128) copy and, for one Hermiticity tile
-    pair, the conjugate copy (complex only), the difference, its absolute
-    value and numpy's ufunc buffer for the strided tiles: at most 4 (real)
-    or 5 (complex) tile-sized arrays."""
+    """16-byte units that wrapping a frozen dim x dim array in a
+    DensityOperator holds besides it, which it adopts without a copy: for
+    one Hermiticity tile pair, the conjugate copy (complex only), the
+    difference, its absolute value and numpy's ufunc buffer for the strided
+    tiles, at most 4 (real) or 5 (complex) tile-sized arrays."""
     tile = min(dim, _TILE) ** 2
-    return dim * dim + 5 * tile if complex_ else dim * dim // 2 + 2 * tile
+    return 5 * tile if complex_ else 2 * tile
 
 
 @dataclass(frozen=True)
@@ -124,7 +132,8 @@ class DensityOperator:
 
     ``normalized=False`` admits unnormalized but still Hermitian operators
     (e.g. an unnormalized subspace projector).  Real input is stored as a
-    float64 (real symmetric) matrix, anything else as complex128.
+    float64 (real symmetric) matrix, anything else as complex128; a frozen
+    array of that dtype is adopted, any other input copied (`_frozen_copy`).
     """
 
     matrix: np.ndarray
@@ -313,9 +322,9 @@ def symmetric_subspace_dimension(local_dim: int, copies: int) -> int:
 
 def _projector_peak_entries(local_dim: int, copies: int) -> int:
     """Upper estimate of `symmetric_projector`'s peak, in 16-byte units: the
-    float64 matrix, what wrapping it in a DensityOperator holds, the class
-    arrays and 256 KiB of Python objects and of the buffers numpy iterates
-    the broadcast (t!, t!, D) index arrays with."""
+    float64 matrix, what wrapping it in a DensityOperator holds besides it,
+    the class arrays and 256 KiB of Python objects and of the buffers numpy
+    iterates the broadcast (t!, t!, D) index arrays with."""
     dim = local_dim**copies
     return (dim * dim // 2 + _operator_build_entries(dim)
             + _classes_peak_entries(local_dim, copies) + (1 << 14))
@@ -336,6 +345,7 @@ def symmetric_projector(local_dim: int, copies: int) -> DensityOperator:
     labels, sizes = _symmetric_classes(local_dim, copies)
     proj = np.zeros((dim, dim), dtype=np.float64)
     proj[labels[:, None, :], labels[None, :, :]] = 1.0 / sizes
+    proj.setflags(write=False)  # handed over to the operator, not copied
     return DensityOperator(proj, normalized=False)
 
 
@@ -379,8 +389,8 @@ def _compression_peak_entries(local_dim: int, copies: int, complex_: bool = Fals
     """Upper estimate of `symmetric_compression`'s peak besides its input, in
     16-byte units: the larger of a gather step (the D x D result, one block
     of gathered rows and its running sum, one gathered column block) and the
-    result with what wrapping it in a DensityOperator holds, plus the class
-    arrays.  Entries are complex128 for a complex operator and float64
+    result with what wrapping it in a DensityOperator holds besides it, plus
+    the class arrays.  Entries are complex128 for a complex operator and float64
     otherwise."""
     dim = local_dim**copies
     sym = symmetric_subspace_dimension(local_dim, copies)
@@ -439,7 +449,15 @@ def symmetric_compression(op: DensityOperator, local_dim: int, copies: int) -> D
             f"compressed trace differs from the operator's by {lost:.3e}: "
             f"the operator has weight outside the symmetric subspace"
         )
+    compressed.setflags(write=False)
     return DensityOperator(compressed, normalized=op.normalized)
+
+
+def _factor_widths(m: int) -> list[int]:
+    """The widths w of the H^{(x) w} factors of H^{(x) m}, most significant
+    bits first: at most _MAX_FACTOR_BITS each and as equal as possible."""
+    parts = max(1, -(-m // _MAX_FACTOR_BITS))
+    return [m // parts + (k < m % parts) for k in range(parts)]
 
 
 def hadamard_transform(arr: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -456,13 +474,10 @@ def hadamard_transform(arr: np.ndarray, axis: int = 0) -> np.ndarray:
     if n == 0 or n & (n - 1):
         raise RegisterError(f"axis length {n} is not a power of two")
     axis %= x.ndim
-    m = n.bit_length() - 1
-    parts = max(1, -(-m // _MAX_FACTOR_BITS))
     lead, cols = math.prod(x.shape[:axis]), math.prod(x.shape[axis + 1:])
     out = x.astype(_real_or_complex(x), copy=False)
     done = 0
-    for k in range(parts):
-        w = m // parts + (k < m % parts)
+    for w in _factor_widths(n.bit_length() - 1):
         trail = (n >> (done + w)) * cols
         block = out.reshape(lead, 1 << done, 1 << w, trail)
         if trail == 1:  # H is symmetric: one (rows, 2^w) @ H, not a gemv per row
@@ -473,12 +488,43 @@ def hadamard_transform(arr: np.ndarray, axis: int = 0) -> np.ndarray:
     return out.reshape(x.shape)
 
 
+_CONJUGATE_BYTES = 1 << 20  # the rows or columns one conjugation step transforms
+
+
+def _conjugation_peak_entries(dim: int) -> int:
+    """What `hadamard_conjugate` holds besides a float64 dim x dim matrix,
+    in 16-byte units: the Walsh transform's two copies of one block of rows,
+    more than each later slab of columns needs."""
+    return min(dim, max(1, _CONJUGATE_BYTES // (dim * 8))) * dim
+
+
 def hadamard_conjugate(matrix: np.ndarray) -> np.ndarray:
-    """Conjugate a square matrix by H^{(x) m}: H M H as one Walsh transform
-    of the flattened matrix, since H is real symmetric and so (H (x) H)
-    maps vec(M) to vec(H M H) in row- and in column-major order alike.
-    Flattening in the matrix's own memory order copies nothing; real input
-    stays float64."""
-    mat = np.asarray(matrix)
-    order = "F" if np.isfortran(mat) else "C"
-    return hadamard_transform(mat.ravel(order)).reshape(mat.shape, order=order)
+    """Conjugate a square float64 or complex128 matrix by H^{(x) m} in place
+    and return the same buffer, holding besides it only a few temporaries of
+    about _CONJUGATE_BYTES.  First M H, one block of rows at a time.  Then
+    H (M H), one H^{(x) w} factor at a time: a factor acts on one bit field
+    of the row index, that is on the 2^w rows of each value of the higher
+    bits, as one matrix product per slab of their columns.  A Fortran-ordered
+    matrix is conjugated through its transpose, as H M^T H = (H M H)^T, so
+    the row blocks are contiguous either way.  A read-only matrix is refused."""
+    if not isinstance(matrix, np.ndarray) or not matrix.flags.writeable:
+        raise ValueError("hadamard_conjugate works in place and needs a writable array")
+    if matrix.dtype not in (np.float64, np.complex128):
+        raise ValueError(f"hadamard_conjugate needs float64 or complex128, got {matrix.dtype}")
+    mat = matrix.T if np.isfortran(matrix) else matrix
+    dim = len(mat)
+    if mat.shape != (dim, dim) or not dim or dim & (dim - 1):
+        raise RegisterError(f"expected a square matrix of power-of-two side, got {mat.shape}")
+    step = max(1, _CONJUGATE_BYTES // (dim * mat.itemsize))
+    for start in range(0, dim, step):  # H is symmetric: row r of M H is H applied to row r
+        rows = mat[start:start + step]
+        rows[...] = hadamard_transform(rows, axis=1)
+    done = 0
+    for w in _factor_widths(dim.bit_length() - 1):
+        width = max(1, _CONJUGATE_BYTES // (mat.itemsize << w))
+        for field in mat.reshape(1 << done, 1 << w, -1):
+            for start in range(0, field.shape[1], width):
+                slab = field[:, start:start + width]
+                slab[...] = _WALSH_FACTORS[w] @ slab
+        done += w
+    return matrix

@@ -16,9 +16,13 @@ the tests cross-check it by Monte Carlo averaging of random states.  Every
 ensemble moment lies in that subspace too, of dimension D = C(d+t-1, t), so
 the distance to the Haar moment is taken on the D x D compressions of the
 two operators; the dense d^t x d^t `corelin.trace_distance` is kept as the
-oracle the compressed distance is tested against.  The compression is an
-index gather (`corelin.symmetric_compression`), so the pairing route's one
-sparse product G^T G is the only code that imports scipy, and only when it runs.
+oracle the compressed distance is tested against.  `compare_to_haar` builds
+and compresses the Haar moment first and drops its d^t x d^t form before
+the route runs, and each route builds its moment in one array that it
+freezes and hands to its DensityOperator, so a comparison holds one
+d^t x d^t matrix at a time.  The compression is an index gather
+(`corelin.symmetric_compression`), so the pairing route's sparse products
+G[:, rows]^T G are the only code that imports scipy, and only when it runs.
 """
 
 from __future__ import annotations
@@ -224,6 +228,7 @@ def _average_t_fold(chunks, t: int) -> DensityOperator:
     if count == 0:
         raise ValueError("empty ensemble")
     moment /= count
+    moment.setflags(write=False)  # handed over to the operator, not copied
     return DensityOperator(moment)
 
 
@@ -241,6 +246,9 @@ def _spec_chunk_rows(spec: MomentSpec) -> int:
     return rows if isinstance(space, ExhaustiveAllFunctions) else min(rows, space.count)
 
 
+_PRF_KEY_ENTRIES = 10  # 16-byte units per listed PrfKey: about 146 bytes by tracemalloc
+
+
 def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     """Upper estimate of the brute-force route's peak, in 16-byte units: the
     d^t x d^t accumulator, then the largest of one chunk's evaluation, one
@@ -253,7 +261,8 @@ def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     the block of tables `boolfn.enumerate_all` is yielding from and, for
     more than one draw, the block the other draws' tables were listed from
     and, for the whole run, the list of their tuples (48 bytes and 8 per
-    draw each).
+    draw each); a PRF space holds its list of count * draws keys for the
+    whole run (`_PRF_KEY_ENTRIES` each).
     Entries are complex128 for the general kind and float64 for sign
     phases; table entries are int64."""
     layout = spec.layout
@@ -263,16 +272,19 @@ def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     complex_ = spec.kind is PrsKind.GENERAL_PHASE
     per_unit = 1 if complex_ else 2  # entries per 16 bytes
     tables = rows * layout.draws << spec.n  # two int64 copies: one unit each
-    tails = 0
-    if isinstance(spec.function_space, ExhaustiveAllFunctions):
+    space = spec.function_space
+    held = 0  # what the space holds for the whole run
+    if isinstance(space, ExhaustiveAllFunctions):
         count = boolfn.function_count(spec.n, spec.kind.range_modulus(spec.n))
         block = min(count, boolfn._DECODE_ROWS) << spec.n
         tables += block // 2 * min(2, layout.draws)
-        tails = count ** (layout.draws - 1) * (layout.draws + 6) // 2
+        held = count ** (layout.draws - 1) * (layout.draws + 6) // 2
+    elif isinstance(space, PrfKeys):
+        held = _PRF_KEY_ENTRIES * space.count * layout.draws
     evaluation = tables + expand._evaluation_peak_entries(layout, rows, complex_)
     accumulation = (dim * dim + rows * (local_dim + 2 * dim + dim // local_dim)) // per_unit
     build = corelin._operator_build_entries(dim, complex_)
-    return dim * dim // per_unit + tails + max(evaluation, accumulation, build) + (1 << 15)
+    return dim * dim // per_unit + held + max(evaluation, accumulation, build) + (1 << 15)
 
 
 def ensemble_moment_over_functions(spec: MomentSpec, function_tuples) -> DensityOperator:
@@ -292,19 +304,28 @@ def ensemble_moment_bruteforce(spec: MomentSpec) -> DensityOperator:
     return ensemble_moment_over_functions(spec, member_functions(spec))
 
 
+def _densify_rows(dim: int) -> int:
+    """Rows of the dim x dim pairing moment that one sparse product fills: a
+    sixteenth of them, so the product's block stays small beside the moment."""
+    return max(1, dim // 16)
+
+
 def _pairing_peak_entries(spec: MomentSpec) -> int:
     """Upper estimate of the pairing route's peak allocation, in 16-byte
-    units: at most 96 bytes per tuple while tuples are keyed and grouped,
-    then the float64 d^t x d^t moment together with the larger of the
-    Hadamard conjugation's two intermediate copies (when the layout ends
-    with the Fourier layer) and what wrapping the result in a
-    DensityOperator holds, plus 1 MiB of numpy ufunc buffers."""
+    units: the larger of at most 96 bytes per tuple while tuples are keyed
+    and grouped, and the float64 d^t x d^t moment beside the larger of
+    what filling it holds (G in csr and csc form, at most one 12-byte
+    entry per tuple each, and one block of rows as a sparse product, at
+    most 12 bytes per entry) and what the in-place Hadamard conjugation
+    holds when the layout ends with the Fourier layer, plus 1 MiB of numpy
+    ufunc buffers and of what wrapping the moment in a DensityOperator holds
+    besides it."""
     layout = spec.layout
     tuples = 1 << (spec.n * len(layout.offsets) * spec.t)
     dim = 1 << (layout.qubits * spec.t)
-    dense = dim * dim // 2
-    conjugation = 2 * dense if layout.final_layer else 0
-    return 6 * tuples + dense + max(conjugation, corelin._operator_build_entries(dim)) + (1 << 16)
+    densify = (3 * tuples + 3 * _densify_rows(dim) * dim) // 2
+    conjugation = corelin._conjugation_peak_entries(dim) if layout.final_layer else 0
+    return max(6 * tuples, dim * dim // 2 + max(densify, conjugation)) + (1 << 16)
 
 
 def ensemble_moment_deltapair(spec: MomentSpec) -> DensityOperator:
@@ -319,7 +340,7 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> DensityOperator:
     Before the final Hadamard layer (if any) the moment is G^T G / 2^(tuple
     bits), G the signed key-by-label path matrix.  Agrees with brute force up to rounding.
     """
-    # the one sparse product in prslab: imported here, so no other route loads scipy
+    # the only sparse products in prslab: imported here, so no other route loads scipy
     import scipy.sparse as sparse
 
     if spec.kind is not PrsKind.BINARY_PHASE:
@@ -335,7 +356,7 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> DensityOperator:
         )
     check_complex_array(_pairing_peak_entries(spec), "pairing route peak")
 
-    tuple_bits = n * len(layout.offsets) * t
+    tuple_bits, dim = n * len(layout.offsets) * t, 1 << (q * t)
     idx = np.arange(1 << tuple_bits, dtype=np.uint64)
     keys = np.zeros_like(idx)
     cols = np.zeros_like(idx)
@@ -356,81 +377,89 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> DensityOperator:
     _, inverse = np.unique(keys, return_inverse=True)
     groups = sparse.coo_matrix(
         (1.0 - 2.0 * (parity & 1), (inverse, cols.astype(np.int64))),
-        shape=(int(inverse.max()) + 1, 1 << (q * t)),
+        shape=(int(inverse.max()) + 1, dim),
     ).tocsr()
     del idx, keys, cols, parity, label, b, inverse  # the dense stage needs only G
 
-    matrix = (groups.T @ groups).toarray()
+    # G^T G is symmetric, so its rows r are G[:, r]^T G: one sparse product
+    # per block of rows, written straight into the rows of the C-ordered
+    # moment, and no sparse Gram of the whole moment is held beside it
+    by_label = groups.tocsc()
+    matrix = np.empty((dim, dim))
+    step = _densify_rows(dim)
+    for start in range(0, dim, step):
+        (by_label[:, start:start + step].T @ groups).toarray(out=matrix[start:start + step])
+    del groups, by_label
     matrix /= 1 << tuple_bits
     trace = float(np.trace(matrix))
     if abs(trace - 1.0) > 1e-9:
         raise AssertionError(f"pairing moment trace {trace} deviates from 1")
     if layout.final_layer:
-        matrix = corelin.hadamard_conjugate(matrix)
+        corelin.hadamard_conjugate(matrix)
+    matrix.setflags(write=False)  # handed over to the operator, not copied
     return DensityOperator(matrix)
 
 
 def haar_moment(local_dim: int, copies: int) -> DensityOperator:
     """Average t-fold projector of a Haar-random state: the normalized
-    symmetric-subspace projector."""
-    proj = corelin.symmetric_projector(local_dim, copies)
-    matrix = proj.matrix / corelin.symmetric_subspace_dimension(local_dim, copies)
-    del proj  # so the peak stays the projector's own, which its budget check covers
+    symmetric-subspace projector.  The projector's matrix is normalized in
+    place, as nothing else refers to it, so the oracle holds one d^t x d^t
+    array, the one the projector's budget check covers."""
+    matrix = corelin.symmetric_projector(local_dim, copies).matrix
+    matrix.setflags(write=True)  # the projector's operator is gone: this is the only reference
+    matrix /= corelin.symmetric_subspace_dimension(local_dim, copies)
+    matrix.setflags(write=False)
     return DensityOperator(matrix)
 
 
 def _distance_peak_entries(local_dim: int, copies: int, complex_: bool = False) -> int:
     """Upper estimate of `_haar_distance`'s peak besides its two inputs, in
-    16-byte units: the moment's compression, then the Haar moment's beside
-    the moment's D x D result, then trace_distance's difference and the
-    eigensolver's copy of it beside both results.  `complex_` is the
-    moment's dtype; the Haar moment is real."""
+    16-byte units: the moment's compression, then trace_distance's
+    difference and the eigensolver's copy of it beside the compressed
+    moment.  `complex_` is the moment's dtype; the Haar moment is real."""
     sym = corelin.symmetric_subspace_dimension(local_dim, copies)
     square = sym * sym if complex_ else sym * sym // 2
-    return max(
-        corelin._compression_peak_entries(local_dim, copies, complex_),
-        square + corelin._compression_peak_entries(local_dim, copies),
-        4 * square,
-    )
+    return max(corelin._compression_peak_entries(local_dim, copies, complex_), 3 * square)
 
 
 def _haar_distance(
     moment: DensityOperator, haar: DensityOperator, local_dim: int, copies: int
 ) -> float:
-    """Trace distance between a moment and the Haar moment, taken on their
-    D x D compressions to the symmetric subspace (the Haar moment's is I/D),
-    so the eigensolve runs at D = C(d+t-1, t), not at d^t."""
+    """Trace distance between a d^t x d^t moment and the Haar moment's D x D
+    compression to the symmetric subspace (which is I/D), taken on the
+    moment's compression, so the eigensolve runs at D = C(d+t-1, t), not at
+    d^t."""
     check_complex_array(_distance_peak_entries(local_dim, copies, np.iscomplexobj(moment.matrix)),
                         f"distance stage in Sym^{copies} of ({local_dim})^{copies}")
-    return corelin.trace_distance(
-        corelin.symmetric_compression(moment, local_dim, copies),
-        corelin.symmetric_compression(haar, local_dim, copies),
-    )
+    return corelin.trace_distance(corelin.symmetric_compression(moment, local_dim, copies), haar)
 
 
 def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
     """Compute the ensemble moment by the chosen route and its trace distance
     to the Haar moment.  Both moments lie in the symmetric subspace, so the
     distance is taken on their D x D compressions there
-    (`corelin.symmetric_compression`); the d^t x d^t `trace_distance`
-    against `haar_moment` is the oracle it is tested against.
-    Deterministic given the function-space seed."""
+    (`corelin.symmetric_compression`), the Haar moment's before the route
+    runs; the d^t x d^t `trace_distance` against `haar_moment` is the
+    oracle it is tested against.  Deterministic given the function-space
+    seed."""
     sampled = not isinstance(spec.function_space, ExhaustiveAllFunctions)
     if method is Method.MONTE_CARLO and not sampled:
         raise ValueError("monte_carlo labels sampled ensembles; space is exhaustive")
     if method is Method.BRUTE_FORCE and sampled:
         raise ValueError("brute_force labels exhaustive ensembles; use monte_carlo")
     start = time.perf_counter()
+    local_dim = 1 << spec.layout.qubits
+    # the Haar reference first: compressed to D x D and its d^t x d^t form
+    # dropped before the route builds the moment, so the two are never held
+    # together.  It compresses to I/D, but the traced benchmark
+    # (perfbench/tracer.py BASELINE_ROWS) times the `symmetric_projector` and
+    # `trace_distance` spans of this call by name; writing I/D directly waits
+    # for the benchmark change that stops reading them
+    haar = corelin.symmetric_compression(haar_moment(local_dim, spec.t), local_dim, spec.t)
     if method is Method.DELTA_PAIRING:
         moment = ensemble_moment_deltapair(spec)
     else:
         moment = ensemble_moment_bruteforce(spec)
-    local_dim = 1 << spec.layout.qubits
-    # the Haar moment compresses to I/D, but the traced benchmark
-    # (perfbench/tracer.py BASELINE_ROWS) times the `symmetric_projector` and
-    # `trace_distance` spans of this call by name; writing I/D directly waits
-    # for the benchmark change that stops reading them
-    haar = haar_moment(local_dim, spec.t)
     distance = _haar_distance(moment, haar, local_dim, spec.t)
     runtime_ms = int(round((time.perf_counter() - start) * 1000))
     return MomentReport(spec, method, moment, float(distance), runtime_ms,

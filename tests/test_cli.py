@@ -293,11 +293,16 @@ class TestVerificationCommands:
         (1, ["expand-check", "--samples", "-4"], "expand_check.json"),
         (1, ["condition", "--witness", "general", "--n", "2", "--samples", "0"],
          "condition_general.json"),
+        (1, ["condition", "--witness", "binary", "--n", "3", "--samples", "0"],
+         "condition_binary.json"),
+        (1, ["condition", "--witness", "binary", "--n", "2", "--samples", "-4"],
+         "condition_binary.json"),
         (1, ["moments", "--space", "prf:0"], "moments.csv"),
         (1, ["moments", "--space", "uniform:x"], "moments.csv"),
         (-1, ["moments", "--space", "uniform:4"], "moments.csv"),
         (1 << 70, ["moments", "--space", "prf:4"], "moments.csv"),
     ], ids=["expand-check-samples-0", "expand-check-samples-neg", "condition-samples-0",
+            "condition-binary-samples-0", "condition-binary-samples-neg",
             "prf-count-0", "uniform-count-x", "uniform-seed-neg", "prf-seed-2^70"])
     def test_bad_input_exits_2_with_one_line_and_no_output(self, tmp_path, capsys, seed, args,
                                                            output):

@@ -49,6 +49,16 @@ class TestPureState:
         with pytest.raises(RegisterError):
             PureState(1, [1.0, 1.0])
 
+    @pytest.mark.parametrize("amps", [[0.6, 0.8], [[1.0, 0.0], [0.6, 0.8]]], ids=["state", "batch"])
+    def test_adopts_a_frozen_array_and_copies_a_writable_one(self, amps):
+        frozen = np.array(amps)
+        frozen.setflags(write=False)
+        assert PureState(1, frozen).amplitudes is frozen
+        writable = np.array(amps)
+        state = PureState(1, writable)
+        writable[...] = 0.0
+        assert np.array_equal(state.amplitudes, amps)
+
     def test_batch_rows_each_checked_to_norm_one(self):
         batch = PureState(1, [[1.0, 0.0], [0.6, 0.8]])
         assert batch.batch_shape == (2,)
@@ -550,6 +560,30 @@ class TestDensityOperator:
         op = DensityOperator(np.eye(2), normalized=False)
         assert op.trace().real == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_adopts_a_frozen_owning_array(self, dtype):
+        mat = np.eye(4, dtype=dtype) / 4
+        mat.setflags(write=False)
+        assert DensityOperator(mat).matrix is mat
+
+    def test_copies_a_writable_array(self):
+        mat = np.eye(4) / 4
+        op = DensityOperator(mat)
+        assert op.matrix is not mat and not op.matrix.flags.writeable
+        mat[0, 0] = 1.0
+        assert op.matrix[0, 0] == 0.25
+
+    @pytest.mark.parametrize("view", [
+        lambda m: m[:4, :4], lambda m: m[:4, :4].T.copy(order="F"), lambda m: m.astype(np.float32),
+    ], ids=["view", "fortran", "float32"])
+    def test_copies_a_frozen_view_or_other_layout(self, view):
+        base = np.eye(8) / 4
+        mat = view(base)
+        mat.setflags(write=False)
+        op = DensityOperator(mat, normalized=False)
+        assert op.matrix is not mat
+        assert op.matrix.dtype == np.float64 and op.matrix.flags.c_contiguous
+
     def test_psd_spectrum_of_reductions(self, rng):
         rho = partial_trace(random_state(4, rng), [0, 3])
         assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-8
@@ -566,16 +600,40 @@ class TestHadamardTransform:
     def test_conjugation_matches_dense(self, rng):
         m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         h = corelin.hadamard_matrix(3)
-        assert_matrices_close(corelin.hadamard_conjugate(m), h @ m @ h, 1e-12)
+        assert_matrices_close(corelin.hadamard_conjugate(m.copy()), h @ m @ h, 1e-12)
 
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
     def test_conjugation_keeps_real_symmetric_input_real(self, rng, layout):
         a = rng.standard_normal((128, 128))
         m = a + a.T
         h = corelin.hadamard_matrix(7)
-        got = corelin.hadamard_conjugate(layout(m))
+        got = corelin.hadamard_conjugate(layout(m.copy()))
         assert got.dtype == np.float64
         assert_matrices_close(got, h @ m @ h, 1e-12)
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("bits", [0, 1, 7, 10])
+    def test_conjugation_is_in_place(self, rng, layout, dtype, bits):
+        # at 2^10 a matrix is 8 or 16 MiB: each pass takes several steps
+        dim = 1 << bits
+        m = layout(rng.standard_normal((dim, dim)).astype(dtype))
+        want = corelin.hadamard_transform(corelin.hadamard_transform(m, axis=1), axis=0)
+        got = corelin.hadamard_conjugate(m)
+        assert got is m and got.dtype == dtype
+        assert_matrices_close(got, want, 1e-9)
+
+    def test_conjugation_refuses_read_only_and_other_input(self):
+        frozen = np.eye(4)
+        frozen.setflags(write=False)
+        with pytest.raises(ValueError, match="writable"):
+            corelin.hadamard_conjugate(frozen)
+        assert np.array_equal(frozen, np.eye(4))
+        with pytest.raises(ValueError, match="float64 or complex128"):
+            corelin.hadamard_conjugate(np.eye(4, dtype=np.float32))
+        for shape in [(4, 8), (6, 6), (0, 0), (4,)]:
+            with pytest.raises(RegisterError, match="power-of-two side"):
+                corelin.hadamard_conjugate(np.zeros(shape))
 
     @pytest.mark.parametrize("m", range(13))
     def test_matches_dense_walsh_matrix_on_any_dtype_and_layout(self, m):

@@ -44,6 +44,12 @@ def c1(n, i, t, space=None):
                       function_space=space or ExhaustiveAllFunctions())
 
 
+def warm_pairing():
+    """Run the pairing route once, so that scipy, which its first call
+    imports, is loaded before a peak is measured."""
+    ensemble_moment_deltapair(plain(1, 1))
+
+
 def complex_reference_moment(spec):
     """The brute-force accumulation with every member cast to complex128,
     chunk by chunk as the route ran it before sign-phase members were real."""
@@ -432,12 +438,14 @@ class TestBruteForce:
                    function_space=UniformSample(1024, 1)),
         MomentSpec(Source.CONSTRUCTION2, n=4, t=1, kind=PrsKind.GENERAL_PHASE,
                    function_space=UniformSample(1024, 1)),
+        plain(2, 1, PrfKeys(4096, 1)),
     ], ids=["plain-4-2", "plain-4-1", "c3-2-ell4-2-uniform64", "c3-2-ell3-1",
             "plain-5-2-uniform256", "general-plain-5-2-uniform256",
-            "general-plain-8-1-uniform1024", "general-c2-4-1-uniform1024"])
+            "general-plain-8-1-uniform1024", "general-c2-4-1-uniform1024",
+            "plain-2-1-prf4096"])
     def test_budget_estimate_covers_measured_peak(self, spec):
-        # dim 1024: the accumulator, the matmul temporary, one chunk and the
-        # DensityOperator build peak above 2 dim^2 entries: about 18 MiB for
+        # dim 1024: the accumulator, the matmul temporary and one chunk peak
+        # above 2 dim^2 entries: about 18 MiB for
         # float64 (sign-phase) members, 40 MiB for complex128 ones.  dim 256
         # with 1024 members: the chunk's evaluation, 4 MiB a copy of its
         # rows, outweighs the 1 MiB accumulator: about 12 MiB for the
@@ -445,7 +453,8 @@ class TestBruteForce:
         # n=4: enumerate_all's block of 1024 decoded tables is live beside a
         # chunk; about 3.3 MiB at t=2 and 0.8 MiB at t=1.  Exhaustive c3
         # ell=3: the list of the other two draws' 256 table pairs is held for
-        # the whole run; about 1 MiB
+        # the whole run; about 1 MiB.  prf:4096 at plain n=2: the list of
+        # 4096 keys, about 0.6 MiB, is half of the peak
         measured = measured_peak(lambda: ensemble_moment_bruteforce(spec))
         estimate = 16 * moments._bruteforce_peak_entries(spec)
         assert measured <= estimate <= 2 * measured
@@ -518,15 +527,16 @@ class TestDeltaPairing:
     @pytest.mark.parametrize("spec", [plain(3, 3), c1(4, 1, 2), c1(3, 2, 2)],
                              ids=["plain-3-3", "c1-4-1-2", "c1-3-2-2"])
     def test_budget_estimate_covers_measured_peak(self, spec):
+        warm_pairing()
         measured = measured_peak(lambda: ensemble_moment_deltapair(spec))
         estimate = 16 * moments._pairing_peak_entries(spec)
         assert measured <= estimate <= 2 * measured
 
     def test_budget_refuses_c1_n5_below_its_peak_and_admits_it_by_default(self):
-        # the c1 n=5 t=2 pairing peaks above 390 MiB (measured 396 MiB)
+        # the c1 n=5 t=2 pairing peaks above 150 MiB (measured 154 MiB)
         spec = c1(5, 1, 2)
         assert 16 * moments._pairing_peak_entries(spec) < DEFAULT_BUDGET_MIB << 20
-        with pytest.raises(BudgetError, match="pairing route peak"), budget.limit(390):
+        with pytest.raises(BudgetError, match="pairing route peak"), budget.limit(150):
             ensemble_moment_deltapair(spec)
 
 
@@ -676,8 +686,20 @@ class TestDistanceInTheSymmetricSubspace:
         folded = [reduce(np.kron, [v] * copies) for v in vs]
         moment = DensityOperator(sum(np.outer(f, f.conj()) for f in folded) / members)
         haar = haar_moment(local_dim, copies)
-        got = moments._haar_distance(moment, haar, local_dim, copies)
+        got = moments._haar_distance(
+            moment, corelin.symmetric_compression(haar, local_dim, copies), local_dim, copies)
         assert abs(got - corelin.trace_distance(moment, haar)) <= 1e-12
+
+    @pytest.mark.parametrize("spec", [c1(4, 1, 2), c1(3, 2, 2)], ids=["c1-4-1-2", "c1-3-2-2"])
+    def test_peak_stays_near_two_moment_sized_arrays(self, spec):
+        # the Haar reference is compressed and dropped before the route runs,
+        # and the route fills, conjugates and hands over one moment array:
+        # 1.80 float64 d^t x d^t arrays for both specs, where building every
+        # array afresh held 3.0-3.1
+        warm_pairing()
+        dim = 1 << (spec.layout.qubits * spec.t)
+        measured = measured_peak(lambda: compare_to_haar(spec, Method.DELTA_PAIRING))
+        assert measured <= 2.1 * 8 * dim * dim
 
     def test_no_full_dimension_eigensolve(self, monkeypatch):
         # c1 (4,1,2): d^t = 1024, D = C(33, 2) = 528
@@ -695,22 +717,22 @@ class TestDistanceInTheSymmetricSubspace:
     @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3)])
     def test_budget_estimate_covers_measured_peak(self, local_dim, copies):
         moment = ensemble_moment_deltapair(plain(local_dim.bit_length() - 1, copies))
-        haar = haar_moment(local_dim, copies)
+        haar = corelin.symmetric_compression(haar_moment(local_dim, copies), local_dim, copies)
         measured = measured_peak(
             lambda: moments._haar_distance(moment, haar, local_dim, copies))
         estimate = 16 * moments._distance_peak_entries(local_dim, copies)
         assert measured <= estimate <= 2 * measured
 
     def test_budget_refuses_the_stage_before_it_allocates(self, monkeypatch):
-        # (32)^2: the stage needs about 13 MiB
+        # (32)^2: the stage needs about 6.4 MiB
         spec = c1(4, 1, 2)
         moment = ensemble_moment_deltapair(spec)
-        haar = haar_moment(32, 2)
-        assert 16 * moments._distance_peak_entries(32, 2) > 8 << 20
+        haar = corelin.symmetric_compression(haar_moment(32, 2), 32, 2)
+        assert 16 * moments._distance_peak_entries(32, 2) > 4 << 20
         compressions = []
         monkeypatch.setattr(corelin, "symmetric_compression",
                             lambda *args, **kwargs: compressions.append(args))
-        with pytest.raises(BudgetError, match="distance stage"), budget.limit(8):
+        with pytest.raises(BudgetError, match="distance stage"), budget.limit(4):
             moments._haar_distance(moment, haar, 32, 2)
         assert compressions == []
 
