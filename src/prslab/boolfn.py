@@ -67,6 +67,16 @@ class BooleanFunction:
             yield f
 
 
+def stack(functions) -> BooleanFunction:
+    """Non-empty single functions of one (n, m) as one batch, a table row each."""
+    functions = list(functions)
+    shapes = {(f.input_bits, f.range_modulus) for f in functions}
+    if len(shapes) != 1:
+        raise ValueError(f"a batch needs functions of one (n, m), got {sorted(shapes)}")
+    ((n, m),) = shapes
+    return BooleanFunction(n, m, [f.table for f in functions])
+
+
 @dataclass(frozen=True)
 class PrfKey:
     key_bytes: bytes

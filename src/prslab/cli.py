@@ -67,7 +67,7 @@ def _parse_space(text: str, seed: int | None):
             digits = text[len(prefix):]
             if seed is None:
                 raise ValueError(f"--seed is required for the sampled space {text!r}")
-            return cls(int(digits) if digits.isdecimal() else digits, seed)
+            return cls(int(digits) if digits.removeprefix("-").isdecimal() else digits, seed)
     raise ValueError(f"unknown function space {text!r}")
 
 
@@ -121,8 +121,8 @@ def cmd_moments(args, out_dir: Path) -> int:
 
 
 def cmd_expand_check(args, out_dir: Path) -> int:
-    space = (ExhaustiveAllFunctions() if args.samples is None
-             else UniformSample(args.samples, args.seed))
+    space = _parse_space("exhaustive" if args.samples is None else f"uniform:{args.samples}",
+                         args.seed)
     worst, count = 0.0, 0
     for count, (f,) in enumerate(space.members(args.n, 2), 1):
         circuit = expand.evaluate(expand.construction1(f, args.n, args.i))
@@ -197,8 +197,8 @@ def cmd_condition(args, out_dir: Path) -> int:
     if args.samples < 1:  # refused on the enumerated path too, which draws no samples
         raise ValueError(f"--samples must be a whole number >= 1, got {args.samples}")
     witness = condcheck.phase_witness(kind, n)
-    space = (ExhaustiveAllFunctions() if kind is PrsKind.BINARY_PHASE and n <= 3
-             else UniformSample(args.samples, args.seed))
+    space = _parse_space("exhaustive" if kind is PrsKind.BINARY_PHASE and n <= 3
+                         else f"uniform:{args.samples}", args.seed)
     functions = (f for (f,) in space.members(n, kind.range_modulus(n)))
     report1 = condcheck.check_cond1(lambda f: PrsGenerator(kind, n, f), witness, n, functions)
     report2 = condcheck.check_cond2(witness)

@@ -10,6 +10,7 @@ exponents, one row per basis label x.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -17,13 +18,14 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from . import corelin, prsgen
+from . import boolfn, corelin, prsgen
 from .boolfn import BooleanFunction
 from .budget import check_complex_array
 from .corelin import LayerKind, PureState, UnitaryLayer
 from .prsgen import PrsGenerator, PrsKind
 
 DEVIATION_ATOL = 1e-10
+_CHUNK_ENTRIES = 1 << 12  # (f, x, y) entries one condition 1 batch holds
 
 
 @dataclass(frozen=True)
@@ -52,14 +54,12 @@ class ConditionWitness:
             raise ValueError(f"u must be a phase layer on qubits 0..{self.n - 1} with "
                              f"{rows[0]} table rows, one per label x; got a {u.kind.value} "
                              f"layer on {u.target_qubits} with rows {u.batch_shape}")
+        for name, layer in (("v", self.v), ("w", self.w)):
+            if layer.target_qubits != u.target_qubits or layer.batch_shape:
+                raise ValueError(f"{name} must be an unbatched layer on qubits 0..{self.n - 1}, "
+                                 f"got one on {layer.target_qubits} with rows {layer.batch_shape}")
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
-
-
-def _row(u: UnitaryLayer, x: int) -> UnitaryLayer:
-    """U_x alone: row x of a batched phase layer as a phase layer."""
-    modulus, table = u.parameters
-    return corelin.phase_diagonal_layer(u.target_qubits, modulus, table[x])
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,8 @@ def phase_witness(kind: PrsKind, n: int) -> ConditionWitness:
     identity) and scale sqrt(N)."""
     check_complex_array(_witness_peak_entries(n), f"condition witness on {n} qubits")
     u = prsgen.phase_shift_family(kind, n)
-    v = prsgen.fourier_layer(kind, tuple(range(n)))
-    return ConditionWitness(n, u, v, _row(u, 0), math.sqrt(1 << n))
+    w = corelin.phase_diagonal_layer(range(n), u.parameters[0], u.parameters[1][0])
+    return ConditionWitness(n, u, prsgen.fourier_layer(kind, range(n)), w, math.sqrt(1 << n))
 
 
 def binary_phase_witness(n: int) -> ConditionWitness:
@@ -113,17 +113,17 @@ GeneratorFactory = Callable[[BooleanFunction], PrsGenerator]
 
 
 def _cond1_peak_entries(dim: int) -> int:
-    """Upper estimate of `check_cond1`'s peak, in 16-byte units: four (dim,
-    dim) complex128 arrays (the generator's matrix beside the prepared rows,
-    the family's phases and the rows they give), plus 256 KiB of numpy
-    casting buffers and Python objects."""
-    return 4 * dim * dim + (1 << 14)
+    """Upper estimate of `check_cond1`'s peak, in 16-byte units: the family's
+    complex phases and, for one chunk, the int64 tables, float64 basis rows
+    and the generator run's rows, phase diagonal and result, plus 256 KiB of
+    numpy casting buffers and Python objects."""
+    return 4 * max(dim * dim, _CHUNK_ENTRIES) + dim * dim + (1 << 14)
 
 
 def _cond2_peak_entries(dim: int) -> int:
-    """Upper estimate of `check_cond2`'s peak, in 16-byte units: V, W and,
-    per label x, the right side, one materialized U_x and the identity it
-    is built from or their difference, plus 256 KiB as for condition 1."""
+    """Upper estimate of `check_cond2`'s peak, in 16-byte units: the family's
+    complex phases, the rows of V, of W and of the right side, the float64
+    basis rows and absolute deviations, plus 256 KiB as for condition 1."""
     return 5 * dim * dim + (1 << 14)
 
 
@@ -137,6 +137,13 @@ def _report(condition: int, witness: ConditionWitness, worst: np.ndarray) -> Con
     )
 
 
+def _family_phases(witness: ConditionWitness) -> np.ndarray:
+    """Row x is the diagonal of U_x: the family layer run on |+>^n, rescaled."""
+    dim = 1 << witness.n
+    plus = PureState(witness.n, np.full((dim, dim), 1 / math.sqrt(dim)))
+    return corelin.apply_layer(plus, witness.u).amplitudes * math.sqrt(dim)
+
+
 def check_cond1(
     gen_factory: GeneratorFactory,
     witness: ConditionWitness,
@@ -145,26 +152,26 @@ def check_cond1(
 ) -> ConditionReport:
     """Verify gen|x> == U_x gen|0> for every sampled function and every x.
 
-    Per function, one identity over all x: column x of the generator's matrix
-    (its two layers, as `prsgen.apply_to_register` applies them) equals row x
-    of the family layer applied to `prsgen.prepare(gen)` copied into one row
-    per label x, which is U_x gen|0>.  Records, per label x, the worst
-    deviation over the sample; passes iff every one is within DEVIATION_ATOL.
+    The functions are read in chunks of _CHUNK_ENTRIES (f, x, y) entries,
+    each one batch with every table repeated once per label x, so that one
+    generator run on the identity rows gives row (f, x) = gen_f|x>, compared
+    with `prsgen.prepare(gen)` times the diagonal of U_x.  Records, per label
+    x, the worst deviation; passes iff every one is within DEVIATION_ATOL.
     """
     if n != witness.n:
         raise ValueError(f"checking {n} qubits against a witness on {witness.n}")
     dim = 1 << n
     check_complex_array(_cond1_peak_entries(dim), f"condition 1 on {n} qubits")
-    targets = tuple(range(n))
-    worst = None
-    for f in functions:
-        gen = gen_factory(f)
-        gen_matrix = (corelin.materialize(prsgen.phase_layer(gen, targets))
-                      @ corelin.materialize(prsgen.fourier_layer(gen.kind, targets)))
-        prepared = np.broadcast_to(prsgen.prepare(gen).amplitudes, (dim, dim))
-        rhs = corelin.apply_layer(PureState(n, prepared), witness.u).amplitudes
-        dev = np.abs(gen_matrix.T - rhs).max(axis=1)
-        del gen_matrix, rhs  # the next function's layers need their room
+    phases = _family_phases(witness)
+    functions, rows, worst = iter(functions), max(1, _CHUNK_ENTRIES // (dim * dim)), None
+    while chunk := list(itertools.islice(functions, rows)):
+        gen = gen_factory(boolfn.stack(f for f in chunk for _ in range(dim)))
+        basis = PureState(n, np.tile(np.eye(dim), (len(chunk), 1)))  # row (f, x) is |x>
+        lhs = prsgen.apply_to_register(gen, basis, 0).amplitudes
+        rhs = prsgen.prepare(gen).amplitudes.reshape(-1, dim, dim) * phases
+        rhs -= lhs.reshape(rhs.shape)
+        dev = np.abs(rhs).max(axis=(0, 2))
+        del gen, basis, lhs, rhs  # the next chunk's arrays need their room
         worst = dev if worst is None else np.maximum(worst, dev)
     if worst is None:
         raise ValueError("empty function sample")
@@ -174,18 +181,20 @@ def check_cond1(
 def check_cond2(witness: ConditionWitness) -> ConditionReport:
     """Verify sum_x |x> (x) U_x^T |y> == scale * V|y> (x) W|y> for every basis y.
 
-    Block x of the left side is row y of U_x, so the identity says row y of
-    U_x equals scale * V[x, y] * W[:, y]; one U_x is materialized at a time
-    and checked for every y at once.  Basis-complete: any single failing y
-    fails the report and is named in it.
+    U_x is diagonal, so the left side is (sum_x phase[x, y] |x>) (x) |y>:
+    entry (x, y) is compared with scale <x|V|y> <y|W|y>, and the zero
+    entries (x, z != y) with scale <x|V|y> <z|W|y>.  Basis-complete: any
+    failing y fails the report and is named in it.
     """
     n, dim = witness.n, 1 << witness.n
     check_complex_array(_cond2_peak_entries(dim), f"condition 2 on {n} qubits")
-    v_mat = corelin.materialize(witness.v)
-    w_rows = corelin.materialize(witness.w).T
-    worst = np.zeros(dim)
-    for x in range(dim):
-        rhs = witness.scale * (v_mat[x][:, None] * w_rows)
-        np.maximum(worst, np.abs(corelin.materialize(_row(witness.u, x)) - rhs).max(axis=1),
-                   out=worst)
-    return _report(2, witness, worst)
+    phases = _family_phases(witness)
+    basis = PureState(n, np.eye(dim))
+    w_rows = corelin.apply_layer(basis, witness.w).amplitudes  # entry (y, z) is <z|W|y>
+    off = np.abs(w_rows - np.diagflat(w_rows.diagonal())).max(axis=1)  # max over z != y
+    v_rows = corelin.apply_layer(basis, witness.v).amplitudes
+    spill = witness.scale * np.abs(v_rows).max(axis=1) * off
+    rhs = witness.scale * (v_rows * w_rows.diagonal()[:, None])
+    rhs -= phases.T
+    match = np.abs(rhs).max(axis=1)
+    return _report(2, witness, np.maximum(match, spill))

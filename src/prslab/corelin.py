@@ -249,8 +249,8 @@ def _act(layer: UnitaryLayer, block: np.ndarray) -> np.ndarray:
     """Apply the layer to axis 2 of a (members, a, 2^width, k) block; row m
     of a batched phase table acts on member m.
 
-    This is the only definition of each kind's action: `apply_layer` runs it
-    on the target register and `materialize` on the identity.
+    This is the only definition of each kind's action; `apply_layer` runs it
+    on the target register.
     """
     if layer.kind is LayerKind.HADAMARD_ALL:
         return hadamard_transform(block, axis=2)
@@ -262,14 +262,6 @@ def _act(layer: UnitaryLayer, block: np.ndarray) -> np.ndarray:
     else:
         diag = np.exp(2j * np.pi * (exponents % modulus) / modulus)
     return diag.reshape(layer.batch_shape + (1, -1, 1)) * block
-
-
-def materialize(layer: UnitaryLayer) -> np.ndarray:
-    """Dense matrix of the layer on its own 2^width-dimensional register
-    (a stack of them, one per member, for a batched phase table)."""
-    dim = 1 << layer.width
-    eye = np.eye(dim, dtype=np.complex128).reshape(1, 1, dim, dim)
-    return _act(layer, eye).reshape(layer.batch_shape + (dim, dim))
 
 
 def apply_layer(state: PureState, layer: UnitaryLayer) -> PureState:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -47,8 +46,6 @@ from .expand import Layout, Source  # Source is re-exported for MomentSpec users
 from .prsgen import PrsKind
 
 _MAX_KEY_BITS = 64  # XOR parity vectors are packed into uint64 words
-
-_function_shape = operator.attrgetter("input_bits", "range_modulus")
 
 
 class Method(Enum):
@@ -200,17 +197,9 @@ def member_state(spec: MomentSpec, fns: tuple[BooleanFunction, ...]) -> PureStat
 
 def member_states(spec: MomentSpec, function_tuples) -> PureState:
     """The members of a non-empty iterable of function tuples as the rows of
-    one batch state: the tables stacked into a (members, draws, 2^n) array,
-    each draw one batch function, and the spec's circuit run once over them."""
-    members = list(function_tuples)
-    shapes = set(map(_function_shape, itertools.chain.from_iterable(members)))
-    if len(shapes) != 1:
-        raise ValueError(f"a batch needs functions of one (n, m), got {sorted(shapes)}")
-    ((n, m),) = shapes
-    tables = np.array([[f.table for f in fns] for fns in members])
-    del members  # the circuit needs only the stacked tables
-    return member_state(spec, tuple(BooleanFunction(n, m, tables[:, d])
-                                    for d in range(tables.shape[1])))
+    one batch state: draw d of every member stacked into one batch function
+    (`boolfn.stack`), and the spec's circuit run once over them."""
+    return member_state(spec, tuple(map(boolfn.stack, zip(*function_tuples))))
 
 
 def _average_t_fold(chunks, t: int) -> DensityOperator:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from prslab.boolfn import BooleanFunction
-from prslab.corelin import DensityOperator, PureState, RegisterError
+from prslab.corelin import DensityOperator, PureState, RegisterError, UnitaryLayer, _act
 from prslab.moments import _average_t_fold
 
 
@@ -36,6 +36,15 @@ def basis_state(num_qubits: int, index: int) -> PureState:
     amps = np.zeros(1 << num_qubits)
     amps[index] = 1.0
     return PureState(num_qubits, amps)
+
+
+def materialize(layer: UnitaryLayer) -> np.ndarray:
+    """Dense matrix of the layer on its own 2^width-dimensional register
+    (a stack of them, one per member, for a batched phase table): the
+    layer's one kernel applied to the identity."""
+    dim = 1 << layer.width
+    eye = np.eye(dim, dtype=np.complex128).reshape(1, 1, dim, dim)
+    return _act(layer, eye).reshape(layer.batch_shape + (dim, dim))
 
 
 def register_permutation_operator(local_dim: int, copies: int, perm) -> np.ndarray:

@@ -263,8 +263,9 @@ class TestVerificationCommands:
         assert payload["passed"] is True
         assert [r["condition"] for r in payload["reports"]] == [1, 2]
 
-    def test_condition_general_needs_seed(self, tmp_path):
+    def test_condition_general_needs_seed(self, tmp_path, capsys):
         assert run(["--out-dir", tmp_path, "condition", "--witness", "general", "--n", "2"]) == 2
+        assert "--seed is required for the sampled space" in capsys.readouterr().err
         assert not (tmp_path / "condition_general.json").exists()
         assert run(["--seed", "3", "--out-dir", tmp_path, "condition",
                     "--witness", "general", "--n", "2", "--samples", "16"]) == 0
@@ -275,11 +276,12 @@ class TestVerificationCommands:
         assert payload["passed"] is True
         assert payload["functions"] == 16
 
-    def test_expand_check_sampled(self, tmp_path):
+    def test_expand_check_sampled(self, tmp_path, capsys):
         assert run(["--seed", "5", "--out-dir", tmp_path, "expand-check",
                     "--n", "4", "--i", "2", "--samples", "20"]) == 0
         assert run(["--out-dir", tmp_path / "no_seed", "expand-check",
                     "--n", "4", "--i", "2", "--samples", "20"]) == 2
+        assert "--seed is required for the sampled space" in capsys.readouterr().err
 
     def test_exhaustive_functions_stream(self):
         # listed, the 65 536 functions of enumerate_all(4, 2) hold 21.5 MiB

@@ -19,7 +19,7 @@ from prslab.condcheck import (
 )
 from prslab.prsgen import PrsGenerator, PrsKind
 
-from conftest import basis_state, measured_peak
+from conftest import basis_state, materialize, measured_peak
 
 
 def binary_factory(n):
@@ -116,6 +116,26 @@ class TestValidationAndReports:
                                              r"with 4 table rows"):
             ConditionWitness(2, make_u(*good.u.parameters), good.v, good.w, good.scale)
 
+    @pytest.mark.parametrize("field", ["v", "w"])
+    @pytest.mark.parametrize("layer", [
+        corelin.hadamard_all_layer((1, 2)),
+        corelin.hadamard_all_layer((0,)),
+        corelin.qft_layer((0, 1, 2)),
+        corelin.phase_diagonal_layer((0, 1), 2, np.zeros((4, 4), dtype=int)),
+    ], ids=["target-offset", "narrow", "wide", "batched"])
+    def test_alignment_pair_must_be_unbatched_on_the_register(self, field, layer):
+        good = binary_phase_witness(2)
+        pair = {"v": good.v, "w": good.w, field: layer}
+        with pytest.raises(ValueError, match=rf"{field} must be an unbatched layer on qubits 0\.\.1"):
+            ConditionWitness(2, good.u, pair["v"], pair["w"], good.scale)
+
+    def test_a_sample_of_mixed_moduli_is_refused(self, rng):
+        witness = general_phase_witness(2)
+        wide, narrow = boolfn.random_function(2, 4, rng), boolfn.random_function(2, 2, rng)
+        for functions in ([wide, narrow], [narrow, wide]):
+            with pytest.raises(ValueError, match=r"one \(n, m\)"):
+                check_cond1(general_factory(2), witness, 2, iter(functions))
+
     def test_empty_function_sample_rejected(self):
         witness = binary_phase_witness(1)
         with pytest.raises(ValueError, match="empty"):
@@ -160,9 +180,9 @@ def reference_cond1(gen_factory, witness, n, functions):
 def reference_cond2(witness):
     """Worst deviation per label y: the stacked vector sum_x |x> (x) U_x^T |y>."""
     dim = 1 << witness.n
-    u_mats = [corelin.materialize(u_x(witness, x)) for x in range(dim)]
-    v_mat = corelin.materialize(witness.v)
-    w_mat = corelin.materialize(witness.w)
+    u_mats = [materialize(u_x(witness, x)) for x in range(dim)]
+    v_mat = materialize(witness.v)
+    w_mat = materialize(witness.w)
     worst = {}
     for y in range(dim):
         lhs = np.zeros(dim * dim, dtype=np.complex128)
@@ -252,6 +272,27 @@ def test_one_shot_function_stream_is_checked():
                                           boolfn.enumerate_all(2, 2)))
 
 
+@pytest.mark.parametrize("control", sorted(CONTROLS))
+@pytest.mark.parametrize("kind", list(PrsKind))
+def test_a_stream_over_several_chunks_agrees_with_the_label_loop(kind, control, monkeypatch):
+    # two functions per batch at n = 5: the 7 functions are read as 2 + 2 + 2 + 1
+    n = 5
+    monkeypatch.setattr(condcheck, "_CHUNK_ENTRIES", 2 << (2 * n))
+    batches, stack = [], boolfn.stack
+
+    def counted_stack(fns):
+        batches.append(fns)
+        return stack(fns)
+
+    monkeypatch.setattr(boolfn, "stack", counted_stack)
+    witness = CONTROLS[control](phase_witness(kind, n), n)
+    functions = sample_functions(kind, n, 7, seed=5)
+    factory = FACTORIES[kind](n)
+    report = check_cond1(factory, witness, n, iter(functions))
+    assert len(batches) == 4
+    assert_agrees(report, reference_cond1(factory, witness, n, functions))
+
+
 def same_layer(a, b):
     """Layers compare by identity; this compares kind, targets and payload."""
     if (a.kind, a.target_qubits) != (b.kind, b.target_qubits):
@@ -280,7 +321,7 @@ def test_phase_witness_is_the_generators_own_factorization(n):
         assert same_layer(witness.v, expected_v[kind])
         assert same_layer(witness.u, prsgen.phase_shift_family(kind, n))
         assert same_layer(witness.w, u_x(witness, 0))
-        assert np.array_equal(corelin.materialize(witness.w), np.eye(1 << n))
+        assert np.array_equal(materialize(witness.w), np.eye(1 << n))
 
 
 def test_register_width_must_match_the_witness():
@@ -288,7 +329,7 @@ def test_register_width_must_match_the_witness():
         check_cond1(binary_factory(3), binary_phase_witness(2), 3, boolfn.enumerate_all(3, 2))
 
 
-@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("n", [6, 7, 9])
 def test_budget_estimates_cover_measured_peaks(n):
     witness = general_phase_witness(n)
     functions = sample_functions(PrsKind.GENERAL_PHASE, n, 3, seed=0)

@@ -32,6 +32,7 @@ from conftest import (
     assert_matrices_close,
     assert_vectors_close,
     basis_state,
+    materialize,
     measured_peak,
     random_state,
     random_unitary,
@@ -129,7 +130,7 @@ class TestUnitaryLayer:
         exponents = np.array([0, 1])
         phase = phase_diagonal_layer((0,), 2, exponents)
         exponents[1] = 0
-        assert np.array_equal(corelin.materialize(phase), np.diag([1.0, -1.0]))
+        assert np.array_equal(materialize(phase), np.diag([1.0, -1.0]))
         assert phase.parameters[1].dtype == np.int64
         with pytest.raises(ValueError, match="read-only"):
             phase.parameters[1][0] = 0
@@ -246,7 +247,7 @@ class TestLayerOnEveryRun:
                                    np.eye(1 << (q - first - width)))
 
                 layer, u = _layer_and_reference(kind, targets, rng)
-                assert_matrices_close(corelin.materialize(layer), u, 1e-12)
+                assert_matrices_close(materialize(layer), u, 1e-12)
                 one = apply_layer(PureState(q, states[0]), layer).amplitudes
                 assert_vectors_close(one, padded(u) @ states[0], 1e-12)
                 batch = apply_layer(PureState(q, states), layer).amplitudes
@@ -677,6 +678,6 @@ class TestHadamardTransform:
             corelin.qft_layer((0, 1, 2)),
             phase_diagonal_layer((0,), 2, [0, 1]),
         ):
-            mat = corelin.materialize(layer)
+            mat = materialize(layer)
             dim = 1 << layer.width
             assert_matrices_close(mat.conj().T @ mat, np.eye(dim), 1e-10)

@@ -8,7 +8,8 @@ from prslab.boolfn import BooleanFunction
 from prslab.corelin import PureState
 from prslab.prsgen import PrsGenerator, PrsKind
 
-from conftest import assert_vectors_close, basis_state, constant_function, random_state
+from conftest import (assert_vectors_close, basis_state, constant_function, materialize,
+                      random_state)
 
 
 def binary_gen(f: BooleanFunction) -> PrsGenerator:
@@ -109,15 +110,15 @@ class TestApplyToRegister:
 class TestPhaseShiftFamily:
     def test_zero_label_is_identity(self):
         for kind in PrsKind:
-            mat = corelin.materialize(prsgen.phase_shift_family(kind, 2))
+            mat = materialize(prsgen.phase_shift_family(kind, 2))
             assert np.array_equal(mat[0], np.eye(4))
 
     def test_binary_single_qubit(self):
-        mat = corelin.materialize(prsgen.phase_shift_family(PrsKind.BINARY_PHASE, 1))
+        mat = materialize(prsgen.phase_shift_family(PrsKind.BINARY_PHASE, 1))
         assert np.array_equal(mat[1], np.diag([1.0, -1.0]))
 
     def test_general_two_qubit(self):
-        mat = corelin.materialize(prsgen.phase_shift_family(PrsKind.GENERAL_PHASE, 2))
+        mat = materialize(prsgen.phase_shift_family(PrsKind.GENERAL_PHASE, 2))
         assert_vectors_close(np.diagonal(mat[1]), [1, 1j, -1, -1j], 1e-15)
 
     @pytest.mark.parametrize("kind", list(PrsKind))
