@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .budget import check_enumeration
+from .budget import DEFAULT_ENUMERATION_LIMIT, check_power_enumeration
 
 KEY_BYTES = 16
 
@@ -90,7 +90,11 @@ class PrfKey:
 
 
 def function_count(n: int, m: int) -> int:
-    return m ** (1 << n)
+    """m^(2^n), counted up to the enumeration cap: a larger space, which no
+    route enumerates, counts as DEFAULT_ENUMERATION_LIMIT + 1 unbuilt."""
+    if (1 << n) * (m.bit_length() - 1) > DEFAULT_ENUMERATION_LIMIT.bit_length():
+        return DEFAULT_ENUMERATION_LIMIT + 1
+    return min(m ** (1 << n), DEFAULT_ENUMERATION_LIMIT + 1)
 
 
 def enumerate_all(n: int, m: int) -> Iterator[BooleanFunction]:
@@ -99,8 +103,8 @@ def enumerate_all(n: int, m: int) -> Iterator[BooleanFunction]:
     Function k is the 2^n digits of k in base m.  Up to `_DECODE_ROWS`
     consecutive indices are decoded into one batch, checked once, and its
     rows yielded as functions that share the batch's storage."""
+    check_power_enumeration(m, 1 << n, f"function space n={n}, m={m}")
     count = function_count(n, m)
-    check_enumeration(count, f"function space n={n}, m={m}")
     place = np.array([m**k for k in reversed(range(1 << n))], dtype=np.int64)
     for start in range(0, count, _DECODE_ROWS):
         index = np.arange(start, min(start + _DECODE_ROWS, count), dtype=np.int64)

@@ -5,6 +5,7 @@ innermost `limit`, else PRS_LAB_BUDGET_MIB, else DEFAULT_BUDGET_MIB."""
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 from contextlib import contextmanager
@@ -62,22 +63,35 @@ def limit(mib, origin: str = "the budget limit"):
         _LIMIT.reset(token)
 
 
+def _size(value: int) -> str:
+    """`value` in full below 2^64, past it as 2^k: one short line at any size."""
+    return str(value) if value < 1 << 64 else f"2^{math.log2(value):.10g}"
+
+
 def check_complex_array(entries: int, what: str) -> None:
     """Fail fast if `entries` 16-byte units (one complex128 or two float64
     values each) would not fit in the budget."""
     limit_mib = budget_mib()
     required = entries * _BYTES_PER_COMPLEX
     if required > limit_mib * _MIB:
-        raise BudgetError(
-            f"{what} requires {required / _MIB:.1f} MiB "
-            f"({entries} entries of 16 bytes) but the budget is {limit_mib} MiB"
-        )
+        mib = f"{required / _MIB:.1f}" if required < 1 << 64 else _size(required >> 20)
+        raise BudgetError(f"{what} requires {mib} MiB ({_size(entries)} entries of 16 bytes) "
+                          f"but the budget is {limit_mib} MiB")
 
 
 def check_enumeration(count: int, what: str) -> None:
     """Fail fast if an enumeration of `count` items exceeds the cap."""
     if count > DEFAULT_ENUMERATION_LIMIT:
-        raise BudgetError(
-            f"{what} would enumerate {count} items; "
-            f"the enumeration budget is {DEFAULT_ENUMERATION_LIMIT}"
-        )
+        raise BudgetError(f"{what} would enumerate {_size(count)} items; "
+                          f"the enumeration budget is {DEFAULT_ENUMERATION_LIMIT}")
+
+
+def check_power_enumeration(base: int, exponent: int, what: str) -> None:
+    """`check_enumeration` of base^exponent items (base >= 1).  A count past
+    2^64 is refused unbuilt, as a power: the 2^(2^28) functions on 28 bits
+    are a 32 MiB integer."""
+    if exponent * (base.bit_length() - 1) > 64:  # base^exponent >= 2^65
+        size = f"({_size(base)})" if base >> 64 else base
+        raise BudgetError(f"{what} would enumerate {size}^{_size(exponent)} items; "
+                          f"the enumeration budget is {DEFAULT_ENUMERATION_LIMIT}")
+    check_enumeration(base**exponent, what)

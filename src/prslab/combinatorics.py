@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .budget import check_enumeration
+from .budget import check_power_enumeration
 
 _MAX_PERM_LEN = 8
 
@@ -245,7 +245,7 @@ def _iter_good_y(n: int, i: int, t: int) -> Iterator[tuple[int, ...]]:
     filtered once and only their t-fold products are tested for distinct heads.
     """
     _check_census_shape(n, i, t)
-    check_enumeration(1 << (n * t), f"good-set scan over y-tuples n={n}, t={t}")
+    check_power_enumeration(2, n * t, f"good-set scan over y-tuples n={n}, t={t}")
     singles = [y for y in range(1 << n) if not _clash(y, n, i)]
     return (ys for ys in itertools.product(singles, repeat=t) if _distinct_heads(ys, i))
 

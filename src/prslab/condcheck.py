@@ -58,8 +58,8 @@ class ConditionWitness:
             if layer.target_qubits != u.target_qubits or layer.batch_shape:
                 raise ValueError(f"{name} must be an unbatched layer on qubits 0..{self.n - 1}, "
                                  f"got one on {layer.target_qubits} with rows {layer.batch_shape}")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,9 @@ def _witness_peak_entries(n: int) -> int:
 def phase_witness(kind: PrsKind, n: int) -> ConditionWitness:
     """The phase generator's own factorization: U_x = row x of
     `prsgen.phase_shift_family`, V = `prsgen.fourier_layer`, W = U_0 (the
-    identity) and scale sqrt(N)."""
+    identity) and scale sqrt(N), on n >= 1 qubits."""
+    if n < 1:
+        raise ValueError(f"a condition witness needs n >= 1 qubits, got n={n}")
     check_complex_array(_witness_peak_entries(n), f"condition witness on {n} qubits")
     u = prsgen.phase_shift_family(kind, n)
     w = corelin.phase_diagonal_layer(range(n), u.parameters[0], u.parameters[1][0])

@@ -5,11 +5,11 @@ float64, anything else as complex128, so sign-phase states, their moments and
 the symmetric projector never carry an imaginary part.  Each is wrapped in a
 thin validating container.  A circuit layer is one of three kinds, the
 halves of a phase-state generator: all-Hadamard, the Fourier kernel, or a
-phase diagonal.  The compression of an operator to the symmetric subspace
-is an index gather on its matrix; no isometry is built.  Everything here
-but `hadamard_conjugate`, which works in place on its caller's array, is a
-pure function on immutable inputs, so values can be shared freely across
-threads.
+phase diagonal; one in-place kernel, `_walsh`, applies H^{(x) m} for the
+Hadamard layer and the pairing moment's conjugation.  The compression to the
+symmetric subspace is an index gather; no isometry is built.  Everything
+here but `hadamard_conjugate`, which works in place on its caller's array,
+is a pure function on immutable inputs, safe to share across threads.
 
 Convention used throughout the package: qubit 0 is the *most significant* bit
 of a basis-state label, i.e. the basis index of |b0 b1 ... b(q-1)> is
@@ -171,8 +171,8 @@ class LayerKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class UnitaryLayer:
-    """One unitary acting on a run of consecutive qubits, its targets: qubit
-    targets[0] is the most significant bit of the layer's own register.
+    """One unitary acting on a non-empty run of consecutive qubits, its targets:
+    qubit targets[0] is the most significant bit of the layer's own register.
 
     parameters by kind:
       HADAMARD_ALL  -- none
@@ -196,9 +196,8 @@ class UnitaryLayer:
     def __post_init__(self):
         targets = tuple(int(t) for t in self.target_qubits)
         object.__setattr__(self, "target_qubits", targets)
-        first = targets[0] if targets else 0
-        if first < 0 or targets != tuple(range(first, first + len(targets))):
-            raise RegisterError(f"target qubits {targets} are not a run of "
+        if not targets or targets[0] < 0 or targets != tuple(range(targets[0], targets[-1] + 1)):
+            raise RegisterError(f"target qubits {targets} are not a non-empty run of "
                                 f"ascending consecutive qubits >= 0")
         dim = 1 << len(targets)
         if self.kind is LayerKind.PHASE_DIAGONAL:
@@ -240,7 +239,7 @@ def hadamard_matrix(n_bits: int) -> np.ndarray:
     return (1.0 - 2.0 * parity) / math.sqrt(1 << n_bits)
 
 
-# H^{(x) w} for w = 0.._MAX_FACTOR_BITS, the factors `hadamard_transform` applies
+# H^{(x) w} for w = 0.._MAX_FACTOR_BITS, the factors `_walsh` applies
 _MAX_FACTOR_BITS = 6
 _WALSH_FACTORS = tuple(hadamard_matrix(w) for w in range(_MAX_FACTOR_BITS + 1))
 
@@ -270,7 +269,7 @@ def apply_layer(state: PureState, layer: UnitaryLayer) -> PureState:
     A batched phase table needs a batch of as many rows; row m acts on
     member m."""
     q, w, targets = state.num_qubits, layer.width, layer.target_qubits
-    if w and targets[-1] >= q:
+    if targets[-1] >= q:
         raise RegisterError(
             f"layer targets qubit {targets[-1]} but the state has qubits 0..{q - 1}"
         )
@@ -278,8 +277,6 @@ def apply_layer(state: PureState, layer: UnitaryLayer) -> PureState:
     if layer.batch_shape not in ((), lead):
         raise RegisterError(f"layer has phase rows {layer.batch_shape}, "
                             f"the state has rows {lead}")
-    if w == 0:
-        return state
     # the qubits before the targets, the targets and the qubits after them
     # are three axes of the amplitudes as they lie: no transpose
     amps = state.amplitudes.reshape(-1, 1 << targets[0], 1 << w, 1 << (q - 1 - targets[-1]))
@@ -453,70 +450,56 @@ def _factor_widths(m: int) -> list[int]:
 
 
 def hadamard_transform(arr: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Apply H^{(x) m} along `axis`, a power-of-two axis; returns a new array.
-
-    H^{(x) m} is the Kronecker product of H^{(x) w} factors, w at most
-    _MAX_FACTOR_BITS and the widths as equal as possible, so each factor is
-    one matrix product over its w bits of the axis index, for every index
-    of the axes before it at once.  Real input comes back float64, complex
-    input complex128.  Holds the input and two intermediate copies at most.
-    """
-    x = np.asarray(arr)
-    n = x.shape[axis] if x.ndim else 0
+    """H^{(x) m} along a power-of-two `axis`: a new C-ordered array, float64
+    for real input and complex128 for complex, transformed by `_walsh`."""
+    out = np.array(arr, dtype=_real_or_complex(arr), order="C")
+    n = out.shape[axis] if out.ndim else 0
     if n == 0 or n & (n - 1):
         raise RegisterError(f"axis length {n} is not a power of two")
-    axis %= x.ndim
-    lead, cols = math.prod(x.shape[:axis]), math.prod(x.shape[axis + 1:])
-    out = x.astype(_real_or_complex(x), copy=False)
-    done = 0
-    for w in _factor_widths(n.bit_length() - 1):
-        trail = (n >> (done + w)) * cols
-        block = out.reshape(lead, 1 << done, 1 << w, trail)
-        if trail == 1:  # H is symmetric: one (rows, 2^w) @ H, not a gemv per row
-            out = block.reshape(lead << done, 1 << w) @ _WALSH_FACTORS[w]
-        else:
-            out = np.matmul(_WALSH_FACTORS[w], block)
-        done += w
-    return out.reshape(x.shape)
+    _walsh(out, axis)
+    return out
 
 
-_CONJUGATE_BYTES = 1 << 20  # the rows or columns one conjugation step transforms
+_SLAB_BYTES = 1 << 20  # the entries one matrix product of `_walsh` transforms
 
 
-def _conjugation_peak_entries(dim: int) -> int:
-    """What `hadamard_conjugate` holds besides a float64 dim x dim matrix,
-    in 16-byte units: the Walsh transform's two copies of one block of rows,
-    more than each later slab of columns needs."""
-    return min(dim, max(1, _CONJUGATE_BYTES // (dim * 8))) * dim
+def _walsh(arr: np.ndarray, axis: int) -> None:
+    """Apply H^{(x) m} in place along `axis`, of length 2^m, of a writable
+    C-ordered float64 or complex128 array: one `_factor_widths` factor at a
+    time, on its bits of the axis index, one matrix product per slab of about
+    _SLAB_BYTES.  A strided array is refused: a reshape would copy it."""
+    if not arr.flags.c_contiguous:
+        raise ValueError("the Walsh transform works in place and needs a C-ordered array")
+    trail = math.prod(arr.shape[axis % arr.ndim:])  # >>= w: the entries after each factor
+    for w in _factor_widths(arr.shape[axis].bit_length() - 1):
+        factor, per_slab = _WALSH_FACTORS[w], max(1, _SLAB_BYTES // (arr.itemsize << w))
+        trail >>= w
+        blocks = arr.reshape(-1, 1 << w, trail)
+        width, stack = min(trail, per_slab), max(1, per_slab // trail)
+        for start in range(0, len(blocks), stack):
+            for col in range(0, trail, width):
+                slab = blocks[start:start + stack, :, col:col + width]
+                if trail > 1:
+                    slab[...] = np.matmul(factor, slab)
+                else:  # lowest bits of the last axis: H is symmetric, so rows @ H
+                    slab[..., 0] = slab[..., 0] @ factor
 
 
 def hadamard_conjugate(matrix: np.ndarray) -> np.ndarray:
     """Conjugate a square float64 or complex128 matrix by H^{(x) m} in place
-    and return the same buffer, holding besides it only a few temporaries of
-    about _CONJUGATE_BYTES.  First M H, one block of rows at a time.  Then
-    H (M H), one H^{(x) w} factor at a time: a factor acts on one bit field
-    of the row index, that is on the 2^w rows of each value of the higher
-    bits, as one matrix product per slab of their columns.  A Fortran-ordered
-    matrix is conjugated through its transpose, as H M^T H = (H M H)^T, so
-    the row blocks are contiguous either way.  A read-only matrix is refused."""
-    if not isinstance(matrix, np.ndarray) or not matrix.flags.writeable:
-        raise ValueError("hadamard_conjugate works in place and needs a writable array")
+    and return the same buffer: M H, then H (M H), two `_walsh` passes.  A
+    Fortran-ordered matrix is conjugated through its transpose, as
+    H M^T H = (H M H)^T; a read-only matrix or a strided view is refused."""
+    if not (isinstance(matrix, np.ndarray) and matrix.flags.writeable
+            and (matrix.flags.c_contiguous or matrix.flags.f_contiguous)):
+        raise ValueError("hadamard_conjugate works in place and needs a writable C- or "
+                         "Fortran-ordered array, not a read-only array or a strided view")
     if matrix.dtype not in (np.float64, np.complex128):
         raise ValueError(f"hadamard_conjugate needs float64 or complex128, got {matrix.dtype}")
     mat = matrix.T if np.isfortran(matrix) else matrix
     dim = len(mat)
     if mat.shape != (dim, dim) or not dim or dim & (dim - 1):
         raise RegisterError(f"expected a square matrix of power-of-two side, got {mat.shape}")
-    step = max(1, _CONJUGATE_BYTES // (dim * mat.itemsize))
-    for start in range(0, dim, step):  # H is symmetric: row r of M H is H applied to row r
-        rows = mat[start:start + step]
-        rows[...] = hadamard_transform(rows, axis=1)
-    done = 0
-    for w in _factor_widths(dim.bit_length() - 1):
-        width = max(1, _CONJUGATE_BYTES // (mat.itemsize << w))
-        for field in mat.reshape(1 << done, 1 << w, -1):
-            for start in range(0, field.shape[1], width):
-                slab = field[:, start:start + width]
-                slab[...] = _WALSH_FACTORS[w] @ slab
-        done += w
+    _walsh(mat, 1)  # H is symmetric: row r of M H is H applied to row r
+    _walsh(mat, 0)
     return matrix

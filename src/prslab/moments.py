@@ -40,7 +40,7 @@ import numpy as np
 
 from . import boolfn, corelin, expand
 from .boolfn import BooleanFunction
-from .budget import check_complex_array, check_enumeration
+from .budget import check_complex_array, check_enumeration, check_power_enumeration
 from .corelin import DensityOperator, PureState
 from .expand import Layout, Source  # Source is re-exported for MomentSpec users
 from .prsgen import PrsKind
@@ -65,8 +65,7 @@ class ExhaustiveAllFunctions:
 
     def members(self, n: int, m: int, draws: int = 1, label: str = "prs"):
         """Tuples of `draws` functions mod m on n bits, one per member."""
-        check_enumeration(boolfn.function_count(n, m)**draws,
-                          f"exhaustive ensemble n={n}, draws={draws}")
+        check_power_enumeration(m, draws << n, f"exhaustive ensemble n={n}, draws={draws}")
         # the first draw streams; only the other draws' tables, and their tuples, are held
         tails = (list(itertools.product(boolfn.enumerate_all(n, m), repeat=draws - 1))
                  if draws > 1 else [()])
@@ -302,19 +301,16 @@ def _densify_rows(dim: int) -> int:
 def _pairing_peak_entries(spec: MomentSpec) -> int:
     """Upper estimate of the pairing route's peak allocation, in 16-byte
     units: the larger of at most 96 bytes per tuple while tuples are keyed
-    and grouped, and the float64 d^t x d^t moment beside the larger of
-    what filling it holds (G in csr and csc form, at most one 12-byte
-    entry per tuple each, and one block of rows as a sparse product, at
-    most 12 bytes per entry) and what the in-place Hadamard conjugation
-    holds when the layout ends with the Fourier layer, plus 1 MiB of numpy
-    ufunc buffers and of what wrapping the moment in a DensityOperator holds
-    besides it."""
+    and grouped, and the float64 d^t x d^t moment beside what filling it
+    holds (G in csr and csc form, at most one 12-byte entry per tuple each,
+    and one block of rows as a sparse product, at most 12 bytes per entry),
+    plus 1 MiB of numpy ufunc buffers, the Hadamard conjugation's one slab
+    and what wrapping the moment in a DensityOperator holds besides it."""
     layout = spec.layout
     tuples = 1 << (spec.n * len(layout.offsets) * spec.t)
     dim = 1 << (layout.qubits * spec.t)
     densify = (3 * tuples + 3 * _densify_rows(dim) * dim) // 2
-    conjugation = corelin._conjugation_peak_entries(dim) if layout.final_layer else 0
-    return max(6 * tuples, dim * dim // 2 + max(densify, conjugation)) + (1 << 16)
+    return max(6 * tuples, dim * dim // 2 + densify) + (1 << 16)
 
 
 def ensemble_moment_deltapair(spec: MomentSpec) -> DensityOperator:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from prslab import boolfn
+from prslab import boolfn, budget
 from prslab.boolfn import BooleanFunction, PrfKey
 from prslab.budget import BudgetError
 
@@ -48,6 +48,13 @@ class TestEnumeration:
     def test_three_bit_no_duplicates(self):
         tables = {tuple(f.table.tolist()) for f in boolfn.enumerate_all(3, 2)}
         assert len(tables) == 256
+
+    def test_count_stops_past_the_enumeration_cap(self):
+        cap = budget.DEFAULT_ENUMERATION_LIMIT
+        assert boolfn.function_count(2, 3) == 81
+        assert boolfn.function_count(4, 3) == cap + 1  # 3^16
+        assert boolfn.function_count(40, 1) == 1
+        assert boolfn.function_count(40, 2) == cap + 1  # 2^(2^40) would not fit in memory
 
     def test_budget_error_states_count(self):
         with pytest.raises(BudgetError, match=str(2**32)):

@@ -33,6 +33,28 @@ class TestBudgetMib:
             budget.budget_mib()
 
 
+class TestSizes:
+    @pytest.mark.parametrize("check,message", [
+        (lambda: budget.check_enumeration((1 << 64) - 1, "x"), "18446744073709551615 items"),
+        (lambda: budget.check_enumeration(1 << 64, "x"), "2^64 items"),
+        (lambda: budget.check_enumeration(3 << 70, "x"), "2^71.5849625 items"),
+        (lambda: budget.check_power_enumeration(2, 1 << 40, "x"), "2^1099511627776 items"),
+        (lambda: budget.check_power_enumeration(2, 1 << 1100, "x"), "2^2^1100 items"),
+        (lambda: budget.check_power_enumeration(1 << 100, 1 << 100, "x"), "(2^100)^2^100 items"),
+        (lambda: budget.check_complex_array(1 << 4000, "x"), "2^4000 entries"),
+    ])
+    def test_messages_state_sizes_past_2_to_the_64_as_powers_of_two(self, check, message):
+        with pytest.raises(BudgetError) as info:
+            check()
+        assert message in str(info.value) and len(str(info.value)) < 120
+
+    def test_power_enumeration_within_the_cap_passes(self):
+        budget.check_power_enumeration(2, 20, "x")
+        budget.check_power_enumeration(1, 1 << 100, "x")
+        with pytest.raises(BudgetError, match="2097152 items"):
+            budget.check_power_enumeration(2, 21, "x")
+
+
 class TestLimit:
     def test_previous_value_restored_on_exit_and_on_an_exception(self, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "64")

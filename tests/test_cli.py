@@ -299,12 +299,15 @@ class TestVerificationCommands:
          "condition_binary.json"),
         (1, ["condition", "--witness", "binary", "--n", "2", "--samples", "-4"],
          "condition_binary.json"),
+        (1, ["condition", "--witness", "binary", "--n", "0"], "condition_binary.json"),
+        (1, ["condition", "--witness", "general", "--n", "-1"], "condition_general.json"),
         (1, ["moments", "--space", "prf:0"], "moments.csv"),
         (1, ["moments", "--space", "uniform:x"], "moments.csv"),
         (-1, ["moments", "--space", "uniform:4"], "moments.csv"),
         (1 << 70, ["moments", "--space", "prf:4"], "moments.csv"),
     ], ids=["expand-check-samples-0", "expand-check-samples-neg", "condition-samples-0",
             "condition-binary-samples-0", "condition-binary-samples-neg",
+            "condition-binary-n-0", "condition-general-n-neg",
             "prf-count-0", "uniform-count-x", "uniform-seed-neg", "prf-seed-2^70"])
     def test_bad_input_exits_2_with_one_line_and_no_output(self, tmp_path, capsys, seed, args,
                                                            output):
@@ -433,6 +436,24 @@ class TestVerificationCommands:
         err = capsys.readouterr().err
         assert err.startswith("budget error: ") and err.count("\n") == 1
         assert not (tmp_path / "condition_binary.json").exists()
+
+    @pytest.mark.parametrize("args,message", [
+        (["moments", "--source", "plain", "--n", "10", "--t", "200"],
+         "requires 2^3983 MiB (2^3999 entries of 16 bytes)"),
+        (["expand-check", "--n", "13", "--i", "1"], "would enumerate 2^8192 items"),
+        (["expand-check", "--n", "14", "--i", "1"], "would enumerate 2^16384 items"),
+        (["expand-check", "--n", "28", "--i", "1"], "would enumerate 2^268435456 items"),
+    ], ids=["moments-plain-10-200", "expand-check-13", "expand-check-14", "expand-check-28"])
+    def test_a_refusal_of_any_size_is_one_short_line(self, tmp_path, capsys, args, message):
+        # sizes past 2^64 are stated as powers of two, and a count past the
+        # cap is not built: the 2^(2^28) functions on 28 bits are a 32 MiB integer
+        start = time.perf_counter()
+        assert run(["--out-dir", tmp_path] + args) == 2
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert err.startswith("budget error: ") and message in err
+        assert err.count("\n") == 1 and len(err) < 200
+        assert elapsed < 0.5
 
     def test_condition_witness_over_budget_exits_2_before_building_it(self, tmp_path, capsys):
         code = run(["--seed", "0", "--budget-mib", "1", "--out-dir", tmp_path, "condition",

@@ -129,6 +129,20 @@ class TestValidationAndReports:
         with pytest.raises(ValueError, match=rf"{field} must be an unbatched layer on qubits 0\.\.1"):
             ConditionWitness(2, good.u, pair["v"], pair["w"], good.scale)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -2.0])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        # a NaN deviation never exceeds the tolerance, so a NaN or infinite
+        # scale would pass condition 2
+        good = binary_phase_witness(2)
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            ConditionWitness(2, good.u, good.v, good.w, scale)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_witness_refuses_fewer_than_one_qubit(self, n):
+        for kind in PrsKind:
+            with pytest.raises(ValueError, match=f"needs n >= 1 qubits, got n={n}"):
+                phase_witness(kind, n)
+
     def test_a_sample_of_mixed_moduli_is_refused(self, rng):
         witness = general_phase_witness(2)
         wide, narrow = boolfn.random_function(2, 4, rng), boolfn.random_function(2, 2, rng)

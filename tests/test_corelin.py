@@ -105,11 +105,12 @@ class TestUnitaryLayer:
         with pytest.raises(RegisterError, match=re.escape(f"target qubits {targets} are not")):
             make(targets)
 
-    def test_the_empty_run_acts_as_the_identity(self, rng):
-        s = random_state(2, rng)
-        for layer in (hadamard_all_layer(()), corelin.qft_layer(()),
-                      phase_diagonal_layer((), 2, [1])):
-            assert apply_layer(s, layer) is s
+    def test_the_empty_run_is_refused(self):
+        # a width-0 layer is not the identity: the phase table [1] is the scalar -1
+        for make in (hadamard_all_layer, corelin.qft_layer,
+                     lambda targets: phase_diagonal_layer(targets, 2, [1])):
+            with pytest.raises(RegisterError, match=re.escape("target qubits () are not")):
+                make(())
 
     @pytest.mark.parametrize(
         "make, match",
@@ -619,7 +620,8 @@ class TestHadamardTransform:
         # at 2^10 a matrix is 8 or 16 MiB: each pass takes several steps
         dim = 1 << bits
         m = layout(rng.standard_normal((dim, dim)).astype(dtype))
-        want = corelin.hadamard_transform(corelin.hadamard_transform(m, axis=1), axis=0)
+        h = corelin.hadamard_matrix(bits)  # the dense oracle, independent of the kernel
+        want = h @ m @ h
         got = corelin.hadamard_conjugate(m)
         assert got is m and got.dtype == dtype
         assert_matrices_close(got, want, 1e-9)
@@ -635,6 +637,16 @@ class TestHadamardTransform:
         for shape in [(4, 8), (6, 6), (0, 0), (4,)]:
             with pytest.raises(RegisterError, match="power-of-two side"):
                 corelin.hadamard_conjugate(np.zeros(shape))
+        # neither C- nor Fortran-ordered: reshaping would copy it, losing the writes
+        big = np.eye(8)
+        with pytest.raises(ValueError, match="strided view"):
+            corelin.hadamard_conjugate(big[::2, ::2])
+        assert np.array_equal(big, np.eye(8))
+
+    def test_conjugation_holds_one_slab_besides_the_matrix(self, rng):
+        # a 2^11 float64 matrix is 32 MiB; each pass transforms 1 MiB slabs
+        m = rng.standard_normal((1 << 11, 1 << 11))
+        assert measured_peak(lambda: corelin.hadamard_conjugate(m)) <= 1.5 * (1 << 20)
 
     @pytest.mark.parametrize("m", range(13))
     def test_matches_dense_walsh_matrix_on_any_dtype_and_layout(self, m):

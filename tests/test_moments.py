@@ -422,6 +422,21 @@ class TestBruteForce:
         report = compare_to_haar(spec, Method.MONTE_CARLO)
         assert 0.0 <= report.haar_distance <= 1.0
 
+    @pytest.mark.parametrize("spec", [
+        MomentSpec(Source.CONSTRUCTION2, n=10, t=1),
+        MomentSpec(Source.PLAIN, n=28, t=1),
+        MomentSpec(Source.PLAIN, n=10, t=200),
+    ], ids=["c2-10-1", "plain-28-1", "plain-10-200"])
+    def test_sizes_past_2_to_the_64_raise_budget_error(self, spec):
+        with pytest.raises(BudgetError, match="moment accumulation peak"):
+            ensemble_moment_bruteforce(spec)
+
+    def test_exhaustive_space_past_the_cap_is_refused_unbuilt(self):
+        with pytest.raises(BudgetError, match=r"n=28, draws=2 would enumerate 2\^536870912 items"):
+            next(ExhaustiveAllFunctions().members(28, 2, draws=2))
+        with pytest.raises(BudgetError, match=r"n=4, m=1048576 would enumerate 1048576\^16 items"):
+            next(boolfn.enumerate_all(4, 1 << 20))
+
     def test_budget_error_reports_size(self):
         with pytest.raises(BudgetError, match="MiB"):
             ensemble_moment_bruteforce(plain(6, 3))

@@ -81,6 +81,26 @@ def test_members_are_drawn_only_by_the_function_spaces():
     assert offenders == []
 
 
+def test_the_walsh_factors_are_read_only_by_the_walsh_kernel():
+    # one Walsh loop: the Hadamard layer and the pairing moment's final
+    # conjugation both run corelin._walsh, so no second factor loop grows back
+    modules = sorted(Path(prslab.__file__).parent.rglob("*.py"))
+    inside, offenders = set(), []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path.name == "corelin.py":
+            (kernel,) = [node for node in tree.body
+                         if isinstance(node, ast.FunctionDef) and node.name == "_walsh"]
+            inside = {id(node) for node in ast.walk(kernel)}
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if (isinstance(node, ast.Name) and node.id == "_WALSH_FACTORS"
+                          and isinstance(node.ctx, ast.Load)
+                          or isinstance(node, ast.Attribute) and node.attr == "_WALSH_FACTORS")
+                      and id(node) not in inside]
+    assert inside, "corelin._walsh not found"
+    assert offenders == []
+
+
 class _Module:
     """One package module: its top-level definitions, what each of its
     names is bound to (a definition, `from .x import name`, or a package
