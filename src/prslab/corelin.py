@@ -7,9 +7,11 @@ thin validating container.  A circuit layer is one of three kinds, the
 halves of a phase-state generator: all-Hadamard, the Fourier kernel, or a
 phase diagonal; one in-place kernel, `_walsh`, applies H^{(x) m} for the
 Hadamard layer and the pairing moment's conjugation.  The compression to the
-symmetric subspace is an index gather; no isometry is built.  Everything
-here but `hadamard_conjugate`, which works in place on its caller's array,
-is a pure function on immutable inputs, safe to share across threads.
+symmetric subspace is an index gather; no isometry is built.  The trace
+distance eigensolves each connected block of the difference on its own.
+Everything here but `hadamard_conjugate`, which works in place on its
+caller's array, is a pure function on immutable inputs, safe to share
+across threads.
 
 Convention used throughout the package: qubit 0 is the *most significant* bit
 of a basis-state label, i.e. the basis index of |b0 b1 ... b(q-1)> is
@@ -298,11 +300,63 @@ def partial_trace(state: PureState, traced_qubits) -> DensityOperator:
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
-    """Half the 1-norm of (a - b), via Hermitian eigendecomposition."""
+    """Half the 1-norm of (a - b), via Hermitian eigendecomposition, one
+    connected block at a time.
+
+    The components of the nonzero pattern of a - b (`_components`) split it,
+    up to a permutation, into diagonal blocks, and a permutation similarity
+    changes no eigenvalue, so the spectrum is that of the blocks: one
+    eigensolve per block, a 1 x 1 block read off the diagonal, and a - b
+    solved as it is when it is one block.  Every block is gathered before the
+    difference is dropped, so the solve holds the blocks, at most one
+    matrix of a's size together, besides the eigensolver's copy of one."""
     if a.dim != b.dim:
         raise RegisterError(f"dimension mismatch {a.dim} != {b.dim}")
-    eigs = np.linalg.eigvalsh(a.matrix - b.matrix)
+    diff = a.matrix - b.matrix
+    blocks = _components(diff)
+    if len(blocks) == 1:
+        eigs = np.linalg.eigvalsh(diff)
+    else:
+        singles = np.array([c[0] for c in blocks if len(c) == 1], dtype=np.intp)
+        solved = [diff[singles, singles].real]
+        blocks = [diff[np.ix_(c, c)] for c in blocks if len(c) > 1]
+        del diff
+        eigs = np.concatenate(solved + [np.linalg.eigvalsh(block) for block in blocks])
     return float(0.5 * np.sum(np.abs(eigs)))
+
+
+_FRONTIER_BYTES = 1 << 20  # the pattern rows one search step gathers
+
+
+def _components(mat: np.ndarray) -> list[np.ndarray]:
+    """The connected components of the nonzero pattern of a square matrix,
+    read as a graph that joins i and j when mat[i, j] or mat[j, i] is
+    nonzero: a list of ascending index arrays, in the order of their
+    smallest index.  A breadth-first search over the boolean pattern, whose
+    frontier rows are gathered at most _FRONTIER_BYTES at a time; an index
+    with no nonzero off the diagonal is a component of its own, unsearched."""
+    dim = len(mat)
+    pattern = mat != 0
+    pattern |= pattern.T  # eigvalsh reads one triangle: keep both, so no block is missed
+    np.fill_diagonal(pattern, False)  # a diagonal entry joins nothing
+    alone = ~pattern.any(axis=1)
+    labels = np.full(dim, -1)  # the component of each index, -1 until it is reached
+    step = max(1, _FRONTIER_BYTES // max(1, dim))
+    count = 0
+    for seed in range(dim):
+        if labels[seed] >= 0:
+            continue
+        labels[seed] = count
+        frontier = np.empty(0, dtype=np.intp) if alone[seed] else np.array([seed])
+        while frontier.size:
+            reached = np.zeros(dim, dtype=bool)
+            for start in range(0, frontier.size, step):
+                reached |= pattern[frontier[start:start + step]].any(axis=0)
+            frontier = np.flatnonzero(reached & (labels < 0))
+            labels[frontier] = count
+        count += 1
+    order = np.argsort(labels, kind="stable")  # ascending indices within each component
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 def symmetric_subspace_dimension(local_dim: int, copies: int) -> int:

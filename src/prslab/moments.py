@@ -15,8 +15,10 @@ The Haar moment is the normalized projector onto the symmetric subspace;
 the tests cross-check it by Monte Carlo averaging of random states.  Every
 ensemble moment lies in that subspace too, of dimension D = C(d+t-1, t), so
 the distance to the Haar moment is taken on the D x D compressions of the
-two operators; the dense d^t x d^t `corelin.trace_distance` is kept as the
-oracle the compressed distance is tested against.  `compare_to_haar` builds
+two operators, and `corelin.trace_distance` solves their difference one
+connected block of its nonzero pattern at a time (at c1 (5,1,2), blocks of
+1056 and 1024 of D = 2080); one dense eigensolve of the d^t x d^t
+difference is the oracle the tests hold it to.  `compare_to_haar` builds
 and compresses the Haar moment first and drops its d^t x d^t form before
 the route runs, and each route builds its moment in one array that it
 freezes and hands to its DensityOperator, so a comparison holds one
@@ -399,12 +401,21 @@ def haar_moment(local_dim: int, copies: int) -> DensityOperator:
 
 def _distance_peak_entries(local_dim: int, copies: int, complex_: bool = False) -> int:
     """Upper estimate of `_haar_distance`'s peak besides its two inputs, in
-    16-byte units: the moment's compression, then trace_distance's
-    difference and the eigensolver's copy of it beside the compressed
-    moment.  `complex_` is the moment's dtype; the Haar moment is real."""
+    16-byte units: the moment's compression, then, beside the compressed
+    moment, the larger of `corelin.trace_distance`'s two phases.  The
+    component search holds the difference and at most three D x D bool
+    arrays (the pattern, its transpose and one frontier gather).  The solve
+    holds two more squares: the difference and the eigensolver's copy of it
+    when it is one block (the worst case), or else all the gathered blocks,
+    at most one square together, beside the difference and then beside the
+    copy of the block being solved.  numpy's linalg allocates that copy with
+    `malloc`, which tracemalloc does not trace, so a measured peak leaves it
+    out.  `complex_` is the moment's dtype; the Haar moment is real."""
     sym = corelin.symmetric_subspace_dimension(local_dim, copies)
     square = sym * sym if complex_ else sym * sym // 2
-    return max(corelin._compression_peak_entries(local_dim, copies, complex_), 3 * square)
+    search = 2 * square + 3 * (sym * sym // 16)
+    return max(corelin._compression_peak_entries(local_dim, copies, complex_),
+               search, 3 * square)
 
 
 def _haar_distance(
@@ -424,9 +435,9 @@ def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
     to the Haar moment.  Both moments lie in the symmetric subspace, so the
     distance is taken on their D x D compressions there
     (`corelin.symmetric_compression`), the Haar moment's before the route
-    runs; the d^t x d^t `trace_distance` against `haar_moment` is the
-    oracle it is tested against.  Deterministic given the function-space
-    seed."""
+    runs; one dense eigensolve of the d^t x d^t difference from
+    `haar_moment` is the oracle it is tested against.  Deterministic given
+    the function-space seed."""
     sampled = not isinstance(spec.function_space, ExhaustiveAllFunctions)
     if method is Method.MONTE_CARLO and not sampled:
         raise ValueError("monte_carlo labels sampled ensembles; space is exhaustive")

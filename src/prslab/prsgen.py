@@ -35,6 +35,8 @@ class PrsGenerator:
     f: BooleanFunction
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"a generator acts on n >= 1 qubits, got n = {self.n}")
         if self.f.input_bits != self.n:
             raise ValueError(
                 f"function takes {self.f.input_bits}-bit inputs, generator is on {self.n} qubits"

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prslab import budget, corelin
@@ -32,6 +32,7 @@ from conftest import (
     assert_matrices_close,
     assert_vectors_close,
     basis_state,
+    dense_trace_distance,
     materialize,
     measured_peak,
     random_state,
@@ -306,6 +307,35 @@ class TestPartialTrace:
             assert_vectors_close(lhs, rhs, 1e-12)
 
 
+def permuted_blocks(sizes, complex_, tree, rng):
+    """A Hermitian matrix with blocks of these sizes on its diagonal, then
+    rows and columns permuted, and its blocks as ascending index lists in
+    the order of their smallest index.  A block is dense, or a tree that
+    joins each index to one earlier index of its block; a size 0 stands for
+    an all-zero row, a block of its own."""
+    dim = sum(max(1, size) for size in sizes)
+    mat = np.zeros((dim, dim), dtype=np.complex128 if complex_ else np.float64)
+    start, blocks = 0, []
+    for size in sizes:
+        if tree:
+            block = np.diag(rng.standard_normal(size)).astype(mat.dtype)
+            for i in range(1, size):
+                weight = rng.standard_normal() + (1j * rng.standard_normal() if complex_ else 0)
+                parent = rng.integers(i)
+                block[i, parent], block[parent, i] = weight, np.conj(weight)
+        else:
+            block = rng.standard_normal((size, size))
+            if complex_:
+                block = block + 1j * rng.standard_normal((size, size))
+            block = block + block.conj().T
+        mat[start:start + size, start:start + size] = block
+        blocks.append(range(start, start + max(1, size)))
+        start += max(1, size)
+    perm = rng.permutation(dim)
+    where = np.argsort(perm)  # old index j sits at where[j]
+    return mat[np.ix_(perm, perm)], sorted(sorted(where[list(b)].tolist()) for b in blocks)
+
+
 class TestTraceDistance:
     def test_zero_on_equal_states(self, rng):
         rho = partial_trace(random_state(3, rng), [0])
@@ -355,6 +385,47 @@ class TestTraceDistance:
             assert all(op.matrix.dtype == np.float64 for op in ops)
             cast = [DensityOperator(op.matrix.astype(np.complex128)) for op in ops]
             assert abs(trace_distance(*ops) - trace_distance(*cast)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 7), min_size=1, max_size=8),
+           complex_=st.booleans(), tree=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(sizes=[12], complex_=False, tree=False, seed=0)  # a single full block
+    @example(sizes=[12], complex_=True, tree=True, seed=1)
+    @example(sizes=[0, 0, 0], complex_=False, tree=False, seed=2)  # a - b is zero
+    def test_block_by_block_matches_one_eigensolve(self, sizes, complex_, tree, seed):
+        # a and b share a diagonal shift, so a - b is the block matrix
+        rng = np.random.default_rng(seed)
+        mat, blocks = permuted_blocks(sizes, complex_, tree, rng)
+        shift = np.diag(rng.standard_normal(len(mat)))
+        a = DensityOperator(mat + shift, normalized=False)
+        b = DensityOperator(shift, normalized=False)
+        found = corelin._components(a.matrix - b.matrix)
+        assert [c.tolist() for c in found] == blocks
+        assert abs(trace_distance(a, b) - dense_trace_distance(a, b)) <= 1e-12
+
+    @pytest.mark.parametrize("rows_per_step", [1, 2, 3, 1000])
+    def test_the_search_reads_every_frontier_row(self, monkeypatch, rows_per_step):
+        # trees are searched over several levels, whose frontiers are read
+        # a few rows per step here
+        mat, blocks = permuted_blocks([1, 40, 0, 25, 7, 1], False, True,
+                                      np.random.default_rng(rows_per_step))
+        monkeypatch.setattr(corelin, "_FRONTIER_BYTES", rows_per_step * len(mat))
+        assert [c.tolist() for c in corelin._components(mat)] == blocks
+
+    @pytest.mark.parametrize("entries", [
+        {(1, 0): 1e-11},  # joined only by its lower triangle
+        {(0, 2): 1e-11, (2, 0): 1e-11, (2, 1): 1e-11, (3, 3): 1.0},  # found as 0, 2, 1
+    ], ids=["one-triangle", "search-order"])
+    def test_blocks_keep_the_triangle_eigvalsh_reads(self, entries):
+        # an operator is Hermitian to within 1e-10, so an entry may sit in
+        # one triangle only; a block must still join it and be gathered in
+        # ascending order, so that it reads the entries the dense solve reads
+        mat = np.zeros((max(max(key) for key in entries) + 1,) * 2)
+        for key, value in entries.items():
+            mat[key] = value
+        a = DensityOperator(mat, normalized=False)
+        b = DensityOperator(np.zeros_like(mat), normalized=False)
+        assert abs(trace_distance(a, b) - dense_trace_distance(a, b)) <= 1e-15
 
     def test_dimension_mismatch(self, rng):
         a = partial_trace(random_state(2, rng), [0])

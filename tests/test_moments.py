@@ -28,6 +28,7 @@ from prslab.prsgen import PrsGenerator, PrsKind
 from conftest import (
     assert_matrices_close,
     assert_vectors_close,
+    dense_trace_distance,
     haar_moment_monte_carlo,
     measured_peak,
     random_unitary,
@@ -660,9 +661,10 @@ def pairing_report():
 
 
 def dense_distance(report):
-    """The d^t x d^t oracle: trace distance from the report's moment to `haar_moment`."""
+    """The d^t x d^t oracle: trace distance from the report's moment to
+    `haar_moment`, from one eigensolve of the whole difference."""
     haar = haar_moment(1 << report.spec.layout.qubits, report.spec.t)
-    return corelin.trace_distance(report.moment, haar)
+    return dense_trace_distance(report.moment, haar)
 
 
 class TestDistanceInTheSymmetricSubspace:
@@ -703,7 +705,7 @@ class TestDistanceInTheSymmetricSubspace:
         haar = haar_moment(local_dim, copies)
         got = moments._haar_distance(
             moment, corelin.symmetric_compression(haar, local_dim, copies), local_dim, copies)
-        assert abs(got - corelin.trace_distance(moment, haar)) <= 1e-12
+        assert abs(got - dense_trace_distance(moment, haar)) <= 1e-12
 
     @pytest.mark.parametrize("spec", [c1(4, 1, 2), c1(3, 2, 2)], ids=["c1-4-1-2", "c1-3-2-2"])
     def test_peak_stays_near_two_moment_sized_arrays(self, spec):
@@ -716,8 +718,9 @@ class TestDistanceInTheSymmetricSubspace:
         measured = measured_peak(lambda: compare_to_haar(spec, Method.DELTA_PAIRING))
         assert measured <= 2.1 * 8 * dim * dim
 
-    def test_no_full_dimension_eigensolve(self, monkeypatch):
-        # c1 (4,1,2): d^t = 1024, D = C(33, 2) = 528
+    @staticmethod
+    def eigensolve_shapes(monkeypatch, spec):
+        """The shapes `compare_to_haar(spec)` hands to eigvalsh, in call order."""
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -726,8 +729,28 @@ class TestDistanceInTheSymmetricSubspace:
             return eigvalsh(mat, *args, **kwargs)
 
         monkeypatch.setattr(corelin.np.linalg, "eigvalsh", recording)
-        compare_to_haar(c1(4, 1, 2), Method.DELTA_PAIRING)
-        assert shapes == [(528, 528)]
+        compare_to_haar(spec, Method.DELTA_PAIRING)
+        return shapes
+
+    def test_no_full_dimension_eigensolve(self, monkeypatch):
+        # c1 (4,1,2): d^t = 1024, D = C(33, 2) = 528
+        assert self.eigensolve_shapes(monkeypatch, c1(4, 1, 2)) == [(528, 528)]
+
+    def test_the_compressed_difference_is_solved_block_by_block(self, monkeypatch):
+        # c1 (3,1,2): d^t = 256, D = C(17, 2) = 136, two blocks
+        assert self.eigensolve_shapes(monkeypatch, c1(3, 1, 2)) == [(72, 72), (64, 64)]
+
+    def test_plain_solves_nothing_larger_than_its_key_groups(self, monkeypatch):
+        # without a final layer the plain moment joins two classes only when
+        # their labels have the same odd-multiplicity set (the XOR key of
+        # one-hot labels), so no block is larger than the largest such group
+        n, t = 3, 3
+        keys = [frozenset(x for x in set(multiset) if multiset.count(x) % 2)
+                for multiset in itertools.combinations_with_replacement(range(1 << n), t)]
+        largest = max(keys.count(key) for key in set(keys))
+        shapes = self.eigensolve_shapes(monkeypatch, plain(n, t))
+        assert largest == 8 and shapes
+        assert max(side for side, _ in shapes) <= largest
 
     @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3)])
     def test_budget_estimate_covers_measured_peak(self, local_dim, copies):
@@ -736,6 +759,15 @@ class TestDistanceInTheSymmetricSubspace:
         measured = measured_peak(
             lambda: moments._haar_distance(moment, haar, local_dim, copies))
         estimate = 16 * moments._distance_peak_entries(local_dim, copies)
+        assert measured <= estimate <= 2 * measured
+
+    def test_budget_estimate_covers_the_peak_of_a_split_solve(self, pairing_report):
+        # c1 (5,1,2): blocks of 1056 and 1024 classes, both gathered beside
+        # the compressed moment and the difference
+        moment = pairing_report(c1(5, 1, 2)).moment
+        haar = corelin.symmetric_compression(haar_moment(64, 2), 64, 2)
+        measured = measured_peak(lambda: moments._haar_distance(moment, haar, 64, 2))
+        estimate = 16 * moments._distance_peak_entries(64, 2)
         assert measured <= estimate <= 2 * measured
 
     def test_budget_refuses_the_stage_before_it_allocates(self, monkeypatch):

@@ -55,6 +55,12 @@ class TestPrepare:
         with pytest.raises(ValueError):
             PrsGenerator(PrsKind.BINARY_PHASE, 2, BooleanFunction(2, 4, (0, 0, 1, 1)))
 
+    @pytest.mark.parametrize("kind, m", [(PrsKind.BINARY_PHASE, 2), (PrsKind.GENERAL_PHASE, 1)])
+    def test_generator_refuses_fewer_than_one_qubit(self, kind, m):
+        # the table is well formed for n = 0; the generator itself refuses it
+        with pytest.raises(ValueError, match=r"n >= 1 qubits, got n = 0"):
+            PrsGenerator(kind, 0, BooleanFunction(0, m, (0,)))
+
 
 class TestApplyToRegister:
     def test_zero_input_reproduces_prepare(self):
