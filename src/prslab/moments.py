@@ -23,8 +23,10 @@ and compresses the Haar moment first and drops its d^t x d^t form before
 the route runs, and each route builds its moment in one array that it
 freezes and hands to its DensityOperator, so a comparison holds one
 d^t x d^t matrix at a time.  The compression is an index gather
-(`corelin.symmetric_compression`), so the pairing route's sparse products
-G[:, rows]^T G are the only code that imports scipy, and only when it runs.
+(`corelin.symmetric_compression`).  The pairing route's Gram is constant on
+the multiset classes of Sym^t, so it is formed at D x D, by a numpy
+self-join within each key group, and expanded to the d^t x d^t moment row
+block by row block; no route needs more than numpy.
 """
 
 from __future__ import annotations
@@ -294,25 +296,64 @@ def ensemble_moment_bruteforce(spec: MomentSpec) -> DensityOperator:
     return ensemble_moment_over_functions(spec, member_functions(spec))
 
 
-def _densify_rows(dim: int) -> int:
-    """Rows of the dim x dim pairing moment that one sparse product fills: a
-    sixteenth of them, so the product's block stays small beside the moment."""
-    return max(1, dim // 16)
+_JOIN_BYTES = 1 << 20  # what one self-join step holds
+_PAIR_BYTES = 48  # per pair of entries in a self-join step: six 8-byte arrays
+_MIRROR_ROWS = 64  # rows of the Gram one mirror step fills: the transposed tile stays in cache
+
+
+def _self_join(group: np.ndarray, cls: np.ndarray, weight: np.ndarray, sym: int) -> np.ndarray:
+    """W^T W, a float64 sym x sym matrix, for the sparse key-group x class
+    matrix W given as its nonzero entries (group, cls, weight), sorted by
+    group and then class, each (group, class) once.  Each group adds
+    w_e w_e' at (cls_e, cls_e') for its pairs of entries e <= e', in steps
+    of at most _JOIN_BYTES (but at least one entry's pairs).  As the classes
+    of a group ascend, that fills the upper triangle, which is then mirrored
+    below the diagonal, the diagonal counted once.  The weights are whole
+    numbers, so every entry is an exact integer sum below 2^53."""
+    count = len(group)
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    ends = np.append(starts[1:], count)
+    pairs = np.repeat(ends, ends - starts) - np.arange(count)  # (e, e') with e' >= e, per e
+    done = np.cumsum(pairs)  # the pairs of the entries up to and including e
+    gram = np.zeros((sym, sym))
+    step = max(1, _JOIN_BYTES // _PAIR_BYTES)
+    lo = 0
+    while lo < count:
+        before = int(done[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(done, before + step, side="right")))
+        runs = pairs[lo:hi]
+        first = np.repeat(np.arange(lo, hi), runs)
+        second = np.arange(before, done[hi - 1]) - np.repeat(done[lo:hi] - runs, runs) + first
+        np.add.at(gram.ravel(), cls[first] * sym + cls[second], weight[first] * weight[second])
+        lo = hi
+    for top in range(0, sym, _MIRROR_ROWS):
+        bottom = top + _MIRROR_ROWS
+        gram[top:bottom, :top] = gram[:top, top:bottom].T
+        tile = gram[top:bottom, top:bottom]
+        tile += np.triu(tile, 1).T
+    return gram
 
 
 def _pairing_peak_entries(spec: MomentSpec) -> int:
     """Upper estimate of the pairing route's peak allocation, in 16-byte
-    units: the larger of at most 96 bytes per tuple while tuples are keyed
-    and grouped, and the float64 d^t x d^t moment beside what filling it
-    holds (G in csr and csc form, at most one 12-byte entry per tuple each,
-    and one block of rows as a sparse product, at most 12 bytes per entry),
-    plus 1 MiB of numpy ufunc buffers, the Hadamard conjugation's one slab
-    and what wrapping the moment in a DensityOperator holds besides it."""
+    units: the largest of its three stages, plus 1 MiB of numpy ufunc
+    buffers, the Hadamard conjugation's one slab and what wrapping the
+    moment in a DensityOperator holds besides it.  Keying, filtering and
+    grouping the tuples holds at most 96 bytes per tuple, beside the int64
+    class of every label and the class arrays.  The self-join holds the
+    float64 D x D Gram, one step of pairs and at most 64 bytes per entry,
+    of which there are at most as many as tuples.  The expansion holds the
+    float64 d^t x d^t moment beside the Gram and one block of gathered rows."""
     layout = spec.layout
     tuples = 1 << (spec.n * len(layout.offsets) * spec.t)
-    dim = 1 << (layout.qubits * spec.t)
-    densify = (3 * tuples + 3 * _densify_rows(dim) * dim) // 2
-    return max(6 * tuples, dim * dim // 2 + densify) + (1 << 16)
+    local_dim = 1 << layout.qubits
+    dim = local_dim**spec.t
+    sym = corelin.symmetric_subspace_dimension(local_dim, spec.t)
+    keying = 6 * tuples + dim // 2 + corelin._classes_peak_entries(local_dim, spec.t)
+    join = sym * sym // 2 + _JOIN_BYTES // 16 + 4 * tuples
+    rows = corelin._gather_rows(dim, 8)
+    expansion = (dim * dim + sym * sym + rows * (dim + sym)) // 2
+    return max(keying, join, expansion) + (1 << 16)
 
 
 def ensemble_moment_deltapair(spec: MomentSpec) -> DensityOperator:
@@ -325,11 +366,21 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> DensityOperator:
     label it meets and writes b over its targets; the phase's (-1)^f(b) enters
     the key as the one-hot bit of b in word layout.keys[k], the draw keying block k.
     Before the final Hadamard layer (if any) the moment is G^T G / 2^(tuple
-    bits), G the signed key-by-label path matrix.  Agrees with brute force up to rounding.
-    """
-    # the only sparse products in prslab: imported here, so no other route loads scipy
-    import scipy.sparse as sparse
+    bits), G the signed key-by-label path matrix.
 
+    A tuple's key is the XOR of its copies' key words and its sign the
+    product of its copies' signs, so permuting the copies keeps both and
+    permutes the digits of its label.  Every row of G is therefore constant
+    on the multiset classes of Sym^t, and G^T G[x, y] = W^T W[a, b] for the
+    classes a of x and b of y, where W is G read at each class's
+    sorted-digit label.  The route keeps only the tuples that reach such a
+    label, merges them into integer weights per (key group, class), forms
+    the D x D Gram W^T W by a self-join within each key group
+    (`_self_join`) and expands it to the d^t x d^t moment one block of rows
+    at a time, each row a gather of its class's Gram row.  Every entry is
+    an integer sum scaled by a power of two, so the moment is exact up to
+    the final layer; it agrees with brute force up to rounding.
+    """
     if spec.kind is not PrsKind.BINARY_PHASE:
         raise ValueError("pairing route requires the sign-phase kind")
     if not isinstance(spec.function_space, ExhaustiveAllFunctions):
@@ -361,23 +412,33 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> DensityOperator:
             label = (label & ~(mask_n << low)) | (b << low)
             keys ^= one << (b + np.uint64(draw << n))
         cols |= label << np.uint64(q * (t - 1 - j))
-    _, inverse = np.unique(keys, return_inverse=True)
-    groups = sparse.coo_matrix(
-        (1.0 - 2.0 * (parity & 1), (inverse, cols.astype(np.int64))),
-        shape=(int(inverse.max()) + 1, dim),
-    ).tocsr()
-    del idx, keys, cols, parity, label, b, inverse  # the dense stage needs only G
+    del idx, label, b
 
-    # G^T G is symmetric, so its rows r are G[:, r]^T G: one sparse product
-    # per block of rows, written straight into the rows of the C-ordered
-    # moment, and no sparse Gram of the whole moment is held beside it
-    by_label = groups.tocsc()
+    labels, _ = corelin._symmetric_classes(1 << q, t)
+    sym = labels.shape[1]
+    classes = np.empty(dim, dtype=np.int64)
+    classes[labels] = np.arange(sym)
+    cols = cols.view(np.int64)  # labels are below 2^63
+    cls = classes[cols]
+    keep = labels[0, cls] == cols  # the column is its class's sorted-digit label
+    keys, cls, parity = keys[keep], cls[keep], parity[keep]
+    del cols, keep
+    _, group = np.unique(keys, return_inverse=True)
+    entries, inverse = np.unique(group * sym + cls, return_inverse=True)
+    weight = np.bincount(inverse, weights=1.0 - 2.0 * (parity & 1))
+    del keys, cls, parity, group, inverse
+    nonzero = weight != 0
+    group, cls = np.divmod(entries[nonzero], sym)
+    gram = _self_join(group, cls, weight[nonzero], sym)
+    del entries, weight, nonzero, group, cls
+    gram /= 1 << tuple_bits  # exact: integers below 2^53 over a power of two
+
     matrix = np.empty((dim, dim))
-    step = _densify_rows(dim)
+    step = corelin._gather_rows(dim, matrix.itemsize)
     for start in range(0, dim, step):
-        (by_label[:, start:start + step].T @ groups).toarray(out=matrix[start:start + step])
-    del groups, by_label
-    matrix /= 1 << tuple_bits
+        rows = gram.take(classes[start:start + step], axis=0)
+        rows.take(classes, axis=1, out=matrix[start:start + step])
+    del gram, rows
     trace = float(np.trace(matrix))
     if abs(trace - 1.0) > 1e-9:
         raise AssertionError(f"pairing moment trace {trace} deviates from 1")

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from prslab.boolfn import BooleanFunction
-from prslab.corelin import DensityOperator, PureState, RegisterError, UnitaryLayer, _act
+from prslab.corelin import (
+    DensityOperator, PureState, RegisterError, UnitaryLayer, _act, hadamard_matrix,
+)
 from prslab.moments import _average_t_fold
 
 
@@ -87,6 +89,53 @@ def dense_trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Half the 1-norm of a - b from one eigensolve of the whole difference:
     the oracle of `corelin.trace_distance`, which solves it block by block."""
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix))))
+
+
+def dense_pairing_moment(spec) -> np.ndarray:
+    """The pairing moment from a dense key-group x d^t matrix G over every
+    tuple of block labels: G^T G / 2^(tuple bits), conjugated by H^{(x) q}
+    on each copy when the layout ends in a Hadamard layer.
+
+    The oracle of `ensemble_moment_deltapair`, which keeps one label per
+    Sym^t class and joins the key groups with themselves.  Here a tuple is a
+    row of (copy, block) labels, its register a bit matrix walked block by
+    block, and its key a boolean parity vector over every draw's labels.
+    For even q every entry is a dyadic rational that float64 holds exactly,
+    so the result does not depend on the order of the sums.
+    """
+    layout, n, t = spec.layout, spec.n, spec.t
+    q, blocks, width = layout.qubits, len(layout.offsets), 1 << n
+    tuples = width ** (blocks * t)
+    rows = np.arange(tuples)
+    labels = rows[:, None] // width ** np.arange(blocks * t - 1, -1, -1) % width
+    key = np.zeros((tuples, layout.draws * width), dtype=bool)
+    odd = np.zeros(tuples, dtype=bool)
+    col = np.zeros(tuples, dtype=np.int64)
+    for copy in range(t):
+        register = np.zeros((tuples, q), dtype=bool)
+        for k, (offset, draw) in enumerate(zip(layout.offsets, layout.keys)):
+            label = labels[:, copy * blocks + k]
+            b = (label[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 1
+            odd ^= np.logical_xor.reduce(register[:, offset:offset + n] & b, axis=1)
+            register[:, offset:offset + n] = b
+            key[rows, draw * width + label] ^= True
+        col = col << q | register @ (1 << np.arange(q - 1, -1, -1))
+    # key groups: sort the packed parity vectors and number the distinct ones
+    packed = np.packbits(key, axis=1)
+    order = np.lexsort(packed.T[::-1])
+    new = np.any(packed[order[1:]] != packed[order[:-1]], axis=1)
+    group = np.empty(tuples, dtype=np.int64)
+    group[order] = np.concatenate(([0], np.cumsum(new)))
+    dim, local_dim = 1 << (q * t), 1 << q
+    g = np.zeros((group.max() + 1, dim))
+    np.add.at(g, (group, col), np.where(odd, -1.0, 1.0))
+    moment = g.T @ g / tuples
+    if layout.final_layer:
+        h = hadamard_matrix(q)
+        for axis in range(2 * t):
+            moment = np.matmul(h, moment.reshape(local_dim**axis, local_dim, -1))
+        moment = moment.reshape(dim, dim)
+    return moment
 
 
 def constant_function(n: int, m: int = 2, value: int = 0) -> BooleanFunction:

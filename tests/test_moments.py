@@ -28,6 +28,7 @@ from prslab.prsgen import PrsGenerator, PrsKind
 from conftest import (
     assert_matrices_close,
     assert_vectors_close,
+    dense_pairing_moment,
     dense_trace_distance,
     haar_moment_monte_carlo,
     measured_peak,
@@ -43,12 +44,6 @@ def plain(n, t, space=None):
 def c1(n, i, t, space=None):
     return MomentSpec(Source.CONSTRUCTION1, n=n, t=t, i=i,
                       function_space=space or ExhaustiveAllFunctions())
-
-
-def warm_pairing():
-    """Run the pairing route once, so that scipy, which its first call
-    imports, is loaded before a peak is measured."""
-    ensemble_moment_deltapair(plain(1, 1))
 
 
 def complex_reference_moment(spec):
@@ -543,17 +538,56 @@ class TestDeltaPairing:
     @pytest.mark.parametrize("spec", [plain(3, 3), c1(4, 1, 2), c1(3, 2, 2)],
                              ids=["plain-3-3", "c1-4-1-2", "c1-3-2-2"])
     def test_budget_estimate_covers_measured_peak(self, spec):
-        warm_pairing()
         measured = measured_peak(lambda: ensemble_moment_deltapair(spec))
         estimate = 16 * moments._pairing_peak_entries(spec)
         assert measured <= estimate <= 2 * measured
 
     def test_budget_refuses_c1_n5_below_its_peak_and_admits_it_by_default(self):
-        # the c1 n=5 t=2 pairing peaks above 150 MiB (measured 154 MiB)
+        # the c1 n=5 t=2 pairing peaks above 150 MiB (measured 162 MiB: the
+        # 128 MiB moment beside the 33 MiB Gram of its 2080 classes)
         spec = c1(5, 1, 2)
         assert 16 * moments._pairing_peak_entries(spec) < DEFAULT_BUDGET_MIB << 20
         with pytest.raises(BudgetError, match="pairing route peak"), budget.limit(150):
             ensemble_moment_deltapair(spec)
+
+
+class TestPairingGram:
+    """The route keeps one label per Sym^t class and joins each key group
+    with itself; the dense oracle builds G over every tuple."""
+
+    @pytest.mark.parametrize("spec", [
+        plain(3, 3), plain(2, 4), plain(3, 1), c1(3, 1, 2), c1(4, 2, 2), c1(3, 1, 3),
+        MomentSpec(Source.CONSTRUCTION2, n=2, t=2),
+        MomentSpec(Source.CONSTRUCTION2, n=2, t=2, shared_key=True),
+        MomentSpec(Source.CONSTRUCTION3, n=2, t=3, ell=3),
+    ], ids=["plain-3-3", "plain-2-4", "plain-3-1", "c1-3-1-2", "c1-4-2-2", "c1-3-1-3",
+            "c2-2-2", "c2-2-2-shared", "c3-2-3-ell3"])
+    def test_moment_is_byte_identical_to_the_dense_gram(self, spec):
+        got = ensemble_moment_deltapair(spec).matrix
+        assert got.tobytes() == dense_pairing_moment(spec).tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        c1(3, 1, 2), MomentSpec(Source.CONSTRUCTION2, n=2, t=2, shared_key=True),
+    ], ids=["c1-3-1-2", "c2-2-2-shared"])
+    def test_self_join_steps_of_a_few_pairs_give_the_same_bytes(self, monkeypatch, spec):
+        whole = ensemble_moment_deltapair(spec).matrix.tobytes()
+        steps = []
+        searchsorted = np.searchsorted
+
+        def counting(*args, **kwargs):  # called once per self-join step
+            steps.append(args)
+            return searchsorted(*args, **kwargs)
+
+        monkeypatch.setattr(moments, "_JOIN_BYTES", 3 * moments._PAIR_BYTES)
+        monkeypatch.setattr(moments.np, "searchsorted", counting)
+        assert ensemble_moment_deltapair(spec).matrix.tobytes() == whole
+        assert len(steps) > 100
+
+    def test_c1_5_1_2_moment_keeps_its_digest(self, pairing_report):
+        # sha256 of the moment's bytes, as the sparse-product route built it
+        matrix = pairing_report(c1(5, 1, 2)).moment.matrix
+        assert hashlib.sha256(matrix.tobytes()).hexdigest() == (
+            "ffc314723ff732783034b311c3bad56d5ff91dc9d9984c5ae45413c3c2351775")
 
 
 class TestHaarMoment:
@@ -711,9 +745,8 @@ class TestDistanceInTheSymmetricSubspace:
     def test_peak_stays_near_two_moment_sized_arrays(self, spec):
         # the Haar reference is compressed and dropped before the route runs,
         # and the route fills, conjugates and hands over one moment array:
-        # 1.80 float64 d^t x d^t arrays for both specs, where building every
-        # array afresh held 3.0-3.1
-        warm_pairing()
+        # 1.87 float64 d^t x d^t arrays for both specs (the moment beside its
+        # D x D class Gram), where building every array afresh held 3.0-3.1
         dim = 1 << (spec.layout.qubits * spec.t)
         measured = measured_peak(lambda: compare_to_haar(spec, Method.DELTA_PAIRING))
         assert measured <= 2.1 * 8 * dim * dim
