@@ -6,12 +6,11 @@ the symmetric projector never carry an imaginary part.  Each is wrapped in a
 thin validating container.  A circuit layer is one of three kinds, the
 halves of a phase-state generator: all-Hadamard, the Fourier kernel, or a
 phase diagonal; one in-place kernel, `_walsh`, applies H^{(x) m} for the
-Hadamard layer and the pairing moment's conjugation.  The compression to the
+Hadamard layer and the pairing moment's final layer.  The compression to the
 symmetric subspace is an index gather; no isometry is built.  The trace
 distance eigensolves each connected block of the difference on its own.
-Everything here but `hadamard_conjugate`, which works in place on its
-caller's array, is a pure function on immutable inputs, safe to share
-across threads.
+Everything here but `_walsh`, which works in place on its caller's array,
+is a pure function on immutable inputs, safe to share across threads.
 
 Convention used throughout the package: qubit 0 is the *most significant* bit
 of a basis-state label, i.e. the basis index of |b0 b1 ... b(q-1)> is
@@ -537,23 +536,3 @@ def _walsh(arr: np.ndarray, axis: int) -> None:
                     slab[...] = np.matmul(factor, slab)
                 else:  # lowest bits of the last axis: H is symmetric, so rows @ H
                     slab[..., 0] = slab[..., 0] @ factor
-
-
-def hadamard_conjugate(matrix: np.ndarray) -> np.ndarray:
-    """Conjugate a square float64 or complex128 matrix by H^{(x) m} in place
-    and return the same buffer: M H, then H (M H), two `_walsh` passes.  A
-    Fortran-ordered matrix is conjugated through its transpose, as
-    H M^T H = (H M H)^T; a read-only matrix or a strided view is refused."""
-    if not (isinstance(matrix, np.ndarray) and matrix.flags.writeable
-            and (matrix.flags.c_contiguous or matrix.flags.f_contiguous)):
-        raise ValueError("hadamard_conjugate works in place and needs a writable C- or "
-                         "Fortran-ordered array, not a read-only array or a strided view")
-    if matrix.dtype not in (np.float64, np.complex128):
-        raise ValueError(f"hadamard_conjugate needs float64 or complex128, got {matrix.dtype}")
-    mat = matrix.T if np.isfortran(matrix) else matrix
-    dim = len(mat)
-    if mat.shape != (dim, dim) or not dim or dim & (dim - 1):
-        raise RegisterError(f"expected a square matrix of power-of-two side, got {mat.shape}")
-    _walsh(mat, 1)  # H is symmetric: row r of M H is H applied to row r
-    _walsh(mat, 0)
-    return matrix

@@ -23,10 +23,16 @@ and compresses the Haar moment first and drops its d^t x d^t form before
 the route runs, and each route builds its moment in one array that it
 freezes and hands to its DensityOperator, so a comparison holds one
 d^t x d^t matrix at a time.  The compression is an index gather
-(`corelin.symmetric_compression`).  The pairing route's Gram is constant on
-the multiset classes of Sym^t, so it is formed at D x D, by a numpy
-self-join within each key group, and expanded to the d^t x d^t moment row
-block by row block; no route needs more than numpy.
+(`corelin.symmetric_compression`).  The pairing route works per copy and
+per Sym^t class until it builds its one dense output: it keys the segments
+of one copy once and joins the copies in non-decreasing label order, so it
+builds only the tuples at a class's sorted-digit label; it forms the D x D
+class Gram by a numpy self-join within each key group; it runs the final
+layer's column pass on one row per class before copying each class row to
+the class's other labels; and it hands the Gram over, scaled to the
+compression of its moment before the final layer, which has the final
+moment's spectrum, so a pairing moment is never compressed again.  No
+route needs more than numpy.
 """
 
 from __future__ import annotations
@@ -334,52 +340,123 @@ def _self_join(group: np.ndarray, cls: np.ndarray, weight: np.ndarray, sym: int)
     return gram
 
 
+def _class_tuples(spec: MomentSpec, classes: np.ndarray):
+    """The path tuples the pairing route keeps, as (key, class, odd) arrays:
+    every tuple of t copies whose labels do not decrease from copy to copy,
+    so its column is the sorted-digit label of its Sym^t class.
+
+    One copy's 2^(n blocks) segments are keyed once: a segment picks one
+    n-bit label b per block, the Hadamard layer signs it by (-1)^(targets.b)
+    for the label it meets and writes b over its targets, and the phase's
+    (-1)^f(b) enters the key as the one-hot bit of b in word layout.keys[k],
+    the draw keying block k.  A tuple's key is the XOR of its copies' key
+    words, its parity the XOR of theirs and its column their labels' digits;
+    the copies are joined one at a time, each segment of the next copy
+    reaching a label no smaller than the last one's."""
+    layout, n, t, q = spec.layout, spec.n, spec.t, spec.layout.qubits
+    idx = np.arange(1 << (n * len(layout.offsets)), dtype=np.uint64)
+    key, label = np.zeros_like(idx), np.zeros_like(idx)
+    odd = np.zeros(idx.shape, dtype=np.uint8)
+    mask_n, shift = np.uint64((1 << n) - 1), n * len(layout.offsets)
+    for offset, draw in zip(layout.offsets, layout.keys):
+        shift -= n
+        b = (idx >> np.uint64(shift)) & mask_n
+        low = np.uint64(q - offset - n)  # bit position of the block's last qubit
+        odd ^= np.bitwise_count((label >> low) & b)
+        label = (label & ~(mask_n << low)) | (b << low)
+        key ^= np.uint64(1) << (b + np.uint64(draw << n))
+    order = np.argsort(label, kind="stable")
+    seg_key, seg_label, seg_odd = key[order], label[order].view(np.int64), odd[order] & 1
+    count = len(order)
+    # the first segment of each segment's label, in label order: a next copy
+    # joined to it takes the segments from there to the last one
+    _, starts, which = np.unique(seg_label, return_index=True, return_inverse=True)
+    first = starts[which]
+    pos, key, odd, cols = np.arange(count), seg_key, seg_odd, seg_label
+    for _ in range(t - 1):
+        runs = count - first[pos]
+        rep = np.repeat(np.arange(len(pos)), runs)
+        pos = np.arange(len(rep)) - (np.cumsum(runs) - count)[rep]
+        key = key[rep] ^ seg_key[pos]
+        odd = odd[rep] ^ seg_odd[pos]
+        cols = cols[rep] << q | seg_label[pos]
+        del rep
+    return key, classes[cols], odd
+
+
 def _pairing_peak_entries(spec: MomentSpec) -> int:
     """Upper estimate of the pairing route's peak allocation, in 16-byte
-    units: the largest of its three stages, plus 1 MiB of numpy ufunc
-    buffers, the Hadamard conjugation's one slab and what wrapping the
-    moment in a DensityOperator holds besides it.  Keying, filtering and
-    grouping the tuples holds at most 96 bytes per tuple, beside the int64
-    class of every label and the class arrays.  The self-join holds the
-    float64 D x D Gram, one step of pairs and at most 64 bytes per entry,
-    of which there are at most as many as tuples.  The expansion holds the
-    float64 d^t x d^t moment beside the Gram and one block of gathered rows."""
-    layout = spec.layout
-    tuples = 1 << (spec.n * len(layout.offsets) * spec.t)
-    local_dim = 1 << layout.qubits
+    units: the int64 class of every label, beside the largest of its three
+    stages, plus 1 MiB of numpy ufunc buffers and Python objects and what
+    wrapping the moment and the Gram in DensityOperators holds besides them.
+    Joining the copies and grouping the kept tuples (`_kept_tuples`) holds
+    at most 96 bytes per kept tuple, beside the class arrays.  The self-join
+    holds the float64 D x D Gram, one step of pairs and at most 64 bytes per
+    entry, of which there are at most as many as kept tuples.  The expansion
+    holds the float64 d^t x d^t moment beside the Gram and one block of
+    gathered rows or one slab of the Walsh kernel."""
+    local_dim = 1 << spec.layout.qubits
     dim = local_dim**spec.t
     sym = corelin.symmetric_subspace_dimension(local_dim, spec.t)
-    keying = 6 * tuples + dim // 2 + corelin._classes_peak_entries(local_dim, spec.t)
+    tuples = _kept_tuples(spec)
+    keying = 6 * tuples + corelin._classes_peak_entries(local_dim, spec.t)
     join = sym * sym // 2 + _JOIN_BYTES // 16 + 4 * tuples
     rows = corelin._gather_rows(dim, 8)
-    expansion = (dim * dim + sym * sym + rows * (dim + sym)) // 2
-    return max(keying, join, expansion) + (1 << 16)
+    expansion = (dim * dim + sym * sym) // 2 + max(rows * dim // 2, corelin._SLAB_BYTES // 16)
+    return dim // 2 + max(keying, join, expansion) + (1 << 16)
 
 
-def ensemble_moment_deltapair(spec: MomentSpec) -> DensityOperator:
+def _kept_tuples(spec: MomentSpec) -> int:
+    """How many tuples `_class_tuples` keeps.  A source's blocks cover every
+    qubit, and each label bit is the segment bit that the last block
+    covering it wrote, so each copy's 2^(n blocks) segments reach each of
+    the d = 2^q labels 2^(n blocks) / d times, and each of the D
+    non-decreasing sequences of t labels that count to the t times."""
+    layout = spec.layout
+    local_dim = 1 << layout.qubits
+    reached = (1 << (spec.n * len(layout.offsets))) // local_dim
+    return corelin.symmetric_subspace_dimension(local_dim, spec.t) * reached**spec.t
+
+
+@dataclass(frozen=True)
+class SymmetricMoment(DensityOperator):
+    """A d^t x d^t moment with its D x D compression to Sym^t, V^T rho V,
+    which the route that built the moment formed on its way; the distance
+    stage reads it in place of compressing the moment again."""
+
+    compressed: DensityOperator = field(kw_only=True)
+
+
+def ensemble_moment_deltapair(spec: MomentSpec) -> SymmetricMoment:
     """All-functions moment via XOR-vector grouping; no function enumeration.
 
     Sign-phase kind, exhaustive space, any layout.  Each block is a Hadamard
     layer on its n targets then a sign phase, so a path through the t copies
-    picks one n-bit label b per block and copy (the next n bits of the tuple
-    index).  The Hadamard layer signs the path by (-1)^(targets.b) for the
-    label it meets and writes b over its targets; the phase's (-1)^f(b) enters
-    the key as the one-hot bit of b in word layout.keys[k], the draw keying block k.
-    Before the final Hadamard layer (if any) the moment is G^T G / 2^(tuple
-    bits), G the signed key-by-label path matrix.
+    picks one n-bit label per block and copy.  Before the final Hadamard
+    layer (if any) the moment is G^T G / 2^(tuple bits), G the signed
+    key-by-label path matrix (`_class_tuples` keys the paths).
 
     A tuple's key is the XOR of its copies' key words and its sign the
     product of its copies' signs, so permuting the copies keeps both and
     permutes the digits of its label.  Every row of G is therefore constant
     on the multiset classes of Sym^t, and G^T G[x, y] = W^T W[a, b] for the
     classes a of x and b of y, where W is G read at each class's
-    sorted-digit label.  The route keeps only the tuples that reach such a
-    label, merges them into integer weights per (key group, class), forms
-    the D x D Gram W^T W by a self-join within each key group
-    (`_self_join`) and expands it to the d^t x d^t moment one block of rows
-    at a time, each row a gather of its class's Gram row.  Every entry is
+    sorted-digit label.  The route builds only the tuples that reach such a
+    label, merges them into integer weights per (key group, class) and
+    forms the D x D Gram W^T W by a self-join within each key group
+    (`_self_join`).  The final layer H^{(x) qt} commutes with copy
+    permutations, so the rows of the moment's column pass are constant on
+    classes too: one row per class is gathered from the Gram and
+    transformed, the moment's other rows are copies of their class's row,
+    and one row pass over the whole matrix ends the layer.  Every entry is
     an integer sum scaled by a power of two, so the moment is exact up to
     the final layer; it agrees with brute force up to rounding.
+
+    The Gram, scaled in place by sqrt(c_a c_b) for the class sizes c, is
+    V^T rho V for the moment rho before the final layer; as that layer
+    maps Sym^t to itself, it is handed over with the moment as its
+    `compressed` operator, whose spectrum is that of the moment's
+    compression.
     """
     if spec.kind is not PrsKind.BINARY_PHASE:
         raise ValueError("pairing route requires the sign-phase kind")
@@ -394,58 +471,44 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> DensityOperator:
         )
     check_complex_array(_pairing_peak_entries(spec), "pairing route peak")
 
-    tuple_bits, dim = n * len(layout.offsets) * t, 1 << (q * t)
-    idx = np.arange(1 << tuple_bits, dtype=np.uint64)
-    keys = np.zeros_like(idx)
-    cols = np.zeros_like(idx)
-    parity = np.zeros(idx.shape, dtype=np.uint8)
-    mask_n = np.uint64((1 << n) - 1)
-    one = np.uint64(1)
-    shift = tuple_bits
-    for j in range(t):
-        label = np.zeros_like(idx)
-        for offset, draw in zip(layout.offsets, layout.keys):
-            shift -= n
-            b = (idx >> np.uint64(shift)) & mask_n
-            low = np.uint64(q - offset - n)  # bit position of the block's last qubit
-            parity ^= np.bitwise_count((label >> low) & b)
-            label = (label & ~(mask_n << low)) | (b << low)
-            keys ^= one << (b + np.uint64(draw << n))
-        cols |= label << np.uint64(q * (t - 1 - j))
-    del idx, label, b
-
-    labels, _ = corelin._symmetric_classes(1 << q, t)
-    sym = labels.shape[1]
+    dim = 1 << (q * t)
+    labels, sizes = corelin._symmetric_classes(1 << q, t)
+    sym = len(sizes)
     classes = np.empty(dim, dtype=np.int64)
     classes[labels] = np.arange(sym)
-    cols = cols.view(np.int64)  # labels are below 2^63
-    cls = classes[cols]
-    keep = labels[0, cls] == cols  # the column is its class's sorted-digit label
-    keys, cls, parity = keys[keep], cls[keep], parity[keep]
-    del cols, keep
+    keys, cls, odd = _class_tuples(spec, classes)
     _, group = np.unique(keys, return_inverse=True)
     entries, inverse = np.unique(group * sym + cls, return_inverse=True)
-    weight = np.bincount(inverse, weights=1.0 - 2.0 * (parity & 1))
-    del keys, cls, parity, group, inverse
+    weight = np.bincount(inverse, weights=1.0 - 2.0 * odd)
+    del keys, cls, odd, group, inverse
     nonzero = weight != 0
     group, cls = np.divmod(entries[nonzero], sym)
     gram = _self_join(group, cls, weight[nonzero], sym)
     del entries, weight, nonzero, group, cls
-    gram /= 1 << tuple_bits  # exact: integers below 2^53 over a power of two
+    gram /= 1 << (n * len(layout.offsets) * t)  # exact: integers below 2^53 over a power of two
 
+    # row a < D of the matrix is class a's row; then each row x takes its
+    # class's row, the last rows first: a class's labels are no smaller than
+    # its index, so no class row is overwritten before its labels read it
     matrix = np.empty((dim, dim))
+    gram.take(classes, axis=1, out=matrix[:sym], mode="clip")  # "clip": no buffer for out
+    if layout.final_layer:
+        corelin._walsh(matrix[:sym], 1)  # H is symmetric: row r of M H is H applied to row r
     step = corelin._gather_rows(dim, matrix.itemsize)
-    for start in range(0, dim, step):
-        rows = gram.take(classes[start:start + step], axis=0)
-        rows.take(classes, axis=1, out=matrix[start:start + step])
-    del gram, rows
-    trace = float(np.trace(matrix))
+    for stop in range(dim, 0, -step):
+        start = max(0, stop - step)
+        matrix[start:stop] = matrix.take(classes[start:stop], axis=0)
+    if layout.final_layer:
+        corelin._walsh(matrix, 0)
+    scale = np.sqrt(sizes)
+    gram *= scale[:, None]
+    gram *= scale
+    trace = float(np.trace(gram))
     if abs(trace - 1.0) > 1e-9:
         raise AssertionError(f"pairing moment trace {trace} deviates from 1")
-    if layout.final_layer:
-        corelin.hadamard_conjugate(matrix)
-    matrix.setflags(write=False)  # handed over to the operator, not copied
-    return DensityOperator(matrix)
+    matrix.setflags(write=False)  # both are handed over to their operators, not copied
+    gram.setflags(write=False)
+    return SymmetricMoment(matrix, compressed=DensityOperator(gram))
 
 
 def haar_moment(local_dim: int, copies: int) -> DensityOperator:
@@ -460,23 +523,27 @@ def haar_moment(local_dim: int, copies: int) -> DensityOperator:
     return DensityOperator(matrix)
 
 
-def _distance_peak_entries(local_dim: int, copies: int, complex_: bool = False) -> int:
+def _distance_peak_entries(local_dim: int, copies: int, complex_: bool = False,
+                           compress: bool = True) -> int:
     """Upper estimate of `_haar_distance`'s peak besides its two inputs, in
-    16-byte units: the moment's compression, then, beside the compressed
-    moment, the larger of `corelin.trace_distance`'s two phases.  The
-    component search holds the difference and at most three D x D bool
-    arrays (the pattern, its transpose and one frontier gather).  The solve
-    holds two more squares: the difference and the eigensolver's copy of it
-    when it is one block (the worst case), or else all the gathered blocks,
-    at most one square together, beside the difference and then beside the
-    copy of the block being solved.  numpy's linalg allocates that copy with
-    `malloc`, which tracemalloc does not trace, so a measured peak leaves it
-    out.  `complex_` is the moment's dtype; the Haar moment is real."""
+    16-byte units: with `compress`, the moment's compression, then, beside
+    the compressed moment, the larger of `corelin.trace_distance`'s two
+    phases; without it (a SymmetricMoment hands its D x D operator over),
+    the two phases alone.  The component search holds the difference and at
+    most three D x D bool arrays (the pattern, its transpose and one
+    frontier gather).  The solve holds two squares: the difference and the
+    eigensolver's copy of it when it is one block (the worst case), or else
+    all the gathered blocks, at most one square together, beside the
+    difference and then beside the copy of the block being solved.  numpy's
+    linalg allocates that copy with `malloc`, which tracemalloc does not
+    trace, so a measured peak leaves it out.  `complex_` is the moment's
+    dtype; the Haar moment is real."""
     sym = corelin.symmetric_subspace_dimension(local_dim, copies)
     square = sym * sym if complex_ else sym * sym // 2
-    search = 2 * square + 3 * (sym * sym // 16)
-    return max(corelin._compression_peak_entries(local_dim, copies, complex_),
-               search, 3 * square)
+    phases = max(square + 3 * (sym * sym // 16), 2 * square)
+    if not compress:
+        return phases
+    return max(corelin._compression_peak_entries(local_dim, copies, complex_), square + phases)
 
 
 def _haar_distance(
@@ -485,20 +552,26 @@ def _haar_distance(
     """Trace distance between a d^t x d^t moment and the Haar moment's D x D
     compression to the symmetric subspace (which is I/D), taken on the
     moment's compression, so the eigensolve runs at D = C(d+t-1, t), not at
-    d^t."""
-    check_complex_array(_distance_peak_entries(local_dim, copies, np.iscomplexobj(moment.matrix)),
+    d^t: a SymmetricMoment's own, or else `corelin.symmetric_compression`
+    of the moment."""
+    compressed = moment.compressed if isinstance(moment, SymmetricMoment) else None
+    check_complex_array(_distance_peak_entries(local_dim, copies, np.iscomplexobj(moment.matrix),
+                                               compress=compressed is None),
                         f"distance stage in Sym^{copies} of ({local_dim})^{copies}")
-    return corelin.trace_distance(corelin.symmetric_compression(moment, local_dim, copies), haar)
+    if compressed is None:
+        compressed = corelin.symmetric_compression(moment, local_dim, copies)
+    return corelin.trace_distance(compressed, haar)
 
 
 def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
     """Compute the ensemble moment by the chosen route and its trace distance
     to the Haar moment.  Both moments lie in the symmetric subspace, so the
-    distance is taken on their D x D compressions there
-    (`corelin.symmetric_compression`), the Haar moment's before the route
-    runs; one dense eigensolve of the d^t x d^t difference from
-    `haar_moment` is the oracle it is tested against.  Deterministic given
-    the function-space seed."""
+    distance is taken on their D x D compressions there, the Haar moment's
+    (`corelin.symmetric_compression`) before the route runs; the pairing
+    route hands its moment's compression over, and a brute-force or sampled
+    moment is compressed after it is built.  One dense eigensolve of the
+    d^t x d^t difference from `haar_moment` is the oracle it is tested
+    against.  Deterministic given the function-space seed."""
     sampled = not isinstance(spec.function_space, ExhaustiveAllFunctions)
     if method is Method.MONTE_CARLO and not sampled:
         raise ValueError("monte_carlo labels sampled ensembles; space is exhaustive")

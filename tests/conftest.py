@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from prslab.boolfn import BooleanFunction
+from prslab import corelin
 from prslab.corelin import (
-    DensityOperator, PureState, RegisterError, UnitaryLayer, _act, hadamard_matrix,
+    DensityOperator, PureState, RegisterError, UnitaryLayer, _act, _walsh, hadamard_matrix,
 )
 from prslab.moments import _average_t_fold
 
@@ -91,10 +92,67 @@ def dense_trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix))))
 
 
-def dense_pairing_moment(spec) -> np.ndarray:
+def hadamard_conjugate(matrix: np.ndarray) -> np.ndarray:
+    """Conjugate a square float64 or complex128 matrix by H^{(x) m} in place
+    and return the same buffer: M H, then H (M H), two `_walsh` passes over
+    the whole matrix.  The dense oracle of the pairing route's final layer,
+    which transforms one row per Sym^t class.  A Fortran-ordered matrix is
+    conjugated through its transpose, as H M^T H = (H M H)^T; a read-only
+    matrix or a strided view is refused."""
+    if not (isinstance(matrix, np.ndarray) and matrix.flags.writeable
+            and (matrix.flags.c_contiguous or matrix.flags.f_contiguous)):
+        raise ValueError("hadamard_conjugate works in place and needs a writable C- or "
+                         "Fortran-ordered array, not a read-only array or a strided view")
+    if matrix.dtype not in (np.float64, np.complex128):
+        raise ValueError(f"hadamard_conjugate needs float64 or complex128, got {matrix.dtype}")
+    mat = matrix.T if np.isfortran(matrix) else matrix
+    dim = len(mat)
+    if mat.shape != (dim, dim) or not dim or dim & (dim - 1):
+        raise RegisterError(f"expected a square matrix of power-of-two side, got {mat.shape}")
+    _walsh(mat, 1)  # H is symmetric: row r of M H is H applied to row r
+    _walsh(mat, 0)
+    return matrix
+
+
+def filtered_pairing_tuples(spec):
+    """(key, class, odd) of every pairing path tuple whose column is its
+    Sym^t class's sorted-digit label: the key loop run over all
+    2^(n blocks t) tuples, then filtered.  The oracle of
+    `moments._class_tuples`, which keys one copy and joins the copies in
+    non-decreasing label order."""
+    layout, n, t, q = spec.layout, spec.n, spec.t, spec.layout.qubits
+    tuple_bits, dim = n * len(layout.offsets) * t, 1 << (q * t)
+    idx = np.arange(1 << tuple_bits, dtype=np.uint64)
+    keys = np.zeros_like(idx)
+    cols = np.zeros_like(idx)
+    parity = np.zeros(idx.shape, dtype=np.uint8)
+    mask_n = np.uint64((1 << n) - 1)
+    one = np.uint64(1)
+    shift = tuple_bits
+    for j in range(t):
+        label = np.zeros_like(idx)
+        for offset, draw in zip(layout.offsets, layout.keys):
+            shift -= n
+            b = (idx >> np.uint64(shift)) & mask_n
+            low = np.uint64(q - offset - n)
+            parity ^= np.bitwise_count((label >> low) & b)
+            label = (label & ~(mask_n << low)) | (b << low)
+            keys ^= one << (b + np.uint64(draw << n))
+        cols |= label << np.uint64(q * (t - 1 - j))
+    labels, _ = corelin._symmetric_classes(1 << q, t)
+    classes = np.empty(dim, dtype=np.int64)
+    classes[labels] = np.arange(labels.shape[1])
+    cols = cols.view(np.int64)
+    cls = classes[cols]
+    keep = labels[0, cls] == cols
+    return keys[keep], cls[keep], parity[keep] & 1
+
+
+def dense_pairing_moment(spec, final_layer: bool = True) -> np.ndarray:
     """The pairing moment from a dense key-group x d^t matrix G over every
     tuple of block labels: G^T G / 2^(tuple bits), conjugated by H^{(x) q}
-    on each copy when the layout ends in a Hadamard layer.
+    on each copy when the layout ends in a Hadamard layer (and
+    `final_layer` is left on).
 
     The oracle of `ensemble_moment_deltapair`, which keeps one label per
     Sym^t class and joins the key groups with themselves.  Here a tuple is a
@@ -130,7 +188,7 @@ def dense_pairing_moment(spec) -> np.ndarray:
     g = np.zeros((group.max() + 1, dim))
     np.add.at(g, (group, col), np.where(odd, -1.0, 1.0))
     moment = g.T @ g / tuples
-    if layout.final_layer:
+    if layout.final_layer and final_layer:
         h = hadamard_matrix(q)
         for axis in range(2 * t):
             moment = np.matmul(h, moment.reshape(local_dim**axis, local_dim, -1))

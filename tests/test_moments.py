@@ -30,7 +30,9 @@ from conftest import (
     assert_vectors_close,
     dense_pairing_moment,
     dense_trace_distance,
+    filtered_pairing_tuples,
     haar_moment_monte_carlo,
+    hadamard_conjugate,
     measured_peak,
     random_unitary,
 )
@@ -535,16 +537,19 @@ class TestDeltaPairing:
             1e-12,
         )
 
-    @pytest.mark.parametrize("spec", [plain(3, 3), c1(4, 1, 2), c1(3, 2, 2)],
-                             ids=["plain-3-3", "c1-4-1-2", "c1-3-2-2"])
+    @pytest.mark.parametrize("spec", [plain(3, 3), c1(4, 1, 2), c1(3, 2, 2), c1(3, 1, 3)],
+                             ids=["plain-3-3", "c1-4-1-2", "c1-3-2-2", "c1-3-1-3"])
     def test_budget_estimate_covers_measured_peak(self, spec):
+        # the expansion sets every peak here: the moment beside the Gram
+        # and one Walsh slab (c1 (3,1,3): 134.1 MiB against 135.1 estimated)
         measured = measured_peak(lambda: ensemble_moment_deltapair(spec))
         estimate = 16 * moments._pairing_peak_entries(spec)
         assert measured <= estimate <= 2 * measured
 
     def test_budget_refuses_c1_n5_below_its_peak_and_admits_it_by_default(self):
         # the c1 n=5 t=2 pairing peaks above 150 MiB (measured 162 MiB: the
-        # 128 MiB moment beside the 33 MiB Gram of its 2080 classes)
+        # 128 MiB moment beside the 33 MiB Gram of its 2080 classes and one
+        # 1 MiB Walsh slab)
         spec = c1(5, 1, 2)
         assert 16 * moments._pairing_peak_entries(spec) < DEFAULT_BUDGET_MIB << 20
         with pytest.raises(BudgetError, match="pairing route peak"), budget.limit(150):
@@ -554,6 +559,66 @@ class TestDeltaPairing:
 class TestPairingGram:
     """The route keeps one label per Sym^t class and joins each key group
     with itself; the dense oracle builds G over every tuple."""
+
+    @staticmethod
+    def sorted_tuples(keys, cls, odd):
+        """The (key, class, odd) rows in one canonical order: a multiset."""
+        order = np.lexsort((odd, cls, keys))
+        return keys[order], cls[order], odd[order]
+
+    @pytest.mark.parametrize("spec", [
+        plain(2, 4), plain(3, 3), c1(3, 1, 2), c1(3, 1, 3), c1(4, 2, 2),
+        MomentSpec(Source.CONSTRUCTION2, n=2, t=2),
+        MomentSpec(Source.CONSTRUCTION2, n=2, t=2, shared_key=True),
+        MomentSpec(Source.CONSTRUCTION3, n=2, t=3, ell=3),
+    ], ids=["plain-2-4", "plain-3-3", "c1-3-1-2", "c1-3-1-3", "c1-4-2-2", "c2-2-2",
+            "c2-2-2-shared", "c3-2-3-ell3"])
+    def test_copy_join_keeps_the_filtered_tuples(self, spec):
+        # keying one copy and joining the copies in non-decreasing label
+        # order gives the tuples the all-tuple loop keeps, as a multiset
+        q, t = spec.layout.qubits, spec.t
+        labels, _ = corelin._symmetric_classes(1 << q, t)
+        classes = np.empty(1 << (q * t), dtype=np.int64)
+        classes[labels] = np.arange(labels.shape[1])
+        got = moments._class_tuples(spec, classes)
+        want = filtered_pairing_tuples(spec)
+        assert len(got[0]) == len(want[0]) == moments._kept_tuples(spec)
+        for a, b in zip(self.sorted_tuples(*got), self.sorted_tuples(*want)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_c1_5_1_2_keeps_532480_tuples(self):
+        # 1024 segments per copy, 16 per label: 16^2 tuples for each of the
+        # 2080 non-decreasing label pairs, of 2^20 tuples in all
+        spec = c1(5, 1, 2)
+        labels, _ = corelin._symmetric_classes(64, 2)
+        classes = np.empty(4096, dtype=np.int64)
+        classes[labels] = np.arange(labels.shape[1])
+        keys, cls, odd = moments._class_tuples(spec, classes)
+        assert len(keys) == len(cls) == len(odd) == moments._kept_tuples(spec) == 532_480
+
+    @pytest.mark.parametrize("spec", [c1(2, 1, 2), c1(4, 1, 2), c1(3, 2, 2)],
+                             ids=["c1-2-1-2", "c1-4-1-2", "c1-3-2-2"])
+    def test_final_layer_is_the_dense_conjugation_byte_for_byte(self, spec):
+        # odd q: H^{(x) q} is not dyadic, so the bytes pin the rounding of
+        # the class-row pass against both passes over the whole matrix
+        want = hadamard_conjugate(dense_pairing_moment(spec, final_layer=False))
+        assert ensemble_moment_deltapair(spec).matrix.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        plain(3, 3), c1(3, 1, 2), c1(4, 1, 2), c1(3, 1, 3),
+        MomentSpec(Source.CONSTRUCTION3, n=2, t=2, ell=3),
+    ], ids=["plain-3-3", "c1-3-1-2", "c1-4-1-2", "c1-3-1-3", "c3-2-2-ell3"])
+    def test_handed_over_operator_is_the_compressed_pre_final_moment(self, spec):
+        # V^T rho V of the moment before the final layer, which that layer's
+        # copy-permutation symmetry leaves with the final moment's spectrum
+        local_dim = 1 << spec.layout.qubits
+        moment = ensemble_moment_deltapair(spec)
+        pre_final = DensityOperator(dense_pairing_moment(spec, final_layer=False))
+        want = corelin.symmetric_compression(pre_final, local_dim, spec.t).matrix
+        assert_matrices_close(moment.compressed.matrix, want, 1e-15)
+        final = corelin.symmetric_compression(moment, local_dim, spec.t).matrix
+        assert_matrices_close(np.linalg.eigvalsh(moment.compressed.matrix),
+                              np.linalg.eigvalsh(final), 1e-13)
 
     @pytest.mark.parametrize("spec", [
         plain(3, 3), plain(2, 4), plain(3, 1), c1(3, 1, 2), c1(4, 2, 2), c1(3, 1, 3),
@@ -744,9 +809,11 @@ class TestDistanceInTheSymmetricSubspace:
     @pytest.mark.parametrize("spec", [c1(4, 1, 2), c1(3, 2, 2)], ids=["c1-4-1-2", "c1-3-2-2"])
     def test_peak_stays_near_two_moment_sized_arrays(self, spec):
         # the Haar reference is compressed and dropped before the route runs,
-        # and the route fills, conjugates and hands over one moment array:
-        # 1.87 float64 d^t x d^t arrays for both specs (the moment beside its
-        # D x D class Gram), where building every array afresh held 3.0-3.1
+        # and the route fills, conjugates and hands over one moment array
+        # with its D x D operator: 1.95 and 1.87 float64 d^t x d^t arrays
+        # (the moment beside the Haar reference, the operator, their
+        # difference and, at c1 (4,1,2), its two gathered blocks), where
+        # building every array afresh held 3.0-3.1
         dim = 1 << (spec.layout.qubits * spec.t)
         measured = measured_peak(lambda: compare_to_haar(spec, Method.DELTA_PAIRING))
         assert measured <= 2.1 * 8 * dim * dim
@@ -766,8 +833,29 @@ class TestDistanceInTheSymmetricSubspace:
         return shapes
 
     def test_no_full_dimension_eigensolve(self, monkeypatch):
-        # c1 (4,1,2): d^t = 1024, D = C(33, 2) = 528
-        assert self.eigensolve_shapes(monkeypatch, c1(4, 1, 2)) == [(528, 528)]
+        # c1 (4,1,2): d^t = 1024, D = C(33, 2) = 528.  The route's own
+        # operator, the compression of the moment before its final layer,
+        # splits into two blocks; the final moment's compression is one
+        assert self.eigensolve_shapes(monkeypatch, c1(4, 1, 2)) == [(272, 272), (256, 256)]
+
+    @pytest.mark.parametrize("spec", [plain(3, 3), c1(3, 1, 2), c1(4, 1, 2)],
+                             ids=["plain-3-3", "c1-3-1-2", "c1-4-1-2"])
+    def test_pairing_compresses_only_the_haar_reference(self, monkeypatch, spec):
+        # the route hands its D x D operator over with the moment, so the
+        # one compression in a pairing comparison is the Haar moment's
+        compressed = []
+        compression = corelin.symmetric_compression
+
+        def counting(op, *args, **kwargs):
+            compressed.append(op)
+            return compression(op, *args, **kwargs)
+
+        monkeypatch.setattr(corelin, "symmetric_compression", counting)
+        report = compare_to_haar(spec, Method.DELTA_PAIRING)
+        haar = haar_moment(1 << spec.layout.qubits, spec.t)
+        assert len(compressed) == 1
+        assert compressed[0] is not report.moment
+        assert compressed[0].matrix.tobytes() == haar.matrix.tobytes()
 
     def test_the_compressed_difference_is_solved_block_by_block(self, monkeypatch):
         # c1 (3,1,2): d^t = 256, D = C(17, 2) = 136, two blocks
@@ -785,28 +873,40 @@ class TestDistanceInTheSymmetricSubspace:
         assert largest == 8 and shapes
         assert max(side for side, _ in shapes) <= largest
 
+    @staticmethod
+    def distance_input(moment, compress):
+        """The pairing moment as the distance stage's input: with `compress`,
+        as a plain DensityOperator (the same frozen array, adopted), which
+        the stage compresses; else as the route hands it over, with its own
+        D x D operator."""
+        return DensityOperator(moment.matrix) if compress else moment
+
+    @pytest.mark.parametrize("compress", [True, False], ids=["moment", "operator"])
     @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3)])
-    def test_budget_estimate_covers_measured_peak(self, local_dim, copies):
-        moment = ensemble_moment_deltapair(plain(local_dim.bit_length() - 1, copies))
+    def test_budget_estimate_covers_measured_peak(self, local_dim, copies, compress):
+        # plain: many small blocks, so the component search sets the peak
+        moment = self.distance_input(
+            ensemble_moment_deltapair(plain(local_dim.bit_length() - 1, copies)), compress)
         haar = corelin.symmetric_compression(haar_moment(local_dim, copies), local_dim, copies)
         measured = measured_peak(
             lambda: moments._haar_distance(moment, haar, local_dim, copies))
-        estimate = 16 * moments._distance_peak_entries(local_dim, copies)
+        estimate = 16 * moments._distance_peak_entries(local_dim, copies, compress=compress)
         assert measured <= estimate <= 2 * measured
 
-    def test_budget_estimate_covers_the_peak_of_a_split_solve(self, pairing_report):
+    @pytest.mark.parametrize("compress", [True, False], ids=["moment", "operator"])
+    def test_budget_estimate_covers_the_peak_of_a_split_solve(self, pairing_report, compress):
         # c1 (5,1,2): blocks of 1056 and 1024 classes, both gathered beside
-        # the compressed moment and the difference
-        moment = pairing_report(c1(5, 1, 2)).moment
+        # the difference (and the compressed moment, when it is compressed)
+        moment = self.distance_input(pairing_report(c1(5, 1, 2)).moment, compress)
         haar = corelin.symmetric_compression(haar_moment(64, 2), 64, 2)
         measured = measured_peak(lambda: moments._haar_distance(moment, haar, 64, 2))
-        estimate = 16 * moments._distance_peak_entries(64, 2)
+        estimate = 16 * moments._distance_peak_entries(64, 2, compress=compress)
         assert measured <= estimate <= 2 * measured
 
     def test_budget_refuses_the_stage_before_it_allocates(self, monkeypatch):
-        # (32)^2: the stage needs about 6.4 MiB
+        # (32)^2: compressing the moment and solving needs about 6.4 MiB
         spec = c1(4, 1, 2)
-        moment = ensemble_moment_deltapair(spec)
+        moment = self.distance_input(ensemble_moment_deltapair(spec), compress=True)
         haar = corelin.symmetric_compression(haar_moment(32, 2), 32, 2)
         assert 16 * moments._distance_peak_entries(32, 2) > 4 << 20
         compressions = []

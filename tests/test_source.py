@@ -83,7 +83,7 @@ def test_members_are_drawn_only_by_the_function_spaces():
 
 def test_the_walsh_factors_are_read_only_by_the_walsh_kernel():
     # one Walsh loop: the Hadamard layer and the pairing moment's final
-    # conjugation both run corelin._walsh, so no second factor loop grows back
+    # layer both run corelin._walsh, so no second factor loop grows back
     modules = sorted(Path(prslab.__file__).parent.rglob("*.py"))
     inside, offenders = set(), []
     for path in modules:
