@@ -131,15 +131,18 @@ def prf_truth_table(key: PrfKey, n: int, m: int) -> BooleanFunction:
     """Materialize the full truth table of the keyed function (n <= 20).
 
     The per-key prefix is hashed once and the hash state copied for each
-    input x, so entry x equals prf_eval(key, n, m, x)."""
+    input x, so entry x equals prf_eval(key, n, m, x).  When m divides 256
+    it divides 2^256 too, so the digest's residue is its last byte's."""
     if n > _MAX_TABLE_BITS:
         raise ValueError(f"refusing to materialize 2**{n} entries (cap n={_MAX_TABLE_BITS})")
     prefix = _prefix_hash(key, n, m)
+    last_byte = 256 % m == 0
     table = []
-    for x in range(1 << n):
+    for suffix in [x.to_bytes(4, "big") for x in range(1 << n)]:
         h = prefix.copy()
-        h.update(x.to_bytes(4, "big"))
-        table.append(int.from_bytes(h.digest(), "big") % m)
+        h.update(suffix)
+        digest = h.digest()
+        table.append(digest[-1] % m if last_byte else int.from_bytes(digest, "big") % m)
     return BooleanFunction(n, m, table)
 
 

@@ -4,7 +4,8 @@ Two independent routes compute the all-functions average of the t-fold
 projector for sign-phase ensembles:
 
 * brute force -- run the members through their circuit as one batch per
-  accumulation chunk and average the outer products of the rows;
+  accumulation chunk and average the outer products of the rows' t-fold
+  powers, read in the symmetric subspace;
 * XOR pairing -- group tuples of basis labels by the parity vector their
   phase exponents induce on the function table.  Averaging the sign over
   *all* functions kills every cross term whose parity vectors differ, so the
@@ -19,20 +20,25 @@ two operators, and `corelin.trace_distance` solves their difference one
 connected block of its nonzero pattern at a time (at c1 (5,1,2), blocks of
 1056 and 1024 of D = 2080); one dense eigensolve of the d^t x d^t
 difference is the oracle the tests hold it to.  `compare_to_haar` builds
-and compresses the Haar moment first and drops its d^t x d^t form before
-the route runs, and each route builds its moment in one array that it
-freezes and hands to its DensityOperator, so a comparison holds one
-d^t x d^t matrix at a time.  The compression is an index gather
-(`corelin.symmetric_compression`).  The pairing route works per copy and
-per Sym^t class until it builds its one dense output: it keys the segments
+and compresses the Haar moment first (`corelin.symmetric_compression`, an
+index gather) and drops its d^t x d^t form before the route runs, and each
+route builds its moment in one array that it freezes and hands to its
+DensityOperator, so a comparison holds one d^t x d^t matrix at a time.
+
+Both routes work per Sym^t class until they build their one dense output,
+and hand their D x D class Gram over with it, scaled by sqrt(c_a c_b) for
+the class sizes c into the moment's compression (`SymmetricMoment`), so no
+route's moment is compressed again.  Brute force folds each chunk's rows
+straight into Sym^t: each member's t-fold products at the D classes'
+sorted-digit labels, whose outer products the chunk adds to the Gram, so
+no d^t x d^t accumulator is built.  The pairing route keys the segments
 of one copy once and joins the copies in non-decreasing label order, so it
-builds only the tuples at a class's sorted-digit label; it forms the D x D
-class Gram by a numpy self-join within each key group; it runs the final
-layer's column pass on one row per class before copying each class row to
-the class's other labels; and it hands the Gram over, scaled to the
-compression of its moment before the final layer, which has the final
-moment's spectrum, so a pairing moment is never compressed again.  No
-route needs more than numpy.
+builds only the tuples at a class's sorted-digit label; it forms the Gram
+by a numpy self-join within each key group; and it runs the final layer's
+column pass on one row per class.  Both then copy each class row to the
+class's other labels (`_copy_class_rows`); the pairing route's Gram is
+the compression of its moment before the final layer, which has the final
+moment's spectrum.  No route needs more than numpy.
 """
 
 from __future__ import annotations
@@ -211,23 +217,112 @@ def member_states(spec: MomentSpec, function_tuples) -> PureState:
     return member_state(spec, tuple(map(boolfn.stack, zip(*function_tuples))))
 
 
-def _average_t_fold(chunks, t: int) -> DensityOperator:
-    """Average of |v><v|^{(x) t} over the rows v of (rows, d) chunks, in the rows' dtype."""
-    moment = None
-    count = 0
+@dataclass(frozen=True)
+class SymmetricMoment(DensityOperator):
+    """A d^t x d^t moment with its D x D compression to Sym^t, V^T rho V,
+    which the route that built the moment formed on its way; the distance
+    stage reads it in place of compressing the moment again."""
+
+    compressed: DensityOperator = field(kw_only=True)
+
+
+def _symmetric_fold(vs: np.ndarray, t: int) -> np.ndarray:
+    """The t-fold products of the rows of a (rows, d) array at each Sym^t
+    class's sorted-digit label: a (D, rows) array, one row per class in
+    class order and one column per member.
+
+    The classes are the non-decreasing digit tuples in lexicographic order,
+    so the tuples of j copies whose first digit is i are i followed by the
+    tuples of j - 1 copies whose first digit is at least i, a contiguous
+    tail of them: each copy takes d products of one member row and a block
+    of rows, and no gather."""
+    local_dim = vs.shape[1]
+    # for t > 1 each member-major row is read d times: one contiguous copy reads faster
+    first = vs.T if t == 1 else np.ascontiguousarray(vs.T)
+    folded = first
+    for copies in range(2, t + 1):
+        out = np.empty((corelin.symmetric_subspace_dimension(local_dim, copies), len(vs)),
+                       dtype=vs.dtype)
+        start = 0
+        for i in range(local_dim):
+            tail = corelin.symmetric_subspace_dimension(local_dim - i, copies - 1)
+            np.multiply(first[i], folded[len(folded) - tail:], out=out[start:start + tail])
+            start += tail
+        folded = out
+    return folded
+
+
+def _class_product(vs: np.ndarray, t: int) -> np.ndarray:
+    """W conj(W)^T for the Sym^t products W of the rows (`_symmetric_fold`):
+    a D x D block of sum_k |v_k><v_k|^{(x) t} read at the classes'
+    sorted-digit labels.  For real rows the product is W W^T of one
+    array, which numpy forms as a symmetric product."""
+    w = _symmetric_fold(vs, t)
+    return w @ (w.conj() if np.iscomplexobj(w) else w).T
+
+
+def _label_classes(local_dim: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 Sym^t class of each of the d^t labels and the D class sizes."""
+    labels, sizes = corelin._symmetric_classes(local_dim, t)
+    classes = np.empty(local_dim**t, dtype=np.int64)
+    classes[labels] = np.arange(len(sizes))
+    return classes, sizes
+
+
+def _copy_class_rows(matrix: np.ndarray, classes: np.ndarray) -> None:
+    """Fill a d^t x d^t matrix whose row a < D holds class a's row: each
+    row x takes its class's row, one cache-sized block of rows at a time,
+    the last rows first.  A class's labels are no smaller than its index,
+    so no class row is overwritten before its labels read it."""
+    step = corelin._gather_rows(len(matrix), matrix.itemsize)
+    for stop in range(len(matrix), 0, -step):
+        start = max(0, stop - step)
+        matrix[start:stop] = matrix.take(classes[start:stop], axis=0)
+
+
+def _hand_over(matrix: np.ndarray, gram: np.ndarray, sizes: np.ndarray) -> SymmetricMoment:
+    """The moment with its class Gram G, scaled in place by sqrt(c_a c_b)
+    for the class sizes c into V^T rho V, as its `compressed` operator;
+    its trace, the moment's, must be 1.  Both arrays are frozen and handed
+    over to their operators, not copied."""
+    scale = np.sqrt(sizes)
+    gram *= scale[:, None]
+    gram *= scale
+    trace = complex(np.trace(gram))
+    if abs(trace - 1.0) > 1e-9:
+        raise AssertionError(f"moment trace {trace} deviates from 1")
+    matrix.setflags(write=False)
+    gram.setflags(write=False)
+    return SymmetricMoment(matrix, compressed=DensityOperator(gram))
+
+
+def _average_symmetric_fold(chunks, t: int) -> SymmetricMoment:
+    """Average of |v><v|^{(x) t} over the rows v of (rows, d) chunks, in the
+    rows' dtype, accumulated in Sym^t.
+
+    Every |v>^{(x) t} is constant on each multiset class of labels, so the
+    average is G[a, b] at labels x of class a and y of class b, where the
+    D x D class Gram G sums each chunk's `_class_product`.  The d^t x d^t
+    moment is G expanded over the labels, row a < D the Gram row gathered
+    over every label and then every row copied from its class's
+    (`_copy_class_rows`), and G is handed over as its compression."""
+    gram, count = None, 0
     for vs in chunks:
-        folded = vs
-        for _ in range(t - 1):
-            folded = np.einsum("ka,kb->kab", folded, vs).reshape(len(vs), -1)
-        if moment is None:
-            moment = np.zeros((folded.shape[1],) * 2, dtype=folded.dtype)
-        moment += folded.T @ folded.conj()
+        if gram is None:
+            local_dim = vs.shape[1]
+            sym = corelin.symmetric_subspace_dimension(local_dim, t)
+            gram = np.zeros((sym, sym), dtype=vs.dtype)
+        gram += _class_product(vs, t)
         count += len(vs)
+        del vs  # not held while the next chunk is evaluated
     if count == 0:
         raise ValueError("empty ensemble")
-    moment /= count
-    moment.setflags(write=False)  # handed over to the operator, not copied
-    return DensityOperator(moment)
+    gram /= count
+    classes, sizes = _label_classes(local_dim, t)
+    matrix = np.empty((len(classes),) * 2, dtype=gram.dtype)
+    gram.take(classes, axis=1, out=matrix[:sym], mode="clip")  # "clip": no buffer for out
+    _copy_class_rows(matrix, classes)
+    return _hand_over(matrix, gram, sizes)
 
 
 def _chunk_rows(dim: int) -> int:
@@ -249,23 +344,28 @@ _PRF_KEY_ENTRIES = 10  # 16-byte units per listed PrfKey: about 146 bytes by tra
 
 def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     """Upper estimate of the brute-force route's peak, in 16-byte units: the
-    d^t x d^t accumulator, then the largest of one chunk's evaluation, one
-    chunk's accumulation (the matmul temporary, the member rows, the t-fold
-    rows with their previous fold and their conjugate) and what wrapping
-    the normalized accumulator in a DensityOperator holds, plus 512 KiB of
-    numpy ufunc buffers and Python objects.  The evaluation holds the
-    chunk's tables, stacked and copied into batch functions, and what
-    `expand.evaluate` holds for the chunk.  An exhaustive space also holds
-    the block of tables `boolfn.enumerate_all` is yielding from and, for
-    more than one draw, the block the other draws' tables were listed from
-    and, for the whole run, the list of their tuples (48 bytes and 8 per
-    draw each); a PRF space holds its list of count * draws keys for the
-    whole run (`_PRF_KEY_ENTRIES` each).
-    Entries are complex128 for the general kind and float64 for sign
-    phases; table entries are int64."""
-    layout = spec.layout
+    D x D class Gram, beside the largest of one chunk's evaluation, one
+    chunk's products and the expansion, plus 256 KiB of numpy ufunc buffers
+    and Python objects.  The evaluation holds the chunk's tables, stacked
+    and copied into batch functions, and what `expand.evaluate` holds for
+    the chunk.  The products hold the member rows and their contiguous
+    copy, the Sym^t products at t copies and at t - 1 (t > 2), their
+    conjugate (complex rows) and the D x D product.  The expansion holds
+    the d^t x d^t matrix, the int64 class of every label, the class arrays
+    (`corelin._symmetric_classes`) and the larger of one gathered row block
+    and what wrapping the matrix in a DensityOperator holds.  The rows of a
+    chunk are dropped before the next one is evaluated.  An exhaustive
+    space also holds the block of tables `boolfn.enumerate_all` is yielding
+    from and, for more than one draw, the block the other draws' tables
+    were listed from and, for the whole run, the list of their tuples (48
+    bytes and 8 per draw each); a PRF space holds its list of count * draws
+    keys for the whole run (`_PRF_KEY_ENTRIES` each).  Entries are
+    complex128 for the general kind and float64 for sign phases; table
+    entries are int64."""
+    layout, t = spec.layout, spec.t
     local_dim = 1 << layout.qubits
-    dim = local_dim**spec.t
+    dim = local_dim**t
+    sym = corelin.symmetric_subspace_dimension(local_dim, t)
     rows = _spec_chunk_rows(spec)
     complex_ = spec.kind is PrsKind.GENERAL_PHASE
     per_unit = 1 if complex_ else 2  # entries per 16 bytes
@@ -280,12 +380,16 @@ def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     elif isinstance(space, PrfKeys):
         held = _PRF_KEY_ENTRIES * space.count * layout.draws
     evaluation = tables + expand._evaluation_peak_entries(layout, rows, complex_)
-    accumulation = (dim * dim + rows * (local_dim + 2 * dim + dim // local_dim)) // per_unit
-    build = corelin._operator_build_entries(dim, complex_)
-    return dim * dim // per_unit + held + max(evaluation, accumulation, build) + (1 << 15)
+    below = corelin.symmetric_subspace_dimension(local_dim, t - 1) if t > 2 else 0
+    products = (rows * (2 * local_dim + below + sym * (1 + complex_)) + sym * sym) // per_unit
+    block = corelin._gather_rows(dim, 16 // per_unit) * dim // per_unit
+    expansion = (dim * dim // per_unit + dim // 2
+                 + corelin._classes_peak_entries(local_dim, t)
+                 + max(block, corelin._operator_build_entries(dim, complex_)))
+    return sym * sym // per_unit + held + max(evaluation, products, expansion) + (1 << 14)
 
 
-def ensemble_moment_over_functions(spec: MomentSpec, function_tuples) -> DensityOperator:
+def ensemble_moment_over_functions(spec: MomentSpec, function_tuples) -> SymmetricMoment:
     """Average the t-fold projectors of the members drawn from an iterable."""
     dim = 1 << (spec.layout.qubits * spec.t)
     check_complex_array(_bruteforce_peak_entries(spec), f"moment accumulation peak, dim {dim}")
@@ -294,10 +398,11 @@ def ensemble_moment_over_functions(spec: MomentSpec, function_tuples) -> Density
     # each chunk is read to its end before the next one starts
     chunks = (itertools.chain((first,), itertools.islice(tuples, chunk_rows - 1))
               for first in tuples)
-    return _average_t_fold((member_states(spec, chunk).amplitudes for chunk in chunks), spec.t)
+    return _average_symmetric_fold((member_states(spec, chunk).amplitudes for chunk in chunks),
+                                   spec.t)
 
 
-def ensemble_moment_bruteforce(spec: MomentSpec) -> DensityOperator:
+def ensemble_moment_bruteforce(spec: MomentSpec) -> SymmetricMoment:
     """Exact (exhaustive space) or empirical (sampled space) ensemble average."""
     return ensemble_moment_over_functions(spec, member_functions(spec))
 
@@ -418,15 +523,6 @@ def _kept_tuples(spec: MomentSpec) -> int:
     return corelin.symmetric_subspace_dimension(local_dim, spec.t) * reached**spec.t
 
 
-@dataclass(frozen=True)
-class SymmetricMoment(DensityOperator):
-    """A d^t x d^t moment with its D x D compression to Sym^t, V^T rho V,
-    which the route that built the moment formed on its way; the distance
-    stage reads it in place of compressing the moment again."""
-
-    compressed: DensityOperator = field(kw_only=True)
-
-
 def ensemble_moment_deltapair(spec: MomentSpec) -> SymmetricMoment:
     """All-functions moment via XOR-vector grouping; no function enumeration.
 
@@ -472,10 +568,8 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> SymmetricMoment:
     check_complex_array(_pairing_peak_entries(spec), "pairing route peak")
 
     dim = 1 << (q * t)
-    labels, sizes = corelin._symmetric_classes(1 << q, t)
+    classes, sizes = _label_classes(1 << q, t)
     sym = len(sizes)
-    classes = np.empty(dim, dtype=np.int64)
-    classes[labels] = np.arange(sym)
     keys, cls, odd = _class_tuples(spec, classes)
     _, group = np.unique(keys, return_inverse=True)
     entries, inverse = np.unique(group * sym + cls, return_inverse=True)
@@ -487,28 +581,16 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> SymmetricMoment:
     del entries, weight, nonzero, group, cls
     gram /= 1 << (n * len(layout.offsets) * t)  # exact: integers below 2^53 over a power of two
 
-    # row a < D of the matrix is class a's row; then each row x takes its
-    # class's row, the last rows first: a class's labels are no smaller than
-    # its index, so no class row is overwritten before its labels read it
+    # row a < D of the matrix is class a's row, transformed by the final
+    # layer's column pass before it is copied to the class's other labels
     matrix = np.empty((dim, dim))
     gram.take(classes, axis=1, out=matrix[:sym], mode="clip")  # "clip": no buffer for out
     if layout.final_layer:
         corelin._walsh(matrix[:sym], 1)  # H is symmetric: row r of M H is H applied to row r
-    step = corelin._gather_rows(dim, matrix.itemsize)
-    for stop in range(dim, 0, -step):
-        start = max(0, stop - step)
-        matrix[start:stop] = matrix.take(classes[start:stop], axis=0)
+    _copy_class_rows(matrix, classes)
     if layout.final_layer:
         corelin._walsh(matrix, 0)
-    scale = np.sqrt(sizes)
-    gram *= scale[:, None]
-    gram *= scale
-    trace = float(np.trace(gram))
-    if abs(trace - 1.0) > 1e-9:
-        raise AssertionError(f"pairing moment trace {trace} deviates from 1")
-    matrix.setflags(write=False)  # both are handed over to their operators, not copied
-    gram.setflags(write=False)
-    return SymmetricMoment(matrix, compressed=DensityOperator(gram))
+    return _hand_over(matrix, gram, sizes)
 
 
 def haar_moment(local_dim: int, copies: int) -> DensityOperator:
@@ -552,8 +634,8 @@ def _haar_distance(
     """Trace distance between a d^t x d^t moment and the Haar moment's D x D
     compression to the symmetric subspace (which is I/D), taken on the
     moment's compression, so the eigensolve runs at D = C(d+t-1, t), not at
-    d^t: a SymmetricMoment's own, or else `corelin.symmetric_compression`
-    of the moment."""
+    d^t: a SymmetricMoment's own, which every route hands over, or else
+    `corelin.symmetric_compression` of a plain DensityOperator."""
     compressed = moment.compressed if isinstance(moment, SymmetricMoment) else None
     check_complex_array(_distance_peak_entries(local_dim, copies, np.iscomplexobj(moment.matrix),
                                                compress=compressed is None),
@@ -566,12 +648,12 @@ def _haar_distance(
 def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
     """Compute the ensemble moment by the chosen route and its trace distance
     to the Haar moment.  Both moments lie in the symmetric subspace, so the
-    distance is taken on their D x D compressions there, the Haar moment's
-    (`corelin.symmetric_compression`) before the route runs; the pairing
-    route hands its moment's compression over, and a brute-force or sampled
-    moment is compressed after it is built.  One dense eigensolve of the
-    d^t x d^t difference from `haar_moment` is the oracle it is tested
-    against.  Deterministic given the function-space seed."""
+    distance is taken on their D x D compressions there: the Haar moment's
+    (`corelin.symmetric_compression`) before the route runs, and the one
+    that every route, pairing, brute force or sampled, forms on its way and
+    hands over with its moment, which is never compressed again.  One dense
+    eigensolve of the d^t x d^t difference from `haar_moment` is the oracle
+    it is tested against.  Deterministic given the function-space seed."""
     sampled = not isinstance(spec.function_space, ExhaustiveAllFunctions)
     if method is Method.MONTE_CARLO and not sampled:
         raise ValueError("monte_carlo labels sampled ensembles; space is exhaustive")

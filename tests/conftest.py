@@ -11,7 +11,6 @@ from prslab import corelin
 from prslab.corelin import (
     DensityOperator, PureState, RegisterError, UnitaryLayer, _act, _walsh, hadamard_matrix,
 )
-from prslab.moments import _average_t_fold
 
 
 @pytest.fixture
@@ -196,6 +195,28 @@ def dense_pairing_moment(spec, final_layer: bool = True) -> np.ndarray:
     return moment
 
 
+def average_t_fold(chunks, t: int) -> DensityOperator:
+    """Average of |v><v|^{(x) t} over the rows v of (rows, d) chunks, in the
+    rows' dtype: every row's whole d^t-entry t-fold product, and a d^t x d^t
+    accumulator.  The dense oracle of `moments._average_symmetric_fold`,
+    which accumulates in Sym^t."""
+    moment = None
+    count = 0
+    for vs in chunks:
+        folded = vs
+        for _ in range(t - 1):
+            folded = np.einsum("ka,kb->kab", folded, vs).reshape(len(vs), -1)
+        if moment is None:
+            moment = np.zeros((folded.shape[1],) * 2, dtype=folded.dtype)
+        moment += folded.T @ folded.conj()
+        count += len(vs)
+    if count == 0:
+        raise ValueError("empty ensemble")
+    moment /= count
+    moment.setflags(write=False)  # handed over to the operator, not copied
+    return DensityOperator(moment)
+
+
 def constant_function(n: int, m: int = 2, value: int = 0) -> BooleanFunction:
     return BooleanFunction(n, m, (value,) * (1 << n))
 
@@ -215,7 +236,7 @@ def haar_moment_monte_carlo(
             )
             yield states / np.linalg.norm(states, axis=1, keepdims=True)
 
-    return _average_t_fold(gaussian_chunks(), copies)
+    return average_t_fold(gaussian_chunks(), copies)
 
 
 def recombination_elements(

@@ -157,6 +157,14 @@ class TestPrf:
                 table = boolfn.prf_truth_table(key, n, m).table
                 assert table.tolist() == [boolfn.prf_eval(key, n, m, x) for x in range(1 << n)]
 
+    @pytest.mark.parametrize("n,m", [(5, 2), (5, 16), (5, 64), (5, 256), (9, 512)])
+    def test_truth_table_equals_prf_eval_on_both_residue_reads(self, n, m):
+        # m dividing 256: the table reads the digest's last byte; m = 512 the
+        # whole digest, as prf_eval always does
+        for key in boolfn.derive_keys(2, seed=11, label="residue"):
+            table = boolfn.prf_truth_table(key, n, m).table
+            assert table.tolist() == [boolfn.prf_eval(key, n, m, x) for x in range(1 << n)]
+
     def test_general_modulus_table(self):
         f = boolfn.prf_truth_table(PrfKey(b"\x02" * 16), 3, 8)
         assert all(0 <= v < 8 for v in f.table)

@@ -379,8 +379,9 @@ class TestVerificationCommands:
         assert run(["--budget-mib", "4096", "--out-dir", tmp_path, "moments", "--source",
                     "plain", "--n", "2", "--t", "1", "--method", "bruteforce"]) == 0
         # the accumulation peak; the 16 members' batch register and its first
-        # block; the Haar projector, the distance stage and its two compressions
-        assert len(resolved) >= 7
+        # block; the Haar projector and its compression and the distance stage
+        # (the route hands its moment's compression over)
+        assert len(resolved) >= 6
         assert set(resolved) == {4096}
 
     @pytest.mark.parametrize("env, expected", [(None, DEFAULT_BUDGET_MIB), ("64", 64)])

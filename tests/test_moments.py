@@ -28,6 +28,7 @@ from prslab.prsgen import PrsGenerator, PrsKind
 from conftest import (
     assert_matrices_close,
     assert_vectors_close,
+    average_t_fold,
     dense_pairing_moment,
     dense_trace_distance,
     filtered_pairing_tuples,
@@ -452,25 +453,91 @@ class TestBruteForce:
         MomentSpec(Source.CONSTRUCTION2, n=4, t=1, kind=PrsKind.GENERAL_PHASE,
                    function_space=UniformSample(1024, 1)),
         plain(2, 1, PrfKeys(4096, 1)),
+        plain(3, 3),
+        MomentSpec(Source.PLAIN, n=10, t=1, kind=PrsKind.GENERAL_PHASE,
+                   function_space=UniformSample(256, 1)),
     ], ids=["plain-4-2", "plain-4-1", "c3-2-ell4-2-uniform64", "c3-2-ell3-1",
             "plain-5-2-uniform256", "general-plain-5-2-uniform256",
             "general-plain-8-1-uniform1024", "general-c2-4-1-uniform1024",
-            "plain-2-1-prf4096"])
+            "plain-2-1-prf4096", "plain-3-3", "general-plain-10-1-uniform256"])
     def test_budget_estimate_covers_measured_peak(self, spec):
-        # dim 1024: the accumulator, the matmul temporary and one chunk peak
-        # above 2 dim^2 entries: about 18 MiB for
-        # float64 (sign-phase) members, 40 MiB for complex128 ones.  dim 256
-        # with 1024 members: the chunk's evaluation, 4 MiB a copy of its
-        # rows, outweighs the 1 MiB accumulator: about 12 MiB for the
-        # prepared plain rows, 17 MiB for the circuit's.  Exhaustive plain
-        # n=4: enumerate_all's block of 1024 decoded tables is live beside a
-        # chunk; about 3.3 MiB at t=2 and 0.8 MiB at t=1.  Exhaustive c3
-        # ell=3: the list of the other two draws' 256 table pairs is held for
-        # the whole run; about 1 MiB.  prf:4096 at plain n=2: the list of
-        # 4096 keys, about 0.6 MiB, is half of the peak
+        # dim 1024 at t = 2: the expansion, the moment beside the Gram of its
+        # 528 classes, about 10.4 MiB for float64 (sign-phase) members and
+        # 20.5 MiB for complex128 ones.  dim 256 with 1024 members: the
+        # chunk's evaluation, 4 MiB a copy of its rows: about 10 MiB for the
+        # prepared plain rows, 16 MiB for the circuit's.  General plain n=10
+        # t=1 (D = d^t = 1024): one chunk's products, the 16 MiB product
+        # beside the 16 MiB Gram and the rows with their conjugate, 40 MiB.
+        # Exhaustive plain n=4: enumerate_all's block of 1024 decoded tables
+        # is live beside a chunk; about 1.7 MiB at t=2 and 0.6 MiB at t=1.
+        # Exhaustive plain n=3 t=3: the 2 MiB moment, 2.4 MiB.  Exhaustive
+        # c3 ell=3: the list of the other two draws' 256 table pairs is held
+        # for the whole run; about 0.6 MiB.  prf:4096 at plain n=2: the list
+        # of 4096 keys, about 0.6 MiB, is over half of the peak
         measured = measured_peak(lambda: ensemble_moment_bruteforce(spec))
         estimate = 16 * moments._bruteforce_peak_entries(spec)
         assert measured <= estimate <= 2 * measured
+
+    @staticmethod
+    def dense_fold_moment(spec):
+        """The brute-force moment from `average_t_fold`, the dense oracle,
+        over the route's chunks of member rows."""
+        tuples = list(moments.member_functions(spec))
+        rows = moments._spec_chunk_rows(spec)
+        chunks = (moments.member_states(spec, tuples[start:start + rows]).amplitudes
+                  for start in range(0, len(tuples), rows))
+        return average_t_fold(chunks, spec.t).matrix
+
+    @pytest.mark.parametrize("spec", [
+        plain(4, 2), c1(3, 1, 2), MomentSpec(Source.CONSTRUCTION2, n=2, t=2, shared_key=True),
+        MomentSpec(Source.CONSTRUCTION3, n=2, t=1, ell=3), plain(3, 3),
+    ], ids=["plain-4-2", "c1-3-1-2", "c2-shared-2-2", "c3-2-1-ell3", "plain-3-3"])
+    def test_sign_phase_moment_is_the_dense_fold_byte_for_byte(self, spec):
+        got = ensemble_moment_bruteforce(spec).matrix
+        assert got.tobytes() == self.dense_fold_moment(spec).tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        MomentSpec(Source.PLAIN, n=2, t=2, kind=PrsKind.GENERAL_PHASE),
+        MomentSpec(Source.CONSTRUCTION2, n=2, t=2, kind=PrsKind.GENERAL_PHASE,
+                   function_space=PrfKeys(256, 5)),
+    ], ids=["general-plain-2-2", "general-c2-2-2-prf256"])
+    def test_general_moment_matches_the_dense_fold(self, spec):
+        got = ensemble_moment_bruteforce(spec).matrix
+        assert_matrices_close(got, self.dense_fold_moment(spec), 1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(local_dim=st.integers(1, 8), copies=st.integers(1, 3),
+           sizes=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_complex_chunks_match_the_dense_fold(self, local_dim, copies, sizes, seed):
+        rng = np.random.default_rng(seed)
+        chunks = []
+        for rows in sizes:
+            vs = rng.standard_normal((rows, local_dim)) + 1j * rng.standard_normal(
+                (rows, local_dim))
+            chunks.append(vs / np.linalg.norm(vs, axis=1, keepdims=True))
+        got = moments._average_symmetric_fold(iter(chunks), copies)
+        assert_matrices_close(got.matrix, average_t_fold(iter(chunks), copies).matrix, 1e-15)
+        # the Sym^t products are the dense t-fold rows at the sorted-digit labels
+        labels, _ = corelin._symmetric_classes(local_dim, copies)
+        dense = np.array([reduce(np.kron, [v] * copies) for v in chunks[0]])
+        assert_matrices_close(moments._symmetric_fold(chunks[0], copies).T,
+                              dense[:, labels[0]], 1e-15)
+
+    @pytest.mark.parametrize("spec", [
+        plain(3, 3), c1(3, 1, 2), MomentSpec(Source.CONSTRUCTION3, n=2, t=1, ell=3),
+        MomentSpec(Source.PLAIN, n=2, t=2, kind=PrsKind.GENERAL_PHASE),
+        plain(3, 2, PrfKeys(64, seed=3)), c1(2, 1, 2, UniformSample(32, seed=4)),
+        MomentSpec(Source.CONSTRUCTION2, n=2, t=2, kind=PrsKind.GENERAL_PHASE,
+                   function_space=PrfKeys(64, 5)),
+    ], ids=["plain-3-3", "c1-3-1-2", "c3-2-1-ell3", "general-plain-2-2", "plain-3-2-prf64",
+            "c1-2-1-2-uniform32", "general-c2-2-2-prf64"])
+    def test_handed_over_operator_is_the_compression_of_the_moment(self, spec):
+        moment = ensemble_moment_bruteforce(spec)
+        want = corelin.symmetric_compression(moment, 1 << spec.layout.qubits, spec.t).matrix
+        assert_matrices_close(moment.compressed.matrix, want, 1e-15)
+        assert_matrices_close(np.linalg.eigvalsh(moment.compressed.matrix),
+                              np.linalg.eigvalsh(want), 1e-13)
 
 
 class TestDeltaPairing:
@@ -838,11 +905,10 @@ class TestDistanceInTheSymmetricSubspace:
         # splits into two blocks; the final moment's compression is one
         assert self.eigensolve_shapes(monkeypatch, c1(4, 1, 2)) == [(272, 272), (256, 256)]
 
-    @pytest.mark.parametrize("spec", [plain(3, 3), c1(3, 1, 2), c1(4, 1, 2)],
-                             ids=["plain-3-3", "c1-3-1-2", "c1-4-1-2"])
-    def test_pairing_compresses_only_the_haar_reference(self, monkeypatch, spec):
-        # the route hands its D x D operator over with the moment, so the
-        # one compression in a pairing comparison is the Haar moment's
+    @staticmethod
+    def assert_only_the_haar_reference_is_compressed(monkeypatch, spec, method):
+        """`compare_to_haar(spec, method)` calls `corelin.symmetric_compression`
+        once, on the Haar moment, and never on the route's moment."""
         compressed = []
         compression = corelin.symmetric_compression
 
@@ -851,11 +917,30 @@ class TestDistanceInTheSymmetricSubspace:
             return compression(op, *args, **kwargs)
 
         monkeypatch.setattr(corelin, "symmetric_compression", counting)
-        report = compare_to_haar(spec, Method.DELTA_PAIRING)
+        report = compare_to_haar(spec, method)
         haar = haar_moment(1 << spec.layout.qubits, spec.t)
         assert len(compressed) == 1
         assert compressed[0] is not report.moment
         assert compressed[0].matrix.tobytes() == haar.matrix.tobytes()
+
+    @pytest.mark.parametrize("spec", [plain(3, 3), c1(3, 1, 2), c1(4, 1, 2)],
+                             ids=["plain-3-3", "c1-3-1-2", "c1-4-1-2"])
+    def test_pairing_compresses_only_the_haar_reference(self, monkeypatch, spec):
+        # the route hands its D x D operator over with the moment, so the
+        # one compression in a pairing comparison is the Haar moment's
+        self.assert_only_the_haar_reference_is_compressed(monkeypatch, spec, Method.DELTA_PAIRING)
+
+    @pytest.mark.parametrize("spec,method", [
+        (plain(3, 3), Method.BRUTE_FORCE), (c1(3, 1, 2), Method.BRUTE_FORCE),
+        (MomentSpec(Source.PLAIN, n=2, t=2, kind=PrsKind.GENERAL_PHASE), Method.BRUTE_FORCE),
+        (plain(3, 2, PrfKeys(64, seed=3)), Method.MONTE_CARLO),
+        (c1(2, 1, 2, UniformSample(32, seed=4)), Method.MONTE_CARLO),
+    ], ids=["plain-3-3", "c1-3-1-2", "general-plain-2-2", "plain-3-2-prf64",
+            "c1-2-1-2-uniform32"])
+    def test_brute_force_and_sampled_compress_only_the_haar_reference(self, monkeypatch, spec,
+                                                                      method):
+        # the Sym^t accumulator hands its class Gram over as the compression
+        self.assert_only_the_haar_reference_is_compressed(monkeypatch, spec, method)
 
     def test_the_compressed_difference_is_solved_block_by_block(self, monkeypatch):
         # c1 (3,1,2): d^t = 256, D = C(17, 2) = 136, two blocks

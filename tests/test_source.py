@@ -101,6 +101,33 @@ def test_the_walsh_factors_are_read_only_by_the_walsh_kernel():
     assert offenders == []
 
 
+COMPRESSION_CALLERS = {"compare_to_haar", "_haar_distance"}
+
+
+def test_only_the_distance_stage_compresses_to_the_symmetric_subspace():
+    # every route hands its moment's D x D compression over, so only the
+    # Haar reference (compare_to_haar) and a plain DensityOperator handed to
+    # the distance stage (_haar_distance) are compressed; no route's moment
+    # is compressed again
+    modules = sorted(Path(prslab.__file__).parent.rglob("*.py"))
+    callers, allowed, offenders = [], set(), []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path.name == "moments.py":
+            callers = [node for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name in COMPRESSION_CALLERS]
+            allowed = {id(node) for caller in callers for node in ast.walk(caller)}
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and (isinstance(node.func, ast.Name)
+                           and node.func.id == "symmetric_compression"
+                           or isinstance(node.func, ast.Attribute)
+                           and node.func.attr == "symmetric_compression")
+                      and id(node) not in allowed]
+    assert {node.name for node in callers} == COMPRESSION_CALLERS, "distance stage not found"
+    assert offenders == []
+
+
 class _Module:
     """One package module: its top-level definitions, what each of its
     names is bound to (a definition, `from .x import name`, or a package
