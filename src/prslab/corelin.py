@@ -6,9 +6,10 @@ the symmetric projector never carry an imaginary part.  Each is wrapped in a
 thin validating container.  A circuit layer is one of three kinds, the
 halves of a phase-state generator: all-Hadamard, the Fourier kernel, or a
 phase diagonal; one in-place kernel, `_walsh`, applies H^{(x) m} for the
-Hadamard layer and the pairing moment's final layer.  The compression to the
-symmetric subspace is an index gather; no isometry is built.  The trace
-distance eigensolves each connected block of the difference on its own.
+Hadamard layer and the pairing moment's final layer.  Nothing here
+compresses an operator to the symmetric subspace: every moment hands its
+compression over with it (see `moments`).  The trace distance eigensolves
+each connected block of the difference on its own.
 Everything here but `_walsh`, which works in place on its caller's array,
 is a pure function on immutable inputs, safe to share across threads.
 
@@ -407,14 +408,6 @@ def _symmetric_classes(local_dim: int, copies: int) -> tuple[np.ndarray, np.ndar
     return labels, sizes
 
 
-_GATHER_BYTES = 1 << 18  # the rows of op one compression step gathers: they stay in cache
-
-
-def _gather_rows(dim: int, itemsize: int) -> int:
-    """Rows of a dim x dim operator that one compression step gathers."""
-    return max(1, _GATHER_BYTES // (dim * itemsize))
-
-
 def _classes_peak_entries(local_dim: int, copies: int) -> int:
     """What `_symmetric_classes` holds, in 16-byte units: t int64 digits and
     t bool masks of d^t entries, 3 t! + t + 2 int64 arrays of D entries (the
@@ -425,74 +418,6 @@ def _classes_peak_entries(local_dim: int, copies: int) -> int:
     perms = math.factorial(copies)
     return (copies * dim // 2 + copies * dim // 16
             + (3 * perms + copies + 2) * sym // 2 + 8 * perms)
-
-
-def _compression_peak_entries(local_dim: int, copies: int, complex_: bool = False) -> int:
-    """Upper estimate of `symmetric_compression`'s peak besides its input, in
-    16-byte units: the larger of a gather step (the D x D result, one block
-    of gathered rows and its running sum, one gathered column block) and the
-    result with what wrapping it in a DensityOperator holds besides it, plus
-    the class arrays.  Entries are complex128 for a complex operator and float64
-    otherwise."""
-    dim = local_dim**copies
-    sym = symmetric_subspace_dimension(local_dim, copies)
-    per_unit = 1 if complex_ else 2  # entries per 16 bytes
-    block = min(sym, _gather_rows(dim, 16 // per_unit))
-    gather = (sym * sym + 2 * block * dim + block * sym) // per_unit
-    build = sym * sym // per_unit + _operator_build_entries(sym, complex_)
-    return max(gather, build) + _classes_peak_entries(local_dim, copies) + (1 << 9)
-
-
-def symmetric_compression(op: DensityOperator, local_dim: int, copies: int) -> DensityOperator:
-    """V^T op V: `op` compressed to the symmetric subspace, a D x D operator
-    with D = C(d+t-1, t); float64 for a real `op`.
-
-    Column a of the isometry V is the class of the sorted digit tuple r_a,
-    1/sqrt(c_a) on each of its c_a labels; the t! permutations sigma of r_a
-    give labels p_sigma(a), each of them t!/c_a times.  So
-    (V^T op V)[a, b] = s_a s_b sum_sigma sum_tau op[p_sigma(a), p_tau(b)]
-    with s_a = sqrt(c_a)/t!: for a block of classes a, a sum of t! row
-    gathers of op, then of t! column gathers of that sum.  This holds for
-    every operator, with or without weight outside Sym^t, and builds no
-    isometry.
-
-    For a trace-1 PSD operator the compressed trace is Tr(Pi op), which is 1
-    exactly when op is supported in Sym^t; then the compression keeps every
-    nonzero eigenvalue, and op minus the Haar moment Pi/D compresses to the
-    same spectrum minus 1/D.  So an operator whose compressed trace differs
-    from its own by more than 1e-9 is refused with RegisterError.
-    """
-    if local_dim < 1 or copies < 1:
-        raise RegisterError("local_dim and copies must be >= 1")
-    dim = local_dim**copies
-    if op.dim != dim:
-        raise RegisterError(f"operator dimension {op.dim} != ({local_dim})^{copies} = {dim}")
-    check_complex_array(_compression_peak_entries(local_dim, copies, np.iscomplexobj(op.matrix)),
-                        f"symmetric compression of ({local_dim})^{copies}")
-    labels, sizes = _symmetric_classes(local_dim, copies)
-    mat, sym = op.matrix, len(sizes)
-    compressed = np.empty((sym, sym), dtype=mat.dtype)
-    step = _gather_rows(dim, mat.itemsize)
-    for start in range(0, sym, step):
-        rows = mat.take(labels[0, start:start + step], axis=0)
-        for perm in labels[1:, start:start + step]:
-            rows += mat.take(perm, axis=0)
-        block = compressed[start:start + step]
-        rows.take(labels[0], axis=1, out=block)
-        for perm in labels[1:]:
-            block += rows.take(perm, axis=1)
-    del rows  # wrapping the result needs none of the gathered rows
-    scale = np.sqrt(sizes) / math.factorial(copies)
-    compressed *= scale[:, None]
-    compressed *= scale
-    lost = abs(complex(np.trace(compressed)) - op.trace())
-    if not lost <= 1e-9:
-        raise RegisterError(
-            f"compressed trace differs from the operator's by {lost:.3e}: "
-            f"the operator has weight outside the symmetric subspace"
-        )
-    compressed.setflags(write=False)
-    return DensityOperator(compressed, normalized=op.normalized)
 
 
 def _factor_widths(m: int) -> list[int]:

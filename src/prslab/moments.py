@@ -19,26 +19,28 @@ the distance to the Haar moment is taken on the D x D compressions of the
 two operators, and `corelin.trace_distance` solves their difference one
 connected block of its nonzero pattern at a time (at c1 (5,1,2), blocks of
 1056 and 1024 of D = 2080); one dense eigensolve of the d^t x d^t
-difference is the oracle the tests hold it to.  `compare_to_haar` builds
-and compresses the Haar moment first (`corelin.symmetric_compression`, an
-index gather) and drops its d^t x d^t form before the route runs, and each
-route builds its moment in one array that it freezes and hands to its
-DensityOperator, so a comparison holds one d^t x d^t matrix at a time.
+difference is the oracle the tests hold it to.
 
-Both routes work per Sym^t class until they build their one dense output,
-and hand their D x D class Gram over with it, scaled by sqrt(c_a c_b) for
-the class sizes c into the moment's compression (`SymmetricMoment`), so no
-route's moment is compressed again.  Brute force folds each chunk's rows
-straight into Sym^t: each member's t-fold products at the D classes'
-sorted-digit labels, whose outer products the chunk adds to the Gram, so
-no d^t x d^t accumulator is built.  The pairing route keys the segments
-of one copy once and joins the copies in non-decreasing label order, so it
-builds only the tuples at a class's sorted-digit label; it forms the Gram
-by a numpy self-join within each key group; and it runs the final layer's
-column pass on one row per class.  Both then copy each class row to the
-class's other labels (`_copy_class_rows`); the pairing route's Gram is
-the compression of its moment before the final layer, which has the final
-moment's spectrum.  No route needs more than numpy.
+Every moment, the Haar moment included, hands its D x D compression to
+Sym^t, V^T rho V, over with it (`SymmetricMoment`), and nothing is
+compressed after the fact: the Haar moment's is I/D, and each route's is
+its D x D class Gram, scaled by sqrt(c_a c_b) for the class sizes c.
+`compare_to_haar` builds the Haar moment first and keeps only its
+compression, and each route builds its moment in one array that it
+freezes and hands to its operator, so a comparison holds one d^t x d^t
+matrix at a time.  Both routes work per Sym^t class until they build
+their one dense output.  Brute force folds each chunk's rows straight
+into Sym^t: each member's t-fold products at the D classes' sorted-digit
+labels, whose outer products the chunk adds to the Gram, so no d^t x d^t
+accumulator is built.  The pairing route keys the segments of one copy
+once and joins the copies in non-decreasing label order, so it builds
+only the tuples at a class's sorted-digit label, and it forms the Gram by
+a numpy self-join within each key group.  Both then expand the Gram into
+the moment the same way (`_hand_over`): one row per class, which the
+pairing route's final layer transforms, copied to the class's other
+labels.  The pairing route's Gram is the compression of its moment
+before the final layer, which has the final moment's spectrum.  No route
+needs more than numpy.
 """
 
 from __future__ import annotations
@@ -269,31 +271,58 @@ def _label_classes(local_dim: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     return classes, sizes
 
 
+_GATHER_BYTES = 1 << 18  # the rows one expansion step gathers: they stay in cache
+
+
+def _gather_rows(dim: int, itemsize: int) -> int:
+    """Rows of a dim x dim matrix that one `_copy_class_rows` step gathers."""
+    return max(1, _GATHER_BYTES // (dim * itemsize))
+
+
 def _copy_class_rows(matrix: np.ndarray, classes: np.ndarray) -> None:
     """Fill a d^t x d^t matrix whose row a < D holds class a's row: each
     row x takes its class's row, one cache-sized block of rows at a time,
     the last rows first.  A class's labels are no smaller than its index,
     so no class row is overwritten before its labels read it."""
-    step = corelin._gather_rows(len(matrix), matrix.itemsize)
+    step = _gather_rows(len(matrix), matrix.itemsize)
     for stop in range(len(matrix), 0, -step):
         start = max(0, stop - step)
         matrix[start:stop] = matrix.take(classes[start:stop], axis=0)
 
 
-def _hand_over(matrix: np.ndarray, gram: np.ndarray, sizes: np.ndarray) -> SymmetricMoment:
-    """The moment with its class Gram G, scaled in place by sqrt(c_a c_b)
-    for the class sizes c into V^T rho V, as its `compressed` operator;
-    its trace, the moment's, must be 1.  Both arrays are frozen and handed
-    over to their operators, not copied."""
+def _frozen_moment(matrix: np.ndarray, compressed: np.ndarray) -> SymmetricMoment:
+    """The moment with its D x D compression, both frozen and handed over
+    to their operators, not copied; each operator checks its trace is 1."""
+    matrix.setflags(write=False)
+    compressed.setflags(write=False)
+    return SymmetricMoment(matrix, compressed=DensityOperator(compressed))
+
+
+def _hand_over(gram: np.ndarray, classes: np.ndarray, sizes: np.ndarray,
+               final_layer: bool = False) -> SymmetricMoment:
+    """The d^t x d^t moment rho expanded from its D x D class Gram G, with
+    V^T rho V as its `compressed` operator.
+
+    Entry (x, y) of rho is G[a, b] for the classes a of x and b of y: row
+    a < D of the matrix is the Gram row gathered over every label, then
+    every row is copied from its class's (`_copy_class_rows`).  With
+    `final_layer`, H^{(x) qt}, which commutes with copy permutations,
+    conjugates rho: its column pass runs on the D class rows before they
+    are copied and its row pass on the whole matrix after.  G, scaled in
+    place by sqrt(c_a c_b) for the class sizes c, is V^T rho V for rho
+    before that layer, which maps Sym^t to itself and keeps the spectrum."""
+    sym = len(sizes)
+    matrix = np.empty((len(classes),) * 2, dtype=gram.dtype)
+    gram.take(classes, axis=1, out=matrix[:sym], mode="clip")  # "clip": no buffer for out
+    if final_layer:
+        corelin._walsh(matrix[:sym], 1)  # H is symmetric: row r of M H is H applied to row r
+    _copy_class_rows(matrix, classes)
+    if final_layer:
+        corelin._walsh(matrix, 0)
     scale = np.sqrt(sizes)
     gram *= scale[:, None]
     gram *= scale
-    trace = complex(np.trace(gram))
-    if abs(trace - 1.0) > 1e-9:
-        raise AssertionError(f"moment trace {trace} deviates from 1")
-    matrix.setflags(write=False)
-    gram.setflags(write=False)
-    return SymmetricMoment(matrix, compressed=DensityOperator(gram))
+    return _frozen_moment(matrix, gram)
 
 
 def _average_symmetric_fold(chunks, t: int) -> SymmetricMoment:
@@ -302,10 +331,8 @@ def _average_symmetric_fold(chunks, t: int) -> SymmetricMoment:
 
     Every |v>^{(x) t} is constant on each multiset class of labels, so the
     average is G[a, b] at labels x of class a and y of class b, where the
-    D x D class Gram G sums each chunk's `_class_product`.  The d^t x d^t
-    moment is G expanded over the labels, row a < D the Gram row gathered
-    over every label and then every row copied from its class's
-    (`_copy_class_rows`), and G is handed over as its compression."""
+    D x D class Gram G sums each chunk's `_class_product`; `_hand_over`
+    expands it into the d^t x d^t moment."""
     gram, count = None, 0
     for vs in chunks:
         if gram is None:
@@ -318,11 +345,7 @@ def _average_symmetric_fold(chunks, t: int) -> SymmetricMoment:
     if count == 0:
         raise ValueError("empty ensemble")
     gram /= count
-    classes, sizes = _label_classes(local_dim, t)
-    matrix = np.empty((len(classes),) * 2, dtype=gram.dtype)
-    gram.take(classes, axis=1, out=matrix[:sym], mode="clip")  # "clip": no buffer for out
-    _copy_class_rows(matrix, classes)
-    return _hand_over(matrix, gram, sizes)
+    return _hand_over(gram, *_label_classes(local_dim, t))
 
 
 def _chunk_rows(dim: int) -> int:
@@ -382,7 +405,7 @@ def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     evaluation = tables + expand._evaluation_peak_entries(layout, rows, complex_)
     below = corelin.symmetric_subspace_dimension(local_dim, t - 1) if t > 2 else 0
     products = (rows * (2 * local_dim + below + sym * (1 + complex_)) + sym * sym) // per_unit
-    block = corelin._gather_rows(dim, 16 // per_unit) * dim // per_unit
+    block = _gather_rows(dim, 16 // per_unit) * dim // per_unit
     expansion = (dim * dim // per_unit + dim // 2
                  + corelin._classes_peak_entries(local_dim, t)
                  + max(block, corelin._operator_build_entries(dim, complex_)))
@@ -506,7 +529,7 @@ def _pairing_peak_entries(spec: MomentSpec) -> int:
     tuples = _kept_tuples(spec)
     keying = 6 * tuples + corelin._classes_peak_entries(local_dim, spec.t)
     join = sym * sym // 2 + _JOIN_BYTES // 16 + 4 * tuples
-    rows = corelin._gather_rows(dim, 8)
+    rows = _gather_rows(dim, 8)
     expansion = (dim * dim + sym * sym) // 2 + max(rows * dim // 2, corelin._SLAB_BYTES // 16)
     return dim // 2 + max(keying, join, expansion) + (1 << 16)
 
@@ -540,34 +563,17 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> SymmetricMoment:
     sorted-digit label.  The route builds only the tuples that reach such a
     label, merges them into integer weights per (key group, class) and
     forms the D x D Gram W^T W by a self-join within each key group
-    (`_self_join`).  The final layer H^{(x) qt} commutes with copy
-    permutations, so the rows of the moment's column pass are constant on
-    classes too: one row per class is gathered from the Gram and
-    transformed, the moment's other rows are copies of their class's row,
-    and one row pass over the whole matrix ends the layer.  Every entry is
-    an integer sum scaled by a power of two, so the moment is exact up to
-    the final layer; it agrees with brute force up to rounding.
-
-    The Gram, scaled in place by sqrt(c_a c_b) for the class sizes c, is
-    V^T rho V for the moment rho before the final layer; as that layer
-    maps Sym^t to itself, it is handed over with the moment as its
-    `compressed` operator, whose spectrum is that of the moment's
-    compression.
+    (`_self_join`) and `_hand_over` expands it into the moment, running
+    the final layer on one row per class, and hands it over as the
+    compression of the moment before that layer.  Every entry is an integer
+    sum scaled by a power of two, so the moment is exact up to the final
+    layer; it agrees with brute force up to rounding.
     """
-    if spec.kind is not PrsKind.BINARY_PHASE:
-        raise ValueError("pairing route requires the sign-phase kind")
-    if not isinstance(spec.function_space, ExhaustiveAllFunctions):
-        raise ValueError("pairing route computes the exhaustive all-functions average")
+    _check_pairing(spec)
     layout = spec.layout
-    n, t, q, draws = spec.n, spec.t, layout.qubits, layout.draws
-    if draws << n > _MAX_KEY_BITS:
-        raise ValueError(
-            f"parity vectors need {draws << n} bits; the pairing route packs them "
-            f"into one {_MAX_KEY_BITS}-bit key"
-        )
+    n, t, q = spec.n, spec.t, layout.qubits
     check_complex_array(_pairing_peak_entries(spec), "pairing route peak")
 
-    dim = 1 << (q * t)
     classes, sizes = _label_classes(1 << q, t)
     sym = len(sizes)
     keys, cls, odd = _class_tuples(spec, classes)
@@ -580,94 +586,105 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> SymmetricMoment:
     gram = _self_join(group, cls, weight[nonzero], sym)
     del entries, weight, nonzero, group, cls
     gram /= 1 << (n * len(layout.offsets) * t)  # exact: integers below 2^53 over a power of two
-
-    # row a < D of the matrix is class a's row, transformed by the final
-    # layer's column pass before it is copied to the class's other labels
-    matrix = np.empty((dim, dim))
-    gram.take(classes, axis=1, out=matrix[:sym], mode="clip")  # "clip": no buffer for out
-    if layout.final_layer:
-        corelin._walsh(matrix[:sym], 1)  # H is symmetric: row r of M H is H applied to row r
-    _copy_class_rows(matrix, classes)
-    if layout.final_layer:
-        corelin._walsh(matrix, 0)
-    return _hand_over(matrix, gram, sizes)
+    return _hand_over(gram, classes, sizes, layout.final_layer)
 
 
-def haar_moment(local_dim: int, copies: int) -> DensityOperator:
+def _check_pairing(spec: MomentSpec) -> None:
+    """Refuse, with ValueError, a spec the pairing route cannot compute:
+    a kind other than sign phases, a sampled space, or parity vectors
+    wider than one 64-bit key.  Nothing is built first."""
+    if spec.kind is not PrsKind.BINARY_PHASE:
+        raise ValueError("pairing route requires the sign-phase kind")
+    if not isinstance(spec.function_space, ExhaustiveAllFunctions):
+        raise ValueError("pairing route computes the exhaustive all-functions average")
+    bits = spec.layout.draws << spec.n
+    if bits > _MAX_KEY_BITS:
+        raise ValueError(f"parity vectors need {bits} bits; the pairing route packs them "
+                         f"into one {_MAX_KEY_BITS}-bit key")
+
+
+def _haar_peak_entries(local_dim: int, copies: int) -> int:
+    """Upper estimate of `haar_moment`'s peak, in 16-byte units: the
+    projector's (`corelin._projector_peak_entries`), which covers the
+    d^t x d^t matrix, plus the float64 D x D compression I/D and what
+    wrapping it in a DensityOperator holds besides it."""
+    sym = corelin.symmetric_subspace_dimension(local_dim, copies)
+    return (corelin._projector_peak_entries(local_dim, copies)
+            + sym * sym // 2 + corelin._operator_build_entries(sym))
+
+
+def haar_moment(local_dim: int, copies: int) -> SymmetricMoment:
     """Average t-fold projector of a Haar-random state: the normalized
-    symmetric-subspace projector.  The projector's matrix is normalized in
-    place, as nothing else refers to it, so the oracle holds one d^t x d^t
-    array, the one the projector's budget check covers."""
+    symmetric-subspace projector, with its compression to Sym^t, I/D,
+    handed over as every route's moment is.  The projector's matrix is
+    normalized in place, as nothing else refers to it, so the oracle holds
+    one d^t x d^t array and one D x D array."""
+    check_complex_array(_haar_peak_entries(local_dim, copies),
+                        f"Haar moment on ({local_dim})^{copies}")
+    sym = corelin.symmetric_subspace_dimension(local_dim, copies)
     matrix = corelin.symmetric_projector(local_dim, copies).matrix
     matrix.setflags(write=True)  # the projector's operator is gone: this is the only reference
-    matrix /= corelin.symmetric_subspace_dimension(local_dim, copies)
-    matrix.setflags(write=False)
-    return DensityOperator(matrix)
+    matrix /= sym
+    compressed = np.eye(sym)
+    compressed /= sym
+    return _frozen_moment(matrix, compressed)
 
 
-def _distance_peak_entries(local_dim: int, copies: int, complex_: bool = False,
-                           compress: bool = True) -> int:
-    """Upper estimate of `_haar_distance`'s peak besides its two inputs, in
-    16-byte units: with `compress`, the moment's compression, then, beside
-    the compressed moment, the larger of `corelin.trace_distance`'s two
-    phases; without it (a SymmetricMoment hands its D x D operator over),
-    the two phases alone.  The component search holds the difference and at
-    most three D x D bool arrays (the pattern, its transpose and one
-    frontier gather).  The solve holds two squares: the difference and the
-    eigensolver's copy of it when it is one block (the worst case), or else
-    all the gathered blocks, at most one square together, beside the
-    difference and then beside the copy of the block being solved.  numpy's
-    linalg allocates that copy with `malloc`, which tracemalloc does not
-    trace, so a measured peak leaves it out.  `complex_` is the moment's
-    dtype; the Haar moment is real."""
+def _distance_peak_entries(local_dim: int, copies: int, complex_: bool = False) -> int:
+    """Upper estimate of `_haar_distance`'s peak besides its two inputs and
+    their handed-over D x D operators, in 16-byte units: the larger of
+    `corelin.trace_distance`'s two phases.  The component search holds the
+    difference and at most three D x D bool arrays (the pattern, its
+    transpose and one frontier gather).  The solve holds two squares: the
+    difference and the eigensolver's copy of it when it is one block (the
+    worst case), or else all the gathered blocks, at most one square
+    together, beside the difference and then beside the copy of the block
+    being solved.  numpy's linalg allocates that copy with `malloc`, which
+    tracemalloc does not trace, so a measured peak leaves it out.
+    `complex_` is the moment's dtype; the Haar moment is real."""
     sym = corelin.symmetric_subspace_dimension(local_dim, copies)
     square = sym * sym if complex_ else sym * sym // 2
-    phases = max(square + 3 * (sym * sym // 16), 2 * square)
-    if not compress:
-        return phases
-    return max(corelin._compression_peak_entries(local_dim, copies, complex_), square + phases)
+    return max(square + 3 * (sym * sym // 16), 2 * square)
 
 
 def _haar_distance(
-    moment: DensityOperator, haar: DensityOperator, local_dim: int, copies: int
+    moment: SymmetricMoment, haar: DensityOperator, local_dim: int, copies: int
 ) -> float:
-    """Trace distance between a d^t x d^t moment and the Haar moment's D x D
-    compression to the symmetric subspace (which is I/D), taken on the
-    moment's compression, so the eigensolve runs at D = C(d+t-1, t), not at
-    d^t: a SymmetricMoment's own, which every route hands over, or else
-    `corelin.symmetric_compression` of a plain DensityOperator."""
-    compressed = moment.compressed if isinstance(moment, SymmetricMoment) else None
-    check_complex_array(_distance_peak_entries(local_dim, copies, np.iscomplexobj(moment.matrix),
-                                               compress=compressed is None),
+    """Trace distance between a d^t x d^t moment and the Haar moment, taken
+    between the D x D compression to the symmetric subspace that the moment
+    hands over and the Haar moment's, `haar` (I/D), so the eigensolve runs
+    at D = C(d+t-1, t), not at d^t."""
+    check_complex_array(_distance_peak_entries(local_dim, copies, np.iscomplexobj(moment.matrix)),
                         f"distance stage in Sym^{copies} of ({local_dim})^{copies}")
-    if compressed is None:
-        compressed = corelin.symmetric_compression(moment, local_dim, copies)
-    return corelin.trace_distance(compressed, haar)
+    return corelin.trace_distance(moment.compressed, haar)
 
 
 def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
     """Compute the ensemble moment by the chosen route and its trace distance
     to the Haar moment.  Both moments lie in the symmetric subspace, so the
-    distance is taken on their D x D compressions there: the Haar moment's
-    (`corelin.symmetric_compression`) before the route runs, and the one
-    that every route, pairing, brute force or sampled, forms on its way and
-    hands over with its moment, which is never compressed again.  One dense
-    eigensolve of the d^t x d^t difference from `haar_moment` is the oracle
-    it is tested against.  Deterministic given the function-space seed."""
+    distance is taken on the D x D compressions there that each hands over
+    with its moment: the Haar moment's, I/D, and the one that every route,
+    pairing, brute force or sampled, forms on its way.  Nothing is
+    compressed after the fact.  One dense eigensolve of the d^t x d^t
+    difference from `haar_moment` is the oracle it is tested against.  A
+    spec the chosen route refuses is refused before anything is built.
+    Deterministic given the function-space seed."""
     sampled = not isinstance(spec.function_space, ExhaustiveAllFunctions)
     if method is Method.MONTE_CARLO and not sampled:
         raise ValueError("monte_carlo labels sampled ensembles; space is exhaustive")
     if method is Method.BRUTE_FORCE and sampled:
         raise ValueError("brute_force labels exhaustive ensembles; use monte_carlo")
+    if method is Method.DELTA_PAIRING:
+        _check_pairing(spec)
     start = time.perf_counter()
     local_dim = 1 << spec.layout.qubits
-    # the Haar reference first: compressed to D x D and its d^t x d^t form
-    # dropped before the route builds the moment, so the two are never held
-    # together.  It compresses to I/D, but the traced benchmark
-    # (perfbench/tracer.py BASELINE_ROWS) times the `symmetric_projector` and
-    # `trace_distance` spans of this call by name; writing I/D directly waits
-    # for the benchmark change that stops reading them
-    haar = corelin.symmetric_compression(haar_moment(local_dim, spec.t), local_dim, spec.t)
+    # the Haar reference first, keeping only its compression I/D, so its
+    # d^t x d^t form is dropped before the route builds the moment.  The
+    # dense projector is built only because the traced benchmark
+    # (perfbench/tracer.py BASELINE_ROWS) times the `symmetric_projector`
+    # span of this call by name; writing I/D alone waits for the benchmark
+    # change that stops reading it
+    haar = haar_moment(local_dim, spec.t).compressed
     if method is Method.DELTA_PAIRING:
         moment = ensemble_moment_deltapair(spec)
     else:

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from prslab import budget, cli
+from prslab import budget, cli, corelin
 from prslab.budget import DEFAULT_BUDGET_MIB
 from prslab.moments import ExhaustiveAllFunctions
 
@@ -464,6 +464,21 @@ class TestVerificationCommands:
         assert err.startswith("budget error: condition witness on 10 qubits")
         assert err.count("\n") == 1
         assert not (tmp_path / "condition_general.json").exists()
+
+    @pytest.mark.parametrize("args,message", [
+        (["--kind", "general"], "pairing route requires the sign-phase kind"),
+        (["--space", "prf:4"],
+         "pairing route computes the exhaustive all-functions average"),
+    ], ids=["general-kind", "sampled-space"])
+    def test_a_spec_the_pairing_route_refuses_is_reported_before_the_haar_reference(
+            self, tmp_path, capsys, monkeypatch, args, message):
+        built = []
+        monkeypatch.setattr(corelin, "symmetric_projector", lambda *args: built.append(args))
+        code = run(["--seed", "1", "--budget-mib", "1", "--out-dir", tmp_path, "moments",
+                    "--source", "plain", "--n", "5", "--t", "2", "--method", "deltapair"] + args)
+        assert code == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert built == []
 
 
 class TestCsvColumns:

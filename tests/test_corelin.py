@@ -1,18 +1,14 @@
 import itertools
 import math
-import os
 import re
-import subprocess
-import sys
 from functools import reduce
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prslab import budget, corelin
+from prslab import corelin
 from prslab.budget import BudgetError
 from prslab.corelin import (
     DensityOperator,
@@ -23,7 +19,6 @@ from prslab.corelin import (
     hadamard_all_layer,
     partial_trace,
     phase_diagonal_layer,
-    symmetric_compression,
     symmetric_projector,
     trace_distance,
 )
@@ -482,19 +477,6 @@ class TestSymmetricProjector:
         assert measured <= estimate <= 2 * measured
 
 
-OPTIMIZED_COMPRESSION_SCRIPT = """
-import numpy as np
-from prslab import corelin
-try:
-    corelin.symmetric_compression(corelin.DensityOperator(np.diag([0.0, 1.0, 0.0, 0.0])), 2, 2)
-except corelin.RegisterError as exc:
-    if "outside the symmetric subspace" not in str(exc):
-        raise
-else:
-    raise SystemExit("an operator outside Sym^2 was compressed")
-"""
-
-
 class TestSymmetricCompression:
     @pytest.mark.parametrize("local_dim,copies", [
         (2, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (4, 4),
@@ -506,75 +488,6 @@ class TestSymmetricCompression:
         assert np.all(np.count_nonzero(iso, axis=1) == 1)
         assert_matrices_close(iso.T @ iso, np.eye(sym), 1e-14)
         assert_matrices_close(iso @ iso.T, symmetric_projector(local_dim, copies).matrix, 1e-14)
-
-    @pytest.mark.parametrize("local_dim,copies", [(2, 1), (4, 2), (3, 3), (2, 4), (8, 2)])
-    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-    def test_equals_the_isometry_product_outside_the_subspace(self, rng, local_dim, copies,
-                                                             complex_):
-        # a random Hermitian H has weight everywhere; adding c (I - Pi), which
-        # compresses to 0, makes the traces agree so the refusal lets it through
-        dim = local_dim**copies
-        h = rng.standard_normal((dim, dim))
-        if complex_:
-            h = h + 1j * rng.standard_normal((dim, dim))
-        h = (h + h.conj().T) / 2
-        iso = symmetric_isometry(local_dim, copies)
-        outside = np.eye(dim) - iso @ iso.T
-        if copies > 1:
-            h += outside * (np.trace(iso.T @ h @ iso) - np.trace(h)) / np.trace(outside)
-            assert np.abs(outside @ h @ iso).max() > 0.1  # off the subspace
-        got = symmetric_compression(DensityOperator(h, normalized=False), local_dim, copies)
-        assert got.matrix.dtype == (np.complex128 if complex_ else np.float64)
-        assert_matrices_close(got.matrix, iso.T @ h @ iso, 1e-13)
-
-    @pytest.mark.parametrize("local_dim,copies", [(2, 2), (4, 2), (3, 3), (8, 2)])
-    def test_haar_moment_compresses_to_the_maximally_mixed_state(self, local_dim, copies):
-        sym = corelin.symmetric_subspace_dimension(local_dim, copies)
-        haar = DensityOperator(symmetric_projector(local_dim, copies).matrix / sym)
-        got = symmetric_compression(haar, local_dim, copies)
-        assert got.matrix.dtype == np.float64
-        assert_matrices_close(got.matrix, np.eye(sym) / sym, 1e-15)
-
-    def test_complex_operator_stays_complex(self, rng):
-        v = random_state(2, rng).amplitudes
-        folded = np.kron(v, v)
-        got = symmetric_compression(DensityOperator(np.outer(folded, folded.conj())), 4, 2)
-        assert got.matrix.dtype == np.complex128
-        assert got.trace().real == pytest.approx(1.0, abs=1e-12)
-
-    def test_refuses_weight_outside_the_symmetric_subspace(self):
-        # |01><01| has half its weight on the antisymmetric state
-        op = DensityOperator(np.diag([0.0, 1.0, 0.0, 0.0]))
-        with pytest.raises(RegisterError, match="outside the symmetric subspace"):
-            symmetric_compression(op, 2, 2)
-
-    def test_refusal_survives_optimize(self):
-        src = str(Path(corelin.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", OPTIMIZED_COMPRESSION_SCRIPT],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(RegisterError, match="dimension"):
-            symmetric_compression(DensityOperator(np.eye(8) / 8), 2, 2)
-
-    @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3), (3, 4)])
-    def test_budget_estimate_covers_measured_peak(self, local_dim, copies):
-        haar = DensityOperator(symmetric_projector(local_dim, copies).matrix
-                               / corelin.symmetric_subspace_dimension(local_dim, copies))
-        measured = measured_peak(lambda: symmetric_compression(haar, local_dim, copies))
-        estimate = 16 * corelin._compression_peak_entries(local_dim, copies)
-        assert measured <= estimate <= 2 * measured
-
-    def test_budget_error_before_building(self):
-        # (32)^2 needs about 11 MiB; the identity is refused only after building
-        op = DensityOperator(np.eye(1024) / 1024)
-        with pytest.raises(BudgetError, match="symmetric compression"), budget.limit(1):
-            symmetric_compression(op, 32, 2)
 
 
 class TestDensityOperator:

@@ -36,6 +36,7 @@ from conftest import (
     hadamard_conjugate,
     measured_peak,
     random_unitary,
+    symmetric_isometry,
 )
 
 
@@ -534,7 +535,9 @@ class TestBruteForce:
             "c1-2-1-2-uniform32", "general-c2-2-2-prf64"])
     def test_handed_over_operator_is_the_compression_of_the_moment(self, spec):
         moment = ensemble_moment_bruteforce(spec)
-        want = corelin.symmetric_compression(moment, 1 << spec.layout.qubits, spec.t).matrix
+        iso = symmetric_isometry(1 << spec.layout.qubits, spec.t)
+        want = iso.T @ moment.matrix @ iso
+        assert moment.compressed.matrix.dtype == moment.matrix.dtype
         assert_matrices_close(moment.compressed.matrix, want, 1e-15)
         assert_matrices_close(np.linalg.eigvalsh(moment.compressed.matrix),
                               np.linalg.eigvalsh(want), 1e-13)
@@ -678,12 +681,11 @@ class TestPairingGram:
     def test_handed_over_operator_is_the_compressed_pre_final_moment(self, spec):
         # V^T rho V of the moment before the final layer, which that layer's
         # copy-permutation symmetry leaves with the final moment's spectrum
-        local_dim = 1 << spec.layout.qubits
+        iso = symmetric_isometry(1 << spec.layout.qubits, spec.t)
         moment = ensemble_moment_deltapair(spec)
-        pre_final = DensityOperator(dense_pairing_moment(spec, final_layer=False))
-        want = corelin.symmetric_compression(pre_final, local_dim, spec.t).matrix
+        want = iso.T @ dense_pairing_moment(spec, final_layer=False) @ iso
         assert_matrices_close(moment.compressed.matrix, want, 1e-15)
-        final = corelin.symmetric_compression(moment, local_dim, spec.t).matrix
+        final = iso.T @ moment.matrix @ iso
         assert_matrices_close(np.linalg.eigvalsh(moment.compressed.matrix),
                               np.linalg.eigvalsh(final), 1e-13)
 
@@ -747,13 +749,28 @@ class TestHaarMoment:
         got = haar_moment_monte_carlo(4, 2, 300, seed=5).matrix
         assert got.tobytes() == (moment / 300).tobytes()
 
-    @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3)])
+    @pytest.mark.parametrize("local_dim,copies", [(2, 1), (4, 2), (8, 3), (16, 2), (64, 2)])
+    def test_hands_over_the_maximally_mixed_compression(self, local_dim, copies):
+        sym = corelin.symmetric_subspace_dimension(local_dim, copies)
+        haar = haar_moment(local_dim, copies)
+        assert haar.compressed.matrix.tobytes() == (np.eye(sym) / sym).tobytes()
+        iso = symmetric_isometry(local_dim, copies)
+        assert_matrices_close(haar.compressed.matrix, iso.T @ haar.matrix @ iso, 1e-15)
+
+    @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3), (64, 2)])
     def test_budget_estimate_covers_measured_peak(self, local_dim, copies):
-        # normalizing frees the projector first, so the projector's own
-        # budget estimate covers the whole Haar oracle
+        # the normalized projector beside its D x D compression: at (64,2)
+        # D^2 is a quarter of d^{2t}, which the projector's estimate misses
         measured = measured_peak(lambda: haar_moment(local_dim, copies))
-        estimate = 16 * corelin._projector_peak_entries(local_dim, copies)
+        estimate = 16 * moments._haar_peak_entries(local_dim, copies)
         assert measured <= estimate <= 2 * measured
+
+    def test_budget_refuses_before_building_the_projector(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(corelin, "symmetric_projector", lambda *args: built.append(args))
+        with pytest.raises(BudgetError, match="Haar moment on"), budget.limit(1):
+            haar_moment(64, 2)
+        assert built == []
 
     def test_commutes_with_tensor_power_unitary(self, rng):
         u = random_unitary(2, rng)
@@ -867,15 +884,15 @@ class TestDistanceInTheSymmetricSubspace:
             (members, local_dim))
         vs /= np.linalg.norm(vs, axis=1, keepdims=True)
         folded = [reduce(np.kron, [v] * copies) for v in vs]
-        moment = DensityOperator(sum(np.outer(f, f.conj()) for f in folded) / members)
+        dense = DensityOperator(sum(np.outer(f, f.conj()) for f in folded) / members)
         haar = haar_moment(local_dim, copies)
-        got = moments._haar_distance(
-            moment, corelin.symmetric_compression(haar, local_dim, copies), local_dim, copies)
-        assert abs(got - dense_trace_distance(moment, haar)) <= 1e-12
+        moment = moments._average_symmetric_fold([vs], copies)
+        got = moments._haar_distance(moment, haar.compressed, local_dim, copies)
+        assert abs(got - dense_trace_distance(dense, haar)) <= 1e-12
 
     @pytest.mark.parametrize("spec", [c1(4, 1, 2), c1(3, 2, 2)], ids=["c1-4-1-2", "c1-3-2-2"])
     def test_peak_stays_near_two_moment_sized_arrays(self, spec):
-        # the Haar reference is compressed and dropped before the route runs,
+        # the Haar reference keeps only its I/D before the route runs,
         # and the route fills, conjugates and hands over one moment array
         # with its D x D operator: 1.95 and 1.87 float64 d^t x d^t arrays
         # (the moment beside the Haar reference, the operator, their
@@ -905,42 +922,34 @@ class TestDistanceInTheSymmetricSubspace:
         # splits into two blocks; the final moment's compression is one
         assert self.eigensolve_shapes(monkeypatch, c1(4, 1, 2)) == [(272, 272), (256, 256)]
 
-    @staticmethod
-    def assert_only_the_haar_reference_is_compressed(monkeypatch, spec, method):
-        """`compare_to_haar(spec, method)` calls `corelin.symmetric_compression`
-        once, on the Haar moment, and never on the route's moment."""
-        compressed = []
-        compression = corelin.symmetric_compression
-
-        def counting(op, *args, **kwargs):
-            compressed.append(op)
-            return compression(op, *args, **kwargs)
-
-        monkeypatch.setattr(corelin, "symmetric_compression", counting)
-        report = compare_to_haar(spec, method)
-        haar = haar_moment(1 << spec.layout.qubits, spec.t)
-        assert len(compressed) == 1
-        assert compressed[0] is not report.moment
-        assert compressed[0].matrix.tobytes() == haar.matrix.tobytes()
-
-    @pytest.mark.parametrize("spec", [plain(3, 3), c1(3, 1, 2), c1(4, 1, 2)],
-                             ids=["plain-3-3", "c1-3-1-2", "c1-4-1-2"])
-    def test_pairing_compresses_only_the_haar_reference(self, monkeypatch, spec):
-        # the route hands its D x D operator over with the moment, so the
-        # one compression in a pairing comparison is the Haar moment's
-        self.assert_only_the_haar_reference_is_compressed(monkeypatch, spec, Method.DELTA_PAIRING)
-
     @pytest.mark.parametrize("spec,method", [
+        (plain(3, 3), Method.DELTA_PAIRING), (c1(3, 1, 2), Method.DELTA_PAIRING),
+        (c1(4, 1, 2), Method.DELTA_PAIRING),
         (plain(3, 3), Method.BRUTE_FORCE), (c1(3, 1, 2), Method.BRUTE_FORCE),
         (MomentSpec(Source.PLAIN, n=2, t=2, kind=PrsKind.GENERAL_PHASE), Method.BRUTE_FORCE),
         (plain(3, 2, PrfKeys(64, seed=3)), Method.MONTE_CARLO),
         (c1(2, 1, 2, UniformSample(32, seed=4)), Method.MONTE_CARLO),
-    ], ids=["plain-3-3", "c1-3-1-2", "general-plain-2-2", "plain-3-2-prf64",
-            "c1-2-1-2-uniform32"])
-    def test_brute_force_and_sampled_compress_only_the_haar_reference(self, monkeypatch, spec,
-                                                                      method):
-        # the Sym^t accumulator hands its class Gram over as the compression
-        self.assert_only_the_haar_reference_is_compressed(monkeypatch, spec, method)
+    ], ids=["pairing-plain-3-3", "pairing-c1-3-1-2", "pairing-c1-4-1-2", "brute-plain-3-3",
+            "brute-c1-3-1-2", "brute-general-plain-2-2", "sampled-plain-3-2-prf64",
+            "sampled-c1-2-1-2-uniform32"])
+    def test_the_distance_is_taken_between_the_handed_over_compressions(self, monkeypatch,
+                                                                         spec, method):
+        # every moment, the Haar reference included, hands its D x D
+        # compression over, so the one distance solved is between the
+        # route's own operator and I/D
+        calls = []
+        trace_distance = corelin.trace_distance
+
+        def recording(a, b):
+            calls.append((a, b))
+            return trace_distance(a, b)
+
+        monkeypatch.setattr(corelin, "trace_distance", recording)
+        report = compare_to_haar(spec, method)
+        sym = report.moment.compressed.dim
+        assert len(calls) == 1
+        assert calls[0][0] is report.moment.compressed
+        assert calls[0][1].matrix.tobytes() == (np.eye(sym) / sym).tobytes()
 
     def test_the_compressed_difference_is_solved_block_by_block(self, monkeypatch):
         # c1 (3,1,2): d^t = 256, D = C(17, 2) = 136, two blocks
@@ -958,48 +967,36 @@ class TestDistanceInTheSymmetricSubspace:
         assert largest == 8 and shapes
         assert max(side for side, _ in shapes) <= largest
 
-    @staticmethod
-    def distance_input(moment, compress):
-        """The pairing moment as the distance stage's input: with `compress`,
-        as a plain DensityOperator (the same frozen array, adopted), which
-        the stage compresses; else as the route hands it over, with its own
-        D x D operator."""
-        return DensityOperator(moment.matrix) if compress else moment
-
-    @pytest.mark.parametrize("compress", [True, False], ids=["moment", "operator"])
     @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3)])
-    def test_budget_estimate_covers_measured_peak(self, local_dim, copies, compress):
+    def test_budget_estimate_covers_measured_peak(self, local_dim, copies):
         # plain: many small blocks, so the component search sets the peak
-        moment = self.distance_input(
-            ensemble_moment_deltapair(plain(local_dim.bit_length() - 1, copies)), compress)
-        haar = corelin.symmetric_compression(haar_moment(local_dim, copies), local_dim, copies)
+        moment = ensemble_moment_deltapair(plain(local_dim.bit_length() - 1, copies))
+        haar = haar_moment(local_dim, copies).compressed
         measured = measured_peak(
             lambda: moments._haar_distance(moment, haar, local_dim, copies))
-        estimate = 16 * moments._distance_peak_entries(local_dim, copies, compress=compress)
+        estimate = 16 * moments._distance_peak_entries(local_dim, copies)
         assert measured <= estimate <= 2 * measured
 
-    @pytest.mark.parametrize("compress", [True, False], ids=["moment", "operator"])
-    def test_budget_estimate_covers_the_peak_of_a_split_solve(self, pairing_report, compress):
+    def test_budget_estimate_covers_the_peak_of_a_split_solve(self, pairing_report):
         # c1 (5,1,2): blocks of 1056 and 1024 classes, both gathered beside
-        # the difference (and the compressed moment, when it is compressed)
-        moment = self.distance_input(pairing_report(c1(5, 1, 2)).moment, compress)
-        haar = corelin.symmetric_compression(haar_moment(64, 2), 64, 2)
+        # the difference
+        moment = pairing_report(c1(5, 1, 2)).moment
+        haar = haar_moment(64, 2).compressed
         measured = measured_peak(lambda: moments._haar_distance(moment, haar, 64, 2))
-        estimate = 16 * moments._distance_peak_entries(64, 2, compress=compress)
+        estimate = 16 * moments._distance_peak_entries(64, 2)
         assert measured <= estimate <= 2 * measured
 
     def test_budget_refuses_the_stage_before_it_allocates(self, monkeypatch):
-        # (32)^2: compressing the moment and solving needs about 6.4 MiB
-        spec = c1(4, 1, 2)
-        moment = self.distance_input(ensemble_moment_deltapair(spec), compress=True)
-        haar = corelin.symmetric_compression(haar_moment(32, 2), 32, 2)
+        # (32)^2: solving the difference of the handed-over operators needs
+        # about 4.3 MiB
+        moment = ensemble_moment_deltapair(c1(4, 1, 2))
+        haar = haar_moment(32, 2).compressed
         assert 16 * moments._distance_peak_entries(32, 2) > 4 << 20
-        compressions = []
-        monkeypatch.setattr(corelin, "symmetric_compression",
-                            lambda *args, **kwargs: compressions.append(args))
+        solved = []
+        monkeypatch.setattr(corelin, "trace_distance", lambda *args: solved.append(args))
         with pytest.raises(BudgetError, match="distance stage"), budget.limit(4):
             moments._haar_distance(moment, haar, 32, 2)
-        assert compressions == []
+        assert solved == []
 
 
 class TestUnitaryConjugationInvariance:

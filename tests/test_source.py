@@ -101,30 +101,31 @@ def test_the_walsh_factors_are_read_only_by_the_walsh_kernel():
     assert offenders == []
 
 
-COMPRESSION_CALLERS = {"compare_to_haar", "_haar_distance"}
+def _names(node, name):
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
 
 
-def test_only_the_distance_stage_compresses_to_the_symmetric_subspace():
-    # every route hands its moment's D x D compression over, so only the
-    # Haar reference (compare_to_haar) and a plain DensityOperator handed to
-    # the distance stage (_haar_distance) are compressed; no route's moment
-    # is compressed again
+def test_nothing_is_compressed_after_the_fact():
+    # every moment, the Haar reference included, hands its Sym^t
+    # compression over with it, so no module defines or calls a compressor,
+    # and the moments module solves a distance only in its distance stage
     modules = sorted(Path(prslab.__file__).parent.rglob("*.py"))
-    callers, allowed, offenders = [], set(), []
+    stage, offenders = [], []
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        if path.name == "moments.py":
-            callers = [node for node in tree.body
-                       if isinstance(node, ast.FunctionDef) and node.name in COMPRESSION_CALLERS]
-            allowed = {id(node) for caller in callers for node in ast.walk(caller)}
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                      if isinstance(node, ast.Call)
-                      and (isinstance(node.func, ast.Name)
-                           and node.func.id == "symmetric_compression"
-                           or isinstance(node.func, ast.Attribute)
-                           and node.func.attr == "symmetric_compression")
-                      and id(node) not in allowed]
-    assert {node.name for node in callers} == COMPRESSION_CALLERS, "distance stage not found"
+                      if _names(node, "symmetric_compression")
+                      or isinstance(node, ast.FunctionDef) and node.name == "symmetric_compression"]
+        if path.name == "moments.py":
+            stage = [node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "_haar_distance"]
+            inside = {id(node) for caller in stage for node in ast.walk(caller)}
+            solves = [node for node in ast.walk(tree) if _names(node, "trace_distance")]
+            offenders += [f"{path.name}:{node.lineno}" for node in solves
+                          if id(node) not in inside]
+            assert any(id(node) in inside for node in solves), "the stage solves no distance"
+    assert stage, "moments._haar_distance not found"
     assert offenders == []
 
 
