@@ -724,6 +724,53 @@ class TestPairingGram:
             "ffc314723ff732783034b311c3bad56d5ff91dc9d9984c5ae45413c3c2351775")
 
 
+class TestHandOver:
+    """`moments._hand_over` on random class Grams, against the isometry
+    oracle, which derives the classes with its own `np.unique`."""
+
+    @staticmethod
+    def random_gram(rng, local_dim, copies, complex_=False):
+        # a positive D x D Gram whose d^t x d^t expansion has trace 1
+        classes, sizes = moments._label_classes(local_dim, copies)
+        a = rng.standard_normal((len(sizes),) * 2)
+        if complex_:
+            a = a + 1j * rng.standard_normal(a.shape)
+        gram = a @ a.conj().T
+        gram /= np.sum(sizes * gram.diagonal().real)
+        return gram, classes, sizes
+
+    @pytest.mark.parametrize("local_dim,copies", [(2, 1), (4, 2), (3, 3), (2, 4), (8, 2)])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_expansion_and_operator_are_the_isometry_products(self, rng, local_dim, copies,
+                                                              complex_):
+        gram, classes, sizes = self.random_gram(rng, local_dim, copies, complex_)
+        got = moments._hand_over(gram.copy(), classes, sizes)
+        assert got.matrix.dtype == got.compressed.matrix.dtype == gram.dtype
+        assert got.matrix.tobytes() == gram[np.ix_(classes, classes)].tobytes()
+        iso = symmetric_isometry(local_dim, copies)
+        assert_matrices_close(got.compressed.matrix, iso.T @ got.matrix @ iso, 1e-13)
+        assert_matrices_close(got.matrix, iso @ got.compressed.matrix @ iso.T, 1e-13)
+
+    @pytest.mark.parametrize("local_dim,copies", [(2, 1), (4, 2), (2, 4), (8, 2)])
+    def test_final_layer_conjugates_the_expansion_and_not_the_operator(self, rng, local_dim,
+                                                                       copies):
+        gram, classes, sizes = self.random_gram(rng, local_dim, copies)
+        got = moments._hand_over(gram.copy(), classes, sizes, final_layer=True)
+        before = gram[np.ix_(classes, classes)]
+        assert_matrices_close(got.matrix, hadamard_conjugate(before.copy()), 1e-13)
+        iso = symmetric_isometry(local_dim, copies)
+        assert_matrices_close(got.compressed.matrix, iso.T @ before @ iso, 1e-13)
+
+    def test_complex_rows_hand_over_a_complex_operator(self, rng):
+        # one complex state: the operator is |v><v|^{(x) 2} compressed, of trace 1
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        got = moments._average_symmetric_fold(iter([(v / np.linalg.norm(v))[None]]), 2)
+        assert got.compressed.matrix.dtype == np.complex128
+        assert got.compressed.trace().real == pytest.approx(1.0, abs=1e-12)
+        iso = symmetric_isometry(4, 2)
+        assert_matrices_close(got.compressed.matrix, iso.T @ got.matrix @ iso, 1e-15)
+
+
 class TestHaarMoment:
     def test_single_copy_is_maximally_mixed(self):
         assert_matrices_close(haar_moment(2, 1).matrix, np.eye(2) / 2, 1e-15)
@@ -749,7 +796,9 @@ class TestHaarMoment:
         got = haar_moment_monte_carlo(4, 2, 300, seed=5).matrix
         assert got.tobytes() == (moment / 300).tobytes()
 
-    @pytest.mark.parametrize("local_dim,copies", [(2, 1), (4, 2), (8, 3), (16, 2), (64, 2)])
+    @pytest.mark.parametrize("local_dim,copies", [
+        (2, 1), (2, 2), (4, 2), (3, 3), (8, 2), (8, 3), (16, 2), (64, 2),
+    ])
     def test_hands_over_the_maximally_mixed_compression(self, local_dim, copies):
         sym = corelin.symmetric_subspace_dimension(local_dim, copies)
         haar = haar_moment(local_dim, copies)
@@ -757,7 +806,7 @@ class TestHaarMoment:
         iso = symmetric_isometry(local_dim, copies)
         assert_matrices_close(haar.compressed.matrix, iso.T @ haar.matrix @ iso, 1e-15)
 
-    @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3), (64, 2)])
+    @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3), (3, 4), (64, 2)])
     def test_budget_estimate_covers_measured_peak(self, local_dim, copies):
         # the normalized projector beside its D x D compression: at (64,2)
         # D^2 is a quarter of d^{2t}, which the projector's estimate misses
