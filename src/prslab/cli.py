@@ -111,6 +111,8 @@ def cmd_moments(args, out_dir: Path) -> int:
     space = _parse_space(args.space, args.seed)
     spec = MomentSpec(Source(args.source), args.n, args.t, PrsKind(args.kind), i=args.i,
                       ell=args.ell, function_space=space, shared_key=args.shared_key)
+    for m in methods:  # every refusal before any comparison
+        moments._check_method(spec, m)
     reports = [moments.compare_to_haar(spec, m) for m in methods]
     rows = [_report_row(report, args.canonical) for report in reports]
     payloads = [json.loads(report.to_json(canonical_runtime=args.canonical))
@@ -137,6 +139,8 @@ def cmd_expand_check(args, out_dir: Path) -> int:
 
 
 def cmd_lemmas(args, out_dir: Path) -> int:
+    if args.max_n < 1 or args.max_t < 1:  # an empty table would claim every bound holds
+        raise ValueError(f"--max-n and --max-t must be >= 1, got {args.max_n} and {args.max_t}")
     rows = []
     ok_all = True
     for n in range(1, args.max_n + 1):
@@ -145,7 +149,10 @@ def cmd_lemmas(args, out_dir: Path) -> int:
             bound = combinatorics.dist_lower_bound(n, t)
             ok = exact >= bound
             ok_all &= ok
-            rows.append(("dist_count", n, t, "", exact, float(bound), ok))
+            try:  # refused before anything is written
+                rows.append(("dist_count", n, t, "", exact, float(bound), ok))
+            except OverflowError:
+                raise ValueError(f"the bound at n={n}, t={t} is past float range") from None
     for t in range(1, min(args.max_t, 5) + 1):
         for shape in _partitions(t):
             elements = _tuple_with_shape(shape)
@@ -246,6 +253,8 @@ def cmd_sweep(args, out_dir: Path) -> int:
             space = _parse_space(space_text, seed)
             spec = MomentSpec(Source(source), n, t, PrsKind(kind), i=i, ell=ell,
                               function_space=space, shared_key=shared_key)
+            for method in methods:  # every refusal before any comparison
+                moments._check_method(spec, method)
             reports = [moments.compare_to_haar(spec, method) for method in methods]
             equiv = None
             if len(reports) > 1:

@@ -8,8 +8,8 @@ halves of a phase-state generator: all-Hadamard, the Fourier kernel, or a
 phase diagonal; one in-place kernel, `_walsh`, applies H^{(x) m} for the
 Hadamard layer and the pairing moment's final layer.  Nothing here
 compresses an operator to the symmetric subspace: every moment hands its
-compression over with it (see `moments`).  The trace distance eigensolves
-each connected block of the difference on its own.
+compression over with it (see `moments`).  The trace distance checks its
+own peak, then eigensolves each connected block of the difference alone.
 Everything here but `_walsh`, which works in place on its caller's array,
 is a pure function on immutable inputs, safe to share across threads.
 
@@ -301,7 +301,7 @@ def partial_trace(state: PureState, traced_qubits) -> DensityOperator:
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Half the 1-norm of (a - b), via Hermitian eigendecomposition, one
-    connected block at a time.
+    connected block at a time, once its peak passes the budget check.
 
     The components of the nonzero pattern of a - b (`_components`) split it,
     up to a permutation, into diagonal blocks, and a permutation similarity
@@ -312,6 +312,9 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     matrix of a's size together, besides the eigensolver's copy of one."""
     if a.dim != b.dim:
         raise RegisterError(f"dimension mismatch {a.dim} != {b.dim}")
+    complex_ = np.iscomplexobj(a.matrix) or np.iscomplexobj(b.matrix)
+    check_complex_array(_distance_peak_entries(a.dim, complex_),
+                        f"trace distance of two {a.dim} x {a.dim} operators")
     diff = a.matrix - b.matrix
     blocks = _components(diff)
     if len(blocks) == 1:
@@ -323,6 +326,20 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
         del diff
         eigs = np.concatenate(solved + [np.linalg.eigvalsh(block) for block in blocks])
     return float(0.5 * np.sum(np.abs(eigs)))
+
+
+def _distance_peak_entries(dim: int, complex_: bool = False) -> int:
+    """Upper estimate of `trace_distance`'s peak besides its two dim x dim
+    inputs, in 16-byte units: the larger of its two phases.  The component
+    search holds the difference and at most three dim x dim bool arrays
+    (the pattern, its transpose and one frontier gather).  The solve holds
+    two squares: the difference and the eigensolver's copy of it when it is
+    one block (the worst case), or else all the gathered blocks, at most one
+    square together, beside the difference and then beside the copy of the
+    block being solved.  numpy's linalg allocates that copy with `malloc`,
+    which tracemalloc does not trace, so a measured peak leaves it out."""
+    square = dim * dim if complex_ else dim * dim // 2
+    return max(square + 3 * (dim * dim // 16), 2 * square)
 
 
 _FRONTIER_BYTES = 1 << 20  # the pattern rows one search step gathers

@@ -16,10 +16,11 @@ The Haar moment is the normalized projector onto the symmetric subspace;
 the tests cross-check it by Monte Carlo averaging of random states.  Every
 ensemble moment lies in that subspace too, of dimension D = C(d+t-1, t), so
 the distance to the Haar moment is taken on the D x D compressions of the
-two operators, and `corelin.trace_distance` solves their difference one
-connected block of its nonzero pattern at a time (at c1 (5,1,2), blocks of
-1056 and 1024 of D = 2080); one dense eigensolve of the d^t x d^t
-difference is the oracle the tests hold it to.
+two operators by `corelin.trace_distance`, which checks its own peak (one
+dense eigensolve of the d^t x d^t difference is the tests' oracle).
+`compare_to_haar` runs four stages that each check themselves: one refusal
+(`_check_method`, which the CLI runs for every chosen method before any
+comparison), the Haar reference, the route and the distance.
 
 Every moment, the Haar moment included, hands its D x D compression to
 Sym^t, V^T rho V, over with it (`SymmetricMoment`), and nothing is
@@ -569,7 +570,7 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> SymmetricMoment:
     sum scaled by a power of two, so the moment is exact up to the final
     layer; it agrees with brute force up to rounding.
     """
-    _check_pairing(spec)
+    _check_method(spec, Method.DELTA_PAIRING)
     layout = spec.layout
     n, t, q = spec.n, spec.t, layout.qubits
     check_complex_array(_pairing_peak_entries(spec), "pairing route peak")
@@ -589,13 +590,21 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> SymmetricMoment:
     return _hand_over(gram, classes, sizes, layout.final_layer)
 
 
-def _check_pairing(spec: MomentSpec) -> None:
-    """Refuse, with ValueError, a spec the pairing route cannot compute:
-    a kind other than sign phases, a sampled space, or parity vectors
-    wider than one 64-bit key.  Nothing is built first."""
+def _check_method(spec: MomentSpec, method: Method) -> None:
+    """Refuse, with ValueError and before anything is built, a spec that
+    `method` does not label or its route cannot compute: monte_carlo labels
+    sampled spaces, brute_force the exhaustive one, and the pairing route
+    needs sign phases, the exhaustive space and a key of at most 64 bits."""
+    sampled = not isinstance(spec.function_space, ExhaustiveAllFunctions)
+    if method is Method.MONTE_CARLO and not sampled:
+        raise ValueError("monte_carlo labels sampled ensembles; space is exhaustive")
+    if method is Method.BRUTE_FORCE and sampled:
+        raise ValueError("brute_force labels exhaustive ensembles; use monte_carlo")
+    if method is not Method.DELTA_PAIRING:
+        return
     if spec.kind is not PrsKind.BINARY_PHASE:
         raise ValueError("pairing route requires the sign-phase kind")
-    if not isinstance(spec.function_space, ExhaustiveAllFunctions):
+    if sampled:
         raise ValueError("pairing route computes the exhaustive all-functions average")
     bits = spec.layout.draws << spec.n
     if bits > _MAX_KEY_BITS:
@@ -630,66 +639,23 @@ def haar_moment(local_dim: int, copies: int) -> SymmetricMoment:
     return _frozen_moment(matrix, compressed)
 
 
-def _distance_peak_entries(local_dim: int, copies: int, complex_: bool = False) -> int:
-    """Upper estimate of `_haar_distance`'s peak besides its two inputs and
-    their handed-over D x D operators, in 16-byte units: the larger of
-    `corelin.trace_distance`'s two phases.  The component search holds the
-    difference and at most three D x D bool arrays (the pattern, its
-    transpose and one frontier gather).  The solve holds two squares: the
-    difference and the eigensolver's copy of it when it is one block (the
-    worst case), or else all the gathered blocks, at most one square
-    together, beside the difference and then beside the copy of the block
-    being solved.  numpy's linalg allocates that copy with `malloc`, which
-    tracemalloc does not trace, so a measured peak leaves it out.
-    `complex_` is the moment's dtype; the Haar moment is real."""
-    sym = corelin.symmetric_subspace_dimension(local_dim, copies)
-    square = sym * sym if complex_ else sym * sym // 2
-    return max(square + 3 * (sym * sym // 16), 2 * square)
-
-
-def _haar_distance(
-    moment: SymmetricMoment, haar: DensityOperator, local_dim: int, copies: int
-) -> float:
-    """Trace distance between a d^t x d^t moment and the Haar moment, taken
-    between the D x D compression to the symmetric subspace that the moment
-    hands over and the Haar moment's, `haar` (I/D), so the eigensolve runs
-    at D = C(d+t-1, t), not at d^t."""
-    check_complex_array(_distance_peak_entries(local_dim, copies, np.iscomplexobj(moment.matrix)),
-                        f"distance stage in Sym^{copies} of ({local_dim})^{copies}")
-    return corelin.trace_distance(moment.compressed, haar)
-
-
 def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
-    """Compute the ensemble moment by the chosen route and its trace distance
-    to the Haar moment.  Both moments lie in the symmetric subspace, so the
-    distance is taken on the D x D compressions there that each hands over
-    with its moment: the Haar moment's, I/D, and the one that every route,
-    pairing, brute force or sampled, forms on its way.  Nothing is
-    compressed after the fact.  One dense eigensolve of the d^t x d^t
-    difference from `haar_moment` is the oracle it is tested against.  A
-    spec the chosen route refuses is refused before anything is built.
+    """The ensemble moment by the chosen route and its trace distance to
+    the Haar moment, in four stages that each check themselves: the refusal
+    (`_check_method`), the Haar reference, the route and
+    `corelin.trace_distance`.  The distance is taken between the D x D
+    compressions to the symmetric subspace that both moments hand over (the
+    Haar moment's is I/D); nothing is compressed after the fact.
     Deterministic given the function-space seed."""
-    sampled = not isinstance(spec.function_space, ExhaustiveAllFunctions)
-    if method is Method.MONTE_CARLO and not sampled:
-        raise ValueError("monte_carlo labels sampled ensembles; space is exhaustive")
-    if method is Method.BRUTE_FORCE and sampled:
-        raise ValueError("brute_force labels exhaustive ensembles; use monte_carlo")
-    if method is Method.DELTA_PAIRING:
-        _check_pairing(spec)
+    _check_method(spec, method)
     start = time.perf_counter()
-    local_dim = 1 << spec.layout.qubits
-    # the Haar reference first, keeping only its compression I/D, so its
-    # d^t x d^t form is dropped before the route builds the moment.  The
-    # dense projector is built only because the traced benchmark
-    # (perfbench/tracer.py BASELINE_ROWS) times the `symmetric_projector`
-    # span of this call by name; writing I/D alone waits for the benchmark
-    # change that stops reading it
-    haar = haar_moment(local_dim, spec.t).compressed
-    if method is Method.DELTA_PAIRING:
-        moment = ensemble_moment_deltapair(spec)
-    else:
-        moment = ensemble_moment_bruteforce(spec)
-    distance = _haar_distance(moment, haar, local_dim, spec.t)
+    # the Haar reference first, keeping only its I/D, so its d^t x d^t form
+    # is dropped before the route runs; the dense projector is built only
+    # because perfbench/tracer.py BASELINE_ROWS times its span by name
+    haar = haar_moment(1 << spec.layout.qubits, spec.t).compressed
+    route = (ensemble_moment_deltapair if method is Method.DELTA_PAIRING
+             else ensemble_moment_bruteforce)
+    moment = route(spec)
+    distance = corelin.trace_distance(moment.compressed, haar)
     runtime_ms = int(round((time.perf_counter() - start) * 1000))
-    return MomentReport(spec, method, moment, float(distance), runtime_ms,
-                        spec.function_space.seed)
+    return MomentReport(spec, method, moment, distance, runtime_ms, spec.function_space.seed)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from prslab import budget, cli, corelin
+from prslab import budget, cli, corelin, moments
 from prslab.budget import DEFAULT_BUDGET_MIB
 from prslab.moments import ExhaustiveAllFunctions
 
@@ -199,6 +199,22 @@ class TestSweepCommand:
         (failure,) = json.loads((out / "sweep_failures.json").read_text())
         assert failure["point"]["space"] == "prf:4"
         assert "--seed is required" in failure["error"]
+
+    def test_a_refused_method_fails_its_point_before_any_comparison(self, tmp_path,
+                                                                    monkeypatch):
+        computed = record_computation(monkeypatch)
+        config = {"grid": {"n": [2], "t": [1], "kind": ["general"],
+                           "method": ["bruteforce", "deltapair"]}, "seed": 0}
+        cfg = self.write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out-dir", out, "--canonical", "sweep"]) == 1
+        assert json.loads((out / "sweep_failures.json").read_text()) == [{
+            "point": {"source": "plain", "kind": "general", "n": 2, "i": None, "ell": None,
+                      "t": 1, "space": "exhaustive", "shared_key": False},
+            "error": "pairing route requires the sign-phase kind",
+        }]
+        assert computed == []
+        assert len(read_lines(out / "sweep.csv")) == 2  # the header only
 
     @pytest.mark.parametrize("grid, axis, message", [
         ({"n": ["a"]}, "n", "n must be a whole number, got 'a'"),
@@ -479,6 +495,42 @@ class TestVerificationCommands:
         assert code == 2
         assert capsys.readouterr().err == f"input error: {message}\n"
         assert built == []
+
+    def test_both_methods_are_refused_before_either_comparison(self, tmp_path, capsys,
+                                                                monkeypatch):
+        computed = record_computation(monkeypatch)
+        code = run(["--out-dir", tmp_path, "moments", "--source", "plain", "--n", "2",
+                    "--t", "1", "--kind", "general", "--method", "both"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "input error: pairing route requires the sign-phase kind\n")
+        assert computed == []
+        assert not (tmp_path / "moments.csv").exists()
+
+    @pytest.mark.parametrize("max_n,max_t,message", [
+        (0, 5, "--max-n and --max-t must be >= 1, got 0 and 5"),
+        (6, 0, "--max-n and --max-t must be >= 1, got 6 and 0"),
+        (6, 170, "the bound at n=6, t=170 is past float range"),
+        (32, 33, "the bound at n=32, t=33 is past float range"),
+        # the bound at this corner is 0, but n=8, t=128 is past float range
+        (14, 128, "the bound at n=8, t=128 is past float range"),
+    ], ids=["no-n", "no-t", "n6-t170", "n32-t33", "n14-t128"])
+    def test_lemmas_refuses_a_range_it_cannot_write(self, tmp_path, capsys, max_n, max_t,
+                                                    message):
+        code = run(["--out-dir", tmp_path, "lemmas", "--max-n", max_n, "--max-t", max_t])
+        assert code == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert not (tmp_path / "lemmas.csv").exists()
+
+
+def record_computation(monkeypatch):
+    """Replace the brute-force route and the symmetric projector with
+    recorders; the list they append their calls to."""
+    computed = []
+    for owner, name in ((moments, "ensemble_moment_bruteforce"),
+                        (corelin, "symmetric_projector")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name: computed.append(name))
+    return computed
 
 
 class TestCsvColumns:

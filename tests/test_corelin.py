@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prslab import corelin
+from prslab import budget, corelin
 from prslab.budget import BudgetError
 from prslab.corelin import (
     DensityOperator,
@@ -22,6 +22,7 @@ from prslab.corelin import (
     symmetric_projector,
     trace_distance,
 )
+from prslab.moments import MomentSpec, Source, ensemble_moment_deltapair, haar_moment
 
 from conftest import (
     assert_matrices_close,
@@ -427,6 +428,63 @@ class TestTraceDistance:
         a = partial_trace(random_state(2, rng), [0])
         b = partial_trace(random_state(2, rng), [])
         with pytest.raises(RegisterError):
+            trace_distance(a, b)
+
+
+def pairing_compressions(spec):
+    """The pairing route's handed-over D x D operator for the spec and the
+    Haar moment's, I/D: the two operators `compare_to_haar` solves."""
+    local_dim = 1 << spec.layout.qubits
+    return (ensemble_moment_deltapair(spec).compressed,
+            haar_moment(local_dim, spec.t).compressed)
+
+
+class TestTraceDistanceBudget:
+    @pytest.mark.parametrize("spec", [
+        MomentSpec(Source.PLAIN, n=4, t=2), MomentSpec(Source.PLAIN, n=3, t=3),
+        MomentSpec(Source.CONSTRUCTION1, n=5, i=1, t=2),
+    ], ids=["plain-16-2", "plain-8-3", "c1-5-1-2"])
+    def test_estimate_covers_the_measured_peak(self, spec):
+        # plain: many small blocks, so the component search sets the peak;
+        # c1 (5,1,2): blocks of 1056 and 1024 classes, both gathered beside
+        # the difference
+        a, b = pairing_compressions(spec)
+        measured = measured_peak(lambda: trace_distance(a, b))
+        estimate = 16 * corelin._distance_peak_entries(a.dim)
+        assert measured <= estimate <= 2 * measured
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_estimate_covers_the_peak_of_a_one_block_solve(self, rng, complex_):
+        # a dense difference is one block, solved as it is: its square and
+        # the component search's bool arrays are what tracemalloc sees
+        dim = 528
+        mat = rng.standard_normal((dim, dim))
+        if complex_:
+            mat = mat + 1j * rng.standard_normal((dim, dim))
+        a = DensityOperator(mat + mat.conj().T, normalized=False)
+        b = DensityOperator(np.eye(dim), normalized=False)
+        assert len(corelin._components(a.matrix - b.matrix)) == 1
+        measured = measured_peak(lambda: trace_distance(a, b))
+        estimate = 16 * corelin._distance_peak_entries(dim, complex_)
+        assert measured <= estimate <= 2 * measured
+
+    def test_refuses_before_the_component_search(self, monkeypatch):
+        # (32)^2: solving the difference of the handed-over operators needs
+        # about 4.3 MiB
+        a, b = pairing_compressions(MomentSpec(Source.CONSTRUCTION1, n=4, i=1, t=2))
+        assert 16 * corelin._distance_peak_entries(a.dim) > 4 << 20
+        searched = []
+        monkeypatch.setattr(corelin, "_components", lambda mat: searched.append(mat))
+        with pytest.raises(BudgetError, match="trace distance of two 528 x 528"), \
+                budget.limit(4):
+            trace_distance(a, b)
+        assert searched == []
+
+    def test_a_direct_caller_is_refused_naming_the_dimension(self):
+        a = DensityOperator(np.eye(1024) / 1024)
+        b = DensityOperator(np.full((1024, 1024), 1 / 1024))
+        with pytest.raises(BudgetError, match="trace distance of two 1024 x 1024 operators "
+                                              "requires 16.0 MiB"), budget.limit(1):
             trace_distance(a, b)
 
 

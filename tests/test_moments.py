@@ -936,7 +936,7 @@ class TestDistanceInTheSymmetricSubspace:
         dense = DensityOperator(sum(np.outer(f, f.conj()) for f in folded) / members)
         haar = haar_moment(local_dim, copies)
         moment = moments._average_symmetric_fold([vs], copies)
-        got = moments._haar_distance(moment, haar.compressed, local_dim, copies)
+        got = corelin.trace_distance(moment.compressed, haar.compressed)
         assert abs(got - dense_trace_distance(dense, haar)) <= 1e-12
 
     @pytest.mark.parametrize("spec", [c1(4, 1, 2), c1(3, 2, 2)], ids=["c1-4-1-2", "c1-3-2-2"])
@@ -1015,37 +1015,6 @@ class TestDistanceInTheSymmetricSubspace:
         shapes = self.eigensolve_shapes(monkeypatch, plain(n, t))
         assert largest == 8 and shapes
         assert max(side for side, _ in shapes) <= largest
-
-    @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3)])
-    def test_budget_estimate_covers_measured_peak(self, local_dim, copies):
-        # plain: many small blocks, so the component search sets the peak
-        moment = ensemble_moment_deltapair(plain(local_dim.bit_length() - 1, copies))
-        haar = haar_moment(local_dim, copies).compressed
-        measured = measured_peak(
-            lambda: moments._haar_distance(moment, haar, local_dim, copies))
-        estimate = 16 * moments._distance_peak_entries(local_dim, copies)
-        assert measured <= estimate <= 2 * measured
-
-    def test_budget_estimate_covers_the_peak_of_a_split_solve(self, pairing_report):
-        # c1 (5,1,2): blocks of 1056 and 1024 classes, both gathered beside
-        # the difference
-        moment = pairing_report(c1(5, 1, 2)).moment
-        haar = haar_moment(64, 2).compressed
-        measured = measured_peak(lambda: moments._haar_distance(moment, haar, 64, 2))
-        estimate = 16 * moments._distance_peak_entries(64, 2)
-        assert measured <= estimate <= 2 * measured
-
-    def test_budget_refuses_the_stage_before_it_allocates(self, monkeypatch):
-        # (32)^2: solving the difference of the handed-over operators needs
-        # about 4.3 MiB
-        moment = ensemble_moment_deltapair(c1(4, 1, 2))
-        haar = haar_moment(32, 2).compressed
-        assert 16 * moments._distance_peak_entries(32, 2) > 4 << 20
-        solved = []
-        monkeypatch.setattr(corelin, "trace_distance", lambda *args: solved.append(args))
-        with pytest.raises(BudgetError, match="distance stage"), budget.limit(4):
-            moments._haar_distance(moment, haar, 32, 2)
-        assert solved == []
 
 
 class TestUnitaryConjugationInvariance:

@@ -109,7 +109,7 @@ def _names(node, name):
 def test_nothing_is_compressed_after_the_fact():
     # every moment, the Haar reference included, hands its Sym^t
     # compression over with it, so no module defines or calls a compressor,
-    # and the moments module solves a distance only in its distance stage
+    # and the moments module solves a distance only in compare_to_haar
     modules = sorted(Path(prslab.__file__).parent.rglob("*.py"))
     stage, offenders = [], []
     for path in modules:
@@ -119,13 +119,24 @@ def test_nothing_is_compressed_after_the_fact():
                       or isinstance(node, ast.FunctionDef) and node.name == "symmetric_compression"]
         if path.name == "moments.py":
             stage = [node for node in tree.body
-                     if isinstance(node, ast.FunctionDef) and node.name == "_haar_distance"]
+                     if isinstance(node, ast.FunctionDef) and node.name == "compare_to_haar"]
             inside = {id(node) for caller in stage for node in ast.walk(caller)}
             solves = [node for node in ast.walk(tree) if _names(node, "trace_distance")]
             offenders += [f"{path.name}:{node.lineno}" for node in solves
                           if id(node) not in inside]
-            assert any(id(node) in inside for node in solves), "the stage solves no distance"
-    assert stage, "moments._haar_distance not found"
+            assert any(id(node) in inside for node in solves), "compare_to_haar solves no distance"
+    assert stage, "moments.compare_to_haar not found"
+    assert offenders == []
+
+
+def test_only_corelin_estimates_the_distance_peak():
+    # trace_distance checks its own peak, so no other module models its
+    # internals: no function outside corelin names both a distance and a peak
+    modules = sorted(Path(prslab.__file__).parent.rglob("*.py"))
+    offenders = [f"{path.name}:{node.lineno}" for path in modules if path.name != "corelin.py"
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.FunctionDef)
+                 and "distance" in node.name and "peak" in node.name]
     assert offenders == []
 
 
