@@ -102,18 +102,24 @@ def _report_row(report: moments.MomentReport, canonical: bool):
     )
 
 
+def _compare(methods, seed, source, kind, n, i, ell, t, space, shared_key):
+    """The reports of one comparison per method at the point the flag values
+    name; every method is refused or accepted before the first comparison."""
+    spec = MomentSpec(Source(source), n, t, PrsKind(kind), i=i, ell=ell,
+                      function_space=_parse_space(space, seed), shared_key=shared_key)
+    for method in methods:
+        moments._check_method(spec, method)
+    return [moments.compare_to_haar(spec, method) for method in methods]
+
+
 def cmd_moments(args, out_dir: Path) -> int:
     methods = (
         [Method.BRUTE_FORCE, Method.DELTA_PAIRING]
         if args.method == "both"
         else [_METHODS[args.method]]
     )
-    space = _parse_space(args.space, args.seed)
-    spec = MomentSpec(Source(args.source), args.n, args.t, PrsKind(args.kind), i=args.i,
-                      ell=args.ell, function_space=space, shared_key=args.shared_key)
-    for m in methods:  # every refusal before any comparison
-        moments._check_method(spec, m)
-    reports = [moments.compare_to_haar(spec, m) for m in methods]
+    reports = _compare(methods, args.seed, args.source, args.kind, args.n, args.i, args.ell,
+                       args.t, args.space, args.shared_key)
     rows = [_report_row(report, args.canonical) for report in reports]
     payloads = [json.loads(report.to_json(canonical_runtime=args.canonical))
                 for report in reports]
@@ -244,18 +250,12 @@ def cmd_sweep(args, out_dir: Path) -> int:
         key=lambda p: tuple(str(v) for v in p),
     )
     rows, failures = [], []
-    for source, kind, n, i, ell, t, space_text, shared_key in points:
-        point_desc = {"source": source, "kind": kind, "n": n, "i": i, "ell": ell,
-                      "t": t, "space": space_text, "shared_key": shared_key}
+    for point in points:
+        point_desc = dict(zip(axes, point))
         try:
             for name, value in point_desc.items():
                 _flag_value(flags[name], value)
-            space = _parse_space(space_text, seed)
-            spec = MomentSpec(Source(source), n, t, PrsKind(kind), i=i, ell=ell,
-                              function_space=space, shared_key=shared_key)
-            for method in methods:  # every refusal before any comparison
-                moments._check_method(spec, method)
-            reports = [moments.compare_to_haar(spec, method) for method in methods]
+            reports = _compare(methods, seed, **point_desc)
             equiv = None
             if len(reports) > 1:
                 mats = [r.moment.matrix for r in reports]

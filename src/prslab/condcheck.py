@@ -5,7 +5,10 @@ key-independent unitary U_x applied to its action on |0>.  Condition 2: the
 U_x family transpose-aligns, i.e. sum_x |x> (x) U_x^T |y> equals a declared
 constant times V|y> (x) W|y> for every basis y.  Witnesses are data, so
 third-party generators plug in through a factory plus a table of U_x phase
-exponents, one row per basis label x.
+exponents, one row per basis label x.  The checks read the family's phases
+from that table through `corelin`, the one map from exponents to phases,
+and the shipped witnesses take the table from `prsgen.phase_shift_family`,
+which checks its own peak.
 """
 
 from __future__ import annotations
@@ -81,21 +84,12 @@ class ConditionReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _witness_peak_entries(n: int) -> int:
-    """Upper estimate of `phase_witness`'s peak for either kind, in 16-byte
-    units: the (2^n, 2^n) int64 exponent table the broadcast builds in place
-    and the layer's read-only copy of it, plus 256 KiB."""
-    dim = 1 << n
-    return dim * dim + (1 << 14)
-
-
 def phase_witness(kind: PrsKind, n: int) -> ConditionWitness:
     """The phase generator's own factorization: U_x = row x of
-    `prsgen.phase_shift_family`, V = `prsgen.fourier_layer`, W = U_0 (the
-    identity) and scale sqrt(N), on n >= 1 qubits."""
+    `prsgen.phase_shift_family` (which checks its peak), V = `prsgen.fourier_layer`,
+    W = U_0 (the identity) and scale sqrt(N), on n >= 1 qubits."""
     if n < 1:
         raise ValueError(f"a condition witness needs n >= 1 qubits, got n={n}")
-    check_complex_array(_witness_peak_entries(n), f"condition witness on {n} qubits")
     u = prsgen.phase_shift_family(kind, n)
     w = corelin.phase_diagonal_layer(range(n), u.parameters[0], u.parameters[1][0])
     return ConditionWitness(n, u, prsgen.fourier_layer(kind, range(n)), w, math.sqrt(1 << n))
@@ -116,15 +110,15 @@ GeneratorFactory = Callable[[BooleanFunction], PrsGenerator]
 
 def _cond1_peak_entries(dim: int) -> int:
     """Upper estimate of `check_cond1`'s peak, in 16-byte units: the family's
-    complex phases and, for one chunk, the int64 tables, float64 basis rows
-    and the generator run's rows, phase diagonal and result, plus 256 KiB of
+    phases and, for one chunk, the int64 tables, float64 basis rows and
+    the generator run's rows, phase diagonal and result, plus 256 KiB of
     numpy casting buffers and Python objects."""
     return 4 * max(dim * dim, _CHUNK_ENTRIES) + dim * dim + (1 << 14)
 
 
 def _cond2_peak_entries(dim: int) -> int:
     """Upper estimate of `check_cond2`'s peak, in 16-byte units: the family's
-    complex phases, the rows of V, of W and of the right side, the float64
+    phases, the rows of V, of W and of the right side, the float64
     basis rows and absolute deviations, plus 256 KiB as for condition 1."""
     return 5 * dim * dim + (1 << 14)
 
@@ -137,13 +131,6 @@ def _report(condition: int, witness: ConditionWitness, worst: np.ndarray) -> Con
     return ConditionReport(
         condition, witness.n, not failures, failures, witness.scale, float(worst.max())
     )
-
-
-def _family_phases(witness: ConditionWitness) -> np.ndarray:
-    """Row x is the diagonal of U_x: the family layer run on |+>^n, rescaled."""
-    dim = 1 << witness.n
-    plus = PureState(witness.n, np.full((dim, dim), 1 / math.sqrt(dim)))
-    return corelin.apply_layer(plus, witness.u).amplitudes * math.sqrt(dim)
 
 
 def check_cond1(
@@ -164,7 +151,7 @@ def check_cond1(
         raise ValueError(f"checking {n} qubits against a witness on {witness.n}")
     dim = 1 << n
     check_complex_array(_cond1_peak_entries(dim), f"condition 1 on {n} qubits")
-    phases = _family_phases(witness)
+    phases = corelin._phases(*witness.u.parameters)  # row x: the diagonal of U_x
     functions, rows, worst = iter(functions), max(1, _CHUNK_ENTRIES // (dim * dim)), None
     while chunk := list(itertools.islice(functions, rows)):
         gen = gen_factory(boolfn.stack(f for f in chunk for _ in range(dim)))
@@ -190,7 +177,7 @@ def check_cond2(witness: ConditionWitness) -> ConditionReport:
     """
     n, dim = witness.n, 1 << witness.n
     check_complex_array(_cond2_peak_entries(dim), f"condition 2 on {n} qubits")
-    phases = _family_phases(witness)
+    phases = corelin._phases(*witness.u.parameters)  # row x: the diagonal of U_x
     basis = PureState(n, np.eye(dim))
     w_rows = corelin.apply_layer(basis, witness.w).amplitudes  # entry (y, z) is <z|W|y>
     off = np.abs(w_rows - np.diagflat(w_rows.diagonal())).max(axis=1)  # max over z != y

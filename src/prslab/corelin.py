@@ -257,12 +257,15 @@ def _act(layer: UnitaryLayer, block: np.ndarray) -> np.ndarray:
         return hadamard_transform(block, axis=2)
     if layer.kind is LayerKind.QFT:
         return np.fft.ifft(block, axis=2, norm="ortho")
-    modulus, exponents = layer.parameters
+    return _phases(*layer.parameters).reshape(layer.batch_shape + (1, -1, 1)) * block
+
+
+def _phases(modulus: int, exponents: np.ndarray) -> np.ndarray:
+    """omega_modulus**exponents entrywise as a new array, float64 signs for
+    modulus 2 and complex128 otherwise: the one map from a table to phases."""
     if modulus == 2:
-        diag = np.where(exponents % 2 == 1, -1.0, 1.0)
-    else:
-        diag = np.exp(2j * np.pi * (exponents % modulus) / modulus)
-    return diag.reshape(layer.batch_shape + (1, -1, 1)) * block
+        return 1.0 - 2.0 * (exponents & 1)  # exactly -1.0 or 1.0, by parity, of any int64
+    return np.exp(2j * np.pi * (exponents % modulus) / modulus)
 
 
 def apply_layer(state: PureState, layer: UnitaryLayer) -> PureState:
@@ -293,10 +296,25 @@ def partial_trace(state: PureState, traced_qubits) -> DensityOperator:
         if not 0 <= t < q:
             raise RegisterError(f"cannot trace qubit {t}: state has qubits 0..{q - 1}")
     kept = [j for j in range(q) if j not in traced]
+    complex_ = np.iscomplexobj(state.amplitudes)
+    check_complex_array(_partial_trace_peak_entries(1 << len(kept), 1 << len(traced), complex_),
+                        f"reduced operator on {len(kept)} of {q} qubits")
     psi = state.amplitudes.reshape([2] * q) if q else state.amplitudes.reshape(())
     m = np.transpose(psi, kept + traced).reshape(1 << len(kept), 1 << len(traced))
     rho = m @ m.conj().T
+    rho.setflags(write=False)  # handed over to the operator, not copied
     return DensityOperator(rho)
+
+
+def _partial_trace_peak_entries(kept: int, traced: int, complex_: bool) -> int:
+    """Upper estimate of `partial_trace`'s peak besides the state, in 16-byte
+    units: the kept x traced regrouping of the amplitudes (a copy when the
+    traced qubits are not the last) and its conjugate, the kept x kept
+    product and what wrapping it in a DensityOperator holds besides it, plus
+    16 KiB of Python objects."""
+    entries = 2 * kept * traced + kept * kept
+    return ((entries if complex_ else -(-entries // 2))
+            + _operator_build_entries(kept, complex_) + (1 << 10))
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:

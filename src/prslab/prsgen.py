@@ -3,7 +3,10 @@
 A generator prepares the flat superposition whose basis-state phases are
 sign flips (binary kind) or N-th roots of unity (general kind) given by a
 keyed function.  As a unitary it is the Fourier layer followed by the phase
-diagonal, so its action on arbitrary basis inputs is defined as well.
+diagonal, so its action on arbitrary basis inputs is defined as well.  The
+phases of a table come from `corelin`, the one place that maps exponents to
+phases.  The U_x family table is built here alone, and its peak is modelled
+and checked here, before it is built.
 """
 
 from __future__ import annotations
@@ -52,14 +55,23 @@ class PrsGenerator:
 def prepare(gen: PrsGenerator) -> PureState:
     """The generator's output on |0...0>: amplitude omega^{f(x)} / sqrt(N) at x;
     one row per member for a generator keyed by a batch of functions."""
-    n = gen.n
-    table = gen.f.table
-    check_complex_array(table.size, f"state on {n} qubits")
-    if gen.kind is PrsKind.BINARY_PHASE:
-        amp = 1.0 / math.sqrt(1 << n)
-        return PureState(n, np.where(table & 1, -amp, amp))
-    m = gen.f.range_modulus
-    return PureState(n, np.exp(2j * np.pi * table / m) / math.sqrt(1 << n))
+    n, table = gen.n, gen.f.table
+    general = gen.kind is PrsKind.GENERAL_PHASE
+    check_complex_array(_prepare_peak_entries(table.size, general), f"state on {n} qubits")
+    phases = corelin._phases(gen.f.range_modulus, table)
+    if general:  # the Fourier layer leaves |0...0> complex, signs included (n = 1)
+        phases = phases.astype(np.complex128, copy=False)
+    phases /= math.sqrt(1 << n)
+    return PureState(n, phases)
+
+
+def _prepare_peak_entries(entries: int, general: bool) -> int:
+    """Upper estimate of `prepare`'s peak besides its table of `entries`
+    exponents, in 16-byte units: for the general kind two complex128 arrays
+    (the exponential's argument and result, then the amplitudes and the
+    state's copy of them), for signs the float64 amplitudes and the state's
+    copy, plus 128 KiB of numpy's casting buffers and Python objects."""
+    return (2 * entries if general else entries) + (1 << 13)
 
 
 def fourier_layer(kind: PrsKind, targets) -> UnitaryLayer:
@@ -85,11 +97,13 @@ def apply_to_register(gen: PrsGenerator, state: PureState, offset: int) -> PureS
 def phase_shift_family(kind: PrsKind, n: int) -> UnitaryLayer:
     """The key-independent diagonal unitaries U_x relating outputs on |x> and
     on |0>, for every x at once: one phase layer on qubits 0..n-1 whose table
-    row x holds the exponents of U_x.
+    row x holds the exponents of U_x, built once its peak passes the budget
+    check.
 
     Binary kind: diag((-1)^{x.y}) with bitwise dot; general kind:
     diag(omega_N^{x*y}) with the integer product mod N.  Row 0 is the identity.
     """
+    check_complex_array(_family_peak_entries(n), f"U_x phase family on {n} qubits")
     modulus = kind.range_modulus(n)
     labels = np.arange(1 << n, dtype=np.int64)
     if kind is PrsKind.BINARY_PHASE:
@@ -99,3 +113,11 @@ def phase_shift_family(kind: PrsKind, n: int) -> UnitaryLayer:
         exponents = labels[:, None] * labels
     exponents %= modulus
     return corelin.phase_diagonal_layer(range(n), modulus, exponents)
+
+
+def _family_peak_entries(n: int) -> int:
+    """Upper estimate of `phase_shift_family`'s peak for either kind, in
+    16-byte units: the (2^n, 2^n) int64 exponent table the broadcast builds
+    in place and the layer's read-only copy of it, plus 256 KiB."""
+    dim = 1 << n
+    return dim * dim + (1 << 14)

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from prslab import budget
+import prslab
+from prslab import budget, expand
 from prslab.budget import BUDGET_ENV_VAR, DEFAULT_BUDGET_MIB, BudgetError
+from prslab.corelin import DensityOperator, PureState
+from prslab.moments import MomentSpec, Source, UniformSample
+from prslab.prsgen import PrsGenerator, PrsKind
+
+from conftest import constant_function, measured_peak
 
 
 class TestBudgetMib:
@@ -81,3 +87,46 @@ class TestLimit:
             with pytest.raises(BudgetError, match="budget limit"), budget.limit(0):
                 pass
             assert budget.budget_mib() == 5
+
+
+
+def _operators(dim):
+    """Two real dim x dim density operators."""
+    return (DensityOperator(np.eye(dim) / dim),
+            DensityOperator(np.diag(np.arange(dim) * (2.0 / (dim * (dim - 1))))))
+
+
+# the arguments with which each exported function that allocates needs
+# more than 1 MiB, built before the measurement
+_OVER_ONE_MIB = {
+    "partial_trace": lambda: (PureState(10, np.full(1 << 10, 1j / 32)), []),
+    "prepare": lambda: (PrsGenerator(PrsKind.GENERAL_PHASE, 16,
+                                     constant_function(16, 1 << 16)),),
+    "phase_shift_family": lambda: (PrsKind.BINARY_PHASE, 9),
+    "symmetric_projector": lambda: (32, 2),
+    "trace_distance": lambda: _operators(512),
+    "evaluate": lambda: (expand.construction1(constant_function(15), 15, 1),),
+    "closed_form_construction1": lambda: (constant_function(15), 15, 1),
+    "phase_witness": lambda: (PrsKind.GENERAL_PHASE, 9),
+    "check_cond1": lambda: (lambda f: PrsGenerator(PrsKind.BINARY_PHASE, 7, f),
+                            prslab.binary_phase_witness(7), 7, []),
+    "check_cond2": lambda: (prslab.binary_phase_witness(9),),
+    "haar_moment": lambda: (32, 2),
+    "ensemble_moment_bruteforce": lambda: (
+        MomentSpec(Source.PLAIN, n=5, t=2, function_space=UniformSample(256, 1)),),
+    "ensemble_moment_deltapair": lambda: (MomentSpec(Source.PLAIN, n=5, t=2),),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVER_ONE_MIB))
+def test_every_exported_allocator_refuses_before_it_allocates(name):
+    # each checks its own peak before its first large array, so a refusal
+    # costs a few Python objects, not a share of what it would have built
+    function, args, refused = getattr(prslab, name), _OVER_ONE_MIB[name](), []
+
+    def call_over_budget():
+        with pytest.raises(BudgetError), budget.limit(1):
+            function(*args)
+        refused.append(name)
+
+    assert measured_peak(call_over_budget) < 1 << 20 and refused

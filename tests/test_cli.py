@@ -477,7 +477,7 @@ class TestVerificationCommands:
                     "--witness", "general", "--n", "10"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("budget error: condition witness on 10 qubits")
+        assert err.startswith("budget error: U_x phase family on 10 qubits")
         assert err.count("\n") == 1
         assert not (tmp_path / "condition_general.json").exists()
 

@@ -360,11 +360,11 @@ def test_witness_budget_estimate_covers_measured_peak(kind, n):
     # both kinds hold 16 bytes per exponent: the int64 table the broadcast
     # builds in place and the layer's read-only copy of it
     measured = measured_peak(lambda: condcheck.phase_witness(kind, n))
-    assert measured <= 16 * condcheck._witness_peak_entries(n) <= 2 * measured
+    assert measured <= 16 * prsgen._family_peak_entries(n) <= 2 * measured
 
 
 def test_witness_refuses_to_exceed_the_budget():
-    with pytest.raises(BudgetError, match="condition witness on 10 qubits"), budget.limit(1):
+    with pytest.raises(BudgetError, match="U_x phase family on 10 qubits"), budget.limit(1):
         condcheck.phase_witness(PrsKind.GENERAL_PHASE, 10)
 
 

@@ -284,6 +284,34 @@ class TestPartialTrace:
         with pytest.raises(RegisterError, match="qubit 4"):
             partial_trace(basis_state(2, 0), [4])
 
+    @pytest.mark.parametrize("q,traced,complex_", [
+        (10, [], True), (10, [], False), (9, [3], True), (14, [0, 1, 2, 3], True),
+        (14, [10, 11, 12, 13], False),
+    ], ids=["complex-10-none", "real-10-none", "complex-9-middle", "complex-14-first4",
+            "real-14-last4"])
+    def test_budget_estimate_covers_measured_peak(self, rng, q, traced, complex_):
+        # the product is handed over to the operator, not copied: at 10
+        # qubits with nothing traced it is 16 MiB (complex) or 8 MiB (real)
+        amps = rng.standard_normal(1 << q) + (1j * rng.standard_normal(1 << q) if complex_ else 0)
+        state = PureState(q, amps / np.linalg.norm(amps))
+        measured = measured_peak(lambda: partial_trace(state, traced))
+        estimate = 16 * corelin._partial_trace_peak_entries(
+            1 << (q - len(traced)), 1 << len(traced), complex_)
+        assert measured <= estimate <= 2 * measured
+
+    def test_refuses_before_the_product(self):
+        # 11 complex qubits with nothing traced: a 64 MiB operator
+        state = PureState(11, np.full(1 << 11, 1j / math.sqrt(1 << 11)))
+        refused = []
+
+        def reduce_over_budget():
+            with pytest.raises(BudgetError, match="reduced operator on 11 of 11 qubits"), \
+                    budget.limit(16):
+                partial_trace(state, [])
+            refused.append(True)
+
+        assert measured_peak(reduce_over_budget) < 1 << 20 and refused
+
     def test_purification_invariant_under_isometry_on_traced_register(self, rng):
         # appending an isometry to the traced register leaves the reduction fixed
         for _ in range(5):

@@ -9,7 +9,7 @@ from prslab.corelin import PureState
 from prslab.prsgen import PrsGenerator, PrsKind
 
 from conftest import (assert_vectors_close, basis_state, constant_function, materialize,
-                      random_state)
+                      measured_peak, random_state)
 
 
 def binary_gen(f: BooleanFunction) -> PrsGenerator:
@@ -55,6 +55,19 @@ class TestPrepare:
         with pytest.raises(ValueError):
             PrsGenerator(PrsKind.BINARY_PHASE, 2, BooleanFunction(2, 4, (0, 0, 1, 1)))
 
+    @pytest.mark.parametrize("kind", list(PrsKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("n,members", [(16, None), (10, 64)], ids=["single", "batch"])
+    def test_budget_estimate_covers_measured_peak(self, kind, n, members, rng):
+        # 65536 exponents either way: the general kind's exponential holds
+        # two complex128 arrays, the signs a float64 array and its copy
+        m = kind.range_modulus(n)
+        shape = (1 << n,) if members is None else (members, 1 << n)
+        gen = PrsGenerator(kind, n, BooleanFunction(n, m, rng.integers(0, m, shape)))
+        measured = measured_peak(lambda: prsgen.prepare(gen))
+        estimate = 16 * prsgen._prepare_peak_entries(gen.f.table.size,
+                                                     kind is PrsKind.GENERAL_PHASE)
+        assert measured <= estimate <= 2 * measured
+
     @pytest.mark.parametrize("kind, m", [(PrsKind.BINARY_PHASE, 2), (PrsKind.GENERAL_PHASE, 1)])
     def test_generator_refuses_fewer_than_one_qubit(self, kind, m):
         # the table is well formed for n = 0; the generator itself refuses it
@@ -63,11 +76,23 @@ class TestPrepare:
 
 
 class TestApplyToRegister:
-    def test_zero_input_reproduces_prepare(self):
-        for f in boolfn.enumerate_all(2, 2):
-            gen = binary_gen(f)
-            out = prsgen.apply_to_register(gen, basis_state(2, 0), 0)
-            assert_vectors_close(out.amplitudes, prsgen.prepare(gen).amplitudes, 1e-12)
+    @pytest.mark.parametrize("kind", list(PrsKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_zero_input_reproduces_prepare(self, kind, n, rng):
+        # prepare and the phase layer read one phase rule: signs are
+        # byte-identical, and a general-kind state is complex like the
+        # circuit's, exactly real at n = 1, where omega_2 = -1
+        m = kind.range_modulus(n)
+        gen = PrsGenerator(kind, n, BooleanFunction(n, m, rng.integers(0, m, (16, 1 << n))))
+        zeros = PureState(n, np.tile(basis_state(n, 0).amplitudes, (16, 1)))
+        circuit = prsgen.apply_to_register(gen, zeros, 0).amplitudes
+        prepared = prsgen.prepare(gen).amplitudes
+        assert prepared.dtype == circuit.dtype
+        if kind is PrsKind.BINARY_PHASE:
+            assert prepared.tobytes() == circuit.tobytes()
+        else:
+            assert_vectors_close(prepared, circuit, 1e-15)
+            assert n > 1 or not prepared.imag.any()
 
     def test_basis_input_sign_pattern(self):
         # constant function, input |10>: signs (-1)^(x.y) over y

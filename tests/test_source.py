@@ -129,6 +129,20 @@ def test_nothing_is_compressed_after_the_fact():
     assert offenders == []
 
 
+def test_the_cli_compares_only_in_one_helper():
+    # cmd_moments and every sweep point run their refusals, then their
+    # comparisons, through cli._compare, so the order is kept in one place
+    path = Path(prslab.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (helper,) = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_compare"]
+    inside = {id(node) for node in ast.walk(helper)}
+    names = ("compare_to_haar", "_check_method")
+    calls = [(name, node) for node in ast.walk(tree) for name in names if _names(node, name)]
+    assert {name for name, node in calls if id(node) in inside} == set(names)
+    assert [node.lineno for name, node in calls if id(node) not in inside] == []
+
+
 def test_only_corelin_estimates_the_distance_peak():
     # trace_distance checks its own peak, so no other module models its
     # internals: no function outside corelin names both a distance and a peak
@@ -137,6 +151,17 @@ def test_only_corelin_estimates_the_distance_peak():
                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                  if isinstance(node, ast.FunctionDef)
                  and "distance" in node.name and "peak" in node.name]
+    assert offenders == []
+
+
+def test_only_corelin_maps_a_phase_table_to_phases():
+    # corelin._phases is the one map from exponents to phases, read by the
+    # phase layer, prepare and the condition checks, so no module but
+    # corelin calls an exponential
+    modules = sorted(Path(prslab.__file__).parent.rglob("*.py"))
+    offenders = [f"{path.name}:{node.lineno}" for path in modules if path.name != "corelin.py"
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Call) and _names(node.func, "exp")]
     assert offenders == []
 
 
