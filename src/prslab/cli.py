@@ -104,11 +104,15 @@ def _report_row(report: moments.MomentReport, canonical: bool):
 
 def _compare(methods, seed, source, kind, n, i, ell, t, space, shared_key):
     """The reports of one comparison per method at the point the flag values
-    name; every method is refused or accepted before the first comparison."""
+    name; every method, and for two the moments' expansion the sweep reads,
+    is refused or accepted before the first comparison."""
     spec = MomentSpec(Source(source), n, t, PrsKind(kind), i=i, ell=ell,
                       function_space=_parse_space(space, seed), shared_key=shared_key)
     for method in methods:
         moments._check_method(spec, method)
+    if len(methods) > 1:
+        moments._check_expansion(1 << spec.layout.qubits, t, spec.kind is PrsKind.GENERAL_PHASE,
+                                 spec.layout.final_layer)
     return [moments.compare_to_haar(spec, method) for method in methods]
 
 

@@ -282,10 +282,23 @@ def apply_layer(state: PureState, layer: UnitaryLayer) -> PureState:
     if layer.batch_shape not in ((), lead):
         raise RegisterError(f"layer has phase rows {layer.batch_shape}, "
                             f"the state has rows {lead}")
+    complex_ = (np.iscomplexobj(state.amplitudes) or layer.kind is LayerKind.QFT
+                or layer.kind is LayerKind.PHASE_DIAGONAL and layer.parameters[0] != 2)
+    check_complex_array(_layer_peak_entries(state.amplitudes.size, complex_),
+                        f"{layer.kind.value} layer on {q} qubits")
     # the qubits before the targets, the targets and the qubits after them
     # are three axes of the amplitudes as they lie: no transpose
     amps = state.amplitudes.reshape(-1, 1 << targets[0], 1 << w, 1 << (q - 1 - targets[-1]))
     return PureState(q, _act(layer, amps).reshape(lead + (-1,)))
+
+
+def _layer_peak_entries(entries: int, complex_: bool) -> int:
+    """Upper estimate of `apply_layer`'s peak besides its input, in 16-byte
+    units: the layer's result and the next state's copy of it, complex128
+    when the state or the layer is complex and float64 otherwise, plus
+    256 KiB of one Walsh slab, the FFT's buffers, the phases of a table
+    no larger than the state, and Python objects."""
+    return (2 * entries if complex_ else entries) + (1 << 14)
 
 
 def partial_trace(state: PureState, traced_qubits) -> DensityOperator:

@@ -112,12 +112,13 @@ def phase_shift_family(kind: PrsKind, n: int) -> UnitaryLayer:
     else:
         exponents = labels[:, None] * labels
     exponents %= modulus
+    exponents.setflags(write=False)  # adopted by the layer, not copied
     return corelin.phase_diagonal_layer(range(n), modulus, exponents)
 
 
 def _family_peak_entries(n: int) -> int:
     """Upper estimate of `phase_shift_family`'s peak for either kind, in
     16-byte units: the (2^n, 2^n) int64 exponent table the broadcast builds
-    in place and the layer's read-only copy of it, plus 256 KiB."""
+    in place, which the layer adopts, plus 256 KiB."""
     dim = 1 << n
-    return dim * dim + (1 << 14)
+    return dim * dim // 2 + (1 << 14)

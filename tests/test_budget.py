@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import prslab
-from prslab import budget, expand
+from prslab import budget, corelin, expand
 from prslab.budget import BUDGET_ENV_VAR, DEFAULT_BUDGET_MIB, BudgetError
 from prslab.corelin import DensityOperator, PureState
 from prslab.moments import MomentSpec, Source, UniformSample
@@ -100,6 +100,8 @@ def _operators(dim):
 # more than 1 MiB, built before the measurement
 _OVER_ONE_MIB = {
     "partial_trace": lambda: (PureState(10, np.full(1 << 10, 1j / 32)), []),
+    "apply_layer": lambda: (PureState(17, np.full(1 << 17, 1j / 2**8.5)),
+                            corelin.qft_layer(range(17))),
     "prepare": lambda: (PrsGenerator(PrsKind.GENERAL_PHASE, 16,
                                      constant_function(16, 1 << 16)),),
     "phase_shift_family": lambda: (PrsKind.BINARY_PHASE, 9),

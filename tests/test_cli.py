@@ -216,6 +216,25 @@ class TestSweepCommand:
         assert computed == []
         assert len(read_lines(out / "sweep.csv")) == 2  # the header only
 
+    def test_a_point_whose_expansion_is_over_budget_fails_before_any_comparison(
+            self, tmp_path, monkeypatch):
+        # the sweep reads both moments' d^t x d^t matrices: at c1 (3,1,2),
+        # d^t = 256, 1 MiB admits the symmetric projector the comparison
+        # builds first but not the expansion, so the point is refused then
+        assert 16 * corelin._projector_peak_entries(16, 2) <= 1 << 20
+        assert 16 * moments._expansion_peak_entries(16, 2, final_layer=True) > 1 << 20
+        computed = record_computation(monkeypatch)
+        config = {"grid": {"source": ["construction1"], "n": [3], "i": [1], "t": [2],
+                           "method": ["bruteforce", "deltapair"]}, "seed": 0}
+        cfg = self.write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--budget-mib", "1", "--out-dir", out, "--canonical",
+                    "sweep"]) == 1
+        (failure,) = json.loads((out / "sweep_failures.json").read_text())
+        assert failure["error"].startswith("moment expansion, dim 256 requires 1.0")
+        assert computed == []
+        assert len(read_lines(out / "sweep.csv")) == 2  # the header only
+
     @pytest.mark.parametrize("grid, axis, message", [
         ({"n": ["a"]}, "n", "n must be a whole number, got 'a'"),
         ({"n": [2], "t": [True]}, "t", "t must be a whole number, got True"),
@@ -336,9 +355,9 @@ class TestVerificationCommands:
         assert not (tmp_path / output).exists()
 
     def test_budget_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PRS_LAB_BUDGET_MIB", "1")
+        monkeypatch.setenv("PRS_LAB_BUDGET_MIB", "1")  # below the 8 MiB projector of d^t = 1024
         code = run(["--out-dir", tmp_path, "moments", "--source", "plain",
-                    "--n", "4", "--t", "2", "--method", "deltapair"])
+                    "--n", "5", "--t", "2", "--method", "deltapair"])
         assert code == 2
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5"])
@@ -407,7 +426,8 @@ class TestVerificationCommands:
             monkeypatch.delenv("PRS_LAB_BUDGET_MIB", raising=False)
         else:
             monkeypatch.setenv("PRS_LAB_BUDGET_MIB", env)
-        args = ["moments", "--source", "plain", "--n", "4", "--t", "2", "--method", "deltapair"]
+        # d^t = 1024: 1 MiB refuses its 8 MiB projector
+        args = ["moments", "--source", "plain", "--n", "5", "--t", "2", "--method", "deltapair"]
         assert run(["--budget-mib", "1", "--out-dir", tmp_path / "a"] + args) == 2
         assert "but the budget is 1 MiB" in capsys.readouterr().err
         assert budget.budget_mib() == expected

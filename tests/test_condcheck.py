@@ -357,8 +357,8 @@ def test_budget_estimates_cover_measured_peaks(n):
 @pytest.mark.parametrize("kind", list(PrsKind))
 @pytest.mark.parametrize("n", [8, 10])
 def test_witness_budget_estimate_covers_measured_peak(kind, n):
-    # both kinds hold 16 bytes per exponent: the int64 table the broadcast
-    # builds in place and the layer's read-only copy of it
+    # both kinds hold 8 bytes per exponent: the int64 table the broadcast
+    # builds in place, which the layer adopts without a copy
     measured = measured_peak(lambda: condcheck.phase_witness(kind, n))
     assert measured <= 16 * prsgen._family_peak_entries(n) <= 2 * measured
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 from functools import cache, reduce
 
 import numpy as np
@@ -462,16 +463,17 @@ class TestBruteForce:
             "general-plain-8-1-uniform1024", "general-c2-4-1-uniform1024",
             "plain-2-1-prf4096", "plain-3-3", "general-plain-10-1-uniform256"])
     def test_budget_estimate_covers_measured_peak(self, spec):
-        # dim 1024 at t = 2: the expansion, the moment beside the Gram of its
-        # 528 classes, about 10.4 MiB for float64 (sign-phase) members and
-        # 20.5 MiB for complex128 ones.  dim 256 with 1024 members: the
+        # dim 1024 at t = 2: one chunk's products, the D x D product beside
+        # the Gram of its 528 classes and 256 members' Sym^t products, about
+        # 5.4 MiB for float64 (sign-phase) members and 12.8 MiB for
+        # complex128 ones.  dim 256 with 1024 members: the
         # chunk's evaluation, 4 MiB a copy of its rows: about 10 MiB for the
         # prepared plain rows, 16 MiB for the circuit's.  General plain n=10
         # t=1 (D = d^t = 1024): one chunk's products, the 16 MiB product
         # beside the 16 MiB Gram and the rows with their conjugate, 40 MiB.
         # Exhaustive plain n=4: enumerate_all's block of 1024 decoded tables
         # is live beside a chunk; about 1.7 MiB at t=2 and 0.6 MiB at t=1.
-        # Exhaustive plain n=3 t=3: the 2 MiB moment, 2.4 MiB.  Exhaustive
+        # Exhaustive plain n=3 t=3: its 256 members' products, 0.5 MiB.  Exhaustive
         # c3 ell=3: the list of the other two draws' 256 table pairs is held
         # for the whole run; about 0.6 MiB.  prf:4096 at plain n=2: the list
         # of 4096 keys, about 0.6 MiB, is over half of the peak
@@ -610,19 +612,21 @@ class TestDeltaPairing:
     @pytest.mark.parametrize("spec", [plain(3, 3), c1(4, 1, 2), c1(3, 2, 2), c1(3, 1, 3)],
                              ids=["plain-3-3", "c1-4-1-2", "c1-3-2-2", "c1-3-1-3"])
     def test_budget_estimate_covers_measured_peak(self, spec):
-        # the expansion sets every peak here: the moment beside the Gram
-        # and one Walsh slab (c1 (3,1,3): 134.1 MiB against 135.1 estimated)
+        # the hand-over sets the peak at c1 (3,2,2) and (3,1,3): the Gram
+        # beside its scaled copy (c1 (3,1,3): 10.3 MiB against 10.4
+        # estimated); the self-join at c1 (4,1,2) and plain (3,3)
         measured = measured_peak(lambda: ensemble_moment_deltapair(spec))
         estimate = 16 * moments._pairing_peak_entries(spec)
         assert measured <= estimate <= 2 * measured
 
     def test_budget_refuses_c1_n5_below_its_peak_and_admits_it_by_default(self):
-        # the c1 n=5 t=2 pairing peaks above 150 MiB (measured 162 MiB: the
-        # 128 MiB moment beside the 33 MiB Gram of its 2080 classes and one
-        # 1 MiB Walsh slab)
+        # the c1 n=5 t=2 pairing peaks above 64 MiB (measured 66.5 MiB: the
+        # 33 MiB Gram of its 2080 classes beside the self-join's entries,
+        # then beside its scaled copy); its 128 MiB moment is built only
+        # when read
         spec = c1(5, 1, 2)
         assert 16 * moments._pairing_peak_entries(spec) < DEFAULT_BUDGET_MIB << 20
-        with pytest.raises(BudgetError, match="pairing route peak"), budget.limit(150):
+        with pytest.raises(BudgetError, match="pairing route peak"), budget.limit(64):
             ensemble_moment_deltapair(spec)
 
 
@@ -725,8 +729,9 @@ class TestPairingGram:
 
 
 class TestHandOver:
-    """`moments._hand_over` on random class Grams, against the isometry
-    oracle, which derives the classes with its own `np.unique`."""
+    """`moments._hand_over` on random class Grams, and the moment's
+    `matrix` expanded from them, against the isometry oracle, which derives
+    the classes with its own `np.unique`."""
 
     @staticmethod
     def random_gram(rng, local_dim, copies, complex_=False):
@@ -744,7 +749,7 @@ class TestHandOver:
     def test_expansion_and_operator_are_the_isometry_products(self, rng, local_dim, copies,
                                                               complex_):
         gram, classes, sizes = self.random_gram(rng, local_dim, copies, complex_)
-        got = moments._hand_over(gram.copy(), classes, sizes)
+        got = moments._hand_over(gram.copy(), sizes, local_dim, copies)
         assert got.matrix.dtype == got.compressed.matrix.dtype == gram.dtype
         assert got.matrix.tobytes() == gram[np.ix_(classes, classes)].tobytes()
         iso = symmetric_isometry(local_dim, copies)
@@ -755,7 +760,7 @@ class TestHandOver:
     def test_final_layer_conjugates_the_expansion_and_not_the_operator(self, rng, local_dim,
                                                                        copies):
         gram, classes, sizes = self.random_gram(rng, local_dim, copies)
-        got = moments._hand_over(gram.copy(), classes, sizes, final_layer=True)
+        got = moments._hand_over(gram.copy(), sizes, local_dim, copies, final_layer=True)
         before = gram[np.ix_(classes, classes)]
         assert_matrices_close(got.matrix, hadamard_conjugate(before.copy()), 1e-13)
         iso = symmetric_isometry(local_dim, copies)
@@ -769,6 +774,80 @@ class TestHandOver:
         assert got.compressed.trace().real == pytest.approx(1.0, abs=1e-12)
         iso = symmetric_isometry(4, 2)
         assert_matrices_close(got.compressed.matrix, iso.T @ got.matrix @ iso, 1e-15)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ensemble_moment_bruteforce(plain(3, 3)),
+        lambda: ensemble_moment_deltapair(c1(3, 1, 2)),
+        lambda: ensemble_moment_deltapair(MomentSpec(Source.CONSTRUCTION2, n=2, t=2)),
+        lambda: haar_moment(16, 2),
+    ], ids=["brute-plain-3-3", "pairing-c1-3-1-2", "pairing-c2-2-2", "haar-16-2"])
+    def test_nothing_is_expanded_until_the_matrix_is_read(self, monkeypatch, make):
+        # the route and the Haar oracle hold D x D arrays only; the first
+        # read of `matrix` expands it, once, and later reads return it
+        expanded = []
+        copy_class_rows = moments._copy_class_rows
+        monkeypatch.setattr(moments, "_copy_class_rows",
+                            lambda *args: expanded.append(copy_class_rows(*args)))
+        moment = make()
+        assert expanded == [] and moment.gram.shape == moment.compressed.matrix.shape
+        assert not moment.gram.flags.writeable
+        first = moment.matrix
+        assert moment.matrix is first and len(expanded) == 1
+        assert first.shape == (moment.dim, moment.dim) and not first.flags.writeable
+
+    @pytest.mark.parametrize("make", [
+        lambda: ensemble_moment_bruteforce(MomentSpec(Source.CONSTRUCTION2, n=2, t=1)),
+        lambda: ensemble_moment_deltapair(plain(3, 1)),
+        lambda: compare_to_haar(plain(3, 1, PrfKeys(16, seed=2)), Method.MONTE_CARLO).moment,
+    ], ids=["brute-c2-2-1", "pairing-plain-3-1", "sampled-plain-3-1"])
+    def test_a_single_copy_moment_is_one_array(self, make):
+        # at t = 1 every class is one label and every scale 1: the Gram is
+        # the operator and, with no final layer, the matrix too
+        moment = make()
+        assert moment.matrix is moment.compressed.matrix is moment.gram
+
+    def test_a_single_copy_general_moment_holds_one_d_by_d_array(self):
+        # general plain n=10 t=1: d = D = 1024, one 16 MiB complex128 array
+        # is the Gram, the operator and the matrix, where the moment and its
+        # operator held two
+        spec = MomentSpec(Source.PLAIN, n=10, t=1, kind=PrsKind.GENERAL_PHASE,
+                          function_space=UniformSample(256, 1))
+        tracemalloc.start()
+        try:
+            moment = ensemble_moment_bruteforce(spec)
+            assert moment.matrix is moment.gram
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 16 << 20 <= held <= 1.05 * (16 << 20)
+        assert peak <= 16 * moments._bruteforce_peak_entries(spec)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ensemble_moment_deltapair(c1(4, 1, 2)),
+        lambda: ensemble_moment_deltapair(c1(3, 1, 3)),
+        lambda: ensemble_moment_deltapair(plain(3, 3)),
+        lambda: ensemble_moment_bruteforce(MomentSpec(
+            Source.PLAIN, n=5, t=2, kind=PrsKind.GENERAL_PHASE,
+            function_space=UniformSample(64, 1))),
+        lambda: ensemble_moment_bruteforce(plain(4, 2)),
+        lambda: haar_moment(8, 3),
+        lambda: haar_moment(64, 2),
+    ], ids=["pairing-c1-4-1-2", "pairing-c1-3-1-3", "pairing-plain-3-3",
+            "brute-general-plain-5-2-uniform64", "brute-plain-4-2", "haar-8-3", "haar-64-2"])
+    def test_expansion_estimate_covers_measured_peak(self, make):
+        # the d^t x d^t matrix sets every peak here (c1 (3,1,3): 129.0 MiB
+        # against 129.3 estimated, with one 1 MiB Walsh slab)
+        moment = make()
+        measured = measured_peak(lambda: moment.matrix)
+        estimate = 16 * moments._expansion_peak_entries(
+            moment.local_dim, moment.copies, np.iscomplexobj(moment.gram), moment.final_layer)
+        assert measured <= estimate <= 2 * measured
+
+    def test_the_expansion_refuses_before_it_allocates(self):
+        moment = ensemble_moment_deltapair(c1(4, 1, 2))  # d^t = 1024: an 8 MiB matrix
+        with pytest.raises(BudgetError, match="moment expansion, dim 1024"), budget.limit(8):
+            moment.matrix
+        assert "matrix" not in vars(moment)  # nothing was cached
 
 
 class TestHaarMoment:
@@ -808,8 +887,8 @@ class TestHaarMoment:
 
     @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3), (3, 4), (64, 2)])
     def test_budget_estimate_covers_measured_peak(self, local_dim, copies):
-        # the normalized projector beside its D x D compression: at (64,2)
-        # D^2 is a quarter of d^{2t}, which the projector's estimate misses
+        # the D x D Gram diag(1/c)/D beside the D x D I/D: at (64,2) two
+        # 33 MiB arrays, where the oracle held the 128 MiB projector
         measured = measured_peak(lambda: haar_moment(local_dim, copies))
         estimate = 16 * moments._haar_peak_entries(local_dim, copies)
         assert measured <= estimate <= 2 * measured
@@ -817,9 +896,16 @@ class TestHaarMoment:
     def test_budget_refuses_before_building_the_projector(self, monkeypatch):
         built = []
         monkeypatch.setattr(corelin, "symmetric_projector", lambda *args: built.append(args))
+        haar_moment(8, 2)
         with pytest.raises(BudgetError, match="Haar moment on"), budget.limit(1):
             haar_moment(64, 2)
         assert built == []
+
+    @pytest.mark.parametrize("local_dim,copies", [(8, 3), (16, 2), (4, 4), (2, 1)])
+    def test_matrix_is_the_normalized_projector_byte_for_byte(self, local_dim, copies):
+        sym = corelin.symmetric_subspace_dimension(local_dim, copies)
+        want = corelin.symmetric_projector(local_dim, copies).matrix / sym
+        assert haar_moment(local_dim, copies).matrix.tobytes() == want.tobytes()
 
     def test_commutes_with_tensor_power_unitary(self, rng):
         u = random_unitary(2, rng)
@@ -941,15 +1027,14 @@ class TestDistanceInTheSymmetricSubspace:
 
     @pytest.mark.parametrize("spec", [c1(4, 1, 2), c1(3, 2, 2)], ids=["c1-4-1-2", "c1-3-2-2"])
     def test_peak_stays_near_two_moment_sized_arrays(self, spec):
-        # the Haar reference keeps only its I/D before the route runs,
-        # and the route fills, conjugates and hands over one moment array
-        # with its D x D operator: 1.95 and 1.87 float64 d^t x d^t arrays
-        # (the moment beside the Haar reference, the operator, their
-        # difference and, at c1 (4,1,2), its two gathered blocks), where
-        # building every array afresh held 3.0-3.1
+        # no stage builds the moment, which holds D x D arrays only: 1.21
+        # and 1.13 float64 d^t x d^t arrays, the most of them the symmetric
+        # projector the comparison still builds and drops, where expanding
+        # the moment held 1.95 and 1.87 and building every array afresh
+        # 3.0-3.1
         dim = 1 << (spec.layout.qubits * spec.t)
         measured = measured_peak(lambda: compare_to_haar(spec, Method.DELTA_PAIRING))
-        assert measured <= 2.1 * 8 * dim * dim
+        assert measured <= 1.3 * 8 * dim * dim
 
     @staticmethod
     def eigensolve_shapes(monkeypatch, spec):

@@ -101,6 +101,27 @@ def test_the_walsh_factors_are_read_only_by_the_walsh_kernel():
     assert offenders == []
 
 
+def test_only_the_moment_s_matrix_expands_a_class_gram():
+    # one expansion site: every route and the Haar oracle hand over a D x D
+    # class Gram, and SymmetricMoment.matrix alone copies its class rows
+    # out to the d^t x d^t matrix, on first read
+    modules = sorted(Path(prslab.__file__).parent.rglob("*.py"))
+    inside, offenders = set(), []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path.name == "moments.py":
+            (moment,) = [node for node in tree.body
+                         if isinstance(node, ast.ClassDef) and node.name == "SymmetricMoment"]
+            (matrix,) = [node for node in moment.body
+                         if isinstance(node, ast.FunctionDef) and node.name == "matrix"]
+            inside = {id(node) for node in ast.walk(matrix)}
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and _names(node.func, "_copy_class_rows")
+                      and id(node) not in inside]
+    assert inside, "SymmetricMoment.matrix not found"
+    assert offenders == []
+
+
 def _names(node, name):
     return (isinstance(node, ast.Name) and node.id == name
             or isinstance(node, ast.Attribute) and node.attr == name)
