@@ -9,7 +9,9 @@ phase diagonal; one in-place kernel, `_walsh`, applies H^{(x) m} for the
 Hadamard layer and the pairing moment's final layer.  Nothing here
 compresses an operator to the symmetric subspace: every moment hands its
 compression over with it (see `moments`).  The trace distance checks its
-own peak, then eigensolves each connected block of the difference alone.
+own peak, splits the difference into the character blocks of the signed
+permutations it is given, if any, and eigensolves each connected block of
+those (or of the whole difference) alone.
 Everything here but `_walsh`, which works in place on its caller's array,
 is a pure function on immutable inputs, safe to share across threads.
 
@@ -330,47 +332,238 @@ def _partial_trace_peak_entries(kept: int, traced: int, complex_: bool) -> int:
             + _operator_build_entries(kept, complex_) + (1 << 10))
 
 
-def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
+def trace_distance(a: DensityOperator, b: DensityOperator, generators=None) -> float:
     """Half the 1-norm of (a - b), via Hermitian eigendecomposition, one
-    connected block at a time, once its peak passes the budget check.
+    block at a time, once its peak passes the budget check: the eigenvalues
+    of a block of one are read off its diagonal.
 
-    The components of the nonzero pattern of a - b (`_components`) split it,
-    up to a permutation, into diagonal blocks, and a permutation similarity
-    changes no eigenvalue, so the spectrum is that of the blocks: one
-    eigensolve per block, a 1 x 1 block read off the diagonal, and a - b
-    solved as it is when it is one block.  Every block is gathered before the
-    difference is dropped, so the solve holds the blocks, at most one
-    matrix of a's size together, besides the eigensolver's copy of one."""
+    The blocks are the connected components of the nonzero pattern
+    (`_components`) of a - b, or of each of its character blocks when
+    `generators` are given; a piece is solved as it is when it is one
+    component.  A permutation similarity changes no eigenvalue, so the
+    spectrum is that of the blocks.
+
+    `generators` are (indices, signs) pairs, each the signed permutation
+    S e_j = signs[j] e_{indices[j]} of the dim indices, that commute with
+    a - b.  They must be involutions that commute with each other
+    (`_signed_involutions`), and their joint eigenspaces then split a - b,
+    after an orthogonal change of basis, into one block per character
+    (`_character_blocks`).  A transformed entry outside the blocks above
+    HERMITIAN_ATOL raises RegisterError, so a group that a - b does not
+    commute with is refused, not solved.  An empty group splits nothing."""
     if a.dim != b.dim:
         raise RegisterError(f"dimension mismatch {a.dim} != {b.dim}")
     complex_ = np.iscomplexobj(a.matrix) or np.iscomplexobj(b.matrix)
-    check_complex_array(_distance_peak_entries(a.dim, complex_),
+    plan = None if generators is None or len(generators) == 0 else _character_plan(
+        _signed_involutions(generators, a.dim), a.dim)
+    check_complex_array(_distance_peak_entries(a.dim, complex_, plan),
                         f"trace distance of two {a.dim} x {a.dim} operators")
-    diff = a.matrix - b.matrix
-    blocks = _components(diff)
-    if len(blocks) == 1:
-        eigs = np.linalg.eigvalsh(diff)
+    if plan is None:
+        singles, pieces = np.empty(0), [a.matrix - b.matrix]
     else:
-        singles = np.array([c[0] for c in blocks if len(c) == 1], dtype=np.intp)
-        solved = [diff[singles, singles].real]
-        blocks = [diff[np.ix_(c, c)] for c in blocks if len(c) > 1]
-        del diff
-        eigs = np.concatenate(solved + [np.linalg.eigvalsh(block) for block in blocks])
-    return float(0.5 * np.sum(np.abs(eigs)))
+        singles, pieces = _character_blocks(a.matrix, b.matrix, plan)
+    triangle = "L" if plan is None else "U"  # the triangle `_character_blocks` fills
+    solved = [singles]
+    while pieces:  # each piece is dropped once its components are gathered
+        singles, blocks = _component_blocks(pieces.pop(0))
+        solved += [singles] + [np.linalg.eigvalsh(block, UPLO=triangle) for block in blocks]
+    return float(0.5 * np.sum(np.abs(np.concatenate(solved))))
 
 
-def _distance_peak_entries(dim: int, complex_: bool = False) -> int:
+def _component_blocks(diff: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The diagonal entries of the components of one index and the gathered
+    blocks of the others, or diff itself when it is one component.  Every
+    block is gathered before the difference is dropped, so the solve holds
+    the blocks, at most one matrix of diff's size together."""
+    components = _components(diff)
+    if len(components) == 1:
+        return np.empty(0), [diff]
+    singles = np.array([c[0] for c in components if len(c) == 1], dtype=np.intp)
+    return (diff[singles, singles].real,
+            [diff[np.ix_(c, c)] for c in components if len(c) > 1])
+
+
+def _distance_peak_entries(dim: int, complex_: bool = False, plan=None) -> int:
     """Upper estimate of `trace_distance`'s peak besides its two dim x dim
-    inputs, in 16-byte units: the larger of its two phases.  The component
-    search holds the difference and at most three dim x dim bool arrays
-    (the pattern, its transpose and one frontier gather).  The solve holds
-    two squares: the difference and the eigensolver's copy of it when it is
-    one block (the worst case), or else all the gathered blocks, at most one
-    square together, beside the difference and then beside the copy of the
-    block being solved.  numpy's linalg allocates that copy with `malloc`,
-    which tracemalloc does not trace, so a measured peak leaves it out."""
+    inputs, in 16-byte units.  numpy's linalg allocates the eigensolver's
+    copy of a block with `malloc`, which tracemalloc does not trace, so a
+    measured peak leaves that copy out.
+
+    Without a plan, the larger of two phases.  The component search holds
+    the difference and at most three dim x dim bool arrays (the pattern, its
+    transpose and one frontier gather).  The solve holds two squares: the
+    difference and the eigensolver's copy of it when it is one block (the
+    worst case), or else all the gathered blocks, at most one square
+    together, beside the difference and then beside the copy of the block
+    being solved.
+
+    With a `_character_plan`, the largest of three phases plus 16 KiB.
+    Building the plan holds each generator's two arrays of dim entries and
+    a dozen more, and a bool per index and generator.  The block phase
+    holds six int64 arrays of dim entries and the blocks (the sum of their
+    squares), beside one `_character_blocks` chunk: four arrays of its rows
+    (a's rows, b's rows, the transposed gather and its absolute value), a
+    Walsh slab and six int64 index arrays of the chunk's in-block entries.
+    The solve holds the blocks, beside the component search of the largest
+    (three bool squares), its gathered components and the eigensolver's
+    copy of one."""
     square = dim * dim if complex_ else dim * dim // 2
-    return max(square + 3 * (dim * dim // 16), 2 * square)
+    if plan is None:
+        return max(square + 3 * (dim * dim // 16), 2 * square)
+    per_unit = 1 if complex_ else 2  # entries per 16 bytes
+    counts = np.bincount(plan.block)
+    largest = int(counts.max())
+    blocks = int(np.sum(counts.astype(np.int64) ** 2)) // per_unit
+    rows = min(dim, max(_chunk_rows(dim, 1, per_unit), 1 << int(plan.dims[-1])))
+    chunk = (4 * rows * dim + min(_SLAB_BYTES // 8, rows * dim)) // per_unit + 3 * rows * largest
+    solve = 3 * largest * largest // 16 + 2 * largest * largest // per_unit
+    building = (2 * plan.generators + 12) * dim // 2 + plan.generators * dim // 16
+    return max(building, 3 * dim + blocks + max(chunk, solve)) + (1 << 10)
+
+
+def _signed_involutions(generators, dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The generators as (int64 indices, float64 signs) pairs, once each is
+    checked to be a signed permutation of the dim indices that squares to
+    the identity and every two are checked to commute: RegisterError
+    otherwise.  S_i S_j e_a = s_j[a] s_i[p_j[a]] e_{p_i[p_j[a]]}."""
+    gens, identity = [], np.arange(dim)
+    for k, (indices, signs) in enumerate(generators):
+        indices, signs = np.asarray(indices), np.asarray(signs)
+        if not (indices.shape == signs.shape == (dim,) and indices.dtype.kind in "iu"
+                and np.array_equal(np.sort(indices), identity)
+                and np.all((signs == 1) | (signs == -1))):
+            raise RegisterError(f"generator {k} is not a signed permutation of {dim} indices")
+        indices, signs = indices.astype(np.int64), signs.real.astype(np.float64)
+        if not (np.array_equal(indices[indices], identity)
+                and np.all(signs * signs[indices] == 1)):
+            raise RegisterError(f"generator {k} does not square to the identity")
+        for j, (other, other_signs) in enumerate(gens):
+            if not (np.array_equal(indices[other], other[indices])
+                    and np.array_equal(other_signs * signs[other], signs * other_signs[indices])):
+                raise RegisterError(f"generators {j} and {k} do not commute")
+        gens.append((indices, signs))
+    return gens
+
+
+@dataclass(frozen=True)
+class _CharacterPlan:
+    """The orthonormal basis in which commuting signed involutions are
+    diagonal, one vector per ordered position.  `order` lists the indices
+    orbit by orbit, the orbits by size 2^dims and then by root, and each
+    orbit of 2^m indices by its coordinate c, the index whose basis vector
+    is signs * h^c e_root for m of the generators h.  Position c of an
+    orbit holds the vector 2^(-m/2) sum_c' (-1)^(c.c') signs e_order, the
+    orbit's Walsh transform, and `block` numbers its character, the
+    eigenvalues of the plan's `generators` on it."""
+
+    order: np.ndarray
+    signs: np.ndarray
+    dims: np.ndarray
+    block: np.ndarray
+    generators: int
+
+
+def _character_plan(gens: list[tuple[np.ndarray, np.ndarray]], dim: int) -> _CharacterPlan:
+    """The `_CharacterPlan` of validated generators (`_signed_involutions`).
+
+    The orbits are merged one generator at a time: every index keeps its
+    orbit's root r, its coordinate c and its sign s, with e_a = s h^c e_r.
+    A generator g that maps an orbit onto another of the same shape merges
+    the pair under the smaller root, as the orbit's next coordinate bit:
+    for a in the other orbit, e_a = s_a s_g[r'] s_p h^(c_a ^ c_p) g e_r,
+    where p = g(r') lies in the kept one.  Then g e_r = s_g[r] s_p h^c_p e_r
+    for p = g(r), so g is (-1)^(c.c_p) s_g[r] s_p on the Walsh vector c."""
+    root, signs = np.arange(dim), np.ones(dim)
+    coord, dims = np.zeros(dim, dtype=np.int64), np.zeros(dim, dtype=np.int64)
+    for indices, gen_signs in gens:
+        image = indices[root]
+        kept = root[image]
+        lose = kept < root
+        coord = np.where(lose, coord ^ coord[image] ^ (1 << dims), coord)
+        signs = np.where(lose, signs * gen_signs[root] * signs[image], signs)
+        dims += kept != root
+        root = np.where(lose, kept, root)
+    characters = np.empty((dim, len(gens)), dtype=bool)
+    for k, (indices, gen_signs) in enumerate(gens):
+        image = indices[root]
+        characters[:, k] = ((np.bitwise_count(coord & coord[image]) & 1).astype(bool)
+                            ^ (gen_signs[root] * signs[image] < 0))
+    order = np.lexsort((coord, root, dims))
+    packed = np.packbits(characters[order], axis=1)
+    _, block = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))),
+                         return_inverse=True)
+    return _CharacterPlan(order, signs[order], dims[order], block.reshape(-1), len(gens))
+
+
+_SPLIT_BYTES = 1 << 19  # the rows of a - b one `_character_blocks` chunk transforms
+
+
+def _chunk_rows(dim: int, orbit: int, per_unit: int) -> int:
+    """Rows of one `_character_blocks` chunk: whole orbits of `orbit` rows,
+    about _SPLIT_BYTES of dim entries (per_unit of them per 16 bytes)."""
+    return max(1, _SPLIT_BYTES * per_unit // (16 * dim) // orbit) * orbit
+
+
+def _character_blocks(a: np.ndarray, b: np.ndarray,
+                      plan: _CharacterPlan) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The diagonal entries of the blocks of one vector and the other blocks
+    of a - b in the plan's basis Q: the entries of Q^T (a - b) Q between two
+    vectors of one character, each block in the order of its vectors.  The
+    blocks are Hermitian, and `trace_distance` reads their upper triangle,
+    which is filled; below it an entry is filled or zero.
+
+    A chunk of whole orbits' rows of a - b is gathered in plan order, and
+    its columns from the chunk's first position on, transposed, signed on
+    both axes and Walsh-transformed along each orbit of both: the chunk's
+    rows of Q^T (a - b) Q from its diagonal on, transposed.  Its in-block
+    entries are copied out and every other entry is checked against
+    HERMITIAN_ATOL; the entries left of a chunk are the conjugates of
+    entries checked or copied with an earlier chunk."""
+    dim, order, signs, dims, block = len(a), plan.order, plan.signs, plan.dims, plan.block
+    counts = np.bincount(block)
+    by_block = np.argsort(block, kind="stable")  # each block's vectors, in plan order
+    first = np.cumsum(counts) - counts
+    rank = np.empty(dim, dtype=np.int64)  # the place of each vector in its block
+    rank[by_block] = np.arange(dim) - first[block[by_block]]
+    offsets = np.cumsum(counts * counts) - counts * counts
+    flat = np.zeros(int(np.sum(counts * counts)), dtype=np.result_type(a, b))
+    seen = np.zeros_like(counts)  # each block's vectors before the chunk
+    starts = np.flatnonzero(np.diff(dims, prepend=-1))
+    groups = list(zip(starts, np.append(starts[1:], dim), 1 << dims[starts]))
+    worst = 0.0
+    for lo, hi, orbit in groups:
+        step = _chunk_rows(dim, int(orbit), 1 if flat.dtype.kind == "c" else 2)
+        for start in range(lo, hi, step):
+            stop = min(hi, start + step)
+            rows = a.take(order[start:stop], axis=0)
+            rows -= b.take(order[start:stop], axis=0)
+            cols = rows.T.take(order[start:], axis=0)  # cols[y - start, x - start]
+            cols *= signs[start:, None]
+            cols *= signs[start:stop]
+            if orbit > 1:
+                _walsh(cols.reshape(dim - start, -1, orbit), 2)
+            for col_lo, col_hi, col_orbit in groups:
+                if col_orbit > 1 and col_hi > start:
+                    col_lo = max(col_lo, start) - start
+                    _walsh(cols[col_lo:col_hi - start].reshape(-1, col_orbit, stop - start), 1)
+            # row x of block k takes block k's columns from rank seen[k] on
+            keys = block[start:stop]
+            sizes = counts[keys] - seen[keys]
+            row = np.repeat(np.arange(stop - start), sizes)
+            col = np.arange(len(row)) - np.repeat(np.cumsum(sizes) - sizes, sizes) + seen[keys][row]
+            taken = (by_block[first[keys][row] + col] - start) * (stop - start) + row
+            entries = cols.reshape(-1)
+            flat[(offsets[keys] + rank[start:stop] * counts[keys])[row] + col] = entries[taken]
+            entries[taken] = 0
+            worst = np.maximum(worst, np.abs(entries).max())  # NaN propagates
+            seen += np.bincount(keys, minlength=len(counts))
+    if not worst <= HERMITIAN_ATOL:
+        raise RegisterError(f"the transformed difference has an entry of {worst:.3e} "
+                            f"outside its character blocks")
+    ones = counts == 1
+    squares = [flat[offsets[k]:offsets[k] + counts[k] ** 2].reshape(counts[k], counts[k])
+               for k in np.flatnonzero(~ones)]
+    return flat[offsets[ones]].real, squares
 
 
 _FRONTIER_BYTES = 1 << 20  # the pattern rows one search step gathers
@@ -380,29 +573,26 @@ def _components(mat: np.ndarray) -> list[np.ndarray]:
     """The connected components of the nonzero pattern of a square matrix,
     read as a graph that joins i and j when mat[i, j] or mat[j, i] is
     nonzero: a list of ascending index arrays, in the order of their
-    smallest index.  A breadth-first search over the boolean pattern, whose
-    frontier rows are gathered at most _FRONTIER_BYTES at a time; an index
-    with no nonzero off the diagonal is a component of its own, unsearched."""
+    smallest index.  A breadth-first search over the boolean pattern from
+    the smallest index not yet reached, whose frontier rows are gathered at
+    most _FRONTIER_BYTES at a time; an index with no nonzero off the
+    diagonal is a component of its own, unsearched."""
     dim = len(mat)
     pattern = mat != 0
     pattern |= pattern.T  # eigvalsh reads one triangle: keep both, so no block is missed
     np.fill_diagonal(pattern, False)  # a diagonal entry joins nothing
-    alone = ~pattern.any(axis=1)
-    labels = np.full(dim, -1)  # the component of each index, -1 until it is reached
+    # the smallest index of each index's component, -1 until it is reached
+    labels = np.where(pattern.any(axis=1), -1, np.arange(dim))
     step = max(1, _FRONTIER_BYTES // max(1, dim))
-    count = 0
-    for seed in range(dim):
-        if labels[seed] >= 0:
-            continue
-        labels[seed] = count
-        frontier = np.empty(0, dtype=np.intp) if alone[seed] else np.array([seed])
+    while (pending := np.flatnonzero(labels < 0)).size:
+        frontier = pending[:1]
+        labels[frontier] = seed = pending[0]
         while frontier.size:
             reached = np.zeros(dim, dtype=bool)
             for start in range(0, frontier.size, step):
                 reached |= pattern[frontier[start:start + step]].any(axis=0)
             frontier = np.flatnonzero(reached & (labels < 0))
-            labels[frontier] = count
-        count += 1
+            labels[frontier] = seed
     order = np.argsort(labels, kind="stable")  # ascending indices within each component
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 

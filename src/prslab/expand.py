@@ -112,6 +112,60 @@ def layout(source: Source, n: int, i: int | None = None, ell: int | None = None,
     return Layout(n, offsets, keys, source is not Source.PLAIN)
 
 
+def pauli_symmetries(layout: Layout) -> tuple[tuple[int, int], ...]:
+    """Independent generators X_b Z_s, as (b, s) label pairs, of the Pauli
+    strings P that map each sign-phase member |psi_f> of the layout, before
+    its final layer, to a member |psi_f'> up to phase, f' a relabeling of
+    the draws.  The relabelings are bijections of the function tuples, so
+    P^{(x) t} commutes with every exhaustive t-copy moment of the layout.
+
+    Draw d is relabeled as f(x) -> f(x ^ u_d) ^ (v_d . x).  P starts as
+    Z_{s0}, which fixes |0...0>.  A block keyed by d on qubits B turns
+    X_x Z_z by its Hadamard layer into X_{z|B} Z_{x|B}, which its phase
+    table, f' after f, takes to X_{u_d} Z_{x|B ^ v_d} when z|B = u_d: that
+    condition on every block is a linear system over F2 in the bits of s0,
+    u_d and v_d, and the group is the image of its solutions."""
+    n, q = layout.n, layout.qubits
+    # each Pauli bit of each qubit is a linear form over the unknowns, one
+    # bit each: s0 in bits 0..q-1, then u_d and v_d in n bits each per draw
+    x, z = [0] * q, [1 << k for k in range(q)]
+    conditions = []
+    for offset, draw in zip(layout.offsets, layout.keys):
+        u = q + 2 * n * draw
+        for j in range(n):
+            k = offset + j
+            conditions.append(z[k] ^ 1 << (u + j))
+            x[k], z[k] = 1 << (u + j), x[k] ^ 1 << (u + n + j)
+    pivots = _f2_echelon(conditions)
+    solutions = []
+    for free in range(q + 2 * n * layout.draws):
+        if free not in pivots:
+            solutions.append(1 << free | sum(1 << p for p, row in pivots.items()
+                                             if row >> free & 1))
+    images = [sum((((x[k] & w).bit_count() & 1) << (2 * q - 1 - k))
+                  | (((z[k] & w).bit_count() & 1) << (q - 1 - k)) for k in range(q))
+              for w in solutions]
+    return tuple((v >> q, v & ((1 << q) - 1))
+                 for _, v in sorted(_f2_echelon(images).items(), reverse=True))
+
+
+def _f2_echelon(vectors) -> dict[int, int]:
+    """The reduced row echelon form over F2 of bit-vector ints: {pivot bit:
+    row}, each pivot bit set in its own row alone."""
+    rows: dict[int, int] = {}
+    for v in vectors:
+        for p, row in rows.items():
+            if v >> p & 1:
+                v ^= row
+        if v:
+            p = v.bit_length() - 1
+            for other in rows:
+                if rows[other] >> p & 1:
+                    rows[other] ^= v
+            rows[p] = v
+    return rows
+
+
 def circuit(layout: Layout, fns, kind: PrsKind = PrsKind.BINARY_PHASE) -> ConstructionSpec:
     """The layout's circuit with draw d keyed by fns[d].  A function that does
     not fit the kind at width n is refused here."""

@@ -16,7 +16,9 @@ d^t x d^t matrix: the distance is taken between the compressions, and a
 moment's `matrix` is expanded from G only when it is read.
 `compare_to_haar` runs four stages that each check themselves: one refusal
 (`_check_method`, which the CLI runs for every chosen method before any
-comparison), the Haar reference, the route and `corelin.trace_distance`.
+comparison), the Haar reference, the route and `corelin.trace_distance`,
+which an exhaustive sign-phase moment hands the layout's Pauli symmetries
+as signed permutations of its classes (`_class_symmetries`).
 """
 
 from __future__ import annotations
@@ -638,12 +640,55 @@ def haar_moment(local_dim: int, copies: int) -> SymmetricMoment:
     return SymmetricMoment(gram, DensityOperator(compressed), local_dim, copies)
 
 
+def _class_symmetries(spec: MomentSpec,
+                      moment: SymmetricMoment) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """The layout's Pauli symmetries (`expand.pauli_symmetries`) as signed
+    permutations (indices, signs) of the Sym^t classes that commute with
+    the moment's compression, or None: for the general kind and sampled
+    spaces, whose moments they need not fix, and when none is left.
+
+    X_b Z_s maps class a, of digits x_1 <= ... <= x_t, to the class of the
+    digits x_j ^ b, with the sign (-1)^(s . (x_1 ^ ... ^ x_t)).  The
+    symmetries hold before the final layer, which conjugates X_b Z_s to
+    X_s Z_b up to sign, so b and s swap for a compression taken after it
+    (brute force).  At odd t, (X_b Z_s)^{(x) t} is an involution only for
+    even b . s and two of them commute only when the strings do, so a
+    generator is kept when it has even b . s and commutes with those kept."""
+    if (spec.kind is not PrsKind.BINARY_PHASE
+            or not isinstance(spec.function_space, ExhaustiveAllFunctions)):
+        return None
+    layout, t = spec.layout, spec.t
+    paulis = expand.pauli_symmetries(layout)
+    if layout.final_layer and not moment.final_layer:
+        paulis = [(s, b) for b, s in paulis]
+    if t % 2:
+        kept = []
+        for b, s in paulis:
+            if not (b & s).bit_count() % 2 and all(
+                    not ((b & s2).bit_count() + (b2 & s).bit_count()) % 2 for b2, s2 in kept):
+                kept.append((b, s))
+        paulis = kept
+    if not paulis:
+        return None
+    local_dim = 1 << layout.qubits
+    labels, _ = corelin._symmetric_classes(local_dim, t)
+    classes = np.empty(local_dim**t, dtype=np.int64)
+    classes[labels] = np.arange(labels.shape[1])
+    digits = np.array(np.unravel_index(labels[0], (local_dim,) * t))  # (t, D), each column sorted
+    parity = np.bitwise_xor.reduce(digits, axis=0)
+    return [(classes[np.ravel_multi_index(np.sort(digits ^ b, axis=0), (local_dim,) * t)],
+             1.0 - 2.0 * (np.bitwise_count(parity & s) & 1))
+            for b, s in paulis]
+
+
 def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
     """The ensemble moment by the chosen route and its trace distance to
     the Haar moment, in four stages that each check themselves: the refusal
     (`_check_method`), the Haar reference, the route and
     `corelin.trace_distance` of the two moments' D x D compressions (the
-    Haar moment's is I/D).  Deterministic given the function-space seed."""
+    Haar moment's is I/D), split by the layout's Pauli symmetries
+    (`_class_symmetries`) where it has them.  Deterministic given the
+    function-space seed."""
     _check_method(spec, method)
     start = time.perf_counter()
     local_dim = 1 << spec.layout.qubits
@@ -655,6 +700,6 @@ def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
     route = (ensemble_moment_deltapair if method is Method.DELTA_PAIRING
              else ensemble_moment_bruteforce)
     moment = route(spec)
-    distance = corelin.trace_distance(moment.compressed, haar)
+    distance = corelin.trace_distance(moment.compressed, haar, _class_symmetries(spec, moment))
     runtime_ms = int(round((time.perf_counter() - start) * 1000))
     return MomentReport(spec, method, moment, distance, runtime_ms, spec.function_space.seed)

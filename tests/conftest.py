@@ -1,5 +1,8 @@
 """Fixtures, assertions and the oracles that only the tests use."""
 
+import functools
+import itertools
+import operator
 import tracemalloc
 from collections.abc import Sequence
 
@@ -89,6 +92,56 @@ def dense_trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Half the 1-norm of a - b from one eigensolve of the whole difference:
     the oracle of `corelin.trace_distance`, which solves it block by block."""
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix))))
+
+
+def searched_pauli_symmetries(compressed: np.ndarray, local_dim: int, copies: int,
+                              atol: float = 0.0) -> set[tuple[int, int]]:
+    """Every X_b Z_s, as a (b, s) label pair, whose t-fold power commutes
+    with the D x D Sym^t compression of a t-copy moment: a search over all
+    d^2 strings.  The oracle of `expand.pauli_symmetries`, which derives the
+    group from the layout alone.
+
+    A string acts on the classes, the sorted digit tuples in lexicographic
+    order, as a signed permutation: the class of digits x_j goes to the
+    class of the digits x_j ^ b, with the sign (-1)^(s . (x_1 ^ ... ^ x_t)).
+    It commutes when C[p(a), p(c)] = sign(a) sign(c) C[a, c] on every entry,
+    within `atol`.  The diagonal and one row are compared first, to pass
+    over most strings at once.  A string that passes them is confirmed on
+    every entry, 64 rows at a time, unless it is a product of confirmed
+    strings: a product of strings that commute with C commutes with it,
+    and X_b Z_s X_b' Z_s' is X_(b ^ b') Z_(s ^ s') up to a phase."""
+    tuples = list(itertools.combinations_with_replacement(range(local_dim), copies))
+    index = {digits: k for k, digits in enumerate(tuples)}
+    parity = np.array([functools.reduce(operator.xor, digits) for digits in tuples])
+    diagonal, found, confirmed = compressed.diagonal(), set(), {(0, 0)}
+
+    def commutes(perm, sign, rows):
+        moved = compressed[perm[rows]][:, perm]
+        return np.max(np.abs(moved - compressed[rows] * sign[rows, None] * sign)) <= atol
+
+    for b in range(local_dim):
+        perm = np.array([index[tuple(sorted(x ^ b for x in digits))] for digits in tuples])
+        if not np.max(np.abs(diagonal[perm] - diagonal)) <= atol:
+            continue
+        for s in range(local_dim):
+            sign = 1.0 - 2.0 * (np.bitwise_count(parity & s) & 1)
+            if not commutes(perm, sign, slice(0, 1)):
+                continue
+            if (b, s) not in confirmed:
+                if not all(commutes(perm, sign, slice(start, start + 64))
+                           for start in range(0, len(tuples), 64)):
+                    continue
+                confirmed |= {(x ^ b, z ^ s) for x, z in confirmed}
+            found.add((b, s))
+    return found
+
+
+def pauli_span(generators) -> set[tuple[int, int]]:
+    """The (b, s) pairs of every product of the generators X_b Z_s, up to phase."""
+    group = {(0, 0)}
+    for b, s in generators:
+        group |= {(x ^ b, z ^ s) for x, z in group}
+    return group
 
 
 def hadamard_conjugate(matrix: np.ndarray) -> np.ndarray:

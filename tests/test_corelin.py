@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prslab import budget, corelin
+from prslab import budget, corelin, moments
 from prslab.budget import BudgetError
 from prslab.corelin import (
     DensityOperator,
@@ -514,6 +514,134 @@ class TestTraceDistanceBudget:
         with pytest.raises(BudgetError, match="trace distance of two 1024 x 1024 operators "
                                               "requires 16.0 MiB"), budget.limit(1):
             trace_distance(a, b)
+
+
+def commuting_operator(generators, dim, complex_, rng):
+    """A random Hermitian dim x dim matrix averaged over the group that the
+    signed permutations generate: one average per generator, each of which
+    keeps the earlier ones' symmetry, as the generators commute."""
+    mat = rng.standard_normal((dim, dim))
+    if complex_:
+        mat = mat + 1j * rng.standard_normal((dim, dim))
+    mat = mat + mat.conj().T
+    for indices, signs in generators:
+        mat = (mat + mat[np.ix_(indices, indices)] * np.outer(signs, signs)) / 2
+    return DensityOperator(mat, normalized=False)
+
+
+def _orbit_generators():
+    """Signed involutions of 8 indices with orbits of 1, 2 and 4 and
+    stabilizer signs: a swap of 0 and 1 and of 2 and 3, a signed swap of 4
+    and 5 (sign -1 both ways), and a sign-only generator."""
+    swap = (np.array([1, 0, 3, 2, 5, 4, 6, 7]), np.array([1, 1, 1, 1, -1, -1, 1, 1.0]))
+    pair = (np.array([2, 3, 0, 1, 4, 5, 6, 7]), np.ones(8))
+    signs = (np.arange(8), np.array([1, 1, 1, 1, -1, -1, 1, -1.0]))
+    return [swap, pair, signs]
+
+
+def _layout_generators(spec):
+    moment = ensemble_moment_deltapair(spec)
+    return moments._class_symmetries(spec, moment), moment.compressed.dim
+
+
+class TestTraceDistanceSplit:
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("source", ["orbits", "plain-2-2", "c1-2-1-2", "c1-2-1-3",
+                                        "c3-2-2-ell2-shared"])
+    def test_the_split_matches_one_eigensolve(self, rng, source, complex_):
+        generators, dim = {
+            "orbits": lambda: (_orbit_generators(), 8),
+            "plain-2-2": lambda: _layout_generators(MomentSpec(Source.PLAIN, n=2, t=2)),
+            "c1-2-1-2": lambda: _layout_generators(MomentSpec(Source.CONSTRUCTION1, n=2,
+                                                              i=1, t=2)),
+            "c1-2-1-3": lambda: _layout_generators(MomentSpec(Source.CONSTRUCTION1, n=2,
+                                                              i=1, t=3)),
+            "c3-2-2-ell2-shared": lambda: _layout_generators(MomentSpec(
+                Source.CONSTRUCTION3, n=2, t=2, ell=2, shared_key=True)),
+        }[source]()
+        for _ in range(3):
+            a, b = (commuting_operator(generators, dim, complex_, rng) for _ in range(2))
+            assert abs(trace_distance(a, b, generators) - dense_trace_distance(a, b)) <= 1e-12
+
+    @pytest.mark.parametrize("rows_bytes", [1, 1 << 12, 1 << 30])
+    def test_any_chunk_of_whole_orbits_gives_the_same_blocks(self, monkeypatch, rows_bytes):
+        # one orbit per chunk, a few, or every row at once
+        generators, dim = _layout_generators(MomentSpec(Source.CONSTRUCTION1, n=2, i=1, t=2))
+        a = commuting_operator(generators, dim, False, np.random.default_rng(5))
+        b = DensityOperator(np.eye(dim), normalized=False)
+        monkeypatch.setattr(corelin, "_SPLIT_BYTES", rows_bytes)
+        assert abs(trace_distance(a, b, generators) - dense_trace_distance(a, b)) <= 1e-12
+
+    def test_an_empty_group_keeps_the_component_search(self, rng):
+        a = commuting_operator([], 6, False, rng)
+        b = DensityOperator(np.eye(6), normalized=False)
+        assert trace_distance(a, b, []) == trace_distance(a, b)
+
+    @pytest.mark.parametrize("indices,signs", [
+        ([0, 0, 2, 3], [1, 1, 1, 1]), ([1, 0, 3, 4], [1, 1, 1, 1]),
+        ([1, 0, 2, 3], [1, 1, 2, 1]), ([1, 0, 2, 3], [1, 1, 1j, 1]), ([1, 0, 2], [1, 1, 1]),
+        ([1.0, 0, 2, 3], [1, 1, 1, 1]),
+    ], ids=["repeated", "out-of-range", "sign-2", "sign-i", "short", "float-indices"])
+    def test_a_generator_that_is_not_a_signed_permutation_is_refused(self, indices, signs):
+        ops = (DensityOperator(np.eye(4) / 4),) * 2
+        with pytest.raises(RegisterError, match="^generator 1 is not a signed permutation "
+                                                "of 4 indices$"):
+            trace_distance(*ops, [(np.arange(4), np.ones(4)), (np.array(indices),
+                                                                np.array(signs))])
+
+    def test_generators_that_do_not_commute_are_refused(self):
+        # two swaps that share index 1: each an involution, their products
+        # two different 3-cycles
+        ops = (DensityOperator(np.eye(3) / 3),) * 2
+        with pytest.raises(RegisterError, match="^generators 0 and 1 do not commute$"):
+            trace_distance(*ops, [([1, 0, 2], [1, 1, 1]), ([0, 2, 1], [1, 1, 1])])
+        # a swap and a sign on one of its indices: the permutations commute,
+        # the signs do not
+        with pytest.raises(RegisterError, match="^generators 0 and 1 do not commute$"):
+            trace_distance(*ops, [([0, 2, 1], [1, 1, 1]), ([0, 1, 2], [1, -1, 1])])
+
+    @pytest.mark.parametrize("indices,signs", [
+        ([1, 2, 0], [1, 1, 1]), ([1, 0, 2], [1, -1, 1]),
+    ], ids=["3-cycle", "swap-squaring-to-minus-one"])
+    def test_a_generator_that_does_not_square_to_the_identity_is_refused(self, indices, signs):
+        ops = (DensityOperator(np.eye(3) / 3),) * 2
+        with pytest.raises(RegisterError, match="^generator 0 does not square to the identity$"):
+            trace_distance(*ops, [(indices, signs)])
+
+    def test_a_group_the_difference_does_not_commute_with_is_refused(self, rng):
+        # c1 (2,1,2)'s classes under a generator that is not one of its
+        # symmetries: every involution above is valid, so only the
+        # transformed difference shows it, and no distance is returned
+        spec = MomentSpec(Source.CONSTRUCTION1, n=2, i=1, t=2)
+        generators, dim = _layout_generators(spec)
+        a = DensityOperator(ensemble_moment_deltapair(spec).compressed.matrix)
+        b = haar_moment(8, 2).compressed
+        assert abs(trace_distance(a, b, generators) - dense_trace_distance(a, b)) <= 1e-12
+        swap = np.arange(dim)
+        swap[[0, 1]] = swap[[1, 0]]
+        with pytest.raises(RegisterError, match="^the transformed difference has an entry of "
+                                                ".* outside its character blocks$"):
+            trace_distance(a, b, [(swap, np.ones(dim))])
+        # one sign flipped on a generator that commutes with every other
+        indices, signs = generators[0]
+        flipped = signs.copy()
+        flipped[indices == np.arange(dim)] *= -1
+        with pytest.raises(RegisterError, match="outside its character blocks"):
+            trace_distance(a, b, [(indices, flipped)])
+
+    @pytest.mark.parametrize("spec", [
+        MomentSpec(Source.CONSTRUCTION1, n=4, i=1, t=2), MomentSpec(Source.PLAIN, n=4, t=2),
+    ], ids=["c1-4-1-2", "plain-4-2"])
+    def test_estimate_covers_the_measured_peak(self, spec):
+        # c1 (4,1,2): 32 blocks of at most 32 classes, so one chunk of rows
+        # sets the peak; plain (4,2): 136 blocks of one
+        moment = ensemble_moment_deltapair(spec)
+        generators = moments._class_symmetries(spec, moment)
+        a, b = moment.compressed, haar_moment(1 << spec.layout.qubits, spec.t).compressed
+        plan = corelin._character_plan(corelin._signed_involutions(generators, a.dim), a.dim)
+        measured = measured_peak(lambda: trace_distance(a, b, generators))
+        estimate = 16 * corelin._distance_peak_entries(a.dim, False, plan)
+        assert measured <= estimate <= 2 * measured
 
 
 class TestSymmetricProjector:

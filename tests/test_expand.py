@@ -10,7 +10,10 @@ from prslab.budget import BudgetError
 from prslab.expand import Layout
 from prslab.prsgen import PrsGenerator, PrsKind
 
-from conftest import assert_vectors_close, basis_state, constant_function, measured_peak
+from conftest import (
+    assert_vectors_close, basis_state, constant_function, measured_peak, pauli_span,
+    searched_pauli_symmetries,
+)
 
 
 F0_N2 = constant_function(2)
@@ -390,3 +393,80 @@ class TestMomentInvarianceUnderAppendedUnitary:
             corelin.DensityOperator(t_fold_moment(without, t)), haar
         )
         assert abs(d_with - d_without) <= 1e-10
+
+
+def _c(source, n, **kw):
+    return moments.MomentSpec(moments.Source(source), n=n, t=2, **kw)
+
+
+# the t = 2 points at which the derived group is the whole group the search finds
+FULL_GROUPS = {
+    "plain-3": _c("plain", 3), "c1-3-1": _c("construction1", 3, i=1),
+    "c1-3-2": _c("construction1", 3, i=2), "c1-4-1": _c("construction1", 4, i=1),
+    "c1-4-2": _c("construction1", 4, i=2), "c1-5-1": _c("construction1", 5, i=1),
+    "c2-2": _c("construction2", 2), "c3-2-ell2": _c("construction3", 2, ell=2),
+    "c3-2-ell3": _c("construction3", 2, ell=3),
+    "c3-2-ell2-shared": _c("construction3", 2, ell=2, shared_key=True),
+}
+# shared-key layouts whose derived group is a proper subgroup: (derived, searched) sizes
+SUBGROUPS = {
+    "c2-2-shared": (_c("construction2", 2, shared_key=True), 4, 16),
+    "c3-2-ell3-shared": (_c("construction3", 2, ell=3, shared_key=True), 8, 32),
+}
+# brute force enumerates 2^(2^n draws) members: its side leaves out c1 at n = 4 and 5
+BRUTE_FORCE_SIDE = [key for key in FULL_GROUPS if not key.startswith(("c1-4", "c1-5"))]
+
+
+class TestPauliSymmetries:
+    @staticmethod
+    def searched(moment, spec, atol=0.0):
+        return searched_pauli_symmetries(moment.compressed.matrix, 1 << spec.layout.qubits,
+                                         spec.t, atol)
+
+    @pytest.mark.parametrize("key", sorted(FULL_GROUPS))
+    def test_the_derived_group_is_the_searched_group_of_the_pairing_moment(self, key):
+        # the pairing route hands over its compression before the final layer,
+        # the side the derivation works on; its entries are exact, so a hit
+        # keeps every entry bit for bit
+        spec = FULL_GROUPS[key]
+        derived = pauli_span(expand.pauli_symmetries(spec.layout))
+        assert derived == self.searched(moments.ensemble_moment_deltapair(spec), spec)
+        assert len(derived) == 1 << len(expand.pauli_symmetries(spec.layout))
+
+    @pytest.mark.parametrize("key", BRUTE_FORCE_SIDE)
+    def test_the_derived_group_swapped_is_the_searched_group_of_brute_force(self, key):
+        # brute force compresses after the final Hadamard layer, which turns
+        # X_b Z_s into X_s Z_b; its sums are rounded, so hits hold to 1e-14
+        spec = FULL_GROUPS[key]
+        paulis = expand.pauli_symmetries(spec.layout)
+        if spec.layout.final_layer:
+            paulis = [(s, b) for b, s in paulis]
+        moment = moments.ensemble_moment_bruteforce(spec)
+        assert pauli_span(paulis) == self.searched(moment, spec, 1e-14)
+
+    @pytest.mark.parametrize("key", sorted(SUBGROUPS))
+    def test_shared_key_layouts_derive_a_pinned_subgroup(self, key):
+        # one function keying blocks that overlap differently has symmetries
+        # the per-draw relabeling does not see; a change in either size shows
+        # the derivation or the search widened
+        spec, derived_size, searched_size = SUBGROUPS[key]
+        derived = pauli_span(expand.pauli_symmetries(spec.layout))
+        searched = self.searched(moments.ensemble_moment_deltapair(spec), spec)
+        assert (len(derived), len(searched)) == (derived_size, searched_size)
+        assert derived < searched
+
+    @pytest.mark.parametrize("n,i", [(3, 1), (4, 1), (5, 1), (3, 2), (4, 2)])
+    def test_construction1_has_a_stabilizer_group_on_its_register(self, n, i):
+        # 2^(n+i) commuting strings: one block per joint eigenvalue pattern
+        paulis = expand.pauli_symmetries(expand.layout(moments.Source.CONSTRUCTION1, n, i))
+        assert len(paulis) == n + i
+        assert all(((b1 & s2).bit_count() + (b2 & s1).bit_count()) % 2 == 0
+                   for b1, s1 in paulis for b2, s2 in paulis)
+
+    def test_an_uncovered_qubit_keeps_its_z(self):
+        # a qubit no block touches stays |0>, which Z fixes and X does not
+        layout = Layout(1, (0,), (0,), False)
+        assert pauli_span(expand.pauli_symmetries(layout)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        gapped = Layout(1, (0, 2), (0, 1), False)
+        assert (0, 0b010) in pauli_span(expand.pauli_symmetries(gapped))
+        assert all(b & 0b010 == 0 for b, _ in pauli_span(expand.pauli_symmetries(gapped)))

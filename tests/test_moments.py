@@ -1053,8 +1053,11 @@ class TestDistanceInTheSymmetricSubspace:
     def test_no_full_dimension_eigensolve(self, monkeypatch):
         # c1 (4,1,2): d^t = 1024, D = C(33, 2) = 528.  The route's own
         # operator, the compression of the moment before its final layer,
-        # splits into two blocks; the final moment's compression is one
-        assert self.eigensolve_shapes(monkeypatch, c1(4, 1, 2)) == [(272, 272), (256, 256)]
+        # splits by the layout's 2^5 Pauli symmetries into 32 character
+        # blocks of at most 32 classes (the component search alone finds
+        # blocks of 272 and 256); the final moment's compression is one block
+        shapes = self.eigensolve_shapes(monkeypatch, c1(4, 1, 2))
+        assert max(side for side, _ in shapes) == 32 and len(shapes) == 33
 
     @pytest.mark.parametrize("spec,method", [
         (plain(3, 3), Method.DELTA_PAIRING), (c1(3, 1, 2), Method.DELTA_PAIRING),
@@ -1074,9 +1077,9 @@ class TestDistanceInTheSymmetricSubspace:
         calls = []
         trace_distance = corelin.trace_distance
 
-        def recording(a, b):
-            calls.append((a, b))
-            return trace_distance(a, b)
+        def recording(a, b, generators=None):
+            calls.append((a, b, generators))
+            return trace_distance(a, b, generators)
 
         monkeypatch.setattr(corelin, "trace_distance", recording)
         report = compare_to_haar(spec, method)
@@ -1084,10 +1087,19 @@ class TestDistanceInTheSymmetricSubspace:
         assert len(calls) == 1
         assert calls[0][0] is report.moment.compressed
         assert calls[0][1].matrix.tobytes() == (np.eye(sym) / sym).tobytes()
+        # the exhaustive sign-phase moments are split by their symmetries;
+        # the general kind and sampled spaces keep the component search
+        split = spec.kind is PrsKind.BINARY_PHASE and method is not Method.MONTE_CARLO
+        assert (calls[0][2] is not None) == split
 
     def test_the_compressed_difference_is_solved_block_by_block(self, monkeypatch):
-        # c1 (3,1,2): d^t = 256, D = C(17, 2) = 136, two blocks
-        assert self.eigensolve_shapes(monkeypatch, c1(3, 1, 2)) == [(72, 72), (64, 64)]
+        # c1 (3,1,2): d^t = 256, D = C(17, 2) = 136, 16 character blocks, of
+        # which the component search splits some further; 10 classes are
+        # blocks of one, read off the diagonal (the component search alone
+        # solves blocks of 72 and 64)
+        shapes = self.eigensolve_shapes(monkeypatch, c1(3, 1, 2))
+        assert max(side for side, _ in shapes) == 16
+        assert sum(side for side, _ in shapes) == 136 - 10
 
     def test_plain_solves_nothing_larger_than_its_key_groups(self, monkeypatch):
         # without a final layer the plain moment joins two classes only when
@@ -1137,3 +1149,85 @@ class TestExpansionTrend:
         distances = [pairing_report(c1(n, 1, 2)).haar_distance for n in (3, 4, 5)]
         assert distances[1] <= distances[0] + 1e-10
         assert distances[2] <= distances[1] + 1e-10
+
+
+def _spec(source, n, t, **kw):
+    return MomentSpec(Source(source), n=n, t=t, **kw)
+
+
+PAIRING, BRUTE = (Method.DELTA_PAIRING,), (Method.BRUTE_FORCE,)
+BOTH = PAIRING + BRUTE
+GENERAL_PLAIN_2_2 = MomentSpec(Source.PLAIN, n=2, t=2, kind=PrsKind.GENERAL_PHASE)
+# every exhaustive benchmark moment point, then the points the split is
+# checked at besides, each with the routes it runs on
+SPLIT_POINTS = {
+    "c1-5-1-2": (c1(5, 1, 2), PAIRING), "c1-4-1-2": (c1(4, 1, 2), PAIRING),
+    "plain-3-3": (plain(3, 3), BOTH), "plain-2-4": (plain(2, 4), BOTH),
+    "plain-4-2": (plain(4, 2), BOTH), "c1-3-1-2": (c1(3, 1, 2), BOTH),
+    "c2-2-1": (_spec("construction2", 2, 1), BOTH),
+    "c3-2-1-ell3": (_spec("construction3", 2, 1, ell=3), BOTH),
+    "general-plain-2-2": (GENERAL_PLAIN_2_2, BRUTE),
+    "c1-3-1-3": (c1(3, 1, 3), BOTH), "c1-3-2-2": (c1(3, 2, 2), BOTH),
+    # brute force at c1 (4,2,2) runs 2^16 members of 64 amplitudes: 13 s
+    "c1-4-2-2": (c1(4, 2, 2), PAIRING),
+    "c2-2-2": (_spec("construction2", 2, 2), BOTH),
+    "c3-2-2-ell2": (_spec("construction3", 2, 2, ell=2), BOTH),
+    "c3-2-2-ell3": (_spec("construction3", 2, 2, ell=3), BOTH),
+    "c3-2-2-ell2-shared": (_spec("construction3", 2, 2, ell=2, shared_key=True), BOTH),
+    "c3-2-2-ell3-shared": (_spec("construction3", 2, 2, ell=3, shared_key=True), BOTH),
+}
+
+
+class TestSymmetrySplit:
+    @pytest.mark.parametrize("key,method", [
+        pytest.param(key, method, id=f"{key}-{method.value}")
+        for key, (_, methods) in SPLIT_POINTS.items() for method in methods])
+    def test_the_split_distance_is_the_dense_distance(self, key, method, pairing_report):
+        # the handed-over compression solved in one piece against the
+        # comparison's own distance, which the layout's symmetries split
+        spec = SPLIT_POINTS[key][0]
+        report = (pairing_report(spec) if method is Method.DELTA_PAIRING
+                  else compare_to_haar(spec, method))
+        haar = haar_moment(1 << spec.layout.qubits, spec.t).compressed
+        assert (moments._class_symmetries(spec, report.moment) is None) == (
+            spec.kind is PrsKind.GENERAL_PHASE)
+        assert abs(report.haar_distance
+                   - dense_trace_distance(report.moment.compressed, haar)) <= 1e-12
+
+    @pytest.mark.parametrize("spec,method", [
+        (c1(3, 1, 2), Method.DELTA_PAIRING), (c1(3, 1, 2), Method.BRUTE_FORCE),
+        (_spec("construction2", 2, 2), Method.BRUTE_FORCE), (plain(3, 3), Method.DELTA_PAIRING),
+        (c1(3, 1, 3), Method.BRUTE_FORCE),
+    ], ids=["pairing-c1-3-1-2", "brute-c1-3-1-2", "brute-c2-2-2", "pairing-plain-3-3",
+            "brute-c1-3-1-3"])
+    def test_every_generator_commutes_with_the_handed_over_compression(self, spec, method):
+        # the signed permutations of the classes fix the route's own operator:
+        # before the final layer for the pairing route, after it for brute force
+        moment = (ensemble_moment_deltapair(spec) if method is Method.DELTA_PAIRING
+                  else ensemble_moment_bruteforce(spec))
+        compressed = moment.compressed.matrix
+        generators = moments._class_symmetries(spec, moment)
+        assert generators
+        for indices, signs in generators:
+            moved = compressed[np.ix_(indices, indices)] * np.outer(signs, signs)
+            assert np.max(np.abs(moved - compressed)) <= 1e-14
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_odd_t_keeps_commuting_strings_of_even_overlap(self, t):
+        # plain n = 2 has the whole Pauli group; at odd t only a commuting
+        # subgroup of strings with even b . s acts as commuting involutions
+        spec = plain(2, t)
+        moment = ensemble_moment_deltapair(spec)
+        generators = moments._class_symmetries(spec, moment)
+        assert len(generators) == 2
+        sym = moment.compressed.dim
+        plan = corelin._character_plan(corelin._signed_involutions(generators, sym), sym)
+        assert len(np.unique(plan.block)) == 4
+
+    @pytest.mark.parametrize("spec", [
+        plain(2, 2, PrfKeys(8, seed=1)), plain(2, 2, UniformSample(8, seed=1)),
+        GENERAL_PLAIN_2_2,
+    ], ids=["prf", "uniform", "general"])
+    def test_sampled_and_general_moments_keep_the_component_search(self, spec):
+        moment = ensemble_moment_bruteforce(spec)
+        assert moments._class_symmetries(spec, moment) is None

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import prslab
 from prslab import moments
+from prslab.expand import Layout
 
 
 def test_no_assert_statements_in_the_package():
@@ -173,6 +174,39 @@ def test_only_corelin_estimates_the_distance_peak():
                  if isinstance(node, ast.FunctionDef)
                  and "distance" in node.name and "peak" in node.name]
     assert offenders == []
+
+
+def test_only_the_trace_distance_eigensolves():
+    # one eigensolve site: both the component search and the character
+    # split hand their blocks to corelin.trace_distance, which solves them
+    modules = sorted(Path(prslab.__file__).parent.rglob("*.py"))
+    inside, offenders = set(), []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path.name == "corelin.py":
+            (solve,) = [node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "trace_distance"]
+            inside = {id(node) for node in ast.walk(solve)}
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if _names(node, "eigvalsh") and id(node) not in inside]
+    assert inside, "corelin.trace_distance not found"
+    assert offenders == []
+
+
+def test_the_symmetry_derivation_reads_only_the_layout():
+    # expand.pauli_symmetries works from the layout alone, with no moment or
+    # Gram: its one argument is read only for Layout's fields and properties
+    tree = ast.parse((Path(prslab.__file__).parent / "expand.py").read_text(encoding="utf-8"))
+    (derive,) = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "pauli_symmetries"]
+    (arg,) = derive.args.args
+    layout_names = set(Layout.__dataclass_fields__) | {
+        name for name, value in vars(Layout).items() if isinstance(value, property)}
+    read = {node.attr for node in ast.walk(derive) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == arg.arg}
+    assert read and read <= layout_names
+    names = {node.id for node in ast.walk(derive) if isinstance(node, ast.Name)}
+    assert not names & {"moments", "corelin", "np"}
 
 
 def test_only_corelin_maps_a_phase_table_to_phases():
