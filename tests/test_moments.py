@@ -1161,7 +1161,7 @@ GENERAL_PLAIN_2_2 = MomentSpec(Source.PLAIN, n=2, t=2, kind=PrsKind.GENERAL_PHAS
 # every exhaustive benchmark moment point, then the points the split is
 # checked at besides, each with the routes it runs on
 SPLIT_POINTS = {
-    "c1-5-1-2": (c1(5, 1, 2), PAIRING), "c1-4-1-2": (c1(4, 1, 2), PAIRING),
+    "c1-5-1-2": (c1(5, 1, 2), PAIRING), "c1-4-1-2": (c1(4, 1, 2), BOTH),
     "plain-3-3": (plain(3, 3), BOTH), "plain-2-4": (plain(2, 4), BOTH),
     "plain-4-2": (plain(4, 2), BOTH), "c1-3-1-2": (c1(3, 1, 2), BOTH),
     "c2-2-1": (_spec("construction2", 2, 1), BOTH),
