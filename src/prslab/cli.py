@@ -163,7 +163,7 @@ def cmd_lemmas(args, out_dir: Path) -> int:
                 rows.append(("dist_count", n, t, "", exact, float(bound), ok))
             except OverflowError:
                 raise ValueError(f"the bound at n={n}, t={t} is past float range") from None
-    for t in range(1, min(args.max_t, 5) + 1):
+    for t in range(1, min(args.max_t, combinatorics._MAX_PERM_LEN) + 1):
         for shape in _partitions(t):
             elements = _tuple_with_shape(shape)
             norm_sq = combinatorics.perm_state_norm_sq(elements)
@@ -313,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemmas", help="exact counting bounds")
     p.set_defaults(func=cmd_lemmas)
     p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--max-t", type=int, default=5)
+    p.add_argument("--max-t", type=int, default=5,
+                   help="largest t of the distinct-tuple rows; the perm-norm rows "
+                        f"stop at t = min(max-t, {combinatorics._MAX_PERM_LEN})")
 
     p = sub.add_parser("good-census", help="recombination census and round-trips")
     p.set_defaults(func=cmd_good_census)

@@ -7,11 +7,14 @@ consistent with the package-wide most-significant-bit-first convention).
 The good-set predicate, census and recombination witness run on the
 integers those strings spell: the string functions validate and convert each
 string once (`_bit_values`) and call the same integer predicate; the witness
-formats strings back only when they are read.
+formats strings back only when they are read.  `recombine` keeps the parsed
+x' tuples and the parsed good y-tuples in two bounded caches, so a census
+that pairs each good y-tuple with every x' tuple validates it once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -22,6 +25,7 @@ from typing import Iterator, Sequence
 from .budget import check_power_enumeration
 
 _MAX_PERM_LEN = 8
+_PARSE_CACHE_SIZE = 1 << 14  # entries in each of recombine's parse caches
 
 
 class ShapeError(ValueError):
@@ -138,14 +142,18 @@ def _is_good(ys: Sequence[int], n: int, i: int) -> bool:
     return _distinct_heads(ys, i) and not any(_clash(y, n, i) for y in ys)
 
 
-def _good_set_values(
-    x_prime: Sequence[str], y: Sequence[str], n: int, i: int
-) -> tuple[list[int], list[int]]:
-    """The integer x' and y tuples of a well-formed (x', y) pair; ShapeError otherwise."""
+def _check_good_set_shape(x_prime: Sequence[str], y: Sequence[str], n: int, i: int) -> None:
     if n < 2 * i:
         raise ShapeError(f"suffix/prefix condition undefined for n={n} < 2i={2 * i}")
     if len(x_prime) != len(y) or not y:
         raise ShapeError(f"component counts differ: {len(x_prime)} vs {len(y)}")
+
+
+def _good_set_values(
+    x_prime: Sequence[str], y: Sequence[str], n: int, i: int
+) -> tuple[list[int], list[int]]:
+    """The integer x' and y tuples of a well-formed (x', y) pair; ShapeError otherwise."""
+    _check_good_set_shape(x_prime, y, n, i)
     return _bit_values(x_prime, i, "x'"), _bit_values(y, n, "y")
 
 
@@ -160,7 +168,7 @@ def in_good_set(x_prime: Sequence[str], y: Sequence[str], n: int, i: int) -> boo
     return _is_good(ys, n, i)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecombinationWitness:
     """Explicit pairing of head-carrier elements with their y partners.
 
@@ -206,6 +214,26 @@ class RecombinationWitness:
                 and [v & low for v in joined] == list(self.ys))
 
 
+# The two parse caches below are keyed by immutable tuples of str together
+# with the widths the values are checked against, so an entry cannot go stale;
+# a refusal raises and lru_cache stores nothing for it.  They stay private:
+# perfbench's tracer wraps only plain public functions.
+
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _x_prime_values(x_prime: tuple[str, ...], i: int) -> tuple[int, ...]:
+    return tuple(_bit_values(x_prime, i, "x'"))
+
+
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _good_y_values(y: tuple[str, ...], n: int, i: int) -> tuple[int, ...]:
+    """The integer y-tuple, once it is well formed and good; i is in the key
+    because the predicate reads it."""
+    ys = _bit_values(y, n, "y")
+    if not _is_good(ys, n, i):
+        raise ValueError("tuple is not in the recombination-friendly set")
+    return tuple(ys)
+
+
 def recombine(x_prime: Sequence[str], y: Sequence[str]) -> RecombinationWitness:
     """Pair each x'_j + head(y_j) with its y_j and concatenate to x'_j + y_j.
 
@@ -215,10 +243,8 @@ def recombine(x_prime: Sequence[str], y: Sequence[str]) -> RecombinationWitness:
     if not y or not x_prime:
         raise ShapeError("empty tuples")
     n, i = len(y[0]), len(x_prime[0])
-    xs, ys = _good_set_values(x_prime, y, n, i)
-    if not _is_good(ys, n, i):
-        raise ValueError("tuple is not in the recombination-friendly set")
-    return RecombinationWitness(n, i, tuple(xs), tuple(ys))
+    _check_good_set_shape(x_prime, y, n, i)
+    return RecombinationWitness(n, i, _x_prime_values(x_prime, i), _good_y_values(y, n, i))
 
 
 @dataclass(frozen=True)
@@ -252,8 +278,11 @@ def _iter_good_y(n: int, i: int, t: int) -> Iterator[tuple[int, ...]]:
 
 def iter_good_members(n: int, i: int, t: int) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
     """All (x', y) tuples passing the recombination-friendly predicate, as bit
-    strings: every x' tuple (outer, lexicographic) with every good y-tuple."""
-    ys = [tuple(format(y, f"0{n}b") for y in good) for good in _iter_good_y(n, i, t)]
+    strings: every x' tuple (outer, lexicographic) with every good y-tuple.
+    The y-tuples share one string per value, which recombine's cache keeps."""
+    goods = _iter_good_y(n, i, t)
+    strings = [format(y, f"0{n}b") for y in range(1 << n)]
+    ys = [tuple(strings[y] for y in good) for good in goods]
     for x_prime in itertools.product(all_bit_strings(i), repeat=t):
         for y in ys:
             yield x_prime, y

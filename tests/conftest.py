@@ -2,8 +2,10 @@
 
 import functools
 import itertools
+import math
 import operator
 import tracemalloc
+from collections import Counter
 from collections.abc import Sequence
 
 import numpy as np
@@ -301,6 +303,24 @@ def recombination_elements(
         out.append(xpj + yj[: n - i])
         out.append(yj)
     return out
+
+
+def closed_form_good_size(n: int, i: int, t: int) -> int:
+    """The good-set census size without a tuple scan: t! e_t(a) 2^(it).
+
+    a_h counts the n-bit strings with head h (their first n - i bits) whose
+    last n - 2i bits differ from their first n - 2i bits.  A good y-tuple
+    picks t distinct heads in order and one such string under each, so the
+    y-tuples number t! times the t-th elementary symmetric polynomial of the
+    a_h, and every x' tuple of 2^(it) goes with each."""
+    w = n - 2 * i
+    per_head = Counter(s[: n - i] for s in ("".join(b) for b in itertools.product("01", repeat=n))
+                       if s[n - w:] != s[:w])
+    elementary = [1] + [0] * t
+    for a in per_head.values():
+        for k in range(t, 0, -1):
+            elementary[k] += elementary[k - 1] * a
+    return math.factorial(t) * elementary[t] << (i * t)
 
 
 def assert_vectors_close(a, b, atol):

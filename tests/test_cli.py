@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from prslab import budget, cli, corelin, moments
+from prslab import budget, cli, combinatorics, corelin, moments
 from prslab.budget import DEFAULT_BUDGET_MIB
 from prslab.moments import ExhaustiveAllFunctions
 
@@ -283,6 +283,23 @@ class TestVerificationCommands:
         lines = read_lines(tmp_path / "lemmas.csv")
         assert lines[0] == "# schema=2"
         assert all(line.endswith("True") for line in lines[2:])
+
+    def test_lemmas_writes_perm_rows_up_to_max_t(self, tmp_path):
+        assert run(["--out-dir", tmp_path, "lemmas", "--max-n", "1", "--max-t", "7"]) == 0
+        rows = [line.split(",") for line in read_lines(tmp_path / "lemmas.csv")[2:]]
+        at_seven = [row for row in rows if row[0] == "perm_norm" and row[2] == "7"]
+        assert len(at_seven) == 15  # the partitions of 7
+        for row in at_seven:
+            shape = [int(m) for m in row[3].split("+")]
+            elements = [str(value) for value, m in enumerate(shape) for _ in range(m)]
+            assert float(row[4]) == combinatorics.perm_state_norm_sq(elements)
+
+    def test_lemmas_perm_rows_stop_at_the_enumeration_cap(self, tmp_path):
+        assert run(["--out-dir", tmp_path, "lemmas", "--max-n", "1", "--max-t", "9"]) == 0
+        rows = [line.split(",") for line in read_lines(tmp_path / "lemmas.csv")[2:]]
+        perm_t = [int(row[2]) for row in rows if row[0] == "perm_norm"]
+        assert max(perm_t) == combinatorics._MAX_PERM_LEN == 8
+        assert perm_t.count(8) == 22  # the partitions of 8
 
     def test_good_census(self, tmp_path):
         assert run(["--out-dir", tmp_path, "good-census",

@@ -23,7 +23,9 @@ from prslab.combinatorics import (
     recombine,
 )
 
-from conftest import recombination_elements, register_permutation_operator
+from conftest import (
+    closed_form_good_size, recombination_elements, register_permutation_operator,
+)
 
 
 def partitions(t, smallest=1):
@@ -297,7 +299,22 @@ CENSUS_POINTS = [
 ]
 
 
+# the 59 points (n <= 8, 0 <= i <= n/2, t <= 3) with n t <= 16: the y-tuple
+# scan of 2^(nt) tuples stays within 2^16
+CLOSED_FORM_POINTS = [
+    (n, i, t)
+    for n in range(1, 9)
+    for i in range(n // 2 + 1)
+    for t in range(1, 4)
+    if n * t <= 16
+]
+
+
 class TestIntegerGoodSet:
+    @pytest.mark.parametrize("n,i,t", CLOSED_FORM_POINTS)
+    def test_census_equals_the_closed_form(self, n, i, t):
+        assert cb.good_census(n, i, t).good_size == closed_form_good_size(n, i, t)
+
     @settings(max_examples=300, deadline=None)
     @given(good_set_tuples())
     def test_integer_predicate_matches_string_predicate(self, case):
@@ -337,6 +354,25 @@ class TestIntegerGoodSet:
                 in_good_set(*bad, 3, 1)
 
 
+MALFORMED = [
+    *((("0",), (bad,)) for bad in ("0a1", "0_1", " 11")),
+    *((("0", "1"), ("011", bad)) for bad in ("0a1", "0_1", " 11", "01", "0111")),
+    (("2",), ("011",)),
+    (("0", ""), ("011", "101")),
+    (("0",), ("011", "101")),
+    (("0", "1"), ("011",)),
+    (("00",), ("011",)),
+]
+
+
+def assert_refused_as_in_good_set(x_prime, y):
+    with pytest.raises(ShapeError) as expected:
+        in_good_set(x_prime, y, len(y[0]), len(x_prime[0]))
+    with pytest.raises(ShapeError) as raised:
+        recombine(x_prime, y)
+    assert str(raised.value) == str(expected.value)
+
+
 class TestRecombine:
     @pytest.mark.parametrize("n,i,t", [p for p in CENSUS_POINTS if p[1] >= 1])
     def test_integer_witness_matches_string_witness_on_every_member(self, n, i, t):
@@ -355,21 +391,32 @@ class TestRecombine:
             with pytest.raises(ValueError, match="not in the recombination-friendly set"):
                 recombine(x_prime, y)
 
-    @pytest.mark.parametrize("x_prime,y", [
-        *((("0",), (bad,)) for bad in ("0a1", "0_1", " 11")),
-        *((("0", "1"), ("011", bad)) for bad in ("0a1", "0_1", " 11", "01", "0111")),
-        (("2",), ("011",)),
-        (("0", ""), ("011", "101")),
-        (("0",), ("011", "101")),
-        (("0", "1"), ("011",)),
-        (("00",), ("011",)),
-    ])
+    @pytest.mark.parametrize("x_prime,y", MALFORMED)
     def test_malformed_input_raises_as_in_good_set(self, x_prime, y):
-        with pytest.raises(ShapeError) as expected:
-            in_good_set(x_prime, y, len(y[0]), len(x_prime[0]))
-        with pytest.raises(ShapeError) as raised:
-            recombine(x_prime, y)
-        assert str(raised.value) == str(expected.value)
+        assert_refused_as_in_good_set(x_prime, y)
+
+    def test_malformed_input_raises_the_same_once_its_parts_are_cached(self):
+        # each well-formed half of a malformed case is parsed by one of these
+        # calls first; the shape checks must still refuse the case
+        for x_prime, y in ((("0",), ("011",)), (("0", "1"), ("011", "110")),
+                           (("00",), ("01101",))):
+            assert recombine(x_prime, y).round_trip()
+        hits = cb._x_prime_values.cache_info().hits
+        for x_prime, y in MALFORMED:
+            assert_refused_as_in_good_set(x_prime, y)
+        assert cb._x_prime_values.cache_info().hits > hits
+
+    @pytest.mark.parametrize("widths", [("0", "00"), ("00", "0")])
+    def test_a_cached_y_tuple_is_judged_at_each_overlap_width(self, widths):
+        # n = 4: with i = 1 the last 2 bits of 0110 differ from its first 2,
+        # with i = 2 = n/2 every y clashes; i is part of the cache key
+        cb._good_y_values.cache_clear()
+        for x in widths:
+            if len(x) == 1:
+                assert recombine((x,), ("0110",)).ys == (6,)
+            else:
+                with pytest.raises(ValueError, match="not in the recombination-friendly set"):
+                    recombine((x,), ("0110",))
 
     def test_single_pair_ordering(self):
         witness = recombine(("1",), ("011",))

@@ -1,6 +1,7 @@
 """Rules that every module of the package keeps."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -283,6 +284,25 @@ def test_every_public_name_is_reached_from_the_package_or_its_command():
     # a public function or class that no command or exported route reaches
     # is test scaffolding: it belongs in tests/conftest.py
     assert unreached_public_names(Path(prslab.__file__).parent) == []
+
+
+def test_every_cache_is_bounded_and_private():
+    # an unbounded cache (functools.cache, or lru_cache with maxsize=None)
+    # grows with every distinct argument; perfbench's tracer wraps only plain
+    # public functions, so a cached public function would drop out of traced
+    # runs without a word
+    offenders = []
+    for path in sorted(Path(prslab.__file__).parent.glob("*.py")):
+        module = (prslab if path.stem == "__init__"
+                  else importlib.import_module(f"prslab.{path.stem}"))
+        for name, obj in vars(module).items():
+            if not hasattr(obj, "cache_parameters"):
+                continue
+            if not name.startswith("_"):
+                offenders.append(f"{path.stem}.{name} is public")
+            if type(obj.cache_parameters()["maxsize"]) is not int:
+                offenders.append(f"{path.stem}.{name} has no integer maxsize")
+    assert offenders == []
 
 
 def _imports_scipy(node):
