@@ -56,14 +56,23 @@ class BooleanFunction:
     def _rows(self) -> Iterator[BooleanFunction]:
         """The rows of this checked batch as single functions whose tables are
         read-only views of its storage, neither copied nor checked again."""
+        return self._views(self.table)
+
+    def _dealt(self, parts: int) -> tuple[BooleanFunction, ...]:
+        """This checked batch's rows dealt into `parts` batches, row r to
+        batch r % parts, as read-only views: neither copied nor checked again."""
+        return tuple(self._views(self.table[part::parts] for part in range(parts)))
+
+    def _views(self, tables) -> Iterator[BooleanFunction]:
+        """Functions of this batch's (n, m) on views of its storage."""
         cls, n, m = type(self), self.input_bits, self.range_modulus
         # set as __init__ sets them, so the instance keeps its compact attribute layout
         set_ = object.__setattr__
-        for row in self.table:
+        for table in tables:
             f = object.__new__(cls)
             set_(f, "input_bits", n)
             set_(f, "range_modulus", m)
-            set_(f, "table", row)
+            set_(f, "table", table)
             yield f
 
 
@@ -127,22 +136,36 @@ def prf_eval(key: PrfKey, n: int, m: int, x: int) -> int:
     return int.from_bytes(h.digest(), "big") % m
 
 
-def prf_truth_table(key: PrfKey, n: int, m: int) -> BooleanFunction:
-    """Materialize the full truth table of the keyed function (n <= 20).
+def prf_tables(keys, n: int, m: int) -> BooleanFunction:
+    """The truth tables of the keyed function under each key as one batch,
+    a row per key (n <= 20), hashed in one loop and range-checked once.
 
-    The per-key prefix is hashed once and the hash state copied for each
-    input x, so entry x equals prf_eval(key, n, m, x).  When m divides 256
-    it divides 2^256 too, so the digest's residue is its last byte's."""
+    Each key's prefix is hashed once and the hash state copied for each
+    input x, so entry x of row k equals prf_eval(keys[k], n, m, x).  When m
+    divides 256 it divides 2^256 too, so the digest's residue is its last
+    byte's: the loop lists that byte and the table takes it mod m."""
     if n > _MAX_TABLE_BITS:
         raise ValueError(f"refusing to materialize 2**{n} entries (cap n={_MAX_TABLE_BITS})")
-    prefix = _prefix_hash(key, n, m)
+    suffixes = [x.to_bytes(4, "big") for x in range(1 << n)]
     last_byte = 256 % m == 0
-    table = []
-    for suffix in [x.to_bytes(4, "big") for x in range(1 << n)]:
-        h = prefix.copy()
-        h.update(suffix)
-        digest = h.digest()
-        table.append(digest[-1] % m if last_byte else int.from_bytes(digest, "big") % m)
+    entries = []
+    append = entries.append
+    for key in keys:
+        copy = _prefix_hash(key, n, m).copy
+        if last_byte:
+            for suffix in suffixes:
+                h = copy()
+                h.update(suffix)
+                append(h.digest()[-1])
+        else:
+            for suffix in suffixes:
+                h = copy()
+                h.update(suffix)
+                append(int.from_bytes(h.digest(), "big") % m)
+    table = np.array(entries, dtype=np.int64).reshape(-1, 1 << n)
+    del entries, append  # the list is not held beside the checked copy
+    if last_byte:
+        table %= m
     return BooleanFunction(n, m, table)
 
 
@@ -157,6 +180,11 @@ def derive_keys(count: int, seed: int, label: str = "prs") -> list[PrfKey]:
     return keys
 
 
-def random_function(n: int, m: int, rng: np.random.Generator) -> BooleanFunction:
-    return BooleanFunction(n, m, rng.integers(0, m, size=1 << n))
+def random_function(n: int, m: int, rng: np.random.Generator,
+                    members: int | None = None) -> BooleanFunction:
+    """A uniform table mod m from `rng`, or a batch of `members` such tables
+    drawn by one call, which reads the generator's stream as `members`
+    single draws in turn would: row k is the k-th of them."""
+    shape = (1 << n,) if members is None else (members, 1 << n)
+    return BooleanFunction(n, m, rng.integers(0, m, size=shape))
 

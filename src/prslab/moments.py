@@ -50,6 +50,9 @@ class Method(Enum):
     MONTE_CARLO = "monte_carlo"
 
 
+_MEMBER_ENTRIES = 1 << 20  # table entries per batch that a sampled space's `members` reads
+
+
 @dataclass(frozen=True)
 class ExhaustiveAllFunctions:
     """Every tuple of functions once, in table order: the exact average; seed 0."""
@@ -68,6 +71,15 @@ class ExhaustiveAllFunctions:
         for f in boolfn.enumerate_all(n, m):
             for tail in tails:
                 yield (f,) + tail
+
+    def batches(self, n: int, m: int, draws: int, label: str, rows: int):
+        """The members in chunks of up to `rows`, each a tuple of `draws` batch
+        functions: draw d of every member of the chunk stacked into one.  No
+        chunk is held while its batch is read."""
+        members = self.members(n, m, draws, label)
+        # called until no member is left, when zip() stacks nothing
+        yield from iter(lambda: tuple(map(boolfn.stack, zip(*itertools.islice(members, rows)))),
+                        ())
 
 
 @dataclass(frozen=True)
@@ -91,10 +103,20 @@ class _SampledSpace:
         return {"space": self.name, "count": self.count, "seed": self.seed}
 
     def members(self, n: int, m: int, draws: int = 1, label: str = "prs"):
-        """Tuples of `draws` functions mod m on n bits, one per member; PRF keys carry `label`."""
+        """Tuples of `draws` functions mod m on n bits, one per member: the
+        rows of the space's batches of about `_MEMBER_ENTRIES` table entries."""
+        rows = max(1, _MEMBER_ENTRIES // (draws << n))
+        for batch in self.batches(n, m, draws, label, rows):
+            yield from zip(*(f._rows() for f in batch))
+
+    def batches(self, n: int, m: int, draws: int, label: str, rows: int):
+        """The members in chunks of up to `rows`, each a tuple of `draws` batch
+        functions; PRF keys carry `label`.  A chunk's tables, member by member
+        and draw by draw within a member, are drawn as one batch, checked once
+        and dealt out by draw; none is held while it is read."""
         check_enumeration(self.count * draws,
                           f"{self.name} ensemble of {self.count} members, draws={draws}")
-        yield from self._draw(n, m, draws, label)
+        yield from self._draw(n, m, draws, label, rows)
 
 
 @dataclass(frozen=True)
@@ -104,10 +126,11 @@ class PrfKeys(_SampledSpace):
 
     name, seeds = "prf", (-(1 << 63), 1 << 63)
 
-    def _draw(self, n, m, draws, label):
+    def _draw(self, n, m, draws, label, rows):
         keys = boolfn.derive_keys(self.count * draws, self.seed, label)
-        for start in range(0, len(keys), draws):
-            yield tuple(boolfn.prf_truth_table(key, n, m) for key in keys[start:start + draws])
+        step = rows * draws
+        for start in range(0, len(keys), step):
+            yield boolfn.prf_tables(keys[start:start + step], n, m)._dealt(draws)
 
 
 @dataclass(frozen=True)
@@ -116,10 +139,11 @@ class UniformSample(_SampledSpace):
 
     name, seeds = "uniform", (0, math.inf)
 
-    def _draw(self, n, m, draws, label):
+    def _draw(self, n, m, draws, label, rows):
         rng = np.random.default_rng(self.seed)
-        for _ in range(self.count):
-            yield tuple(boolfn.random_function(n, m, rng) for _ in range(draws))
+        for start in range(0, self.count, rows):
+            tables = min(rows, self.count - start) * draws
+            yield boolfn.random_function(n, m, rng, tables)._dealt(draws)
 
 
 FunctionSpace = ExhaustiveAllFunctions | PrfKeys | UniformSample
@@ -178,23 +202,19 @@ class MomentReport:
         }, sort_keys=True)
 
 
-def member_functions(spec: MomentSpec):
-    """Yield one function tuple per ensemble member (one entry per draw)."""
-    yield from spec.function_space.members(spec.n, spec.kind.range_modulus(spec.n),
-                                           spec.layout.draws, spec.source.value)
+def member_functions(spec: MomentSpec, rows: int | None = None):
+    """Yield one function tuple per ensemble member (one entry per draw) or,
+    with `rows`, one tuple of batch functions (one per draw) per chunk of up
+    to `rows` members, the form the brute-force route reads."""
+    space = spec.function_space
+    args = (spec.n, spec.kind.range_modulus(spec.n), spec.layout.draws, spec.source.value)
+    yield from space.members(*args) if rows is None else space.batches(*args, rows)
 
 
 def member_state(spec: MomentSpec, fns: tuple[BooleanFunction, ...]) -> PureState:
     """Single-copy ensemble member for one drawn function tuple; for a tuple
     of function batches, the batch of members, one row each."""
     return expand.evaluate(expand.circuit(spec.layout, fns, spec.kind))
-
-
-def member_states(spec: MomentSpec, function_tuples) -> PureState:
-    """The members of a non-empty iterable of function tuples as the rows of
-    one batch state: draw d of every member stacked into one batch function
-    (`boolfn.stack`), and the spec's circuit run once over them."""
-    return member_state(spec, tuple(map(boolfn.stack, zip(*function_tuples))))
 
 
 def _symmetric_fold(vs: np.ndarray, t: int) -> np.ndarray:
@@ -375,25 +395,26 @@ def _spec_chunk_rows(spec: MomentSpec) -> int:
 
 
 _PRF_KEY_ENTRIES = 10  # 16-byte units per listed PrfKey: about 146 bytes by tracemalloc
-_FUNCTION_ENTRIES = 20  # per drawn function that owns its table: about 300 bytes of objects
 
 
 def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     """Upper estimate of the brute-force route's peak, in 16-byte units: the
-    D x D class Gram, beside the largest of one chunk's evaluation, one
-    chunk's products and the hand-over, plus 256 KiB of numpy ufunc buffers
-    and Python objects.  The evaluation holds the chunk's tables, stacked
-    and copied into batch functions, and what `expand.evaluate` holds for
-    the chunk.  The products hold the member rows and their contiguous
-    copy, the Sym^t products at t copies and at t - 1 (t > 2), their
-    conjugate (complex rows) and the D x D product.  The hand-over holds
-    the class arrays, the Gram's scaled copy (t > 1) and what wrapping that
-    in a DensityOperator holds.  An exhaustive space also holds the block
-    of tables `boolfn.enumerate_all` is yielding from and, for more than one
-    draw, the block the other draws' tables were listed from and, for the
-    whole run, the list of their tuples (48 bytes and 8 per draw each).  A
-    sampled chunk holds its functions' objects (`_FUNCTION_ENTRIES` each)
-    and a PRF space its count * draws keys (`_PRF_KEY_ENTRIES` each).
+    D x D class Gram, beside the largest of one chunk's draw, evaluation,
+    products and hand-over, plus 256 KiB of numpy ufunc buffers and Python
+    objects.  A sampled chunk is drawn as one int64 table and checked into a
+    copy; a PRF chunk lists its residues first (8 bytes each, and an int
+    object of 32 more past m = 256).  The evaluation holds the chunk's
+    tables, that checked copy or an exhaustive chunk's two stacked copies,
+    and what `expand.evaluate` holds for the chunk.  The products hold the
+    member rows and their contiguous copy, the Sym^t products at t copies
+    and at t - 1 (t > 2), their conjugate (complex rows) and the D x D
+    product.  The hand-over holds the class arrays, the Gram's scaled copy
+    (t > 1) and what wrapping that in a DensityOperator holds.  An
+    exhaustive space also holds the block of tables `boolfn.enumerate_all`
+    is yielding from and, for more than one draw, the block the other
+    draws' tables were listed from and, for the whole run, the list of
+    their tuples (48 bytes and 8 per draw each); a PRF space holds its
+    count * draws keys (`_PRF_KEY_ENTRIES` each) for the whole run.
     Entries are complex128 for the general kind and float64 for sign
     phases; table entries are int64."""
     layout, t = spec.layout, spec.t
@@ -402,42 +423,41 @@ def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     rows = _spec_chunk_rows(spec)
     complex_ = spec.kind is PrsKind.GENERAL_PHASE
     per_unit = 1 if complex_ else 2  # entries per 16 bytes
-    tables = rows * layout.draws << spec.n  # two int64 copies: one unit each
-    space = spec.function_space
+    m, space = spec.kind.range_modulus(spec.n), spec.function_space
+    entries = rows * layout.draws << spec.n  # int64 table entries per chunk
     held = 0  # what the space holds for the whole run
     if isinstance(space, ExhaustiveAllFunctions):
-        count = boolfn.function_count(spec.n, spec.kind.range_modulus(spec.n))
+        count = boolfn.function_count(spec.n, m)
         block = min(count, boolfn._DECODE_ROWS) << spec.n
-        tables += block // 2 * min(2, layout.draws)
+        tables, draw = entries + block // 2 * min(2, layout.draws), 0
         held = count ** (layout.draws - 1) * (layout.draws + 6) // 2
     else:
-        tables += _FUNCTION_ENTRIES * rows * layout.draws
+        tables, draw = entries // 2, entries
         if isinstance(space, PrfKeys):
+            draw += entries * (1 + 4 * (m > 256)) // 2
             held = _PRF_KEY_ENTRIES * space.count * layout.draws
     evaluation = tables + expand._evaluation_peak_entries(layout, rows, complex_)
     below = corelin.symmetric_subspace_dimension(local_dim, t - 1) if t > 2 else 0
     products = (rows * (2 * local_dim + below + sym * (1 + complex_)) + sym * sym) // per_unit
     hand_over = (corelin._classes_peak_entries(local_dim, t) + (t > 1) * sym * sym // per_unit
                  + corelin._operator_build_entries(sym, complex_))
-    return sym * sym // per_unit + held + max(evaluation, products, hand_over) + (1 << 14)
+    return (sym * sym // per_unit + held + max(draw, evaluation, products, hand_over)
+            + (1 << 14))
 
 
-def ensemble_moment_over_functions(spec: MomentSpec, function_tuples) -> SymmetricMoment:
-    """Average the t-fold projectors of the members drawn from an iterable."""
+def ensemble_moment_over_functions(spec: MomentSpec, batches) -> SymmetricMoment:
+    """Average the t-fold projectors of the members drawn as an iterable of
+    batches: tuples of one batch function per draw, a row per member."""
     dim = 1 << (spec.layout.qubits * spec.t)
     check_complex_array(_bruteforce_peak_entries(spec), f"moment accumulation peak, dim {dim}")
-    chunk_rows = _spec_chunk_rows(spec)
-    tuples = iter(function_tuples)
-    # each chunk is read to its end before the next one starts
-    chunks = (itertools.chain((first,), itertools.islice(tuples, chunk_rows - 1))
-              for first in tuples)
-    return _average_symmetric_fold((member_states(spec, chunk).amplitudes for chunk in chunks),
+    # map holds no batch while its rows are folded
+    return _average_symmetric_fold(map(lambda fns: member_state(spec, fns).amplitudes, batches),
                                    spec.t)
 
 
 def ensemble_moment_bruteforce(spec: MomentSpec) -> SymmetricMoment:
     """Exact (exhaustive space) or empirical (sampled space) ensemble average."""
-    return ensemble_moment_over_functions(spec, member_functions(spec))
+    return ensemble_moment_over_functions(spec, member_functions(spec, _spec_chunk_rows(spec)))
 
 
 _JOIN_BYTES = 1 << 20  # what one self-join step holds

@@ -127,17 +127,13 @@ class TestPrf:
         assert [boolfn.prf_eval(key, 2, 4, x) for x in range(4)] == [3, 2, 0, 3]
 
     def test_distinct_keys_give_distinct_tables(self):
-        keys = boolfn.derive_keys(200, seed=7)
-        differing = sum(
-            not np.array_equal(boolfn.prf_truth_table(keys[2 * k], 3, 2).table,
-                               boolfn.prf_truth_table(keys[2 * k + 1], 3, 2).table)
-            for k in range(100)
-        )
+        tables = boolfn.prf_tables(boolfn.derive_keys(200, seed=7), 3, 2).table
+        differing = sum(not np.array_equal(tables[2 * k], tables[2 * k + 1]) for k in range(100))
         assert differing >= 95
 
     def test_marginals_near_half(self):
         keys = boolfn.derive_keys(256, seed=11)
-        tables = np.array([boolfn.prf_truth_table(k, 3, 2).table for k in keys])
+        tables = boolfn.prf_tables(keys, 3, 2).table
         marginals = tables.mean(axis=0)
         assert np.all(marginals >= 0.4) and np.all(marginals <= 0.6)
 
@@ -154,22 +150,24 @@ class TestPrf:
         # the table hashes the per-key prefix once; prf_eval hashes each message whole
         for key in boolfn.derive_keys(3, seed=5, label="table"):
             for m in (2, 1 << n):
-                table = boolfn.prf_truth_table(key, n, m).table
+                table = boolfn.prf_tables([key], n, m).table[0]
                 assert table.tolist() == [boolfn.prf_eval(key, n, m, x) for x in range(1 << n)]
 
     @pytest.mark.parametrize("n,m", [(5, 2), (5, 16), (5, 64), (5, 256), (9, 512)])
     def test_truth_table_equals_prf_eval_on_both_residue_reads(self, n, m):
-        # m dividing 256: the table reads the digest's last byte; m = 512 the
-        # whole digest, as prf_eval always does
-        for key in boolfn.derive_keys(2, seed=11, label="residue"):
-            table = boolfn.prf_truth_table(key, n, m).table
+        # m dividing 256: the batch reads the digest's last byte; m = 512 the
+        # whole digest, as prf_eval always does; every row is its own key's
+        keys = boolfn.derive_keys(3, seed=11, label="residue")
+        batch = boolfn.prf_tables(keys, n, m)
+        assert batch.table.shape == (3, 1 << n) and batch.range_modulus == m
+        for key, table in zip(keys, batch.table):
             assert table.tolist() == [boolfn.prf_eval(key, n, m, x) for x in range(1 << n)]
 
     def test_general_modulus_table(self):
-        f = boolfn.prf_truth_table(PrfKey(b"\x02" * 16), 3, 8)
-        assert all(0 <= v < 8 for v in f.table)
+        f = boolfn.prf_tables([PrfKey(b"\x02" * 16)], 3, 8)
+        assert all(0 <= v < 8 for v in f.table[0])
 
     def test_materialization_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            boolfn.prf_truth_table(PrfKey(b"\x00" * 16), 21, 2)
+            boolfn.prf_tables([PrfKey(b"\x00" * 16)], 21, 2)
 

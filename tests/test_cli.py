@@ -335,6 +335,24 @@ class TestVerificationCommands:
                     "--n", "4", "--i", "2", "--samples", "20"]) == 2
         assert "--seed is required for the sampled space" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,output,expected", [
+        (["expand-check", "--n", "5", "--i", "2", "--samples", "64"], "expand_check.json",
+         {"functions": 64, "i": 2, "max_deviation": 1.1102230246251565e-16, "n": 5,
+          "passed": True}),
+        (["condition", "--witness", "general", "--n", "5", "--samples", "64"],
+         "condition_general.json",
+         {"passed": True, "witness": "general", "reports": [
+             {"condition": 1, "failures": [], "max_deviation": 1.3668035872266426e-16,
+              "n": 5, "passed": True, "scale": 5.656854249492381},
+             {"condition": 2, "failures": [], "max_deviation": 7.021666937153402e-16,
+              "n": 5, "passed": True, "scale": 5.656854249492381}]}),
+    ], ids=["expand-check", "condition-general"])
+    def test_sampled_commands_write_the_pinned_json(self, tmp_path, args, output, expected):
+        # recorded when the uniform space drew one table per call: the
+        # commands read the rows of its batches, the same tables
+        assert run(["--seed", "3", "--out-dir", tmp_path] + args) == 0
+        assert json.loads((tmp_path / output).read_text()) == expected
+
     def test_exhaustive_functions_stream(self):
         # listed, the 65 536 functions of enumerate_all(4, 2) hold 21.5 MiB
         # (tracemalloc: 8 MiB of decoded blocks, 13.5 MiB of function

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from prslab import boolfn, budget, corelin, expand, moments
 from prslab.budget import DEFAULT_BUDGET_MIB, BudgetError
+from prslab.boolfn import BooleanFunction
 from prslab.corelin import DensityOperator
 from prslab.moments import (
     ExhaustiveAllFunctions,
@@ -49,6 +50,12 @@ def plain(n, t, space=None):
 def c1(n, i, t, space=None):
     return MomentSpec(Source.CONSTRUCTION1, n=n, t=t, i=i,
                       function_space=space or ExhaustiveAllFunctions())
+
+
+def stacked_members(spec, tuples):
+    """The members of a list of function tuples as one batch state: draw d
+    of every member stacked into one batch function."""
+    return moments.member_state(spec, tuple(map(boolfn.stack, zip(*tuples))))
 
 
 def complex_reference_moment(spec):
@@ -254,6 +261,58 @@ class TestFunctionSpaces:
         assert ExhaustiveAllFunctions().seed == 0
         assert compare_to_haar(plain(1, 1), Method.BRUTE_FORCE).seed == 0
 
+    def test_uniform_batches_are_the_per_member_stream(self, monkeypatch):
+        # 70 members of 3 draws in chunks of 32, the last one short: one
+        # generator call and one range check per chunk, whose tables are
+        # those of 210 single draws from the same seed, member by member
+        rng = np.random.default_rng(9)
+        expected = np.array([[boolfn.random_function(3, 8, rng).table for _ in range(3)]
+                             for _ in range(70)])
+        checked, init = [], BooleanFunction.__post_init__
+
+        def check(f):
+            checked.append(np.shape(f.table))
+            init(f)
+
+        monkeypatch.setattr(BooleanFunction, "__post_init__", check)
+        batches = list(UniformSample(70, seed=9).batches(3, 8, 3, "prs", 32))
+        assert checked == [(96, 8), (96, 8), (18, 8)]
+        assert [[f.table.shape for f in batch] for batch in batches] == (
+            [[(32, 8)] * 3] * 2 + [[(6, 8)] * 3])
+        got = np.concatenate([np.stack([f.table for f in batch], axis=1) for batch in batches])
+        assert np.array_equal(got, expected)
+        members = UniformSample(70, seed=9).members(3, 8, draws=3)
+        assert np.array_equal(np.array([[f.table for f in fns] for fns in members]), expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(prf=st.booleans(), n=st.integers(1, 3), wide=st.booleans(), draws=st.integers(1, 3),
+           count=st.integers(1, 40), rows=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+    def test_batches_are_the_per_member_oracle_in_chunks(self, prf, n, wide, draws, count,
+                                                         rows, seed):
+        # PRF entries from prf_eval under the space's keys, uniform tables
+        # from one random_function call per draw; every chunk is full but
+        # the last, and the members are the batches' rows
+        m = 1 << n if wide else 2
+        if prf:
+            keys = boolfn.derive_keys(count * draws, seed, "probe")
+            expected = [[[boolfn.prf_eval(keys[k * draws + d], n, m, x) for x in range(1 << n)]
+                         for d in range(draws)] for k in range(count)]
+        else:
+            rng = np.random.default_rng(seed)
+            expected = [[boolfn.random_function(n, m, rng).table.tolist() for _ in range(draws)]
+                        for _ in range(count)]
+        space = (PrfKeys if prf else UniformSample)(count, seed)
+        batches = list(space.batches(n, m, draws, "probe", rows))
+        assert [len(batch[0].table) for batch in batches] == [
+            min(rows, count - start) for start in range(0, count, rows)]
+        assert all(len(batch) == draws for batch in batches)
+        assert all((f.input_bits, f.range_modulus) == (n, m) and not f.table.flags.writeable
+                   for batch in batches for f in batch)
+        got = np.concatenate([np.stack([f.table for f in batch], axis=1) for batch in batches])
+        assert got.tolist() == expected
+        members = space.members(n, m, draws, "probe")
+        assert [[f.table.tolist() for f in fns] for fns in members] == expected
+
 
 # every source at small sizes; the multi-block ones with and without a shared key
 BATCH_SPECS = [
@@ -279,7 +338,7 @@ class TestMemberBatch:
         m = spec.kind.range_modulus(spec.n)
         tuples = [tuple(boolfn.random_function(spec.n, m, rng)
                         for _ in range(spec.layout.draws)) for _ in range(members)]
-        batch = moments.member_states(spec, tuples)
+        batch = stacked_members(spec, tuples)
         assert batch.amplitudes.shape == (members, 1 << spec.layout.qubits)
         for row, fns in zip(batch.amplitudes, tuples):
             alone = expand.evaluate(expand.circuit(spec.layout, fns, spec.kind))
@@ -289,10 +348,10 @@ class TestMemberBatch:
     def test_functions_of_another_shape_are_refused(self, rng):
         spec = MomentSpec(Source.PLAIN, n=2, t=1, kind=PrsKind.GENERAL_PHASE)
         with pytest.raises(ValueError, match="modulus 4, got 2"):
-            moments.member_states(spec, [(boolfn.random_function(2, 2, rng),)] * 3)
+            stacked_members(spec, [(boolfn.random_function(2, 2, rng),)] * 3)
         mixed = [(boolfn.random_function(2, 4, rng),), (boolfn.random_function(2, 2, rng),)]
         with pytest.raises(ValueError, match="one \\(n, m\\)"):
-            moments.member_states(spec, mixed)
+            stacked_members(spec, mixed)
 
     def test_moment_path_builds_no_state_per_member(self, monkeypatch):
         built = []
@@ -458,10 +517,15 @@ class TestBruteForce:
         plain(3, 3),
         MomentSpec(Source.PLAIN, n=10, t=1, kind=PrsKind.GENERAL_PHASE,
                    function_space=UniformSample(256, 1)),
+        MomentSpec(Source.PLAIN, n=6, t=1, kind=PrsKind.GENERAL_PHASE,
+                   function_space=PrfKeys(1024, 1)),
+        MomentSpec(Source.CONSTRUCTION2, n=2, t=2, kind=PrsKind.GENERAL_PHASE,
+                   function_space=PrfKeys(512, 1)),
     ], ids=["plain-4-2", "plain-4-1", "c3-2-ell4-2-uniform64", "c3-2-ell3-1",
             "plain-5-2-uniform256", "general-plain-5-2-uniform256",
             "general-plain-8-1-uniform1024", "general-c2-4-1-uniform1024",
-            "plain-2-1-prf4096", "plain-3-3", "general-plain-10-1-uniform256"])
+            "plain-2-1-prf4096", "plain-3-3", "general-plain-10-1-uniform256",
+            "general-plain-6-1-prf1024", "general-c2-2-2-prf512"])
     def test_budget_estimate_covers_measured_peak(self, spec):
         # dim 1024 at t = 2: one chunk's products, the D x D product beside
         # the Gram of its 528 classes and 256 members' Sym^t products, about
@@ -476,7 +540,9 @@ class TestBruteForce:
         # Exhaustive plain n=3 t=3: its 256 members' products, 0.5 MiB.  Exhaustive
         # c3 ell=3: the list of the other two draws' 256 table pairs is held
         # for the whole run; about 0.6 MiB.  prf:4096 at plain n=2: the list
-        # of 4096 keys, about 0.6 MiB, is over half of the peak
+        # of 4096 keys, about 0.6 MiB, is most of the peak.  General plain
+        # n=6 prf:1024 and c2 n=2 prf:512, benchmark points: one chunk's
+        # evaluation beside its 0.5 MiB table, and its products, about 3 MiB
         measured = measured_peak(lambda: ensemble_moment_bruteforce(spec))
         estimate = 16 * moments._bruteforce_peak_entries(spec)
         assert measured <= estimate <= 2 * measured
@@ -487,7 +553,7 @@ class TestBruteForce:
         over the route's chunks of member rows."""
         tuples = list(moments.member_functions(spec))
         rows = moments._spec_chunk_rows(spec)
-        chunks = (moments.member_states(spec, tuples[start:start + rows]).amplitudes
+        chunks = (stacked_members(spec, tuples[start:start + rows]).amplitudes
                   for start in range(0, len(tuples), rows))
         return average_t_fold(chunks, spec.t).matrix
 

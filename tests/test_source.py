@@ -56,7 +56,7 @@ def test_source_members_are_read_only_in_expand_layout():
     assert offenders == []
 
 
-SAMPLERS = {"enumerate_all", "random_function", "prf_truth_table", "derive_keys", "default_rng"}
+SAMPLERS = {"enumerate_all", "random_function", "prf_tables", "derive_keys", "default_rng"}
 
 
 def test_members_are_drawn_only_by_the_function_spaces():
