@@ -20,15 +20,16 @@ KEY_BYTES = 16
 
 _MAX_TABLE_BITS = 20  # full truth-table materialization cap
 
-_DECODE_ROWS = 1024  # tables decoded and checked at once by enumerate_all
+_DECODE_ROWS = 1024  # tables decoded and checked at once by enumerate_all's single stream
 
 
 @dataclass(frozen=True, eq=False)
 class BooleanFunction:
     """The truth table f(0), ..., f(2^n - 1) of residues mod m, or a batch of
     such tables as the rows of a (members, 2^n) array, held as a read-only
-    int64 copy of the input made and range-checked here, once; the functions
-    `enumerate_all` yields are rows of such a batch and share its storage.
+    int64 copy of the input made and range-checked here, once; the single
+    functions `enumerate_all` yields are rows of such a batch and share its
+    storage.
     Calling it evaluates one function.  Compares by identity: compare tables with
     `np.array_equal`."""
 
@@ -106,18 +107,34 @@ def function_count(n: int, m: int) -> int:
     return min(m ** (1 << n), DEFAULT_ENUMERATION_LIMIT + 1)
 
 
-def enumerate_all(n: int, m: int) -> Iterator[BooleanFunction]:
-    """All m^(2^n) functions, in lexicographic table order (table[0] most significant).
-
-    Function k is the 2^n digits of k in base m.  Up to `_DECODE_ROWS`
-    consecutive indices are decoded into one batch, checked once, and its
-    rows yielded as functions that share the batch's storage."""
-    check_power_enumeration(m, 1 << n, f"function space n={n}, m={m}")
+def enumerate_all(n: int, m: int, rows: int | None = None,
+                  draws: int = 1) -> Iterator[BooleanFunction | tuple[BooleanFunction, ...]]:
+    """All m^(2^n) functions in lexicographic table order (table[0] most
+    significant), function k the 2^n digits of k in base m: up to
+    `_DECODE_ROWS` tables are decoded into one batch, checked once, and its
+    rows yielded as functions that share its storage.  With `rows`, every
+    tuple of `draws` functions, in `itertools.product` order, in chunks of up
+    to `rows` members: member k's draw d is function k // F^(draws-1-d) % F
+    of the F functions, so each chunk yields one tuple of `draws` batches,
+    each decoded from the chunk's member indices and checked once."""
+    if rows is None and draws != 1:
+        raise ValueError(f"the single-function stream has one draw, got draws={draws}")
+    what = f"function space n={n}, m={m}" + (f", draws={draws}" if draws != 1 else "")
+    check_power_enumeration(m, draws << n, what)
     count = function_count(n, m)
     place = np.array([m**k for k in reversed(range(1 << n))], dtype=np.int64)
-    for start in range(0, count, _DECODE_ROWS):
-        index = np.arange(start, min(start + _DECODE_ROWS, count), dtype=np.int64)
-        yield from BooleanFunction(n, m, index[:, None] // place % m)._rows()
+    # the place values of draw d's table entries in a member index
+    places = [count ** (draws - 1 - d) * place for d in range(draws)]
+    members, step = count**draws, rows or _DECODE_ROWS
+    for start in range(0, members, step):
+        index = np.arange(start, min(start + step, members), dtype=np.int64)
+        batches = tuple(BooleanFunction(n, m, index[:, None] // p % m) for p in places)
+        del index  # the indices are not held while the chunk is read
+        if rows is None:
+            yield from batches[0]._rows()
+        else:
+            yield batches
+        del batches  # not held while the next chunk is decoded
 
 
 def _prefix_hash(key: PrfKey, n: int, m: int):
@@ -169,10 +186,11 @@ def prf_tables(keys, n: int, m: int) -> BooleanFunction:
     return BooleanFunction(n, m, table)
 
 
-def derive_keys(count: int, seed: int, label: str = "prs") -> list[PrfKey]:
-    """Deterministic key list for sampled ensembles; byte-exact given (count, seed)."""
+def derive_keys(count: int, seed: int, label: str = "prs", start: int = 0) -> list[PrfKey]:
+    """Deterministic key list for sampled ensembles: keys start, ..., start +
+    count - 1 of the seed's sequence, byte-exact given (count, seed, start)."""
     keys = []
-    for idx in range(count):
+    for idx in range(start, start + count):
         digest = hashlib.sha256(
             b"prslab-key" + seed.to_bytes(8, "big", signed=True) + idx.to_bytes(8, "big")
         ).digest()

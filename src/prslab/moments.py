@@ -23,7 +23,6 @@ as signed permutations of its classes (`_class_symmetries`).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
@@ -50,11 +49,22 @@ class Method(Enum):
     MONTE_CARLO = "monte_carlo"
 
 
-_MEMBER_ENTRIES = 1 << 20  # table entries per batch that a sampled space's `members` reads
+_MEMBER_ENTRIES = 1 << 14  # table entries per batch that a space's `members` reads
+
+
+class _Space:
+    """What every function space has: members read as the rows of its batches."""
+
+    def members(self, n: int, m: int, draws: int = 1, label: str = "prs"):
+        """Tuples of `draws` functions mod m on n bits, one per member: the
+        rows of the space's batches of about `_MEMBER_ENTRIES` table entries."""
+        rows = max(1, _MEMBER_ENTRIES // (draws << n))
+        for batch in self.batches(n, m, draws, label, rows):
+            yield from zip(*(f._rows() for f in batch))
 
 
 @dataclass(frozen=True)
-class ExhaustiveAllFunctions:
+class ExhaustiveAllFunctions(_Space):
     """Every tuple of functions once, in table order: the exact average; seed 0."""
 
     seed: ClassVar[int] = 0
@@ -62,28 +72,17 @@ class ExhaustiveAllFunctions:
     def descriptor(self) -> dict:
         return {"space": "exhaustive"}
 
-    def members(self, n: int, m: int, draws: int = 1, label: str = "prs"):
-        """Tuples of `draws` functions mod m on n bits, one per member."""
-        check_power_enumeration(m, draws << n, f"exhaustive ensemble n={n}, draws={draws}")
-        # the first draw streams; only the other draws' tables, and their tuples, are held
-        tails = (list(itertools.product(boolfn.enumerate_all(n, m), repeat=draws - 1))
-                 if draws > 1 else [()])
-        for f in boolfn.enumerate_all(n, m):
-            for tail in tails:
-                yield (f,) + tail
-
     def batches(self, n: int, m: int, draws: int, label: str, rows: int):
         """The members in chunks of up to `rows`, each a tuple of `draws` batch
-        functions: draw d of every member of the chunk stacked into one.  No
-        chunk is held while its batch is read."""
-        members = self.members(n, m, draws, label)
-        # called until no member is left, when zip() stacks nothing
-        yield from iter(lambda: tuple(map(boolfn.stack, zip(*itertools.islice(members, rows)))),
-                        ())
+        functions decoded from the chunk's member indices by
+        `boolfn.enumerate_all`, one range check per draw; `label` names no
+        table here."""
+        check_power_enumeration(m, draws << n, f"exhaustive ensemble n={n}, draws={draws}")
+        yield from boolfn.enumerate_all(n, m, rows, draws)
 
 
 @dataclass(frozen=True)
-class _SampledSpace:
+class _SampledSpace(_Space):
     """`count` members drawn from `seed`: a whole count >= 1, a whole seed in the
     [lowest, highest) `seeds` its draw can use, and count * draws tables capped."""
 
@@ -101,13 +100,6 @@ class _SampledSpace:
 
     def descriptor(self) -> dict:
         return {"space": self.name, "count": self.count, "seed": self.seed}
-
-    def members(self, n: int, m: int, draws: int = 1, label: str = "prs"):
-        """Tuples of `draws` functions mod m on n bits, one per member: the
-        rows of the space's batches of about `_MEMBER_ENTRIES` table entries."""
-        rows = max(1, _MEMBER_ENTRIES // (draws << n))
-        for batch in self.batches(n, m, draws, label, rows):
-            yield from zip(*(f._rows() for f in batch))
 
     def batches(self, n: int, m: int, draws: int, label: str, rows: int):
         """The members in chunks of up to `rows`, each a tuple of `draws` batch
@@ -127,10 +119,12 @@ class PrfKeys(_SampledSpace):
     name, seeds = "prf", (-(1 << 63), 1 << 63)
 
     def _draw(self, n, m, draws, label, rows):
-        keys = boolfn.derive_keys(self.count * draws, self.seed, label)
-        step = rows * draws
-        for start in range(0, len(keys), step):
-            yield boolfn.prf_tables(keys[start:start + step], n, m)._dealt(draws)
+        # each chunk's keys are derived as it is hashed, and not held while it is read
+        step, total = rows * draws, self.count * draws
+        for start in range(0, total, step):
+            yield boolfn.prf_tables(
+                boolfn.derive_keys(min(step, total - start), self.seed, label, start), n, m
+            )._dealt(draws)
 
 
 @dataclass(frozen=True)
@@ -400,23 +394,20 @@ _PRF_KEY_ENTRIES = 10  # 16-byte units per listed PrfKey: about 146 bytes by tra
 def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     """Upper estimate of the brute-force route's peak, in 16-byte units: the
     D x D class Gram, beside the largest of one chunk's draw, evaluation,
-    products and hand-over, plus 256 KiB of numpy ufunc buffers and Python
+    products and hand-over, plus 128 KiB of numpy ufunc buffers and Python
     objects.  A sampled chunk is drawn as one int64 table and checked into a
-    copy; a PRF chunk lists its residues first (8 bytes each, and an int
-    object of 32 more past m = 256).  The evaluation holds the chunk's
-    tables, that checked copy or an exhaustive chunk's two stacked copies,
-    and what `expand.evaluate` holds for the chunk.  The products hold the
-    member rows and their contiguous copy, the Sym^t products at t copies
-    and at t - 1 (t > 2), their conjugate (complex rows) and the D x D
-    product.  The hand-over holds the class arrays, the Gram's scaled copy
-    (t > 1) and what wrapping that in a DensityOperator holds.  An
-    exhaustive space also holds the block of tables `boolfn.enumerate_all`
-    is yielding from and, for more than one draw, the block the other
-    draws' tables were listed from and, for the whole run, the list of
-    their tuples (48 bytes and 8 per draw each); a PRF space holds its
-    count * draws keys (`_PRF_KEY_ENTRIES` each) for the whole run.
-    Entries are complex128 for the general kind and float64 for sign
-    phases; table entries are int64."""
+    copy; a PRF chunk lists its keys (`_PRF_KEY_ENTRIES` each) and its
+    residues (8 bytes each, and an int object of 32 more past m = 256)
+    first.  An exhaustive chunk's last draw is decoded beside the other
+    draws' checked tables: the member indices and two of the draw's
+    quotient, table and checked copy, each freed once the next is built.  The
+    evaluation holds the chunk's checked tables and what `expand.evaluate`
+    holds for the chunk.  The products hold the member rows and their
+    contiguous copy, the Sym^t products at t copies and at t - 1 (t > 2),
+    their conjugate (complex rows) and the D x D product.  The hand-over
+    holds the class arrays, the Gram's scaled copy (t > 1) and what wrapping
+    that in a DensityOperator holds.  Entries are complex128 for the general
+    kind and float64 for sign phases; table entries are int64."""
     layout, t = spec.layout, spec.t
     local_dim = 1 << layout.qubits
     sym = corelin.symmetric_subspace_dimension(local_dim, t)
@@ -425,24 +416,19 @@ def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     per_unit = 1 if complex_ else 2  # entries per 16 bytes
     m, space = spec.kind.range_modulus(spec.n), spec.function_space
     entries = rows * layout.draws << spec.n  # int64 table entries per chunk
-    held = 0  # what the space holds for the whole run
     if isinstance(space, ExhaustiveAllFunctions):
-        count = boolfn.function_count(spec.n, m)
-        block = min(count, boolfn._DECODE_ROWS) << spec.n
-        tables, draw = entries + block // 2 * min(2, layout.draws), 0
-        held = count ** (layout.draws - 1) * (layout.draws + 6) // 2
+        draw = (entries + (rows << spec.n) + rows) // 2
     else:
-        tables, draw = entries // 2, entries
+        draw = entries
         if isinstance(space, PrfKeys):
-            draw += entries * (1 + 4 * (m > 256)) // 2
-            held = _PRF_KEY_ENTRIES * space.count * layout.draws
-    evaluation = tables + expand._evaluation_peak_entries(layout, rows, complex_)
+            draw += (entries * (1 + 4 * (m > 256)) // 2
+                     + _PRF_KEY_ENTRIES * rows * layout.draws)
+    evaluation = entries // 2 + expand._evaluation_peak_entries(layout, rows, complex_)
     below = corelin.symmetric_subspace_dimension(local_dim, t - 1) if t > 2 else 0
     products = (rows * (2 * local_dim + below + sym * (1 + complex_)) + sym * sym) // per_unit
     hand_over = (corelin._classes_peak_entries(local_dim, t) + (t > 1) * sym * sym // per_unit
                  + corelin._operator_build_entries(sym, complex_))
-    return (sym * sym // per_unit + held + max(draw, evaluation, products, hand_over)
-            + (1 << 14))
+    return sym * sym // per_unit + max(draw, evaluation, products, hand_over) + (1 << 13)
 
 
 def ensemble_moment_over_functions(spec: MomentSpec, batches) -> SymmetricMoment:

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from prslab import boolfn, budget
 from prslab.boolfn import BooleanFunction, PrfKey
@@ -13,6 +15,30 @@ def product_tables(n, m):
     each, in lexicographic order: the enumeration before tables were decoded
     from their index."""
     return list(itertools.product(range(m), repeat=1 << n))
+
+
+def product_members(n, m, draws):
+    """Every tuple of `draws` tables of the (n, m) space, as lists, in the
+    order of itertools.product over the single-function stream: the oracle
+    for the chunks decoded from member indices."""
+    tables = [f.table.tolist() for f in boolfn.enumerate_all(n, m)]
+    return [list(member) for member in itertools.product(tables, repeat=draws)]
+
+
+def chunked_members(n, m, rows, draws):
+    """The member tuples of enumerate_all's chunks, concatenated in order,
+    after checking that each chunk is `draws` read-only (n, m) batches of
+    one length, the last one short."""
+    members = []
+    for batch in boolfn.enumerate_all(n, m, rows, draws):
+        assert len(batch) == draws
+        assert len({f.table.shape for f in batch}) == 1
+        for f in batch:
+            assert (f.input_bits, f.range_modulus) == (n, m)
+            assert f.table.dtype == np.int64 and not f.table.flags.writeable
+        members += [list(member) for member in zip(*(f.table.tolist() for f in batch))]
+        assert len(batch[0].table) == rows or len(members) == m ** (draws << n)
+    return members
 
 
 # every (n, m) with m <= 16 and m^(2^n) <= 2^16: n = 4, m = 2 spans 64 decode
@@ -31,6 +57,33 @@ class TestEnumeration:
             assert not f.table.flags.writeable
         got = np.array([f.table for f in functions])
         assert np.array_equal(got, np.array(product_tables(n, m)))
+
+    # 16, 256 and 4096 members: neither 7 nor 100 rows divide a count
+    @pytest.mark.parametrize("rows", [7, 100])
+    @pytest.mark.parametrize("draws", [1, 2, 3])
+    @pytest.mark.parametrize("n,m", [(2, 2), (1, 4)])
+    def test_chunks_are_the_product_of_the_single_function_stream(self, n, m, draws, rows):
+        assert chunked_members(n, m, rows, draws) == product_members(n, m, draws)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 2), m=st.integers(1, 5), draws=st.integers(1, 3),
+           rows=st.integers(1, 40))
+    def test_chunks_match_the_product_at_any_chunk_size(self, n, m, draws, rows):
+        assume(m ** (draws << n) <= 1 << 12)
+        assert chunked_members(n, m, rows, draws) == product_members(n, m, draws)
+
+    def test_caps_refuse_before_any_table_is_built(self, monkeypatch):
+        def build(f):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(BooleanFunction, "__post_init__", build)
+        # 2^32 and 2^24 members, and 2^(2^28) functions refused as a power
+        for args, size in (((4, 2, 16, 2), 2**32), ((2, 2, 4, 6), 2**24),
+                           ((28, 2, 4, 1), "2\\^268435456")):
+            with pytest.raises(BudgetError, match=f"would enumerate {size} items"):
+                next(boolfn.enumerate_all(*args))
+        with pytest.raises(ValueError, match="one draw"):
+            next(boolfn.enumerate_all(2, 2, draws=2))
 
     def test_yielded_tables_refuse_writes(self):
         f = next(itertools.islice(boolfn.enumerate_all(4, 2), 1500, None))
@@ -136,6 +189,11 @@ class TestPrf:
         tables = boolfn.prf_tables(keys, 3, 2).table
         marginals = tables.mean(axis=0)
         assert np.all(marginals >= 0.4) and np.all(marginals <= 0.6)
+
+    def test_keys_from_an_offset_are_a_slice_of_the_sequence(self):
+        keys = boolfn.derive_keys(10, seed=-3, label="probe")
+        assert boolfn.derive_keys(4, -3, "probe", start=6) == keys[6:]
+        assert boolfn.derive_keys(3, -3, "probe") == keys[:3]
 
     def test_key_length_enforced(self):
         with pytest.raises(ValueError):

@@ -284,6 +284,41 @@ class TestFunctionSpaces:
         members = UniformSample(70, seed=9).members(3, 8, draws=3)
         assert np.array_equal(np.array([[f.table for f in fns] for fns in members]), expected)
 
+    def test_prf_keys_are_derived_chunk_by_chunk(self, monkeypatch):
+        # 70 members of 3 draws in chunks of 32: each chunk's keys are derived
+        # as it is drawn, from their place in the seed's sequence
+        calls, derive = [], boolfn.derive_keys
+
+        def record(count, seed, label, start=0):
+            calls.append((count, start))
+            return derive(count, seed, label, start)
+
+        monkeypatch.setattr(boolfn, "derive_keys", record)
+        batches = PrfKeys(70, seed=9).batches(3, 8, 3, "prs", 32)
+        next(batches)
+        assert calls == [(96, 0)]
+        list(batches)
+        assert calls == [(96, 0), (96, 96), (18, 192)]
+
+    def test_exhaustive_route_decodes_one_batch_per_draw_and_chunk(self, monkeypatch):
+        # c2 n=2 t=1: 4096 members of three draws in 4 chunks of 1024, each
+        # chunk three decoded batches checked once; no single function is
+        # built and none is stacked
+        checked, init = [], BooleanFunction.__post_init__
+
+        def check(f):
+            checked.append(np.shape(f.table))
+            init(f)
+
+        def refuse(*args):
+            raise AssertionError("a per-function object was built")
+
+        monkeypatch.setattr(BooleanFunction, "__post_init__", check)
+        monkeypatch.setattr(BooleanFunction, "_views", refuse)
+        monkeypatch.setattr(boolfn, "stack", refuse)
+        ensemble_moment_bruteforce(MomentSpec(Source.CONSTRUCTION2, n=2, t=1))
+        assert checked == [(1024, 4)] * 12
+
     @settings(max_examples=40, deadline=None)
     @given(prf=st.booleans(), n=st.integers(1, 3), wide=st.booleans(), draws=st.integers(1, 3),
            count=st.integers(1, 40), rows=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
@@ -535,14 +570,15 @@ class TestBruteForce:
         # prepared plain rows, 16 MiB for the circuit's.  General plain n=10
         # t=1 (D = d^t = 1024): one chunk's products, the 16 MiB product
         # beside the 16 MiB Gram and the rows with their conjugate, 40 MiB.
-        # Exhaustive plain n=4: enumerate_all's block of 1024 decoded tables
-        # is live beside a chunk; about 1.7 MiB at t=2 and 0.6 MiB at t=1.
-        # Exhaustive plain n=3 t=3: its 256 members' products, 0.5 MiB.  Exhaustive
-        # c3 ell=3: the list of the other two draws' 256 table pairs is held
-        # for the whole run; about 0.6 MiB.  prf:4096 at plain n=2: the list
-        # of 4096 keys, about 0.6 MiB, is most of the peak.  General plain
-        # n=6 prf:1024 and c2 n=2 prf:512, benchmark points: one chunk's
-        # evaluation beside its 0.5 MiB table, and its products, about 3 MiB
+        # Exhaustive plain n=4: one chunk's products at t=2, about 1.7 MiB,
+        # and its evaluation beside its 1024 decoded tables at t=1, 0.45 MiB.
+        # Exhaustive plain n=3 t=3: its 256 members' products, 0.5 MiB.
+        # Exhaustive c3 ell=3: one chunk's evaluation beside its three
+        # draws' decoded tables, about 0.6 MiB.  prf:4096 at plain n=2: one
+        # chunk's draw, its 1024 keys beside their residues and table, about
+        # 0.2 MiB; no key list is held for the whole run.  General plain n=6
+        # prf:1024 and c2 n=2 prf:512, benchmark points: one chunk's
+        # evaluation beside its 0.5 MiB table, and its products, 2.5-2.8 MiB
         measured = measured_peak(lambda: ensemble_moment_bruteforce(spec))
         estimate = 16 * moments._bruteforce_peak_entries(spec)
         assert measured <= estimate <= 2 * measured

@@ -83,6 +83,31 @@ def test_members_are_drawn_only_by_the_function_spaces():
     assert offenders == []
 
 
+def _streams_single_functions(node):
+    """A read of boolfn.stack, which stacks single functions into a batch,
+    or of itertools.product, which pairs single-function streams."""
+    return any(isinstance(node, ast.Attribute) and node.attr == attr
+               and isinstance(node.value, ast.Name) and node.value.id == module
+               or isinstance(node, ast.Name) and node.id == attr
+               for module, attr in (("boolfn", "stack"), ("itertools", "product")))
+
+
+def test_no_function_space_builds_its_members_one_by_one():
+    # every space draws or decodes a chunk of members as one batch per draw
+    # or one for the chunk, so no function-space class in moments.py stacks
+    # single functions or takes the product of single-function streams,
+    # and the per-member stream cannot grow back; condcheck keeps its stack
+    space_classes = {cls.__name__ for space in typing.get_args(moments.FunctionSpace)
+                     for cls in space.__mro__}
+    tree = ast.parse((Path(prslab.__file__).parent / "moments.py").read_text(encoding="utf-8"))
+    classes = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name in space_classes]
+    assert {cls.name for cls in classes} >= {"ExhaustiveAllFunctions", "PrfKeys", "UniformSample"}
+    offenders = [f"{cls.name}:{node.lineno}" for cls in classes for node in ast.walk(cls)
+                 if _streams_single_functions(node)]
+    assert offenders == []
+
+
 def test_the_walsh_factors_are_read_only_by_the_walsh_kernel():
     # one Walsh loop: the Hadamard layer and the pairing moment's final
     # layer both run corelin._walsh, so no second factor loop grows back
