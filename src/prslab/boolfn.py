@@ -16,6 +16,17 @@ import numpy as np
 
 from .budget import DEFAULT_ENUMERATION_LIMIT, check_power_enumeration
 
+# CPython's builtin sha256, whose state copies for less than OpenSSL's
+# (`_sha2` from 3.12, `_sha256` before); `prf_tables` hashes with it and
+# `prf_eval`, the oracle, with hashlib
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        _sha256 = hashlib.sha256
+
 KEY_BYTES = 16
 
 _MAX_TABLE_BITS = 20  # full truth-table materialization cap
@@ -137,19 +148,17 @@ def enumerate_all(n: int, m: int, rows: int | None = None,
         del batches  # not held while the next chunk is decoded
 
 
-def _prefix_hash(key: PrfKey, n: int, m: int):
-    """sha256 state after the per-key prefix label | 0x1f | n | m | key of
-    every entry's message; entry x appends x as 4 bytes."""
-    return hashlib.sha256(key.label.encode() + b"\x1f" + n.to_bytes(2, "big")
-                          + m.to_bytes(8, "big") + key.key_bytes)
+def _prefix(label: str, n: int, m: int) -> bytes:
+    """The key-independent start label | 0x1f | n | m of every entry's
+    message; the key follows it, and entry x appends x as 4 bytes."""
+    return label.encode() + b"\x1f" + n.to_bytes(2, "big") + m.to_bytes(8, "big")
 
 
 def prf_eval(key: PrfKey, n: int, m: int, x: int) -> int:
     """Keyed pseudorandom residue: sha256(label | n | m | key | x) mod m."""
     if not 0 <= x < (1 << n):
         raise ValueError(f"input {x} out of range for {n} bits")
-    h = _prefix_hash(key, n, m)
-    h.update(x.to_bytes(4, "big"))
+    h = hashlib.sha256(_prefix(key.label, n, m) + key.key_bytes + x.to_bytes(4, "big"))
     return int.from_bytes(h.digest(), "big") % m
 
 
@@ -157,18 +166,23 @@ def prf_tables(keys, n: int, m: int) -> BooleanFunction:
     """The truth tables of the keyed function under each key as one batch,
     a row per key (n <= 20), hashed in one loop and range-checked once.
 
-    Each key's prefix is hashed once and the hash state copied for each
-    input x, so entry x of row k equals prf_eval(keys[k], n, m, x).  When m
-    divides 256 it divides 2^256 too, so the digest's residue is its last
-    byte's: the loop lists that byte and the table takes it mod m."""
+    The key-independent prefix is hashed once per call (and label), each
+    key's state is copied from it and then copied for each input x, so
+    entry x of row k equals prf_eval(keys[k], n, m, x).  When m divides 256
+    it divides 2^256 too, so the digest's residue is its last byte's: the
+    loop lists that byte and the table takes it mod m."""
     if n > _MAX_TABLE_BITS:
         raise ValueError(f"refusing to materialize 2**{n} entries (cap n={_MAX_TABLE_BITS})")
     suffixes = [x.to_bytes(4, "big") for x in range(1 << n)]
     last_byte = 256 % m == 0
-    entries = []
+    entries, prefixes = [], {}
     append = entries.append
     for key in keys:
-        copy = _prefix_hash(key, n, m).copy
+        if key.label not in prefixes:
+            prefixes[key.label] = _sha256(_prefix(key.label, n, m))
+        keyed = prefixes[key.label].copy()
+        keyed.update(key.key_bytes)
+        copy = keyed.copy
         if last_byte:
             for suffix in suffixes:
                 h = copy()

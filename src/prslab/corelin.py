@@ -7,11 +7,12 @@ thin validating container.  A circuit layer is one of three kinds, the
 halves of a phase-state generator: all-Hadamard, the Fourier kernel, or a
 phase diagonal; one in-place kernel, `_walsh`, applies H^{(x) m} for the
 Hadamard layer and the pairing moment's final layer.  Nothing here
-compresses an operator to the symmetric subspace: every moment hands its
-compression over with it (see `moments`).  The trace distance checks its
-own peak, splits the difference into the character blocks of the signed
-permutations it is given, if any, and eigensolves each connected block of
-those (or of the whole difference) alone.
+compresses an operator to the symmetric subspace: every moment forms its
+compression from its class Gram (see `moments`).  The trace distance checks
+its own peak, takes a float second operand b as b I (the Haar moment's
+compression is I/D), splits the difference into the character blocks of
+the signed permutations it is given, if any, and eigensolves each
+connected block of those (or of the whole difference) alone.
 Everything here but `_walsh`, which works in place on its caller's array,
 is a pure function on immutable inputs, safe to share across threads.
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
@@ -332,10 +334,13 @@ def _partial_trace_peak_entries(kept: int, traced: int, complex_: bool) -> int:
             + _operator_build_entries(kept, complex_) + (1 << 10))
 
 
-def trace_distance(a: DensityOperator, b: DensityOperator, generators=None) -> float:
+def trace_distance(a: DensityOperator, b: DensityOperator | float, generators=None) -> float:
     """Half the 1-norm of (a - b), via Hermitian eigendecomposition, one
     block at a time, once its peak passes the budget check: the eigenvalues
-    of a block of one are read off its diagonal.
+    of a block of one are read off its diagonal.  A float b stands for b I:
+    it is subtracted from the diagonal of a's entries alone, and as x - 0.0
+    is x the distance is the one to `DensityOperator(b I)`, bit for bit; a
+    non-finite b raises RegisterError.
 
     The blocks are the connected components of the nonzero pattern
     (`_components`) of a - b, or of each of its character blocks when
@@ -351,17 +356,29 @@ def trace_distance(a: DensityOperator, b: DensityOperator, generators=None) -> f
     (`_character_blocks`).  A transformed entry outside the blocks above
     HERMITIAN_ATOL raises RegisterError, so a group that a - b does not
     commute with is refused, not solved.  An empty group splits nothing."""
-    if a.dim != b.dim:
+    if isinstance(b, numbers.Real):
+        b = float(b)
+        if not math.isfinite(b):
+            raise RegisterError(f"the scalar operand {b!r} is not finite")
+    elif a.dim != b.dim:
         raise RegisterError(f"dimension mismatch {a.dim} != {b.dim}")
-    complex_ = np.iscomplexobj(a.matrix) or np.iscomplexobj(b.matrix)
+    else:
+        b = b.matrix
+    complex_ = np.iscomplexobj(a.matrix) or np.iscomplexobj(b)
     plan = None if generators is None or len(generators) == 0 else _character_plan(
         _signed_involutions(generators, a.dim), a.dim)
     check_complex_array(_distance_peak_entries(a.dim, complex_, plan),
                         f"trace distance of two {a.dim} x {a.dim} operators")
     if plan is None:
-        singles, pieces = np.empty(0), [a.matrix - b.matrix]
+        if isinstance(b, float):
+            diff = a.matrix.copy()
+            diff.ravel()[::a.dim + 1] -= b  # a view of the diagonal
+        else:
+            diff = a.matrix - b
+        singles, pieces = np.empty(0), [diff]
+        del diff  # held by `pieces` alone, so the solve drops it
     else:
-        singles, pieces = _character_blocks(a.matrix, b.matrix, plan)
+        singles, pieces = _character_blocks(a.matrix, b, plan)
     triangle = "L" if plan is None else "U"  # the triangle `_character_blocks` fills
     solved = [singles]
     while pieces:  # each piece is dropped once its components are gathered
@@ -384,10 +401,10 @@ def _component_blocks(diff: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def _distance_peak_entries(dim: int, complex_: bool = False, plan=None) -> int:
-    """Upper estimate of `trace_distance`'s peak besides its two dim x dim
-    inputs, in 16-byte units.  numpy's linalg allocates the eigensolver's
-    copy of a block with `malloc`, which tracemalloc does not trace, so a
-    measured peak leaves that copy out.
+    """Upper estimate of `trace_distance`'s peak besides its inputs, in
+    16-byte units, for a dense or a float b alike.  numpy's linalg
+    allocates the eigensolver's copy of a block with `malloc`, which
+    tracemalloc does not trace, so a measured peak leaves that copy out.
 
     Without a plan, the larger of two phases.  The component search holds
     the difference and at most three dim x dim bool arrays (the pattern, its
@@ -401,9 +418,11 @@ def _distance_peak_entries(dim: int, complex_: bool = False, plan=None) -> int:
     Building the plan holds each generator's two arrays of dim entries and
     a dozen more, and a bool per index and generator.  The block phase
     holds six int64 arrays of dim entries and the blocks (the sum of their
-    squares), beside one `_character_blocks` chunk: four arrays of its rows
-    (a's rows, b's rows, the transposed gather and its absolute value), a
-    Walsh slab and six int64 index arrays of the chunk's in-block entries.
+    squares), beside one `_character_blocks` chunk: three arrays of its rows
+    at once (a's rows less b's, the transposed gather and its absolute
+    value, or the next chunk's rows beside the last one's gather; b's rows
+    are dropped once subtracted, and a float b has none), a Walsh slab and
+    six int64 index arrays of the chunk's in-block entries.
     The solve holds the blocks, beside the component search of the largest
     (three bool squares), its gathered components and the eigensolver's
     copy of one."""
@@ -415,7 +434,7 @@ def _distance_peak_entries(dim: int, complex_: bool = False, plan=None) -> int:
     largest = int(counts.max())
     blocks = int(np.sum(counts.astype(np.int64) ** 2)) // per_unit
     rows = min(dim, max(_chunk_rows(dim, 1, per_unit), 1 << int(plan.dims[-1])))
-    chunk = (4 * rows * dim + min(_SLAB_BYTES // 8, rows * dim)) // per_unit + 3 * rows * largest
+    chunk = (3 * rows * dim + min(_SLAB_BYTES // 8, rows * dim)) // per_unit + 3 * rows * largest
     solve = 3 * largest * largest // 16 + 2 * largest * largest // per_unit
     building = (2 * plan.generators + 12) * dim // 2 + plan.generators * dim // 16
     return max(building, 3 * dim + blocks + max(chunk, solve)) + (1 << 10)
@@ -504,13 +523,14 @@ def _chunk_rows(dim: int, orbit: int, per_unit: int) -> int:
     return max(1, _SPLIT_BYTES * per_unit // (16 * dim) // orbit) * orbit
 
 
-def _character_blocks(a: np.ndarray, b: np.ndarray,
+def _character_blocks(a: np.ndarray, b: np.ndarray | float,
                       plan: _CharacterPlan) -> tuple[np.ndarray, list[np.ndarray]]:
     """The diagonal entries of the blocks of one vector and the other blocks
     of a - b in the plan's basis Q: the entries of Q^T (a - b) Q between two
     vectors of one character, each block in the order of its vectors.  The
     blocks are Hermitian, and `trace_distance` reads their upper triangle,
-    which is filled; below it an entry is filled or zero.
+    which is filled; below it an entry is filled or zero.  A float b is
+    b I, subtracted from the diagonal entries of each chunk's rows of a.
 
     A chunk of whole orbits' rows of a - b is gathered in plan order, and
     its columns from the chunk's first position on, transposed, signed on
@@ -536,7 +556,10 @@ def _character_blocks(a: np.ndarray, b: np.ndarray,
         for start in range(lo, hi, step):
             stop = min(hi, start + step)
             rows = a.take(order[start:stop], axis=0)
-            rows -= b.take(order[start:stop], axis=0)
+            if isinstance(b, float):
+                rows[np.arange(stop - start), order[start:stop]] -= b
+            else:
+                rows -= b.take(order[start:stop], axis=0)
             cols = rows.T.take(order[start:], axis=0)  # cols[y - start, x - start]
             cols *= signs[start:, None]
             cols *= signs[start:stop]

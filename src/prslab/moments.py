@@ -9,16 +9,19 @@ kills every cross term between groups, and so enumerates no function.
 
 Every moment lies in Sym^t, of dimension D = C(d+t-1, t), and is constant
 on the multiset classes of labels, so each is held as its D x D class Gram
-G with its compression V^T rho V, G scaled by sqrt(c_a c_b) for the class
-sizes c (`SymmetricMoment`); the Haar moment has G = diag(1/c)/D and
-compression I/D.  No route and no stage of `compare_to_haar` builds a
-d^t x d^t matrix: the distance is taken between the compressions, and a
-moment's `matrix` is expanded from G only when it is read.
-`compare_to_haar` runs four stages that each check themselves: one refusal
-(`_check_method`, which the CLI runs for every chosen method before any
-comparison), the Haar reference, the route and `corelin.trace_distance`,
-which an exhaustive sign-phase moment hands the layout's Pauli symmetries
-as signed permutations of its classes (`_class_symmetries`).
+G alone (`SymmetricMoment`).  Its compression V^T rho V, G scaled by
+sqrt(c_a c_b) for the class sizes c, is formed from G on each read, and
+its d^t x d^t `matrix` is expanded from G when first read.  The Haar
+moment has G = diag(1/c)/D and compression I/D, which is 1/D times the
+identity on Sym^t (Harrow, arXiv:1308.6595), so no stage of
+`compare_to_haar` builds a D x D Haar array or a d^t x d^t matrix: the
+distance is taken between the moment's compression and the float 1/D.
+`compare_to_haar` runs three stages that each check themselves: one
+refusal (`_check_method`, which the CLI runs for every chosen method
+before any comparison), the route and `corelin.trace_distance`, which an
+exhaustive sign-phase moment hands the layout's Pauli symmetries as
+signed permutations of its classes (`_class_symmetries`).  `haar_moment`
+is the dense Haar reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from . import boolfn, corelin, expand
 from .boolfn import BooleanFunction
 from .budget import check_complex_array, check_enumeration, check_power_enumeration
-from .corelin import DensityOperator, PureState
+from .corelin import HERMITIAN_ATOL, DensityOperator, PureState, RegisterError
 from .expand import Layout, Source  # Source is re-exported for MomentSpec users
 from .prsgen import PrsKind
 
@@ -293,18 +296,43 @@ def _check_expansion(local_dim: int, copies: int, complex_: bool, final_layer: b
                         f"moment expansion, dim {local_dim**copies}")
 
 
+def _compression_peak_entries(local_dim: int, copies: int, complex_: bool) -> int:
+    """Upper estimate of `SymmetricMoment.compressed`'s peak besides the
+    Gram, in 16-byte units: the class arrays, then the Gram's scaled copy
+    and what wrapping that in a DensityOperator holds."""
+    sym = corelin.symmetric_subspace_dimension(local_dim, copies)
+    per_unit = 1 if complex_ else 2  # entries per 16 bytes
+    return (corelin._classes_peak_entries(local_dim, copies) + sym * sym // per_unit
+            + corelin._operator_build_entries(sym, complex_))
+
+
 @dataclass(frozen=True)
 class SymmetricMoment:
-    """A t-copy moment rho held as its frozen D x D class Gram G, rho[x, y] =
-    G[a, b] for the classes a of x and b of y, conjugated by H^{(x) qt} with
-    `final_layer`, and `compressed`, V^T rho V before that layer (which maps
-    Sym^t to itself and keeps the spectrum).  `matrix` is built on read."""
+    """A t-copy moment rho held as its frozen D x D class Gram G alone,
+    rho[x, y] = G[a, b] for the classes a of x and b of y, conjugated by
+    H^{(x) qt} with `final_layer`.  G is checked when the moment is made:
+    a square of one row per class, Hermitian and of trace sum_a c_a G_aa = 1
+    for the class sizes c, within HERMITIAN_ATOL; a frozen array is adopted
+    (`corelin._frozen_copy`).  `compressed` and `matrix` are built on read."""
 
     gram: np.ndarray
-    compressed: DensityOperator
     local_dim: int
     copies: int
     final_layer: bool = False
+
+    def __post_init__(self):
+        gram = corelin._frozen_copy(self.gram)
+        object.__setattr__(self, "gram", gram)
+        _, sizes = corelin._symmetric_classes(self.local_dim, self.copies)
+        if gram.shape != (len(sizes),) * 2:
+            raise RegisterError(f"class Gram has shape {gram.shape}, expected one row and "
+                                f"column per class, ({len(sizes)}, {len(sizes)})")
+        dev = corelin._hermitian_deviation(gram)
+        if not dev <= HERMITIAN_ATOL:
+            raise RegisterError(f"class Gram deviates from Hermitian by {dev:.3e}")
+        tr = complex(np.dot(sizes, gram.diagonal()))
+        if not abs(tr - 1.0) <= HERMITIAN_ATOL:
+            raise RegisterError(f"trace {tr!r} deviates from 1 beyond {HERMITIAN_ATOL}")
 
     @property
     def dim(self) -> int:
@@ -312,6 +340,23 @@ class SymmetricMoment:
 
     def trace(self) -> complex:
         return self.compressed.trace()
+
+    @property
+    def compressed(self) -> DensityOperator:
+        """V^T rho V before the final layer (which maps Sym^t to itself and
+        keeps the spectrum): G scaled by sqrt(c_a c_b), formed on each read
+        once its peak passes the budget check, and held by no one here.  At
+        t = 1 every class size is 1 and the operator wraps G itself."""
+        if self.copies == 1:
+            return DensityOperator(self.gram)
+        check_complex_array(
+            _compression_peak_entries(self.local_dim, self.copies, np.iscomplexobj(self.gram)),
+            f"moment compression, dim {len(self.gram)}")
+        scale = np.sqrt(corelin._symmetric_classes(self.local_dim, self.copies)[1])
+        compressed = self.gram * scale[:, None]
+        compressed *= scale
+        compressed.setflags(write=False)  # adopted by the operator, not copied
+        return DensityOperator(compressed)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -337,18 +382,11 @@ class SymmetricMoment:
         return DensityOperator(matrix).matrix
 
 
-def _hand_over(gram: np.ndarray, sizes: np.ndarray, local_dim: int, copies: int,
+def _hand_over(gram: np.ndarray, local_dim: int, copies: int,
                final_layer: bool = False) -> SymmetricMoment:
-    """The moment of the class Gram G, frozen, with G scaled by sqrt(c_a c_b)
-    for the class sizes c as its compression; at t = 1 that is G itself."""
+    """The moment of the class Gram G, frozen and adopted without a copy."""
     gram.setflags(write=False)
-    compressed = gram
-    if copies > 1:
-        scale = np.sqrt(sizes)
-        compressed = gram * scale[:, None]
-        compressed *= scale
-        compressed.setflags(write=False)
-    return SymmetricMoment(gram, DensityOperator(compressed), local_dim, copies, final_layer)
+    return SymmetricMoment(gram, local_dim, copies, final_layer)
 
 
 def _average_symmetric_fold(chunks, t: int) -> SymmetricMoment:
@@ -368,7 +406,7 @@ def _average_symmetric_fold(chunks, t: int) -> SymmetricMoment:
     if count == 0:
         raise ValueError("empty ensemble")
     gram /= count
-    return _hand_over(gram, corelin._symmetric_classes(local_dim, t)[1], local_dim, t)
+    return _hand_over(gram, local_dim, t)
 
 
 def _chunk_rows(dim: int) -> int:
@@ -405,9 +443,9 @@ def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     holds for the chunk.  The products hold the member rows and their
     contiguous copy, the Sym^t products at t copies and at t - 1 (t > 2),
     their conjugate (complex rows) and the D x D product.  The hand-over
-    holds the class arrays, the Gram's scaled copy (t > 1) and what wrapping
-    that in a DensityOperator holds.  Entries are complex128 for the general
-    kind and float64 for sign phases; table entries are int64."""
+    holds what the moment's check of the Gram holds: the class arrays and
+    its Hermiticity tiles.  Entries are complex128 for the general kind and
+    float64 for sign phases; table entries are int64."""
     layout, t = spec.layout, spec.t
     local_dim = 1 << layout.qubits
     sym = corelin.symmetric_subspace_dimension(local_dim, t)
@@ -426,7 +464,7 @@ def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     evaluation = entries // 2 + expand._evaluation_peak_entries(layout, rows, complex_)
     below = corelin.symmetric_subspace_dimension(local_dim, t - 1) if t > 2 else 0
     products = (rows * (2 * local_dim + below + sym * (1 + complex_)) + sym * sym) // per_unit
-    hand_over = (corelin._classes_peak_entries(local_dim, t) + (t > 1) * sym * sym // per_unit
+    hand_over = (corelin._classes_peak_entries(local_dim, t)
                  + corelin._operator_build_entries(sym, complex_))
     return sym * sym // per_unit + max(draw, evaluation, products, hand_over) + (1 << 13)
 
@@ -534,17 +572,28 @@ def _pairing_peak_entries(spec: MomentSpec) -> int:
     stages, plus 128 KiB.  Joining the copies and grouping the kept tuples
     (`_kept_tuples`) holds at most 96 bytes per kept tuple, beside the class
     arrays.  The self-join holds the float64 D x D Gram, one step of pairs
-    (at most e(e + 1)/2 for e entries) and at most 64 bytes per entry, of
-    which there are at most as many as kept tuples.  The hand-over holds
-    the Gram, its scaled copy (t > 1) and that copy's wrapping."""
-    local_dim = 1 << spec.layout.qubits
-    sym = corelin.symmetric_subspace_dimension(local_dim, spec.t)
+    and at most 64 bytes per entry, of which there are at most as many as
+    kept tuples.  A step holds at most e(g + 1)/2 pairs for e entries in
+    key groups of at most g.  A group's entries are distinct classes, each
+    of a multiset of t segments whose key words XOR to the group's key, so
+    g is at most the multisets of t - 1 of the S segments times the
+    segments that share one key word: 2^(n (blocks - draws)), as a draw's
+    key bits of all but one of its blocks fix the last one's.  The
+    hand-over holds the Gram beside what the moment's check of it holds:
+    the class arrays and its Hermiticity tiles."""
+    layout, n, t = spec.layout, spec.n, spec.t
+    local_dim = 1 << layout.qubits
+    sym = corelin.symmetric_subspace_dimension(local_dim, t)
     tuples = _kept_tuples(spec)
-    keying = 6 * tuples + corelin._classes_peak_entries(local_dim, spec.t)
-    step = min(_JOIN_BYTES, _PAIR_BYTES * tuples * (tuples + 1) // 2) // 16
+    keying = 6 * tuples + corelin._classes_peak_entries(local_dim, t)
+    blocks = len(layout.offsets)
+    group = min(sym, tuples, math.comb((1 << n * blocks) + t - 2, t - 1)
+                << n * (blocks - layout.draws))
+    step = min(_JOIN_BYTES, _PAIR_BYTES * tuples * (group + 1) // 2) // 16
     join = sym * sym // 2 + step + 4 * tuples
-    hand_over = sym * sym // 2 * (1 + (spec.t > 1)) + corelin._operator_build_entries(sym)
-    return local_dim**spec.t // 2 + max(keying, join, hand_over) + (1 << 13)
+    hand_over = (sym * sym // 2 + corelin._classes_peak_entries(local_dim, t)
+                 + corelin._operator_build_entries(sym))
+    return local_dim**t // 2 + max(keying, join, hand_over) + (1 << 13)
 
 
 def _kept_tuples(spec: MomentSpec) -> int:
@@ -595,7 +644,7 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> SymmetricMoment:
     gram = _self_join(group, cls, weight[nonzero], sym)
     del entries, weight, nonzero, group, cls
     gram /= 1 << (n * len(layout.offsets) * t)  # exact: integers below 2^53 over a power of two
-    return _hand_over(gram, sizes, 1 << q, t, layout.final_layer)
+    return _hand_over(gram, 1 << q, t, layout.final_layer)
 
 
 def _check_method(spec: MomentSpec, method: Method) -> None:
@@ -621,29 +670,25 @@ def _check_method(spec: MomentSpec, method: Method) -> None:
 
 
 def _haar_peak_entries(local_dim: int, copies: int) -> int:
-    """Upper estimate of `haar_moment`'s peak, in 16-byte units: the class
-    arrays (`corelin._symmetric_classes`), the float64 D x D Gram and I/D
-    and what wrapping I/D in a DensityOperator holds."""
+    """Upper estimate of `haar_moment`'s peak, in 16-byte units: the float64
+    D x D Gram beside the class arrays (`corelin._symmetric_classes`, which
+    the moment's check builds again) and the check's Hermiticity tiles."""
     sym = corelin.symmetric_subspace_dimension(local_dim, copies)
-    return (corelin._classes_peak_entries(local_dim, copies) + sym * sym
+    return (corelin._classes_peak_entries(local_dim, copies) + sym * sym // 2
             + corelin._operator_build_entries(sym))
 
 
 def haar_moment(local_dim: int, copies: int) -> SymmetricMoment:
     """Average t-fold projector of a Haar-random state, the normalized
-    symmetric-subspace projector: class Gram diag(1/c)/D for the class
-    sizes c and compression I/D, two D x D arrays."""
+    symmetric-subspace projector, as the dense reference: class Gram
+    diag(1/c)/D for the class sizes c, one D x D array, whose compression
+    is I/D.  `compare_to_haar` builds none of it."""
     check_complex_array(_haar_peak_entries(local_dim, copies),
                         f"Haar moment on ({local_dim})^{copies}")
     _, sizes = corelin._symmetric_classes(local_dim, copies)
-    sym = len(sizes)
     gram = np.diag(1.0 / sizes)
-    gram /= sym  # the projector's entries 1/c, normalized as they were
-    compressed = np.eye(sym)
-    compressed /= sym
-    gram.setflags(write=False)
-    compressed.setflags(write=False)
-    return SymmetricMoment(gram, DensityOperator(compressed), local_dim, copies)
+    gram /= len(sizes)  # the projector's entries 1/c, normalized as they were
+    return _hand_over(gram, local_dim, copies)
 
 
 def _class_symmetries(spec: MomentSpec,
@@ -689,12 +734,12 @@ def _class_symmetries(spec: MomentSpec,
 
 def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
     """The ensemble moment by the chosen route and its trace distance to
-    the Haar moment, in four stages that each check themselves: the refusal
-    (`_check_method`), the Haar reference, the route and
-    `corelin.trace_distance` of the two moments' D x D compressions (the
-    Haar moment's is I/D), split by the layout's Pauli symmetries
-    (`_class_symmetries`) where it has them.  Deterministic given the
-    function-space seed."""
+    the Haar moment, in three stages that each check themselves: the
+    refusal (`_check_method`), the route and `corelin.trace_distance` of
+    the moment's D x D compression, read once, and the Haar moment's, which
+    is I/D and passed as the float 1/D, split by the layout's Pauli
+    symmetries (`_class_symmetries`) where it has them.  Deterministic given
+    the function-space seed."""
     _check_method(spec, method)
     start = time.perf_counter()
     local_dim = 1 << spec.layout.qubits
@@ -702,10 +747,10 @@ def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
     # BASELINE_ROWS and tests/test_perfbench.py time this span by name;
     # it goes when the benchmark stops timing it (ROADMAP direction 1)
     corelin.symmetric_projector(local_dim, spec.t)
-    haar = haar_moment(local_dim, spec.t).compressed
     route = (ensemble_moment_deltapair if method is Method.DELTA_PAIRING
              else ensemble_moment_bruteforce)
     moment = route(spec)
-    distance = corelin.trace_distance(moment.compressed, haar, _class_symmetries(spec, moment))
+    distance = corelin.trace_distance(moment.compressed, 1.0 / len(moment.gram),
+                                      _class_symmetries(spec, moment))
     runtime_ms = int(round((time.perf_counter() - start) * 1000))
     return MomentReport(spec, method, moment, distance, runtime_ms, spec.function_space.seed)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -220,6 +221,21 @@ class TestPrf:
         assert batch.table.shape == (3, 1 << n) and batch.range_modulus == m
         for key, table in zip(keys, batch.table):
             assert table.tolist() == [boolfn.prf_eval(key, n, m, x) for x in range(1 << n)]
+
+    @pytest.mark.parametrize("builtin", [True, False], ids=["builtin", "hashlib"])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_tables_equal_prf_eval_on_either_constructor(self, monkeypatch, builtin, n):
+        # the batch hashes with CPython's builtin sha256 where it exists and
+        # falls back to hashlib's; prf_eval always hashes with hashlib.  The
+        # keys carry two labels, each with its own prefix state
+        if not builtin:
+            monkeypatch.setattr(boolfn, "_sha256", hashlib.sha256)
+        keys = (boolfn.derive_keys(3, seed=2, label="one")
+                + boolfn.derive_keys(2, seed=2, label="two"))
+        for m in (2, 3, 256, 1 << n):
+            batch = boolfn.prf_tables(keys, n, m).table
+            assert batch.tolist() == [[boolfn.prf_eval(key, n, m, x) for x in range(1 << n)]
+                                      for key in keys]
 
     def test_general_modulus_table(self):
         f = boolfn.prf_tables([PrfKey(b"\x02" * 16)], 3, 8)

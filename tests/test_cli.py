@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from prslab import budget, cli, combinatorics, corelin, moments
+from prslab import budget, cli, combinatorics, condcheck, corelin, expand, moments, prsgen
 from prslab.budget import DEFAULT_BUDGET_MIB
 from prslab.moments import ExhaustiveAllFunctions
 
@@ -438,21 +438,35 @@ class TestVerificationCommands:
         assert not (tmp_path / "lemmas.csv").exists()
 
     def test_every_budget_check_of_a_command_reads_the_flag(self, tmp_path, monkeypatch):
-        resolved = []
-        resolve = budget.budget_mib
+        checks, resolved = [], []
+        check, resolve = budget.check_complex_array, budget.budget_mib
+
+        def record_check(entries, what):
+            checks.append(what)
+            return check(entries, what)
 
         def record(*args):
             resolved.append(resolve(*args))
             return resolved[-1]
 
+        for module in (condcheck, corelin, expand, moments, prsgen):
+            monkeypatch.setattr(module, "check_complex_array", record_check)
         monkeypatch.setattr(budget, "budget_mib", record)
         assert run(["--budget-mib", "4096", "--out-dir", tmp_path, "moments", "--source",
                     "plain", "--n", "2", "--t", "1", "--method", "bruteforce"]) == 0
-        # the accumulation peak; the 16 members' batch register and its first
-        # block; the Haar projector and its compression and the distance stage
-        # (the route hands its moment's compression over)
-        assert len(resolved) >= 6
-        assert set(resolved) == {4096}
+        # the projector the comparison builds and drops, the accumulation
+        # peak, the 16 members' batch evaluation and its first block's
+        # prepared state, and the distance stage; at t = 1 the moment's
+        # compression is its Gram, read with no check, and no Haar array is
+        # built
+        assert checks == [
+            "symmetric projector on (4)^1",
+            "moment accumulation peak, dim 4",
+            "evaluation on 2 qubits",
+            "state on 2 qubits",
+            "trace distance of two 4 x 4 operators",
+        ]
+        assert resolved == [4096] * len(checks)
 
     @pytest.mark.parametrize("env, expected", [(None, DEFAULT_BUDGET_MIB), ("64", 64)])
     def test_a_refused_flag_run_leaves_no_budget_behind(self, tmp_path, monkeypatch, capsys,

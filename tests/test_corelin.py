@@ -460,11 +460,11 @@ class TestTraceDistance:
 
 
 def pairing_compressions(spec):
-    """The pairing route's handed-over D x D operator for the spec and the
-    Haar moment's, I/D: the two operators `compare_to_haar` solves."""
-    local_dim = 1 << spec.layout.qubits
-    return (ensemble_moment_deltapair(spec).compressed,
-            haar_moment(local_dim, spec.t).compressed)
+    """The pairing route's D x D compression for the spec and the Haar
+    moment's, I/D, as the float 1/D: the two operands `compare_to_haar`
+    solves."""
+    compressed = ensemble_moment_deltapair(spec).compressed
+    return compressed, 1.0 / compressed.dim
 
 
 class TestTraceDistanceBudget:
@@ -542,6 +542,28 @@ def _orbit_generators():
 def _layout_generators(spec):
     moment = ensemble_moment_deltapair(spec)
     return moments._class_symmetries(spec, moment), moment.compressed.dim
+
+
+class TestScalarOperand:
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+    @pytest.mark.parametrize("c", [0.0, 1 / 36, -0.3, np.float64(2.5)])
+    def test_a_float_is_its_multiple_of_the_identity_bit_for_bit(self, rng, complex_, split, c):
+        # c is subtracted from the diagonal alone, and x - 0.0 is x, so every
+        # entry of the difference, and so the distance, is the dense one's
+        generators, dim = _layout_generators(MomentSpec(Source.CONSTRUCTION1, n=2, i=1, t=2))
+        generators = generators if split else None
+        for _ in range(3):
+            a = commuting_operator(generators or [], dim, complex_, rng)
+            dense = DensityOperator(c * np.eye(dim), normalized=False)
+            assert trace_distance(a, c, generators) == trace_distance(a, dense, generators)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_float_is_refused(self, c):
+        a = DensityOperator(np.eye(4) / 4)
+        for generators in (None, [(np.arange(4), np.array([1.0, -1.0, 1.0, -1.0]))]):
+            with pytest.raises(RegisterError, match="^the scalar operand .* is not finite$"):
+                trace_distance(a, c, generators)
 
 
 class TestTraceDistanceSplit:
@@ -637,11 +659,12 @@ class TestTraceDistanceSplit:
         # sets the peak; plain (4,2): 136 blocks of one
         moment = ensemble_moment_deltapair(spec)
         generators = moments._class_symmetries(spec, moment)
-        a, b = moment.compressed, haar_moment(1 << spec.layout.qubits, spec.t).compressed
+        a = moment.compressed
         plan = corelin._character_plan(corelin._signed_involutions(generators, a.dim), a.dim)
-        measured = measured_peak(lambda: trace_distance(a, b, generators))
         estimate = 16 * corelin._distance_peak_entries(a.dim, False, plan)
-        assert measured <= estimate <= 2 * measured
+        for b in (1.0 / a.dim, DensityOperator(np.eye(a.dim) / a.dim)):
+            measured = measured_peak(lambda: trace_distance(a, b, generators))
+            assert measured <= estimate <= 2 * measured
 
 
 class TestSymmetricProjector:

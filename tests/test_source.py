@@ -129,8 +129,8 @@ def test_the_walsh_factors_are_read_only_by_the_walsh_kernel():
 
 
 def test_only_the_moment_s_matrix_expands_a_class_gram():
-    # one expansion site: every route and the Haar oracle hand over a D x D
-    # class Gram, and SymmetricMoment.matrix alone copies its class rows
+    # one expansion site: every route and the Haar reference hand over a
+    # D x D class Gram, and SymmetricMoment.matrix alone copies its class rows
     # out to the d^t x d^t matrix, on first read
     modules = sorted(Path(prslab.__file__).parent.rglob("*.py"))
     inside, offenders = set(), []
@@ -155,9 +155,10 @@ def _names(node, name):
 
 
 def test_nothing_is_compressed_after_the_fact():
-    # every moment, the Haar reference included, hands its Sym^t
-    # compression over with it, so no module defines or calls a compressor,
-    # and the moments module solves a distance only in compare_to_haar
+    # every moment forms its Sym^t compression from its own class Gram when
+    # it is read, and the Haar moment's is I/D, so no module defines or
+    # calls a compressor, and the moments module solves a distance only in
+    # compare_to_haar
     modules = sorted(Path(prslab.__file__).parent.rglob("*.py"))
     stage, offenders = [], []
     for path in modules:
@@ -175,6 +176,25 @@ def test_nothing_is_compressed_after_the_fact():
             assert any(id(node) in inside for node in solves), "compare_to_haar solves no distance"
     assert stage, "moments.compare_to_haar not found"
     assert offenders == []
+
+
+def test_a_moment_holds_one_array_and_the_comparison_no_haar_array():
+    # SymmetricMoment declares its class Gram as its one array field (its
+    # compression and matrix are built on read), and compare_to_haar hands
+    # the distance I/D as the float 1/D: it builds no Haar moment and no
+    # dense identity or diagonal
+    tree = ast.parse(Path(moments.__file__).read_text(encoding="utf-8"))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    arrays = [node.target.id for node in classes["SymmetricMoment"].body
+              if isinstance(node, ast.AnnAssign) and "ndarray" in ast.unparse(node.annotation)]
+    assert arrays == ["gram"]
+    calls = [node.func for node in ast.walk(functions["compare_to_haar"])
+             if isinstance(node, ast.Call)]
+    assert calls, "compare_to_haar calls nothing"
+    dense = ("haar_moment", "eye", "diag", "identity")
+    assert [ast.unparse(func) for func in calls
+            if any(_names(func, name) for name in dense)] == []
 
 
 def test_the_cli_compares_only_in_one_helper():
