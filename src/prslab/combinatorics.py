@@ -206,12 +206,17 @@ class RecombinationWitness:
 
     def round_trip(self) -> bool:
         """Split each joined value x << n | y back into (x, y) and compare;
-        the t joined values must be distinct."""
+        the t joined values must be distinct.  One pass that stops at the
+        first failing pair; the closing length test refuses unequal tuples."""
         n = self.n
-        joined = [x << n | y for x, y in zip(self.xs, self.ys)]
         low = (1 << n) - 1
-        return (len(set(joined)) == len(joined) and [v >> n for v in joined] == list(self.xs)
-                and [v & low for v in joined] == list(self.ys))
+        seen = set()
+        for x, y in zip(self.xs, self.ys):
+            v = x << n | y
+            if v in seen or v >> n != x or v & low != y:
+                return False
+            seen.add(v)
+        return len(seen) == len(self.xs) == len(self.ys)
 
 
 # The two parse caches below are keyed by immutable tuples of str together
@@ -243,7 +248,8 @@ def recombine(x_prime: Sequence[str], y: Sequence[str]) -> RecombinationWitness:
     if not y or not x_prime:
         raise ShapeError("empty tuples")
     n, i = len(y[0]), len(x_prime[0])
-    _check_good_set_shape(x_prime, y, n, i)
+    if n < 2 * i or len(x_prime) != len(y):  # the only refusals left to the shape check
+        _check_good_set_shape(x_prime, y, n, i)
     return RecombinationWitness(n, i, _x_prime_values(x_prime, i), _good_y_values(y, n, i))
 
 

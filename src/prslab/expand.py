@@ -231,35 +231,55 @@ def evaluate(spec: ConstructionSpec) -> PureState:
     return state
 
 
+_CLOSED_FORM_STEP_BYTES = 1 << 20  # temporaries of one step of the closed-form sum
+
+
+def _closed_form_step(n: int, i: int) -> tuple[int, int]:
+    """Output y values per step of the closed-form sum, as many as fit in
+    _CLOSED_FORM_STEP_BYTES and at least one, and the bytes a step holds at
+    most: per y, the int64 and uint8 (y, x'') arrays of the y part, a uint8
+    exponent per (x', x'') and a float64 odd count per x'; and the two int64
+    buffers, of up to np.getbufsize() entries each, of the broadcast `&`."""
+    overlap = 1 << (n - i)
+    per_row = 9 * overlap + (1 << n) + (8 << i)
+    rows = max(1, min(1 << n, _CLOSED_FORM_STEP_BYTES // per_row))
+    return rows, rows * per_row + 16 * min(np.getbufsize(), rows * overlap)
+
+
 def _closed_form_peak_entries(n: int, i: int) -> int:
     """Upper estimate of `closed_form_construction1`'s peak, in 16-byte
-    units: four float64 copies of the 2^(n+i) amplitudes (the sums beside
-    the Hadamard layer's input and two intermediates), the table as a list
-    of 2^n Python ints, plus 32 KiB of Python objects."""
-    return (2 << (n + i)) + (1 << n) // 2 + (1 << 11)
+    units: four float64 copies of the 2^(n+i) amplitudes (the odd counts,
+    the amplitudes beside the Hadamard layer's input and its intermediate),
+    one step's temporaries, plus 32 KiB of Python objects."""
+    return (2 << (n + i)) + _closed_form_step(n, i)[1] // 16 + (1 << 11)
 
 
 def closed_form_construction1(f: BooleanFunction, n: int, i: int) -> PureState:
     """Direct amplitude sum for the two-block overlap circuit (sign phases only).
 
-    Evaluates, per output basis state |x'>|y|>, the sum over the overlap
+    Evaluates, per output basis state |x'>|y>, the sum over the overlap
     register x'' of (-1)^(f(x'x'') + y.(x''0^i) + f(y)) / 2^n, with no circuit
     simulation, then applies the final Hadamard layer; used as an oracle
-    against `evaluate`.
+    against `evaluate`.  The sum of the signs is 2^(n-i) less twice the count
+    of odd exponents, counted for a step of y values at a time.
     """
     construction1(f, n, i)  # rejects i outside 1 <= i < n and f of another width or modulus
     q = n + i
     check_complex_array(_closed_form_peak_entries(n, i), f"closed form on {q} qubits")
-    amps = np.zeros(1 << q)
-    table = f.table.tolist()
-    n_overlap = n - i
-    for xp in range(1 << i):
-        for y in range(1 << n):
-            y_head = y >> i  # the first n - i bits pair with x'' in the dot product
-            acc = 0
-            for xpp in range(1 << n_overlap):
-                e = table[(xp << n_overlap) | xpp] + (y_head & xpp).bit_count() + table[y]
-                acc += -1 if e & 1 else 1
-            amps[(xp << n) | y] = acc
-    state = PureState(q, amps / (1 << n))
+    table = f.table.astype(np.uint8)
+    overlap = 1 << (n - i)
+    xpp = np.arange(overlap)
+    f_x = table.reshape(1 << i, 1, overlap)  # f(x' x''), per x' and x''
+    odd = np.empty((1 << i, 1 << n))  # per x' and y, the count of x'' with an odd exponent
+    rows, _ = _closed_form_step(n, i)
+    for y0 in range(0, 1 << n, rows):
+        y1 = min(y0 + rows, 1 << n)
+        # the first n - i bits of y pair with x'' in the dot product
+        e_y = np.bitwise_count((np.arange(y0, y1)[:, None] >> i) & xpp)
+        e_y += table[y0:y1, None]
+        e = f_x + e_y
+        e &= 1
+        e.sum(axis=-1, out=odd[:, y0:y1])
+        del e_y, e  # not held while the next step's y part is formed
+    state = PureState(q, (overlap - 2 * odd.reshape(-1)) / (1 << n))
     return corelin.apply_layer(state, corelin.hadamard_all_layer(tuple(range(q))))

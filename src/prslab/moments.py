@@ -339,7 +339,9 @@ class SymmetricMoment:
         return self.local_dim**self.copies
 
     def trace(self) -> complex:
-        return self.compressed.trace()
+        """sum_a c_a G_aa, the trace `__post_init__` checks: no compression is formed."""
+        sizes = corelin._symmetric_classes(self.local_dim, self.copies)[1]
+        return complex(np.dot(sizes, self.gram.diagonal()))
 
     @property
     def compressed(self) -> DensityOperator:

@@ -323,6 +323,36 @@ def closed_form_good_size(n: int, i: int, t: int) -> int:
     return math.factorial(t) * elementary[t] << (i * t)
 
 
+def closed_form_construction1_loops(f: BooleanFunction, n: int, i: int) -> PureState:
+    """The two-block overlap circuit's amplitude sum as a loop over every
+    (x', y, x''): (-1)^(f(x'x'') + y.(x''0^i) + f(y)) / 2^n at |x'>|y>,
+    summed over x'', then the final Hadamard layer."""
+    q = n + i
+    amps = np.zeros(1 << q)
+    table = f.table.tolist()
+    n_overlap = n - i
+    for xp in range(1 << i):
+        for y in range(1 << n):
+            y_head = y >> i  # the first n - i bits pair with x'' in the dot product
+            acc = 0
+            for xpp in range(1 << n_overlap):
+                e = table[(xp << n_overlap) | xpp] + (y_head & xpp).bit_count() + table[y]
+                acc += -1 if e & 1 else 1
+            amps[(xp << n) | y] = acc
+    state = PureState(q, amps / (1 << n))
+    return corelin.apply_layer(state, corelin.hadamard_all_layer(tuple(range(q))))
+
+
+def round_trip_lists(witness) -> bool:
+    """A recombination witness's round trip on whole lists: the joined values
+    x << n | y are distinct and split back into the witness's xs and ys."""
+    n = witness.n
+    joined = [x << n | y for x, y in zip(witness.xs, witness.ys)]
+    low = (1 << n) - 1
+    return (len(set(joined)) == len(joined) and [v >> n for v in joined] == list(witness.xs)
+            and [v & low for v in joined] == list(witness.ys))
+
+
 def assert_vectors_close(a, b, atol):
     __tracebackhide__ = True
     a = np.asarray(a, dtype=complex).reshape(-1)

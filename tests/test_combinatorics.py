@@ -25,6 +25,7 @@ from prslab.combinatorics import (
 
 from conftest import (
     closed_form_good_size, recombination_elements, register_permutation_operator,
+    round_trip_lists,
 )
 
 
@@ -432,6 +433,27 @@ class TestRecombine:
         for n, i, t in ((3, 1, 1), (3, 1, 2)):
             for x_prime, y in cb.iter_good_members(n, i, t):
                 assert recombine(x_prime, y).round_trip()
+
+    @pytest.mark.parametrize("n,i,t", CENSUS_POINTS)
+    def test_round_trip_is_the_list_round_trip_on_every_member(self, n, i, t):
+        for x_prime, y in cb.iter_good_members(n, i, t):
+            witness = recombine(x_prime, y)
+            assert witness.round_trip() == round_trip_lists(witness)
+
+    # at n = 3; the witnesses are built directly, as recombine builds none of them
+    @pytest.mark.parametrize("xs,ys,expected", [
+        ((0, 1), (3, 5), True),
+        ((1, 0, 1), (2, 3, 2), False),  # the third joined value repeats the first
+        ((0, 1), (3, 8), False),  # y >= 2^n
+        ((1,), (9,), False),  # y >= 2^n, its high bit where x << n sets one
+        ((0, 1), (3,), False),  # more xs than ys
+        ((0,), (3, 5), False),  # more ys than xs
+        ((), (), True),
+    ], ids=["member", "repeated", "wide-y", "wide-y-high-bit", "more-xs", "more-ys", "empty"])
+    def test_round_trip_is_the_list_round_trip_on_hand_built_witnesses(self, xs, ys,
+                                                                       expected):
+        witness = cb.RecombinationWitness(3, 1, xs, ys)
+        assert witness.round_trip() is round_trip_lists(witness) is expected
 
     def test_element_collisions_exist_inside_the_set(self):
         # the printed predicate admits members whose pair elements collide

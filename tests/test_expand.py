@@ -11,8 +11,8 @@ from prslab.expand import Layout
 from prslab.prsgen import PrsGenerator, PrsKind
 
 from conftest import (
-    assert_vectors_close, basis_state, constant_function, measured_peak, pauli_span,
-    searched_pauli_symmetries,
+    assert_vectors_close, basis_state, closed_form_construction1_loops, constant_function,
+    measured_peak, pauli_span, searched_pauli_symmetries,
 )
 
 
@@ -83,15 +83,34 @@ class TestClosedForm:
                                      corelin.apply_layer(direct, undo_final_layer).amplitudes,
                                      1e-12)
 
+    def test_array_sum_is_the_loop_sum_bit_for_bit(self, rng):
+        functions = [((n, i), f) for n, i in ((2, 1), (3, 1), (3, 2))
+                     for f in boolfn.enumerate_all(n, 2)]
+        functions += [((n, i), boolfn.random_function(n, 2, rng))
+                      for n, i in ((5, 2), (6, 1), (7, 3)) for _ in range(20)]
+        for (n, i), f in functions:
+            got = expand.closed_form_construction1(f, n, i).amplitudes
+            want = closed_form_construction1_loops(f, n, i).amplitudes
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_steps_of_one_y_give_the_same_bytes(self, monkeypatch, rng):
+        f = boolfn.random_function(6, 2, rng)
+        whole = expand.closed_form_construction1(f, 6, 2).amplitudes.tobytes()
+        monkeypatch.setattr(expand, "_CLOSED_FORM_STEP_BYTES", 1)
+        assert expand._closed_form_step(6, 2)[0] == 1
+        assert expand.closed_form_construction1(f, 6, 2).amplitudes.tobytes() == whole
+
     def test_norm_one_for_random_functions(self, rng):
         for _ in range(100):
             f = boolfn.random_function(4, 2, rng)
             state = expand.closed_form_construction1(f, 4, 2)
             assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
 
-    # the float64 sums, their scaled copy, the state's copy and the Hadamard
-    # layer's copies: about 4.0-4.5 copies of the amplitudes at the peak
-    @pytest.mark.parametrize("n,i", [(6, 4), (7, 5), (8, 6)])
+    # where x' is wide, about four float64 copies of the amplitudes (the odd
+    # counts, their scaled copies, the state's copy and the Hadamard
+    # layer's); where the overlap is wide, one step of the sum (up to 1 MiB)
+    # and the buffers of its broadcast `&`
+    @pytest.mark.parametrize("n,i", [(6, 4), (7, 5), (8, 6), (8, 1), (10, 1), (10, 2)])
     def test_budget_estimate_covers_measured_peak(self, n, i, rng):
         f = boolfn.random_function(n, 2, rng)
         measured = measured_peak(lambda: expand.closed_form_construction1(f, n, i))

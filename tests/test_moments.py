@@ -868,6 +868,19 @@ class TestHandOver:
         iso = symmetric_isometry(local_dim, copies)
         assert_matrices_close(got.compressed.matrix, iso.T @ before @ iso, 1e-13)
 
+    @pytest.mark.parametrize("local_dim,copies", [(2, 1), (4, 2), (3, 3), (2, 4), (8, 2)])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_trace_is_the_compressions(self, rng, local_dim, copies, complex_):
+        gram, _, _ = self.random_gram(rng, local_dim, copies, complex_)
+        got = moments._hand_over(gram, local_dim, copies)
+        assert abs(got.trace() - got.compressed.trace()) <= 1e-15
+
+    def test_trace_forms_no_compression(self):
+        # the c1 (4,1,2) compression is 528 x 528 float64, 2.1 MiB
+        moment = ensemble_moment_deltapair(c1(4, 1, 2))
+        assert abs(moment.trace() - moment.compressed.trace()) <= 1e-15
+        assert measured_peak(moment.trace) < 1 << 20
+
     def test_complex_rows_hand_over_a_complex_operator(self, rng):
         # one complex state: the operator is |v><v|^{(x) 2} compressed, of trace 1
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
