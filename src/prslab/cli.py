@@ -104,15 +104,11 @@ def _report_row(report: moments.MomentReport, canonical: bool):
 
 def _compare(methods, seed, source, kind, n, i, ell, t, space, shared_key):
     """The reports of one comparison per method at the point the flag values
-    name; every method, and for two the moments' expansion the sweep reads,
-    is refused or accepted before the first comparison."""
+    name; every method is refused or accepted before the first comparison."""
     spec = MomentSpec(Source(source), n, t, PrsKind(kind), i=i, ell=ell,
                       function_space=_parse_space(space, seed), shared_key=shared_key)
     for method in methods:
         moments._check_method(spec, method)
-    if len(methods) > 1:
-        moments._check_expansion(1 << spec.layout.qubits, t, spec.kind is PrsKind.GENERAL_PHASE,
-                                 spec.layout.final_layer)
     return [moments.compare_to_haar(spec, method) for method in methods]
 
 
@@ -261,9 +257,9 @@ def cmd_sweep(args, out_dir: Path) -> int:
                 _flag_value(flags[name], value)
             reports = _compare(methods, seed, **point_desc)
             equiv = None
-            if len(reports) > 1:
-                mats = [r.moment.matrix for r in reports]
-                equiv = float(np.max(np.abs(mats[0] - mats[1])))
+            if len(reports) > 1:  # rho[x, y] = G[a, b]: the class Grams' gap is rho's
+                grams = [r.moment.gram for r in reports]
+                equiv = float(np.max(np.abs(grams[0] - grams[1])))
             for report in reports:
                 rows.append(_report_row(report, args.canonical) + (equiv,))
         except (BudgetError, ValueError) as exc:

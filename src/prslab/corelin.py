@@ -6,13 +6,14 @@ the symmetric projector never carry an imaginary part.  Each is wrapped in a
 thin validating container.  A circuit layer is one of three kinds, the
 halves of a phase-state generator: all-Hadamard, the Fourier kernel, or a
 phase diagonal; one in-place kernel, `_walsh`, applies H^{(x) m} for the
-Hadamard layer and the pairing moment's final layer.  Nothing here
-compresses an operator to the symmetric subspace: every moment forms its
-compression from its class Gram (see `moments`).  The trace distance checks
-its own peak, takes a float second operand b as b I (the Haar moment's
-compression is I/D), splits the difference into the character blocks of
-the signed permutations it is given, if any, and eigensolves each
-connected block of those (or of the whole difference) alone.
+Hadamard layer and the trace distance's character blocks, and no other
+module calls it.  Nothing here compresses an operator to the symmetric
+subspace: every moment is held before its layout's final layer and forms
+its compression from its class Gram (see `moments`).  The trace distance
+checks its own peak, takes a float second operand b as b I (the Haar
+moment's compression is I/D), splits the difference into the character
+blocks of the signed permutations it is given, if any, and eigensolves
+each connected block of those (or of the whole difference) alone.
 Everything here but `_walsh`, which works in place on its caller's array,
 is a pure function on immutable inputs, safe to share across threads.
 
@@ -706,7 +707,9 @@ def _walsh(arr: np.ndarray, axis: int) -> None:
     """Apply H^{(x) m} in place along `axis`, of length 2^m, of a writable
     C-ordered float64 or complex128 array: one `_factor_widths` factor at a
     time, on its bits of the axis index, one matrix product per slab of about
-    _SLAB_BYTES.  A strided array is refused: a reshape would copy it."""
+    _SLAB_BYTES.  A strided array is refused: a reshape would copy it.  Only
+    this module calls it: for the Hadamard layer (`hadamard_transform`) and
+    for the trace distance's character blocks."""
     if not arr.flags.c_contiguous:
         raise ValueError("the Walsh transform works in place and needs a C-ordered array")
     trail = math.prod(arr.shape[axis % arr.ndim:])  # >>= w: the entries after each factor

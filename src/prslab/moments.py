@@ -7,6 +7,12 @@ groups tuples of basis labels by the parity vector their phase exponents
 induce on the function table, as averaging the sign over *all* functions
 kills every cross term between groups, and so enumerates no function.
 
+Every moment is held before its layout's final layer U, the Hadamard or
+Fourier layer on the whole register: `member_state` evaluates members
+without it, and the pairing route never applies it.  U^{(x) t} commutes
+with the Haar moment, so the layer changes no distance, purity, spectrum
+or gap between two routes, and two routes' moments compare entrywise.
+
 Every moment lies in Sym^t, of dimension D = C(d+t-1, t), and is constant
 on the multiset classes of labels, so each is held as its D x D class Gram
 G alone (`SymmetricMoment`).  Its compression V^T rho V, G scaled by
@@ -29,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from typing import ClassVar
@@ -209,9 +215,11 @@ def member_functions(spec: MomentSpec, rows: int | None = None):
 
 
 def member_state(spec: MomentSpec, fns: tuple[BooleanFunction, ...]) -> PureState:
-    """Single-copy ensemble member for one drawn function tuple; for a tuple
-    of function batches, the batch of members, one row each."""
-    return expand.evaluate(expand.circuit(spec.layout, fns, spec.kind))
+    """Single-copy ensemble member for one drawn function tuple, before its
+    layout's final layer, where every moment is held; for a tuple of
+    function batches, the batch of members, one row each."""
+    return expand.evaluate(expand.circuit(replace(spec.layout, final_layer=False), fns,
+                                          spec.kind))
 
 
 def _symmetric_fold(vs: np.ndarray, t: int) -> np.ndarray:
@@ -276,24 +284,16 @@ def _copy_class_rows(matrix: np.ndarray, classes: np.ndarray) -> None:
         matrix[start:stop] = matrix.take(classes[start:stop], axis=0)
 
 
-def _expansion_peak_entries(local_dim: int, copies: int, complex_: bool = False,
-                            final_layer: bool = False) -> int:
+def _expansion_peak_entries(local_dim: int, copies: int, complex_: bool = False) -> int:
     """Upper estimate of `SymmetricMoment.matrix`'s peak, in 16-byte units:
     the matrix, the class of every label and the class arrays, beside the
-    largest of one gathered block of rows, one Walsh slab (final layer) and
-    the matrix's DensityOperator check, plus 4 KiB."""
+    larger of one gathered block of rows and the matrix's DensityOperator
+    check, plus 4 KiB."""
     dim = local_dim**copies
     per_unit = 1 if complex_ else 2  # entries per 16 bytes
     block = min(dim, _gather_rows(dim, 16 // per_unit)) * dim // per_unit
-    slab = min(corelin._SLAB_BYTES // 16, dim * dim // per_unit) if final_layer else 0
     return (dim * dim // per_unit + dim // 2 + corelin._classes_peak_entries(local_dim, copies)
-            + max(block, slab, corelin._operator_build_entries(dim, complex_)) + (1 << 8))
-
-
-def _check_expansion(local_dim: int, copies: int, complex_: bool, final_layer: bool) -> None:
-    """Refuse a moment whose expansion (`SymmetricMoment.matrix`) the budget cannot hold."""
-    check_complex_array(_expansion_peak_entries(local_dim, copies, complex_, final_layer),
-                        f"moment expansion, dim {local_dim**copies}")
+            + max(block, corelin._operator_build_entries(dim, complex_)) + (1 << 8))
 
 
 def _compression_peak_entries(local_dim: int, copies: int, complex_: bool) -> int:
@@ -308,9 +308,9 @@ def _compression_peak_entries(local_dim: int, copies: int, complex_: bool) -> in
 
 @dataclass(frozen=True)
 class SymmetricMoment:
-    """A t-copy moment rho held as its frozen D x D class Gram G alone,
-    rho[x, y] = G[a, b] for the classes a of x and b of y, conjugated by
-    H^{(x) qt} with `final_layer`.  G is checked when the moment is made:
+    """A t-copy moment rho, held before its layout's final layer, as its
+    frozen D x D class Gram G alone: rho[x, y] = G[a, b] for the classes a
+    of x and b of y.  G is checked when the moment is made:
     a square of one row per class, Hermitian and of trace sum_a c_a G_aa = 1
     for the class sizes c, within HERMITIAN_ATOL; a frozen array is adopted
     (`corelin._frozen_copy`).  `compressed` and `matrix` are built on read."""
@@ -318,7 +318,6 @@ class SymmetricMoment:
     gram: np.ndarray
     local_dim: int
     copies: int
-    final_layer: bool = False
 
     def __post_init__(self):
         gram = corelin._frozen_copy(self.gram)
@@ -345,8 +344,7 @@ class SymmetricMoment:
 
     @property
     def compressed(self) -> DensityOperator:
-        """V^T rho V before the final layer (which maps Sym^t to itself and
-        keeps the spectrum): G scaled by sqrt(c_a c_b), formed on each read
+        """V^T rho V: G scaled by sqrt(c_a c_b), formed on each read
         once its peak passes the budget check, and held by no one here.  At
         t = 1 every class size is 1 and the operator wraps G itself."""
         if self.copies == 1:
@@ -364,31 +362,24 @@ class SymmetricMoment:
     def matrix(self) -> np.ndarray:
         """rho, once its peak passes the budget check: row a < D is G's row a
         gathered over every label, then each row is copied from its class's.
-        The final layer, which commutes with copy permutations, runs on the
-        D class rows before the copy and on the whole matrix after.  At
-        t = 1 with no final layer rho is its compression: that array."""
-        if self.copies == 1 and not self.final_layer:
+        At t = 1 rho is its compression: that array."""
+        if self.copies == 1:
             return self.compressed.matrix
-        _check_expansion(self.local_dim, self.copies, np.iscomplexobj(self.gram),
-                         self.final_layer)
+        check_complex_array(
+            _expansion_peak_entries(self.local_dim, self.copies, np.iscomplexobj(self.gram)),
+            f"moment expansion, dim {self.dim}")
         classes, _ = _label_classes(self.local_dim, self.copies)
-        sym = len(self.gram)
         matrix = np.empty((len(classes),) * 2, dtype=self.gram.dtype)
-        self.gram.take(classes, axis=1, out=matrix[:sym], mode="clip")  # "clip": no buffer
-        if self.final_layer:
-            corelin._walsh(matrix[:sym], 1)  # H is symmetric: row r of M H is H applied to row r
+        self.gram.take(classes, axis=1, out=matrix[:len(self.gram)], mode="clip")  # no buffer
         _copy_class_rows(matrix, classes)
-        if self.final_layer:
-            corelin._walsh(matrix, 0)
         matrix.setflags(write=False)  # adopted by the operator, which checks it, not copied
         return DensityOperator(matrix).matrix
 
 
-def _hand_over(gram: np.ndarray, local_dim: int, copies: int,
-               final_layer: bool = False) -> SymmetricMoment:
+def _hand_over(gram: np.ndarray, local_dim: int, copies: int) -> SymmetricMoment:
     """The moment of the class Gram G, frozen and adopted without a copy."""
     gram.setflags(write=False)
-    return SymmetricMoment(gram, local_dim, copies, final_layer)
+    return SymmetricMoment(gram, local_dim, copies)
 
 
 def _average_symmetric_fold(chunks, t: int) -> SymmetricMoment:
@@ -615,9 +606,9 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> SymmetricMoment:
 
     Sign-phase kind, exhaustive space, any layout.  Each block is a Hadamard
     layer on its n targets then a sign phase, so a path through the t copies
-    picks one n-bit label per block and copy.  Before the final Hadamard
-    layer (if any) the moment is G^T G / 2^(tuple bits), G the signed
-    key-by-label path matrix (`_class_tuples` keys the paths).
+    picks one n-bit label per block and copy.  Held before the final
+    Hadamard layer (if any), the moment is G^T G / 2^(tuple bits), G the
+    signed key-by-label path matrix (`_class_tuples` keys the paths).
 
     A tuple's key is the XOR of its copies' key words and its sign the
     product of its copies' signs, so permuting the copies keeps both and
@@ -628,7 +619,7 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> SymmetricMoment:
     label, merges them into integer weights per (key group, class) and
     forms the D x D Gram W^T W by a self-join within each key group
     (`_self_join`).  Every entry is an integer sum scaled by a power of two,
-    so the moment is exact up to the final layer."""
+    so the moment is exact."""
     _check_method(spec, Method.DELTA_PAIRING)
     layout = spec.layout
     n, t, q = spec.n, spec.t, layout.qubits
@@ -646,7 +637,7 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> SymmetricMoment:
     gram = _self_join(group, cls, weight[nonzero], sym)
     del entries, weight, nonzero, group, cls
     gram /= 1 << (n * len(layout.offsets) * t)  # exact: integers below 2^53 over a power of two
-    return _hand_over(gram, 1 << q, t, layout.final_layer)
+    return _hand_over(gram, 1 << q, t)
 
 
 def _check_method(spec: MomentSpec, method: Method) -> None:
@@ -693,27 +684,23 @@ def haar_moment(local_dim: int, copies: int) -> SymmetricMoment:
     return _hand_over(gram, local_dim, copies)
 
 
-def _class_symmetries(spec: MomentSpec,
-                      moment: SymmetricMoment) -> list[tuple[np.ndarray, np.ndarray]] | None:
+def _class_symmetries(spec: MomentSpec) -> list[tuple[np.ndarray, np.ndarray]] | None:
     """The layout's Pauli symmetries (`expand.pauli_symmetries`) as signed
     permutations (indices, signs) of the Sym^t classes that commute with
-    the moment's compression, or None: for the general kind and sampled
-    spaces, whose moments they need not fix, and when none is left.
+    the compression of the spec's moment, held before the final layer as
+    every moment is, or None: for the general kind and sampled spaces,
+    whose moments they need not fix, and when none is left.
 
     X_b Z_s maps class a, of digits x_1 <= ... <= x_t, to the class of the
-    digits x_j ^ b, with the sign (-1)^(s . (x_1 ^ ... ^ x_t)).  The
-    symmetries hold before the final layer, which conjugates X_b Z_s to
-    X_s Z_b up to sign, so b and s swap for a compression taken after it
-    (brute force).  At odd t, (X_b Z_s)^{(x) t} is an involution only for
-    even b . s and two of them commute only when the strings do, so a
-    generator is kept when it has even b . s and commutes with those kept."""
+    digits x_j ^ b, with the sign (-1)^(s . (x_1 ^ ... ^ x_t)).  At odd t,
+    (X_b Z_s)^{(x) t} is an involution only for even b . s and two of them
+    commute only when the strings do, so a generator is kept when it has
+    even b . s and commutes with those kept."""
     if (spec.kind is not PrsKind.BINARY_PHASE
             or not isinstance(spec.function_space, ExhaustiveAllFunctions)):
         return None
     layout, t = spec.layout, spec.t
     paulis = expand.pauli_symmetries(layout)
-    if layout.final_layer and not moment.final_layer:
-        paulis = [(s, b) for b, s in paulis]
     if t % 2:
         kept = []
         for b, s in paulis:
@@ -724,10 +711,9 @@ def _class_symmetries(spec: MomentSpec,
     if not paulis:
         return None
     local_dim = 1 << layout.qubits
-    labels, _ = corelin._symmetric_classes(local_dim, t)
-    classes = np.empty(local_dim**t, dtype=np.int64)
-    classes[labels] = np.arange(labels.shape[1])
-    digits = np.array(np.unravel_index(labels[0], (local_dim,) * t))  # (t, D), each column sorted
+    classes, _ = _label_classes(local_dim, t)
+    first = np.unique(classes, return_index=True)[1]  # each class's least label: sorted digits
+    digits = np.array(np.unravel_index(first, (local_dim,) * t))  # (t, D), each column sorted
     parity = np.bitwise_xor.reduce(digits, axis=0)
     return [(classes[np.ravel_multi_index(np.sort(digits ^ b, axis=0), (local_dim,) * t)],
              1.0 - 2.0 * (np.bitwise_count(parity & s) & 1))
@@ -740,7 +726,9 @@ def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
     refusal (`_check_method`), the route and `corelin.trace_distance` of
     the moment's D x D compression, read once, and the Haar moment's, which
     is I/D and passed as the float 1/D, split by the layout's Pauli
-    symmetries (`_class_symmetries`) where it has them.  Deterministic given
+    symmetries (`_class_symmetries`) where it has them.  The moment is held
+    before the layout's final layer U, and U^{(x) t} commutes with the Haar
+    moment, so this is the full circuit's distance.  Deterministic given
     the function-space seed."""
     _check_method(spec, method)
     start = time.perf_counter()
@@ -753,6 +741,6 @@ def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
              else ensemble_moment_bruteforce)
     moment = route(spec)
     distance = corelin.trace_distance(moment.compressed, 1.0 / len(moment.gram),
-                                      _class_symmetries(spec, moment))
+                                      _class_symmetries(spec))
     runtime_ms = int(round((time.perf_counter() - start) * 1000))
     return MomentReport(spec, method, moment, distance, runtime_ms, spec.function_space.seed)

@@ -149,8 +149,8 @@ def pauli_span(generators) -> set[tuple[int, int]]:
 def hadamard_conjugate(matrix: np.ndarray) -> np.ndarray:
     """Conjugate a square float64 or complex128 matrix by H^{(x) m} in place
     and return the same buffer: M H, then H (M H), two `_walsh` passes over
-    the whole matrix.  The dense oracle of the pairing route's final layer,
-    which transforms one row per Sym^t class.  A Fortran-ordered matrix is
+    the whole matrix: the final Hadamard layer on a moment, which every
+    route holds before that layer.  A Fortran-ordered matrix is
     conjugated through its transpose, as H M^T H = (H M H)^T; a read-only
     matrix or a strided view is refused."""
     if not (isinstance(matrix, np.ndarray) and matrix.flags.writeable
@@ -202,11 +202,11 @@ def filtered_pairing_tuples(spec):
     return keys[keep], cls[keep], parity[keep] & 1
 
 
-def dense_pairing_moment(spec, final_layer: bool = True) -> np.ndarray:
+def dense_pairing_moment(spec, final_layer: bool = False) -> np.ndarray:
     """The pairing moment from a dense key-group x d^t matrix G over every
-    tuple of block labels: G^T G / 2^(tuple bits), conjugated by H^{(x) q}
-    on each copy when the layout ends in a Hadamard layer (and
-    `final_layer` is left on).
+    tuple of block labels: G^T G / 2^(tuple bits), held before the final
+    layer as the route holds it, or conjugated by H^{(x) q} on each copy
+    with `final_layer` when the layout ends in a Hadamard layer.
 
     The oracle of `ensemble_moment_deltapair`, which keeps one label per
     Sym^t class and joins the key groups with themselves.  Here a tuple is a

@@ -2,6 +2,7 @@ import itertools
 import json
 import time
 
+import numpy as np
 import pytest
 
 from prslab import budget, cli, combinatorics, condcheck, corelin, expand, moments, prsgen
@@ -216,24 +217,28 @@ class TestSweepCommand:
         assert computed == []
         assert len(read_lines(out / "sweep.csv")) == 2  # the header only
 
-    def test_a_point_whose_expansion_is_over_budget_fails_before_any_comparison(
-            self, tmp_path, monkeypatch):
-        # the sweep reads both moments' d^t x d^t matrices: at c1 (3,1,2),
-        # d^t = 256, 1 MiB admits the symmetric projector the comparison
-        # builds first but not the expansion, so the point is refused then
-        assert 16 * corelin._projector_peak_entries(16, 2) <= 1 << 20
-        assert 16 * moments._expansion_peak_entries(16, 2, final_layer=True) > 1 << 20
-        computed = record_computation(monkeypatch)
+    def test_the_equivalence_column_is_the_gap_between_the_class_grams(self, tmp_path,
+                                                                       monkeypatch):
+        # every entry of a moment's d^t x d^t matrix is an entry of its class
+        # Gram, so the sweep compares the Grams and expands neither moment
+        def refuse(moment):
+            raise AssertionError("the sweep expanded a moment")
+
+        monkeypatch.setattr(moments.SymmetricMoment, "matrix", property(refuse))
         config = {"grid": {"source": ["construction1"], "n": [3], "i": [1], "t": [2],
                            "method": ["bruteforce", "deltapair"]}, "seed": 0}
         cfg = self.write_config(tmp_path, config)
         out = tmp_path / "out"
-        assert run(["--config", cfg, "--budget-mib", "1", "--out-dir", out, "--canonical",
-                    "sweep"]) == 1
-        (failure,) = json.loads((out / "sweep_failures.json").read_text())
-        assert failure["error"].startswith("moment expansion, dim 256 requires 1.0")
-        assert computed == []
-        assert len(read_lines(out / "sweep.csv")) == 2  # the header only
+        assert run(["--config", cfg, "--out-dir", out, "--canonical", "sweep"]) == 0
+        spec = moments.MomentSpec(moments.Source.CONSTRUCTION1, n=3, t=2, i=1)
+        brute, pairing = (moments.compare_to_haar(spec, method).moment.gram
+                          for method in (moments.Method.BRUTE_FORCE,
+                                         moments.Method.DELTA_PAIRING))
+        gap = float(np.max(np.abs(brute - pairing)))
+        assert 0.0 < gap <= 1e-12
+        rows = read_lines(out / "sweep.csv")[2:]
+        assert len(rows) == 2
+        assert {row.split(",")[-1] for row in rows} == {cli.fmt_value(gap)}
 
     @pytest.mark.parametrize("grid, axis, message", [
         ({"n": ["a"]}, "n", "n must be a whole number, got 'a'"),

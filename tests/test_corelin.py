@@ -541,7 +541,7 @@ def _orbit_generators():
 
 def _layout_generators(spec):
     moment = ensemble_moment_deltapair(spec)
-    return moments._class_symmetries(spec, moment), moment.compressed.dim
+    return moments._class_symmetries(spec), moment.compressed.dim
 
 
 class TestScalarOperand:
@@ -658,7 +658,7 @@ class TestTraceDistanceSplit:
         # c1 (4,1,2): 32 blocks of at most 32 classes, so one chunk of rows
         # sets the peak; plain (4,2): 136 blocks of one
         moment = ensemble_moment_deltapair(spec)
-        generators = moments._class_symmetries(spec, moment)
+        generators = moments._class_symmetries(spec)
         a = moment.compressed
         plan = corelin._character_plan(corelin._signed_involutions(generators, a.dim), a.dim)
         estimate = 16 * corelin._distance_peak_entries(a.dim, False, plan)

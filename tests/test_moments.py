@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import tracemalloc
+from dataclasses import replace
 from functools import cache, reduce
 
 import numpy as np
@@ -50,6 +51,12 @@ def plain(n, t, space=None):
 def c1(n, i, t, space=None):
     return MomentSpec(Source.CONSTRUCTION1, n=n, t=t, i=i,
                       function_space=space or ExhaustiveAllFunctions())
+
+
+def without_final_layer(construction):
+    """A circuit with its layout's final layer left out, as `member_state`
+    evaluates it."""
+    return replace(construction, layout=replace(construction.layout, final_layer=False))
 
 
 def stacked_members(spec, tuples):
@@ -112,7 +119,7 @@ class TestMomentSpec:
         fns = tuple(boolfn.random_function(spec.n, 2, rng) for _ in range(layout.draws))
         moments.member_state(spec, fns)
         (construction,) = evaluated
-        assert construction.layout is layout
+        assert construction.layout == replace(layout, final_layer=False)
         assert [gen.f for gen in construction.generators] == list(fns)
         assert {gen.n for gen in construction.generators} == {spec.n}
 
@@ -376,7 +383,8 @@ class TestMemberBatch:
         batch = stacked_members(spec, tuples)
         assert batch.amplitudes.shape == (members, 1 << spec.layout.qubits)
         for row, fns in zip(batch.amplitudes, tuples):
-            alone = expand.evaluate(expand.circuit(spec.layout, fns, spec.kind))
+            alone = expand.evaluate(without_final_layer(expand.circuit(spec.layout, fns,
+                                                                       spec.kind)))
             assert row.dtype == alone.amplitudes.dtype
             assert_vectors_close(row, alone.amplitudes, 1e-15)
 
@@ -398,10 +406,10 @@ class TestMemberBatch:
 
         monkeypatch.setattr(corelin.PureState, "__post_init__", count)
         ensemble_moment_bruteforce(MomentSpec(Source.CONSTRUCTION2, n=2, t=1))
-        # 4096 members in 4 chunks of 1024, each with 7 batch states: the
-        # prepared first block, its placement in the register, two layers
-        # for each further block and the final layer
-        assert len(built) == 4 * 7
+        # 4096 members in 4 chunks of 1024, each with 6 batch states: the
+        # prepared first block, its placement in the register and two layers
+        # for each further block; members are held before the final layer
+        assert len(built) == 4 * 6
         assert all(shape[0] == 1024 for shape in built)
 
     @pytest.mark.parametrize("spec", [
@@ -457,7 +465,7 @@ class TestBruteForce:
         fns = list(moments.member_functions(spec))
         assert all(len(f) == 1 for f in fns)
         for (f,) in fns:
-            direct = expand.evaluate(expand.construction2(f, f, f, 2))
+            direct = expand.evaluate(without_final_layer(expand.construction2(f, f, f, 2)))
             via_member = moments.member_state(spec, (f,))
             assert np.max(np.abs(direct.amplitudes - via_member.amplitudes)) == 0.0
 
@@ -465,7 +473,7 @@ class TestBruteForce:
         spec = MomentSpec(Source.CONSTRUCTION3, n=2, t=1, ell=3, shared_key=True)
         for _ in range(4):
             f = boolfn.random_function(2, 2, rng)
-            direct = expand.evaluate(expand.construction3([f] * 3, 2))
+            direct = expand.evaluate(without_final_layer(expand.construction3([f] * 3, 2)))
             assert direct.amplitudes.tobytes() == moments.member_state(spec, (f,)).amplitudes.tobytes()
 
     @pytest.mark.parametrize("spec,dtype", [
@@ -647,10 +655,75 @@ class TestBruteForce:
                               np.linalg.eigvalsh(want), 1e-13)
 
 
+def full_circuit_moment(spec):
+    """The dense d^t x d^t average over the spec's members run through the
+    whole circuit, final layer included, as `expand.evaluate` runs it."""
+    chunks = (expand.evaluate(expand.circuit(spec.layout, fns, spec.kind)).amplitudes
+              for fns in moments.member_functions(spec, rows=256))
+    return average_t_fold(chunks, spec.t)
+
+
+def qft_conjugate(matrix, local_dim, copies):
+    """U^{(x) t} M U^{(x) t}^dagger for the dense Fourier matrix
+    U[j, k] = exp(2 pi i jk/d)/sqrt(d), a Kronecker product of t copies."""
+    k = np.arange(local_dim)
+    u = reduce(np.kron, [np.exp(2j * np.pi * np.outer(k, k) / local_dim)
+                         / np.sqrt(local_dim)] * copies)
+    return u @ matrix @ u.conj().T
+
+
+class TestFinalLayer:
+    """Every moment is held before its layout's final layer U.  Conjugated
+    by U^{(x) t}, it is the dense moment of the full-circuit members, and
+    its distance to Haar is that dense moment's: U^{(x) t} commutes with
+    the Haar moment."""
+
+    @staticmethod
+    def check(spec, conjugate):
+        sampled = not isinstance(spec.function_space, ExhaustiveAllFunctions)
+        report = compare_to_haar(spec, Method.MONTE_CARLO if sampled else Method.BRUTE_FORCE)
+        full = full_circuit_moment(spec)
+        assert_matrices_close(conjugate(report.moment.matrix.copy()), full.matrix, 1e-12)
+        haar = haar_moment(1 << spec.layout.qubits, spec.t)
+        assert abs(report.haar_distance - dense_trace_distance(full, haar)) <= 1e-12
+
+    @pytest.mark.parametrize("spec", [
+        c1(3, 1, 2), MomentSpec(Source.CONSTRUCTION2, n=2, t=1),
+        MomentSpec(Source.CONSTRUCTION3, n=2, t=1, ell=3),
+        MomentSpec(Source.CONSTRUCTION2, n=2, t=2, shared_key=True),
+    ], ids=["c1-3-1-2", "c2-2-1", "c3-2-1-ell3", "c2-2-2-shared"])
+    def test_the_hadamard_conjugated_moment_is_the_full_circuit_moment(self, spec):
+        assert spec.layout.final_layer
+        self.check(spec, hadamard_conjugate)
+
+    @pytest.mark.parametrize("spec", [
+        MomentSpec(Source.CONSTRUCTION1, n=2, t=2, i=1, kind=PrsKind.GENERAL_PHASE),
+        MomentSpec(Source.CONSTRUCTION2, n=2, t=1, kind=PrsKind.GENERAL_PHASE,
+                   function_space=UniformSample(64, seed=5)),
+    ], ids=["general-c1-2-1-2", "general-c2-2-1-uniform64"])
+    def test_the_fourier_conjugated_moment_is_the_full_circuit_moment(self, spec):
+        assert spec.layout.final_layer
+        self.check(spec, lambda m: qft_conjugate(m, 1 << spec.layout.qubits, spec.t))
+
+
 class TestDeltaPairing:
     def test_plain_first_moment(self):
         got = ensemble_moment_deltapair(plain(2, 1))
         assert_matrices_close(got.matrix, np.eye(4) / 4, 0.0)
+
+    @pytest.mark.parametrize("spec", [
+        c1(2, 1, 2), c1(3, 1, 2), c1(3, 2, 2),
+        *(MomentSpec(Source.CONSTRUCTION2, n=2, t=t, shared_key=shared)
+          for t in (1, 2) for shared in (False, True)),
+        *(MomentSpec(Source.CONSTRUCTION3, n=2, t=t, ell=ell) for ell in (2, 3) for t in (1, 2)),
+    ], ids=["c1-2-1-2", "c1-3-1-2", "c1-3-2-2", "c2-2-1", "c2-2-1-shared", "c2-2-2",
+            "c2-2-2-shared", "c3-2-1-ell2", "c3-2-2-ell2", "c3-2-1-ell3", "c3-2-2-ell3"])
+    def test_brute_force_and_pairing_grams_agree_entrywise(self, spec):
+        # both routes hold the moment before the final layer, so their class
+        # Grams compare entry by entry, and nothing is expanded
+        assert spec.layout.final_layer
+        gap = ensemble_moment_deltapair(spec).gram - ensemble_moment_bruteforce(spec).gram
+        assert np.max(np.abs(gap)) <= 1e-12
 
     @pytest.mark.parametrize("n,i,t", [(2, 1, 1), (2, 1, 2), (3, 1, 2), (3, 2, 1)])
     def test_matches_brute_force_on_the_expansion(self, n, i, t):
@@ -774,11 +847,11 @@ class TestPairingGram:
 
     @pytest.mark.parametrize("spec", [c1(2, 1, 2), c1(4, 1, 2), c1(3, 2, 2)],
                              ids=["c1-2-1-2", "c1-4-1-2", "c1-3-2-2"])
-    def test_final_layer_is_the_dense_conjugation_byte_for_byte(self, spec):
-        # odd q: H^{(x) q} is not dyadic, so the bytes pin the rounding of
-        # the class-row pass against both passes over the whole matrix
-        want = hadamard_conjugate(dense_pairing_moment(spec, final_layer=False))
-        assert ensemble_moment_deltapair(spec).matrix.tobytes() == want.tobytes()
+    def test_the_held_moment_conjugated_by_the_final_layer_is_the_dense_final_moment(
+            self, spec):
+        # odd q: H^{(x) q} is not dyadic, so the two conjugations round apart
+        got = hadamard_conjugate(ensemble_moment_deltapair(spec).matrix.copy())
+        assert_matrices_close(got, dense_pairing_moment(spec, final_layer=True), 1e-15)
 
     @pytest.mark.parametrize("spec", [
         plain(3, 3), c1(3, 1, 2), c1(4, 1, 2), c1(3, 1, 3),
@@ -789,9 +862,9 @@ class TestPairingGram:
         # copy-permutation symmetry leaves with the final moment's spectrum
         iso = symmetric_isometry(1 << spec.layout.qubits, spec.t)
         moment = ensemble_moment_deltapair(spec)
-        want = iso.T @ dense_pairing_moment(spec, final_layer=False) @ iso
+        want = iso.T @ dense_pairing_moment(spec) @ iso
         assert_matrices_close(moment.compressed.matrix, want, 1e-15)
-        final = iso.T @ moment.matrix @ iso
+        final = iso.T @ dense_pairing_moment(spec, final_layer=True) @ iso
         assert_matrices_close(np.linalg.eigvalsh(moment.compressed.matrix),
                               np.linalg.eigvalsh(final), 1e-13)
 
@@ -824,10 +897,13 @@ class TestPairingGram:
         assert len(steps) > 100
 
     def test_c1_5_1_2_moment_keeps_its_digest(self, pairing_report):
-        # sha256 of the moment's bytes, as the sparse-product route built it
-        matrix = pairing_report(c1(5, 1, 2)).moment.matrix
-        assert hashlib.sha256(matrix.tobytes()).hexdigest() == (
-            "ffc314723ff732783034b311c3bad56d5ff91dc9d9984c5ae45413c3c2351775")
+        # sha256 of the class Gram's bytes, as the self-join builds it, and
+        # of its expansion, the Gram's entries copied to every label
+        moment = pairing_report(c1(5, 1, 2)).moment
+        assert hashlib.sha256(moment.gram.tobytes()).hexdigest() == (
+            "deb5954b1a4e2173eec091005f0781fa14f82a9d168706f51fdb327862a0c72c")
+        assert hashlib.sha256(moment.matrix.tobytes()).hexdigest() == (
+            "b3b633f2f5036ce1236b370719785bd7634a8ef3a063e6ecb63c0e1182e2609c")
 
 
 class TestHandOver:
@@ -857,16 +933,6 @@ class TestHandOver:
         iso = symmetric_isometry(local_dim, copies)
         assert_matrices_close(got.compressed.matrix, iso.T @ got.matrix @ iso, 1e-13)
         assert_matrices_close(got.matrix, iso @ got.compressed.matrix @ iso.T, 1e-13)
-
-    @pytest.mark.parametrize("local_dim,copies", [(2, 1), (4, 2), (2, 4), (8, 2)])
-    def test_final_layer_conjugates_the_expansion_and_not_the_operator(self, rng, local_dim,
-                                                                       copies):
-        gram, classes, sizes = self.random_gram(rng, local_dim, copies)
-        got = moments._hand_over(gram.copy(), local_dim, copies, final_layer=True)
-        before = gram[np.ix_(classes, classes)]
-        assert_matrices_close(got.matrix, hadamard_conjugate(before.copy()), 1e-13)
-        iso = symmetric_isometry(local_dim, copies)
-        assert_matrices_close(got.compressed.matrix, iso.T @ before @ iso, 1e-13)
 
     @pytest.mark.parametrize("local_dim,copies", [(2, 1), (4, 2), (3, 3), (2, 4), (8, 2)])
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
@@ -917,7 +983,7 @@ class TestHandOver:
     ], ids=["brute-c2-2-1", "pairing-plain-3-1", "sampled-plain-3-1"])
     def test_a_single_copy_moment_is_one_array(self, make):
         # at t = 1 every class is one label and every scale 1: the Gram is
-        # the operator and, with no final layer, the matrix too
+        # the operator and the matrix too
         moment = make()
         assert moment.matrix is moment.compressed.matrix is moment.gram
 
@@ -963,12 +1029,11 @@ class TestHandOver:
     ], ids=["pairing-c1-4-1-2", "pairing-c1-3-1-3", "pairing-plain-3-3",
             "brute-general-plain-5-2-uniform64", "brute-plain-4-2", "haar-8-3", "haar-64-2"])
     def test_expansion_estimate_covers_measured_peak(self, make):
-        # the d^t x d^t matrix sets every peak here (c1 (3,1,3): 129.0 MiB
-        # against 129.3 estimated, with one 1 MiB Walsh slab)
+        # the d^t x d^t matrix sets every peak here
         moment = make()
         measured = measured_peak(lambda: moment.matrix)
         estimate = 16 * moments._expansion_peak_entries(
-            moment.local_dim, moment.copies, np.iscomplexobj(moment.gram), moment.final_layer)
+            moment.local_dim, moment.copies, np.iscomplexobj(moment.gram))
         assert measured <= estimate <= 2 * measured
 
     def test_the_expansion_refuses_before_it_allocates(self):
@@ -1302,7 +1367,7 @@ class TestExpansionTrend:
         for t in range(1, last + 1):
             spec = MomentSpec(Source(source), n=n, t=t, i=i, ell=ell)
             moment = ensemble_moment_deltapair(spec)
-            generators = moments._class_symmetries(spec, moment)
+            generators = moments._class_symmetries(spec)
             distances.append(corelin.trace_distance(moment.compressed, 1.0 / len(moment.gram),
                                                     generators))
             if t <= 2:
@@ -1348,7 +1413,7 @@ class TestSymmetrySplit:
         report = (pairing_report(spec) if method is Method.DELTA_PAIRING
                   else compare_to_haar(spec, method))
         haar = haar_moment(1 << spec.layout.qubits, spec.t).compressed
-        assert (moments._class_symmetries(spec, report.moment) is None) == (
+        assert (moments._class_symmetries(spec) is None) == (
             spec.kind is PrsKind.GENERAL_PHASE)
         assert abs(report.haar_distance
                    - dense_trace_distance(report.moment.compressed, haar)) <= 1e-12
@@ -1360,12 +1425,12 @@ class TestSymmetrySplit:
     ], ids=["pairing-c1-3-1-2", "brute-c1-3-1-2", "brute-c2-2-2", "pairing-plain-3-3",
             "brute-c1-3-1-3"])
     def test_every_generator_commutes_with_the_handed_over_compression(self, spec, method):
-        # the signed permutations of the classes fix the route's own operator:
-        # before the final layer for the pairing route, after it for brute force
+        # the signed permutations of the classes fix the route's own operator,
+        # which every route holds before the final layer
         moment = (ensemble_moment_deltapair(spec) if method is Method.DELTA_PAIRING
                   else ensemble_moment_bruteforce(spec))
         compressed = moment.compressed.matrix
-        generators = moments._class_symmetries(spec, moment)
+        generators = moments._class_symmetries(spec)
         assert generators
         for indices, signs in generators:
             moved = compressed[np.ix_(indices, indices)] * np.outer(signs, signs)
@@ -1377,7 +1442,7 @@ class TestSymmetrySplit:
         # subgroup of strings with even b . s acts as commuting involutions
         spec = plain(2, t)
         moment = ensemble_moment_deltapair(spec)
-        generators = moments._class_symmetries(spec, moment)
+        generators = moments._class_symmetries(spec)
         assert len(generators) == 2
         sym = moment.compressed.dim
         plan = corelin._character_plan(corelin._signed_involutions(generators, sym), sym)
@@ -1389,4 +1454,4 @@ class TestSymmetrySplit:
     ], ids=["prf", "uniform", "general"])
     def test_sampled_and_general_moments_keep_the_component_search(self, spec):
         moment = ensemble_moment_bruteforce(spec)
-        assert moments._class_symmetries(spec, moment) is None
+        assert moments._class_symmetries(spec) is None

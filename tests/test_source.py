@@ -1,6 +1,7 @@
 """Rules that every module of the package keeps."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -109,8 +110,8 @@ def test_no_function_space_builds_its_members_one_by_one():
 
 
 def test_the_walsh_factors_are_read_only_by_the_walsh_kernel():
-    # one Walsh loop: the Hadamard layer and the pairing moment's final
-    # layer both run corelin._walsh, so no second factor loop grows back
+    # one Walsh loop: the Hadamard layer and the trace distance's character
+    # blocks both run corelin._walsh, so no second factor loop grows back
     modules = sorted(Path(prslab.__file__).parent.rglob("*.py"))
     inside, offenders = set(), []
     for path in modules:
@@ -126,6 +127,22 @@ def test_the_walsh_factors_are_read_only_by_the_walsh_kernel():
                       and id(node) not in inside]
     assert inside, "corelin._walsh not found"
     assert offenders == []
+
+
+def test_only_corelin_runs_the_walsh_kernel_and_no_moment_knows_a_final_layer():
+    # every moment is held before its layout's final layer, which changes no
+    # distance, so no module but corelin runs corelin._walsh and
+    # SymmetricMoment has no final_layer field to apply the layer with
+    offenders = []
+    for path in sorted(Path(prslab.__file__).parent.rglob("*.py")):
+        if path.name != "corelin.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                          if _names(node, "_walsh")
+                          or isinstance(node, ast.alias) and node.name == "_walsh"]
+    assert offenders == []
+    fields = {field.name for field in dataclasses.fields(moments.SymmetricMoment)}
+    assert "final_layer" not in fields
 
 
 def test_only_the_moment_s_matrix_expands_a_class_gram():
