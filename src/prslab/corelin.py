@@ -8,12 +8,12 @@ halves of a phase-state generator: all-Hadamard, the Fourier kernel, or a
 phase diagonal; one in-place kernel, `_walsh`, applies H^{(x) m} for the
 Hadamard layer and the trace distance's character blocks, and no other
 module calls it.  Nothing here compresses an operator to the symmetric
-subspace: every moment is held before its layout's final layer and forms
-its compression from its class Gram (see `moments`).  The trace distance
-checks its own peak, takes a float second operand b as b I (the Haar
-moment's compression is I/D), splits the difference into the character
-blocks of the signed permutations it is given, if any, and eigensolves
-each connected block of those (or of the whole difference) alone.
+subspace: the trace distance reads a moment's class Gram (see `moments`)
+through a scale vector.  It checks its own peak and its operands, takes a
+float second operand b as b I (the Haar moment's compression is I/D),
+splits the difference into the character blocks of the signed
+permutations it is given, if any, and eigensolves each connected block of
+those (or of the whole difference) alone.
 Everything here but `_walsh`, which works in place on its caller's array,
 is a pure function on immutable inputs, safe to share across threads.
 
@@ -335,13 +335,17 @@ def _partial_trace_peak_entries(kept: int, traced: int, complex_: bool) -> int:
             + _operator_build_entries(kept, complex_) + (1 << 10))
 
 
-def trace_distance(a: DensityOperator, b: DensityOperator | float, generators=None) -> float:
+def trace_distance(a: DensityOperator, b: DensityOperator | float, generators=None,
+                   scale=None) -> float:
     """Half the 1-norm of (a - b), via Hermitian eigendecomposition, one
-    block at a time, once its peak passes the budget check: the eigenvalues
-    of a block of one are read off its diagonal.  A float b stands for b I:
-    it is subtracted from the diagonal of a's entries alone, and as x - 0.0
-    is x the distance is the one to `DensityOperator(b I)`, bit for bit; a
-    non-finite b raises RegisterError.
+    block at a time, once its peak and its operands (a, and b unless it is
+    a float) pass the budget check: the eigenvalues of a block of one are
+    read off its diagonal.  A float b stands for b I: it is subtracted from
+    the diagonal of a's entries alone, and as x - 0.0 is x the distance is
+    the one to `DensityOperator(b I)`, bit for bit; a non-finite b raises
+    RegisterError.  A real vector `scale` s reads a as diag(s) a diag(s):
+    each row of a is multiplied by its entry of s, then by s, as it is
+    gathered, the products of scaling a beforehand, bit for bit.
 
     The blocks are the connected components of the nonzero pattern
     (`_components`) of a - b, or of each of its character blocks when
@@ -365,21 +369,28 @@ def trace_distance(a: DensityOperator, b: DensityOperator | float, generators=No
         raise RegisterError(f"dimension mismatch {a.dim} != {b.dim}")
     else:
         b = b.matrix
+    scale = None if scale is None else np.asarray(scale)
+    if scale is not None and (scale.shape != (a.dim,) or scale.dtype.kind not in "iuf"):
+        raise RegisterError(f"the scale is not a real vector of {a.dim} entries")
     complex_ = np.iscomplexobj(a.matrix) or np.iscomplexobj(b)
     plan = None if generators is None or len(generators) == 0 else _character_plan(
         _signed_involutions(generators, a.dim), a.dim)
-    check_complex_array(_distance_peak_entries(a.dim, complex_, plan),
+    operands = a.matrix.nbytes + (0 if isinstance(b, float) else b.nbytes)
+    check_complex_array(operands // 16 + _distance_peak_entries(a.dim, complex_, plan),
                         f"trace distance of two {a.dim} x {a.dim} operators")
     if plan is None:
+        diff = a.matrix.astype(np.result_type(a.matrix, b))  # the one difference
+        if scale is not None:
+            diff *= scale[:, None]
+            diff *= scale
         if isinstance(b, float):
-            diff = a.matrix.copy()
             diff.ravel()[::a.dim + 1] -= b  # a view of the diagonal
         else:
-            diff = a.matrix - b
+            diff -= b
         singles, pieces = np.empty(0), [diff]
         del diff  # held by `pieces` alone, so the solve drops it
     else:
-        singles, pieces = _character_blocks(a.matrix, b, plan)
+        singles, pieces = _character_blocks(a.matrix, b, plan, scale)
     triangle = "L" if plan is None else "U"  # the triangle `_character_blocks` fills
     solved = [singles]
     while pieces:  # each piece is dropped once its components are gathered
@@ -524,14 +535,15 @@ def _chunk_rows(dim: int, orbit: int, per_unit: int) -> int:
     return max(1, _SPLIT_BYTES * per_unit // (16 * dim) // orbit) * orbit
 
 
-def _character_blocks(a: np.ndarray, b: np.ndarray | float,
-                      plan: _CharacterPlan) -> tuple[np.ndarray, list[np.ndarray]]:
+def _character_blocks(a: np.ndarray, b: np.ndarray | float, plan: _CharacterPlan,
+                      scale: np.ndarray | None) -> tuple[np.ndarray, list[np.ndarray]]:
     """The diagonal entries of the blocks of one vector and the other blocks
     of a - b in the plan's basis Q: the entries of Q^T (a - b) Q between two
     vectors of one character, each block in the order of its vectors.  The
     blocks are Hermitian, and `trace_distance` reads their upper triangle,
     which is filled; below it an entry is filled or zero.  A float b is
-    b I, subtracted from the diagonal entries of each chunk's rows of a.
+    b I, subtracted from the diagonal entries of each chunk's rows of a,
+    once a `scale` s has scaled them by their entries of s, then by s.
 
     A chunk of whole orbits' rows of a - b is gathered in plan order, and
     its columns from the chunk's first position on, transposed, signed on
@@ -556,7 +568,10 @@ def _character_blocks(a: np.ndarray, b: np.ndarray | float,
         step = _chunk_rows(dim, int(orbit), 1 if flat.dtype.kind == "c" else 2)
         for start in range(lo, hi, step):
             stop = min(hi, start + step)
-            rows = a.take(order[start:stop], axis=0)
+            rows = a.take(order[start:stop], axis=0).astype(flat.dtype, copy=False)
+            if scale is not None:
+                rows *= scale[order[start:stop], None]
+                rows *= scale
             if isinstance(b, float):
                 rows[np.arange(stop - start), order[start:stop]] -= b
             else:

@@ -15,19 +15,19 @@ or gap between two routes, and two routes' moments compare entrywise.
 
 Every moment lies in Sym^t, of dimension D = C(d+t-1, t), and is constant
 on the multiset classes of labels, so each is held as its D x D class Gram
-G alone (`SymmetricMoment`).  Its compression V^T rho V, G scaled by
-sqrt(c_a c_b) for the class sizes c, is formed from G on each read, and
-its d^t x d^t `matrix` is expanded from G when first read.  The Haar
-moment has G = diag(1/c)/D and compression I/D, which is 1/D times the
-identity on Sym^t (Harrow, arXiv:1308.6595), so no stage of
+G alone (`SymmetricMoment`), and its d^t x d^t `matrix` is expanded from G
+when first read.  No module forms its compression V^T rho V, G scaled by
+sqrt(c_a c_b) for the class sizes c: `corelin.trace_distance` scales G by
+sqrt(c) as it gathers its rows.  The Haar moment's compression is I/D, 1/D
+times the identity on Sym^t (Harrow, arXiv:1308.6595), so no stage of
 `compare_to_haar` builds a D x D Haar array or a d^t x d^t matrix: the
-distance is taken between the moment's compression and the float 1/D.
+distance is taken between the moment's Gram and the float 1/D.
 `compare_to_haar` runs three stages that each check themselves: one
 refusal (`_check_method`, which the CLI runs for every chosen method
-before any comparison), the route and `corelin.trace_distance`, which an
-exhaustive sign-phase moment hands the layout's Pauli symmetries as
-signed permutations of its classes (`_class_symmetries`).  `haar_moment`
-is the dense Haar reference the tests compare against.
+before any comparison), the route and `corelin.trace_distance`, whose
+check counts the Gram, and which an exhaustive sign-phase moment hands the
+layout's Pauli symmetries as signed permutations of its classes
+(`_class_symmetries`).  `haar_moment` is the tests' dense Haar reference.
 """
 
 from __future__ import annotations
@@ -296,16 +296,6 @@ def _expansion_peak_entries(local_dim: int, copies: int, complex_: bool = False)
             + max(block, corelin._operator_build_entries(dim, complex_)) + (1 << 8))
 
 
-def _compression_peak_entries(local_dim: int, copies: int, complex_: bool) -> int:
-    """Upper estimate of `SymmetricMoment.compressed`'s peak besides the
-    Gram, in 16-byte units: the class arrays, then the Gram's scaled copy
-    and what wrapping that in a DensityOperator holds."""
-    sym = corelin.symmetric_subspace_dimension(local_dim, copies)
-    per_unit = 1 if complex_ else 2  # entries per 16 bytes
-    return (corelin._classes_peak_entries(local_dim, copies) + sym * sym // per_unit
-            + corelin._operator_build_entries(sym, complex_))
-
-
 @dataclass(frozen=True)
 class SymmetricMoment:
     """A t-copy moment rho, held before its layout's final layer, as its
@@ -313,7 +303,8 @@ class SymmetricMoment:
     of x and b of y.  G is checked when the moment is made:
     a square of one row per class, Hermitian and of trace sum_a c_a G_aa = 1
     for the class sizes c, within HERMITIAN_ATOL; a frozen array is adopted
-    (`corelin._frozen_copy`).  `compressed` and `matrix` are built on read."""
+    (`corelin._frozen_copy`).  `matrix` is built on first read, and the
+    distance reads G as its compression, scaling each row as it gathers it."""
 
     gram: np.ndarray
     local_dim: int
@@ -338,33 +329,17 @@ class SymmetricMoment:
         return self.local_dim**self.copies
 
     def trace(self) -> complex:
-        """sum_a c_a G_aa, the trace `__post_init__` checks: no compression is formed."""
+        """sum_a c_a G_aa, the trace `__post_init__` checks."""
         sizes = corelin._symmetric_classes(self.local_dim, self.copies)[1]
         return complex(np.dot(sizes, self.gram.diagonal()))
-
-    @property
-    def compressed(self) -> DensityOperator:
-        """V^T rho V: G scaled by sqrt(c_a c_b), formed on each read
-        once its peak passes the budget check, and held by no one here.  At
-        t = 1 every class size is 1 and the operator wraps G itself."""
-        if self.copies == 1:
-            return DensityOperator(self.gram)
-        check_complex_array(
-            _compression_peak_entries(self.local_dim, self.copies, np.iscomplexobj(self.gram)),
-            f"moment compression, dim {len(self.gram)}")
-        scale = np.sqrt(corelin._symmetric_classes(self.local_dim, self.copies)[1])
-        compressed = self.gram * scale[:, None]
-        compressed *= scale
-        compressed.setflags(write=False)  # adopted by the operator, not copied
-        return DensityOperator(compressed)
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """rho, once its peak passes the budget check: row a < D is G's row a
         gathered over every label, then each row is copied from its class's.
-        At t = 1 rho is its compression: that array."""
+        At t = 1 every class is one label and rho is G: that array."""
         if self.copies == 1:
-            return self.compressed.matrix
+            return DensityOperator(self.gram).matrix
         check_complex_array(
             _expansion_peak_entries(self.local_dim, self.copies, np.iscomplexobj(self.gram)),
             f"moment expansion, dim {self.dim}")
@@ -433,13 +408,13 @@ def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     draws' checked tables: the member indices and two of the draw's
     quotient, table and checked copy, each freed once the next is built.  The
     evaluation holds the chunk's checked tables and what `expand.evaluate`
-    holds for the chunk.  The products hold the member rows and their
-    contiguous copy, the Sym^t products at t copies and at t - 1 (t > 2),
-    their conjugate (complex rows) and the D x D product.  The hand-over
-    holds what the moment's check of the Gram holds: the class arrays and
-    its Hermiticity tiles.  Entries are complex128 for the general kind and
-    float64 for sign phases; table entries are int64."""
-    layout, t = spec.layout, spec.t
+    holds for its pre-final circuit.  The products hold the member rows and
+    their contiguous copy, the Sym^t products at t copies and at t - 1
+    (t > 2), their conjugate (complex rows) and the D x D product.  The
+    hand-over holds what the moment's check of the Gram holds: the class
+    arrays and its Hermiticity tiles.  Entries are complex128 for the
+    general kind and float64 for sign phases; table entries are int64."""
+    layout, t = replace(spec.layout, final_layer=False), spec.t  # as `member_state` runs it
     local_dim = 1 << layout.qubits
     sym = corelin.symmetric_subspace_dimension(local_dim, t)
     rows = _spec_chunk_rows(spec)
@@ -724,12 +699,12 @@ def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
     """The ensemble moment by the chosen route and its trace distance to
     the Haar moment, in three stages that each check themselves: the
     refusal (`_check_method`), the route and `corelin.trace_distance` of
-    the moment's D x D compression, read once, and the Haar moment's, which
-    is I/D and passed as the float 1/D, split by the layout's Pauli
-    symmetries (`_class_symmetries`) where it has them.  The moment is held
-    before the layout's final layer U, and U^{(x) t} commutes with the Haar
-    moment, so this is the full circuit's distance.  Deterministic given
-    the function-space seed."""
+    the moment's D x D compression, its Gram read through the square roots
+    of the class sizes, and the Haar moment's, I/D, passed as the float
+    1/D, split by the layout's Pauli symmetries (`_class_symmetries`) where
+    it has them.  The moment is held before the layout's final layer U, and
+    U^{(x) t} commutes with the Haar moment, so this is the full circuit's
+    distance.  Deterministic given the function-space seed."""
     _check_method(spec, method)
     start = time.perf_counter()
     local_dim = 1 << spec.layout.qubits
@@ -740,7 +715,8 @@ def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
     route = (ensemble_moment_deltapair if method is Method.DELTA_PAIRING
              else ensemble_moment_bruteforce)
     moment = route(spec)
-    distance = corelin.trace_distance(moment.compressed, 1.0 / len(moment.gram),
-                                      _class_symmetries(spec))
+    sizes = corelin._symmetric_classes(local_dim, spec.t)[1]
+    distance = corelin.trace_distance(DensityOperator(moment.gram, normalized=False),
+                                      1.0 / len(sizes), _class_symmetries(spec), np.sqrt(sizes))
     runtime_ms = int(round((time.perf_counter() - start) * 1000))
     return MomentReport(spec, method, moment, distance, runtime_ms, spec.function_space.seed)

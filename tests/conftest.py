@@ -72,6 +72,17 @@ def register_permutation_operator(local_dim: int, copies: int, perm) -> np.ndarr
     return op
 
 
+def _oracle_classes(local_dim: int, copies: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multiset class of each of the d^t labels and the D class sizes,
+    the classes in the order of their sorted digits, by `np.unique`."""
+    dim, shape = local_dim**copies, (local_dim,) * copies
+    multisets = np.array(np.unravel_index(np.arange(dim), shape))
+    multisets.sort(axis=0)
+    _, classes, sizes = np.unique(np.ravel_multi_index(multisets, shape),
+                                  return_inverse=True, return_counts=True)
+    return classes, sizes
+
+
 def symmetric_isometry(local_dim: int, copies: int) -> np.ndarray:
     """The dense d^t x D isometry V onto the symmetric subspace.
 
@@ -80,14 +91,37 @@ def symmetric_isometry(local_dim: int, copies: int) -> np.ndarray:
     their sorted digits.  V^T V is the D x D identity and V V^T the
     projector `symmetric_projector` builds.
     """
-    dim, shape = local_dim**copies, (local_dim,) * copies
-    multisets = np.array(np.unravel_index(np.arange(dim), shape))
-    multisets.sort(axis=0)
-    _, classes, sizes = np.unique(np.ravel_multi_index(multisets, shape),
-                                  return_inverse=True, return_counts=True)
-    iso = np.zeros((dim, len(sizes)))
-    iso[np.arange(dim), classes] = 1.0 / np.sqrt(sizes[classes])
+    classes, sizes = _oracle_classes(local_dim, copies)
+    iso = np.zeros((len(classes), len(sizes)))
+    iso[np.arange(len(classes)), classes] = 1.0 / np.sqrt(sizes[classes])
     return iso
+
+
+def class_scale(local_dim: int, copies: int) -> np.ndarray:
+    """sqrt(c_a) for the D class sizes c, in class order: the scale that
+    reads a class Gram G as the compression V^T rho V = sqrt(c_a c_b) G."""
+    return np.sqrt(_oracle_classes(local_dim, copies)[1])
+
+
+def compression(moment) -> DensityOperator:
+    """The D x D compression V^T rho V of a `SymmetricMoment`, in closed
+    form: its class Gram scaled by `class_scale`, rows first, the two
+    products `corelin.trace_distance` applies to the Gram that
+    `compare_to_haar` hands it, so a distance to this operator is the
+    comparison's bit for bit.  `TestHandOver` checks it against the
+    isometry product."""
+    scale = class_scale(moment.local_dim, moment.copies)
+    scaled = moment.gram * scale[:, None]
+    scaled *= scale
+    return DensityOperator(scaled)
+
+
+def haar_operands(moment) -> tuple[DensityOperator, float, np.ndarray]:
+    """The operands `compare_to_haar` hands `corelin.trace_distance` besides
+    the generators: the moment's class Gram, unnormalized, the Haar
+    moment's compression I/D as the float 1/D, and `class_scale`."""
+    return (DensityOperator(moment.gram, normalized=False), 1.0 / len(moment.gram),
+            class_scale(moment.local_dim, moment.copies))
 
 
 def dense_trace_distance(a: DensityOperator, b: DensityOperator) -> float:

@@ -112,6 +112,9 @@ _OVER_ONE_MIB = {
     # diagonal operators commute with
     "trace_distance:split": lambda: (*_operators(512), [
         (np.arange(512), np.where(np.arange(512) & 1, -1.0, 1.0))]),
+    # a 512 x 512 Gram read through a scale vector, as a comparison reads it
+    "trace_distance:scaled": lambda: (_operators(512)[0], 1 / 512, None,
+                                      np.sqrt(np.arange(1.0, 513.0))),
     "evaluate": lambda: (expand.construction1(constant_function(15), 15, 1),),
     "closed_form_construction1": lambda: (constant_function(15), 15, 1),
     "phase_witness": lambda: (PrsKind.GENERAL_PHASE, 9),

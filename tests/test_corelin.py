@@ -28,8 +28,11 @@ from conftest import (
     assert_matrices_close,
     assert_vectors_close,
     basis_state,
+    class_scale,
+    compression,
     dense_trace_distance,
     hadamard_conjugate,
+    haar_operands,
     materialize,
     measured_peak,
     random_state,
@@ -459,12 +462,11 @@ class TestTraceDistance:
             trace_distance(a, b)
 
 
-def pairing_compressions(spec):
-    """The pairing route's D x D compression for the spec and the Haar
-    moment's, I/D, as the float 1/D: the two operands `compare_to_haar`
-    solves."""
-    compressed = ensemble_moment_deltapair(spec).compressed
-    return compressed, 1.0 / compressed.dim
+def pairing_operands(spec):
+    """The operands `compare_to_haar` solves for the pairing route's moment
+    (`haar_operands`): its class Gram, 1/D and the scale that reads the
+    Gram as its D x D compression."""
+    return haar_operands(ensemble_moment_deltapair(spec))
 
 
 class TestTraceDistanceBudget:
@@ -476,8 +478,8 @@ class TestTraceDistanceBudget:
         # plain: many small blocks, so the component search sets the peak;
         # c1 (5,1,2): blocks of 1056 and 1024 classes, both gathered beside
         # the difference
-        a, b = pairing_compressions(spec)
-        measured = measured_peak(lambda: trace_distance(a, b))
+        a, b, scale = pairing_operands(spec)
+        measured = measured_peak(lambda: trace_distance(a, b, None, scale))
         estimate = 16 * corelin._distance_peak_entries(a.dim)
         assert measured <= estimate <= 2 * measured
 
@@ -498,22 +500,41 @@ class TestTraceDistanceBudget:
 
     def test_refuses_before_the_component_search(self, monkeypatch):
         # (32)^2: solving the difference of the handed-over operators needs
-        # about 4.3 MiB
-        a, b = pairing_compressions(MomentSpec(Source.CONSTRUCTION1, n=4, i=1, t=2))
+        # about 4.3 MiB besides the 2.1 MiB Gram
+        a, b, scale = pairing_operands(MomentSpec(Source.CONSTRUCTION1, n=4, i=1, t=2))
         assert 16 * corelin._distance_peak_entries(a.dim) > 4 << 20
         searched = []
         monkeypatch.setattr(corelin, "_components", lambda mat: searched.append(mat))
         with pytest.raises(BudgetError, match="trace distance of two 528 x 528"), \
                 budget.limit(4):
-            trace_distance(a, b)
+            trace_distance(a, b, None, scale)
         assert searched == []
 
     def test_a_direct_caller_is_refused_naming_the_dimension(self):
+        # the two 8 MiB operands count beside the 16 MiB the solve holds
         a = DensityOperator(np.eye(1024) / 1024)
         b = DensityOperator(np.full((1024, 1024), 1 / 1024))
         with pytest.raises(BudgetError, match="trace distance of two 1024 x 1024 operators "
-                                              "requires 16.0 MiB"), budget.limit(1):
+                                              "requires 32.0 MiB"), budget.limit(1):
             trace_distance(a, b)
+
+    @pytest.mark.parametrize("spec", [
+        MomentSpec(Source.PLAIN, n=3, t=3), MomentSpec(Source.CONSTRUCTION1, n=4, i=1, t=2),
+    ], ids=["plain-8-3", "c1-4-1-2"])
+    def test_the_check_counts_the_operands(self, spec):
+        # the Gram it reads, and a dense b, beside the peak of its own arrays:
+        # the smallest budget it accepts is the sum, rounded up to a MiB
+        a, c, scale = pairing_operands(spec)
+        generators = moments._class_symmetries(spec)
+        plan = corelin._character_plan(corelin._signed_involutions(generators, a.dim), a.dim)
+        own = 16 * corelin._distance_peak_entries(a.dim, False, plan)
+        for b in (c, DensityOperator(np.eye(a.dim) * c)):
+            held = a.matrix.nbytes + (0 if isinstance(b, float) else b.matrix.nbytes)
+            required = math.ceil((held + own) / (1 << 20))
+            with pytest.raises(BudgetError), budget.limit(required - 1):
+                trace_distance(a, b, generators, scale)
+            with budget.limit(required):
+                trace_distance(a, b, generators, scale)
 
 
 def commuting_operator(generators, dim, complex_, rng):
@@ -540,8 +561,7 @@ def _orbit_generators():
 
 
 def _layout_generators(spec):
-    moment = ensemble_moment_deltapair(spec)
-    return moments._class_symmetries(spec), moment.compressed.dim
+    return moments._class_symmetries(spec), len(ensemble_moment_deltapair(spec).gram)
 
 
 class TestScalarOperand:
@@ -564,6 +584,46 @@ class TestScalarOperand:
         for generators in (None, [(np.arange(4), np.array([1.0, -1.0, 1.0, -1.0]))]):
             with pytest.raises(RegisterError, match="^the scalar operand .* is not finite$"):
                 trace_distance(a, c, generators)
+
+
+class TestScaledOperand:
+    @staticmethod
+    def operands(kinds, generators, dim, rng):
+        """a and b of the given kinds ("real" or "complex" operators, or a
+        float b), both commuting with the generators."""
+        a_kind, b_kind = kinds.split("-")
+        a = commuting_operator(generators or [], dim, a_kind == "complex", rng)
+        if b_kind == "float":
+            return a, 1 / 36
+        return a, commuting_operator(generators or [], dim, b_kind == "complex", rng)
+
+    @pytest.mark.parametrize("kinds", ["real-float", "complex-float", "real-real",
+                                       "complex-complex", "real-complex"])
+    @pytest.mark.parametrize("split", [False, True], ids=["dense", "split"])
+    def test_a_scaled_operand_is_the_scaled_operator_bit_for_bit(self, rng, kinds, split):
+        # c1 (2,1,2): D = 36 classes of sizes 1 and 2, whose scale every
+        # class symmetry keeps; each entry of a takes the two products, its
+        # row's entry of the scale first, that scaling a beforehand takes
+        generators, dim = _layout_generators(MomentSpec(Source.CONSTRUCTION1, n=2, i=1, t=2))
+        generators = generators if split else None
+        scale = class_scale(8, 2)
+        assert set(np.round(scale**2)) == {1.0, 2.0}
+        for _ in range(3):
+            a, b = self.operands(kinds, generators, dim, rng)
+            scaled = a.matrix * scale[:, None]
+            scaled *= scale
+            want = trace_distance(DensityOperator(scaled, normalized=False), b, generators)
+            assert trace_distance(a, b, generators, scale) == want
+
+    @pytest.mark.parametrize("scale", [np.ones(3), np.ones((4, 1)), np.ones(4, dtype=complex),
+                                       np.ones(4, dtype=bool)],
+                             ids=["short", "column", "complex", "bool"])
+    def test_a_scale_that_is_not_a_real_vector_of_dim_entries_is_refused(self, scale):
+        a = DensityOperator(np.eye(4) / 4)
+        for generators in (None, [(np.arange(4), np.array([1.0, -1.0, 1.0, -1.0]))]):
+            with pytest.raises(RegisterError, match="^the scale is not a real vector of 4 "
+                                                    "entries$"):
+                trace_distance(a, 0.25, generators, scale)
 
 
 class TestTraceDistanceSplit:
@@ -636,8 +696,8 @@ class TestTraceDistanceSplit:
         # transformed difference shows it, and no distance is returned
         spec = MomentSpec(Source.CONSTRUCTION1, n=2, i=1, t=2)
         generators, dim = _layout_generators(spec)
-        a = DensityOperator(ensemble_moment_deltapair(spec).compressed.matrix)
-        b = haar_moment(8, 2).compressed
+        a = compression(ensemble_moment_deltapair(spec))
+        b = compression(haar_moment(8, 2))
         assert abs(trace_distance(a, b, generators) - dense_trace_distance(a, b)) <= 1e-12
         swap = np.arange(dim)
         swap[[0, 1]] = swap[[1, 0]]
@@ -657,13 +717,12 @@ class TestTraceDistanceSplit:
     def test_estimate_covers_the_measured_peak(self, spec):
         # c1 (4,1,2): 32 blocks of at most 32 classes, so one chunk of rows
         # sets the peak; plain (4,2): 136 blocks of one
-        moment = ensemble_moment_deltapair(spec)
+        a, c, scale = pairing_operands(spec)
         generators = moments._class_symmetries(spec)
-        a = moment.compressed
         plan = corelin._character_plan(corelin._signed_involutions(generators, a.dim), a.dim)
         estimate = 16 * corelin._distance_peak_entries(a.dim, False, plan)
-        for b in (1.0 / a.dim, DensityOperator(np.eye(a.dim) / a.dim)):
-            measured = measured_peak(lambda: trace_distance(a, b, generators))
+        for b in (c, DensityOperator(np.eye(a.dim) * c)):
+            measured = measured_peak(lambda: trace_distance(a, b, generators, scale))
             assert measured <= estimate <= 2 * measured
 
 

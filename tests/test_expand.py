@@ -11,8 +11,8 @@ from prslab.expand import Layout
 from prslab.prsgen import PrsGenerator, PrsKind
 
 from conftest import (
-    assert_vectors_close, basis_state, closed_form_construction1_loops, constant_function,
-    measured_peak, pauli_span, searched_pauli_symmetries,
+    assert_vectors_close, basis_state, closed_form_construction1_loops, compression,
+    constant_function, measured_peak, pauli_span, searched_pauli_symmetries,
 )
 
 
@@ -440,7 +440,7 @@ BRUTE_FORCE_SIDE = [key for key in FULL_GROUPS if key not in ("c1-4-2", "c1-5-1"
 class TestPauliSymmetries:
     @staticmethod
     def searched(moment, spec, atol=0.0):
-        return searched_pauli_symmetries(moment.compressed.matrix, 1 << spec.layout.qubits,
+        return searched_pauli_symmetries(compression(moment).matrix, 1 << spec.layout.qubits,
                                          spec.t, atol)
 
     @pytest.mark.parametrize("key", sorted(FULL_GROUPS))

@@ -32,11 +32,14 @@ from conftest import (
     assert_matrices_close,
     assert_vectors_close,
     average_t_fold,
+    class_scale,
+    compression,
     dense_pairing_moment,
     dense_trace_distance,
     filtered_pairing_tuples,
     haar_moment_monte_carlo,
     hadamard_conjugate,
+    haar_operands,
     measured_peak,
     random_unitary,
     symmetric_isometry,
@@ -564,11 +567,14 @@ class TestBruteForce:
                    function_space=PrfKeys(1024, 1)),
         MomentSpec(Source.CONSTRUCTION2, n=2, t=2, kind=PrsKind.GENERAL_PHASE,
                    function_space=PrfKeys(512, 1)),
+        MomentSpec(Source.CONSTRUCTION3, n=4, t=1, ell=1, function_space=UniformSample(1024, 1)),
+        MomentSpec(Source.CONSTRUCTION3, n=6, t=1, ell=1, function_space=UniformSample(1024, 1)),
     ], ids=["plain-4-2", "plain-4-1", "c3-2-ell4-2-uniform64", "c3-2-ell3-1",
             "plain-5-2-uniform256", "general-plain-5-2-uniform256",
             "general-plain-8-1-uniform1024", "general-c2-4-1-uniform1024",
             "plain-2-1-prf4096", "plain-3-3", "general-plain-10-1-uniform256",
-            "general-plain-6-1-prf1024", "general-c2-2-2-prf512"])
+            "general-plain-6-1-prf1024", "general-c2-2-2-prf512", "c3-4-ell1-1-uniform1024",
+            "c3-6-ell1-1-uniform1024"])
     def test_budget_estimate_covers_measured_peak(self, spec):
         # dim 1024 at t = 2: one chunk's products, the D x D product beside
         # the Gram of its 528 classes and 256 members' Sym^t products, about
@@ -586,7 +592,10 @@ class TestBruteForce:
         # chunk's draw, its 1024 keys beside their residues and table, about
         # 0.2 MiB; no key list is held for the whole run.  General plain n=6
         # prf:1024 and c2 n=2 prf:512, benchmark points: one chunk's
-        # evaluation beside its 0.5 MiB table, and its products, 2.5-2.8 MiB
+        # evaluation beside its 0.5 MiB table, and its products, 2.5-2.8 MiB.
+        # c3 ell=1 uniform:1024 at n=4 and 6: one block with a final layer,
+        # evaluated without it (3 copies of the member rows, not 5), 1.6 MiB
+        # at n=6
         measured = measured_peak(lambda: ensemble_moment_bruteforce(spec))
         estimate = 16 * moments._bruteforce_peak_entries(spec)
         assert measured <= estimate <= 2 * measured
@@ -645,14 +654,14 @@ class TestBruteForce:
                    function_space=PrfKeys(64, 5)),
     ], ids=["plain-3-3", "c1-3-1-2", "c3-2-1-ell3", "general-plain-2-2", "plain-3-2-prf64",
             "c1-2-1-2-uniform32", "general-c2-2-2-prf64"])
-    def test_handed_over_operator_is_the_compression_of_the_moment(self, spec):
+    def test_handed_over_gram_scaled_is_the_compression_of_the_moment(self, spec):
         moment = ensemble_moment_bruteforce(spec)
         iso = symmetric_isometry(1 << spec.layout.qubits, spec.t)
         want = iso.T @ moment.matrix @ iso
-        assert moment.compressed.matrix.dtype == moment.matrix.dtype
-        assert_matrices_close(moment.compressed.matrix, want, 1e-15)
-        assert_matrices_close(np.linalg.eigvalsh(moment.compressed.matrix),
-                              np.linalg.eigvalsh(want), 1e-13)
+        got = compression(moment).matrix
+        assert got.dtype == moment.gram.dtype == moment.matrix.dtype
+        assert_matrices_close(got, want, 1e-15)
+        assert_matrices_close(np.linalg.eigvalsh(got), np.linalg.eigvalsh(want), 1e-13)
 
 
 def full_circuit_moment(spec):
@@ -857,16 +866,15 @@ class TestPairingGram:
         plain(3, 3), c1(3, 1, 2), c1(4, 1, 2), c1(3, 1, 3),
         MomentSpec(Source.CONSTRUCTION3, n=2, t=2, ell=3),
     ], ids=["plain-3-3", "c1-3-1-2", "c1-4-1-2", "c1-3-1-3", "c3-2-2-ell3"])
-    def test_handed_over_operator_is_the_compressed_pre_final_moment(self, spec):
+    def test_handed_over_gram_scaled_is_the_compressed_pre_final_moment(self, spec):
         # V^T rho V of the moment before the final layer, which that layer's
         # copy-permutation symmetry leaves with the final moment's spectrum
         iso = symmetric_isometry(1 << spec.layout.qubits, spec.t)
-        moment = ensemble_moment_deltapair(spec)
+        got = compression(ensemble_moment_deltapair(spec)).matrix
         want = iso.T @ dense_pairing_moment(spec) @ iso
-        assert_matrices_close(moment.compressed.matrix, want, 1e-15)
+        assert_matrices_close(got, want, 1e-15)
         final = iso.T @ dense_pairing_moment(spec, final_layer=True) @ iso
-        assert_matrices_close(np.linalg.eigvalsh(moment.compressed.matrix),
-                              np.linalg.eigvalsh(final), 1e-13)
+        assert_matrices_close(np.linalg.eigvalsh(got), np.linalg.eigvalsh(final), 1e-13)
 
     @pytest.mark.parametrize("spec", [
         plain(3, 3), plain(2, 4), plain(3, 1), c1(3, 1, 2), c1(4, 2, 2), c1(3, 1, 3),
@@ -924,37 +932,41 @@ class TestHandOver:
 
     @pytest.mark.parametrize("local_dim,copies", [(2, 1), (4, 2), (3, 3), (2, 4), (8, 2)])
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-    def test_expansion_and_operator_are_the_isometry_products(self, rng, local_dim, copies,
-                                                              complex_):
+    def test_expansion_and_scaled_gram_are_the_isometry_products(self, rng, local_dim, copies,
+                                                                 complex_):
+        # the matrix is the Gram expanded, and the Gram scaled as the
+        # distance reads it (`compression`) is V^T rho V
         gram, classes, sizes = self.random_gram(rng, local_dim, copies, complex_)
         got = moments._hand_over(gram.copy(), local_dim, copies)
-        assert got.matrix.dtype == got.compressed.matrix.dtype == gram.dtype
+        compressed = compression(got).matrix
+        assert got.matrix.dtype == compressed.dtype == gram.dtype
         assert got.matrix.tobytes() == gram[np.ix_(classes, classes)].tobytes()
         iso = symmetric_isometry(local_dim, copies)
-        assert_matrices_close(got.compressed.matrix, iso.T @ got.matrix @ iso, 1e-13)
-        assert_matrices_close(got.matrix, iso @ got.compressed.matrix @ iso.T, 1e-13)
+        assert_matrices_close(compressed, iso.T @ got.matrix @ iso, 1e-13)
+        assert_matrices_close(got.matrix, iso @ compressed @ iso.T, 1e-13)
 
     @pytest.mark.parametrize("local_dim,copies", [(2, 1), (4, 2), (3, 3), (2, 4), (8, 2)])
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     def test_trace_is_the_compressions(self, rng, local_dim, copies, complex_):
         gram, _, _ = self.random_gram(rng, local_dim, copies, complex_)
         got = moments._hand_over(gram, local_dim, copies)
-        assert abs(got.trace() - got.compressed.trace()) <= 1e-15
+        assert abs(got.trace() - compression(got).trace()) <= 1e-15
 
     def test_trace_forms_no_compression(self):
         # the c1 (4,1,2) compression is 528 x 528 float64, 2.1 MiB
         moment = ensemble_moment_deltapair(c1(4, 1, 2))
-        assert abs(moment.trace() - moment.compressed.trace()) <= 1e-15
+        assert abs(moment.trace() - compression(moment).trace()) <= 1e-15
         assert measured_peak(moment.trace) < 1 << 20
 
     def test_complex_rows_hand_over_a_complex_operator(self, rng):
         # one complex state: the operator is |v><v|^{(x) 2} compressed, of trace 1
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         got = moments._average_symmetric_fold(iter([(v / np.linalg.norm(v))[None]]), 2)
-        assert got.compressed.matrix.dtype == np.complex128
-        assert got.compressed.trace().real == pytest.approx(1.0, abs=1e-12)
+        compressed = compression(got)
+        assert got.gram.dtype == compressed.matrix.dtype == np.complex128
+        assert compressed.trace().real == pytest.approx(1.0, abs=1e-12)
         iso = symmetric_isometry(4, 2)
-        assert_matrices_close(got.compressed.matrix, iso.T @ got.matrix @ iso, 1e-15)
+        assert_matrices_close(compressed.matrix, iso.T @ got.matrix @ iso, 1e-15)
 
     @pytest.mark.parametrize("make", [
         lambda: ensemble_moment_bruteforce(plain(3, 3)),
@@ -970,7 +982,8 @@ class TestHandOver:
         monkeypatch.setattr(moments, "_copy_class_rows",
                             lambda *args: expanded.append(copy_class_rows(*args)))
         moment = make()
-        assert expanded == [] and moment.gram.shape == moment.compressed.matrix.shape
+        sym = corelin.symmetric_subspace_dimension(moment.local_dim, moment.copies)
+        assert expanded == [] and moment.gram.shape == (sym, sym)
         assert not moment.gram.flags.writeable
         first = moment.matrix
         assert moment.matrix is first and len(expanded) == 1
@@ -982,10 +995,9 @@ class TestHandOver:
         lambda: compare_to_haar(plain(3, 1, PrfKeys(16, seed=2)), Method.MONTE_CARLO).moment,
     ], ids=["brute-c2-2-1", "pairing-plain-3-1", "sampled-plain-3-1"])
     def test_a_single_copy_moment_is_one_array(self, make):
-        # at t = 1 every class is one label and every scale 1: the Gram is
-        # the operator and the matrix too
+        # at t = 1 every class is one label: the Gram is the matrix too
         moment = make()
-        assert moment.matrix is moment.compressed.matrix is moment.gram
+        assert moment.matrix is moment.gram
 
     def test_a_single_copy_general_moment_holds_one_d_by_d_array(self):
         # general plain n=10 t=1: d = D = 1024, one 16 MiB complex128 array
@@ -1072,15 +1084,16 @@ class TestHaarMoment:
         (2, 1), (2, 2), (4, 2), (3, 3), (8, 2), (8, 3), (16, 2), (64, 2),
     ])
     def test_hands_over_the_maximally_mixed_compression(self, local_dim, copies):
-        # the dense reference's compression, formed from its Gram, is I/D up
-        # to rounding (the scaled Gram is 1 ulp off in 2016 of 2080 entries
-        # at (64,2)); `compare_to_haar` hands the distance the float 1/D,
+        # the dense reference's compression, its Gram scaled, is I/D up to
+        # rounding (the scaled Gram is 1 ulp off in 2016 of 2080 entries at
+        # (64,2)); `compare_to_haar` hands the distance the float 1/D,
         # whose b I is the I/D it built before, byte for byte
         sym = corelin.symmetric_subspace_dimension(local_dim, copies)
         haar = haar_moment(local_dim, copies)
-        assert_matrices_close(haar.compressed.matrix, np.eye(sym) / sym, 1e-15)
+        compressed = compression(haar).matrix
+        assert_matrices_close(compressed, np.eye(sym) / sym, 1e-15)
         iso = symmetric_isometry(local_dim, copies)
-        assert_matrices_close(haar.compressed.matrix, iso.T @ haar.matrix @ iso, 1e-15)
+        assert_matrices_close(compressed, iso.T @ haar.matrix @ iso, 1e-15)
         assert (np.eye(sym) / sym).tobytes() == np.diag(np.full(sym, 1.0 / sym)).tobytes()
 
     @pytest.mark.parametrize("local_dim,copies", [(16, 2), (8, 3), (3, 4), (64, 2)])
@@ -1221,7 +1234,7 @@ class TestDistanceInTheSymmetricSubspace:
         dense = DensityOperator(sum(np.outer(f, f.conj()) for f in folded) / members)
         haar = haar_moment(local_dim, copies)
         moment = moments._average_symmetric_fold([vs], copies)
-        got = corelin.trace_distance(moment.compressed, haar.compressed)
+        got = corelin.trace_distance(compression(moment), compression(haar))
         assert abs(got - dense_trace_distance(dense, haar)) <= 1e-12
 
     @pytest.mark.parametrize("spec", [c1(4, 1, 2), c1(3, 2, 2)], ids=["c1-4-1-2", "c1-3-2-2"])
@@ -1234,6 +1247,19 @@ class TestDistanceInTheSymmetricSubspace:
         dim = 1 << (spec.layout.qubits * spec.t)
         measured = measured_peak(lambda: compare_to_haar(spec, Method.DELTA_PAIRING))
         assert measured <= 1.05 * 8 * dim * dim
+
+    @pytest.mark.parametrize("spec", [plain(4, 3), plain(4, 4), c1(5, 1, 2)],
+                             ids=["plain-4-3", "plain-4-4", "c1-5-1-2"])
+    def test_peak_stays_within_the_smallest_budget_it_accepts(self, monkeypatch, spec):
+        # without the d^t x d^t projector, which no result reads, the
+        # comparison holds the Gram beside the distance's arrays, and the
+        # distance's check counts both: a budget of the traced peak, rounded
+        # down to a MiB, is refused.  plain (4,4): the 115 MiB Gram of its
+        # 3876 classes, 118 MiB traced in all
+        monkeypatch.setattr(corelin, "symmetric_projector", lambda *args: None)
+        peak = measured_peak(lambda: compare_to_haar(spec, Method.DELTA_PAIRING))
+        with pytest.raises(BudgetError), budget.limit(peak >> 20):
+            compare_to_haar(spec, Method.DELTA_PAIRING)
 
     @staticmethod
     def eigensolve_shapes(monkeypatch, spec):
@@ -1268,29 +1294,31 @@ class TestDistanceInTheSymmetricSubspace:
     ], ids=["pairing-plain-3-3", "pairing-c1-3-1-2", "pairing-c1-4-1-2", "brute-plain-3-3",
             "brute-c1-3-1-2", "brute-general-plain-2-2", "sampled-plain-3-2-prf64",
             "sampled-c1-2-1-2-uniform32"])
-    def test_the_distance_is_taken_between_the_handed_over_compressions(self, monkeypatch,
+    def test_the_distance_reads_the_handed_over_gram_as_its_compression(self, monkeypatch,
                                                                          spec, method):
-        # the route's moment forms its D x D compression from its Gram, and
-        # the one distance solved is between that and I/D, handed over as
-        # the float 1/D
+        # the one distance solved reads the route's own Gram, uncopied,
+        # through the square roots of the class sizes, against I/D handed
+        # over as the float 1/D: bit for bit the distance between the
+        # explicitly scaled Gram (`compression`) and 1/D
         calls = []
         trace_distance = corelin.trace_distance
 
-        def recording(a, b, generators=None):
-            calls.append((a, b, generators))
-            return trace_distance(a, b, generators)
+        def recording(*args):
+            calls.append(args)
+            return trace_distance(*args)
 
         monkeypatch.setattr(corelin, "trace_distance", recording)
         report = compare_to_haar(spec, method)
-        compressed = report.moment.compressed.matrix
-        sym = len(compressed)
-        assert len(calls) == 1
-        assert calls[0][0].matrix.tobytes() == compressed.tobytes()
-        assert calls[0][1] == 1.0 / sym and type(calls[0][1]) is float
+        moment = report.moment
+        ((a, b, generators, scale),) = calls
+        assert a.matrix is moment.gram
+        assert b == 1.0 / len(moment.gram) and type(b) is float
+        assert scale.tobytes() == class_scale(moment.local_dim, moment.copies).tobytes()
+        assert report.haar_distance == trace_distance(compression(moment), b, generators)
         # the exhaustive sign-phase moments are split by their symmetries;
         # the general kind and sampled spaces keep the component search
         split = spec.kind is PrsKind.BINARY_PHASE and method is not Method.MONTE_CARLO
-        assert (calls[0][2] is not None) == split
+        assert (generators is not None) == split
 
     def test_the_compressed_difference_is_solved_block_by_block(self, monkeypatch):
         # c1 (3,1,2): d^t = 256, D = C(17, 2) = 136, 16 character blocks, of
@@ -1366,10 +1394,9 @@ class TestExpansionTrend:
         distances = []
         for t in range(1, last + 1):
             spec = MomentSpec(Source(source), n=n, t=t, i=i, ell=ell)
-            moment = ensemble_moment_deltapair(spec)
-            generators = moments._class_symmetries(spec)
-            distances.append(corelin.trace_distance(moment.compressed, 1.0 / len(moment.gram),
-                                                    generators))
+            a, b, scale = haar_operands(ensemble_moment_deltapair(spec))
+            distances.append(corelin.trace_distance(a, b, moments._class_symmetries(spec),
+                                                    scale))
             if t <= 2:
                 assert distances[-1] == compare_to_haar(spec, Method.DELTA_PAIRING).haar_distance
         assert all(low <= high + 1e-12 for low, high in zip(distances, distances[1:]))
@@ -1412,11 +1439,11 @@ class TestSymmetrySplit:
         spec = SPLIT_POINTS[key][0]
         report = (pairing_report(spec) if method is Method.DELTA_PAIRING
                   else compare_to_haar(spec, method))
-        haar = haar_moment(1 << spec.layout.qubits, spec.t).compressed
+        haar = compression(haar_moment(1 << spec.layout.qubits, spec.t))
         assert (moments._class_symmetries(spec) is None) == (
             spec.kind is PrsKind.GENERAL_PHASE)
         assert abs(report.haar_distance
-                   - dense_trace_distance(report.moment.compressed, haar)) <= 1e-12
+                   - dense_trace_distance(compression(report.moment), haar)) <= 1e-12
 
     @pytest.mark.parametrize("spec,method", [
         (c1(3, 1, 2), Method.DELTA_PAIRING), (c1(3, 1, 2), Method.BRUTE_FORCE),
@@ -1429,7 +1456,7 @@ class TestSymmetrySplit:
         # which every route holds before the final layer
         moment = (ensemble_moment_deltapair(spec) if method is Method.DELTA_PAIRING
                   else ensemble_moment_bruteforce(spec))
-        compressed = moment.compressed.matrix
+        compressed = compression(moment).matrix
         generators = moments._class_symmetries(spec)
         assert generators
         for indices, signs in generators:
@@ -1444,7 +1471,7 @@ class TestSymmetrySplit:
         moment = ensemble_moment_deltapair(spec)
         generators = moments._class_symmetries(spec)
         assert len(generators) == 2
-        sym = moment.compressed.dim
+        sym = len(moment.gram)
         plan = corelin._character_plan(corelin._signed_involutions(generators, sym), sym)
         assert len(np.unique(plan.block)) == 4
 

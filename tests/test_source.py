@@ -172,17 +172,19 @@ def _names(node, name):
 
 
 def test_nothing_is_compressed_after_the_fact():
-    # every moment forms its Sym^t compression from its own class Gram when
-    # it is read, and the Haar moment's is I/D, so no module defines or
-    # calls a compressor, and the moments module solves a distance only in
+    # the distance reads a moment's class Gram through the square roots of
+    # its class sizes, and the Haar moment's compression is I/D, so no
+    # module defines or reads a compressor, a moment's `compressed` operator
+    # or its peak model, and the moments module solves a distance only in
     # compare_to_haar
+    names = ("symmetric_compression", "compressed", "_compression_peak_entries")
     modules = sorted(Path(prslab.__file__).parent.rglob("*.py"))
     stage, offenders = [], []
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                      if _names(node, "symmetric_compression")
-                      or isinstance(node, ast.FunctionDef) and node.name == "symmetric_compression"]
+                      if any(_names(node, name) for name in names)
+                      or isinstance(node, ast.FunctionDef) and node.name in names]
         if path.name == "moments.py":
             stage = [node for node in tree.body
                      if isinstance(node, ast.FunctionDef) and node.name == "compare_to_haar"]
@@ -197,7 +199,7 @@ def test_nothing_is_compressed_after_the_fact():
 
 def test_a_moment_holds_one_array_and_the_comparison_no_haar_array():
     # SymmetricMoment declares its class Gram as its one array field (its
-    # compression and matrix are built on read), and compare_to_haar hands
+    # matrix is built on read), and compare_to_haar hands
     # the distance I/D as the float 1/D: it builds no Haar moment and no
     # dense identity or diagonal
     tree = ast.parse(Path(moments.__file__).read_text(encoding="utf-8"))
