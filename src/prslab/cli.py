@@ -104,12 +104,21 @@ def _report_row(report: moments.MomentReport, canonical: bool):
 
 def _compare(methods, seed, source, kind, n, i, ell, t, space, shared_key):
     """The reports of one comparison per method at the point the flag values
-    name; every method is refused or accepted before the first comparison."""
+    name; every method is refused or accepted before the first comparison.
+    A report holds its moment's class Gram, so each later comparison runs
+    under the budget less the Grams held, in whole MiB rounded up."""
     spec = MomentSpec(Source(source), n, t, PrsKind(kind), i=i, ell=ell,
                       function_space=_parse_space(space, seed), shared_key=shared_key)
     for method in methods:
         moments._check_method(spec, method)
-    return [moments.compare_to_haar(spec, method) for method in methods]
+    reports = [moments.compare_to_haar(spec, method) for method in methods[:1]]
+    for method in methods[1:]:
+        mib, held = budget.budget_mib(), -(-sum(r.moment.gram.nbytes for r in reports) >> 20)
+        names = ", ".join(r.method.value for r in reports)
+        with budget.limit(mib - held, f"{mib} MiB less the {held} MiB that the {names} "
+                                      f"report's class Gram holds"):
+            reports.append(moments.compare_to_haar(spec, method))
+    return reports
 
 
 def cmd_moments(args, out_dir: Path) -> int:

@@ -11,9 +11,8 @@ module calls it.  Nothing here compresses an operator to the symmetric
 subspace: the trace distance reads a moment's class Gram (see `moments`)
 through a scale vector.  It checks its own peak and its operands, takes a
 float second operand b as b I (the Haar moment's compression is I/D),
-splits the difference into the character blocks of the signed
-permutations it is given, if any, and eigensolves each connected block of
-those (or of the whole difference) alone.
+and eigensolves each character block of the signed permutations it is
+given, or, given none, each connected block of the difference, alone.
 Everything here but `_walsh`, which works in place on its caller's array,
 is a pure function on immutable inputs, safe to share across threads.
 
@@ -347,20 +346,16 @@ def trace_distance(a: DensityOperator, b: DensityOperator | float, generators=No
     each row of a is multiplied by its entry of s, then by s, as it is
     gathered, the products of scaling a beforehand, bit for bit.
 
-    The blocks are the connected components of the nonzero pattern
-    (`_components`) of a - b, or of each of its character blocks when
-    `generators` are given; a piece is solved as it is when it is one
-    component.  A permutation similarity changes no eigenvalue, so the
-    spectrum is that of the blocks.
-
     `generators` are (indices, signs) pairs, each the signed permutation
     S e_j = signs[j] e_{indices[j]} of the dim indices, that commute with
     a - b.  They must be involutions that commute with each other
     (`_signed_involutions`), and their joint eigenspaces then split a - b,
     after an orthogonal change of basis, into one block per character
-    (`_character_blocks`).  A transformed entry outside the blocks above
-    HERMITIAN_ATOL raises RegisterError, so a group that a - b does not
-    commute with is refused, not solved.  An empty group splits nothing."""
+    (`_character_blocks`), each solved whole.  A transformed entry outside
+    the blocks above HERMITIAN_ATOL raises RegisterError, so a group that
+    a - b does not commute with is refused, not solved.  Without a group,
+    the blocks are the connected components of a - b (`_component_blocks`).
+    A similarity changes no eigenvalue: the spectrum is the blocks'."""
     if isinstance(b, numbers.Real):
         b = float(b)
         if not math.isfinite(b):
@@ -387,23 +382,20 @@ def trace_distance(a: DensityOperator, b: DensityOperator | float, generators=No
             diff.ravel()[::a.dim + 1] -= b  # a view of the diagonal
         else:
             diff -= b
-        singles, pieces = np.empty(0), [diff]
-        del diff  # held by `pieces` alone, so the solve drops it
+        singles, blocks = _component_blocks(diff)
+        del diff  # held by `blocks` alone when it is one component
     else:
-        singles, pieces = _character_blocks(a.matrix, b, plan, scale)
+        singles, blocks = _character_blocks(a.matrix, b, plan, scale)
     triangle = "L" if plan is None else "U"  # the triangle `_character_blocks` fills
-    solved = [singles]
-    while pieces:  # each piece is dropped once its components are gathered
-        singles, blocks = _component_blocks(pieces.pop(0))
-        solved += [singles] + [np.linalg.eigvalsh(block, UPLO=triangle) for block in blocks]
+    solved = [singles] + [np.linalg.eigvalsh(block, UPLO=triangle) for block in blocks]
     return float(0.5 * np.sum(np.abs(np.concatenate(solved))))
 
 
 def _component_blocks(diff: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The diagonal entries of the components of one index and the gathered
-    blocks of the others, or diff itself when it is one component.  Every
-    block is gathered before the difference is dropped, so the solve holds
-    the blocks, at most one matrix of diff's size together."""
+    """The split of a difference no group splits: the diagonal entries of
+    its components of one index and the gathered blocks of the others, or
+    diff itself when it is one component.  Every block is gathered before
+    diff is dropped, so the solve holds at most one matrix of its size."""
     components = _components(diff)
     if len(components) == 1:
         return np.empty(0), [diff]
@@ -435,9 +427,7 @@ def _distance_peak_entries(dim: int, complex_: bool = False, plan=None) -> int:
     value, or the next chunk's rows beside the last one's gather; b's rows
     are dropped once subtracted, and a float b has none), a Walsh slab and
     six int64 index arrays of the chunk's in-block entries.
-    The solve holds the blocks, beside the component search of the largest
-    (three bool squares), its gathered components and the eigensolver's
-    copy of one."""
+    The solve holds the blocks, beside the eigensolver's copy of one."""
     square = dim * dim if complex_ else dim * dim // 2
     if plan is None:
         return max(square + 3 * (dim * dim // 16), 2 * square)
@@ -447,7 +437,7 @@ def _distance_peak_entries(dim: int, complex_: bool = False, plan=None) -> int:
     blocks = int(np.sum(counts.astype(np.int64) ** 2)) // per_unit
     rows = min(dim, max(_chunk_rows(dim, 1, per_unit), 1 << int(plan.dims[-1])))
     chunk = (3 * rows * dim + min(_SLAB_BYTES // 8, rows * dim)) // per_unit + 3 * rows * largest
-    solve = 3 * largest * largest // 16 + 2 * largest * largest // per_unit
+    solve = largest * largest // per_unit
     building = (2 * plan.generators + 12) * dim // 2 + plan.generators * dim // 16
     return max(building, 3 * dim + blocks + max(chunk, solve)) + (1 << 10)
 

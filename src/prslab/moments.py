@@ -45,7 +45,7 @@ import numpy as np
 from . import boolfn, corelin, expand
 from .boolfn import BooleanFunction
 from .budget import check_complex_array, check_enumeration, check_power_enumeration
-from .corelin import HERMITIAN_ATOL, DensityOperator, PureState, RegisterError
+from .corelin import EIGENVALUE_FLOOR, HERMITIAN_ATOL, DensityOperator, PureState, RegisterError
 from .expand import Layout, Source  # Source is re-exported for MomentSpec users
 from .prsgen import PrsKind
 
@@ -286,43 +286,42 @@ def _copy_class_rows(matrix: np.ndarray, classes: np.ndarray) -> None:
 
 def _expansion_peak_entries(local_dim: int, copies: int, complex_: bool = False) -> int:
     """Upper estimate of `SymmetricMoment.matrix`'s peak, in 16-byte units:
-    the matrix, the class of every label and the class arrays, beside the
-    larger of one gathered block of rows and the matrix's DensityOperator
-    check, plus 4 KiB."""
+    the matrix, the class of every label, the class arrays and one gathered
+    block of rows, plus 4 KiB."""
     dim = local_dim**copies
     per_unit = 1 if complex_ else 2  # entries per 16 bytes
     block = min(dim, _gather_rows(dim, 16 // per_unit)) * dim // per_unit
     return (dim * dim // per_unit + dim // 2 + corelin._classes_peak_entries(local_dim, copies)
-            + max(block, corelin._operator_build_entries(dim, complex_)) + (1 << 8))
+            + block + (1 << 8))
 
 
 @dataclass(frozen=True)
 class SymmetricMoment:
     """A t-copy moment rho, held before its layout's final layer, as its
-    frozen D x D class Gram G alone: rho[x, y] = G[a, b] for the classes a
-    of x and b of y.  G is checked when the moment is made:
-    a square of one row per class, Hermitian and of trace sum_a c_a G_aa = 1
-    for the class sizes c, within HERMITIAN_ATOL; a frozen array is adopted
-    (`corelin._frozen_copy`).  `matrix` is built on first read, and the
-    distance reads G as its compression, scaling each row as it gathers it."""
+    D x D class Gram G alone, in the `operator` that checks it Hermitian:
+    rho[x, y] = G[a, b] for the classes a of x and b of y.  The moment
+    checks one row per class, trace sum_a c_a G_aa = 1 for the class sizes
+    c within HERMITIAN_ATOL and G_aa >= EIGENVALUE_FLOOR: rho's checks, so
+    neither `matrix` (built on first read) nor the distance checks again."""
 
-    gram: np.ndarray
+    operator: DensityOperator
     local_dim: int
     copies: int
 
     def __post_init__(self):
-        gram = corelin._frozen_copy(self.gram)
-        object.__setattr__(self, "gram", gram)
-        _, sizes = corelin._symmetric_classes(self.local_dim, self.copies)
-        if gram.shape != (len(sizes),) * 2:
-            raise RegisterError(f"class Gram has shape {gram.shape}, expected one row and "
-                                f"column per class, ({len(sizes)}, {len(sizes)})")
-        dev = corelin._hermitian_deviation(gram)
-        if not dev <= HERMITIAN_ATOL:
-            raise RegisterError(f"class Gram deviates from Hermitian by {dev:.3e}")
-        tr = complex(np.dot(sizes, gram.diagonal()))
+        sym = corelin.symmetric_subspace_dimension(self.local_dim, self.copies)
+        if self.gram.shape != (sym, sym):
+            raise RegisterError(f"class Gram has shape {self.gram.shape}, expected one row "
+                                f"and column per class, ({sym}, {sym})")
+        tr = self.trace()
         if not abs(tr - 1.0) <= HERMITIAN_ATOL:
             raise RegisterError(f"trace {tr!r} deviates from 1 beyond {HERMITIAN_ATOL}")
+        if not float(np.min(self.gram.diagonal().real)) >= EIGENVALUE_FLOOR:
+            raise RegisterError("diagonal entry below PSD floor")
+
+    @property
+    def gram(self) -> np.ndarray:
+        return self.operator.matrix
 
     @property
     def dim(self) -> int:
@@ -335,11 +334,11 @@ class SymmetricMoment:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """rho, once its peak passes the budget check: row a < D is G's row a
-        gathered over every label, then each row is copied from its class's.
-        At t = 1 every class is one label and rho is G: that array."""
+        """rho, frozen, once its peak passes the budget check: row a < D is
+        G's row a gathered over every label, then each row is copied from
+        its class's.  At t = 1 every class is one label and rho is G."""
         if self.copies == 1:
-            return DensityOperator(self.gram).matrix
+            return self.gram
         check_complex_array(
             _expansion_peak_entries(self.local_dim, self.copies, np.iscomplexobj(self.gram)),
             f"moment expansion, dim {self.dim}")
@@ -347,14 +346,14 @@ class SymmetricMoment:
         matrix = np.empty((len(classes),) * 2, dtype=self.gram.dtype)
         self.gram.take(classes, axis=1, out=matrix[:len(self.gram)], mode="clip")  # no buffer
         _copy_class_rows(matrix, classes)
-        matrix.setflags(write=False)  # adopted by the operator, which checks it, not copied
-        return DensityOperator(matrix).matrix
+        matrix.setflags(write=False)
+        return matrix
 
 
 def _hand_over(gram: np.ndarray, local_dim: int, copies: int) -> SymmetricMoment:
     """The moment of the class Gram G, frozen and adopted without a copy."""
     gram.setflags(write=False)
-    return SymmetricMoment(gram, local_dim, copies)
+    return SymmetricMoment(DensityOperator(gram, normalized=False), local_dim, copies)
 
 
 def _average_symmetric_fold(chunks, t: int) -> SymmetricMoment:
@@ -699,12 +698,13 @@ def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
     """The ensemble moment by the chosen route and its trace distance to
     the Haar moment, in three stages that each check themselves: the
     refusal (`_check_method`), the route and `corelin.trace_distance` of
-    the moment's D x D compression, its Gram read through the square roots
-    of the class sizes, and the Haar moment's, I/D, passed as the float
-    1/D, split by the layout's Pauli symmetries (`_class_symmetries`) where
-    it has them.  The moment is held before the layout's final layer U, and
-    U^{(x) t} commutes with the Haar moment, so this is the full circuit's
-    distance.  Deterministic given the function-space seed."""
+    the moment's D x D compression, its checked operator read through the
+    square roots of the class sizes, and the Haar moment's, I/D, passed as
+    the float 1/D, split by the layout's Pauli symmetries
+    (`_class_symmetries`) where it has them.  The moment is held before the
+    layout's final layer U, and U^{(x) t} commutes with the Haar moment, so
+    this is the full circuit's distance.  Deterministic given the
+    function-space seed."""
     _check_method(spec, method)
     start = time.perf_counter()
     local_dim = 1 << spec.layout.qubits
@@ -716,7 +716,7 @@ def compare_to_haar(spec: MomentSpec, method: Method) -> MomentReport:
              else ensemble_moment_bruteforce)
     moment = route(spec)
     sizes = corelin._symmetric_classes(local_dim, spec.t)[1]
-    distance = corelin.trace_distance(DensityOperator(moment.gram, normalized=False),
-                                      1.0 / len(sizes), _class_symmetries(spec), np.sqrt(sizes))
+    distance = corelin.trace_distance(moment.operator, 1.0 / len(sizes),
+                                      _class_symmetries(spec), np.sqrt(sizes))
     runtime_ms = int(round((time.perf_counter() - start) * 1000))
     return MomentReport(spec, method, moment, distance, runtime_ms, spec.function_space.seed)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from prslab import budget, cli, combinatorics, condcheck, corelin, expand, moments, prsgen
-from prslab.budget import DEFAULT_BUDGET_MIB
+from prslab.budget import DEFAULT_BUDGET_MIB, BudgetError
 from prslab.moments import ExhaustiveAllFunctions
 
 from conftest import measured_peak
@@ -38,6 +38,25 @@ class TestMomentsCommand:
                     "--n", "2", "--t", "1", "--method", "both"])
         assert code == 0
         assert len(read_lines(tmp_path / "moments.csv")) == 4
+
+    def test_a_later_comparison_runs_beside_the_grams_held(self, monkeypatch):
+        # c1 (3,2,2), the projector left out: the brute-force report holds
+        # its 528 x 528 Gram, 2.1 MiB or 3 whole MiB, while the pairing
+        # comparison runs, and the two peak at 6.26 MiB traced; alone, the
+        # pairing comparison fits in 6 MiB, beside the Gram it is refused
+        monkeypatch.setattr(corelin, "symmetric_projector", lambda *args: None)
+        point = (0, "construction1", "binary", 3, 2, None, 2, "exhaustive", False)
+        pair, brute = moments.Method.DELTA_PAIRING, moments.Method.BRUTE_FORCE
+        with budget.limit(6):
+            (report,) = cli._compare([pair], *point)
+            with pytest.raises(BudgetError, match="pairing route peak .* budget is 3 MiB$"):
+                cli._compare([brute, pair], *point)
+        # a budget the held Gram fills leaves none for the next comparison
+        monkeypatch.setattr(moments, "compare_to_haar", lambda spec, method: report)
+        with pytest.raises(BudgetError, match="^3 MiB less the 3 MiB that the delta_pairing "
+                                              "report's class Gram holds must be"), \
+                budget.limit(3):
+            cli._compare([pair, brute], *point)
 
     def test_sampled_space_requires_seed(self, tmp_path, capsys):
         code = run(["--out-dir", tmp_path, "moments", "--source", "plain",

@@ -1028,6 +1028,66 @@ class TestHandOver:
         assert len(moment.gram) == 528
         assert gram_bytes <= held <= 1.05 * gram_bytes
 
+    @staticmethod
+    def refused_gram(case):
+        # the Haar Gram of (2)^2, diag(1, 1/2, 1)/3 over classes 00, 01, 11,
+        # broken one way each
+        gram = np.diag([1.0, 0.5, 1.0]) / 3
+        if case == "shape":
+            return np.eye(4) / 4
+        if case == "non-hermitian":
+            gram[0, 1] = 2 * corelin.HERMITIAN_ATOL
+        elif case == "trace":
+            gram[1, 1] += 2 * corelin.HERMITIAN_ATOL
+        else:  # a diagonal entry below the floor, the trace kept at 1
+            gram[0, 0], gram[2, 2] = -1e-6, gram[2, 2] + gram[0, 0] + 1e-6
+        return gram
+
+    @pytest.mark.parametrize("case,message", [
+        ("shape", "class Gram has shape"), ("non-hermitian", "deviates from Hermitian"),
+        ("trace", "trace .* deviates from 1"), ("floor", "diagonal entry below PSD floor"),
+    ], ids=["shape", "non-hermitian", "trace", "floor"])
+    def test_a_bad_gram_is_refused_when_the_moment_is_made(self, case, message):
+        # every check of the expansion rho is a check of G, made once, when
+        # the moment is handed over: rho's entries are G's
+        with pytest.raises(corelin.RegisterError, match=message):
+            moments._hand_over(self.refused_gram(case), 2, 2)
+
+    @staticmethod
+    def checked_shapes(monkeypatch):
+        """The shapes `corelin._hermitian_deviation` sees from here on."""
+        shapes = []
+        deviation = corelin._hermitian_deviation
+        monkeypatch.setattr(corelin, "_hermitian_deviation",
+                            lambda mat: (shapes.append(mat.shape), deviation(mat))[1])
+        return shapes
+
+    def test_a_comparison_checks_its_gram_once_and_a_matrix_read_never(self, monkeypatch):
+        # c1 (4,1,2): the 528 x 528 Gram is checked where it is handed over,
+        # and neither the distance's operand nor the 1024^2 expansion is
+        # wrapped again; the projector, which no result reads, is left out
+        monkeypatch.setattr(corelin, "symmetric_projector", lambda *args: None)
+        shapes = self.checked_shapes(monkeypatch)
+        moment = compare_to_haar(c1(4, 1, 2), Method.DELTA_PAIRING).moment
+        assert shapes == [(528, 528)]
+        shapes.clear()
+        assert moment.matrix.shape == (1024, 1024)
+        assert shapes == []
+
+    def test_the_split_distance_runs_no_component_search(self, monkeypatch):
+        # with generators each character block goes straight to the
+        # eigensolver; without them the dense difference is still searched
+        def refuse(mat):
+            raise AssertionError("component search")
+
+        spec = c1(3, 1, 2)
+        want = compare_to_haar(spec, Method.DELTA_PAIRING).haar_distance
+        monkeypatch.setattr(corelin, "_components", refuse)
+        assert compare_to_haar(spec, Method.DELTA_PAIRING).haar_distance == want
+        a, b, scale = haar_operands(ensemble_moment_deltapair(spec))
+        with pytest.raises(AssertionError, match="component search"):
+            corelin.trace_distance(a, b, None, scale)
+
     @pytest.mark.parametrize("make", [
         lambda: ensemble_moment_deltapair(c1(4, 1, 2)),
         lambda: ensemble_moment_deltapair(c1(3, 1, 3)),
@@ -1275,14 +1335,24 @@ class TestDistanceInTheSymmetricSubspace:
         compare_to_haar(spec, Method.DELTA_PAIRING)
         return shapes
 
+    @staticmethod
+    def character_blocks(spec):
+        """The sides of the character blocks the layout's symmetries split
+        the spec's classes into, in the order `_character_blocks` gives."""
+        generators = moments._class_symmetries(spec)
+        dim = len(generators[0][0])
+        plan = corelin._character_plan(corelin._signed_involutions(generators, dim), dim)
+        return np.bincount(plan.block).tolist()
+
     def test_no_full_dimension_eigensolve(self, monkeypatch):
         # c1 (4,1,2): d^t = 1024, D = C(33, 2) = 528.  The route's own
         # operator, the compression of the moment before its final layer,
         # splits by the layout's 2^5 Pauli symmetries into 32 character
-        # blocks of at most 32 classes (the component search alone finds
-        # blocks of 272 and 256); the final moment's compression is one block
+        # blocks of at most 32 classes, each solved whole (the component
+        # search alone finds blocks of 272 and 256); the final moment's
+        # compression is one block
         shapes = self.eigensolve_shapes(monkeypatch, c1(4, 1, 2))
-        assert max(side for side, _ in shapes) == 32 and len(shapes) == 33
+        assert max(side for side, _ in shapes) == 32 and len(shapes) == 32
 
     @pytest.mark.parametrize("spec,method", [
         (plain(3, 3), Method.DELTA_PAIRING), (c1(3, 1, 2), Method.DELTA_PAIRING),
@@ -1321,25 +1391,25 @@ class TestDistanceInTheSymmetricSubspace:
         assert (generators is not None) == split
 
     def test_the_compressed_difference_is_solved_block_by_block(self, monkeypatch):
-        # c1 (3,1,2): d^t = 256, D = C(17, 2) = 136, 16 character blocks, of
-        # which the component search splits some further; 10 classes are
-        # blocks of one, read off the diagonal (the component search alone
-        # solves blocks of 72 and 64)
-        shapes = self.eigensolve_shapes(monkeypatch, c1(3, 1, 2))
+        # c1 (3,1,2): d^t = 256, D = C(17, 2) = 136, 16 character blocks;
+        # the solved sides and the blocks of one, read off the diagonal,
+        # cover every class (the component search alone solves blocks of
+        # 72 and 64)
+        spec = c1(3, 1, 2)
+        shapes = self.eigensolve_shapes(monkeypatch, spec)
+        singles = self.character_blocks(spec).count(1)
         assert max(side for side, _ in shapes) == 16
-        assert sum(side for side, _ in shapes) == 136 - 10
+        assert sum(side for side, _ in shapes) + singles == 136
 
-    def test_plain_solves_nothing_larger_than_its_key_groups(self, monkeypatch):
-        # without a final layer the plain moment joins two classes only when
-        # their labels have the same odd-multiplicity set (the XOR key of
-        # one-hot labels), so no block is larger than the largest such group
-        n, t = 3, 3
-        keys = [frozenset(x for x in set(multiset) if multiset.count(x) % 2)
-                for multiset in itertools.combinations_with_replacement(range(1 << n), t)]
-        largest = max(keys.count(key) for key in set(keys))
-        shapes = self.eigensolve_shapes(monkeypatch, plain(n, t))
-        assert largest == 8 and shapes
-        assert max(side for side, _ in shapes) <= largest
+    def test_plain_solves_each_character_block_whole(self, monkeypatch):
+        # with generators no component search runs: plain (3,3)'s 120
+        # classes are solved as the layout's character blocks, each one
+        # eigensolve, in block order, and the blocks of one off the diagonal
+        spec = plain(3, 3)
+        shapes = self.eigensolve_shapes(monkeypatch, spec)
+        sides = self.character_blocks(spec)
+        assert shapes == [(side, side) for side in sides if side > 1]
+        assert sum(sides) == 120 and max(sides) == 15
 
 
 class TestUnitaryConjugationInvariance:

@@ -198,22 +198,54 @@ def test_nothing_is_compressed_after_the_fact():
 
 
 def test_a_moment_holds_one_array_and_the_comparison_no_haar_array():
-    # SymmetricMoment declares its class Gram as its one array field (its
-    # matrix is built on read), and compare_to_haar hands
-    # the distance I/D as the float 1/D: it builds no Haar moment and no
-    # dense identity or diagonal
+    # SymmetricMoment declares the checked operator of its class Gram as its
+    # one array-holding field (its gram is the operator's array and its
+    # matrix is built on read), and compare_to_haar hands the distance I/D
+    # as the float 1/D: it builds no Haar moment and no dense identity or
+    # diagonal
     tree = ast.parse(Path(moments.__file__).read_text(encoding="utf-8"))
     classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     arrays = [node.target.id for node in classes["SymmetricMoment"].body
-              if isinstance(node, ast.AnnAssign) and "ndarray" in ast.unparse(node.annotation)]
-    assert arrays == ["gram"]
+              if isinstance(node, ast.AnnAssign)
+              and any(kind in ast.unparse(node.annotation)
+                      for kind in ("ndarray", "DensityOperator"))]
+    assert arrays == ["operator"]
     calls = [node.func for node in ast.walk(functions["compare_to_haar"])
              if isinstance(node, ast.Call)]
     assert calls, "compare_to_haar calls nothing"
     dense = ("haar_moment", "eye", "diag", "identity")
     assert [ast.unparse(func) for func in calls
             if any(_names(func, name) for name in dense)] == []
+
+
+def test_only_the_hand_over_wraps_a_moment_s_gram_in_an_operator():
+    # the one Hermiticity check of a moment: moments.py constructs a
+    # DensityOperator in _hand_over alone, and nothing derived from the Gram
+    # (the comparison's operand, the expansion) is wrapped again
+    tree = ast.parse(Path(moments.__file__).read_text(encoding="utf-8"))
+    (hand_over,) = [node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_hand_over"]
+    inside = {id(node) for node in ast.walk(hand_over)}
+    built = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _names(node.func, "DensityOperator")]
+    assert [node.lineno for node in built if id(node) not in inside] == []
+    assert len(built) == 1
+
+
+def test_the_split_distance_runs_no_component_search():
+    # trace_distance splits each difference once: the component search runs
+    # on the dense difference alone, so no loop in it calls _component_blocks
+    tree = ast.parse((Path(prslab.__file__).parent / "corelin.py").read_text(encoding="utf-8"))
+    (solve,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "trace_distance"]
+    calls = [node for node in ast.walk(solve)
+             if isinstance(node, ast.Call) and _names(node.func, "_component_blocks")]
+    assert len(calls) == 1
+    loops = [node for node in ast.walk(solve)
+             if isinstance(node, (ast.For, ast.While, ast.ListComp, ast.GeneratorExp))]
+    in_loops = {id(node) for loop in loops for node in ast.walk(loop)}
+    assert [node.lineno for node in calls if id(node) in in_loops] == []
 
 
 def test_the_cli_compares_only_in_one_helper():
