@@ -115,9 +115,12 @@ def _compare(methods, seed, source, kind, n, i, ell, t, space, shared_key):
     for method in methods[1:]:
         mib, held = budget.budget_mib(), -(-sum(r.moment.gram.nbytes for r in reports) >> 20)
         names = ", ".join(r.method.value for r in reports)
-        with budget.limit(mib - held, f"{mib} MiB less the {held} MiB that the {names} "
-                                      f"report's class Gram holds"):
-            reports.append(moments.compare_to_haar(spec, method))
+        origin = f"{mib} MiB less the {held} MiB that the {names} report's class Gram holds"
+        with budget.limit(mib - held, origin):
+            try:
+                reports.append(moments.compare_to_haar(spec, method))
+            except BudgetError as err:  # a refusal by the reduced budget says why
+                raise BudgetError(f"{err}: {origin}") if str(err).endswith(" MiB") else err
     return reports
 
 

@@ -633,11 +633,14 @@ def symmetric_subspace_dimension(local_dim: int, copies: int) -> int:
 def _projector_peak_entries(local_dim: int, copies: int) -> int:
     """Upper estimate of `symmetric_projector`'s peak, in 16-byte units: the
     float64 matrix, what wrapping it in a DensityOperator holds besides it,
-    the class arrays and 256 KiB of Python objects and of the buffers numpy
-    iterates the broadcast (t!, t!, D) index arrays with."""
-    dim = local_dim**copies
-    return (dim * dim // 2 + _operator_build_entries(dim)
-            + _classes_peak_entries(local_dim, copies) + (1 << 14))
+    the class table, the t! x D label table (listed, stacked, 160 bytes of
+    array object and list slot each) beside a copy of the digits, and 256
+    KiB of Python objects and of the buffers numpy iterates the broadcast
+    (t!, t!, D) index arrays with."""
+    dim, perms = local_dim**copies, math.factorial(copies)
+    labels = (2 * perms + copies) * symmetric_subspace_dimension(local_dim, copies) // 2
+    return (dim * dim // 2 + _operator_build_entries(dim) + _classes_peak_entries(local_dim, copies)
+            + labels + 10 * perms + (1 << 14))
 
 
 def symmetric_projector(local_dim: int, copies: int) -> DensityOperator:
@@ -652,7 +655,9 @@ def symmetric_projector(local_dim: int, copies: int) -> DensityOperator:
     dim = local_dim**copies
     check_complex_array(_projector_peak_entries(local_dim, copies),
                         f"symmetric projector on ({local_dim})^{copies}")
-    labels, sizes = _symmetric_classes(local_dim, copies)
+    digits, sizes = _symmetric_classes(local_dim, copies)
+    labels = np.array([np.ravel_multi_index(digits[list(perm)], (local_dim,) * copies)
+                       for perm in itertools.permutations(range(copies))])
     proj = np.zeros((dim, dim), dtype=np.float64)
     proj[labels[:, None, :], labels[None, :, :]] = 1.0 / sizes
     proj.setflags(write=False)  # handed over to the operator, not copied
@@ -660,31 +665,27 @@ def symmetric_projector(local_dim: int, copies: int) -> DensityOperator:
 
 
 def _symmetric_classes(local_dim: int, copies: int) -> tuple[np.ndarray, np.ndarray]:
-    """The multiset classes of the d^t basis labels, in the order of their
-    sorted digit tuples: a (t!, D) array whose row sigma holds, for every
-    class, the label of its sorted digits permuted by sigma, and the D
-    class sizes (the distinct labels in each column)."""
-    shape = (local_dim,) * copies
-    digits = np.indices(shape).reshape(copies, -1)
-    sorted_ = np.all(digits[:-1] <= digits[1:], axis=0)
-    digits = digits[:, sorted_]  # (t, D): the sorted tuples, in label order
-    labels = np.array([np.ravel_multi_index(digits[list(perm)], shape)
-                       for perm in itertools.permutations(range(copies))])
-    ordered = np.sort(labels, axis=0)
-    sizes = 1 + np.count_nonzero(ordered[1:] != ordered[:-1], axis=0)
-    return labels, sizes
+    """The Sym^t classes: their (t, D) int64 sorted digit tuples in lexicographic
+    order, so their labels ascend, and their exact sizes t!/prod m!, prod m! the
+    product of the run lengths down each column; t! overflows int64 past t = 20."""
+    if copies > 20:
+        raise ValueError(f"copy count {copies}: the class sizes t!/prod m! overflow int64")
+    sym = symmetric_subspace_dimension(local_dim, copies)
+    tuples = itertools.combinations_with_replacement(range(local_dim), copies)
+    digits = np.fromiter(itertools.chain.from_iterable(tuples), np.int64, count=sym * copies)
+    digits = digits.reshape(sym, copies).T
+    run, product = np.ones(sym, dtype=np.int64), np.ones(sym, dtype=np.int64)
+    for j in range(1, copies):
+        run *= digits[j] == digits[j - 1]
+        run += 1
+        product *= run
+    return digits, math.factorial(copies) // product
 
 
 def _classes_peak_entries(local_dim: int, copies: int) -> int:
-    """What `_symmetric_classes` holds, in 16-byte units: t int64 digits and
-    t bool masks of d^t entries, 3 t! + t + 2 int64 arrays of D entries (the
-    permuted labels as a list and stacked, their sorted copy, the sorted
-    digits and the sizes) and 128 bytes of array header per permutation."""
-    dim = local_dim**copies
-    sym = symmetric_subspace_dimension(local_dim, copies)
-    perms = math.factorial(copies)
-    return (copies * dim // 2 + copies * dim // 16
-            + (3 * perms + copies + 2) * sym // 2 + 8 * perms)
+    """What `_symmetric_classes` holds, in 16-byte units: t + 4 int64 arrays of
+    D entries (digits, run lengths, their product, sizes, masks and objects)."""
+    return (copies + 4) * symmetric_subspace_dimension(local_dim, copies) // 2
 
 
 def _factor_widths(m: int) -> list[int]:

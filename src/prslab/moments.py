@@ -257,12 +257,22 @@ def _class_product(vs: np.ndarray, t: int) -> np.ndarray:
     return w @ (w.conj() if np.iscomplexobj(w) else w).T
 
 
-def _label_classes(local_dim: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 Sym^t class of each of the d^t labels and the D class sizes."""
-    labels, sizes = corelin._symmetric_classes(local_dim, t)
-    classes = np.empty(local_dim**t, dtype=np.int64)
-    classes[labels] = np.arange(len(sizes))
-    return classes, sizes
+def _class_of(labels: np.ndarray, digits: np.ndarray, local_dim: int) -> np.ndarray:
+    """The class of each sorted-digit label: its rank among the ascending
+    labels of the class table's `digits`.  Any other label raises RegisterError."""
+    ranked = np.ravel_multi_index(digits, (local_dim,) * len(digits))
+    classes = np.searchsorted(ranked, labels)
+    if not np.array_equal(ranked.take(classes, mode="clip"), labels):
+        raise RegisterError("a label is not the sorted-digit label of a Sym^t class")
+    return classes
+
+
+def _label_classes(local_dim: int, t: int) -> np.ndarray:
+    """The Sym^t class of each of the d^t labels: its sorted digits' class."""
+    every = np.indices((local_dim,) * t).reshape(t, -1)
+    every.sort(axis=0)
+    return _class_of(np.ravel_multi_index(every, (local_dim,) * t),
+                     corelin._symmetric_classes(local_dim, t)[0], local_dim)
 
 
 _GATHER_BYTES = 1 << 18  # the rows one expansion step gathers: they stay in cache
@@ -286,13 +296,13 @@ def _copy_class_rows(matrix: np.ndarray, classes: np.ndarray) -> None:
 
 def _expansion_peak_entries(local_dim: int, copies: int, complex_: bool = False) -> int:
     """Upper estimate of `SymmetricMoment.matrix`'s peak, in 16-byte units:
-    the matrix, the class of every label, the class arrays and one gathered
-    block of rows, plus 4 KiB."""
+    the matrix, the class of every label, what finding it holds (t + 3
+    int64 per label and the class table) and a gathered block, plus 4 KiB."""
     dim = local_dim**copies
     per_unit = 1 if complex_ else 2  # entries per 16 bytes
     block = min(dim, _gather_rows(dim, 16 // per_unit)) * dim // per_unit
-    return (dim * dim // per_unit + dim // 2 + corelin._classes_peak_entries(local_dim, copies)
-            + block + (1 << 8))
+    labelling = (copies + 3) * dim // 2 + corelin._classes_peak_entries(local_dim, copies)
+    return dim * dim // per_unit + dim // 2 + labelling + block + (1 << 8)
 
 
 @dataclass(frozen=True)
@@ -342,7 +352,7 @@ class SymmetricMoment:
         check_complex_array(
             _expansion_peak_entries(self.local_dim, self.copies, np.iscomplexobj(self.gram)),
             f"moment expansion, dim {self.dim}")
-        classes, _ = _label_classes(self.local_dim, self.copies)
+        classes = _label_classes(self.local_dim, self.copies)
         matrix = np.empty((len(classes),) * 2, dtype=self.gram.dtype)
         self.gram.take(classes, axis=1, out=matrix[:len(self.gram)], mode="clip")  # no buffer
         _copy_class_rows(matrix, classes)
@@ -411,7 +421,7 @@ def _bruteforce_peak_entries(spec: MomentSpec) -> int:
     their contiguous copy, the Sym^t products at t copies and at t - 1
     (t > 2), their conjugate (complex rows) and the D x D product.  The
     hand-over holds what the moment's check of the Gram holds: the class
-    arrays and its Hermiticity tiles.  Entries are complex128 for the
+    table and its Hermiticity tiles.  Entries are complex128 for the
     general kind and float64 for sign phases; table entries are int64."""
     layout, t = replace(spec.layout, final_layer=False), spec.t  # as `member_state` runs it
     local_dim = 1 << layout.qubits
@@ -489,7 +499,7 @@ def _self_join(group: np.ndarray, cls: np.ndarray, weight: np.ndarray, sym: int)
     return gram
 
 
-def _class_tuples(spec: MomentSpec, classes: np.ndarray):
+def _class_tuples(spec: MomentSpec, digits: np.ndarray):
     """The path tuples the pairing route keeps, as (key, class, odd) arrays:
     every tuple of t copies whose labels do not decrease from copy to copy,
     so its column is the sorted-digit label of its Sym^t class.
@@ -501,7 +511,7 @@ def _class_tuples(spec: MomentSpec, classes: np.ndarray):
     the draw keying block k.  A tuple's key is the XOR of its copies' key
     words, its parity the XOR of theirs and its column their labels' digits;
     the copies are joined one at a time, each segment of the next copy
-    reaching a label no smaller than the last one's."""
+    reaching a label no smaller than the last one's, ranked by `_class_of`."""
     layout, n, t, q = spec.layout, spec.n, spec.t, spec.layout.qubits
     idx = np.arange(1 << (n * len(layout.offsets)), dtype=np.uint64)
     key, label = np.zeros_like(idx), np.zeros_like(idx)
@@ -530,24 +540,24 @@ def _class_tuples(spec: MomentSpec, classes: np.ndarray):
         odd = odd[rep] ^ seg_odd[pos]
         cols = cols[rep] << q | seg_label[pos]
         del rep
-    return key, classes[cols], odd
+    return key, _class_of(cols, digits, 1 << q), odd
 
 
 def _pairing_peak_entries(spec: MomentSpec) -> int:
     """Upper estimate of the pairing route's peak allocation, in 16-byte
-    units: the int64 class of every label, beside the largest of its three
-    stages, plus 128 KiB.  Joining the copies and grouping the kept tuples
-    (`_kept_tuples`) holds at most 96 bytes per kept tuple, beside the class
-    arrays.  The self-join holds the float64 D x D Gram, one step of pairs
-    and at most 64 bytes per entry, of which there are at most as many as
-    kept tuples.  A step holds at most e(g + 1)/2 pairs for e entries in
-    key groups of at most g.  A group's entries are distinct classes, each
-    of a multiset of t segments whose key words XOR to the group's key, so
-    g is at most the multisets of t - 1 of the S segments times the
-    segments that share one key word: 2^(n (blocks - draws)), as a draw's
-    key bits of all but one of its blocks fix the last one's.  The
-    hand-over holds the Gram beside what the moment's check of it holds:
-    the class arrays and its Hermiticity tiles."""
+    units: the largest of its three stages, plus 128 KiB.  Joining the
+    copies, ranking and grouping the kept tuples (`_kept_tuples`) holds at
+    most 96 bytes per kept tuple, beside the class table.  The self-join
+    holds the float64 D x D Gram, one step of pairs and at most 64 bytes
+    per entry, of which there are at most as many as kept tuples.  A step
+    holds at most e(g + 1)/2 pairs for e entries in key groups of at most
+    g.  A group's entries are distinct classes, each of a multiset of t
+    segments whose key words XOR to the group's key, so g is at most the
+    multisets of t - 1 of the S segments times the segments that share one
+    key word: 2^(n (blocks - draws)), as a draw's key bits of all but one
+    of its blocks fix the last one's.  The hand-over holds the Gram beside
+    what the moment's check of it holds: the class table and its
+    Hermiticity tiles."""
     layout, n, t = spec.layout, spec.n, spec.t
     local_dim = 1 << layout.qubits
     sym = corelin.symmetric_subspace_dimension(local_dim, t)
@@ -560,7 +570,7 @@ def _pairing_peak_entries(spec: MomentSpec) -> int:
     join = sym * sym // 2 + step + 4 * tuples
     hand_over = (sym * sym // 2 + corelin._classes_peak_entries(local_dim, t)
                  + corelin._operator_build_entries(sym))
-    return local_dim**t // 2 + max(keying, join, hand_over) + (1 << 13)
+    return max(keying, join, hand_over) + (1 << 13)
 
 
 def _kept_tuples(spec: MomentSpec) -> int:
@@ -599,13 +609,13 @@ def ensemble_moment_deltapair(spec: MomentSpec) -> SymmetricMoment:
     n, t, q = spec.n, spec.t, layout.qubits
     check_complex_array(_pairing_peak_entries(spec), "pairing route peak")
 
-    classes, sizes = _label_classes(1 << q, t)
-    sym = len(sizes)
-    keys, cls, odd = _class_tuples(spec, classes)
+    digits, _ = corelin._symmetric_classes(1 << q, t)
+    sym = digits.shape[1]
+    keys, cls, odd = _class_tuples(spec, digits)
     _, group = np.unique(keys, return_inverse=True)
     entries, inverse = np.unique(group * sym + cls, return_inverse=True)
     weight = np.bincount(inverse, weights=1.0 - 2.0 * odd)
-    del keys, cls, odd, group, inverse
+    del digits, keys, cls, odd, group, inverse
     nonzero = weight != 0
     group, cls = np.divmod(entries[nonzero], sym)
     gram = _self_join(group, cls, weight[nonzero], sym)
@@ -638,7 +648,7 @@ def _check_method(spec: MomentSpec, method: Method) -> None:
 
 def _haar_peak_entries(local_dim: int, copies: int) -> int:
     """Upper estimate of `haar_moment`'s peak, in 16-byte units: the float64
-    D x D Gram beside the class arrays (`corelin._symmetric_classes`, which
+    D x D Gram beside the class table (`corelin._symmetric_classes`, which
     the moment's check builds again) and the check's Hermiticity tiles."""
     sym = corelin.symmetric_subspace_dimension(local_dim, copies)
     return (corelin._classes_peak_entries(local_dim, copies) + sym * sym // 2
@@ -685,11 +695,10 @@ def _class_symmetries(spec: MomentSpec) -> list[tuple[np.ndarray, np.ndarray]] |
     if not paulis:
         return None
     local_dim = 1 << layout.qubits
-    classes, _ = _label_classes(local_dim, t)
-    first = np.unique(classes, return_index=True)[1]  # each class's least label: sorted digits
-    digits = np.array(np.unravel_index(first, (local_dim,) * t))  # (t, D), each column sorted
+    digits, _ = corelin._symmetric_classes(local_dim, t)  # (t, D), each column sorted
     parity = np.bitwise_xor.reduce(digits, axis=0)
-    return [(classes[np.ravel_multi_index(np.sort(digits ^ b, axis=0), (local_dim,) * t)],
+    return [(_class_of(np.ravel_multi_index(np.sort(digits ^ b, axis=0), (local_dim,) * t),
+                       digits, local_dim),
              1.0 - 2.0 * (np.bitwise_count(parity & s) & 1))
             for b, s in paulis]
 

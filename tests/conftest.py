@@ -202,6 +202,21 @@ def hadamard_conjugate(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def classes_by_permutation(local_dim: int, copies: int):
+    """The multiset classes of the d^t labels by enumeration: the (t, D)
+    non-decreasing digit tuples among all d^t tuples, in label order, the
+    (t!, D) table whose row sigma holds every class's sorted-digit label
+    permuted by sigma, and the D class sizes, the distinct labels in each
+    column.  The oracle of `corelin._symmetric_classes`."""
+    shape = (local_dim,) * copies
+    digits = np.indices(shape).reshape(copies, -1)
+    digits = digits[:, np.all(digits[:-1] <= digits[1:], axis=0)]
+    labels = np.array([np.ravel_multi_index(digits[list(perm)], shape)
+                       for perm in itertools.permutations(range(copies))])
+    ordered = np.sort(labels, axis=0)
+    return digits, labels, 1 + np.count_nonzero(ordered[1:] != ordered[:-1], axis=0)
+
+
 def filtered_pairing_tuples(spec):
     """(key, class, odd) of every pairing path tuple whose column is its
     Sym^t class's sorted-digit label: the key loop run over all
@@ -227,7 +242,7 @@ def filtered_pairing_tuples(spec):
             label = (label & ~(mask_n << low)) | (b << low)
             keys ^= one << (b + np.uint64(draw << n))
         cols |= label << np.uint64(q * (t - 1 - j))
-    labels, _ = corelin._symmetric_classes(1 << q, t)
+    _, labels, _ = classes_by_permutation(1 << q, t)
     classes = np.empty(dim, dtype=np.int64)
     classes[labels] = np.arange(labels.shape[1])
     cols = cols.view(np.int64)

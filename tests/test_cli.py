@@ -49,7 +49,9 @@ class TestMomentsCommand:
         pair, brute = moments.Method.DELTA_PAIRING, moments.Method.BRUTE_FORCE
         with budget.limit(6):
             (report,) = cli._compare([pair], *point)
-            with pytest.raises(BudgetError, match="pairing route peak .* budget is 3 MiB$"):
+            with pytest.raises(BudgetError, match="pairing route peak .* budget is 3 MiB: 6 MiB "
+                                                  "less the 3 MiB that the brute_force "
+                                                  "report's class Gram holds$"):
                 cli._compare([brute, pair], *point)
         # a budget the held Gram fills leaves none for the next comparison
         monkeypatch.setattr(moments, "compare_to_haar", lambda spec, method: report)

@@ -33,6 +33,7 @@ from conftest import (
     assert_vectors_close,
     average_t_fold,
     class_scale,
+    classes_by_permutation,
     compression,
     dense_pairing_moment,
     dense_trace_distance,
@@ -641,10 +642,11 @@ class TestBruteForce:
         got = moments._average_symmetric_fold(iter(chunks), copies)
         assert_matrices_close(got.matrix, average_t_fold(iter(chunks), copies).matrix, 1e-15)
         # the Sym^t products are the dense t-fold rows at the sorted-digit labels
-        labels, _ = corelin._symmetric_classes(local_dim, copies)
+        digits, _ = corelin._symmetric_classes(local_dim, copies)
+        labels = np.ravel_multi_index(digits, (local_dim,) * copies)
         dense = np.array([reduce(np.kron, [v] * copies) for v in chunks[0]])
         assert_matrices_close(moments._symmetric_fold(chunks[0], copies).T,
-                              dense[:, labels[0]], 1e-15)
+                              dense[:, labels], 1e-15)
 
     @pytest.mark.parametrize("spec", [
         plain(3, 3), c1(3, 1, 2), MomentSpec(Source.CONSTRUCTION3, n=2, t=1, ell=3),
@@ -793,12 +795,14 @@ class TestDeltaPairing:
             1e-12,
         )
 
-    @pytest.mark.parametrize("spec", [plain(3, 3), c1(4, 1, 2), c1(3, 2, 2), c1(3, 1, 3)],
-                             ids=["plain-3-3", "c1-4-1-2", "c1-3-2-2", "c1-3-1-3"])
+    @pytest.mark.parametrize("spec", [plain(3, 3), c1(4, 1, 2), c1(3, 2, 2), c1(3, 1, 3),
+                                      c1(2, 1, 7)],
+                             ids=["plain-3-3", "c1-4-1-2", "c1-3-2-2", "c1-3-1-3", "c1-2-1-7"])
     def test_budget_estimate_covers_measured_peak(self, spec):
         # the hand-over sets the peak at c1 (3,2,2) and (3,1,3): the Gram
         # beside its scaled copy (c1 (3,1,3): 10.3 MiB against 10.4
-        # estimated); the self-join at c1 (4,1,2) and plain (3,3)
+        # estimated); the self-join at c1 (4,1,2) and plain (3,3); at
+        # c1 (2,1,7) the 3432 x 3432 Gram, with no d^t-label array beside it
         measured = measured_peak(lambda: ensemble_moment_deltapair(spec))
         estimate = 16 * moments._pairing_peak_entries(spec)
         assert measured <= estimate <= 2 * measured
@@ -812,6 +816,71 @@ class TestDeltaPairing:
         assert 16 * moments._pairing_peak_entries(spec) < DEFAULT_BUDGET_MIB << 20
         with pytest.raises(BudgetError, match="pairing route peak"), budget.limit(64):
             ensemble_moment_deltapair(spec)
+
+
+CLASS_TABLE_POINTS = [(2, t) for t in range(1, 9)] + [(3, t) for t in range(1, 6)] + [
+    (4, t) for t in range(1, 6)] + [(8, 1), (8, 2), (8, 3), (16, 2), (16, 3), (64, 2)]
+
+
+class TestClassTable:
+    """`corelin._symmetric_classes`, the one Sym^t class table, and
+    `moments._class_of`, the one lookup of a sorted-digit label, against
+    the permutation oracle."""
+
+    @pytest.mark.parametrize("local_dim,copies", CLASS_TABLE_POINTS,
+                             ids=[f"{d}-{t}" for d, t in CLASS_TABLE_POINTS])
+    def test_sorted_digits_and_sizes_match_the_permutation_oracle(self, local_dim, copies):
+        shape = (local_dim,) * copies
+        digits, sizes = corelin._symmetric_classes(local_dim, copies)
+        want_digits, labels, want_sizes = classes_by_permutation(local_dim, copies)
+        assert digits.shape == want_digits.shape and np.all(digits[:-1] <= digits[1:])
+        assert np.all(np.diff(np.ravel_multi_index(digits, shape)) > 0)
+        assert np.array_equal(digits, want_digits)
+        assert sizes.dtype == np.int64 and np.array_equal(sizes, want_sizes)
+        assert int(sizes.sum()) == local_dim**copies
+        # every label's sorted-digit label ranks into the oracle's class of it
+        want = np.empty(local_dim**copies, dtype=np.int64)
+        want[labels] = np.arange(labels.shape[1])
+        every = np.sort(np.indices(shape).reshape(copies, -1), axis=0)
+        got = moments._class_of(np.ravel_multi_index(every, shape), digits, local_dim)
+        assert np.array_equal(got, want)
+        unsorted = [local_dim**copies]  # past the last class
+        if local_dim > 1 and copies > 1:
+            unsorted.append(np.ravel_multi_index((1,) + (0,) * (copies - 1), shape))
+        for label in unsorted:
+            with pytest.raises(corelin.RegisterError, match="sorted-digit label"):
+                moments._class_of(np.array([0, label]), digits, local_dim)
+
+    @pytest.mark.parametrize("local_dim,copies", [(4, 9), (8, 6), (16, 4), (64, 2), (256, 2)])
+    def test_the_class_table_estimate_covers_measured_peak(self, local_dim, copies):
+        measured = measured_peak(lambda: corelin._symmetric_classes(local_dim, copies))
+        estimate = 16 * corelin._classes_peak_entries(local_dim, copies)
+        assert measured <= estimate <= 2 * measured
+
+    def test_twenty_copies_run_through_the_pairing_route_and_twenty_one_are_refused(self):
+        # plain n = 1: the members are the four +-|+>, +-|->, so the moment is
+        # (|+><+|^(x) t + |-><-|^(x) t) / 2 and its Gram 2^-t where the
+        # classes' counts of ones have even sum; 21! overflows the int64 sizes
+        moment = ensemble_moment_deltapair(plain(1, 20))
+        ones = np.arange(21)
+        assert np.array_equal(moment.gram, ((ones[:, None] + ones) % 2 == 0) / 2.0**20)
+        with pytest.raises(ValueError, match="copy count 21"):
+            ensemble_moment_deltapair(plain(1, 21))
+
+    @pytest.mark.parametrize("spec,method,distance", [
+        (plain(2, 9), Method.DELTA_PAIRING, "0.9636363636363636"),
+        (plain(2, 7), Method.BRUTE_FORCE, "0.9333333333333333"),
+    ], ids=["pairing-plain-2-9", "brute-plain-2-7"])
+    def test_many_copies_of_a_small_register_need_no_label_table(self, monkeypatch, spec,
+                                                                 method, distance):
+        # with the projector that compare_to_haar builds and drops left out,
+        # the class table is O(t D): plain (2,9) needs no 4^9-label table
+        # and no 9! permutations, and each distance is the one the
+        # permutation table gave
+        monkeypatch.setattr(corelin, "symmetric_projector", lambda *args: None)
+        reports = []
+        assert measured_peak(lambda: reports.append(compare_to_haar(spec, method))) < 8 << 20
+        assert repr(reports[0].haar_distance) == distance
 
 
 class TestPairingGram:
@@ -834,11 +903,8 @@ class TestPairingGram:
     def test_copy_join_keeps_the_filtered_tuples(self, spec):
         # keying one copy and joining the copies in non-decreasing label
         # order gives the tuples the all-tuple loop keeps, as a multiset
-        q, t = spec.layout.qubits, spec.t
-        labels, _ = corelin._symmetric_classes(1 << q, t)
-        classes = np.empty(1 << (q * t), dtype=np.int64)
-        classes[labels] = np.arange(labels.shape[1])
-        got = moments._class_tuples(spec, classes)
+        digits, _ = corelin._symmetric_classes(1 << spec.layout.qubits, spec.t)
+        got = moments._class_tuples(spec, digits)
         want = filtered_pairing_tuples(spec)
         assert len(got[0]) == len(want[0]) == moments._kept_tuples(spec)
         for a, b in zip(self.sorted_tuples(*got), self.sorted_tuples(*want)):
@@ -848,10 +914,7 @@ class TestPairingGram:
         # 1024 segments per copy, 16 per label: 16^2 tuples for each of the
         # 2080 non-decreasing label pairs, of 2^20 tuples in all
         spec = c1(5, 1, 2)
-        labels, _ = corelin._symmetric_classes(64, 2)
-        classes = np.empty(4096, dtype=np.int64)
-        classes[labels] = np.arange(labels.shape[1])
-        keys, cls, odd = moments._class_tuples(spec, classes)
+        keys, cls, odd = moments._class_tuples(spec, corelin._symmetric_classes(64, 2)[0])
         assert len(keys) == len(cls) == len(odd) == moments._kept_tuples(spec) == 532_480
 
     @pytest.mark.parametrize("spec", [c1(2, 1, 2), c1(4, 1, 2), c1(3, 2, 2)],
@@ -922,7 +985,8 @@ class TestHandOver:
     @staticmethod
     def random_gram(rng, local_dim, copies, complex_=False):
         # a positive D x D Gram whose d^t x d^t expansion has trace 1
-        classes, sizes = moments._label_classes(local_dim, copies)
+        classes = moments._label_classes(local_dim, copies)
+        sizes = corelin._symmetric_classes(local_dim, copies)[1]
         a = rng.standard_normal((len(sizes),) * 2)
         if complex_:
             a = a + 1j * rng.standard_normal(a.shape)

@@ -166,6 +166,27 @@ def test_only_the_moment_s_matrix_expands_a_class_gram():
     assert offenders == []
 
 
+def test_one_class_table_no_other_permutation_table_or_label_array():
+    # corelin._symmetric_classes holds the Sym^t classes as their sorted
+    # digit tuples and sizes, and every reader ranks a sorted-digit label
+    # through moments._class_of: within corelin and moments, only the
+    # dense projector enumerates permutations, and only the expansion's
+    # _label_classes builds an array over all d^t labels
+    rules = {("itertools", "permutations"): [("corelin", "symmetric_projector")],
+             ("np", "indices"): [("moments", "_label_classes")]}
+    found = {rule: [] for rule in rules}
+    for stem in ("corelin", "moments"):
+        tree = ast.parse((Path(prslab.__file__).parent / f"{stem}.py").read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                for module, attr in rules:
+                    if (isinstance(node, ast.Attribute) and node.attr == attr
+                            and isinstance(node.value, ast.Name) and node.value.id == module
+                            or isinstance(node, ast.alias) and node.name == attr):
+                        found[module, attr].append((stem, getattr(top, "name", None)))
+    assert found == rules
+
+
 def _names(node, name):
     return (isinstance(node, ast.Name) and node.id == name
             or isinstance(node, ast.Attribute) and node.attr == name)
